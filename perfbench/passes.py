@@ -2,12 +2,12 @@
 
 Usage::
 
-    python3 perfbench/passes.py --workload NAME --seed N --index I \
+    python3 perfbench/passes.py --workload NAME --config-seeds S1,S2,... \
         --mode {setup,measure,traced} --t0 MONOTONIC --workdir DIR \
         [--trace-out FILE]
 
-The pass draws its inputs from the (seed, index) pair, so each pass of
-a run measures its own realization of the workload.
+The pass builds its inputs from the config seeds ``run.py`` chose for
+it, so each pass of a run measures its own realization of the workload.
 
 ``--t0`` is the parent's monotonic clock just before it started this
 interpreter, so ``setup_s`` covers interpreter start, imports and the
@@ -32,8 +32,7 @@ import sys  # noqa: E402
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--index", type=int, default=0)
+    parser.add_argument("--config-seeds", required=True)
     parser.add_argument(
         "--mode", choices=("setup", "measure", "traced"), required=True
     )
@@ -45,9 +44,10 @@ def main(argv: list[str] | None = None) -> int:
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
     from workloads import WORKLOADS, DecisionTimer, decision_metrics
 
+    seeds = [int(seed) for seed in args.config_seeds.split(",")]
     workdir = pathlib.Path(args.workdir)
     workdir.mkdir(parents=True, exist_ok=True)
-    workload = WORKLOADS[args.workload]((args.seed, args.index), workdir)
+    workload = WORKLOADS[args.workload](seeds, workdir)
     workload.setup()
     setup_s = time.monotonic() - args.t0
     if args.mode == "setup":

@@ -2,25 +2,21 @@
 
 Usage (from the repository root)::
 
-    python3 perfbench/run.py --workload {compare_small,campaign_service,
-        paper_proposed} --seed N --seconds S --trace {0,1}
-
-``BENCHMARK.json`` lists the workloads the benchmark is judged on;
-``paper_proposed`` (the literal Table I fleet) is run by hand, see
-``NOTES.md``.
+    python3 perfbench/run.py --workload {compare_small,campaign_service} \
+        --seed N --seconds S --trace {0,1}
 
 Every measured pass runs in a fresh interpreter (``passes.py``) with
-one job, so caches start cold as they do for a user.  With
-``--trace 0`` the run first starts ``SETUP_PROBES`` set-up-only
+one job, so caches start cold as they do for a user.  The config seeds
+of each pass are drawn from ``--seed`` and the pass index here, before
+the pass interpreter starts, so that search stays out of every timing.
+With ``--trace 0`` the run first starts ``SETUP_PROBES`` set-up-only
 interpreters, then runs about ``--seconds`` worth of untraced passes
-(at least one), each on its own realization of the workload drawn from
-the seed and the pass index, and reports the end-to-end metrics as
-medians over passes.  With ``--trace 1`` it runs one traced pass and
-one untraced pass and reports the per-layer metrics, the tracing
-overhead (traced minus untraced ``wall_s``) and the share of ``wall_s``
-covered by named layer spans.  Counts that must repeat exactly are
-compared with the previous traced run of the same workload and seed in
-this checkout.
+(at least one), and reports the end-to-end metrics as medians over
+passes.  With ``--trace 1`` it runs one traced pass and one untraced
+pass and reports the per-layer metrics, the tracing overhead (traced
+minus untraced ``wall_s``) and the share of ``wall_s`` covered by named
+layer spans.  Counts that must repeat exactly are compared with the
+previous traced run of the same workload, seed and program sources.
 
 Scratch files live under ``.bench_work/`` in the checkout; the span
 trace of the last traced run is kept at
@@ -31,6 +27,7 @@ standard output is the JSON result.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import pathlib
@@ -42,21 +39,18 @@ import time
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 HERE = pathlib.Path(__file__).resolve().parent
+SRC = ROOT / "src"
 WORK = ROOT / ".bench_work"
 
-WORKLOADS = ("compare_small", "campaign_service", "paper_proposed")
+WORKLOADS = ("compare_small", "campaign_service")
 
 #: Set-up-only interpreters started before the measured passes.
-SETUP_PROBES = 2
+SETUP_PROBES = 4
 
 #: Nominal seconds of one measured pass; a run makes
 #: ``max(1, round(seconds / NOMINAL_PASS_S))`` passes, so the work per
 #: run does not depend on how fast the host happens to be.
-NOMINAL_PASS_S = {
-    "compare_small": 10.0,
-    "paper_proposed": 45.0,
-    "campaign_service": 15.0,
-}
+NOMINAL_PASS_S = {"compare_small": 9.0, "campaign_service": 15.0}
 
 #: Whole-run budget; a pass that would overrun it is killed.
 BUDGET_S = 170.0
@@ -93,21 +87,28 @@ def _child_env() -> dict:
         for key, value in os.environ.items()
         if not key.startswith("REPRO_")
     }
-    src = str(ROOT / "src")
-    env["PYTHONPATH"] = src + (
+    env["PYTHONPATH"] = str(SRC) + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
     env["PYTHONHASHSEED"] = "0"
     return env
 
 
-def run_pass(args, mode: str, index: int, workdir: pathlib.Path,
+def pass_seeds(args, index: int) -> list[int]:
+    """Config seeds of pass ``index``, chosen in this process."""
+    from workloads import config_seeds
+
+    return config_seeds(args.workload, args.seed, index)
+
+
+def run_pass(args, mode: str, seeds: list[int], workdir: pathlib.Path,
              deadline: float, trace_out: pathlib.Path | None = None) -> dict:
     """Start one pass interpreter and return its JSON result."""
     command = [
         sys.executable, str(HERE / "passes.py"),
-        "--workload", args.workload, "--seed", str(args.seed),
-        "--index", str(index), "--mode", mode, "--workdir", str(workdir),
+        "--workload", args.workload,
+        "--config-seeds", ",".join(str(seed) for seed in seeds),
+        "--mode", mode, "--workdir", str(workdir),
     ]
     if trace_out is not None:
         command += ["--trace-out", str(trace_out)]
@@ -159,7 +160,9 @@ def per_layer(traced: dict, untraced: dict, compared: int) -> dict:
     # Timings of whole calls come from the untraced pass.
     layers["core.decision_p50_s"] = untraced["decision_p50_s"]
     layers["core.decision_tail_s"] = untraced["decision_tail_s"]
-    layers["orchestrator.warm_runs_per_s"] = untraced["warm_runs_per_s"]
+    layers["orchestrator.warm_runs_per_s"] = untraced.get(
+        "warm_runs_per_s", 0.0
+    )
     layers["trace.overhead_s"] = traced["wall_s"] - untraced["wall_s"]
     layers["trace.counts_compared"] = compared
     return {
@@ -168,9 +171,25 @@ def per_layer(traced: dict, untraced: dict, compared: int) -> dict:
     }
 
 
+def source_digest() -> str:
+    """sha256 over the program's sources: names the code being measured."""
+    digest = hashlib.sha256()
+    for path in sorted(SRC.rglob("*")):
+        if path.is_file() and "__pycache__" not in path.parts:
+            digest.update(path.relative_to(SRC).as_posix().encode() + b"\0")
+            digest.update(path.read_bytes())
+    return digest.hexdigest()[:16]
+
+
 def check_counts(args, layers: dict) -> tuple[int, list[str]]:
-    """Compare exact counts with the previous traced run (same seed)."""
-    path = WORK / "counts" / f"{args.workload}-seed{args.seed}.json"
+    """Compare exact counts with the last traced run of the same sources.
+
+    The stored counts are keyed by workload, seed and source digest, so
+    two runs of one program are compared, never runs of two versions;
+    the file is rewritten after every comparison.
+    """
+    path = (WORK / "counts"
+            / f"{args.workload}-seed{args.seed}-{source_digest()}.json")
     current = {name: layers.get(name, 0) for name in EXACT_COUNTS}
     mismatches: list[str] = []
     compared = 0
@@ -183,9 +202,8 @@ def check_counts(args, layers: dict) -> tuple[int, list[str]]:
                     mismatches.append(
                         f"{name}: {previous[name]} then {current[name]}"
                     )
-    else:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(current, sort_keys=True) + "\n")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(current, sort_keys=True) + "\n")
     return compared, mismatches
 
 
@@ -198,13 +216,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.seed < 0:
         parser.error("--seed must be >= 0")
-    if not (ROOT / "src" / "repro" / "__init__.py").is_file():
+    if not (SRC / "repro" / "__init__.py").is_file():
         print(
-            f"error: no program sources under {ROOT / 'src' / 'repro'}; "
+            f"error: no program sources under {SRC / 'repro'}; "
             "run from a full checkout",
             file=sys.stderr,
         )
         return 2
+    sys.path[:0] = [str(HERE), str(SRC)]
 
     deadline = time.monotonic() + BUDGET_S
     workdir = WORK / f"{args.workload}-seed{args.seed}-{os.getpid()}"
@@ -223,22 +242,25 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def untraced_run(args, workdir: pathlib.Path, deadline: float) -> dict:
+    count = max(1, round(args.seconds / NOMINAL_PASS_S[args.workload]))
+    seeds = [pass_seeds(args, index) for index in range(count)]
     setups = []
     for index in range(SETUP_PROBES):
-        probe = run_pass(args, "setup", 0, workdir / f"setup{index}",
+        probe = run_pass(args, "setup", seeds[0], workdir / f"setup{index}",
                          deadline)
         setups.append(probe["setup_s"])
     passes: list[dict] = []
-    for index in range(max(1, round(args.seconds / NOMINAL_PASS_S[args.workload]))):
-        outcome = run_pass(args, "measure", index, workdir / f"pass{index}",
-                           deadline)
+    for index in range(count):
+        outcome = run_pass(args, "measure", seeds[index],
+                           workdir / f"pass{index}", deadline)
         passes.append(outcome)
         setups.append(outcome["setup_s"])
     for index, outcome in enumerate(passes):
+        warm = outcome.get("warm_runs_per_s")
         print(f"pass {index}: wall_s={outcome['wall_s']:.3f} "
               f"setup_s={outcome['setup_s']:.3f} "
-              f"warm_runs_per_s={outcome['warm_runs_per_s']:.1f} "
-              f"decision tail=p{outcome['decision_tail_pct']} of "
+              + (f"warm_runs_per_s={warm:.1f} " if warm else "")
+              + f"decision tail=p{outcome['decision_tail_pct']} of "
               f"{outcome['decision_samples']} slots "
               f"(p0 = maximum) proposed_response_s="
               f"{outcome['proposed_response_s']:.4f} failed={outcome['failed']}")
@@ -257,11 +279,13 @@ def untraced_run(args, workdir: pathlib.Path, deadline: float) -> dict:
 
 
 def traced_run(args, workdir: pathlib.Path, deadline: float) -> dict:
+    seeds = pass_seeds(args, 0)
     trace_out = WORK / "traces" / f"{args.workload}-seed{args.seed}.jsonl"
     trace_out.parent.mkdir(parents=True, exist_ok=True)
-    traced = run_pass(args, "traced", 0, workdir / "traced", deadline,
+    traced = run_pass(args, "traced", seeds, workdir / "traced", deadline,
                       trace_out)
-    untraced = run_pass(args, "measure", 0, workdir / "untraced", deadline)
+    untraced = run_pass(args, "measure", seeds, workdir / "untraced",
+                        deadline)
     compared, mismatches = check_counts(args, traced["layers"])
     metrics = per_layer(traced, untraced, compared)
     for name, metric in metrics.items():

@@ -1,18 +1,16 @@
 """The benchmark's workloads: set-up, one measured pass, checks.
 
-Each workload builds its inputs from the benchmark seed alone, runs one
-closed-loop pass (one caller, each request waits for its reply) and
-checks the program's outputs.  A pass runs in a fresh interpreter, so
-the orchestrator's materialization cache and every process-level cache
-start cold, as they do for a user's first ``repro compare``.
+Each workload is built from config seeds that ``run.py`` draws from the
+benchmark seed (``config_seeds``) before the pass interpreter starts,
+runs one closed-loop pass (one caller, each request waits for its
+reply) and checks the program's outputs.  A pass runs in a fresh
+interpreter, so the orchestrator's materialization cache and every
+process-level cache start cold, as they do for a user's first
+``repro compare``.
 
 * ``compare_small`` -- ``run_comparison`` of the four policies on
   ``scaled_config("small")``, 48 slots, in-process orchestrator with a
-  memory-only store; then warm re-resolutions of the same comparison.
-* ``paper_proposed`` (run by hand) -- the literal Table I fleet
-  (``paper_config``), first slot, same path; the three baselines ride
-  on Proposed's materialized workload, so the O(n^2) volume and
-  embedding layers dominate.
+  memory-only store.
 * ``campaign_service`` -- a tiny-scale suite (4 policies x 8 seeds x
   slot/event engines, 24 slots) through ``CampaignDriver`` and
   ``ServiceClient`` against an in-process ``ExperimentDaemon`` on a
@@ -30,40 +28,52 @@ import time
 
 import numpy as np
 
-#: Warm work per pass is fixed, so traced counts repeat exactly:
-#: WARM_REPEATS in-process comparisons, or CAMPAIGN_WARM_PASSES fresh
-#: campaigns.  A warm rate is runs resolved over the time they took.
-WARM_REPEATS = 1500
+#: Warm passes per campaign pass; fixed, so traced counts repeat
+#: exactly.  The warm rate is runs resolved over the time they took.
 CAMPAIGN_WARM_PASSES = 10
 
 #: Seeds per campaign; the grid is 4 policies x seeds x 2 engines.
 CAMPAIGN_SEEDS = 8
 
 
-#: Population size targets: the O(n^2) work sum over slots of alive^2
-#: (the median over config seeds 0-199) and the accepted deviation.
-SMALL_WORK = (765_000, 0.03)
-PAPER_WORK = (1_441_000, 0.01)
-TINY_WORK = (12_700, 0.05)
+def small_config(seed: int):
+    from repro.sim.config import scaled_config
+
+    return scaled_config("small", seed=seed).with_horizon(48)
 
 
-def sized_configs(seed: tuple[int, int], config_for,
-                  work: tuple[int, float], count: int = 1) -> list:
-    """``count`` configs drawn from ``seed`` with a fixed population size.
+def tiny_config(seed: int):
+    from repro.sim.config import scaled_config
 
-    ``seed`` is the (benchmark seed, pass index) pair: each pass of a
-    run gets its own realizations, so a run's medians average over
-    several of them.  Config seeds come from a sequence that pair
-    determines; a candidate is kept when its VM population's sum over slots of
-    alive^2 -- the size the embedding and volume layers scale with --
-    lies within the tolerance of the target.  Realizations vary with
-    the seed; their size does not, so timings compare across seeds.
+    return scaled_config("tiny", seed=seed)
+
+
+#: Per workload: the config of a config seed, the population size
+#: target (the O(n^2) work, sum over slots of alive^2; the median over
+#: config seeds 0-199), its accepted deviation, and seeds per pass.
+CONFIG_SEARCH = {
+    "compare_small": (small_config, 765_000, 0.03, 1),
+    "campaign_service": (tiny_config, 12_700, 0.05, CAMPAIGN_SEEDS),
+}
+
+
+def config_seeds(workload: str, seed: int, index: int) -> list[int]:
+    """Config seeds for pass ``index`` of a run, drawn from ``seed``.
+
+    Each pass of a run gets its own realizations, so a run's medians
+    average over several of them.  Candidates come from a sequence the
+    (seed, index) pair determines; one is kept when its VM population's
+    sum over slots of alive^2 -- the size the embedding and volume
+    layers scale with -- lies within the tolerance of the target.
+    Realizations vary with the seed; their size does not, so timings
+    compare across seeds.  ``run.py`` calls this outside the timed
+    pass, since the number of candidates it tries varies with the seed.
     """
     from repro.workload.arrivals import VMPopulation
 
-    target, tolerance = work
-    rng = np.random.default_rng([*seed, 0xBE4C])
-    configs: list = []
+    config_for, target, tolerance, count = CONFIG_SEARCH[workload]
+    rng = np.random.default_rng([seed, index, 0xBE4C])
+    chosen: list[int] = []
     for _ in range(10_000):
         config = config_for(int(rng.integers(0, 2**31 - 1)))
         population = VMPopulation.generate(
@@ -73,11 +83,10 @@ def sized_configs(seed: tuple[int, int], config_for,
             len(population.alive(slot)) ** 2
             for slot in range(config.horizon_slots)
         )
-        seen = {chosen.seed for chosen in configs}
-        if abs(size - target) <= tolerance * target and config.seed not in seen:
-            configs.append(config)
-            if len(configs) == count:
-                return configs
+        if abs(size - target) <= tolerance * target and config.seed not in chosen:
+            chosen.append(config.seed)
+            if len(chosen) == count:
+                return chosen
     raise RuntimeError(f"no config of size {target} from seed {seed}")
 
 
@@ -176,26 +185,17 @@ def quality_metrics(by_policy: dict[str, list]) -> dict:
 class CompareWorkload:
     """``repro compare``: four policies, in-process, memory-only store."""
 
-    def __init__(self, seed: tuple[int, int], workdir: pathlib.Path) -> None:
-        self.seed = seed
+    def __init__(self, seeds: list[int], workdir: pathlib.Path) -> None:
+        self.seeds = seeds
         self.workdir = workdir
-
-    def make_config(self):
-        from repro.sim.config import scaled_config
-
-        [config] = sized_configs(
-            self.seed,
-            lambda seed: scaled_config("small", seed=seed).with_horizon(48),
-            SMALL_WORK,
-        )
-        return config
 
     def setup(self) -> None:
         from repro.experiments.orchestrator import Orchestrator
         from repro.experiments.runner import run_comparison
 
         self._run_comparison = run_comparison
-        self.config = self.make_config()
+        [seed] = self.seeds
+        self.config = small_config(seed)
         self.orchestrator = Orchestrator(jobs=1)
 
     def measure(self, tracer=None) -> dict:
@@ -204,19 +204,9 @@ class CompareWorkload:
             self.config, orchestrator=self.orchestrator
         )
         end = time.perf_counter_ns()
-        cache = self.orchestrator.workload_cache_stats()
-
-        mismatched = 0
-        started = time.perf_counter()
-        for _ in range(WARM_REPEATS):
-            warm = self._run_comparison(
-                self.config, orchestrator=self.orchestrator
-            )
-            mismatched += sum(a is not b for a, b in zip(warm, results))
-        warm_s = time.perf_counter() - started
-        warm_runs = WARM_REPEATS * len(results)
         if tracer is not None:
             tracer.active = False
+        cache = self.orchestrator.workload_cache_stats()
 
         bad_runs, violations = audit_violations(
             (result, self.config) for result in results
@@ -224,9 +214,8 @@ class CompareWorkload:
         return {
             "window_ns": (start, end),
             "wall_s": (end - start) / 1e9,
-            "warm_runs_per_s": warm_runs / warm_s,
-            "attempted": len(results) + warm_runs,
-            "failed": bad_runs + mismatched,
+            "attempted": len(results),
+            "failed": bad_runs,
             "audit_violations": violations,
             **quality_metrics(
                 {result.policy_name: [result] for result in results}
@@ -236,28 +225,13 @@ class CompareWorkload:
                 "sim.requests_sampled": _requests(results),
             },
             "notes": [
-                f"{len(results)} runs cold, {warm_runs} warm "
-                f"re-resolutions; workload cache {cache['hits']}/"
+                f"{len(results)} runs; workload cache {cache['hits']}/"
                 f"{cache['hits'] + cache['misses']} materialization hits"
             ],
         }
 
     def close(self) -> None:
         self.orchestrator.close()
-
-
-class PaperWorkload(CompareWorkload):
-    """The literal Table I fleet, first slot."""
-
-    def make_config(self):
-        from repro.sim.config import paper_config
-
-        [config] = sized_configs(
-            self.seed,
-            lambda seed: paper_config(seed=seed).with_horizon(1),
-            PAPER_WORK,
-        )
-        return config
 
 
 def cache_layers(stats: dict) -> dict:
@@ -284,15 +258,9 @@ def _tree_bytes(root: pathlib.Path) -> int:
     return sum(path.stat().st_size for path in root.rglob("*") if path.is_file())
 
 
-def suite_text(seed: tuple[int, int]) -> str:
+def suite_text(seeds: list[int]) -> str:
     """The campaign's suite spec: mini.toml's shape, 8 seeds, 2 engines."""
-    from repro.sim.config import scaled_config
-
-    configs = sized_configs(
-        seed, lambda seed: scaled_config("tiny", seed=seed), TINY_WORK,
-        count=CAMPAIGN_SEEDS,
-    )
-    seeds = ", ".join(str(config.seed) for config in configs)
+    seeds = ", ".join(str(seed) for seed in seeds)
     return f"""\
 [suite]
 name = "bench-campaign"
@@ -319,8 +287,8 @@ export = true
 class CampaignWorkload:
     """A suite campaign through the service layer, cold then warm."""
 
-    def __init__(self, seed: tuple[int, int], workdir: pathlib.Path) -> None:
-        self.seed = seed
+    def __init__(self, seeds: list[int], workdir: pathlib.Path) -> None:
+        self.seeds = seeds
         self.workdir = workdir
 
     def setup(self) -> None:
@@ -336,7 +304,7 @@ class CampaignWorkload:
         self._client = ServiceClient
         self._outputs = outputs
         self._parse = parse_suite
-        self.text = suite_text(self.seed)
+        self.text = suite_text(self.seeds)
         self.spec_path = self.workdir / "bench-campaign.toml"
         self.spec = parse_suite(self.text, self.spec_path)
         self.store_root = self.workdir / "store"
@@ -468,6 +436,5 @@ class CampaignWorkload:
 
 WORKLOADS = {
     "compare_small": CompareWorkload,
-    "paper_proposed": PaperWorkload,
     "campaign_service": CampaignWorkload,
 }

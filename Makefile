@@ -13,7 +13,8 @@
 #                      -> BENCH_fleet.json; skips below 4 CPUs),
 #                      the engine's
 #                      per-slot hot paths, the fleet-batched
-#                      slot-physics kernel (bench_green), the
+#                      slot-physics kernel (bench_green: bit-identity
+#                      gate; its speedup is reported, not gated), the
 #                      discrete-event driver throughput + byte-identity
 #                      gate (bench_events -> BENCH_events.json), the
 #                      campaign-ledger overhead gate (bench_suite:

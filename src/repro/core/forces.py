@@ -65,6 +65,8 @@ class ForceParameters:
             raise ValueError("time_step must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
+        if self.min_distance <= 0:
+            raise ValueError("min_distance must be positive")
 
 
 @dataclass
@@ -90,10 +92,27 @@ class EmbeddingResult:
     converged: bool = False
 
 
+def _geometry(
+    positions: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-coordinate offsets and distances of 2D points.
+
+    Returns ``(dx, dy, dists)``, each ``(n, n)``, with
+    ``dx[i, j] = x_i - x_j`` (the j -> i direction) and
+    ``dists = sqrt(dx^2 + dy^2)``.
+    """
+    x = positions[:, 0]
+    y = positions[:, 1]
+    dx = x[:, None] - x[None, :]
+    dy = y[:, None] - y[None, :]
+    dists = dx * dx
+    dists += dy * dy
+    return dx, dy, np.sqrt(dists, out=dists)
+
+
 def pairwise_distances(positions: np.ndarray) -> np.ndarray:
     """Euclidean distance matrix of 2D points, shape ``(n, n)``."""
-    deltas = positions[:, None, :] - positions[None, :, :]
-    return np.sqrt((deltas**2).sum(axis=2))
+    return _geometry(positions)[2]
 
 
 class ForceDirectedEmbedding:
@@ -108,28 +127,38 @@ class ForceDirectedEmbedding:
         """Eq. 5 with this embedding's alpha."""
         return total_force_matrix(attraction, repulsion, self.params.alpha)
 
-    def _resultant(self, positions: np.ndarray, forces: np.ndarray) -> np.ndarray:
+    def _resultant(
+        self,
+        dx: np.ndarray,
+        dy: np.ndarray,
+        dists: np.ndarray,
+        forces: np.ndarray,
+    ) -> np.ndarray:
         """Resultant force vector on each point (Eq. 6's F_x, F_y).
 
         ``forces[j, i]`` scales the unit vector from j to i: positive
-        entries push i away from j, negative pull it toward j.
+        entries push i away from j, negative pull it toward j.  Takes
+        :func:`_geometry`'s arrays; jittered pairs overwrite ``dx`` and
+        ``dy`` in place, ``dists`` is left untouched.
         """
-        n = positions.shape[0]
-        deltas = positions[:, None, :] - positions[None, :, :]  # i <- j
-        dists = np.sqrt((deltas**2).sum(axis=2))
+        n = dists.shape[0]
+        min_distance = self.params.min_distance
+        scale = dists.copy()
         # Deterministic jitter for coincident points.
-        tiny = dists < self.params.min_distance
+        tiny = scale < min_distance
         np.fill_diagonal(tiny, False)
         if tiny.any():
             ii, jj = np.nonzero(tiny)
             angle = 2.0 * np.pi * ((ii * 31 + jj * 17) % 101) / 101.0
-            deltas[ii, jj, 0] = np.cos(angle) * self.params.min_distance
-            deltas[ii, jj, 1] = np.sin(angle) * self.params.min_distance
-            dists[ii, jj] = self.params.min_distance
-        np.fill_diagonal(dists, 1.0)  # avoid 0/0 on the diagonal
-        units = deltas / dists[:, :, None]
-        # Sum over j of F[j, i] * unit(j -> i).
-        resultant = np.einsum("ji,ijk->ik", forces, units)
+            dx[ii, jj] = np.cos(angle) * min_distance
+            dy[ii, jj] = np.sin(angle) * min_distance
+            scale[ii, jj] = min_distance
+        np.fill_diagonal(scale, 1.0)  # avoid 0/0 on the diagonal
+        # Sum over j of F[j, i] * unit(j -> i), one coordinate at a time;
+        # this einsum form keeps the sequential order over j.
+        resultant = np.empty((n, 2))
+        resultant[:, 0] = np.einsum("ji,ij->i", forces, dx / scale)
+        resultant[:, 1] = np.einsum("ji,ij->i", forces, dy / scale)
         if self.params.normalize_forces and n > 1:
             resultant /= n - 1
         return resultant
@@ -157,24 +186,28 @@ class ForceDirectedEmbedding:
         n = positions.shape[0]
         if positions.shape != (n, 2):
             raise ValueError("positions must have shape (n, 2)")
-        forces = self.total_forces(attraction, repulsion)
+        # C order keeps ``_resultant``'s einsum summing over j in
+        # sequence whatever the layout of the inputs.
+        forces = np.ascontiguousarray(self.total_forces(attraction, repulsion))
         if forces.shape != (n, n):
             raise ValueError("force matrix shape must match positions")
         if n < 2:
             return EmbeddingResult(positions=positions, iterations=0, converged=True)
 
         gain = 0.5 * self.params.time_step**2
-        previous_distances = pairwise_distances(positions)
+        # One geometry pass per iteration: its distances close this
+        # iteration's CostAR and its offsets drive the next resultant.
+        dx, dy, previous_distances = _geometry(positions)
         cost_history: list[float] = []
         converged = False
         iterations = 0
 
         for _ in range(self.params.max_iterations):
-            resultant = self._resultant(positions, forces)
+            resultant = self._resultant(dx, dy, previous_distances, forces)
             positions += gain * resultant
             iterations += 1
 
-            distances = pairwise_distances(positions)
+            dx, dy, distances = _geometry(positions)
             cost = float((forces * (distances - previous_distances)).sum())
             previous_distances = distances
             cost_history.append(cost)

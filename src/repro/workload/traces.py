@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter, lfiltic
+from scipy.signal import lfilter
 
 from repro.seeding import rng_for
 
@@ -159,7 +159,9 @@ class TraceLibrary:
         rho = profile.noise_rho
         innovations = rng.normal(0.0, sigma * np.sqrt(1.0 - rho**2), self.steps_per_slot)
         level = rng.normal(0.0, sigma)
-        zi = lfiltic([1.0], [1.0, -rho], [level])
+        # Filter state for y[-1] = level: lfiltic's closed form for a
+        # first-order all-pole filter.
+        zi = np.array([rho * level])
         noise, _ = lfilter([1.0], [1.0, -rho], innovations, zi=zi)
 
         return np.clip(mean + noise, 0.0, 1.0)

@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.core.controller import ProposedPolicy
 from repro.core.forces import (
     EmbeddingResult,
     ForceDirectedEmbedding,
     ForceParameters,
     pairwise_distances,
 )
+from repro.sim.config import scaled_config
+from repro.sim.engine import SimulationEngine
 
 
 def two_point_setup(force_value: float):
@@ -33,6 +36,11 @@ class TestParameters:
     def test_max_iterations_positive(self):
         with pytest.raises(ValueError):
             ForceParameters(max_iterations=0)
+
+    @pytest.mark.parametrize("min_distance", [0.0, -1e-9])
+    def test_min_distance_positive(self, min_distance):
+        with pytest.raises(ValueError):
+            ForceParameters(min_distance=min_distance)
 
 
 class TestPairwiseDistances:
@@ -148,3 +156,137 @@ class TestNormalization:
             result = embedding.run(positions, np.zeros((n, n)), repulsion)
             drift = np.abs(result.positions - positions).max()
             assert drift <= 1.0
+
+
+# Reference kernel: the (n, n, 2) offset/unit-vector form of Eqs. 6-7,
+# kept as an oracle for the per-coordinate kernel's bit-identity.
+
+
+def reference_distances(positions):
+    deltas = positions[:, None, :] - positions[None, :, :]
+    return np.sqrt((deltas**2).sum(axis=2))
+
+
+def reference_resultant(params, positions, forces):
+    n = positions.shape[0]
+    deltas = positions[:, None, :] - positions[None, :, :]  # i <- j
+    dists = np.sqrt((deltas**2).sum(axis=2))
+    tiny = dists < params.min_distance
+    np.fill_diagonal(tiny, False)
+    if tiny.any():
+        ii, jj = np.nonzero(tiny)
+        angle = 2.0 * np.pi * ((ii * 31 + jj * 17) % 101) / 101.0
+        deltas[ii, jj, 0] = np.cos(angle) * params.min_distance
+        deltas[ii, jj, 1] = np.sin(angle) * params.min_distance
+        dists[ii, jj] = params.min_distance
+    np.fill_diagonal(dists, 1.0)
+    units = deltas / dists[:, :, None]
+    resultant = np.einsum("ji,ijk->ik", forces, units)
+    if params.normalize_forces and n > 1:
+        resultant /= n - 1
+    return resultant
+
+
+def reference_run(embedding, positions, attraction, repulsion):
+    """``ForceDirectedEmbedding.run`` over the reference kernel."""
+    params = embedding.params
+    positions = np.array(positions, dtype=float, copy=True)
+    forces = embedding.total_forces(attraction, repulsion)
+    if positions.shape[0] < 2:
+        return EmbeddingResult(positions=positions, iterations=0, converged=True)
+    gain = 0.5 * params.time_step**2
+    previous_distances = reference_distances(positions)
+    cost_history = []
+    converged = False
+    iterations = 0
+    for _ in range(params.max_iterations):
+        positions += gain * reference_resultant(params, positions, forces)
+        iterations += 1
+        distances = reference_distances(positions)
+        cost = float((forces * (distances - previous_distances)).sum())
+        previous_distances = distances
+        cost_history.append(cost)
+        if len(cost_history) >= 2 and cost < cost_history[-2]:
+            converged = True
+            break
+    return EmbeddingResult(
+        positions=positions,
+        iterations=iterations,
+        cost_history=cost_history,
+        converged=converged,
+    )
+
+
+def oracle_inputs(n, duplicated):
+    """Start points and symmetric Eq. 5 components for ``n`` VMs.
+
+    With ``duplicated`` the last ``n // 2`` rows repeat the first ones,
+    so the first iteration takes the coincident-point jitter branch.
+    """
+    rng = np.random.default_rng(n)
+    positions = rng.uniform(-2.0, 2.0, size=(n, 2))
+    if duplicated:
+        positions[n - n // 2 :] = positions[: n // 2]
+    attraction = -rng.uniform(0.0, 1.0, size=(n, n))
+    repulsion = rng.uniform(0.0, 1.0, size=(n, n))
+    attraction = (attraction + attraction.T) / 2.0
+    repulsion = (repulsion + repulsion.T) / 2.0
+    np.fill_diagonal(attraction, 0.0)
+    np.fill_diagonal(repulsion, 0.0)
+    return positions, attraction, repulsion
+
+
+class TestReferenceKernel:
+    """The per-coordinate kernel equals the (n, n, 2) form bit for bit.
+
+    Exact equality also pins the order in which einsum sums over j, so
+    a NumPy release that changes it fails here rather than shifting
+    placements silently.
+    """
+
+    @pytest.mark.parametrize("duplicated", [False, True])
+    @pytest.mark.parametrize("normalize", [True, False])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("n", [2, 3, 17, 150])
+    def test_run_bit_identical(self, n, alpha, normalize, duplicated):
+        positions, attraction, repulsion = oracle_inputs(n, duplicated)
+        embedding = ForceDirectedEmbedding(
+            ForceParameters(alpha=alpha, normalize_forces=normalize)
+        )
+        result = embedding.run(positions, attraction, repulsion)
+        expected = reference_run(embedding, positions, attraction, repulsion)
+        assert np.array_equal(result.positions, expected.positions)
+        assert result.cost_history == expected.cost_history
+        assert result.iterations == expected.iterations
+        assert result.converged == expected.converged
+
+    def test_fortran_order_forces_bit_identical(self):
+        rng = np.random.default_rng(5)
+        positions = rng.normal(size=(150, 2))
+        attraction = np.asfortranarray(-rng.uniform(size=(150, 150)))
+        repulsion = np.asfortranarray(rng.uniform(size=(150, 150)))
+        embedding = ForceDirectedEmbedding()
+        result = embedding.run(positions, attraction, repulsion)
+        expected = reference_run(embedding, positions, attraction, repulsion)
+        assert np.array_equal(result.positions, expected.positions)
+        assert result.cost_history == expected.cost_history
+
+    def test_distances_bit_identical(self):
+        positions, _, _ = oracle_inputs(17, duplicated=True)
+        assert np.array_equal(
+            pairwise_distances(positions), reference_distances(positions)
+        )
+
+    def test_tiny_proposed_run_identical(self, monkeypatch):
+        config = scaled_config("tiny")
+        kernel = SimulationEngine(config, ProposedPolicy()).run().to_dict()
+        calls = []
+
+        def patched_run(self, positions, attraction, repulsion):
+            calls.append(len(positions))
+            return reference_run(self, positions, attraction, repulsion)
+
+        monkeypatch.setattr(ForceDirectedEmbedding, "run", patched_run)
+        reference = SimulationEngine(config, ProposedPolicy()).run().to_dict()
+        assert len(calls) == config.horizon_slots
+        assert kernel == reference

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter, lfiltic
 
 from tests.conftest import make_vm
 from repro.workload.traces import (
@@ -78,6 +79,35 @@ class TestSlotTrace:
     def test_invalid_steps_rejected(self):
         with pytest.raises(ValueError):
             TraceLibrary(steps_per_slot=0)
+
+
+def lfiltic_slot_trace(library, vm, slot):
+    """``slot_trace`` with its filter state built by ``lfiltic``."""
+    profile = PROFILES[vm.app_type]
+    mean = library.slot_mean(vm, slot)
+    rng = library._rng(vm, slot)
+    sigma = profile.noise_sigma
+    if slot >= SLOTS_PER_DAY:
+        sigma = float(np.hypot(sigma, library.extension_sigma))
+    rho = profile.noise_rho
+    innovations = rng.normal(0.0, sigma * np.sqrt(1.0 - rho**2), library.steps_per_slot)
+    level = rng.normal(0.0, sigma)
+    zi = lfiltic([1.0], [1.0, -rho], [level])
+    noise, _ = lfilter([1.0], [1.0, -rho], innovations, zi=zi)
+    return np.clip(mean + noise, 0.0, 1.0)
+
+
+class TestFilterState:
+    """The closed-form AR(1) filter state equals ``lfiltic``'s exactly."""
+
+    @pytest.mark.parametrize("slot", [7, SLOTS_PER_DAY + 7])
+    @pytest.mark.parametrize("app_type", list(AppType))
+    def test_slot_trace_matches_lfiltic(self, library, app_type, slot):
+        for vm_id in range(10):
+            vm = make_vm(vm_id=vm_id, app_type=app_type, seed=100 + vm_id)
+            assert np.array_equal(
+                library.slot_trace(vm, slot), lfiltic_slot_trace(library, vm, slot)
+            )
 
 
 class TestWeekExtension:

@@ -11,16 +11,13 @@
 #                      the fleet cold-sweep scale-out (3 daemon
 #                      subprocesses vs 1 over one shared store root
 #                      -> BENCH_fleet.json; skips below 4 CPUs),
-#                      the engine's
-#                      per-slot hot paths, the fleet-batched
-#                      slot-physics kernel (bench_green: bit-identity
-#                      gate; its speedup is reported, not gated), the
+#                      the slot kernel's per-slot IT-power and
+#                      response-latency hot paths (bench_scaling), the
 #                      discrete-event driver throughput + byte-identity
-#                      gate (bench_events -> BENCH_events.json), the
+#                      gate (bench_events -> BENCH_events.json) and the
 #                      campaign-ledger overhead gate (bench_suite:
 #                      1k-run warm sweep, suite <= 1.10x raw
-#                      submit_many -> BENCH_suite.json) and the
-#                      data-correlation generation (loop vs vectorized)
+#                      submit_many -> BENCH_suite.json)
 #   make bench       - full benchmark harness (slow: one-week comparison)
 
 PYTEST := PYTHONPATH=src python -m pytest
@@ -34,12 +31,11 @@ test:
 # must not appear in every bench_* filename or the filter is a no-op.
 bench-smoke:
 	$(PYTEST) -q benchmarks/bench_orchestrator.py \
-		benchmarks/bench_scaling.py benchmarks/bench_datacorr.py \
-		benchmarks/bench_store.py benchmarks/bench_green.py \
+		benchmarks/bench_scaling.py benchmarks/bench_store.py \
 		benchmarks/bench_service.py benchmarks/bench_fleet.py \
 		benchmarks/bench_workload_cache.py benchmarks/bench_events.py \
 		benchmarks/bench_suite.py \
-		-k "orchestrator or it_power or response_latencies or datacorr or store or green or service or fleet or workload or event_core or suite" \
+		-k "orchestrator or it_power or response_latencies or store or service or fleet or workload or event_core or suite" \
 		--benchmark-min-rounds=3
 
 # Nightly follow-up to bench-smoke: compact the segment store the

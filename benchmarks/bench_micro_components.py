@@ -27,7 +27,7 @@ def vms():
 
 def test_trace_generation(benchmark, vms):
     library = TraceLibrary(steps_per_slot=60, seed=1)
-    matrix = benchmark(library.demand_matrix, vms, 5)
+    matrix = benchmark(library.slot_demand_many, vms, 5)
     assert matrix.shape == (100, 60)
 
 
@@ -41,11 +41,11 @@ def test_volume_generation(benchmark, vms):
 def test_green_controller_slot(benchmark):
     spec = make_specs()[0]
     dc = Datacenter(spec, index=0, seed=3)
-    power = np.full(720, 900.0)  # the paper's 5 s granularity
+    power = np.full((1, 720), 900.0)  # the paper's 5 s granularity
 
     def run():
         dc.battery.soc_joules = dc.battery.capacity_joules
-        return GreenController(step_s=5.0).run_slot(dc, 12, power)
+        return GreenController(step_s=5.0).run_slot_fleet([dc], 12, power)[0]
 
     result = benchmark(run)
     result.sanity_check()

@@ -3,10 +3,10 @@
 The paper argues the two-phase split keeps the controller cheap enough
 for real-time hourly invocation.  These micro-benchmarks time each
 phase (embedding, constrained k-means, Algorithm 2, local allocation)
-on synthetic fleets of growing size, plus the engine's per-slot
-physics hot paths (`_dc_it_power`, `_response_latencies`) in both the
-reference-loop and vectorized implementations -- the vectorized path
-must be measurably faster per slot while staying bit-identical.
+on synthetic fleets of growing size, plus the slot kernel's per-slot
+physics hot paths (`_fleet_it_power`, `_response_latencies`).  Their
+bit-identity with the reference loops is a tier-1 test
+(``tests/sim/test_engine_vectorized.py``); these benches only time them.
 """
 
 import numpy as np
@@ -16,7 +16,7 @@ from conftest import make_specs, make_vm
 from repro.core.correlation import attraction_matrix, repulsion_matrix
 from repro.core.forces import ForceDirectedEmbedding, ForceParameters
 from repro.core.kmeans import constrained_kmeans, warm_start_centroids
-from repro.core.local import allocate_correlation_aware
+from repro.core.local import ServerAllocation, allocate_correlation_aware
 from repro.core.migration import revise_migrations
 from repro.datacenter.server import XEON_E5410
 from repro.network.ber import BERProcess
@@ -130,33 +130,29 @@ def _it_power_inputs(n_vms: int, steps: int = 720, seed: int = 0):
     allocation = allocate_correlation_aware(
         list(range(n_vms)), demand, XEON_E5410, n_vms
     )
-    placement = _SyntheticPlacement(allocations=[allocation])
+    empty = ServerAllocation(model=XEON_E5410, n_servers=n_vms)
+    placement = _SyntheticPlacement(allocations=[allocation, empty, empty])
     return placement, vm_rows, demand
 
 
-@pytest.mark.parametrize("impl", ["loop", "vectorized"])
 @pytest.mark.parametrize("n_vms", [300, 1000])
-def test_it_power_per_slot(benchmark, impl, n_vms):
-    """Per-slot IT-power: vectorized segment sums vs reference loops."""
-    engine = _physics_engine(steps=720)
+def test_it_power_per_slot(benchmark, n_vms):
+    """Per-slot IT power: one CSR segment-sum over the whole placement."""
+    kernel = _physics_engine(steps=720).kernel
     placement, vm_rows, demand = _it_power_inputs(n_vms)
-    path = (
-        engine._dc_it_power_vectorized
-        if impl == "vectorized"
-        else engine._dc_it_power_loop
+    power, actives = benchmark(
+        kernel._fleet_it_power, placement, vm_rows, demand
     )
-    power, active = benchmark(path, placement, 0, vm_rows, demand)
-    reference, _ = engine._dc_it_power_loop(placement, 0, vm_rows, demand)
-    assert np.array_equal(power, reference)
-    assert active == placement.allocations[0].active_servers
+    assert power.shape == (3, 720)
+    assert power[0].min() > 0.0 and not power[1:].any()
+    assert actives[0] == placement.allocations[0].active_servers
 
 
-@pytest.mark.parametrize("impl", ["loop", "vectorized"])
 @pytest.mark.parametrize("n_vms", [150, 450])
-def test_response_latencies_per_slot(benchmark, impl, n_vms):
-    """Per-slot Eq. 1 evaluation: grouped volume matrix vs dict loops."""
+def test_response_latencies_per_slot(benchmark, n_vms):
+    """Per-slot Eq. 1 evaluation over the grouped volume matrix."""
     rng = np.random.default_rng(3)
-    engine = _physics_engine(steps=60)
+    kernel = _physics_engine(steps=60).kernel
     vms = [
         make_vm(vm_id=i, service_id=i // 5, seed=i) for i in range(n_vms)
     ]
@@ -165,12 +161,8 @@ def test_response_latencies_per_slot(benchmark, impl, n_vms):
     placement = _SyntheticPlacement(
         assignment={vm.vm_id: int(rng.integers(0, 3)) for vm in vms}
     )
-    path = (
-        engine._response_latencies_vectorized
-        if impl == "vectorized"
-        else engine._response_latencies_loop
+    latencies = benchmark(
+        kernel._response_latencies, placement, vms, volumes, 5
     )
-    latencies = benchmark(path, placement, vms, volumes, 5)
-    assert latencies == engine._response_latencies_loop(
-        placement, vms, volumes, 5
-    )
+    assert len(latencies) == 3
+    assert all(latency > 0.0 for latency, _ in latencies)

@@ -28,8 +28,8 @@ Gates (asserted, and recorded in ``benchmarks/reports/``):
 
 Note both sides of the exchange run in this one process (8 clients +
 the daemon share the GIL), so the daemon alone clears the bars with
-headroom.  The machine-readable ``BENCH_service.json`` lands next to
-``BENCH_green.json`` for the nightly trajectory.
+headroom.  The machine-readable ``BENCH_service.json`` lands in
+``benchmarks/reports/`` for the nightly trajectory.
 
 The daemon's store is left under ``benchmarks/reports/service_store``:
 the nightly workflow compacts it with ``repro store compact`` after

@@ -26,8 +26,8 @@ Gates (asserted, and recorded in ``benchmarks/reports/``):
 * a large recorded pack engages the shared-memory fan-out (exactly
   one published segment) and stays byte-identical too.
 
-A machine-readable ``BENCH_workload.json`` lands next to
-``BENCH_green.json`` for the nightly trajectory.
+A machine-readable ``BENCH_workload.json`` lands in
+``benchmarks/reports/`` for the nightly trajectory.
 """
 
 from __future__ import annotations

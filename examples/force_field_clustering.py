@@ -53,7 +53,7 @@ def main() -> None:
     library = TraceLibrary(steps_per_slot=60, seed=3)
     volumes = DataCorrelationProcess(seed=5)
 
-    demand = library.demand_matrix(vms, 0)
+    demand = library.slot_demand_many(vms, 0)
     volume_matrix = volumes.volumes(vms, 0)
 
     print(f"{len(vms)} VMs in {len({vm.service_id for vm in vms})} services\n")

@@ -43,8 +43,8 @@ def main() -> None:
 
     total_cost = 0.0
     for slot in range(48):
-        power = np.full(60, load_watts[slot])
-        ledger = controller.run_slot(dc, slot, power)
+        power = np.full((1, 60), load_watts[slot])
+        (ledger,) = controller.run_slot_fleet([dc], slot, power)
         dc.record_slot(slot, ledger.facility_energy, ledger.pv_generated)
         total_cost += ledger.grid_cost_eur
         tariff = "peak" if spec.tariff.is_peak((slot + 0.5) * SECONDS_PER_HOUR) else "off"

@@ -14,6 +14,11 @@ decides, step by step, how to source the facility's power:
 
 The controller sees *real* generation and *real* load -- it is exactly
 the low-complexity compensator for forecast error the paper argues for.
+
+:meth:`GreenController.run_slot_fleet` sources a whole fleet's slot at
+once: the time-indexed inputs (PV, tariff windows, prices) and the
+ledger reductions are batched over DCs, and only the battery
+recurrence runs step by step, per DC, on Python floats.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.datacenter.battery import BatteryArray
+from repro.datacenter.battery import Battery
 from repro.datacenter.datacenter import Datacenter
 from repro.datacenter.pv import fleet_power_watts
 from repro.units import JOULES_PER_KWH, SECONDS_PER_HOUR
@@ -84,165 +89,6 @@ class GreenController:
             raise ValueError("grid_charge_fraction must be in [0, 1]")
         self.step_s = step_s
         self.grid_charge_fraction = grid_charge_fraction
-        #: Fleet width up to which :meth:`run_slot_fleet` replays the
-        #: battery recurrence as per-DC scalar loops instead of the
-        #: struct-of-arrays step loop; both are bit-identical, the
-        #: scalar replay just dodges per-step array dispatch on narrow
-        #: fleets (the paper's is 3 DCs).  Tests pin this to 0 to
-        #: exercise the array path on small fleets.
-        self.scalar_replay_max_dcs = 8
-
-    def run_slot(
-        self,
-        dc: Datacenter,
-        slot: int,
-        facility_power_w: np.ndarray,
-        slot_duration_s: float = SECONDS_PER_HOUR,
-    ) -> GreenSlotResult:
-        """Source one slot's facility power; mutates the DC's battery.
-
-        Parameters
-        ----------
-        dc:
-            The data center (provides PV, battery, tariff).
-        slot:
-            Slot index; step times are ``slot * slot_duration_s + k*dt``.
-        facility_power_w:
-            Facility power (IT * PUE) per control step, any length; the
-            step duration is ``slot_duration_s / len(facility_power_w)``.
-        slot_duration_s:
-            Slot length in seconds.
-        """
-        facility_power_w = np.asarray(facility_power_w, dtype=float)
-        if facility_power_w.ndim != 1 or facility_power_w.size == 0:
-            raise ValueError("facility_power_w must be a non-empty 1-D array")
-        if np.any(facility_power_w < 0):
-            raise ValueError("facility power must be non-negative")
-
-        steps = facility_power_w.size
-        dt = slot_duration_s / steps
-        times = slot * slot_duration_s + (np.arange(steps) + 0.5) * dt
-        pv_power = np.asarray(dc.pv.power_watts(times), dtype=float)
-        tariff = dc.spec.tariff
-        battery = dc.battery
-
-        soc_start = battery.soc_joules
-        pv_used = pv_stored = pv_curtailed = 0.0
-        battery_discharged = grid_to_load = grid_to_battery = 0.0
-        grid_cost = 0.0
-
-        for k in range(steps):
-            load_j = facility_power_w[k] * dt
-            pv_j = float(pv_power[k]) * dt
-            time_s = float(times[k])
-            grid_j = 0.0
-
-            if pv_j >= load_j:
-                pv_used += load_j
-                surplus = pv_j - load_j
-                stored = battery.charge(surplus, dt)
-                pv_stored += stored
-                pv_curtailed += surplus - stored
-            else:
-                pv_used += pv_j
-                deficit = load_j - pv_j
-                if tariff.is_peak(time_s):
-                    delivered = battery.discharge(deficit, dt)
-                    battery_discharged += delivered
-                    grid_to_load += deficit - delivered
-                    grid_j = deficit - delivered
-                else:
-                    offer = battery.max_charge_joules(dt) * self.grid_charge_fraction
-                    charged = battery.charge(offer, dt)
-                    grid_to_battery += charged
-                    grid_to_load += deficit
-                    grid_j = deficit + charged
-            if grid_j:
-                grid_cost += tariff.cost_of(grid_j, time_s)
-
-        facility_energy = float(facility_power_w.sum() * dt)
-        pv_generated = float(pv_power.sum() * dt)
-        result = GreenSlotResult(
-            facility_energy=facility_energy,
-            pv_generated=pv_generated,
-            pv_used=pv_used,
-            pv_stored=pv_stored,
-            pv_curtailed=pv_curtailed,
-            battery_discharged=battery_discharged,
-            grid_to_load=grid_to_load,
-            grid_to_battery=grid_to_battery,
-            grid_energy=grid_to_load + grid_to_battery,
-            grid_cost_eur=grid_cost,
-            soc_start=soc_start,
-            soc_end=battery.soc_joules,
-        )
-        result.sanity_check()
-        return result
-
-    def _steps_scalar_replay(
-        self,
-        batteries: BatteryArray,
-        surplus: np.ndarray,
-        peak: np.ndarray,
-        offer_surplus: np.ndarray,
-        request: np.ndarray,
-        charged: np.ndarray,
-        delivered: np.ndarray,
-        dt: float,
-    ) -> None:
-        """Battery recurrence via per-DC scalar replay (narrow fleets).
-
-        The recurrence never couples the DCs -- each battery's step
-        only reads its own column of the precomputed branch masks and
-        offers -- so on a narrow fleet it is cheaper to replay the
-        scalar :class:`~repro.datacenter.battery.Battery` arithmetic
-        directly on Python floats (the exact expressions of the
-        reference loop, hence bit-identical by construction) than to
-        pay per-step array dispatch.  All the *slot-level* work --
-        batched PV/tariff/PUE evaluation, branch masks, ledger
-        reductions -- stays vectorized in :meth:`run_slot_fleet`;
-        only the SoC recursion itself runs as ``n_dcs`` float loops.
-        Mutates ``batteries`` and fills the ``charged`` /
-        ``delivered`` ledger columns.
-        """
-        fraction = self.grid_charge_fraction
-        steps = peak.shape[0]
-        for d in range(len(batteries)):
-            capacity = float(batteries.capacity_joules[d])
-            floor = capacity * (1.0 - float(batteries.dod[d]))
-            charge_eff = float(batteries.charge_efficiency[d])
-            discharge_eff = float(batteries.discharge_efficiency[d])
-            rate_limit = (
-                float(batteries.max_c_rate[d]) * capacity * dt / 3600.0
-            )
-            rate_discharge = rate_limit * discharge_eff
-            soc = float(batteries.soc_joules[d])
-            surplus_col = surplus[:, d].tolist()
-            peak_col = peak[:, d].tolist()
-            offer_col = offer_surplus[:, d].tolist()
-            request_col = request[:, d].tolist()
-            charged_col = charged[:, d]
-            delivered_col = delivered[:, d]
-            for k in range(steps):
-                if surplus_col[k]:
-                    max_charge = min((capacity - soc) / charge_eff, rate_limit)
-                    accepted = min(offer_col[k], max_charge)
-                elif peak_col[k]:
-                    usable = max(soc - floor, 0.0) * discharge_eff
-                    deliverable = min(
-                        request_col[k], min(usable, rate_discharge)
-                    )
-                    if deliverable:
-                        soc -= deliverable / discharge_eff
-                        delivered_col[k] = deliverable
-                    continue
-                else:
-                    max_charge = min((capacity - soc) / charge_eff, rate_limit)
-                    accepted = min(max_charge * fraction, max_charge)
-                if accepted:
-                    soc += accepted * charge_eff
-                    charged_col[k] = accepted
-            batteries.soc_joules[d] = soc
 
     def run_slot_fleet(
         self,
@@ -251,35 +97,29 @@ class GreenController:
         facility_power_w: np.ndarray,
         slot_duration_s: float = SECONDS_PER_HOUR,
     ) -> list[GreenSlotResult]:
-        """Source one slot's power for the *whole fleet* in one batch.
+        """Source one slot's facility power for every DC of the fleet.
 
-        ``facility_power_w`` has shape ``(len(dcs), steps)`` -- row
-        ``i`` is exactly what :meth:`run_slot` would receive for
-        ``dcs[i]``.  Every DC's battery is mutated, and the returned
-        ledgers are **bit-identical** to per-DC :meth:`run_slot` calls:
+        ``facility_power_w`` has shape ``(len(dcs), steps)``: row ``i``
+        is ``dcs[i]``'s facility power (IT * PUE) per control step, and
+        a step lasts ``slot_duration_s / steps``.  Mutates every DC's
+        battery.
 
-        * the only sequential dependence is the battery recurrence, so
-          the kernel loops over *steps* only, holding SoC and the
-          per-step charge/discharge amounts as struct-of-arrays
-          (:class:`~repro.datacenter.battery.BatteryArray`, whose batch
-          ops replay the scalar expressions elementwise);
-        * everything time-indexed -- PV power, peak windows, prices,
+        * Everything time-indexed -- PV power, peak windows, prices,
           branch masks, charge offers under surplus -- is evaluated
-          once for the whole slot via the batched
-          PV/PUE/tariff helpers, in ``(steps, n_dcs)`` layout so each
-          step reads one contiguous row;
-        * per-DC ledger accumulators reduce the recorded per-step
-          contributions with ``sum(axis=0)`` over the C-contiguous
-          ``(steps, n_dcs)`` arrays, which accumulates rows
-          sequentially -- the scalar loop's step-order reduction.
-          Steps a branch does not touch contribute exactly ``+0.0``,
-          which is the identity the scalar accumulators never see;
-        * fleets up to :attr:`scalar_replay_max_dcs` DCs replay the
-          SoC recursion itself as per-DC Python-float loops
-          (:meth:`_steps_scalar_replay`) -- bit-identical by
-          construction and cheaper than per-step array dispatch at
-          the paper's fleet width; everything slot-level stays
-          batched either way.
+          once for the whole slot through the batched PV/tariff
+          helpers, in ``(steps, n_dcs)`` layout.
+        * The only sequential dependence is the battery recurrence,
+          which never couples the DCs: :meth:`_replay_battery` steps
+          each DC's bank on Python floats and records the per-step
+          charge and discharge amounts.
+        * Per-DC ledger accumulators reduce the per-step contributions
+          with ``sum(axis=0)`` over the C-contiguous ``(steps, n_dcs)``
+          arrays, which adds rows sequentially -- a per-step
+          controller's step order.  Steps a branch does not touch
+          contribute exactly ``+0.0``.  A one-DC fleet is the
+          exception: its ``(steps, 1)`` arrays are contiguous along
+          the step axis, where numpy sums pairwise, so its ledger sums
+          may differ from a per-step controller's in the last ulp.
         """
         facility_power_w = np.asarray(facility_power_w, dtype=float)
         if facility_power_w.ndim != 2 or facility_power_w.shape[1] == 0:
@@ -298,7 +138,8 @@ class GreenController:
         times = slot * slot_duration_s + (np.arange(steps) + 0.5) * dt
         pv_power = fleet_power_watts([dc.pv for dc in dcs], times)
 
-        # (steps, n_dcs) layout: per-step rows are contiguous views.
+        # (steps, n_dcs) C-order layout: the ledger's sum(axis=0) then
+        # adds the per-step rows in step order.
         load = np.ascontiguousarray(facility_power_w.T) * dt
         pv = np.ascontiguousarray(pv_power.T) * dt
         peak = np.stack(
@@ -315,46 +156,20 @@ class GreenController:
         #: Charge offers that need no SoC: the PV surplus (branch A).
         offer_surplus = np.where(surplus, pv - load, 0.0)
 
-        batteries = BatteryArray.from_batteries([dc.battery for dc in dcs])
-        soc_start = batteries.soc_joules.copy()
+        soc_start = [dc.battery.soc_joules for dc in dcs]
         charged = np.zeros((steps, n_dcs))
         delivered = np.zeros((steps, n_dcs))
-        if n_dcs <= self.scalar_replay_max_dcs:
-            self._steps_scalar_replay(
-                batteries, surplus, peak, offer_surplus, request,
-                charged, delivered, dt,
+        for d, dc in enumerate(dcs):
+            self._replay_battery(
+                dc.battery,
+                surplus[:, d].tolist(),
+                peak[:, d].tolist(),
+                offer_surplus[:, d].tolist(),
+                request[:, d].tolist(),
+                charged[:, d],
+                delivered[:, d],
+                dt,
             )
-        else:
-            #: Grid-charge scaling (branch C): C-rate cap times the
-            #: configured fraction where off-peak deficit, else 0.
-            offer_fraction = np.where(
-                deficit_off, self.grid_charge_fraction, 0.0
-            )
-            #: Per-step short circuits: skip the battery ops entirely
-            #: on steps where no DC charges / discharges (the skipped
-            #: scalar ops would all be SoC-preserving no-ops).
-            any_offer = (surplus | deficit_off).any(axis=1).tolist()
-            any_request = deficit_peak.any(axis=1).tolist()
-            charge = batteries.charge
-            discharge = batteries.discharge
-            max_charge_joules = batteries.max_charge_joules
-            for (
-                do_offer, do_request, offer_row, fraction_row,
-                request_row, charged_row, delivered_row,
-            ) in zip(
-                any_offer, any_request, offer_surplus, offer_fraction,
-                request, charged, delivered,
-            ):
-                if do_offer:
-                    max_charge = max_charge_joules(dt)
-                    offer = offer_row + fraction_row * max_charge
-                    charge(
-                        offer, dt, max_joules=max_charge, out=charged_row,
-                        check=False,
-                    )
-                if do_request:
-                    discharge(request_row, dt, out=delivered_row, check=False)
-        batteries.store_to([dc.battery for dc in dcs])
 
         pv_used = np.where(surplus, load, pv).sum(axis=0)
         pv_stored = np.where(surplus, charged, 0.0).sum(axis=0)
@@ -387,8 +202,59 @@ class GreenController:
                 grid_energy=float(grid_to_load[d] + grid_to_battery[d]),
                 grid_cost_eur=float(grid_cost[d]),
                 soc_start=float(soc_start[d]),
-                soc_end=float(batteries.soc_joules[d]),
+                soc_end=float(dcs[d].battery.soc_joules),
             )
             result.sanity_check()
             results.append(result)
         return results
+
+    def _replay_battery(
+        self,
+        battery: Battery,
+        surplus: list[bool],
+        peak: list[bool],
+        offer_surplus: list[float],
+        request: list[float],
+        charged: np.ndarray,
+        delivered: np.ndarray,
+        dt: float,
+    ) -> None:
+        """Step one bank through the slot; fills its ledger columns.
+
+        Per step: under PV surplus the bank takes what it can of the
+        surplus offer; under a peak-price deficit it discharges toward
+        the ``request``; under an off-peak deficit it charges from the
+        grid at ``grid_charge_fraction`` of its C-rate cap.  The
+        arithmetic is :class:`~repro.datacenter.battery.Battery`'s own
+        ``charge`` / ``discharge`` / ``max_charge_joules`` expressions,
+        with the slot-constant limits hoisted out of the loop, so the
+        bank ends the slot in exactly the state those calls would
+        leave it in.  ``charged`` and ``delivered`` are the bank's
+        columns of the fleet ledger.
+        """
+        fraction = self.grid_charge_fraction
+        capacity = float(battery.capacity_joules)
+        floor = capacity * (1.0 - float(battery.dod))
+        charge_eff = float(battery.charge_efficiency)
+        discharge_eff = float(battery.discharge_efficiency)
+        rate_limit = float(battery.max_c_rate) * capacity * dt / 3600.0
+        rate_discharge = rate_limit * discharge_eff
+        soc = float(battery.soc_joules)
+        for k in range(len(peak)):
+            if surplus[k]:
+                max_charge = min((capacity - soc) / charge_eff, rate_limit)
+                accepted = min(offer_surplus[k], max_charge)
+            elif peak[k]:
+                usable = max(soc - floor, 0.0) * discharge_eff
+                deliverable = min(request[k], min(usable, rate_discharge))
+                if deliverable:
+                    soc -= deliverable / discharge_eff
+                    delivered[k] = deliverable
+                continue
+            else:
+                max_charge = min((capacity - soc) / charge_eff, rate_limit)
+                accepted = min(max_charge * fraction, max_charge)
+            if accepted:
+                soc += accepted * charge_eff
+                charged[k] = accepted
+        battery.soc_joules = soc

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.units import kwh_to_joules
 
 
@@ -125,146 +123,3 @@ class Battery:
             soc_joules=self.soc_joules,
         )
 
-
-class BatteryArray:
-    """Struct-of-arrays view over several banks, for fleet batching.
-
-    The fleet-batched green controller steps every DC's battery at
-    once; this class holds the banks' parameters and states of charge
-    as parallel arrays and exposes batch variants of
-    :meth:`Battery.charge` / :meth:`Battery.discharge` /
-    :meth:`Battery.max_charge_joules`.  Every method applies, per
-    element, the *same* floating-point expressions in the *same* order
-    as the scalar :class:`Battery`, so stepping N banks through one
-    :class:`BatteryArray` is bit-identical to stepping N ``Battery``
-    objects one by one.
-
-    State is copied in at construction and written back with
-    :meth:`store_to`; a zero request/offer leaves an element's SoC
-    bit-identical (``x + 0.0 == x`` for the non-negative finite SoC
-    range), matching a scalar bank that was never called.
-    """
-
-    def __init__(self, batteries: list[Battery]) -> None:
-        self.capacity_joules = np.array(
-            [battery.capacity_joules for battery in batteries], dtype=float
-        )
-        self.dod = np.array([battery.dod for battery in batteries], dtype=float)
-        self.charge_efficiency = np.array(
-            [battery.charge_efficiency for battery in batteries], dtype=float
-        )
-        self.discharge_efficiency = np.array(
-            [battery.discharge_efficiency for battery in batteries], dtype=float
-        )
-        self.max_c_rate = np.array(
-            [battery.max_c_rate for battery in batteries], dtype=float
-        )
-        self.soc_joules = np.array(
-            [battery.soc_joules for battery in batteries], dtype=float
-        )
-        #: The SoC floor is a pure function of the (fixed) capacity
-        #: and DoD arrays; computing it once keeps it off the per-step
-        #: path without changing a single bit.
-        self._floor_joules = self.capacity_joules * (1.0 - self.dod)
-        #: Per-duration C-rate limits; the fleet kernel calls with one
-        #: fixed step duration, so the three-op limit expression is
-        #: computed once, not once per step.
-        self._rate_cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-
-    @classmethod
-    def from_batteries(cls, batteries: list[Battery]) -> "BatteryArray":
-        """Batch view over ``batteries`` (states copied, not aliased)."""
-        return cls(batteries)
-
-    def __len__(self) -> int:
-        return self.soc_joules.size
-
-    @property
-    def floor_joules(self) -> np.ndarray:
-        """Per-bank SoC floor (outage reserve), as in :class:`Battery`."""
-        return self._floor_joules
-
-    def _rate_limits(self, duration_s: float) -> tuple[np.ndarray, np.ndarray]:
-        """C-rate energy limits over ``duration_s``: (raw, discharge)."""
-        cached = self._rate_cache.get(duration_s)
-        if cached is None:
-            rate_limit = self.max_c_rate * self.capacity_joules * duration_s / 3600.0
-            cached = (rate_limit, rate_limit * self.discharge_efficiency)
-            self._rate_cache[duration_s] = cached
-        return cached
-
-    def max_charge_joules(self, duration_s: float) -> np.ndarray:
-        """Batch :meth:`Battery.max_charge_joules` (source energy)."""
-        rate_limit, _ = self._rate_limits(duration_s)
-        headroom = self.capacity_joules - self.soc_joules
-        return np.minimum(headroom / self.charge_efficiency, rate_limit)
-
-    def max_discharge_joules(self, duration_s: float) -> np.ndarray:
-        """Batch :meth:`Battery.max_discharge_joules` (load energy)."""
-        _, rate_discharge = self._rate_limits(duration_s)
-        above_floor = np.maximum(self.soc_joules - self._floor_joules, 0.0)
-        usable = above_floor * self.discharge_efficiency
-        return np.minimum(usable, rate_discharge)
-
-    def charge(
-        self,
-        offered_joules: np.ndarray,
-        duration_s: float = 3600.0,
-        max_joules: np.ndarray | None = None,
-        out: np.ndarray | None = None,
-        check: bool = True,
-    ) -> np.ndarray:
-        """Batch :meth:`Battery.charge`; returns energy consumed per bank.
-
-        ``max_joules`` may pass a precomputed
-        :meth:`max_charge_joules` for the *current* SoC (the fleet
-        kernel already needs it to size grid-charge offers); when
-        omitted it is computed here, exactly like the scalar method.
-        ``out`` receives the accepted energies (a ledger row in the
-        fleet kernel), and ``check=False`` skips the non-negativity
-        guard for callers whose offers are non-negative by
-        construction -- both are per-step hot-path micro-knobs that do
-        not change a single result bit.
-        """
-        if check and np.any(offered_joules < 0):
-            raise ValueError("offered energy must be non-negative")
-        if max_joules is None:
-            max_joules = self.max_charge_joules(duration_s)
-        accepted = np.minimum(offered_joules, max_joules, out=out)
-        np.add(
-            self.soc_joules,
-            accepted * self.charge_efficiency,
-            out=self.soc_joules,
-        )
-        return accepted
-
-    def discharge(
-        self,
-        requested_joules: np.ndarray,
-        duration_s: float = 3600.0,
-        out: np.ndarray | None = None,
-        check: bool = True,
-    ) -> np.ndarray:
-        """Batch :meth:`Battery.discharge`; returns energy delivered.
-
-        ``out`` / ``check`` are the same hot-path knobs as on
-        :meth:`charge`.
-        """
-        if check and np.any(requested_joules < 0):
-            raise ValueError("requested energy must be non-negative")
-        deliverable = np.minimum(
-            requested_joules, self.max_discharge_joules(duration_s), out=out
-        )
-        np.subtract(
-            self.soc_joules,
-            deliverable / self.discharge_efficiency,
-            out=self.soc_joules,
-        )
-        return deliverable
-
-    def store_to(self, batteries: list[Battery]) -> None:
-        """Write the batch SoC back into the scalar banks."""
-        if len(batteries) != len(self):
-            raise ValueError("battery count mismatch")
-        for battery, soc in zip(batteries, self.soc_joules):
-            battery.soc_joules = float(soc)

@@ -38,7 +38,7 @@ The fingerprint hashes the *complete* canonicalized request:
 * the policy descriptor -- class name plus all public constructor
   state (:meth:`~repro.sim.state.PlacementPolicy.descriptor`);
 * the :class:`EngineOptions` flags that change results
-  (``clairvoyant``) or their provenance (``validate``, ``vectorized``);
+  (``clairvoyant``, ``engine``) or their provenance (``validate``);
 * the workload pack's content descriptor (schema, version, kind and
   the SHA-256 *content* hash of
   :class:`~repro.workload.packs.TracePack` -- for a recorded pack that
@@ -122,9 +122,6 @@ class EngineOptions:
         Validate every placement against its observation.
     clairvoyant:
         Give policies the current slot's traces (perfect forecast).
-    vectorized:
-        Use the engine's vectorized hot paths (bit-identical to the
-        reference loops; part of the fingerprint for provenance only).
     engine:
         The :class:`~repro.sim.config.EngineCoreConfig` selecting the
         simulation driver (``slot`` or ``event``) and its request-
@@ -136,7 +133,6 @@ class EngineOptions:
 
     validate: bool = True
     clairvoyant: bool = False
-    vectorized: bool = True
     engine: EngineCoreConfig = field(default_factory=EngineCoreConfig)
 
 
@@ -345,7 +341,6 @@ def execute_request(request: RunRequest) -> RunResult:
         request.policy,
         validate=request.options.validate,
         clairvoyant=request.options.clairvoyant,
-        vectorized=request.options.vectorized,
         workload=request.pack,
         engine=request.options.engine,
     )
@@ -374,9 +369,7 @@ def _materialization_key_of(request: RunRequest) -> str:
     cached = request.__dict__.get("_materialization_key")
     if cached is None:
         cached = materialization_key(
-            request.resolved_config(),
-            request.pack,
-            request.options.vectorized,
+            request.resolved_config(), request.pack
         )
         object.__setattr__(request, "_materialization_key", cached)
     return cached
@@ -415,9 +408,7 @@ def _timed_execute_task(
     if task.stub is not None:
         request = dataclasses.replace(request, pack=task.stub.restore())
     materialization = cache.materialize(
-        request.resolved_config(),
-        request.pack,
-        request.options.vectorized,
+        request.resolved_config(), request.pack
     )
     if materialization.key != task.key:
         raise RuntimeError(
@@ -429,7 +420,6 @@ def _timed_execute_task(
         request.policy,
         validate=request.options.validate,
         clairvoyant=request.options.clairvoyant,
-        vectorized=request.options.vectorized,
         materialization=materialization,
         engine=request.options.engine,
     )

@@ -18,30 +18,16 @@ Each slot the engine (Section IV-A's protocol):
 The engine owns all mutation (battery state, forecaster history);
 policies only read the observation.
 
-Since the event-core refactor the per-slot physics and accounting live
-in the driver-agnostic :class:`~repro.sim.kernel.SlotKernel`; this
-module keeps the engine facade and the *slot driver* -- the reference
-slot-stepped loop.  A second driver, the discrete-event
-:class:`~repro.sim.events.EventCore`, advances the same kernel from a
-typed event heap (``--engine event``); its slot-boundary ledgers are
-byte-identical to the slot driver's because both call the identical
-``observe``/``step`` kernel pair per slot.
-
-The per-slot physics hot paths ship in two interchangeable
-implementations: the original reference loops (per-server/per-VM
-Python loops, one scalar green-controller pass per DC) and the
-fleet-batched kernel -- one CSR membership product over the *whole*
-placement for every DC's IT power
-(:meth:`~repro.sim.kernel.SlotKernel._fleet_it_power`),
-one batched PUE broadcast, and one struct-of-arrays green-controller
-pass stepping every battery at once
-(:meth:`~repro.core.green.GreenController.run_slot_fleet`).  The Eq. 1
-response latencies likewise ship as dict loops and a stable-sort
-grouped ``n_dcs x n_dcs`` volume matrix.  The batched paths are the
-default and are *bit-identical* to the loops: every floating-point
-reduction accumulates in the same order
-(``tests/sim/test_engine_vectorized.py`` asserts full-run equality),
-so results are independent of the ``vectorized`` flag.
+The per-slot physics and accounting live in the driver-agnostic
+:class:`~repro.sim.kernel.SlotKernel`, one implementation per step;
+this module builds the run (workload, kernel, green controller) and
+holds the *slot driver* -- the reference slot-stepped loop.  A second
+driver, the discrete-event :class:`~repro.sim.events.EventCore`,
+advances the same kernel from a typed event heap (``--engine event``);
+its slot-boundary ledgers are byte-identical to the slot driver's
+because both call the identical ``observe``/``step`` kernel pair per
+slot.  Tests and tools that need the physics internals address them
+on ``engine.kernel``.
 """
 
 from __future__ import annotations
@@ -59,32 +45,7 @@ from repro.sim.state import PlacementPolicy
 from repro.units import SECONDS_PER_HOUR
 from repro.workload.arrivals import VMPopulation
 from repro.workload.materialize import materialization_key
-from repro.workload.packs import LibraryWorkload, WorkloadProvider, default_pack
-
-#: Kernel internals the facade forwards one-to-one.  The equivalence
-#: tests and benchmarks address the physics through the engine
-#: (``engine._fleet_it_power(...)``), which predates the kernel split;
-#: keeping the surface stable means the bit-identity pins need not know
-#: where the code lives.
-_KERNEL_FORWARDS = frozenset(
-    {
-        "_demand",
-        "_demand_row",
-        "_demand_cache",
-        "_demand_cache_slots",
-        "_evict_cache",
-        "_slot_volumes",
-        "_level_arrays",
-        "_level_cache",
-        "_dc_it_power",
-        "_dc_it_power_loop",
-        "_dc_it_power_vectorized",
-        "_fleet_it_power",
-        "_response_latencies",
-        "_response_latencies_loop",
-        "_response_latencies_vectorized",
-    }
-)
+from repro.workload.packs import WorkloadProvider, default_pack
 
 
 class SimulationEngine:
@@ -99,16 +60,14 @@ class SimulationEngine:
     validate:
         Validate every placement against the observation (cheap; keep
         on except in micro-benchmarks).
-    trace_library:
-        Legacy escape hatch: a pre-built trace library (e.g. a
-        :class:`~repro.workload.recorded.RecordedTraceLibrary` holding
-        real DC traces), wrapped into a
-        :class:`~repro.workload.packs.LibraryWorkload`.  Mutually
-        exclusive with ``workload``.
     workload:
         The :class:`~repro.workload.packs.WorkloadProvider` supplying
         traces and data volumes -- typically a named, content-hashed
-        :class:`~repro.workload.packs.TracePack`.  Defaults to the
+        :class:`~repro.workload.packs.TracePack`; wrap a pre-built
+        trace library (e.g. a
+        :class:`~repro.workload.recorded.RecordedTraceLibrary` holding
+        real DC traces) in a
+        :class:`~repro.workload.packs.LibraryWorkload`.  Defaults to the
         synthetic pack, which reproduces the engine's historical
         workload bit-for-bit.  The provider may also rewrite the
         config (``configure``), e.g. a scenario pack overriding the
@@ -119,20 +78,16 @@ class SimulationEngine:
         load/communication forecast.  The paper's controllers plan on
         last-interval data (Section IV-A); the clairvoyant mode bounds
         what better forecasting could buy.
-    vectorized:
-        Use the numpy segment-sum hot paths (default).  ``False``
-        selects the reference per-server/per-DC loops; both produce
-        bit-identical results.
     materialization:
         Optional pre-built
         :class:`~repro.workload.materialize.WorkloadMaterialization`
         supplying the population, traces and volumes (plus a shared
         per-slot array cache) instead of building them here.  Its
         :func:`~repro.workload.materialize.materialization_key` must
-        match this ``config``/``vectorized`` pair -- configs differing
-        only in workload-irrelevant fields (fleet specs, tariffs, QoS)
-        share materializations; it already carries its pack, so
-        ``workload`` / ``trace_library`` must not also be passed.
+        match this ``config`` -- configs differing only in
+        workload-irrelevant fields (fleet specs, tariffs, QoS) share
+        materializations; it already carries its pack, so ``workload``
+        must not also be passed.
         Purely an execution detail: runs are bit-identical with or
         without it.
     engine:
@@ -151,26 +106,15 @@ class SimulationEngine:
         config: ExperimentConfig,
         policy: PlacementPolicy,
         validate: bool = True,
-        trace_library=None,
         clairvoyant: bool = False,
-        vectorized: bool = True,
         workload: WorkloadProvider | None = None,
         materialization=None,
         engine: EngineCoreConfig | None = None,
     ) -> None:
-        if workload is not None and trace_library is not None:
-            raise ValueError(
-                "pass either workload or trace_library, not both"
-            )
         if materialization is not None:
-            if workload is not None or trace_library is not None:
+            if workload is not None:
                 raise ValueError(
                     "materialization already carries its workload"
-                )
-            if materialization.vectorized != vectorized:
-                raise ValueError(
-                    "materialization was built with vectorized="
-                    f"{materialization.vectorized}"
                 )
             # The sharing contract is the key, not config equality:
             # configs differing only in workload-irrelevant fields
@@ -178,9 +122,7 @@ class SimulationEngine:
             # materialization.  The engine keeps ITS config for the
             # physics and only adopts the pack's configure overrides.
             if (
-                materialization_key(
-                    config, materialization.pack, vectorized
-                )
+                materialization_key(config, materialization.pack)
                 != materialization.key
             ):
                 raise ValueError(
@@ -191,11 +133,7 @@ class SimulationEngine:
             config = workload.configure(config)
         else:
             if workload is None:
-                workload = (
-                    LibraryWorkload(trace_library)
-                    if trace_library is not None
-                    else default_pack()
-                )
+                workload = default_pack()
             config = workload.configure(config)
         if engine is None:
             engine = EngineCoreConfig()
@@ -217,7 +155,6 @@ class SimulationEngine:
         self.policy = policy
         self.validate = validate
         self.clairvoyant = clairvoyant
-        self.vectorized = vectorized
         self.workload = workload
         self.engine_config = engine
         self._materialization = materialization
@@ -231,7 +168,7 @@ class SimulationEngine:
                 config.arrival_model, config.horizon_slots, seed=config.seed
             )
             traces = workload.build_traces(config)
-            volumes = workload.build_volumes(config, vectorized=vectorized)
+            volumes = workload.build_volumes(config)
         self.kernel = SlotKernel(
             config,
             population=population,
@@ -241,7 +178,6 @@ class SimulationEngine:
             green=GreenController(
                 step_s=SECONDS_PER_HOUR / config.steps_per_slot
             ),
-            vectorized=vectorized,
             materialization=materialization,
         )
         self.population = population
@@ -249,16 +185,6 @@ class SimulationEngine:
         self.volumes = volumes
         self.latency_model = self.kernel.latency_model
         self.green = self.kernel.green
-
-    def __getattr__(self, name: str):
-        # Back-compat facade over the kernel split: the physics/cache
-        # internals moved to SlotKernel but keep answering here.
-        kernel = self.__dict__.get("kernel")
-        if kernel is not None and name in _KERNEL_FORWARDS:
-            return getattr(kernel, name)
-        raise AttributeError(
-            f"{type(self).__name__!s} object has no attribute {name!r}"
-        )
 
     # -- main loop ---------------------------------------------------------
 
@@ -303,9 +229,7 @@ def run_policies(
     config: ExperimentConfig,
     policies: list[PlacementPolicy],
     validate: bool = True,
-    trace_library=None,
     clairvoyant: bool = False,
-    vectorized: bool = True,
     workload: WorkloadProvider | None = None,
     engine: EngineCoreConfig | None = None,
 ) -> list[RunResult]:
@@ -314,18 +238,15 @@ def run_policies(
     Every engine derives its stochastic streams from ``config.seed``,
     so policies see identical VMs, traces, volumes, weather and BER --
     the paper's comparison protocol.  The engine options (``validate``,
-    ``trace_library``, ``clairvoyant``, ``vectorized``, ``workload``,
-    ``engine``) are forwarded to every :class:`SimulationEngine`
-    constructed.
+    ``clairvoyant``, ``workload``, ``engine``) are forwarded to every
+    :class:`SimulationEngine` constructed.
     """
     return [
         SimulationEngine(
             config,
             policy,
             validate=validate,
-            trace_library=trace_library,
             clairvoyant=clairvoyant,
-            vectorized=vectorized,
             workload=workload,
             engine=engine,
         ).run()

@@ -7,9 +7,13 @@ driver schedules those slots:
 * workload access -- realized demand matrices and data-volume matrices,
   with the per-slot row cache and the optional shared
   :class:`~repro.workload.materialize.WorkloadMaterialization`;
-* the per-slot physics -- per-DC IT power (reference loops and the
-  fleet-batched CSR kernel), PUE, the green controller pass, and the
-  Eq. 1 response-latency evaluation;
+* the per-slot physics, one implementation per step -- every DC's IT
+  power from one CSR membership product over the whole placement
+  (:meth:`SlotKernel._fleet_it_power`), one PUE broadcast, one
+  fleet-wide green controller pass
+  (:meth:`~repro.core.green.GreenController.run_slot_fleet`), and the
+  Eq. 1 response latencies from a grouped ``n_dcs x n_dcs`` pair-volume
+  matrix (:meth:`SlotKernel._response_latencies`);
 * the accounting -- assembling the :class:`~repro.sim.results.SlotRecord`
   ledger entry for a slot.
 
@@ -20,10 +24,10 @@ same :meth:`observe` / :meth:`step` pair per slot, so their
 slot-boundary ledgers are byte-identical by construction -- the kernel
 is the single place slot physics happens.
 
-Method naming note: the physics/cache internals keep their historical
-underscore names (``_demand``, ``_fleet_it_power``, ...) because the
-engine facade forwards them one-to-one for the equivalence tests and
-benchmarks that pin the bit-identity contract.
+Every floating-point reduction in the physics accumulates in the order
+of the plain per-server, per-DC loops it replaced, so the ledgers equal
+those loops' bit for bit.  The loops live in ``tests/oracles.py``, and
+``tests/sim/test_engine_vectorized.py`` asserts full-run equality.
 """
 
 from __future__ import annotations
@@ -58,8 +62,6 @@ class SlotKernel:
         The Eq. 1 latency model of the fleet.
     green:
         The green controller stepping batteries/tariffs inside a slot.
-    vectorized:
-        Select the numpy hot paths (bit-identical to the loops).
     materialization:
         Optional shared workload materialization (see the engine).
     """
@@ -73,7 +75,6 @@ class SlotKernel:
         volumes,
         latency_model,
         green: GreenController,
-        vectorized: bool = True,
         materialization=None,
     ) -> None:
         self.config = config
@@ -82,7 +83,6 @@ class SlotKernel:
         self.volumes = volumes
         self.latency_model = latency_model
         self.green = green
-        self.vectorized = vectorized
         self._materialization = materialization
         self._demand_cache: dict[tuple[int, int], np.ndarray] = {}
         #: Per-slot buckets of cache keys so eviction touches only the
@@ -112,15 +112,6 @@ class SlotKernel:
 
     # -- workload access ------------------------------------------------
 
-    def _demand_row(self, vm: VirtualMachine, slot: int) -> np.ndarray:
-        key = (vm.vm_id, slot)
-        row = self._demand_cache.get(key)
-        if row is None:
-            row = self.traces.slot_demand(vm, slot)
-            self._demand_cache[key] = row
-            self._demand_cache_slots.setdefault(slot, []).append(key)
-        return row
-
     def _demand(self, vms: list[VirtualMachine], slot: int) -> np.ndarray:
         if not vms:
             return np.zeros((0, self.config.steps_per_slot))
@@ -128,21 +119,20 @@ class SlotKernel:
             matrix = self._materialization.demand(vms, slot)
             if matrix is not None:
                 return matrix
-        many = getattr(self.traces, "slot_demand_many", None)
-        if not self.vectorized or many is None:
-            return np.stack([self._demand_row(vm, slot) for vm in vms])
         cached = [self._demand_cache.get((vm.vm_id, slot)) for vm in vms]
         missing = [index for index, row in enumerate(cached) if row is None]
         if not missing:
             return np.stack(cached)
         if len(missing) == len(vms):
-            matrix = many(vms, slot)
+            matrix = self.traces.slot_demand_many(vms, slot)
         else:
             matrix = np.empty((len(vms), self.config.steps_per_slot))
             for index, row in enumerate(cached):
                 if row is not None:
                     matrix[index] = row
-            fresh = many([vms[index] for index in missing], slot)
+            fresh = self.traces.slot_demand_many(
+                [vms[index] for index in missing], slot
+            )
             for position, index in enumerate(missing):
                 matrix[index] = fresh[position]
         # Freeze so cached row views cannot be corrupted downstream --
@@ -172,95 +162,6 @@ class SlotKernel:
 
     # -- per-slot physics -------------------------------------------------
 
-    def _dc_it_power(
-        self,
-        placement: FleetPlacement,
-        dc_index: int,
-        vm_rows: dict[int, int],
-        demand_now: np.ndarray,
-    ) -> tuple[np.ndarray, int]:
-        """IT power trace (W) and active server count of one DC."""
-        if self.vectorized:
-            return self._dc_it_power_vectorized(
-                placement, dc_index, vm_rows, demand_now
-            )
-        return self._dc_it_power_loop(placement, dc_index, vm_rows, demand_now)
-
-    def _dc_it_power_loop(
-        self,
-        placement: FleetPlacement,
-        dc_index: int,
-        vm_rows: dict[int, int],
-        demand_now: np.ndarray,
-    ) -> tuple[np.ndarray, int]:
-        """Reference implementation: per-server/per-VM Python loops."""
-        allocation = placement.allocations[dc_index]
-        power = np.zeros(self.config.steps_per_slot)
-        model = allocation.model
-        for server_vms, level in zip(allocation.server_vms, allocation.frequencies):
-            aggregate = np.zeros(self.config.steps_per_slot)
-            for vm_id in server_vms:
-                aggregate += demand_now[vm_rows[vm_id]]
-            power += model.power_trace(level, aggregate)
-        return power, allocation.active_servers
-
-    def _dc_it_power_vectorized(
-        self,
-        placement: FleetPlacement,
-        dc_index: int,
-        vm_rows: dict[int, int],
-        demand_now: np.ndarray,
-    ) -> tuple[np.ndarray, int]:
-        """Grouped segment-sum implementation of :meth:`_dc_it_power`.
-
-        The per-server demand aggregation is one CSR
-        server-by-VM-row indicator matrix multiplied against the demand
-        block -- a single C-speed pass that segment-sums each server's
-        VM rows.  The CSR product accumulates each output row's terms
-        sequentially in stored-column order, which is the loop
-        reference's VM order, so every per-server aggregate -- and
-        therefore the power trace -- is bit-identical to the loops.
-        The final reduction uses ``sum(axis=0)``, which likewise
-        accumulates rows sequentially exactly like the reference's
-        ``power +=``.
-
-        The slot driver no longer calls this per DC: the fleet-batched
-        :meth:`_fleet_it_power` evaluates the whole placement in one
-        CSR product.  This per-DC form is retained as the
-        middle-reference the equivalence tests and benchmarks compare
-        against.
-        """
-        allocation = placement.allocations[dc_index]
-        n_servers = len(allocation.server_vms)
-        if n_servers == 0:
-            return np.zeros(self.config.steps_per_slot), allocation.active_servers
-        model = allocation.model
-        row_of_vm = np.array(
-            [vm_rows[vm_id] for vms in allocation.server_vms for vm_id in vms],
-            dtype=int,
-        )
-        indptr = np.concatenate(
-            ([0], np.cumsum([len(vms) for vms in allocation.server_vms]))
-        )
-        membership = sparse.csr_matrix(
-            (np.ones(row_of_vm.size), row_of_vm, indptr),
-            shape=(n_servers, demand_now.shape[0]),
-        )
-        aggregate = membership @ demand_now
-
-        levels = np.asarray(allocation.frequencies, dtype=int)
-        level_caps = np.array(
-            [model.capacity(index) for index in range(len(model.levels))]
-        )
-        level_idle = np.array([spec.idle_watts for spec in model.levels])
-        level_peak = np.array([spec.peak_watts for spec in model.levels])
-        utilization = np.clip(aggregate / level_caps[levels, None], 0.0, 1.0)
-        per_server = (
-            level_idle[levels, None]
-            + (level_peak[levels, None] - level_idle[levels, None]) * utilization
-        )
-        return per_server.sum(axis=0), allocation.active_servers
-
     def _fleet_it_power(
         self,
         placement: FleetPlacement,
@@ -270,19 +171,18 @@ class SlotKernel:
         """IT power traces (W) of *every* DC from one CSR product.
 
         Builds a single server-by-VM-row membership matrix over the
-        whole placement -- block rows per DC, in DC index order --
-        instead of rebuilding one matrix per DC per slot, and computes
-        all per-server aggregates and power draws in one pass.
+        whole placement -- block rows per DC, in DC index order -- and
+        computes all per-server aggregates and power draws in one pass.
         Returns the ``(n_dcs, steps)`` power matrix and the per-DC
         active-server counts.
 
-        Bit-identity with :meth:`_dc_it_power_vectorized` (and hence
-        with the loop reference): a CSR row's product terms accumulate
-        in stored-column order regardless of which other rows share
-        the matrix, the per-server power expression is elementwise,
-        and each DC's final reduction is ``sum(axis=0)`` over its
-        *contiguous block* of per-server rows -- the same rows, in the
-        same order, reduced the same way as the per-DC call.
+        Bit-identical to per-server Python loops (sum each server's VM
+        rows in placement order, evaluate the server's power trace,
+        add the traces per DC): a CSR row's product terms accumulate
+        sequentially in stored-column order, which is the placement's
+        VM order; the per-server power expression is elementwise; and
+        each DC's reduction is ``sum(axis=0)`` over its *contiguous
+        block* of per-server rows, which adds the rows in order.
         """
         steps = self.config.steps_per_slot
         allocations = placement.allocations
@@ -359,68 +259,17 @@ class SlotKernel:
         volumes_now: np.ndarray,
         slot: int,
     ) -> list[tuple[float, int]]:
-        """Eq. 1 latency and receiving-VM count per destination DC."""
-        if self.vectorized:
-            return self._response_latencies_vectorized(
-                placement, vms, volumes_now, slot
-            )
-        return self._response_latencies_loop(placement, vms, volumes_now, slot)
+        """Eq. 1 latency and receiving-VM count per destination DC.
 
-    def _response_latencies_loop(
-        self,
-        placement: FleetPlacement,
-        vms: list[VirtualMachine],
-        volumes_now: np.ndarray,
-        slot: int,
-    ) -> list[tuple[float, int]]:
-        """Reference implementation: per-src/dst dict loops."""
-        n_dcs = self.config.n_dcs
-        dc_of = np.array([placement.assignment[vm.vm_id] for vm in vms], dtype=int)
-        results: list[tuple[float, int]] = []
-        received = volumes_now.sum(axis=0)  # MB flowing into each VM
-        for dst in range(n_dcs):
-            members = np.nonzero(dc_of == dst)[0]
-            if members.size == 0:
-                results.append((0.0, 0))
-                continue
-            volumes_from = {}
-            for src in range(n_dcs):
-                senders = np.nonzero(dc_of == src)[0]
-                if senders.size == 0:
-                    continue
-                volume = float(volumes_now[np.ix_(senders, members)].sum())
-                if volume > 0.0:
-                    volumes_from[src] = volume
-            latency = self.latency_model.destination_latency(
-                dst, volumes_from, slot
-            ).total_s
-            receiving = int(np.count_nonzero(received[members] > 0.0))
-            results.append((latency, receiving))
-        return results
-
-    def _response_latencies_vectorized(
-        self,
-        placement: FleetPlacement,
-        vms: list[VirtualMachine],
-        volumes_now: np.ndarray,
-        slot: int,
-    ) -> list[tuple[float, int]]:
-        """Grouped-matrix implementation of :meth:`_response_latencies`.
-
-        One stable argsort yields each DC's member indices (ascending,
-        matching the reference's ``np.nonzero``), replacing the
-        reference's 2 x n_dcs ``np.nonzero`` scans; each pair volume is
-        then the reference's own ``volumes[np.ix_(src, dst)].sum()`` --
-        bit-identical by construction, with one fused gather+sum per
-        pair instead of the previous whole-matrix blocked gather plus
-        a redundant per-block ``ascontiguousarray`` copy (3x the
-        memory traffic).
+        One stable argsort yields each DC's member indices in ascending
+        order; each (src, dst) pair volume is then one fused
+        ``volumes[np.ix_(src_members, dst_members)].sum()``, the same
+        gather-and-sum a per-pair ``np.nonzero`` scan would do.
 
         Deliberately *not* ``np.add.reduceat``: reduceat accumulates
         strictly left-to-right while ndarray ``.sum()`` reduces
         pairwise, so their float64 results differ in the last ulps for
-        any realistic block -- it cannot satisfy the bit-identity
-        contract (see test_reduceat_is_not_bit_identical).
+        any realistic block (see test_reduceat_is_not_bit_identical).
         """
         n_dcs = self.config.n_dcs
         dc_of = np.array([placement.assignment[vm.vm_id] for vm in vms], dtype=int)
@@ -535,28 +384,13 @@ class SlotKernel:
             * (SECONDS_PER_HOUR / config.steps_per_slot)
         )
         step_s = SECONDS_PER_HOUR / config.steps_per_slot
-        if self.vectorized:
-            # Fleet-batched slot physics: one CSR product for all
-            # DCs' IT power, one PUE broadcast, one green-controller
-            # kernel stepping every battery as struct-of-arrays.
-            it_matrix, actives = self._fleet_it_power(
-                placement, vm_rows, demand_now
-            )
-            facility_matrix = it_matrix * fleet_pue(
-                [dc.spec.pue_model for dc in dcs], times
-            )
-            greens = self.green.run_slot_fleet(dcs, slot, facility_matrix)
-            it_traces = list(it_matrix)
-        else:
-            greens, actives, it_traces = [], [], []
-            for dc in dcs:
-                it_power, active = self._dc_it_power(
-                    placement, dc.index, vm_rows, demand_now
-                )
-                facility_power = it_power * dc.spec.pue_model.pue(times)
-                greens.append(self.green.run_slot(dc, slot, facility_power))
-                actives.append(active)
-                it_traces.append(it_power)
+        it_matrix, actives = self._fleet_it_power(
+            placement, vm_rows, demand_now
+        )
+        facility_matrix = it_matrix * fleet_pue(
+            [dc.spec.pue_model for dc in dcs], times
+        )
+        greens = self.green.run_slot_fleet(dcs, slot, facility_matrix)
         for dc in dcs:
             green = greens[dc.index]
             dc.record_slot(slot, green.facility_energy, green.pv_generated)
@@ -565,7 +399,7 @@ class SlotKernel:
                 DCSlotRecord(
                     green=green,
                     it_energy_joules=float(
-                        it_traces[dc.index].sum() * step_s
+                        it_matrix[dc.index].sum() * step_s
                     ),
                     active_servers=actives[dc.index],
                     response_latency_s=latency,

@@ -16,8 +16,8 @@ Layout, under ``--out DIR`` (default ``reports/suites/<suite>``)::
     <out>/MANIFEST.json                  # what was written, from which
                                          # fingerprints
 
-with one ``<cell>`` directory per (pack x engine x vectorized x qos)
-combination in the suite matrix.
+with one ``<cell>`` directory per (pack x engine x qos) combination in
+the suite matrix.
 """
 
 from __future__ import annotations

@@ -17,14 +17,12 @@ of cross-service pairs also communicates (``background_fraction``).  A
 ``dense=True`` switch recovers the literal all-pairs reading of the
 paper's sentence.
 
-Like the engine's per-slot physics, :meth:`DataCorrelationProcess.volumes`
-ships in two interchangeable implementations behind the ``vectorized``
-flag: the original per-pair Python loop and a batched path that caches
-a per-population base matrix (preserving every per-pair seeded draw),
-indexes a 97-entry modulation table built with the reference's scalar
-arithmetic, and reuses the single batched jitter draw both paths share
--- so the two are bit-identical (``tests/workload/test_datacorr.py``
-asserts equality across population sizes).
+Generation is batched per slot: :meth:`DataCorrelationProcess.volumes`
+caches a per-population base matrix (every per-pair seeded draw, made
+once), indexes a 97-entry modulation table built with scalar
+arithmetic, and multiplies in one batched jitter draw.  The result
+equals a per-pair Python loop over the same draws bit for bit
+(``tests/workload/test_datacorr.py`` keeps that loop as an oracle).
 """
 
 from __future__ import annotations
@@ -102,9 +100,6 @@ class DataCorrelationProcess:
         Log-sigma of the per-slot multiplicative jitter.
     seed:
         Process-wide randomness root.
-    vectorized:
-        Use the batched per-slot path (default).  ``False`` selects the
-        reference per-pair loop; both produce bit-identical matrices.
     """
 
     #: Modulus of the per-pair phase hash; the phase takes one of this
@@ -122,7 +117,6 @@ class DataCorrelationProcess:
         modulation_period_slots: float = 24.0,
         jitter_sigma: float = 0.3,
         seed: int = 0,
-        vectorized: bool = True,
     ) -> None:
         if not 0.0 <= background_fraction <= 1.0:
             raise ValueError("background_fraction must be in [0, 1]")
@@ -134,7 +128,6 @@ class DataCorrelationProcess:
         self.modulation_period_slots = modulation_period_slots
         self.jitter_sigma = jitter_sigma
         self.seed = seed
-        self.vectorized = vectorized
         self._base_cache: dict[tuple[int, int], float] = {}
         #: Per-population (base matrix, phase-index matrix) pairs keyed
         #: by the vm-id tuple; bounded FIFO since the engine only ever
@@ -200,40 +193,14 @@ class DataCorrelationProcess:
         np.exp(jitter, out=jitter)
         return jitter
 
-    def volumes(self, vms: list[VirtualMachine], slot: int) -> VolumeMatrix:
-        """Directed volume matrix (MB) for ``vms`` during ``slot``."""
-        if self.vectorized:
-            return self._volumes_vectorized(vms, slot)
-        return self._volumes_loop(vms, slot)
-
-    def _volumes_loop(
-        self, vms: list[VirtualMachine], slot: int
-    ) -> VolumeMatrix:
-        """Reference implementation: per-pair Python loop."""
-        n = len(vms)
-        matrix = np.zeros((n, n))
-        jitter = self._slot_jitter(n, slot)
-        modulus = self.PHASE_MODULUS
-        for a, src in enumerate(vms):
-            for b, dst in enumerate(vms):
-                if a == b:
-                    continue
-                base = self.pair_base_mb(src, dst)
-                if base == 0.0:
-                    continue
-                phase = ((src.vm_id * 31 + dst.vm_id * 17) % modulus) / modulus
-                matrix[a, b] = base * self._modulation(slot, phase) * jitter[a, b]
-        return VolumeMatrix(vm_ids=[vm.vm_id for vm in vms], volumes=matrix)
-
     def _population_arrays(
         self, vms: list[VirtualMachine]
     ) -> tuple[np.ndarray, np.ndarray]:
         """Base-volume and phase-index matrices for one population.
 
         The base matrix realizes every per-pair seeded draw through
-        :meth:`pair_base_mb` in the reference loop's (a, b) order, so
-        the per-pair RNG streams -- and the ``_base_cache`` they fill
-        -- are exactly those of the loop path.  Cached per vm-id tuple:
+        :meth:`pair_base_mb` in row-major (a, b) order, filling the
+        per-pair ``_base_cache`` as it goes.  Cached per vm-id tuple:
         the alive set changes slot to slot but repeats heavily, so the
         O(n^2) Python work runs once per population instead of twice
         per slot.
@@ -270,19 +237,17 @@ class DataCorrelationProcess:
             total += base.nbytes + phase_index.nbytes
         return total
 
-    def _volumes_vectorized(
-        self, vms: list[VirtualMachine], slot: int
-    ) -> VolumeMatrix:
-        """Batched implementation of :meth:`volumes`.
+    def volumes(self, vms: list[VirtualMachine], slot: int) -> VolumeMatrix:
+        """Directed volume matrix (MB) for ``vms`` during ``slot``.
 
-        Bit-identical to the loop: the base matrix preserves the
-        per-pair seeded draws; the modulation is a table of the
-        :data:`PHASE_MODULUS` possible phases, each computed by the
-        *same scalar* :meth:`_modulation` arithmetic the loop uses (an
-        exact lookup, immune to SIMD transcendental differences); the
-        jitter is the identical single batched draw; and the final
-        ``base * modulation * jitter`` multiplies left-to-right
-        elementwise exactly like the loop's scalar expression.
+        Entry ``(a, b)`` is ``pair_base_mb(a, b) * modulation *
+        jitter[a, b]``: the base matrix holds the per-pair seeded
+        draws; the modulation is a table of the :data:`PHASE_MODULUS`
+        possible phases, each computed by the scalar
+        :meth:`_modulation` (an exact lookup, immune to SIMD
+        transcendental differences); the jitter is one batched draw
+        per slot; and the product multiplies left to right
+        elementwise.
         """
         n = len(vms)
         jitter = self._slot_jitter(n, slot)
@@ -291,8 +256,8 @@ class DataCorrelationProcess:
         modulation_table = np.array(
             [self._modulation(slot, k / modulus) for k in range(modulus)]
         )
-        # (base * modulation) * jitter, the loop's left-to-right order;
-        # in-place into the jitter buffer to skip one (n, n) temporary.
+        # (base * modulation) * jitter, left to right; in-place into
+        # the jitter buffer to skip one (n, n) temporary.
         matrix = base * modulation_table[phase_index]
         np.multiply(matrix, jitter, out=jitter)
         return VolumeMatrix(vm_ids=[vm.vm_id for vm in vms], volumes=jitter)

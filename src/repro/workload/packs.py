@@ -98,7 +98,7 @@ class DataCorrelationParams:
     modulation_period_slots: float = 24.0
     jitter_sigma: float = 0.3
 
-    def build(self, seed: int, vectorized: bool = True) -> DataCorrelationProcess:
+    def build(self, seed: int) -> DataCorrelationProcess:
         """A volume process with these parameters rooted at ``seed``."""
         return DataCorrelationProcess(
             background_fraction=self.background_fraction,
@@ -107,7 +107,6 @@ class DataCorrelationParams:
             modulation_period_slots=self.modulation_period_slots,
             jitter_sigma=self.jitter_sigma,
             seed=seed,
-            vectorized=vectorized,
         )
 
     def content_items(self) -> tuple[object, ...]:
@@ -215,9 +214,14 @@ class WorkloadProvider(Protocol):
         """Return ``config`` with the provider's overrides applied."""
 
     def build_traces(self, config):
-        """Trace library (``slot_demand``/``demand_matrix``/``slot_mean``)."""
+        """Trace library (``slot_demand``/``slot_demand_many``/``slot_mean``).
 
-    def build_volumes(self, config, vectorized: bool = True):
+        ``slot_demand_many(vms, slot)`` returns the ``(len(vms), steps)``
+        matrix whose rows equal ``slot_demand(vm, slot)`` bit for bit,
+        in ``vms`` order, and has shape ``(0, steps)`` for no VMs.
+        """
+
+    def build_volumes(self, config):
         """The pairwise data-volume process for ``config``."""
 
     def descriptor(self) -> dict:
@@ -326,11 +330,9 @@ class TracePack:
             )
         return library
 
-    def build_volumes(
-        self, config, vectorized: bool = True
-    ) -> DataCorrelationProcess:
+    def build_volumes(self, config) -> DataCorrelationProcess:
         """The pack's volume process, seeded by the engine's convention."""
-        return self.datacorr.build(config.seed + 2, vectorized=vectorized)
+        return self.datacorr.build(config.seed + 2)
 
     def with_app_mix(
         self, app_mix: Mapping[AppType, float], name: str | None = None
@@ -379,9 +381,11 @@ class TracePack:
 class LibraryWorkload:
     """Adapter wrapping a pre-built trace library as a provider.
 
-    Backs the engine's legacy ``trace_library=`` argument.  It carries
-    no content hash (the library is an opaque live object), so it
-    cannot key the result store -- use a :class:`TracePack` for that.
+    Pass it as the engine's ``workload`` to run on a live library
+    (e.g. a :class:`~repro.workload.recorded.RecordedTraceLibrary`).
+    It carries no content hash (the library is an opaque live object),
+    so it cannot key the result store -- use a :class:`TracePack` for
+    that.
     """
 
     library: object
@@ -401,11 +405,9 @@ class LibraryWorkload:
         """The wrapped library, as given."""
         return self.library
 
-    def build_volumes(
-        self, config, vectorized: bool = True
-    ) -> DataCorrelationProcess:
+    def build_volumes(self, config) -> DataCorrelationProcess:
         """Volume process with the engine's established seed derivation."""
-        return self.datacorr.build(config.seed + 2, vectorized=vectorized)
+        return self.datacorr.build(config.seed + 2)
 
     def descriptor(self) -> dict:
         """Opaque identity -- deliberately not usable as a cache key."""

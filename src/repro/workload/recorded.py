@@ -8,7 +8,8 @@ exact pipeline with this module:
 
 * :class:`RecordedTraceLibrary` serves per-(vm, slot) demand from a
   recorded utilization matrix, with the same interface the simulation
-  engine consumes (``slot_demand`` / ``demand_matrix`` / ``slot_mean``);
+  engine consumes (``slot_demand`` / ``slot_demand_many`` /
+  ``slot_mean``);
 * :meth:`RecordedTraceLibrary.extend_days` applies the paper's
   one-day-to-one-week rule: replay the recorded day with added
   same-mean statistical variance;
@@ -132,23 +133,15 @@ class RecordedTraceLibrary:
         """CPU demand in core units during ``slot``."""
         return self.slot_trace(vm, slot) * vm.cores
 
-    def demand_matrix(
-        self, vms: list[VirtualMachine], slot: int
-    ) -> np.ndarray:
-        """Stacked demand traces aligned with ``vms``."""
-        if not vms:
-            return np.zeros((0, self.steps_per_slot))
-        return np.stack([self.slot_demand(vm, slot) for vm in vms])
-
     def slot_demand_many(
         self, vms: list[VirtualMachine], slot: int
     ) -> np.ndarray:
-        """Batched :meth:`slot_demand`: one gather instead of n copies.
+        """Stacked demand traces aligned with ``vms``, in one gather.
 
-        Bit-identical to stacking the per-VM rows -- the multiply is
-        elementwise, so broadcasting ``cores`` changes nothing -- while
-        replacing n row copy/multiply round-trips with a single fancy
-        index and one broadcast product.
+        Bit-identical to stacking the per-VM :meth:`slot_demand` rows
+        -- the multiply is elementwise, so broadcasting ``cores``
+        changes nothing -- with one fancy index and one broadcast
+        product instead of n row copies.
         """
         if not vms:
             return np.zeros((0, self.steps_per_slot))

@@ -155,7 +155,7 @@ class TraceLibrary:
             sigma = float(np.hypot(sigma, self.extension_sigma))
 
         # AR(1) noise around the hour mean; stationary marginal sigma.
-        # y[n] = rho * y[n-1] + eps[n], vectorized as an IIR filter.
+        # y[n] = rho * y[n-1] + eps[n], evaluated as an IIR filter.
         rho = profile.noise_rho
         innovations = rng.normal(0.0, sigma * np.sqrt(1.0 - rho**2), self.steps_per_slot)
         level = rng.normal(0.0, sigma)
@@ -170,27 +170,16 @@ class TraceLibrary:
         """CPU demand in core units for ``vm`` over ``slot``."""
         return self.slot_trace(vm, slot) * vm.cores
 
-    def demand_matrix(
+    def slot_demand_many(
         self, vms: list[VirtualMachine], slot: int
     ) -> np.ndarray:
         """Stacked demand traces: shape ``(len(vms), steps_per_slot)``.
 
-        Row order matches ``vms``.  This is the array the correlation
-        metrics and the power model consume.
-        """
-        if not vms:
-            return np.zeros((0, self.steps_per_slot))
-        return np.stack([self.slot_demand(vm, slot) for vm in vms])
-
-    def slot_demand_many(
-        self, vms: list[VirtualMachine], slot: int
-    ) -> np.ndarray:
-        """Batched :meth:`slot_demand` filling one matrix in place.
-
-        Synthetic traces are RNG-per-(vm, slot), so the rows themselves
-        cannot be vectorized across VMs without changing the streams;
-        this fast path only removes the intermediate row list and the
-        ``np.stack`` copy.  Rows are bit-identical to the loop path.
+        Row ``i`` is :meth:`slot_demand` of ``vms[i]``, bit for bit;
+        this is the array the correlation metrics and the power model
+        consume.  Synthetic traces are RNG-per-(vm, slot), so the rows
+        cannot be drawn across VMs in one call without changing the
+        streams; they are filled into one preallocated matrix.
         """
         matrix = np.empty((len(vms), self.steps_per_slot))
         for index, vm in enumerate(vms):

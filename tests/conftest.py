@@ -123,7 +123,7 @@ def make_observation(
     previous_assignment: dict[int, int] | None = None,
 ) -> SlotObservation:
     """Assemble a coherent observation for policy-level tests."""
-    demand = trace_library.demand_matrix(vms, max(slot - 1, 0))
+    demand = trace_library.slot_demand_many(vms, max(slot - 1, 0))
     volumes = volume_process.volumes(vms, max(slot - 1, 0))
     return SlotObservation(
         slot=slot,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tests.conftest import make_specs
+from tests.oracles import green_run_slot
 from repro.core.green import GreenController, GreenSlotResult
 from repro.datacenter.datacenter import Datacenter
 from repro.units import SECONDS_PER_HOUR
@@ -21,6 +22,11 @@ def controller() -> GreenController:
 
 def flat_power(watts: float, steps: int = 60) -> np.ndarray:
     return np.full(steps, watts)
+
+
+def source(controller, dc, slot, power) -> GreenSlotResult:
+    """One DC's slot through the fleet controller."""
+    return controller.run_slot_fleet([dc], slot, power[None, :])[0]
 
 
 def peak_slot(dc) -> int:
@@ -44,38 +50,38 @@ class TestRules:
     def test_peak_discharges_battery(self, dc, controller):
         slot = peak_slot(dc)
         soc_before = dc.battery.soc_joules
-        result = controller.run_slot(dc, slot, flat_power(500.0))
+        result = source(controller, dc, slot, flat_power(500.0))
         assert result.battery_discharged > 0.0
         assert dc.battery.soc_joules < soc_before
 
     def test_offpeak_charges_from_grid(self, dc, controller):
         dc.battery.soc_joules = dc.battery.floor_joules  # empty usable
         slot = offpeak_slot(dc)
-        result = controller.run_slot(dc, slot, flat_power(500.0))
+        result = source(controller, dc, slot, flat_power(500.0))
         assert result.grid_to_battery > 0.0
         assert result.battery_discharged == 0.0
         assert dc.battery.soc_joules > dc.battery.floor_joules
 
     def test_pv_surplus_charges_battery(self, dc, controller):
         dc.battery.soc_joules = dc.battery.floor_joules
-        result = controller.run_slot(dc, 12, flat_power(1.0))  # noon, tiny load
+        result = source(controller, dc, 12, flat_power(1.0))  # noon, tiny load
         assert result.pv_stored > 0.0
 
     def test_pv_covers_load_before_grid(self, dc, controller):
-        result = controller.run_slot(dc, 12, flat_power(10.0))
+        result = source(controller, dc, 12, flat_power(10.0))
         assert result.pv_used > 0.0
         assert result.grid_to_load < result.facility_energy
 
     def test_battery_never_below_floor(self, dc, controller):
         slot = peak_slot(dc)
         for offset in range(8):
-            controller.run_slot(dc, slot + 24 * offset, flat_power(5000.0))
+            source(controller, dc, slot + 24 * offset, flat_power(5000.0))
         assert dc.battery.soc_joules >= dc.battery.floor_joules - 1e-6
 
     def test_zero_load_zero_cost(self, dc, controller):
         slot = peak_slot(dc)
         dc.battery.soc_joules = dc.battery.capacity_joules
-        result = controller.run_slot(dc, slot, flat_power(0.0))
+        result = source(controller, dc, slot, flat_power(0.0))
         assert result.grid_cost_eur == 0.0
         assert result.grid_to_load == 0.0
 
@@ -83,17 +89,17 @@ class TestRules:
 class TestAccounting:
     def test_energy_conservation(self, dc, controller):
         for slot in (2, 12, 20):
-            result = controller.run_slot(dc, slot, flat_power(800.0))
+            result = source(controller, dc, slot, flat_power(800.0))
             result.sanity_check()
 
     def test_facility_energy_matches_input(self, dc, controller):
-        result = controller.run_slot(dc, 3, flat_power(700.0))
+        result = source(controller, dc, 3, flat_power(700.0))
         assert result.facility_energy == pytest.approx(700.0 * SECONDS_PER_HOUR)
 
     def test_grid_energy_is_load_plus_charging(self, dc, controller):
         dc.battery.soc_joules = dc.battery.floor_joules
         slot = offpeak_slot(dc)
-        result = controller.run_slot(dc, slot, flat_power(500.0))
+        result = source(controller, dc, slot, flat_power(500.0))
         assert result.grid_energy == pytest.approx(
             result.grid_to_load + result.grid_to_battery
         )
@@ -102,7 +108,7 @@ class TestAccounting:
         """With a full battery unavailable, peak grid cost is price*energy."""
         dc.battery.soc_joules = dc.battery.floor_joules
         slot = peak_slot(dc)
-        result = controller.run_slot(dc, slot, flat_power(1000.0))
+        result = source(controller, dc, slot, flat_power(1000.0))
         expected = dc.spec.tariff.cost_of(
             result.grid_energy, (slot + 0.5) * SECONDS_PER_HOUR
         )
@@ -110,7 +116,7 @@ class TestAccounting:
 
     def test_soc_bookkeeping(self, dc, controller):
         start = dc.battery.soc_joules
-        result = controller.run_slot(dc, peak_slot(dc), flat_power(500.0))
+        result = source(controller, dc, peak_slot(dc), flat_power(500.0))
         assert result.soc_start == start
         assert result.soc_end == dc.battery.soc_joules
 
@@ -143,16 +149,17 @@ class TestValidation:
             GreenController(grid_charge_fraction=1.5)
 
     def test_power_must_be_1d(self, dc, controller):
+        """Each DC's power row is a 1-D per-step series."""
         with pytest.raises(ValueError):
-            controller.run_slot(dc, 0, np.zeros((2, 2)))
+            controller.run_slot_fleet([dc], 0, np.zeros((1, 2, 2)))
 
     def test_power_nonnegative(self, dc, controller):
         with pytest.raises(ValueError):
-            controller.run_slot(dc, 0, np.array([-1.0]))
+            controller.run_slot_fleet([dc], 0, np.array([[-1.0]]))
 
     def test_empty_power_rejected(self, dc, controller):
         with pytest.raises(ValueError):
-            controller.run_slot(dc, 0, np.zeros(0))
+            controller.run_slot_fleet([dc], 0, np.zeros((1, 0)))
 
 
 def fresh_fleet(specs, soc_fraction: float | None = None) -> list[Datacenter]:
@@ -164,7 +171,7 @@ def fresh_fleet(specs, soc_fraction: float | None = None) -> list[Datacenter]:
 
 
 class TestFleetKernel:
-    """run_slot_fleet: bit-identity with per-DC run_slot, both paths."""
+    """run_slot_fleet: bit-identity with the scalar per-DC oracle."""
 
     def fleet_power(self, n_dcs: int = 3, steps: int = 60) -> np.ndarray:
         rng = np.random.default_rng(5)
@@ -177,7 +184,7 @@ class TestFleetKernel:
         reference_dcs = fresh_fleet(specs, soc_fraction)
         fleet_dcs = fresh_fleet(specs, soc_fraction)
         reference = [
-            controller.run_slot(dc, slot, power[dc.index])
+            green_run_slot(controller, dc, slot, power[dc.index])
             for dc in reference_dcs
         ]
         fleet = controller.run_slot_fleet(fleet_dcs, slot, power)
@@ -186,20 +193,25 @@ class TestFleetKernel:
             assert fleet_dc.battery.soc_joules == ref_dc.battery.soc_joules
 
     @pytest.mark.parametrize("slot", [2, 12, 20])
-    def test_struct_of_arrays_path_matches(self, specs, controller, slot):
-        """Forcing the SoA battery loop gives the same bits as replay."""
-        power = self.fleet_power()
-        reference = controller.run_slot_fleet(
-            fresh_fleet(specs, 0.7), slot, power
-        )
-        controller.scalar_replay_max_dcs = 0
-        try:
-            batched = controller.run_slot_fleet(
-                fresh_fleet(specs, 0.7), slot, power
-            )
-        finally:
-            controller.scalar_replay_max_dcs = 8
-        assert batched == reference
+    def test_wide_fleet_matches_per_dc_reference(self, specs, controller, slot):
+        """Fleets wider than the paper's three DCs, over several slots."""
+        def wide_fleet():
+            return [
+                Datacenter(specs[index % len(specs)], index, seed=1)
+                for index in range(10)
+            ]
+
+        power = self.fleet_power(n_dcs=10)
+        reference_dcs, fleet_dcs = wide_fleet(), wide_fleet()
+        for offset in range(3):
+            reference = [
+                green_run_slot(controller, dc, slot + offset, power[dc.index])
+                for dc in reference_dcs
+            ]
+            fleet = controller.run_slot_fleet(fleet_dcs, slot + offset, power)
+            assert fleet == reference
+        for ref_dc, fleet_dc in zip(reference_dcs, fleet_dcs):
+            assert fleet_dc.battery.soc_joules == ref_dc.battery.soc_joules
 
     def test_mutates_every_battery(self, specs, controller):
         dcs = fresh_fleet(specs, 1.0)

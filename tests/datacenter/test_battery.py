@@ -120,90 +120,3 @@ class TestRoundTrip:
         assert twin.soc_joules == twin.capacity_joules
         assert twin.soc_joules != bank.soc_joules
 
-
-class TestBatteryArray:
-    """Struct-of-arrays batch ops mirror the scalar bank bit for bit."""
-
-    def banks(self):
-        import numpy as np  # noqa: F401  (kept local to the new tests)
-
-        return [
-            Battery(capacity_joules=1.0e6, dod=0.5, max_c_rate=0.5),
-            Battery(
-                capacity_joules=2.0e6,
-                dod=0.6,
-                charge_efficiency=0.9,
-                discharge_efficiency=0.85,
-                max_c_rate=0.25,
-                soc_joules=1.2e6,
-            ),
-            Battery(capacity_joules=0.0),
-        ]
-
-    def test_limits_match_scalar(self):
-        import numpy as np
-
-        from repro.datacenter.battery import BatteryArray
-
-        scalars = self.banks()
-        batch = BatteryArray.from_batteries(scalars)
-        for duration in (5.0, 60.0, 3600.0):
-            assert np.array_equal(
-                batch.max_charge_joules(duration),
-                [bank.max_charge_joules(duration) for bank in scalars],
-            )
-            assert np.array_equal(
-                batch.max_discharge_joules(duration),
-                [bank.max_discharge_joules(duration) for bank in scalars],
-            )
-
-    def test_charge_discharge_sequence_matches_scalar(self):
-        import numpy as np
-
-        from repro.datacenter.battery import BatteryArray
-
-        scalars = self.banks()
-        batch = BatteryArray.from_batteries(scalars)
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            offers = rng.uniform(0.0, 2.0e5, 3)
-            requests = rng.uniform(0.0, 2.0e5, 3)
-            accepted = batch.charge(offers, 60.0)
-            delivered = batch.discharge(requests, 60.0)
-            for index, bank in enumerate(scalars):
-                assert accepted[index] == bank.charge(float(offers[index]), 60.0)
-                assert delivered[index] == bank.discharge(
-                    float(requests[index]), 60.0
-                )
-        batch.store_to(copies := self.banks())
-        for copy, bank in zip(copies, scalars):
-            assert copy.soc_joules == bank.soc_joules
-
-    def test_zero_amounts_preserve_soc_bits(self):
-        import numpy as np
-
-        from repro.datacenter.battery import BatteryArray
-
-        batch = BatteryArray.from_batteries(self.banks())
-        before = batch.soc_joules.copy()
-        batch.charge(np.zeros(3), 60.0)
-        batch.discharge(np.zeros(3), 60.0)
-        assert np.array_equal(batch.soc_joules, before)
-
-    def test_negative_amounts_rejected(self):
-        import numpy as np
-
-        from repro.datacenter.battery import BatteryArray
-
-        batch = BatteryArray.from_batteries(self.banks())
-        with pytest.raises(ValueError):
-            batch.charge(np.array([-1.0, 0.0, 0.0]), 60.0)
-        with pytest.raises(ValueError):
-            batch.discharge(np.array([0.0, -1.0, 0.0]), 60.0)
-
-    def test_store_to_rejects_mismatch(self):
-        from repro.datacenter.battery import BatteryArray
-
-        batch = BatteryArray.from_batteries(self.banks())
-        with pytest.raises(ValueError):
-            batch.store_to(self.banks()[:2])

@@ -25,7 +25,11 @@ from repro.baselines import EnerAwarePolicy
 from repro.sim.config import EngineCoreConfig, scaled_config
 from repro.sim.engine import SimulationEngine
 from repro.sim.metrics import weighted_percentile
-from repro.workload.packs import RecordedTraceSource, TracePack
+from repro.workload.packs import (
+    LibraryWorkload,
+    RecordedTraceSource,
+    TracePack,
+)
 from repro.workload.recorded import RecordedTraceLibrary
 
 #: Slots per example; long enough for arrivals, departures, tariff
@@ -53,8 +57,8 @@ def _engine_kwargs(kind: str, seed: int) -> dict:
             )
         }
     return {
-        "trace_library": RecordedTraceLibrary(
-            _recorded_matrix(seed), steps_per_slot=30
+        "workload": LibraryWorkload(
+            RecordedTraceLibrary(_recorded_matrix(seed), steps_per_slot=30)
         )
     }
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tests.conftest import make_specs
+from tests.oracles import green_run_slot
 from repro.core.green import GreenController
 from repro.datacenter.datacenter import Datacenter
 from repro.datacenter.price import TwoLevelTariff
@@ -14,6 +15,11 @@ from repro.units import SECONDS_PER_HOUR
 
 def fresh_dc(site_index: int = 0) -> Datacenter:
     return Datacenter(make_specs()[site_index], index=site_index, seed=1)
+
+
+def source(controller, dc, slot, power):
+    """One DC's slot through the fleet controller."""
+    return controller.run_slot_fleet([dc], slot, power[None, :])[0]
 
 
 class TestGreenControllerProperties:
@@ -31,7 +37,7 @@ class TestGreenControllerProperties:
             dc.battery.capacity_joules - floor
         ) * soc_fraction
         controller = GreenController(step_s=120.0)
-        ledger = controller.run_slot(dc, slot, np.full(30, watts))
+        ledger = source(controller, dc, slot, np.full(30, watts))
         ledger.sanity_check()
         assert ledger.grid_cost_eur >= 0.0
         assert dc.battery.floor_joules - 1e-6 <= dc.battery.soc_joules
@@ -46,8 +52,8 @@ class TestGreenControllerProperties:
         def cost_for(power_watts: float) -> float:
             dc = fresh_dc()
             controller = GreenController(step_s=120.0)
-            return controller.run_slot(
-                dc, slot, np.full(30, power_watts)
+            return source(
+                controller, dc, slot, np.full(30, power_watts)
             ).grid_cost_eur
 
         assert cost_for(watts * 2.0) >= cost_for(watts) - 1e-9
@@ -57,7 +63,7 @@ class TestGreenControllerProperties:
     def test_zero_load_never_discharges(self, slot):
         dc = fresh_dc()
         controller = GreenController(step_s=120.0)
-        ledger = controller.run_slot(dc, slot, np.zeros(30))
+        ledger = source(controller, dc, slot, np.zeros(30))
         assert ledger.battery_discharged == 0.0
         assert ledger.grid_to_load == 0.0
 
@@ -68,8 +74,7 @@ class TestFleetKernelProperties:
     The fleet slots sweep peak/off-peak tariff boundaries (slots cover
     three days across three time zones) and battery saturation (SoC
     from the DoD floor to full, loads from idle to far beyond PV), and
-    every ledger must match the scalar reference bit for bit on both
-    battery paths.
+    every ledger must match the scalar per-DC oracle bit for bit.
     """
 
     @given(
@@ -80,11 +85,10 @@ class TestFleetKernelProperties:
         soc_fractions=st.lists(
             st.floats(0.0, 1.0, allow_nan=False), min_size=3, max_size=3
         ),
-        batched_battery=st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
     def test_fleet_ledgers_match_reference_and_conserve(
-        self, watts, slot, soc_fractions, batched_battery
+        self, watts, slot, soc_fractions
     ):
         def fleet(soc_fractions):
             dcs = [
@@ -102,12 +106,10 @@ class TestFleetKernelProperties:
         controller = GreenController(step_s=120.0)
         reference_dcs = fleet(soc_fractions)
         reference = [
-            controller.run_slot(dc, slot, power[dc.index])
+            green_run_slot(controller, dc, slot, power[dc.index])
             for dc in reference_dcs
         ]
         fleet_dcs = fleet(soc_fractions)
-        if batched_battery:
-            controller.scalar_replay_max_dcs = 0
         ledgers = controller.run_slot_fleet(fleet_dcs, slot, power)
 
         assert ledgers == reference

@@ -17,6 +17,12 @@ from repro.experiments.orchestrator import (
 )
 from repro.experiments.runner import default_policies
 from repro.service.codec import CodecError, decode, encode
+from repro.service.protocol import (
+    FingerprintMismatch,
+    WireError,
+    decode_request,
+    encode_request,
+)
 from repro.sim.config import paper_config, scaled_config
 from repro.workload.packs import (
     DataCorrelationParams,
@@ -142,6 +148,23 @@ class TestFingerprintStability:
         np.testing.assert_array_equal(
             back.pack.source.utilization, matrix
         )
+
+
+class TestRetiredEngineOptions:
+    @pytest.mark.parametrize("vectorized", [True, False])
+    def test_vectorized_option_is_refused(self, vectorized):
+        """A client still sending ``EngineOptions.vectorized`` gets the
+        daemon's 400 (a plain WireError) -- never a run decoded under
+        a different fingerprint."""
+        request = RunRequest(
+            config=scaled_config("tiny"), policy=default_policies()[1]
+        )
+        payload = encode_request(request)
+        options = payload["request"]["fields"]["options"]["fields"]
+        options["vectorized"] = vectorized
+        with pytest.raises(WireError, match="vectorized") as excinfo:
+            decode_request(json.loads(json.dumps(payload)))
+        assert not isinstance(excinfo.value, FingerprintMismatch)
 
 
 class TestDecodeSafety:

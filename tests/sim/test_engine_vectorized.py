@@ -1,92 +1,134 @@
-"""Vectorized engine hot paths: bit-exact equivalence with the loops."""
+"""Slot-kernel hot paths against the loop oracles: bit-exact equivalence.
+
+The production kernel has one implementation per step; the per-row,
+per-server, per-pair and per-DC loops it must reproduce live in
+``tests/oracles.py``.
+"""
 
 import numpy as np
 import pytest
 
 from repro.experiments.runner import default_policies
-from repro.sim.config import scaled_config
+from repro.sim.config import EngineCoreConfig, build_datacenters, scaled_config
 from repro.sim.engine import SimulationEngine, run_policies
+from repro.sim.state import SlotObservation
+from repro.workload.packs import LibraryWorkload
+from tests.oracles import loop_engine, loop_kernel
 
 
-def run_pair(policy_a, policy_b, horizon=6):
+def run_pair(index, horizon=6, engine=None):
     config = scaled_config("tiny").with_horizon(horizon)
-    loops = SimulationEngine(config, policy_a, vectorized=False).run()
-    vectorized = SimulationEngine(config, policy_b, vectorized=True).run()
-    return loops, vectorized
+    loops = loop_engine(config, default_policies()[index], engine=engine).run()
+    production = SimulationEngine(
+        config, default_policies()[index], engine=engine
+    ).run()
+    return loops, production
 
 
 @pytest.mark.parametrize("index", range(4))
 def test_full_run_bit_identical(index):
-    """Every per-slot ledger float matches the loop reference exactly."""
-    loops, vectorized = run_pair(
-        default_policies()[index], default_policies()[index]
-    )
-    assert loops.horizon == vectorized.horizon
-    for slot_a, slot_b in zip(loops.slots, vectorized.slots):
-        assert slot_a.migration_volume_mb == slot_b.migration_volume_mb
-        assert slot_a.dc_records == slot_b.dc_records
+    """Every ledger value of every policy matches the loop oracle."""
+    loops, production = run_pair(index)
+    assert loops.horizon == production.horizon
+    assert loops.to_dict() == production.to_dict()
+
+
+def test_event_driver_matches_loop_oracle():
+    loops, production = run_pair(0, engine=EngineCoreConfig(kind="event"))
+    assert loops.to_dict() == production.to_dict()
 
 
 def test_summary_metrics_identical():
-    loops, vectorized = run_pair(default_policies()[0], default_policies()[0])
-    assert loops.summary() == vectorized.summary()
-    assert np.array_equal(loops.response_samples(), vectorized.response_samples())
+    loops, production = run_pair(0)
+    assert loops.summary() == production.summary()
+    assert np.array_equal(
+        loops.response_samples(), production.response_samples()
+    )
+
+
+def placed_slot(slot=0, horizon=2):
+    """Engine, first-slot placement and demand for per-slot sweeps."""
+    config = scaled_config("tiny").with_horizon(horizon)
+    engine = SimulationEngine(config, default_policies()[1])
+    kernel = engine.kernel
+    vms = kernel.population.alive(slot)
+    vm_rows = {vm.vm_id: row for row, vm in enumerate(vms)}
+    demand = kernel._demand(vms, slot)
+    policy = default_policies()[1]
+    policy.reset()
+    observation = SlotObservation(
+        slot=slot,
+        vms=vms,
+        demand_traces=demand,
+        volumes=kernel.volumes.volumes(vms, slot),
+        previous_assignment={},
+        dcs=build_datacenters(config),
+        latency_model=kernel.latency_model,
+        latency_constraint_s=config.latency_constraint_s,
+    )
+    placement = policy.place(observation)
+    return config, kernel, placement, vm_rows, demand
+
+
+def driven_slots(policy_index=0, horizon=6):
+    """Per-slot kernel inputs of a real run: (kernel, slot, vms,
+    placement, vm_rows, demand, volumes), stepping the kernel between
+    slots so placements carry migrations and previous assignments."""
+    config = scaled_config("tiny").with_horizon(horizon)
+    engine = SimulationEngine(config, default_policies()[policy_index])
+    kernel = engine.kernel
+    engine.policy.reset()
+    dcs = build_datacenters(config)
+    previous: dict[int, int] = {}
+    for slot in range(horizon):
+        vms = kernel.population.alive(slot)
+        placement = engine.policy.place(
+            kernel.observe(slot, vms, previous, dcs)
+        )
+        vm_rows = {vm.vm_id: row for row, vm in enumerate(vms)}
+        demand = kernel._demand(vms, slot)
+        volumes = kernel._slot_volumes(vms, slot).volumes
+        yield kernel, slot, vms, placement, vm_rows, demand, volumes
+        kernel.step(slot, vms, placement, dcs)
+        previous = dict(placement.assignment)
 
 
 def test_dc_it_power_paths_agree_per_slot():
-    config = scaled_config("tiny").with_horizon(2)
-    engine = SimulationEngine(config, default_policies()[1])
-    vms = engine.population.alive(0)
-    vm_rows = {vm.vm_id: row for row, vm in enumerate(vms)}
-    demand = engine._demand(vms, 0)
-    observation_policy = default_policies()[1]
-    observation_policy.reset()
-    from repro.sim.config import build_datacenters
-    from repro.sim.state import SlotObservation
+    for kernel, _, _, placement, vm_rows, demand, _ in driven_slots():
+        power, actives = kernel._fleet_it_power(placement, vm_rows, demand)
+        oracle = loop_kernel(kernel)
+        for dc_index in range(kernel.config.n_dcs):
+            loop = oracle._dc_it_power(placement, dc_index, vm_rows, demand)
+            assert np.array_equal(power[dc_index], loop[0])
+            assert actives[dc_index] == loop[1]
 
-    observation = SlotObservation(
-        slot=0,
-        vms=vms,
-        demand_traces=demand,
-        volumes=engine.volumes.volumes(vms, 0),
-        previous_assignment={},
-        dcs=build_datacenters(config),
-        latency_model=engine.latency_model,
-        latency_constraint_s=config.latency_constraint_s,
-    )
-    placement = observation_policy.place(observation)
-    for dc_index in range(config.n_dcs):
-        loop = engine._dc_it_power_loop(placement, dc_index, vm_rows, demand)
-        fast = engine._dc_it_power_vectorized(
-            placement, dc_index, vm_rows, demand
-        )
-        assert np.array_equal(loop[0], fast[0])
-        assert loop[1] == fast[1]
+
+def stub_placement(vms, n_dcs, seed):
+    rng = np.random.default_rng(seed)
+    return type(
+        "Stub",
+        (),
+        {"assignment": {vm.vm_id: int(rng.integers(0, n_dcs)) for vm in vms}},
+    )()
 
 
 def test_response_latency_paths_agree_per_slot():
-    config = scaled_config("tiny").with_horizon(2)
-    engine = SimulationEngine(config, default_policies()[1])
-    vms = engine.population.alive(1)
-    volumes = engine.volumes.volumes(vms, 1).volumes
-    rng = np.random.default_rng(7)
-    placement_stub = type(
-        "Stub",
-        (),
-        {"assignment": {vm.vm_id: int(rng.integers(0, 3)) for vm in vms}},
-    )()
-    loop = engine._response_latencies_loop(placement_stub, vms, volumes, 1)
-    fast = engine._response_latencies_vectorized(placement_stub, vms, volumes, 1)
-    assert loop == fast
+    for kernel, slot, vms, placement, _, _, volumes in driven_slots():
+        loop = loop_kernel(kernel)._response_latencies(
+            placement, vms, volumes, slot
+        )
+        assert kernel._response_latencies(
+            placement, vms, volumes, slot
+        ) == loop
 
 
 def test_response_latency_empty_fleet():
     config = scaled_config("tiny").with_horizon(2)
-    engine = SimulationEngine(config, default_policies()[1])
-    placement_stub = type("Stub", (), {"assignment": {}})()
+    kernel = SimulationEngine(config, default_policies()[1]).kernel
+    stub = type("Stub", (), {"assignment": {}})()
     empty = np.zeros((0, 0))
-    loop = engine._response_latencies_loop(placement_stub, [], empty, 0)
-    fast = engine._response_latencies_vectorized(placement_stub, [], empty, 0)
+    loop = loop_kernel(kernel)._response_latencies(stub, [], empty, 0)
+    fast = kernel._response_latencies(stub, [], empty, 0)
     assert loop == fast == [(0.0, 0)] * config.n_dcs
 
 
@@ -102,12 +144,6 @@ class TestRunPoliciesOptions:
         ).run()
         assert via_runner[0].slots == direct.slots
 
-    def test_vectorized_flag_threaded_through(self):
-        config = scaled_config("tiny").with_horizon(3)
-        loops = run_policies(config, default_policies()[2:3], vectorized=False)
-        fast = run_policies(config, default_policies()[2:3], vectorized=True)
-        assert loops[0].slots == fast[0].slots
-
     def test_validate_flag_threaded_through(self):
         config = scaled_config("tiny").with_horizon(2)
         results = run_policies(config, default_policies()[1:2], validate=False)
@@ -122,7 +158,9 @@ class TestRunPoliciesOptions:
         )
         default = run_policies(config, default_policies()[1:2])
         swapped = run_policies(
-            config, default_policies()[1:2], trace_library=alternate
+            config,
+            default_policies()[1:2],
+            workload=LibraryWorkload(alternate),
         )
         assert default[0].total_facility_energy_joules() != pytest.approx(
             swapped[0].total_facility_energy_joules()
@@ -132,104 +170,62 @@ class TestRunPoliciesOptions:
 class TestDemandCacheEviction:
     def test_eviction_is_bucketed_per_slot(self):
         config = scaled_config("tiny").with_horizon(3)
-        engine = SimulationEngine(config, default_policies()[1])
-        vms = engine.population.alive(0)
-        engine._demand(vms, 0)
-        engine._demand(vms, 1)
-        assert set(engine._demand_cache_slots) == {0, 1}
-        engine._evict_cache(1)
-        assert set(engine._demand_cache_slots) == {1}
-        assert all(slot == 1 for _, slot in engine._demand_cache)
+        kernel = SimulationEngine(config, default_policies()[1]).kernel
+        vms = kernel.population.alive(0)
+        kernel._demand(vms, 0)
+        kernel._demand(vms, 1)
+        assert set(kernel._demand_cache_slots) == {0, 1}
+        kernel._evict_cache(1)
+        assert set(kernel._demand_cache_slots) == {1}
+        assert all(slot == 1 for _, slot in kernel._demand_cache)
 
     def test_cache_consistent_after_run(self):
         config = scaled_config("tiny").with_horizon(4)
         engine = SimulationEngine(config, default_policies()[1])
         engine.run()
+        kernel = engine.kernel
         bucketed = {
             key
-            for keys in engine._demand_cache_slots.values()
+            for keys in kernel._demand_cache_slots.values()
             for key in keys
         }
-        assert bucketed == set(engine._demand_cache)
-        assert {slot for _, slot in engine._demand_cache} <= {2, 3}
+        assert bucketed == set(kernel._demand_cache)
+        assert {slot for _, slot in kernel._demand_cache} <= {2, 3}
 
 
 class TestFleetItPower:
-    """The one-shot fleet CSR product equals the per-DC paths exactly."""
-
-    def physics_inputs(self, slot=0):
-        config = scaled_config("tiny").with_horizon(2)
-        engine = SimulationEngine(config, default_policies()[1])
-        vms = engine.population.alive(slot)
-        vm_rows = {vm.vm_id: row for row, vm in enumerate(vms)}
-        demand = engine._demand(vms, slot)
-        policy = default_policies()[1]
-        policy.reset()
-        from repro.sim.config import build_datacenters
-        from repro.sim.state import SlotObservation
-
-        observation = SlotObservation(
-            slot=slot,
-            vms=vms,
-            demand_traces=demand,
-            volumes=engine.volumes.volumes(vms, slot),
-            previous_assignment={},
-            dcs=build_datacenters(config),
-            latency_model=engine.latency_model,
-            latency_constraint_s=config.latency_constraint_s,
-        )
-        placement = policy.place(observation)
-        return config, engine, placement, vm_rows, demand
+    """The one-shot fleet CSR product equals the per-server loops."""
 
     def test_matches_per_dc_paths(self):
-        config, engine, placement, vm_rows, demand = self.physics_inputs()
-        power, actives = engine._fleet_it_power(placement, vm_rows, demand)
+        config, kernel, placement, vm_rows, demand = placed_slot()
+        power, actives = kernel._fleet_it_power(placement, vm_rows, demand)
         assert power.shape == (config.n_dcs, config.steps_per_slot)
+        oracle = loop_kernel(kernel)
         for dc_index in range(config.n_dcs):
-            loop = engine._dc_it_power_loop(
-                placement, dc_index, vm_rows, demand
-            )
-            per_dc = engine._dc_it_power_vectorized(
-                placement, dc_index, vm_rows, demand
-            )
+            loop = oracle._dc_it_power(placement, dc_index, vm_rows, demand)
             assert np.array_equal(power[dc_index], loop[0])
-            assert np.array_equal(power[dc_index], per_dc[0])
-            assert actives[dc_index] == loop[1] == per_dc[1]
+            assert actives[dc_index] == loop[1]
 
     def test_empty_placement(self):
         from repro.core.local import ServerAllocation
         from repro.datacenter.server import XEON_E5410
 
-        config, engine, placement, vm_rows, demand = self.physics_inputs()
+        config, kernel, placement, vm_rows, demand = placed_slot()
         placement.allocations = [
             ServerAllocation(model=XEON_E5410, n_servers=4)
             for _ in range(config.n_dcs)
         ]
-        power, actives = engine._fleet_it_power(
+        power, actives = kernel._fleet_it_power(
             placement, vm_rows, np.zeros((0, config.steps_per_slot))
         )
         assert not power.any()
         assert actives == [0] * config.n_dcs
 
 
-class TestFleetGreenPathsInRun:
-    """Full runs agree across every battery-kernel variant."""
-
-    def test_struct_of_arrays_green_full_run(self):
-        config = scaled_config("tiny").with_horizon(6)
-        loops = SimulationEngine(
-            config, default_policies()[1], vectorized=False
-        ).run()
-        fleet_engine = SimulationEngine(config, default_policies()[1])
-        fleet_engine.green.scalar_replay_max_dcs = 0
-        batched = fleet_engine.run()
-        assert loops.slots == batched.slots
-
-
 class TestPairVolumes:
-    """The grouped pair-volume gather (satellite of the workload-cache
-    PR) must stay bit-identical to the reference block sums -- and the
-    tempting reduceat alternative provably cannot."""
+    """The grouped pair-volume gather must stay bit-identical to the
+    per-pair block sums -- and the tempting reduceat alternative
+    provably cannot."""
 
     def _blocked_case(self, n_vms, n_dcs, seed=11):
         rng = np.random.default_rng(seed)
@@ -250,27 +246,16 @@ class TestPairVolumes:
 
     @pytest.mark.parametrize("slot", [0, 1])
     def test_grouped_path_bit_identical_to_loop(self, slot):
-        """Engine path vs per-pair nonzero reference, elementwise exact."""
+        """Kernel path vs per-pair nonzero oracle, elementwise exact."""
         config = scaled_config("tiny").with_horizon(2)
-        engine = SimulationEngine(config, default_policies()[1])
-        vms = engine.population.alive(slot)
+        kernel = SimulationEngine(config, default_policies()[1]).kernel
+        vms = kernel.population.alive(slot)
         # Drive the real entry points with a stub placement over the
-        # engine's own population (identity must hold end to end).
-        rng = np.random.default_rng(3)
-        stub = type(
-            "Stub",
-            (),
-            {
-                "assignment": {
-                    vm.vm_id: int(rng.integers(0, engine.config.n_dcs))
-                    for vm in vms
-                }
-            },
-        )()
-        real = engine.volumes.volumes(vms, slot).volumes
-        loop = engine._response_latencies_loop(stub, vms, real, slot)
-        fast = engine._response_latencies_vectorized(stub, vms, real, slot)
-        assert loop == fast
+        # kernel's own population (identity must hold end to end).
+        stub = stub_placement(vms, config.n_dcs, seed=3)
+        real = kernel.volumes.volumes(vms, slot).volumes
+        loop = loop_kernel(kernel)._response_latencies(stub, vms, real, slot)
+        assert kernel._response_latencies(stub, vms, real, slot) == loop
 
     def test_grouped_blocks_match_reference_at_large_sizes(self):
         """Blocks beyond numpy's buffered-iteration threshold (8192
@@ -288,11 +273,11 @@ class TestPairVolumes:
                 assert block_sum == reference[src, dst]
 
     def test_reduceat_is_not_bit_identical(self):
-        """Documents why the engine does NOT use np.add.reduceat: its
+        """Documents why the kernel does NOT use np.add.reduceat: its
         strict left-to-right accumulation diverges (in the last ulps)
         from ndarray.sum()'s pairwise reduction on realistic blocks,
-        so a reduceat implementation would break the engine's
-        bit-identity contract between vectorized and loop paths."""
+        so a reduceat implementation would break bit-identity with the
+        per-pair oracle."""
         volumes, dc_of = self._blocked_case(300, 2, seed=5)
         reference = self._reference_pairs(volumes, dc_of, 2)
         order = np.argsort(dc_of, kind="stable")

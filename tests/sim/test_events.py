@@ -264,8 +264,8 @@ class TestValidation:
             def build_traces(self, config):
                 return self._inner.build_traces(config)
 
-            def build_volumes(self, config, vectorized=True):
-                return self._inner.build_volumes(config, vectorized)
+            def build_volumes(self, config):
+                return self._inner.build_volumes(config)
 
             def descriptor(self):
                 return self._inner.descriptor()

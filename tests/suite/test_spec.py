@@ -30,7 +30,6 @@ policies = ["Proposed", "Ener-aware", "Pri-aware", "Net-aware"]
 seeds = [0]
 alphas = [0.5]
 engines = ["slot"]
-vectorized = [true]
 qos = [0.98]
 
 [outputs]
@@ -74,7 +73,6 @@ class TestParseHappyPath:
         assert spec.seeds == (0,)
         assert spec.alphas == (0.5,)
         assert spec.engines == ("slot",)
-        assert spec.vectorized == (True,)
         assert spec.qos == (0.98,)
         assert not spec.has_outputs
 
@@ -86,6 +84,17 @@ class TestParseHappyPath:
         # Any byte change (even a comment) is a new campaign: the
         # ledger must never mix two grid definitions.
         assert a.campaign_id != b.campaign_id
+
+    def test_legacy_vectorized_true_is_accepted_and_ignored(self):
+        legacy = MINI.replace(
+            'engines = ["slot"]', 'engines = ["slot"]\nvectorized = [true]'
+        )
+        old = parse_suite(legacy, "old.toml")
+        new = parse_suite(MINI, "new.toml")
+        assert [r.fingerprint for r in old.expand()] == [
+            r.fingerprint for r in new.expand()
+        ]
+        assert [c.key for c in old.output_cells()] == ["synthetic-slot"]
 
     def test_load_suite_reads_the_file(self, tmp_path):
         path = tmp_path / "s.toml"
@@ -108,8 +117,7 @@ class TestExpansion:
         assert len({r.fingerprint for r in runs}) == 12
         labels = runs[0].labels
         assert set(labels) == {
-            "pack", "policy", "seed", "alpha", "engine",
-            "vectorized", "qos",
+            "pack", "policy", "seed", "alpha", "engine", "qos",
         }
 
     def test_baseline_policies_dedup_across_alphas(self):
@@ -230,6 +238,18 @@ class TestFailureModes:
         message = _error(text)
         assert "[matrix].engines" in message and "unknown engine" in message
 
+    @pytest.mark.parametrize(
+        "value", ["[false]", "[true, false]", "true", "[1]", "[]"]
+    )
+    def test_vectorized_other_than_true_is_rejected(self, value):
+        text = MINI.replace(
+            'engines = ["slot"]', f'engines = ["slot"]\nvectorized = {value}'
+        )
+        message = _error(text)
+        assert "[matrix].vectorized" in message
+        assert "reference loops were removed" in message
+        assert f"suite.toml:{_line_of(text, 'vectorized')}:" in message
+
     def test_unknown_figure(self):
         text = MINI.replace("figures = [1, 2]", "figures = [7]")
         message = _error(text)
@@ -256,6 +276,7 @@ class TestFailureModes:
             MINI.replace("seeds = [0]", "seeds = [0]\nseedz = [1]"),
             MINI.replace('packs = ["synthetic"]', 'packs = ["nope"]'),
             MINI.replace("alphas = [0.5]", "alphas = [2.0]"),
+            MINI.replace("qos = [0.98]", "qos = [0.98]\nvectorized = [false]"),
         ]
         for text in broken:
             message = _error(text)

@@ -237,19 +237,11 @@ class TestEngineIntegration:
         via_library = SimulationEngine(
             config,
             PriAwarePolicy(),
-            trace_library=RecordedTraceLibrary(matrix, steps_per_slot=30),
+            workload=LibraryWorkload(
+                RecordedTraceLibrary(matrix, steps_per_slot=30)
+            ),
         ).run()
         assert via_pack.slots == via_library.slots
-
-    def test_workload_and_trace_library_exclusive(self, matrix):
-        config = scaled_config("tiny").with_horizon(2)
-        with pytest.raises(ValueError, match="not both"):
-            SimulationEngine(
-                config,
-                PriAwarePolicy(),
-                trace_library=RecordedTraceLibrary(matrix, steps_per_slot=30),
-                workload=recorded_pack(matrix),
-            )
 
     def test_scenario_pack_changes_population_mix(self):
         config = scaled_config("tiny").with_horizon(2)

@@ -7,6 +7,7 @@ from tests.conftest import make_vm
 from repro.baselines.pri_aware import PriAwarePolicy
 from repro.sim.config import scaled_config
 from repro.sim.engine import SimulationEngine
+from repro.workload.packs import LibraryWorkload
 from repro.workload.recorded import RecordedTraceLibrary, load_utilization_csv
 
 
@@ -112,9 +113,17 @@ class TestLibrary:
         )
 
     def test_demand_matrix_alignment(self, library):
-        vms = [make_vm(vm_id=i) for i in range(3)]
-        stacked = library.demand_matrix(vms, 0)
-        assert stacked.shape == (3, 30)
+        """``slot_demand_many`` rows are the stacked ``slot_demand``s."""
+        # More VMs than recorded rows, so ids wrap; cores differ per VM.
+        vms = [make_vm(vm_id=i, cores=1.0 + i) for i in range(6)]
+        for slot in (0, 5):  # slot 5 wraps the recorded day
+            matrix = library.slot_demand_many(vms, slot)
+            stacked = np.stack([library.slot_demand(vm, slot) for vm in vms])
+            assert matrix.shape == (6, 30)
+            assert np.array_equal(matrix, stacked)
+
+    def test_demand_matrix_empty(self, library):
+        assert library.slot_demand_many([], 0).shape == (0, 30)
 
     def test_validation(self, matrix):
         with pytest.raises(ValueError, match="multiple"):
@@ -155,7 +164,7 @@ class TestEngineIntegration:
             steps_per_slot=config.steps_per_slot,
         ).extend_days(2)
         engine = SimulationEngine(
-            config, PriAwarePolicy(), trace_library=recording
+            config, PriAwarePolicy(), workload=LibraryWorkload(recording)
         )
         result = engine.run()
         assert result.total_facility_energy_joules() > 0.0

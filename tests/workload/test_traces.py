@@ -140,12 +140,17 @@ class TestDemand:
         )
 
     def test_demand_matrix_alignment(self, library, six_vms):
-        matrix = library.demand_matrix(six_vms, 1)
-        assert matrix.shape == (6, 60)
-        assert np.array_equal(matrix[2], library.slot_demand(six_vms[2], 1))
+        """``slot_demand_many`` rows are the stacked ``slot_demand``s."""
+        for slot in (1, 30):  # day one and a week-extended day
+            matrix = library.slot_demand_many(six_vms, slot)
+            stacked = np.stack(
+                [library.slot_demand(vm, slot) for vm in six_vms]
+            )
+            assert matrix.shape == (6, 60)
+            assert np.array_equal(matrix, stacked)
 
     def test_demand_matrix_empty(self, library):
-        assert library.demand_matrix([], 0).shape == (0, 60)
+        assert library.slot_demand_many([], 0).shape == (0, 60)
 
     def test_phase_shifts_peak(self):
         library = TraceLibrary(steps_per_slot=30, seed=3)

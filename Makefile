@@ -6,8 +6,9 @@
 #                      scan (per-file vs sharded vs segment), the
 #                      experiment-service warm wire throughput (8
 #                      concurrent clients vs one daemon: batched +
-#                      gzip + headline-projected submit_many vs the
-#                      single-POST v1 shape -> BENCH_service.json),
+#                      gzip + headline-projected submit_many vs one
+#                      one-entry batch POST per artifact ->
+#                      BENCH_service.json),
 #                      the fleet cold-sweep scale-out (3 daemon
 #                      subprocesses vs 1 over one shared store root
 #                      -> BENCH_fleet.json; skips below 4 CPUs),

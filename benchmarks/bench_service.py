@@ -8,10 +8,10 @@ scale) serving :data:`N_CLIENTS` concurrent
 
 Three wire modes are measured in the same run:
 
-``single_post_identity``
-    The wire-v1 shape: one ``POST /runs`` per artifact, no
-    compression.  This is the baseline the lean-wire work is judged
-    against.
+``single_entry_identity``
+    One pre-encoded, one-entry ``POST /runs/batch`` per artifact, no
+    compression: the per-artifact round trip the lean-wire work is
+    judged against.
 ``batch_identity``
     ``submit_many`` over ``POST /runs/poll`` (headline detail), still
     uncompressed -- isolates the batching win.
@@ -22,9 +22,9 @@ Three wire modes are measured in the same run:
 Gates (asserted, and recorded in ``benchmarks/reports/``):
 
 * ``batch_gzip``    >= :data:`BATCH_RATE_BAR` warm artifacts/s,
-* ``batch_gzip``    >= :data:`SPEEDUP_BAR` x ``single_post_identity``,
-* ``single_post_identity`` >= :data:`SINGLE_RATE_BAR` (the original
-  ROADMAP bar -- the v1 shape must not regress).
+* ``batch_gzip``    >= :data:`SPEEDUP_BAR` x ``single_entry_identity``,
+* ``single_entry_identity`` >= :data:`SINGLE_RATE_BAR` (the original
+  ROADMAP bar -- one round trip per artifact must not regress).
 
 Note both sides of the exchange run in this one process (8 clients +
 the daemon share the GIL), so the daemon alone clears the bars with
@@ -50,7 +50,7 @@ from repro.experiments.orchestrator import (
 )
 from repro.experiments.runner import default_policies
 from repro.service import ExperimentDaemon, ServiceClient
-from repro.service.protocol import encode_request
+from repro.service.protocol import encode_batch, encode_request
 from repro.sim.config import scaled_config
 
 from conftest import REPORT_DIR
@@ -64,10 +64,10 @@ WARM_SEEDS = 16
 #: Minimum warm throughput of the batched+compressed path.
 BATCH_RATE_BAR = 8_000.0
 
-#: Minimum speedup of the batched+compressed path over single-POST.
+#: Minimum speedup of the batched+compressed path over single-entry.
 SPEEDUP_BAR = 3.0
 
-#: The original single-POST bar (the v1 wire shape must not regress).
+#: The original one-round-trip-per-artifact bar (must not regress).
 SINGLE_RATE_BAR = 1_000.0
 
 #: How long each mode's measurement hammers the daemon.
@@ -104,7 +104,7 @@ def _start_daemon() -> tuple[ExperimentDaemon, list[RunRequest]]:
 def _measure(make_client, iterate, prime) -> dict:
     """Fan N_CLIENTS threads at the daemon; one mode's throughput.
 
-    Every thread builds its client, primes it (negotiation + response
+    Every thread builds its client, primes it (connection + response
     cache variants) *before* the barrier, then serves until the bell.
     """
     counts = [0] * N_CLIENTS
@@ -142,24 +142,25 @@ def _measure(make_client, iterate, prime) -> dict:
 
 
 def test_service_warm_wire_throughput(report_dir):
-    """Gates: batched+gzip >= 8k warm artifacts/s and >= 3x single-POST."""
+    """Gates: batched+gzip >= 8k warm artifacts/s and >= 3x single-entry."""
     daemon, requests = _start_daemon()
     try:
         url = daemon.url
-        # Pre-encode the single-POST wire payloads once: that mode
+        # Pre-encode the one-entry batch bodies once: that mode
         # measures the *daemon's* warm path, not client-side
         # canonicalization cost.
         payloads = [
-            json.dumps(encode_request(request)).encode()
+            json.dumps(encode_batch([encode_request(request)])).encode()
             for request in requests
         ]
 
         def single_iterate(client: ServiceClient) -> int:
             for body in payloads:
-                status, payload = client._request(
-                    "POST", "/runs", body=body
+                status, lines = client._request(
+                    "POST", "/runs/batch", body=body, jsonl=True
                 )
-                assert status == 200, (status, payload)
+                assert status == 200, (status, lines)
+                assert lines[0]["kind"] == "run_artifact", lines
             return len(payloads)
 
         def batch_iterate(client: ServiceClient) -> int:
@@ -171,11 +172,10 @@ def test_service_warm_wire_throughput(report_dir):
             single_iterate(client)
 
         def batch_prime(client: ServiceClient) -> None:
-            client.ping()
             batch_iterate(client)
 
         modes = {
-            "single_post_identity": _measure(
+            "single_entry_identity": _measure(
                 lambda: ServiceClient(url, compress=False),
                 single_iterate,
                 single_prime,
@@ -199,7 +199,7 @@ def test_service_warm_wire_throughput(report_dir):
     finally:
         daemon.close()
 
-    single_rate = modes["single_post_identity"]["rate_per_s"]
+    single_rate = modes["single_entry_identity"]["rate_per_s"]
     batch_rate = modes["batch_gzip"]["rate_per_s"]
     speedup = batch_rate / single_rate
     report = {
@@ -208,11 +208,11 @@ def test_service_warm_wire_throughput(report_dir):
         "warm_fingerprints": len(requests),
         "measure_s": MEASURE_S,
         "modes": modes,
-        "speedup_batch_gzip_vs_single_post": round(speedup, 2),
+        "speedup_batch_gzip_vs_single_entry": round(speedup, 2),
         "bars": {
             "batch_gzip_min_per_s": BATCH_RATE_BAR,
             "speedup_min": SPEEDUP_BAR,
-            "single_post_min_per_s": SINGLE_RATE_BAR,
+            "single_entry_min_per_s": SINGLE_RATE_BAR,
         },
         "wire": stats["wire"],
     }
@@ -245,11 +245,11 @@ def test_service_warm_wire_throughput(report_dir):
         f"{BATCH_RATE_BAR:.0f}/s bar"
     )
     assert speedup >= SPEEDUP_BAR, (
-        f"batched+gzip is only {speedup:.2f}x single-POST "
+        f"batched+gzip is only {speedup:.2f}x single-entry "
         f"(bar: {SPEEDUP_BAR:.0f}x)"
     )
     assert single_rate >= SINGLE_RATE_BAR, (
-        f"single-POST rate {single_rate:.0f}/s regressed below the "
+        f"single-entry rate {single_rate:.0f}/s regressed below the "
         f"{SINGLE_RATE_BAR:.0f}/s bar"
     )
     # Every serve after the warm-up must be a cache hit, not a sim.

@@ -13,8 +13,8 @@ store, one in-flight dedup table:
   :class:`~repro.experiments.orchestrator.RunRequest` and
   :class:`~repro.experiments.orchestrator.RunArtifact`;
 * :mod:`repro.service.server` -- the threaded stdlib-HTTP daemon
-  behind ``repro serve`` (``POST /runs``, ``GET /runs/<fp>``,
-  ``GET /runs?fp=...`` streaming, ``/healthz``, ``/stats``);
+  behind ``repro serve`` (``POST /runs/batch``, ``POST /runs/poll``,
+  ``GET /runs/<fp>``, ``/healthz``, ``/stats``);
 * :mod:`repro.service.client` -- :class:`ServiceClient`, a drop-in
   :class:`~repro.experiments.orchestrator.Orchestrator` replacement
   that resolves runs against a remote daemon (the CLI's ``--service``

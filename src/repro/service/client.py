@@ -13,36 +13,27 @@ changes to its logic: the CLI's ``--service URL`` path is exactly
 Resolution model
 ----------------
 
-``submit`` POSTs the encoded request: a ``200`` resolves the returned
-future immediately (store hit or serial run); a ``202`` leaves it
-pending.  ``submit_many`` against a v2 daemon settles warm work in two
-chunked phases -- a fingerprint-only ``POST /runs/poll`` (warm hits
-resolve without uploading encoded bodies at all), then ``POST
-/runs/batch`` for the remainder -- so a 1k-run sweep costs ~tens of
-HTTP round trips instead of ~1k.  Pending futures then resolve two
-ways, whichever happens first:
+``submit_many`` settles work in two chunked phases -- a
+fingerprint-only ``POST /runs/poll`` (warm hits resolve without
+uploading encoded bodies at all), then ``POST /runs/batch`` for the
+remainder -- so a 1k-run sweep costs ~tens of HTTP round trips
+instead of ~1k; ``submit`` is a one-request ``submit_many``.  Store
+hits resolve their futures immediately; the rest stay pending and
+resolve two ways, whichever happens first:
 
 * :meth:`as_done` / :meth:`as_resolved` multiplex settlement over
-  batch-aware long-polls (``POST /runs/poll``, falling back to the v1
-  streaming GET) and resolve futures as artifact lines arrive in
-  completion order;
+  long-polls (``POST /runs/poll`` with ``wait>0``) and resolve futures
+  as artifact lines arrive in completion order;
 * :meth:`RunFuture.result` on an individual pending future falls back
   to long-polling ``GET /runs/<fingerprint>``.
 
 Both paths funnel through one idempotent resolver, so a stream and a
 poll racing on the same future are benign.
 
-Wire negotiation
-----------------
-
-The client speaks wire v2 (gzip response bodies via
-``Accept-Encoding``, gzip request bodies, batch endpoints, ``detail``
-projections) but interoperates with v1 daemons: ``ping`` reads the
-daemon's advertised ``supported_wire_versions`` (absent on v1 ->
-``[1]``) and pins the common version; an unnegotiated ``submit``
-refused with a version-mismatch error downgrades once and retries.
-Against a v1 daemon the client behaves exactly like its v1 self:
-per-request POSTs, identity encoding, full detail.
+The client speaks wire v2
+(:data:`~repro.service.protocol.WIRE_VERSION`) only: batch and poll
+envelopes, ``detail`` projections, gzip response bodies via
+``Accept-Encoding`` and gzip request bodies of 1 KiB or more.
 
 ``detail="headline"`` artifacts decode to
 :class:`~repro.sim.results.HeadlineResult` projections that lazily
@@ -71,13 +62,12 @@ from __future__ import annotations
 import gzip
 import http.client
 import json
-import os
 import socket
 import threading
 import time
 from concurrent.futures import Future
 from typing import Callable, Iterable, Iterator, Sequence
-from urllib.parse import quote, urlencode, urlsplit
+from urllib.parse import quote, urlsplit
 
 from repro.experiments.orchestrator import (
     RunArtifact,
@@ -85,8 +75,6 @@ from repro.experiments.orchestrator import (
     RunRequest,
 )
 from repro.service.protocol import (
-    SUPPORTED_WIRE_VERSIONS,
-    WIRE_VERSION,
     WireError,
     check_detail,
     decode_artifact,
@@ -111,31 +99,12 @@ _POLL_WAIT_S = 30.0
 
 #: Fingerprints per ``POST /runs/poll`` chunk (fingerprint-only lines
 #: are ~100 bytes each, so 512 keeps bodies well under a TCP window).
-#: Default only: tunable per client (``poll_chunk=``) or process
-#: (``$REPRO_SERVICE_POLL_CHUNK``) -- fleet fan-out multiplies
-#: per-daemon chunk counts, and the sweet spot shifts with member
-#: count.
 _POLL_CHUNK = 512
 
 #: Encoded requests per ``POST /runs/batch`` chunk.  Entries carry the
 #: full encoded request (for recorded packs, the whole matrix), so
-#: batches chunk far smaller than polls.  Default for ``batch_chunk=``
-#: / ``$REPRO_SERVICE_BATCH_CHUNK``.
+#: batches chunk far smaller than polls.
 _BATCH_CHUNK = 64
-
-
-def _tunable(value, env_var: str, default: int) -> int:
-    """A constructor override, else the env var, else the default."""
-    if value is not None:
-        return max(1, int(value))
-    raw = os.environ.get(env_var)
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return default
-
 
 #: Request bodies below this stay identity even when compression is
 #: on: gzip's header overhead and CPU beat nothing out of tiny JSON.
@@ -180,11 +149,7 @@ class HttpTransport:
     thread-safe), created lazily with TCP_NODELAY and torn down via
     :meth:`close`.  Handles the stale-socket retry, request/response
     gzip and JSONL parsing; everything protocol-level (envelopes,
-    negotiation, futures) stays in :class:`ServiceClient`.
-
-    ``gzip_requests`` starts False and is flipped by the owner once
-    the peer is known to speak wire v2 (v1 daemons do not inflate
-    request bodies).
+    futures) stays in :class:`ServiceClient`.
     """
 
     def __init__(
@@ -195,11 +160,9 @@ class HttpTransport:
         self.url = f"http://{host}:{port}"
         self.timeout_s = timeout_s
         self.compress = compress
-        self.gzip_requests = False
         # Merged into every request's headers; the campaign driver
         # plants ``X-Repro-Campaign`` here so the daemon can count
-        # per-campaign submissions (old daemons ignore unknown
-        # headers, so this is wire-compatible both ways).
+        # per-campaign submissions.
         self.extra_headers: dict[str, str] = {}
         self._local = threading.local()
 
@@ -246,20 +209,16 @@ class HttpTransport:
         reads/closes); a ``(status, [payload, ...])`` list of parsed
         JSON lines when ``jsonl``; else ``(status, parsed payload)``.
         Response bodies arriving ``Content-Encoding: gzip`` are
-        inflated transparently; request bodies above
-        :data:`_COMPRESS_MIN_BYTES` are gzipped once ``gzip_requests``
-        is on.  Connection-level failures raise
+        inflated transparently; request bodies of
+        :data:`_COMPRESS_MIN_BYTES` or more are gzipped when
+        ``compress`` is on.  Connection-level failures raise
         :class:`ServiceUnavailable`.
         """
         timeout_s = self.timeout_s if timeout_s is None else timeout_s
         headers = {"Content-Type": "application/json", **self.extra_headers}
         if self.compress:
             headers["Accept-Encoding"] = "gzip"
-            if (
-                body is not None
-                and len(body) >= _COMPRESS_MIN_BYTES
-                and self.gzip_requests
-            ):
+            if body is not None and len(body) >= _COMPRESS_MIN_BYTES:
                 body = gzip.compress(body, compresslevel=6)
                 headers["Content-Encoding"] = "gzip"
         for attempt in (0, 1):
@@ -324,11 +283,7 @@ class ServiceClient:
         only the aggregate metrics block and lazily upgrade.
     compress:
         Negotiate gzip on responses (``Accept-Encoding``) and gzip
-        large request bodies once the daemon is known to speak v2.
-    poll_chunk / batch_chunk:
-        Fingerprints per poll chunk / encoded requests per batch
-        chunk.  ``None`` reads ``$REPRO_SERVICE_POLL_CHUNK`` /
-        ``$REPRO_SERVICE_BATCH_CHUNK``, else the module defaults.
+        large request bodies.
     poll_wait_s:
         Server-side blocking per long-poll/stream call.  Fleet
         routing lowers this so a dead member is noticed quickly.
@@ -342,8 +297,6 @@ class ServiceClient:
         timeout_s: float = 10.0,
         detail: str = "full",
         compress: bool = True,
-        poll_chunk: int | None = None,
-        batch_chunk: int | None = None,
         poll_wait_s: float | None = None,
     ) -> None:
         parts = urlsplit(url if "//" in url else f"http://{url}")
@@ -370,18 +323,10 @@ class ServiceClient:
         self.timeout_s = timeout_s
         self.detail = check_detail(detail)
         self.compress = compress
-        self.poll_chunk = _tunable(
-            poll_chunk, "REPRO_SERVICE_POLL_CHUNK", _POLL_CHUNK
-        )
-        self.batch_chunk = _tunable(
-            batch_chunk, "REPRO_SERVICE_BATCH_CHUNK", _BATCH_CHUNK
-        )
         self.poll_wait_s = (
             _POLL_WAIT_S if poll_wait_s is None else float(poll_wait_s)
         )
         self.jobs = 0  # execution capacity lives daemon-side
-        self.wire_version = WIRE_VERSION
-        self._negotiated = False
         self._transport = HttpTransport(
             self.host, self.port, timeout_s, compress
         )
@@ -413,44 +358,14 @@ class ServiceClient:
         )
 
     def ping(self) -> dict:
-        """``GET /healthz``; raises :class:`ServiceUnavailable` if down.
-
-        Also pins the wire version: the daemon advertises what it
-        accepts (v1 daemons advertise nothing, meaning ``[1]``) and
-        the client speaks the highest version both sides share.
-        """
+        """``GET /healthz``; raises :class:`ServiceUnavailable` if down."""
         status, payload = self._request("GET", "/healthz")
         if status != 200 or payload.get("status") != "ok":
             raise ServiceUnavailable(
                 f"experiment service at {self.url} is unhealthy: "
                 f"HTTP {status} {payload!r}"
             )
-        self._adopt_wire_version(payload)
         return payload
-
-    def _adopt_wire_version(self, payload: dict) -> None:
-        advertised = payload.get("supported_wire_versions")
-        if not isinstance(advertised, list) or not advertised:
-            advertised = [payload.get("wire_version", 1)]
-        common = [
-            version
-            for version in SUPPORTED_WIRE_VERSIONS
-            if version in advertised
-        ]
-        if not common:
-            raise ServiceError(
-                f"no common wire version with {self.url}: daemon "
-                f"accepts {advertised}, client {SUPPORTED_WIRE_VERSIONS}"
-            )
-        self.wire_version = max(common)
-        self._negotiated = True
-        self._transport.gzip_requests = self.wire_version >= 2
-
-    def _ensure_negotiated(self) -> bool:
-        """Pin the wire version if not yet done; True = v2 available."""
-        if not self._negotiated:
-            self.ping()
-        return self.wire_version >= 2
 
     def stats(self) -> dict:
         """The daemon's ``/stats`` counters."""
@@ -466,8 +381,7 @@ class ServiceClient:
 
         def fetch() -> RunResult:
             status, payload = self._request(
-                "GET",
-                f"/runs/{quote(fingerprint)}?v={WIRE_VERSION}&detail=full",
+                "GET", self._poll_path(fingerprint, "full")
             )
             if status == 200 and payload.get("kind") == "run_artifact":
                 try:
@@ -507,11 +421,9 @@ class ServiceClient:
                 )
             )
 
-    def _poll_path(self, fingerprint: str, detail: str) -> str:
-        path = f"/runs/{quote(fingerprint)}"
-        if self.wire_version >= 2:
-            return f"{path}?v={self.wire_version}&detail={detail}"
-        return path
+    @staticmethod
+    def _poll_path(fingerprint: str, detail: str) -> str:
+        return f"/runs/{quote(fingerprint)}?detail={detail}"
 
     def _await(
         self,
@@ -522,7 +434,6 @@ class ServiceClient:
         """Long-poll one fingerprint until it settles (or times out)."""
         deadline = None if timeout is None else time.monotonic() + timeout
         path = self._poll_path(fingerprint, detail)
-        joiner = "&" if "?" in path else "?"
         while True:
             with self._lock:
                 if fingerprint not in self._pending:
@@ -536,7 +447,7 @@ class ServiceClient:
                     )
             status, payload = self._request(
                 "GET",
-                f"{path}{joiner}wait={wait_s:.3f}",
+                f"{path}&wait={wait_s:.3f}",
                 timeout_s=self.timeout_s + wait_s,
             )
             if status == 202:
@@ -557,7 +468,6 @@ class ServiceClient:
         would complicate the dedup core), so only the campaign
         identity crosses the wire -- as an ``X-Repro-Campaign``
         header feeding the daemon's per-campaign ``/stats`` counters.
-        Daemons predating the header ignore it.
         """
         campaign = extra.get("campaign")
         if campaign is not None:
@@ -574,10 +484,9 @@ class ServiceClient:
         triggers execution.  Mirrors
         :meth:`repro.experiments.orchestrator.Orchestrator.lookup`.
         """
-        self._ensure_negotiated()
-        path = self._poll_path(fingerprint, "full")
-        joiner = "&" if "?" in path else "?"
-        status, payload = self._request("GET", f"{path}{joiner}wait=0")
+        status, payload = self._request(
+            "GET", f"{self._poll_path(fingerprint, 'full')}&wait=0"
+        )
         if status != 200 or payload.get("kind") != "run_artifact":
             return None
         try:
@@ -598,130 +507,22 @@ class ServiceClient:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def _resolve_detail(self, detail: str | None) -> str:
-        detail = self.detail if detail is None else check_detail(detail)
-        if self.wire_version < 2:
-            return "full"  # v1 daemons know only the full ledger
-        return detail
-
     def submit(
         self,
         request: RunRequest,
         use_store: bool | None = None,
         detail: str | None = None,
     ) -> RunFuture:
-        """Submit one request to the daemon.
+        """Submit one request to the daemon (a one-entry batch).
 
         Store hits (daemon-side) return an already-resolved future;
         misses return a pending future that resolves through the
         batch-aware poll (:meth:`as_done`) or an individual long-poll
         (:meth:`RunFuture.result`).
         """
-        if use_store is None:
-            use_store = self.use_store
-        detail = self._resolve_detail(detail)
-        fingerprint = request.fingerprint()
-        with self._lock:
-            pending = self._pending.get(fingerprint)
-        if pending is not None and use_store:
-            return _ClientRunFuture(
-                self, request, fingerprint, pending, detail
-            )
-        if use_store:
-            # Probe by fingerprint before shipping the full request:
-            # a warm hit (or a run already in flight daemon-side)
-            # resolves without uploading the encoded body at all --
-            # which for recorded-trace packs is the whole matrix.
-            probed = self._probe(request, fingerprint, detail)
-            if probed is not None:
-                return probed
-        sent_version = self.wire_version
-        body = json.dumps(
-            encode_request(
-                request,
-                fingerprint,
-                use_store=use_store,
-                wire_version=sent_version,
-                detail=detail,
-            )
-        ).encode()
-        status, payload = self._request("POST", "/runs", body=body)
-        if (
-            status == 400
-            and sent_version > 1
-            and "wire version" in str(payload.get("error", ""))
-        ):
-            # An old daemon refused the v2 envelope: pin v1 and retry
-            # (the one-shot downgrade mirror of ping()'s negotiation).
-            # Keyed off the version this request was *sent* at, not
-            # the current shared state: a thread whose envelope was
-            # already encoded at v2 when a sibling pinned v1 lands
-            # here *after* negotiation and must retry, not error.
-            self.wire_version = 1
-            self._negotiated = True
-            self._transport.gzip_requests = False
-            return self.submit(request, use_store=use_store)
-        future: Future = Future()
-        handle = _ClientRunFuture(self, request, fingerprint, future, detail)
-        if status == 200 and payload.get("kind") == "run_artifact":
-            try:
-                future.set_result(self._decode(fingerprint, payload))
-            except WireError as error:
-                raise ServiceError(
-                    f"undecodable artifact from {self.url}: {error}"
-                ) from None
-            return handle
-        if status == 202 and payload.get("kind") == "pending":
-            with self._lock:
-                existing = self._pending.get(fingerprint)
-                if existing is None:
-                    self._pending[fingerprint] = future
-                else:
-                    future = existing
-            return _ClientRunFuture(
-                self, request, fingerprint, future, detail
-            )
-        message = payload.get("error", f"service answered HTTP {status}")
-        if status >= 500:
-            future.set_exception(ServiceRunError(message))
-            return handle
-        raise ServiceError(
-            f"service rejected run {fingerprint[:12]}...: {message}"
-        )
-
-    def _probe(
-        self, request: RunRequest, fingerprint: str, detail: str
-    ) -> RunFuture | None:
-        """Resolve a submission by fingerprint alone, if the daemon can.
-
-        ``200`` yields a resolved future, ``202`` (already in flight)
-        a registered pending one; anything else -- unknown, or a
-        previously failed run, which a fresh submission should retry
-        -- returns None and the caller POSTs the full request.
-        (Query params are ignored by v1 daemons, so the probe needs
-        no version negotiation: the reply envelope self-identifies.)
-        """
-        status, payload = self._request(
-            "GET", self._poll_path(fingerprint, detail)
-        )
-        if status == 200 and payload.get("kind") == "run_artifact":
-            future: Future = Future()
-            try:
-                future.set_result(self._decode(fingerprint, payload))
-            except WireError as error:
-                raise ServiceError(
-                    f"undecodable artifact from {self.url}: {error}"
-                ) from None
-            return _ClientRunFuture(
-                self, request, fingerprint, future, detail
-            )
-        if status == 202 and payload.get("kind") == "pending":
-            with self._lock:
-                future = self._pending.setdefault(fingerprint, Future())
-            return _ClientRunFuture(
-                self, request, fingerprint, future, detail
-            )
-        return None
+        return self.submit_many(
+            [request], use_store=use_store, detail=detail
+        )[0]
 
     def submit_many(
         self,
@@ -731,17 +532,15 @@ class ServiceClient:
     ) -> list[RunFuture]:
         """Submit a batch; duplicate fingerprints share one future.
 
-        Against a v2 daemon this costs ~``len(requests)/chunk`` round
-        trips: one fingerprint-only poll pass settles warm hits
-        without uploading encoded bodies, then the remainder ship in
-        chunked ``POST /runs/batch`` calls.  Against a v1 daemon it
-        falls back to the per-request :meth:`submit` loop.
+        This costs ~``len(requests)/chunk`` round trips: one
+        fingerprint-only poll pass settles warm hits (and runs already
+        in flight) without uploading encoded bodies -- which for
+        recorded-trace packs are the whole matrix -- then the
+        remainder ship in chunked ``POST /runs/batch`` calls.
         """
         if use_store is None:
             use_store = self.use_store
-        if not self._ensure_negotiated():
-            return self._submit_many_v1(requests, use_store)
-        detail = self._resolve_detail(detail)
+        detail = self.detail if detail is None else check_detail(detail)
         order: list[str] = []
         handles: dict[str, RunFuture] = {}
         fresh: dict[str, RunRequest] = {}
@@ -763,7 +562,7 @@ class ServiceClient:
         need_post = list(fresh)
         if use_store and fresh:
             # Phase 1: settle what the daemon already has by
-            # fingerprint alone (the chunked mirror of _probe).
+            # fingerprint alone.
             need_post = []
             for fingerprint, payload in self._poll_batch(
                 list(fresh), detail
@@ -782,10 +581,10 @@ class ServiceClient:
                     )
                 else:
                     # Unknown (404) or previously failed (500): a
-                    # fresh submission retries, like single submit.
+                    # fresh submission retries.
                     need_post.append(fingerprint)
         # Phase 2: ship the rest in chunked batch POSTs.
-        for chunk in _chunked(need_post, self.batch_chunk):
+        for chunk in _chunked(need_post, _BATCH_CHUNK):
             entries = [
                 encode_request(
                     fresh[fingerprint],
@@ -844,21 +643,6 @@ class ServiceClient:
                 )
         return [handles[fingerprint] for fingerprint in order]
 
-    def _submit_many_v1(
-        self, requests: Sequence[RunRequest], use_store: bool
-    ) -> list[RunFuture]:
-        """The v1 path: one :meth:`submit` per distinct fingerprint."""
-        futures: list[RunFuture] = []
-        by_fingerprint: dict[str, RunFuture] = {}
-        for request in requests:
-            fingerprint = request.fingerprint()
-            future = by_fingerprint.get(fingerprint)
-            if future is None:
-                future = self.submit(request, use_store=use_store)
-                by_fingerprint[fingerprint] = future
-            futures.append(future)
-        return futures
-
     def _resolved_handle(
         self,
         request: RunRequest,
@@ -886,7 +670,7 @@ class ServiceClient:
         self, fingerprints: list[str], detail: str
     ) -> Iterator[tuple[str, dict]]:
         """Chunked no-wait ``POST /runs/poll``; yields (fp, payload)."""
-        for chunk in _chunked(fingerprints, self.poll_chunk):
+        for chunk in _chunked(fingerprints, _POLL_CHUNK):
             body = json.dumps(encode_poll(chunk, 0.0, detail)).encode()
             status, payloads = self._request(
                 "POST", "/runs/poll", body=body, jsonl=True
@@ -912,7 +696,7 @@ class ServiceClient:
 
         Resolved futures come first; the rest settle over batch-aware
         long-poll rounds (one connection per round, daemon completion
-        order), falling back to the v1 streaming GET.
+        order).
         """
         unique = list(dict.fromkeys(futures))
         total = len(unique)
@@ -929,7 +713,6 @@ class ServiceClient:
                 yield future
             else:
                 pending.setdefault(future.fingerprint, []).append(future)
-        use_v2 = bool(pending) and self._ensure_negotiated()
         deadline = None if timeout is None else time.monotonic() + timeout
         while pending:
             wait_s = self.poll_wait_s
@@ -939,25 +722,20 @@ class ServiceClient:
                     raise TimeoutError(
                         f"{len(pending)} run(s) still pending"
                     )
-            if use_v2:
-                # Futures for one fingerprint share a detail level by
-                # construction; across fingerprints the round polls at
-                # the richest level any waiter needs (a full ledger
-                # satisfies a headline waiter; not vice versa).
-                round_detail = (
-                    "full"
-                    if any(
-                        getattr(f, "_detail", "full") == "full"
-                        for group in pending.values()
-                        for f in group
-                    )
-                    else "headline"
+            # Futures for one fingerprint share a detail level by
+            # construction; across fingerprints the round polls at the
+            # richest level any waiter needs (a full ledger satisfies a
+            # headline waiter; not vice versa).
+            round_detail = (
+                "full"
+                if any(
+                    getattr(f, "_detail", "full") == "full"
+                    for group in pending.values()
+                    for f in group
                 )
-                settled = self._poll_settled(
-                    list(pending), wait_s, round_detail
-                )
-            else:
-                settled = self._stream_settled(list(pending), wait_s)
+                else "headline"
+            )
+            settled = self._poll_settled(list(pending), wait_s, round_detail)
             for fingerprint in settled:
                 for future in pending.pop(fingerprint, []):
                     if future.done():
@@ -985,9 +763,7 @@ class ServiceClient:
         order); follow-up chunks are no-wait buffered polls, so one
         round costs ``ceil(n/chunk)`` exchanges but blocks only once.
         """
-        for index, chunk in enumerate(
-            _chunked(fingerprints, self.poll_chunk)
-        ):
+        for index, chunk in enumerate(_chunked(fingerprints, _POLL_CHUNK)):
             chunk_wait = wait_s if index == 0 else 0.0
             body = json.dumps(
                 encode_poll(chunk, chunk_wait, detail)
@@ -1015,21 +791,6 @@ class ServiceClient:
                     fingerprint = payload.get("fingerprint", "")
                     self._settle(fingerprint, payload)
                     yield fingerprint
-
-    def _stream_settled(
-        self, fingerprints: list[str], wait_s: float
-    ) -> Iterator[str]:
-        """One v1 streaming round; yields fingerprints it settled."""
-        query = urlencode(
-            [("fp", fp) for fp in fingerprints] + [("wait", f"{wait_s:.3f}")]
-        )
-        status, response = self._request(
-            "GET",
-            f"/runs?{query}",
-            timeout_s=self.timeout_s + wait_s,
-            stream=True,
-        )
-        yield from self._consume_stream(status, response)
 
     def _consume_stream(self, status: int, response) -> Iterator[str]:
         """Settle futures off a live JSONL response (close-delimited)."""

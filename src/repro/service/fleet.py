@@ -219,8 +219,6 @@ class FleetClient:
         timeout_s: float = 10.0,
         detail: str = "full",
         compress: bool = True,
-        poll_chunk: int | None = None,
-        batch_chunk: int | None = None,
         poll_wait_s: float | None = None,
     ) -> None:
         self.use_store = use_store
@@ -235,8 +233,6 @@ class FleetClient:
                 timeout_s=timeout_s,
                 detail=detail,
                 compress=compress,
-                poll_chunk=poll_chunk,
-                batch_chunk=batch_chunk,
                 poll_wait_s=poll_wait_s,
             )
             # Keyed by the *normalized* URL so clients configured with

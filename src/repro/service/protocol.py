@@ -12,20 +12,8 @@ serialized :class:`~repro.sim.results.RunResult` ledger
 projection (``detail=headline``,
 :meth:`~repro.sim.results.RunResult.headline`).
 
-Version-skew rules
-------------------
-
-:data:`WIRE_VERSION` is what this side *speaks*;
-:data:`SUPPORTED_WIRE_VERSIONS` is what it *accepts*.  Wire v2 added
-the batch/poll kinds, the ``detail`` field and compression
-negotiation; v1 envelopes are a strict subset of v2, so a v2 peer
-serves v1 traffic by answering with envelopes at the request's own
-version (full detail, single-request endpoints only).  A v1 peer
-refuses v2 envelopes with a version-mismatch error, which the client
-uses to negotiate down (see
-:meth:`~repro.service.client.ServiceClient.ping`).  Payload kinds a
-version does not know must never be sent to it -- batch and poll
-envelopes are v2-only.
+Both sides speak exactly :data:`WIRE_VERSION` and refuse an envelope
+at any other version.
 
 The codec (:mod:`repro.service.codec`) handles the object tree inside
 ``request``; this module owns the envelopes, so protocol evolution
@@ -43,7 +31,6 @@ from repro.sim.results import HeadlineResult, RunResult
 __all__ = [
     "DETAIL_LEVELS",
     "FingerprintMismatch",
-    "SUPPORTED_WIRE_VERSIONS",
     "WIRE_VERSION",
     "WireError",
     "decode_artifact",
@@ -59,15 +46,11 @@ __all__ = [
     "encode_request",
 ]
 
-#: Version of the wire envelopes and the codec's tag scheme this side
-#: speaks by default.  Bump on any change an old peer would misread.
+#: Version of the wire envelopes and the codec's tag scheme.  Bump on
+#: any change an old peer would misread.
 WIRE_VERSION = 2
 
-#: Versions this side accepts from a peer.  v1 lacks batch/poll kinds,
-#: ``detail`` and compression; v1 peers are answered in v1 envelopes.
-SUPPORTED_WIRE_VERSIONS = (1, 2)
-
-#: Artifact projection levels a client may request (v2 only).
+#: Artifact projection levels a client may request.
 DETAIL_LEVELS = ("headline", "full")
 
 
@@ -88,10 +71,10 @@ def _check_envelope(payload: Any, kind: str) -> dict:
     if not isinstance(payload, dict):
         raise WireError(f"expected a JSON object, got {type(payload).__name__}")
     version = payload.get("wire_version")
-    if version not in SUPPORTED_WIRE_VERSIONS:
+    if version != WIRE_VERSION:
         raise WireError(
             f"wire version mismatch: peer speaks {version!r}, this side "
-            f"accepts {SUPPORTED_WIRE_VERSIONS}"
+            f"speaks {WIRE_VERSION}"
         )
     if payload.get("kind") != kind:
         raise WireError(
@@ -115,33 +98,27 @@ def encode_request(
     request: RunRequest,
     fingerprint: str | None = None,
     use_store: bool = True,
-    wire_version: int = WIRE_VERSION,
     detail: str = "full",
 ) -> dict:
-    """The ``POST /runs`` body (and batch entry) for ``request``.
+    """One ``POST /runs/batch`` entry for ``request``.
 
     ``fingerprint`` defaults to the request's own; passing a
     precomputed one saves the client a second canonicalization pass.
     ``use_store=False`` asks the daemon to resimulate even on a store
     hit (the ``--no-cache`` path; the result is still recorded).
-    ``wire_version`` lets a client negotiated down to a v1 daemon
-    keep submitting (a v1 envelope carries no ``detail`` field and is
-    answered at full detail).
     """
-    payload = {
-        "wire_version": wire_version,
+    return {
+        "wire_version": WIRE_VERSION,
         "kind": "run_request",
         "fingerprint": fingerprint or request.fingerprint(),
         "use_store": bool(use_store),
         "request": encode(request),
+        "detail": check_detail(detail),
     }
-    if wire_version >= 2:
-        payload["detail"] = check_detail(detail)
-    return payload
 
 
 def decode_request(payload: Any) -> tuple[RunRequest, str, bool]:
-    """Decode and verify a ``run_request`` payload (any supported version).
+    """Decode and verify a ``run_request`` payload.
 
     Returns ``(request, fingerprint, use_store)``.  The declared
     fingerprint must match the decoded request's own -- a mismatch
@@ -169,29 +146,22 @@ def decode_request(payload: Any) -> tuple[RunRequest, str, bool]:
     return request, actual, bool(payload.get("use_store", True))
 
 
-def encode_artifact(
-    artifact: RunArtifact,
-    detail: str = "full",
-    wire_version: int = WIRE_VERSION,
-) -> dict:
+def encode_artifact(artifact: RunArtifact, detail: str = "full") -> dict:
     """The wire form of a resolved artifact.
 
-    ``detail=full`` ships the complete ledger under ``result`` (the
-    only form v1 knows); ``detail=headline`` ships the headline
-    projection under ``headline`` instead -- v2 only.
+    ``detail=full`` ships the complete ledger under ``result``;
+    ``detail=headline`` ships the headline projection under
+    ``headline`` instead.
     """
     payload = {
-        "wire_version": wire_version,
+        "wire_version": WIRE_VERSION,
         "kind": "run_artifact",
         "fingerprint": artifact.fingerprint,
         "source": artifact.source,
         "elapsed_s": artifact.elapsed_s,
+        "detail": check_detail(detail),
     }
-    if wire_version >= 2:
-        payload["detail"] = check_detail(detail)
     if detail == "headline":
-        if wire_version < 2:
-            raise WireError("detail=headline needs wire version >= 2")
         payload["headline"] = artifact.result.headline()
     else:
         payload["result"] = artifact.result.to_dict()
@@ -270,10 +240,9 @@ def encode_poll(
 ) -> dict:
     """The ``POST /runs/poll`` body: settle many runs in one call.
 
-    The body-borne fingerprint list replaces the v1 query-string
-    (``GET /runs?fp=...``), which URL length caps at a few hundred
-    fingerprints.  ``wait=0`` answers in one (compressible) body;
-    ``wait>0`` long-poll streams JSON lines in completion order.
+    The fingerprint list rides in the body, so no URL length caps it.
+    ``wait=0`` answers in one (compressible) body; ``wait>0``
+    long-poll streams JSON lines in completion order.
     """
     return {
         "wire_version": WIRE_VERSION,
@@ -299,12 +268,10 @@ def decode_poll(payload: Any) -> tuple[list[str], float, str]:
     return fingerprints, wait_s, check_detail(payload.get("detail"))
 
 
-def encode_pending(
-    fingerprint: str, wire_version: int = WIRE_VERSION
-) -> dict:
+def encode_pending(fingerprint: str) -> dict:
     """The ``202``/stream payload for a run still executing."""
     return {
-        "wire_version": wire_version,
+        "wire_version": WIRE_VERSION,
         "kind": "pending",
         "fingerprint": fingerprint,
     }
@@ -320,7 +287,7 @@ def encode_health(
 ) -> dict:
     """The ``GET /healthz`` payload: liveness plus load.
 
-    Besides the original liveness/negotiation fields this carries the
+    Besides the liveness fields this carries the
     member's identity and load so a fleet router can weight or skip
     saturated members without a second ``/stats`` round trip:
     ``jobs`` (executor width), ``inflight`` (runs executing or queued
@@ -336,7 +303,6 @@ def encode_health(
     """
     payload = {
         "wire_version": WIRE_VERSION,
-        "supported_wire_versions": list(SUPPORTED_WIRE_VERSIONS),
         "kind": "health",
         "status": "ok",
         "daemon_id": daemon_id,
@@ -355,11 +321,10 @@ def encode_error(
     message: str,
     fingerprint: str | None = None,
     status: int = 400,
-    wire_version: int = WIRE_VERSION,
 ) -> dict:
-    """An error payload (also used per-line on the stream endpoints)."""
+    """An error payload (also used per-line on the batch/poll replies)."""
     payload = {
-        "wire_version": wire_version,
+        "wire_version": WIRE_VERSION,
         "kind": "error",
         "error": message,
         "status": status,

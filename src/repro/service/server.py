@@ -6,39 +6,37 @@ therefore one worker pool and one segment-capable result store); any
 number of :class:`~repro.service.client.ServiceClient` processes share
 it.  Endpoints:
 
-``POST /runs``
-    Submit one encoded :class:`RunRequest`.  Store hits answer ``200``
-    with the artifact immediately; misses answer ``202`` (pending) and
-    enter the orchestrator's in-flight dedup table, so overlapping
-    submissions of one fingerprint -- same client or different clients
-    -- execute exactly once.
-``POST /runs/batch`` (wire v2)
-    Submit many encoded requests in one round trip.  The reply is one
-    JSON line per entry, in entry order: artifact (warm), pending
-    (launched/in flight) or error -- the dispositions a client needs
-    to fan a whole sweep out in ~#requests/chunk HTTP exchanges.
-``POST /runs/poll`` (wire v2)
-    Settle many fingerprints in one call (the body-borne replacement
-    for ``GET /runs?fp=...``, which URL length caps).  ``wait=0``
-    answers immediately with one buffered -- and compressible -- body;
-    ``wait>0`` long-poll streams JSON lines in completion order.
-``GET /runs/<fingerprint>[?wait=S&v=V&detail=D]``
-    Poll one run.  ``wait`` long-polls up to S seconds (capped at
-    :data:`MAX_WAIT_S`) for completion; replies ``200`` artifact,
-    ``202`` pending, ``404`` unknown, or ``500`` with the run's error.
-    ``v``/``detail`` select the reply envelope version (default 1, so
-    old clients keep decoding) and projection level.
-``GET /runs?fp=...&fp=...[&wait=S&v=V&detail=D]``
-    Stream the named runs back as JSON lines in *completion* order --
-    the wire mirror of
+``POST /runs/batch``
+    Submit many encoded :class:`RunRequest` entries in one round
+    trip.  The reply is one JSON line per entry, in entry order:
+    artifact (store hit), pending (launched or already in flight) or
+    error.  Misses enter the daemon's in-flight dedup table, so
+    overlapping submissions of one fingerprint -- same client or
+    different clients -- execute exactly once.
+``POST /runs/poll``
+    Settle many fingerprints in one call.  ``wait=0`` answers
+    immediately with one buffered -- and compressible -- body;
+    ``wait>0`` streams JSON lines in *completion* order, the wire
+    mirror of
     :meth:`~repro.experiments.orchestrator.Orchestrator.as_resolved`.
     Runs still pending when ``wait`` expires stream a ``pending``
     line; the client re-polls.
+``GET /runs/<fingerprint>[?wait=S&detail=D]``
+    Poll one run.  ``wait`` long-polls up to S seconds (capped at
+    :data:`MAX_WAIT_S`) for completion; replies ``200`` artifact,
+    ``202`` pending, ``404`` unknown, or ``500`` with the run's error.
+    ``detail`` selects the projection level.
 ``GET /healthz`` and ``GET /stats``
-    Liveness (with the supported wire versions, which is how clients
-    negotiate), and counters (hits/misses/computed/in-flight/errors,
-    the store's own counters, and the wire block: bytes in/out,
-    gzip vs identity replies, batch sizes, request-latency p50/p99).
+    Liveness and load, and counters (submitted/hits/computed/errors,
+    in-flight, the store's own counters, and the wire block: bytes
+    in/out, gzip vs identity replies, batch sizes, request-latency
+    p50/p99).  ``hits`` counts runs served from the store: warm batch
+    entries, and polls or lookups that find the run stored on their
+    first look.
+
+Every other path answers ``404``; on a POST that reply also closes the
+connection, because the unread body would desync keep-alive framing.
+Envelopes at any wire version but :data:`WIRE_VERSION` get ``400``.
 
 Dedup and the warm fast path
 ----------------------------
@@ -53,7 +51,7 @@ then does it enter the shared orchestrator core
 (:meth:`~repro.experiments.orchestrator.Orchestrator.resolve`).
 
 The response cache stores fully *rendered* reply bodies keyed by
-``(fingerprint, version, detail, encoding)`` -- for gzip that means
+``(fingerprint, detail, encoding)`` -- for gzip that means
 pre-compressed bytes, so a warm hit is one cache lookup plus one
 socket write with no per-request ``json.dumps`` or ``gzip.compress``
 on the hot path.  Gzip variants are complete gzip members whose
@@ -95,7 +93,6 @@ from urllib.parse import parse_qs, urlsplit
 from repro.experiments.orchestrator import Orchestrator, RunFuture
 from repro.service.protocol import (
     FingerprintMismatch,
-    SUPPORTED_WIRE_VERSIONS,
     WIRE_VERSION,
     WireError,
     check_detail,
@@ -128,9 +125,9 @@ DEFAULT_MAX_BODY_BYTES = 64 << 20
 DEFAULT_IDLE_TIMEOUT_S = 120.0
 
 #: Rendered reply bodies kept for the warm fast path.  Keys are
-#: ``(fingerprint, version, detail, encoding)`` -- a fingerprint hot
-#: in every variant costs at most 8 slots (2 versions x 2 details x
-#: 2 encodings), headline/gzip variants being tiny.
+#: ``(fingerprint, detail, encoding)`` -- a fingerprint hot in every
+#: variant costs at most 4 slots (2 details x 2 encodings),
+#: headline/gzip variants being tiny.
 _RESPONSE_CACHE_SIZE = 4096
 
 #: Failed-run messages retained for polls (bounded; a daemon lives
@@ -361,7 +358,6 @@ class ExperimentDaemon:
     def _artifact_bytes(
         self,
         future: RunFuture,
-        version: int = 1,
         detail: str = "full",
         encoding: str = "identity",
     ) -> bytes:
@@ -372,7 +368,7 @@ class ExperimentDaemon:
         object plus a trailing newline, so batch replies concatenate
         cached members verbatim (see the module docstring).
         """
-        key = (future.fingerprint, version, detail, encoding)
+        key = (future.fingerprint, detail, encoding)
         cached = self._cached_response(key)
         if cached is not None:
             return cached
@@ -381,17 +377,13 @@ class ExperimentDaemon:
             # the same envelope byte for byte (the artifact's volatile
             # metadata -- elapsed_s, source -- would otherwise differ
             # between a re-resolve and the first render).
-            identity = self._artifact_bytes(future, version, detail)
+            identity = self._artifact_bytes(future, detail)
             body = gzip.compress(
                 identity + b"\n", compresslevel=_GZIP_LEVEL, mtime=0
             )
         else:
             artifact = future.result(timeout=0)
-            body = _dumps(
-                encode_artifact(
-                    artifact, detail=detail, wire_version=version
-                )
-            )
+            body = _dumps(encode_artifact(artifact, detail=detail))
         self._cache_response(key, body)
         return body
 
@@ -420,17 +412,16 @@ class ExperimentDaemon:
     def handle_submit(
         self,
         payload: dict,
-        detail: str | None = None,
+        detail: str = "full",
         encoding: str = "identity",
         campaign: str | None = None,
     ) -> tuple[int, bytes, str]:
-        """``POST /runs`` (and one batch entry): ``(status, body, enc)``.
+        """One ``POST /runs/batch`` entry: ``(status, body, encoding)``.
 
-        ``detail=None`` reads the level from the payload (v2 field);
-        batch entries get the batch-level detail passed in instead.
-        ``encoding`` is what the rendered artifact body should use --
-        error and pending replies are always identity (they are tiny,
-        and per-line gzip wrapping is the batch assembler's job).
+        ``detail`` is the batch-level projection.  ``encoding`` is
+        what the rendered artifact body should use -- error and
+        pending replies are always identity (they are tiny, and
+        per-line gzip wrapping is the batch assembler's job).
         ``campaign`` is the submitter's ``X-Repro-Campaign`` label,
         tallied into the ``/stats`` campaigns block.
         """
@@ -440,9 +431,8 @@ class ExperimentDaemon:
             return 400, _dumps(
                 encode_error("expected a JSON object body", status=400)
             ), "identity"
-        version = payload.get("wire_version")
         if (
-            version not in SUPPORTED_WIRE_VERSIONS
+            payload.get("wire_version") != WIRE_VERSION
             or payload.get("kind") != "run_request"
         ):
             # Checked before the warm fast path too: a mismatched peer
@@ -450,26 +440,15 @@ class ExperimentDaemon:
             # its fingerprint happens to be cached.
             return 400, _dumps(
                 encode_error(
-                    "expected a run_request payload at a supported "
-                    f"wire version {SUPPORTED_WIRE_VERSIONS}",
+                    "expected a run_request payload at wire version "
+                    f"{WIRE_VERSION}",
                     status=400,
                 )
             ), "identity"
-        if version < 2:
-            detail = "full"  # v1 knows only the full ledger
-        elif detail is None:
-            try:
-                detail = check_detail(payload.get("detail"))
-            except WireError as error:
-                return 400, _dumps(
-                    encode_error(str(error), status=400, wire_version=version)
-                ), "identity"
         declared = payload.get("fingerprint")
         use_store = bool(payload.get("use_store", True))
         if use_store and isinstance(declared, str):
-            cached = self._cached_response(
-                (declared, version, detail, encoding)
-            )
+            cached = self._cached_response((declared, detail, encoding))
             if cached is not None:
                 self._count("hits")
                 return 200, cached, encoding
@@ -477,11 +456,11 @@ class ExperimentDaemon:
             request, fingerprint, use_store = decode_request(payload)
         except FingerprintMismatch as error:
             return 409, _dumps(
-                encode_error(str(error), status=409, wire_version=version)
+                encode_error(str(error), status=409)
             ), "identity"
         except WireError as error:
             return 400, _dumps(
-                encode_error(str(error), status=400, wire_version=version)
+                encode_error(str(error), status=400)
             ), "identity"
         engine = getattr(request.options, "engine", None)
         kind = getattr(engine, "kind", "slot")
@@ -492,13 +471,13 @@ class ExperimentDaemon:
             if hit is not None:
                 self._count("hits")
                 return 200, self._artifact_bytes(
-                    hit, version, detail, encoding
+                    hit, detail, encoding
                 ), encoding
         # Miss: claim the fingerprint in the daemon registry *before*
         # launching, so overlapping submissions -- same client or a
         # different one, pooled or serial -- park on one run.  (The
         # orchestrator pool dedups too, but only for jobs > 1; the
-        # registry also backs /runs polls and error reporting.)
+        # registry also backs polls and error reporting.)
         with self._lock:
             existing = self._futures.get(fingerprint)
             if existing is None:
@@ -509,16 +488,14 @@ class ExperimentDaemon:
                     lambda base, fp=fingerprint: self._finish(fp, base)
                 )
         if existing is not None:
-            return 202, _dumps(
-                encode_pending(fingerprint, wire_version=version)
-            ), "identity"
+            return 202, _dumps(encode_pending(fingerprint)), "identity"
         # A serial orchestrator executes launches inline; running that
         # on the handler thread would stall the POST for the whole
         # simulation (longer than any client timeout), so serial
         # launches move to a capacity-1 runner thread.  Misses answer
         # 202 unconditionally -- even a launch that fails immediately
-        # reports through poll/stream, keeping the wire contract
-        # deterministic (200 = store hit, 202 = accepted).
+        # reports through the poll endpoints, keeping the wire
+        # contract deterministic (200 = store hit, 202 = accepted).
         if self.orchestrator.jobs == 1:
             def _serial_launch() -> None:
                 try:
@@ -539,9 +516,7 @@ class ExperimentDaemon:
                 wrapper.set_exception(error)
             else:
                 _chain(launched._future, wrapper)
-        return 202, _dumps(
-            encode_pending(fingerprint, wire_version=version)
-        ), "identity"
+        return 202, _dumps(encode_pending(fingerprint)), "identity"
 
     def handle_batch(
         self,
@@ -586,74 +561,82 @@ class ExperimentDaemon:
         parts = []
         for fingerprint in dict.fromkeys(fingerprints):
             _, body, used = self.handle_poll(
-                fingerprint,
-                0.0,
-                version=WIRE_VERSION,
-                detail=detail,
-                encoding=encoding,
+                fingerprint, 0.0, detail=detail, encoding=encoding
             )
             parts.append(_as_member(body, used, encoding))
         return 200, b"".join(parts), encoding
 
-    def _lookup(self, fingerprint: str) -> RunFuture | None:
-        """A future for a fingerprint: in-flight, else store-resolved."""
+    def _lookup(
+        self, fingerprint: str, first: bool = False
+    ) -> RunFuture | None:
+        """A future for a fingerprint: in-flight, else store-resolved.
+
+        ``first`` marks a request's first look: a store hit found then
+        counts under ``/stats`` ``hits``.  The daemon's own in-flight
+        runs are never hits; they count under ``computed``.
+        """
         with self._lock:
             future = self._futures.get(fingerprint)
         if future is not None:
             return future
         hit = self.orchestrator.lookup(None, fingerprint)
+        if hit is not None and first:
+            self._count("hits")
         return hit
+
+    def _missing(self, fingerprint: str) -> tuple[int, bytes, str]:
+        """The reply for a fingerprint neither in flight nor stored.
+
+        A run that failed earlier reports its recorded error (``500``);
+        anything else is unknown (``404``).
+        """
+        with self._lock:
+            message = self._errors.get(fingerprint)
+        if message is not None:
+            return 500, _dumps(
+                encode_error(message, fingerprint=fingerprint, status=500)
+            ), "identity"
+        return 404, _dumps(
+            encode_error(
+                "unknown fingerprint (not stored, not in flight)",
+                fingerprint=fingerprint,
+                status=404,
+            )
+        ), "identity"
+
+    def _settled(
+        self, future: RunFuture, detail: str, encoding: str = "identity"
+    ) -> tuple[int, bytes, str]:
+        """The reply for a done future: its artifact, else its error."""
+        if future.exception(timeout=0) is None:
+            return 200, self._artifact_bytes(
+                future, detail, encoding
+            ), encoding
+        return 500, _dumps(
+            encode_error(
+                self._error_message(future),
+                fingerprint=future.fingerprint,
+                status=500,
+            )
+        ), "identity"
 
     def handle_poll(
         self,
         fingerprint: str,
         wait_s: float,
-        version: int = 1,
         detail: str = "full",
         encoding: str = "identity",
     ) -> tuple[int, bytes, str]:
-        """``GET /runs/<fingerprint>``: ``(status, body, encoding)``."""
+        """``GET /runs/<fingerprint>``: ``(status, body, encoding)``.
+
+        Also answers each line of a no-wait ``POST /runs/poll``.
+        """
         deadline = time.monotonic() + min(max(wait_s, 0.0), MAX_WAIT_S)
-        while True:
-            future = self._lookup(fingerprint)
-            if future is not None and future.done():
-                if future.exception(timeout=0) is None:
-                    return 200, self._artifact_bytes(
-                        future, version, detail, encoding
-                    ), encoding
-                return 500, _dumps(
-                    encode_error(
-                        self._error_message(future),
-                        fingerprint=fingerprint,
-                        status=500,
-                        wire_version=version,
-                    )
-                ), "identity"
-            if future is None:
-                with self._lock:
-                    message = self._errors.get(fingerprint)
-                if message is not None:
-                    return 500, _dumps(
-                        encode_error(
-                            message,
-                            fingerprint=fingerprint,
-                            status=500,
-                            wire_version=version,
-                        )
-                    ), "identity"
-                return 404, _dumps(
-                    encode_error(
-                        "unknown fingerprint (not stored, not in flight)",
-                        fingerprint=fingerprint,
-                        status=404,
-                        wire_version=version,
-                    )
-                ), "identity"
+        future = self._lookup(fingerprint, first=True)
+        while future is not None and not future.done():
             remaining = deadline - time.monotonic()
             if remaining <= 0:
-                return 202, _dumps(
-                    encode_pending(fingerprint, wire_version=version)
-                ), "identity"
+                return 202, _dumps(encode_pending(fingerprint)), "identity"
             try:
                 # Chunked so a killed daemon's parked long-polls wake
                 # within ~0.25 s instead of running out their wait.
@@ -663,18 +646,18 @@ class ExperimentDaemon:
                     # Sentinel: the handler drops the connection
                     # without a reply (the member is "gone").
                     return 0, b"", "identity"
-                continue
-            except Exception:  # resolved to an error; loop reports it
-                continue
+            except Exception:
+                pass  # resolved to an error; reported below
+            # Look again: a finished run is read back from the store.
+            future = self._lookup(fingerprint)
+        if future is None:
+            return self._missing(fingerprint)
+        return self._settled(future, detail, encoding)
 
     def handle_stream(
-        self,
-        fingerprints: list[str],
-        wait_s: float,
-        version: int = 1,
-        detail: str = "full",
+        self, fingerprints: list[str], wait_s: float, detail: str = "full"
     ) -> Iterator[bytes]:
-        """``GET /runs?fp=...``: JSON lines in completion order.
+        """``POST /runs/poll`` with ``wait>0``: lines in completion order.
 
         Always identity-encoded: lines go out as runs complete, and
         close-delimited incremental gzip would force clients into
@@ -682,34 +665,15 @@ class ExperimentDaemon:
         are the *cold* path; warm settlement uses the buffered poll).
         """
         deadline = time.monotonic() + min(max(wait_s, 0.0), MAX_WAIT_S)
-        pending: dict[Future, str] = {}
+        pending: dict[Future, RunFuture] = {}
         for fingerprint in dict.fromkeys(fingerprints):
-            future = self._lookup(fingerprint)
+            future = self._lookup(fingerprint, first=True)
             if future is None:
-                with self._lock:
-                    message = self._errors.get(fingerprint)
-                if message is not None:
-                    yield _dumps(
-                        encode_error(
-                            message,
-                            fingerprint=fingerprint,
-                            status=500,
-                            wire_version=version,
-                        )
-                    ) + b"\n"
-                    continue
-                yield _dumps(
-                    encode_error(
-                        "unknown fingerprint (not stored, not in flight)",
-                        fingerprint=fingerprint,
-                        status=404,
-                        wire_version=version,
-                    )
-                ) + b"\n"
+                yield self._missing(fingerprint)[1] + b"\n"
             elif future.done():
-                yield self._line_for(future, version, detail)
+                yield self._settled(future, detail)[1] + b"\n"
             else:
-                pending[future._future] = fingerprint
+                pending[future._future] = future
         while pending:
             if self._killed:
                 # Ending the close-delimited stream early leaves the
@@ -718,10 +682,8 @@ class ExperimentDaemon:
                 return
             remaining = deadline - time.monotonic()
             if remaining <= 0:
-                for fingerprint in pending.values():
-                    yield _dumps(
-                        encode_pending(fingerprint, wire_version=version)
-                    ) + b"\n"
+                for future in pending.values():
+                    yield _dumps(encode_pending(future.fingerprint)) + b"\n"
                 return
             done_now, _ = wait(
                 pending,
@@ -729,10 +691,7 @@ class ExperimentDaemon:
                 return_when=FIRST_COMPLETED,
             )
             for base in done_now:
-                fingerprint = pending.pop(base)
-                yield self._line_for(
-                    RunFuture(None, fingerprint, base), version, detail
-                )
+                yield self._settled(pending.pop(base), detail)[1] + b"\n"
 
     def _error_message(self, future: RunFuture) -> str:
         """A failed future's message, straight from its exception.
@@ -747,23 +706,6 @@ class ExperimentDaemon:
             return f"{type(error).__name__}: {error}"
         with self._lock:
             return self._errors.get(future.fingerprint, "run failed")
-
-    def _line_for(
-        self, future: RunFuture, version: int = 1, detail: str = "full"
-    ) -> bytes:
-        if future.exception(timeout=0) is None:
-            return self._artifact_bytes(future, version, detail) + b"\n"
-        return (
-            _dumps(
-                encode_error(
-                    self._error_message(future),
-                    fingerprint=future.fingerprint,
-                    status=500,
-                    wire_version=version,
-                )
-            )
-            + b"\n"
-        )
 
     def _load(self) -> tuple[int, int]:
         """Current ``(inflight, queue_depth)``.
@@ -806,7 +748,6 @@ class ExperimentDaemon:
         inflight, queue_depth = self._load()
         return {
             "wire_version": WIRE_VERSION,
-            "supported_wire_versions": list(SUPPORTED_WIRE_VERSIONS),
             "kind": "stats",
             "daemon_id": self.daemon_id,
             "uptime_s": time.time() - self._started,
@@ -1045,8 +986,6 @@ def _build_handler(daemon: ExperimentDaemon) -> type:
 
         def _handle_get(self) -> None:
             parts = urlsplit(self.path)
-            query = parse_qs(parts.query)
-            wait = _float_param(query, "wait", 0.0)
             path = parts.path.rstrip("/")
             if path == "/healthz":
                 self._reply(200, _dumps(daemon.health()))
@@ -1054,107 +993,67 @@ def _build_handler(daemon: ExperimentDaemon) -> type:
             if path == "/stats":
                 self._reply(200, _dumps(daemon.stats()))
                 return
-            if path == "/runs" or path.startswith("/runs/"):
-                version = _int_param(query, "v", 1)
-                if version not in SUPPORTED_WIRE_VERSIONS:
-                    self._reply(
-                        400,
-                        _dumps(
-                            encode_error(
-                                f"unsupported wire version {version}",
-                                status=400,
-                            )
-                        ),
-                    )
-                    return
-                try:
-                    detail = check_detail(
-                        query.get("detail", [None])[0]
-                    )
-                except WireError as error:
-                    self._reply(
-                        400, _dumps(encode_error(str(error), status=400))
-                    )
-                    return
-                if version < 2:
-                    detail = "full"
-                if path == "/runs":
-                    fingerprints = query.get("fp", [])
-                    if not fingerprints:
-                        self._reply(
-                            400,
-                            _dumps(
-                                encode_error(
-                                    "streaming GET /runs needs >=1 "
-                                    "fp= param",
-                                    status=400,
-                                )
-                            ),
-                        )
-                        return
-                    self._reply_stream(
-                        daemon.handle_stream(
-                            fingerprints, wait, version, detail
-                        )
-                    )
-                    return
-                fingerprint = path[len("/runs/") :]
-                encoding = "gzip" if self._wants_gzip() else "identity"
-                status, body, used = daemon.handle_poll(
-                    fingerprint, wait, version, detail, encoding
+            if not path.startswith("/runs/"):
+                self._reply(
+                    404, _dumps(encode_error("no such endpoint", status=404))
                 )
-                if status == 0:  # killed mid-wait; drop the connection
-                    self.close_connection = True
-                    return
-                self._reply(status, body, encoding=used)
                 return
-            self._reply(
-                404, _dumps(encode_error("no such endpoint", status=404))
+            query = parse_qs(parts.query)
+            try:
+                detail = check_detail(query.get("detail", [None])[0])
+            except WireError as error:
+                self._reply(400, _dumps(encode_error(str(error), status=400)))
+                return
+            encoding = "gzip" if self._wants_gzip() else "identity"
+            status, body, used = daemon.handle_poll(
+                path[len("/runs/") :],
+                _float_param(query, "wait", 0.0),
+                detail,
+                encoding,
             )
+            if status == 0:  # killed mid-wait; drop the connection
+                self.close_connection = True
+                return
+            self._reply(status, body, encoding=used)
 
         def _handle_post(self) -> None:
             path = urlsplit(self.path).path.rstrip("/")
-            if path not in ("/runs", "/runs/batch", "/runs/poll"):
+            if path not in ("/runs/batch", "/runs/poll"):
+                # Close: the unread body would desync keep-alive framing.
                 self._reply(
-                    404, _dumps(encode_error("no such endpoint", status=404))
+                    404,
+                    _dumps(encode_error("no such endpoint", status=404)),
+                    close=True,
                 )
                 return
             payload = self._read_body()
             if payload is None:
                 return
             encoding = "gzip" if self._wants_gzip() else "identity"
-            campaign = self.headers.get("X-Repro-Campaign")
-            if path == "/runs":
-                status, body, used = daemon.handle_submit(
-                    payload, encoding=encoding, campaign=campaign
-                )
-                self._reply(status, body, encoding=used)
-            elif path == "/runs/batch":
+            if path == "/runs/batch":
                 status, body, used = daemon.handle_batch(
-                    payload, encoding, campaign=campaign
+                    payload,
+                    encoding,
+                    campaign=self.headers.get("X-Repro-Campaign"),
                 )
                 self._reply(status, body, encoding=used)
-            else:
-                try:
-                    fingerprints, wait_s, detail = decode_poll(payload)
-                except WireError as error:
-                    self._reply(
-                        400, _dumps(encode_error(str(error), status=400))
-                    )
-                    return
-                if wait_s > 0:
-                    # Streamed settlement in completion order; identity
-                    # by design (see handle_stream).
-                    self._reply_stream(
-                        daemon.handle_stream(
-                            fingerprints, wait_s, WIRE_VERSION, detail
-                        )
-                    )
-                    return
-                status, body, used = daemon.handle_poll_batch(
-                    fingerprints, detail, encoding
+                return
+            try:
+                fingerprints, wait_s, detail = decode_poll(payload)
+            except WireError as error:
+                self._reply(400, _dumps(encode_error(str(error), status=400)))
+                return
+            if wait_s > 0:
+                # Streamed settlement in completion order; identity by
+                # design (see handle_stream).
+                self._reply_stream(
+                    daemon.handle_stream(fingerprints, wait_s, detail)
                 )
-                self._reply(status, body, encoding=used)
+                return
+            status, body, used = daemon.handle_poll_batch(
+                fingerprints, detail, encoding
+            )
+            self._reply(status, body, encoding=used)
 
     return Handler
 
@@ -1162,12 +1061,5 @@ def _build_handler(daemon: ExperimentDaemon) -> type:
 def _float_param(query: dict, name: str, default: float) -> float:
     try:
         return float(query.get(name, [default])[0])
-    except (TypeError, ValueError):
-        return default
-
-
-def _int_param(query: dict, name: str, default: int) -> int:
-    try:
-        return int(query.get(name, [default])[0])
     except (TypeError, ValueError):
         return default

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import json
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from urllib.parse import urlsplit
+import urllib.error
+import urllib.request
 
 import pytest
 
@@ -16,8 +15,44 @@ from repro.experiments.orchestrator import (
 )
 from repro.experiments.runner import default_policies
 from repro.service import ExperimentDaemon, ServiceClient
-from repro.service.protocol import encode_artifact
+from repro.service.protocol import encode_batch
 from repro.sim.config import scaled_config
+
+
+def get(url: str, path: str) -> tuple[int, dict]:
+    """One GET against a daemon: ``(HTTP status, JSON body)``."""
+    try:
+        with urllib.request.urlopen(url + path, timeout=90) as response:
+            return response.status, json.loads(response.read())
+    except urllib.error.HTTPError as error:
+        return error.code, json.loads(error.read())
+
+
+def post_entry(url: str, entry: dict) -> tuple[int, dict]:
+    """POST one ``run_request`` envelope as a one-entry ``/runs/batch``.
+
+    Returns the entry's own disposition as ``(status, payload)``:
+    ``200`` for an artifact line, ``202`` for a pending line, else the
+    error line's embedded ``status``.  A refused batch returns its
+    HTTP status and error body.
+    """
+    request = urllib.request.Request(
+        url + "/runs/batch",
+        data=json.dumps(encode_batch([entry])).encode(),
+        headers={"Content-Type": "application/json"},
+        method="POST",
+    )
+    try:
+        with urllib.request.urlopen(request, timeout=90) as response:
+            payload = json.loads(response.read().splitlines()[0])
+    except urllib.error.HTTPError as error:
+        return error.code, json.loads(error.read())
+    kind = payload["kind"]
+    if kind == "run_artifact":
+        return 200, payload
+    if kind == "pending":
+        return 202, payload
+    return payload["status"], payload
 
 
 @pytest.fixture
@@ -69,87 +104,3 @@ def daemon(daemon_factory):
 def client(daemon):
     with ServiceClient(daemon.url) as client:
         yield client
-
-
-def start_v1_stub(artifact_payload):
-    """A minimal wire-v1 daemon: refuses v2 envelopes, serves one run.
-
-    Shared by the wire-negotiation tests (``test_wire_v2``) and the
-    concurrent pin-down tests (``test_fleet``); returns
-    ``(server, posts)`` where ``posts`` records every POST body.
-    """
-    posts: list[tuple[str, dict]] = []
-
-    def error_payload(message, status):
-        return {
-            "wire_version": 1,
-            "kind": "error",
-            "error": message,
-            "status": status,
-        }
-
-    class V1Handler(BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.1"
-
-        def log_message(self, format, *args):  # noqa: A002
-            pass
-
-        def _send(self, status, payload):
-            body = json.dumps(payload).encode()
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-
-        def do_GET(self):  # noqa: N802
-            path = urlsplit(self.path).path.rstrip("/")
-            if path == "/healthz":
-                # No supported_wire_versions: how v1 daemons look.
-                self._send(
-                    200,
-                    {"wire_version": 1, "kind": "health", "status": "ok"},
-                )
-            elif path.startswith("/runs/"):
-                self._send(
-                    404, error_payload("unknown fingerprint", 404)
-                )
-            else:
-                self._send(404, error_payload("no such endpoint", 404))
-
-        def do_POST(self):  # noqa: N802
-            length = int(self.headers.get("Content-Length", "0"))
-            payload = json.loads(self.rfile.read(length))
-            path = urlsplit(self.path).path.rstrip("/")
-            posts.append((path, payload))
-            if path != "/runs":
-                self._send(404, error_payload("no such endpoint", 404))
-            elif payload.get("wire_version") != 1:
-                self._send(
-                    400,
-                    error_payload(
-                        "expected a run_request payload at wire version 1",
-                        400,
-                    ),
-                )
-            else:
-                self._send(200, artifact_payload)
-
-    server = ThreadingHTTPServer(("127.0.0.1", 0), V1Handler)
-    server.daemon_threads = True
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    return server, posts
-
-
-@pytest.fixture
-def v1_stub(tmp_path, tiny_requests):
-    """(url, request, posts) of a stub v1 daemon serving one artifact."""
-    request = tiny_requests[0]
-    with Orchestrator(store=ResultStore(tmp_path / "v1-store")) as local:
-        artifact = local.run(request)
-    payload = encode_artifact(artifact, wire_version=1)
-    server, posts = start_v1_stub(payload)
-    host, port = server.server_address[:2]
-    yield f"http://{host}:{port}", request, posts
-    server.shutdown()
-    server.server_close()

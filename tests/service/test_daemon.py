@@ -2,48 +2,54 @@
 
 from __future__ import annotations
 
+import http.client
 import json
 import time
-import urllib.error
-import urllib.request
 
-import pytest
+import numpy as np
 
 from repro.experiments.orchestrator import RunRequest
+from repro.experiments.runner import default_policies
+from repro.service import ServiceClient
 from repro.service.protocol import (
-    SUPPORTED_WIRE_VERSIONS,
     WIRE_VERSION,
+    encode_poll,
     encode_request,
 )
 from repro.workload.packs import (
     RecordedTraceSource,
     TracePack,
 )
+from tests.service.conftest import get, post_entry
 
-import numpy as np
 
-
-def get(url, path):
+def stream_poll(daemon, fingerprints, wait_s=60.0):
+    """``POST /runs/poll`` with ``wait > 0``: the streamed JSON lines."""
+    connection = http.client.HTTPConnection(*daemon.address, timeout=90)
     try:
-        with urllib.request.urlopen(url + path, timeout=10) as response:
-            return response.status, json.loads(response.read())
-    except urllib.error.HTTPError as error:
-        return error.code, json.loads(error.read())
+        connection.request(
+            "POST",
+            "/runs/poll",
+            body=json.dumps(encode_poll(fingerprints, wait_s)).encode(),
+            headers={"Content-Type": "application/json"},
+        )
+        response = connection.getresponse()
+        assert response.status == 200
+        return [
+            json.loads(line)
+            for line in response.read().splitlines()
+            if line.strip()
+        ]
+    finally:
+        connection.close()
 
 
-def post(url, path, payload):
-    body = json.dumps(payload).encode()
-    request = urllib.request.Request(
-        url + path,
-        data=body,
-        headers={"Content-Type": "application/json"},
-        method="POST",
-    )
-    try:
-        with urllib.request.urlopen(request, timeout=30) as response:
-            return response.status, json.loads(response.read())
-    except urllib.error.HTTPError as error:
-        return error.code, json.loads(error.read())
+def settled_stats(daemon) -> dict:
+    """``/stats`` once done callbacks have counted every finished run."""
+    deadline = time.monotonic() + 5.0
+    while daemon.stats()["inflight"] and time.monotonic() < deadline:
+        time.sleep(0.02)
+    return daemon.stats()
 
 
 class TestHealthAndStats:
@@ -58,7 +64,6 @@ class TestHealthAndStats:
         assert payload.pop("engine_modes") == {}
         assert payload == {
             "wire_version": WIRE_VERSION,
-            "supported_wire_versions": list(SUPPORTED_WIRE_VERSIONS),
             "kind": "health",
             "status": "ok",
             "daemon_id": daemon.daemon_id,
@@ -78,6 +83,8 @@ class TestHealthAndStats:
                     "queue_depth"):
             assert key in payload
         assert payload["daemon_id"] == daemon.daemon_id
+        assert payload["wire_version"] == WIRE_VERSION
+        assert "supported_wire_versions" not in payload
 
     def test_unknown_endpoint_404(self, daemon):
         status, payload = get(daemon.url, "/nope")
@@ -85,11 +92,76 @@ class TestHealthAndStats:
         assert payload["kind"] == "error"
 
 
+class TestRouteTable:
+    """Only batch, poll, one-run GET, /healthz and /stats are served."""
+
+    def test_single_entry_post_is_gone(self, daemon, tiny_requests):
+        connection = http.client.HTTPConnection(*daemon.address, timeout=10)
+        try:
+            connection.request(
+                "POST",
+                "/runs",
+                body=json.dumps(encode_request(tiny_requests[0])).encode(),
+                headers={"Content-Type": "application/json"},
+            )
+            response = connection.getresponse()
+            assert response.status == 404
+            assert json.loads(response.read())["kind"] == "error"
+        finally:
+            connection.close()
+
+    def test_streaming_get_is_gone(self, daemon):
+        status, payload = get(daemon.url, f"/runs?fp={'0' * 64}&wait=1")
+        assert status == 404
+        assert payload["error"] == "no such endpoint"
+
+    def test_post_404_closes_the_connection(self, daemon):
+        """The unread body of a refused POST must not desync keep-alive."""
+        connection = http.client.HTTPConnection(*daemon.address, timeout=10)
+        try:
+            for path in ("/runs", "/nope"):
+                connection.request(
+                    "POST",
+                    path,
+                    body=b'{"kind": "run_request"}',
+                    headers={"Content-Type": "application/json"},
+                )
+                response = connection.getresponse()
+                assert response.status == 404
+                assert response.getheader("Connection") == "close"
+                response.read()
+                # Same HTTPConnection object: it reopens the closed
+                # socket instead of writing behind the unread body.
+                connection.request("GET", "/healthz")
+                response = connection.getresponse()
+                assert response.status == 200
+                assert json.loads(response.read())["status"] == "ok"
+        finally:
+            connection.close()
+
+    def test_v1_poll_envelope_refused(self, daemon):
+        envelope = encode_poll(["0" * 64])
+        envelope["wire_version"] = 1
+        connection = http.client.HTTPConnection(*daemon.address, timeout=10)
+        try:
+            connection.request(
+                "POST",
+                "/runs/poll",
+                body=json.dumps(envelope).encode(),
+                headers={"Content-Type": "application/json"},
+            )
+            response = connection.getresponse()
+            assert response.status == 400
+            assert "wire version" in json.loads(response.read())["error"]
+        finally:
+            connection.close()
+
+
 class TestSubmitAndPoll:
     def test_miss_then_longpoll_then_hit(self, daemon, tiny_requests):
         request = tiny_requests[0]
         fingerprint = request.fingerprint()
-        status, payload = post(daemon.url, "/runs", encode_request(request))
+        status, payload = post_entry(daemon.url, encode_request(request))
         assert status == 202
         assert payload["kind"] == "pending"
         assert payload["fingerprint"] == fingerprint
@@ -102,7 +174,7 @@ class TestSubmitAndPoll:
         assert payload["fingerprint"] == fingerprint
 
         # Resubmission is now an instant store hit.
-        status, payload = post(daemon.url, "/runs", encode_request(request))
+        status, payload = post_entry(daemon.url, encode_request(request))
         assert status == 200
         assert payload["kind"] == "run_artifact"
         deadline = time.monotonic() + 5.0
@@ -121,7 +193,7 @@ class TestSubmitAndPoll:
     def test_poll_without_wait_reports_pending(self, daemon, tiny_requests):
         request = tiny_requests[1]
         fingerprint = request.fingerprint()
-        status, _ = post(daemon.url, "/runs", encode_request(request))
+        status, _ = post_entry(daemon.url, encode_request(request))
         assert status == 202
         status, payload = get(daemon.url, f"/runs/{fingerprint}")
         assert status in (200, 202)  # 202 unless the run won the race
@@ -130,11 +202,9 @@ class TestSubmitAndPoll:
         assert status == 200
 
     def test_malformed_body_400(self, daemon):
-        import http.client
-
         connection = http.client.HTTPConnection(*daemon.address, timeout=10)
         connection.request(
-            "POST", "/runs", body=b"{not json",
+            "POST", "/runs/batch", body=b"{not json",
             headers={"Content-Type": "application/json"},
         )
         response = connection.getresponse()
@@ -144,7 +214,7 @@ class TestSubmitAndPoll:
     def test_version_mismatch_400(self, daemon, tiny_requests):
         payload = encode_request(tiny_requests[0])
         payload["wire_version"] = 99
-        status, answer = post(daemon.url, "/runs", payload)
+        status, answer = post_entry(daemon.url, payload)
         assert status == 400
         assert "version" in answer["error"]
 
@@ -153,21 +223,22 @@ class TestSubmitAndPoll:
     ):
         """The warm fast path must not serve a mismatched peer."""
         request = tiny_requests[0]
-        post(daemon.url, "/runs", encode_request(request))
+        post_entry(daemon.url, encode_request(request))
         get(daemon.url, f"/runs/{request.fingerprint()}?wait=30")
         warm = encode_request(request)
-        status, _ = post(daemon.url, "/runs", warm)
+        status, _ = post_entry(daemon.url, warm)
         assert status == 200  # cached
-        bad = dict(warm)
-        bad["wire_version"] = 99
-        status, answer = post(daemon.url, "/runs", bad)
-        assert status == 400
-        assert "wire version" in answer["error"]
+        for version in (1, 99):
+            bad = dict(warm)
+            bad["wire_version"] = version
+            status, answer = post_entry(daemon.url, bad)
+            assert status == 400
+            assert "wire version" in answer["error"]
 
     def test_fingerprint_mismatch_409(self, daemon, tiny_requests):
         payload = encode_request(tiny_requests[0])
         payload["fingerprint"] = "f" * 64
-        status, answer = post(daemon.url, "/runs", payload)
+        status, answer = post_entry(daemon.url, payload)
         assert status == 409
         assert "mismatch" in answer["error"]
 
@@ -182,12 +253,10 @@ class TestSubmitAndPoll:
                 utilization=np.full((3, 60), 0.5), steps_per_slot=60
             ),
         )
-        from repro.experiments.runner import default_policies
-
         request = RunRequest(
             config=tiny_config, policy=default_policies()[0], pack=pack
         )
-        status, payload = post(daemon.url, "/runs", encode_request(request))
+        status, payload = post_entry(daemon.url, encode_request(request))
         assert status == 202  # even serial daemons answer promptly
         status, payload = get(
             daemon.url, f"/runs/{request.fingerprint()}?wait=30"
@@ -195,13 +264,10 @@ class TestSubmitAndPoll:
         assert status == 500
         assert payload["kind"] == "error"
         assert "steps per slot" in payload["error"]
-        # The stream endpoint reports the recorded error too (the run
-        # is neither stored nor in flight by now -- it must not be
+        # The streamed poll reports the recorded error too (the run is
+        # neither stored nor in flight by now -- it must not be
         # misreported as an unknown fingerprint).
-        with urllib.request.urlopen(
-            f"{daemon.url}/runs?fp={request.fingerprint()}", timeout=10
-        ) as response:
-            lines = [json.loads(line) for line in response if line.strip()]
+        lines = stream_poll(daemon, [request.fingerprint()])
         assert lines[0]["kind"] == "error"
         assert lines[0]["status"] == 500
         assert "steps per slot" in lines[0]["error"]
@@ -217,34 +283,67 @@ class TestSubmitAndPoll:
 
 
 class TestStreamEndpoint:
+    """``POST /runs/poll`` with ``wait > 0`` streams completion order."""
+
     def test_stream_returns_all_in_completion_order(
         self, daemon, tiny_requests
     ):
         fingerprints = []
         for request in tiny_requests:
-            status, _ = post(daemon.url, "/runs", encode_request(request))
+            status, _ = post_entry(daemon.url, encode_request(request))
             assert status in (200, 202)
             fingerprints.append(request.fingerprint())
-        query = "&".join(f"fp={fp}" for fp in fingerprints)
-        with urllib.request.urlopen(
-            f"{daemon.url}/runs?{query}&wait=60", timeout=90
-        ) as response:
-            lines = [
-                json.loads(line) for line in response if line.strip()
-            ]
+        lines = stream_poll(daemon, fingerprints)
         kinds = {line["kind"] for line in lines}
         assert kinds == {"run_artifact"}
         assert {line["fingerprint"] for line in lines} == set(fingerprints)
 
-    def test_stream_requires_fingerprints(self, daemon):
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(f"{daemon.url}/runs?wait=1", timeout=10)
-        assert excinfo.value.code == 400
-
     def test_stream_reports_unknown_fingerprints(self, daemon):
-        with urllib.request.urlopen(
-            f"{daemon.url}/runs?fp={'0' * 64}", timeout=10
-        ) as response:
-            lines = [json.loads(line) for line in response if line.strip()]
+        lines = stream_poll(daemon, ["0" * 64], wait_s=1.0)
         assert lines[0]["kind"] == "error"
         assert lines[0]["status"] == 404
+
+
+class TestHitCounting:
+    """``/stats`` ``hits`` counts every run served from the store."""
+
+    def test_warm_run_many_counts_one_hit_per_run(
+        self, daemon, tiny_requests
+    ):
+        with ServiceClient(daemon.url) as client:
+            client.run_many(tiny_requests)
+        before = settled_stats(daemon)
+        with ServiceClient(daemon.url) as fresh:
+            fresh.run_many(tiny_requests)
+        after = settled_stats(daemon)
+        assert after["hits"] - before["hits"] == len(tiny_requests)
+        assert after["computed"] == before["computed"]
+
+    def test_single_submit_and_lookup_count_hits(
+        self, daemon, tiny_requests
+    ):
+        request = tiny_requests[0]
+        with ServiceClient(daemon.url) as client:
+            client.run(request)
+        before = settled_stats(daemon)
+        with ServiceClient(daemon.url) as fresh:
+            fresh.run(request)
+            assert fresh.lookup(request, request.fingerprint()) is not None
+        after = settled_stats(daemon)
+        assert after["hits"] - before["hits"] == 2
+        assert after["computed"] == before["computed"]
+
+    def test_long_poll_on_an_inflight_run_is_not_a_hit(
+        self, daemon_factory, tiny_requests
+    ):
+        daemon = daemon_factory(jobs=1)
+        with ServiceClient(daemon.url) as client:
+            futures = client.submit_many(tiny_requests[:2])
+            # The second run queues behind the first on the serial
+            # runner, so its long-poll arrives while it is in flight.
+            assert futures[1].result().fingerprint == (
+                tiny_requests[1].fingerprint()
+            )
+        stats = settled_stats(daemon)
+        assert stats["computed"] == 2
+        assert stats["hits"] == 0

@@ -9,9 +9,9 @@ The scenarios the distributed runner fleet must survive:
 * killing a member mid-sweep reroutes its pending fingerprints and
   the sweep completes with no lost or duplicated artifacts;
 * fleet-resolved artifacts are byte-identical to in-process ones;
-* the per-member transport survives stale keep-alive sockets and v1
-  pin-down races under concurrent threads (load-bearing once the
-  fleet multiplies transports).
+* the per-member transport survives stale keep-alive sockets under
+  concurrent threads (load-bearing once the fleet multiplies
+  transports).
 """
 
 from __future__ import annotations
@@ -405,42 +405,15 @@ class TestHealthz:
 
 
 class TestTransportTunables:
-    def test_constructor_chunks_override(self, daemon):
-        client = ServiceClient(daemon.url, poll_chunk=7, batch_chunk=3)
-        assert client.poll_chunk == 7
-        assert client.batch_chunk == 3
-        client.close()
-
-    def test_env_chunks_apply(self, daemon, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVICE_POLL_CHUNK", "9")
-        monkeypatch.setenv("REPRO_SERVICE_BATCH_CHUNK", "5")
-        client = ServiceClient(daemon.url)
-        assert client.poll_chunk == 9
-        assert client.batch_chunk == 5
-        client.close()
-
-    def test_constructor_beats_env_and_floors_at_one(
-        self, daemon, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_SERVICE_POLL_CHUNK", "9")
-        client = ServiceClient(daemon.url, poll_chunk=2, batch_chunk=0)
-        assert client.poll_chunk == 2
-        assert client.batch_chunk == 1
-        client.close()
-
-    def test_garbage_env_falls_back_to_default(self, daemon, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVICE_POLL_CHUNK", "not-a-number")
-        client = ServiceClient(daemon.url)
-        assert client.poll_chunk == 512
-        client.close()
-
-    def test_tiny_chunks_still_resolve_a_sweep(self, daemon):
-        with ServiceClient(
-            daemon.url, poll_chunk=1, batch_chunk=1
-        ) as client:
+    def test_tiny_chunks_still_resolve_a_sweep(self, daemon, monkeypatch):
+        monkeypatch.setattr("repro.service.client._POLL_CHUNK", 1)
+        monkeypatch.setattr("repro.service.client._BATCH_CHUNK", 1)
+        with ServiceClient(daemon.url) as client:
             requests = grid_requests(range(2))
             artifacts = client.run_many(requests)
             assert len(artifacts) == len(requests)
+        # One batch POST per request: every chunk boundary was crossed.
+        assert daemon.stats()["wire"]["batch_requests"] == len(requests)
 
 
 class TestTransportHardeningUnderThreads:
@@ -475,41 +448,6 @@ class TestTransportHardeningUnderThreads:
             for thread in threads:
                 thread.join()
             assert not errors
-
-    def test_v1_pin_down_under_concurrent_threads(self, v1_stub):
-        url, request, posts = v1_stub
-        client = ServiceClient(url)
-        # No ping: every thread submits at v2 simultaneously, so all
-        # of them see the 400 refusal in flight together and every
-        # one must downgrade-and-retry (not error) even when a sibling
-        # already pinned v1.
-        errors: list[BaseException] = []
-        barrier = threading.Barrier(6)
-
-        def body() -> None:
-            try:
-                barrier.wait()
-                artifact = client.run(request)
-                assert artifact.fingerprint == request.fingerprint()
-            except BaseException as error:
-                errors.append(error)
-                barrier.abort()
-
-        threads = [threading.Thread(target=body) for _ in range(6)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert not errors
-        assert client.wire_version == 1
-        # Whatever raced, the stub only ever accepted v1 envelopes.
-        accepted = [
-            payload
-            for path, payload in posts
-            if path == "/runs" and payload.get("wire_version") == 1
-        ]
-        assert accepted
-        client.close()
 
 
 class TestOrchestratorSurfaceConformance:

@@ -9,7 +9,8 @@ import time
 import urllib.request
 
 from repro.service import ServiceClient
-from repro.service.protocol import encode_request
+from repro.service.protocol import encode_poll, encode_request
+from tests.service.conftest import post_entry
 
 
 def _stats(url: str) -> dict:
@@ -63,7 +64,7 @@ class TestCrossClientDedup:
 
         # The daemon simulated each unique fingerprint exactly once --
         # the overlapping submissions deduplicated in flight.  (The
-        # loser of each race may resolve via the fingerprint probe
+        # loser of each race may resolve via the fingerprint poll
         # without ever POSTing, so only a lower bound holds for
         # submitted.)
         stats = _stats_settled(daemon.url)
@@ -98,14 +99,7 @@ class TestAbandonedConnections:
         """A client that vanishes mid-long-poll leaves the daemon healthy."""
         request = tiny_requests[0]
         fingerprint = request.fingerprint()
-        body = json.dumps(encode_request(request)).encode()
-        urllib.request.urlopen(
-            urllib.request.Request(
-                f"{daemon.url}/runs", data=body,
-                headers={"Content-Type": "application/json"}, method="POST",
-            ),
-            timeout=10,
-        ).read()
+        post_entry(daemon.url, encode_request(request))
 
         # Open a raw long-poll on the pending run and slam the socket.
         host, port = daemon.address
@@ -133,25 +127,19 @@ class TestAbandonedConnections:
     def test_disconnect_mid_stream_does_not_wedge(
         self, daemon, tiny_requests
     ):
-        """Same for the streaming endpoint."""
+        """Same for the streamed poll (``POST /runs/poll``, wait > 0)."""
         fingerprints = []
         for request in tiny_requests[:2]:
-            body = json.dumps(encode_request(request)).encode()
-            urllib.request.urlopen(
-                urllib.request.Request(
-                    f"{daemon.url}/runs", data=body,
-                    headers={"Content-Type": "application/json"},
-                    method="POST",
-                ),
-                timeout=10,
-            ).read()
+            post_entry(daemon.url, encode_request(request))
             fingerprints.append(request.fingerprint())
         host, port = daemon.address
-        query = "&".join(f"fp={fp}" for fp in fingerprints)
+        body = json.dumps(encode_poll(fingerprints, 30.0)).encode()
         rogue = socket.create_connection((host, port), timeout=10)
         rogue.sendall(
-            f"GET /runs?{query}&wait=30 HTTP/1.1\r\n"
-            f"Host: {host}\r\n\r\n".encode()
+            f"POST /runs/poll HTTP/1.1\r\nHost: {host}\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n".encode()
+            + body
         )
         time.sleep(0.05)
         rogue.close()

@@ -1,4 +1,4 @@
-"""Wire v2: version skew, gzip, batching, projections, hardening."""
+"""Wire v2: gzip, batching, projections, hardening."""
 
 from __future__ import annotations
 
@@ -7,10 +7,6 @@ import http.client
 import json
 import socket
 import time
-import urllib.error
-import urllib.request
-
-import pytest
 
 from repro.experiments.orchestrator import Orchestrator, ResultStore
 from repro.service import ServiceClient
@@ -21,29 +17,7 @@ from repro.service.protocol import (
     encode_request,
 )
 from repro.sim.results import HeadlineResult, RunResult
-
-
-def get(url, path):
-    try:
-        with urllib.request.urlopen(url + path, timeout=90) as response:
-            return response.status, json.loads(response.read())
-    except urllib.error.HTTPError as error:
-        return error.code, json.loads(error.read())
-
-
-def post(url, path, payload):
-    body = json.dumps(payload).encode()
-    request = urllib.request.Request(
-        url + path,
-        data=body,
-        headers={"Content-Type": "application/json"},
-        method="POST",
-    )
-    try:
-        with urllib.request.urlopen(request, timeout=90) as response:
-            return response.status, json.loads(response.read())
-    except urllib.error.HTTPError as error:
-        return error.code, json.loads(error.read())
+from tests.service.conftest import get
 
 
 def raw(address, method, path, body=None, headers=None):
@@ -63,101 +37,13 @@ def warm(daemon, requests):
         client.run_many(requests)
 
 
-class TestV1ClientAgainstV2Server:
-    """Old-wire single-POST clients must keep working verbatim."""
-
-    def test_v1_submit_poll_round_trip(self, daemon, tiny_requests):
-        request = tiny_requests[0]
-        fingerprint = request.fingerprint()
-        envelope = encode_request(request, wire_version=1)
-        assert envelope["wire_version"] == 1
-        assert "detail" not in envelope  # v1 envelopes know no detail
-
-        status, payload = post(daemon.url, "/runs", envelope)
-        assert status == 202
-        assert payload == {
-            "wire_version": 1,
-            "kind": "pending",
-            "fingerprint": fingerprint,
-        }
-
-        status, payload = get(daemon.url, f"/runs/{fingerprint}?wait=60")
-        assert status == 200
-        assert payload["wire_version"] == 1  # echoed, not upgraded
-        assert "detail" not in payload
-        assert "headline" not in payload
-        result = RunResult.from_dict(payload["result"])
-        assert result.policy_name == request.policy.name
-
-        # Warm resubmission stays a v1 reply too (the variant cache
-        # keys on the request's version).
-        status, payload = post(daemon.url, "/runs", envelope)
-        assert status == 200
-        assert payload["wire_version"] == 1
-        assert "result" in payload
-
-    def test_v1_stream_lines_are_v1(self, daemon, tiny_requests):
-        request = tiny_requests[0]
-        warm(daemon, [request])
-        with urllib.request.urlopen(
-            f"{daemon.url}/runs?fp={request.fingerprint()}", timeout=60
-        ) as response:
-            lines = [json.loads(line) for line in response if line.strip()]
-        assert lines[0]["kind"] == "run_artifact"
-        assert lines[0]["wire_version"] == 1
-        assert "result" in lines[0]
-
-
-class TestV2ClientAgainstV1Server:
-    # The v1 stub daemon (and the v1_stub fixture) live in conftest.py,
-    # shared with the fleet tests' concurrent pin-down coverage.
-
-    def test_ping_negotiates_down(self, v1_stub):
-        url, request, posts = v1_stub
-        client = ServiceClient(url)
-        assert client.wire_version == WIRE_VERSION
-        client.ping()
-        assert client.wire_version == 1
-        artifact = client.run(request)
-        assert artifact.fingerprint == request.fingerprint()
-        # Every envelope that went over the wire was clean v1.
-        assert posts, "client never POSTed"
-        for _, payload in posts:
-            assert payload["wire_version"] == 1
-            assert "detail" not in payload
-        client.close()
-
-    def test_unnegotiated_submit_downgrades_once(self, v1_stub):
-        url, request, posts = v1_stub
-        client = ServiceClient(url)
-        artifact = client.run(request)  # no ping() first
-        assert artifact.fingerprint == request.fingerprint()
-        assert client.wire_version == 1
-        # First attempt spoke v2, got refused, retried at v1 -- once.
-        versions = [p["wire_version"] for _, p in posts]
-        assert versions == [WIRE_VERSION, 1]
-        client.close()
-
-    def test_submit_many_falls_back_to_per_request(self, v1_stub):
-        url, request, posts = v1_stub
-        client = ServiceClient(url)
-        futures = client.submit_many([request, request])
-        assert len(futures) == 2
-        assert futures[0].result(timeout=30).fingerprint == (
-            request.fingerprint()
-        )
-        # The v1 path never touches the batch endpoints.
-        assert {path for path, _ in posts} == {"/runs"}
-        client.close()
-
-
 class TestGzip:
     def test_response_gzip_negotiation_round_trips(
         self, daemon, tiny_requests
     ):
         request = tiny_requests[0]
         warm(daemon, [request])
-        path = f"/runs/{request.fingerprint()}?v=2&detail=full"
+        path = f"/runs/{request.fingerprint()}?detail=full"
         status, headers, identity = raw(daemon.address, "GET", path)
         assert status == 200
         assert "Content-Encoding" not in headers
@@ -174,17 +60,19 @@ class TestGzip:
 
     def test_gzip_request_body_accepted(self, daemon, tiny_requests):
         request = tiny_requests[0]
-        body = json.dumps(encode_request(request)).encode()
+        body = json.dumps(encode_batch([encode_request(request)])).encode()
         status, _, data = raw(
-            daemon.address, "POST", "/runs",
+            daemon.address, "POST", "/runs/batch",
             body=gzip.compress(body),
             headers={
                 "Content-Type": "application/json",
                 "Content-Encoding": "gzip",
             },
         )
-        assert status in (200, 202)
-        assert json.loads(data)["fingerprint"] == request.fingerprint()
+        assert status == 200
+        line = json.loads(data.splitlines()[0])
+        assert line["kind"] in ("pending", "run_artifact")
+        assert line["fingerprint"] == request.fingerprint()
         # Drain so teardown does not race the launched run.
         get(daemon.url, f"/runs/{request.fingerprint()}?wait=60")
 
@@ -239,11 +127,11 @@ class TestDetailProjection:
         warm(daemon, [request])
         fingerprint = request.fingerprint()
         status, full_payload = get(
-            daemon.url, f"/runs/{fingerprint}?v=2&detail=full"
+            daemon.url, f"/runs/{fingerprint}?detail=full"
         )
         assert status == 200
         status, head_payload = get(
-            daemon.url, f"/runs/{fingerprint}?v=2&detail=headline"
+            daemon.url, f"/runs/{fingerprint}?detail=headline"
         )
         assert status == 200
         assert head_payload["detail"] == "headline"
@@ -316,7 +204,7 @@ class TestDetailProjection:
 
     def test_bad_detail_rejected(self, daemon, tiny_requests):
         status, payload = get(
-            daemon.url, f"/runs/{'0' * 64}?v=2&detail=everything"
+            daemon.url, f"/runs/{'0' * 64}?detail=everything"
         )
         assert status == 400
         assert "detail" in payload["error"]
@@ -351,7 +239,8 @@ class TestBatchEndpoints:
     ):
         good = encode_request(tiny_requests[0])
         bad = {"wire_version": WIRE_VERSION, "kind": "nonsense"}
-        body = json.dumps(encode_batch([bad, good])).encode()
+        old = dict(good, wire_version=1)
+        body = json.dumps(encode_batch([bad, old, good])).encode()
         status, _, data = raw(
             daemon.address, "POST", "/runs/batch",
             body=body, headers={"Content-Type": "application/json"},
@@ -361,7 +250,11 @@ class TestBatchEndpoints:
             json.loads(line) for line in data.splitlines() if line.strip()
         ]
         assert lines[0]["kind"] == "error"
-        assert lines[1]["kind"] in ("pending", "run_artifact")
+        # A v1 entry is refused on its own line; its sibling is served.
+        assert lines[1]["kind"] == "error"
+        assert lines[1]["status"] == 400
+        assert "wire version" in lines[1]["error"]
+        assert lines[2]["kind"] in ("pending", "run_artifact")
         get(daemon.url, f"/runs/{tiny_requests[0].fingerprint()}?wait=60")
 
     def test_poll_reports_unknown_fingerprints(self, daemon):
@@ -384,10 +277,9 @@ class TestBatchEndpoints:
             artifacts = client.run_many(tiny_requests)
         after = get(daemon.url, "/stats")[1]["requests"]
         assert len(artifacts) == len(tiny_requests)
-        # One negotiation ping + one chunked poll settles the whole
-        # warm sweep -- not one POST per request.
-        assert after - before <= 3
-        assert after - before < len(tiny_requests)
+        # One chunked poll settles the whole warm sweep -- not one
+        # POST per request; the second request is the /stats read.
+        assert after - before == 2
 
     def test_wire_counters_observe_batching(self, daemon, tiny_requests):
         with ServiceClient(daemon.url) as client:
@@ -401,29 +293,11 @@ class TestBatchEndpoints:
 
 
 class TestRequestCaps:
-    def test_oversized_body_refused_before_read(self, daemon_factory):
-        daemon = daemon_factory(max_body_bytes=2048)
-        # Declare a huge body but never send it: the 413 must arrive
-        # anyway, proving the daemon rejected on the declared length.
-        sock = socket.create_connection(daemon.address, timeout=10)
-        try:
-            sock.sendall(
-                b"POST /runs HTTP/1.1\r\nHost: t\r\n"
-                b"Content-Type: application/json\r\n"
-                b"Content-Length: 999999999\r\n\r\n"
-            )
-            reply = sock.recv(65536).decode()
-        finally:
-            sock.close()
-        status_line, _, rest = reply.partition("\r\n")
-        assert " 413 " in status_line
-        assert "connection: close" in rest.lower()
-
     def test_missing_content_length_411(self, daemon):
         sock = socket.create_connection(daemon.address, timeout=10)
         try:
             sock.sendall(
-                b"POST /runs HTTP/1.1\r\nHost: t\r\n"
+                b"POST /runs/batch HTTP/1.1\r\nHost: t\r\n"
                 b"Content-Type: application/json\r\n\r\n"
             )
             reply = sock.recv(65536).decode()
@@ -436,7 +310,7 @@ class TestRequestCaps:
         bomb = gzip.compress(b"0" * 1_000_000)  # ~1KB compressed
         assert len(bomb) <= 2048
         status, _, data = raw(
-            daemon.address, "POST", "/runs",
+            daemon.address, "POST", "/runs/batch",
             body=bomb,
             headers={
                 "Content-Type": "application/json",
@@ -454,6 +328,22 @@ class TestRequestCaps:
             headers={"Content-Type": "application/json"},
         )
         assert status == 413
+        # Declare a huge body but never send it: the 413 must arrive
+        # anyway, proving the daemon rejected on the declared length,
+        # and close the connection the unread body would desync.
+        sock = socket.create_connection(daemon.address, timeout=10)
+        try:
+            sock.sendall(
+                b"POST /runs/batch HTTP/1.1\r\nHost: t\r\n"
+                b"Content-Type: application/json\r\n"
+                b"Content-Length: 999999999\r\n\r\n"
+            )
+            reply = sock.recv(65536).decode()
+        finally:
+            sock.close()
+        status_line, _, rest = reply.partition("\r\n")
+        assert " 413 " in status_line
+        assert "connection: close" in rest.lower()
 
 
 class TestStaleKeepAlive:

@@ -3,7 +3,7 @@
 #   make test        - tier-1 test suite (fast; what CI gates on)
 #   make bench-smoke - tiny-scale benchmark suite: orchestrator fan-out,
 #                      result-store warm hits, store-backend write/read/
-#                      scan (per-file vs sharded vs segment), the
+#                      scan (per-file vs segment), the
 #                      experiment-service warm wire throughput (8
 #                      concurrent clients vs one daemon: batched +
 #                      gzip + headline-projected submit_many vs one

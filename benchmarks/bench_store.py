@@ -1,6 +1,6 @@
 """Result-store backend benchmarks: cold write, warm read, 10k scan.
 
-Measures the three persistent layouts of :mod:`repro.store` on the
+Measures the two persistent layouts of :mod:`repro.store` on the
 operations that dominate at scale:
 
 * *cold write* -- appending fresh documents to an empty root;
@@ -30,13 +30,9 @@ import time
 
 import pytest
 
-from repro.store import JsonFileBackend, SegmentBackend, ShardedBackend
+from repro.store import JsonFileBackend, SegmentBackend
 
-BACKENDS = {
-    "json": JsonFileBackend,
-    "sharded": ShardedBackend,
-    "segment": SegmentBackend,
-}
+BACKENDS = {"json": JsonFileBackend, "segment": SegmentBackend}
 
 N_WRITE = 1_000
 N_READ = 500
@@ -48,7 +44,7 @@ def fingerprint(index: int) -> str:
 
 
 def document(index: int) -> dict:
-    # Deliberately small (~190 bytes): the scan comparison measures
+    # Deliberately small (~160 bytes): the scan comparison measures
     # per-document *storage* overhead (opens, globs, seeks), which
     # payload parsing would otherwise mask for every backend alike.
     return {
@@ -56,14 +52,12 @@ def document(index: int) -> dict:
         "fingerprint": fingerprint(index),
         "request": {"policy": {"name": f"p{index % 4}"}},
         "result": {"v": index},
-        "meta": {"shard": f"shard-{index % 4}"},
     }
 
 
 def fill(backend, count: int) -> None:
     for index in range(count):
-        doc = document(index)
-        backend.put(fingerprint(index), doc, shard=doc["meta"]["shard"])
+        backend.put(fingerprint(index), document(index))
     close = getattr(backend, "close", None)
     if close is not None:
         close()

@@ -5,10 +5,12 @@ Public surface:
 * :class:`ResultStore` -- memory layer + persistent backend, what the
   orchestrator resolves runs against.
 * :func:`open_backend` / :func:`detect_format` -- backend selection
-  and on-disk format auto-detection.
-* :class:`JsonFileBackend`, :class:`ShardedBackend`,
-  :class:`SegmentBackend` -- the three layouts (see each module and
-  DESIGN.md for formats and concurrency discipline).
+  and on-disk format auto-detection (a root in the retired
+  ``sharded`` layout is detected and refused, with the migration
+  recipe).
+* :class:`JsonFileBackend`, :class:`SegmentBackend` -- the two
+  layouts (see each module and DESIGN.md for formats and concurrency
+  discipline).
 * :mod:`repro.store.maintenance` -- ``ls``/``gc``/``migrate`` helpers
   behind the ``repro store`` CLI.
 """
@@ -21,7 +23,6 @@ from repro.store.base import (
     STORE_VERSION,
     StoreBackend,
     detect_format,
-    shard_slug,
 )
 from repro.store.core import ResultStore, open_backend
 from repro.store.jsonfile import JsonFileBackend
@@ -34,11 +35,9 @@ from repro.store.maintenance import (
     parse_age,
 )
 from repro.store.segment import INDEX_DTYPE, RECORD_HEADER, SegmentBackend
-from repro.store.sharded import DEFAULT_SHARD, ShardedBackend
 
 __all__ = [
     "BACKEND_ENV_VAR",
-    "DEFAULT_SHARD",
     "DocumentInfo",
     "INDEX_DTYPE",
     "JsonFileBackend",
@@ -50,7 +49,6 @@ __all__ = [
     "STORE_ENV_VAR",
     "STORE_VERSION",
     "SegmentBackend",
-    "ShardedBackend",
     "StoreBackend",
     "collect_garbage",
     "detect_format",
@@ -58,5 +56,4 @@ __all__ = [
     "migrate_store",
     "open_backend",
     "parse_age",
-    "shard_slug",
 ]

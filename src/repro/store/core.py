@@ -4,11 +4,12 @@
 in-process memory layer, the hit/miss/write counters and the document
 envelope (store version, fingerprint, request descriptor, serialized
 result, optional metadata), and delegates persistence to one of the
-:mod:`repro.store` backends.  ``backend="auto"`` resolves through
+two :mod:`repro.store` backends.  ``backend="auto"`` resolves through
 :func:`repro.store.base.detect_format`, so a warm root written by any
 earlier version (the per-file JSON layout) keeps resolving
-transparently, while new roots can opt into the sharded or segment
-layouts.
+transparently, while new roots can opt into the segment layout.
+:func:`open_backend` refuses a root in the retired ``sharded`` layout
+and names the ``repro store migrate`` recipe that moves it.
 """
 
 from __future__ import annotations
@@ -28,14 +29,8 @@ from repro.store.base import (
 )
 from repro.store.jsonfile import JsonFileBackend
 from repro.store.segment import SegmentBackend
-from repro.store.sharded import ShardedBackend
 
-_BACKENDS = {
-    "json": JsonFileBackend,
-    "jsonfile": JsonFileBackend,
-    "sharded": ShardedBackend,
-    "segment": SegmentBackend,
-}
+_BACKENDS = {"json": JsonFileBackend, "segment": SegmentBackend}
 
 
 def open_backend(
@@ -46,21 +41,29 @@ def open_backend(
     ``"auto"`` uses the detected on-disk format (default ``json`` for
     a virgin root).  Naming a format explicitly on a root that already
     holds a different one is refused -- mixing layouts in one tree
-    would corrupt both.
+    would corrupt both.  A root in the retired ``sharded`` layout is
+    refused under every name: its ``shards/<name>/`` directories are
+    per-file ``json`` roots, migrated one by one into a new root.
     """
     root = pathlib.Path(root)
     detected = detect_format(root)
+    if detected == "sharded":
+        raise ValueError(
+            f"store root {os.fspath(root)!r} holds a 'sharded' store, a "
+            "layout this version no longer opens; move every shard into "
+            "one new root NEW with 'repro store migrate --store "
+            f"{os.fspath(root / 'shards')}/<name> --dest NEW --to "
+            "segment' (once per shard, same NEW), then use --store NEW"
+        )
     name = backend or "auto"
     if name == "auto":
         name = detected or "json"
-    elif name in ("json", "jsonfile"):
-        name = "json"
     if name not in _BACKENDS:
         raise ValueError(
             f"unknown store backend {backend!r}; choose from "
             f"{('auto', *KNOWN_FORMATS)}"
         )
-    if detected is not None and _BACKENDS[name].format != detected:
+    if detected is not None and name != detected:
         raise ValueError(
             f"store root {os.fspath(root)!r} holds a {detected!r} store; "
             f"refusing to open it as {name!r}"
@@ -78,9 +81,8 @@ class ResultStore:
         keeps results in memory only.
     backend:
         Persistent layout: ``"auto"`` (detect; new roots get the
-        per-file ``json`` layout), ``"json"``, ``"sharded"``,
-        ``"segment"`` -- or an already-constructed
-        :class:`~repro.store.base.StoreBackend`.
+        per-file ``json`` layout), ``"json"``, ``"segment"`` -- or an
+        already-constructed :class:`~repro.store.base.StoreBackend`.
 
     Thread safety: ``put``/``fetch`` may be called from the
     orchestrator's completion callbacks while the submitting thread
@@ -127,13 +129,6 @@ class ResultStore:
         """The persistent backend (None when memory-only)."""
         return self._backend
 
-    def path_for(self, fingerprint: str) -> pathlib.Path | None:
-        """On-disk document path, for backends that keep one per run."""
-        if self._backend is None:
-            return None
-        path_for = getattr(self._backend, "path_for", None)
-        return path_for(fingerprint) if path_for is not None else None
-
     def fetch(self, fingerprint: str) -> tuple[RunResult, str] | None:
         """Look a fingerprint up; returns ``(result, source)`` or None."""
         with self._lock:
@@ -167,9 +162,9 @@ class ResultStore:
         """Record a result in memory and (when backed) persistently.
 
         ``meta`` carries store-side labels that deliberately stay out
-        of the fingerprint -- the shard routing key and the workload
-        pack's name/version (what ``repro store ls``/``gc`` filter
-        on).  Writes are atomic per backend discipline.
+        of the fingerprint -- the workload pack's name/version and
+        provenance stamps (what ``repro store ls``/``gc`` filter on).
+        Writes are atomic per backend discipline.
         """
         with self._lock:
             self._memory[fingerprint] = result
@@ -184,9 +179,7 @@ class ResultStore:
         }
         if meta:
             document["meta"] = meta
-        self._backend.put(
-            fingerprint, document, shard=(meta or {}).get("shard")
-        )
+        self._backend.put(fingerprint, document)
 
     def documents(self):
         """Every persisted ``(fingerprint, document)`` pair."""

@@ -21,7 +21,7 @@ import pathlib
 import tempfile
 from typing import Iterator
 
-from repro.store.base import STORE_VERSION
+from repro.store.base import STORE_VERSION, decode_document
 
 
 class JsonFileBackend:
@@ -44,13 +44,12 @@ class JsonFileBackend:
     def fetch(self, fingerprint: str) -> dict | None:
         """The document for a fingerprint (None if missing/corrupt)."""
         try:
-            return json.loads(self.path_for(fingerprint).read_text())
-        except (OSError, json.JSONDecodeError):
+            payload = self.path_for(fingerprint).read_bytes()
+        except OSError:
             return None
+        return decode_document(payload)
 
-    def put(
-        self, fingerprint: str, document: dict, shard: str | None = None
-    ) -> None:
+    def put(self, fingerprint: str, document: dict) -> None:
         """Write one document atomically (temp file + rename)."""
         path = self.path_for(fingerprint)
         path.parent.mkdir(parents=True, exist_ok=True)

@@ -2,7 +2,11 @@
 
 These helpers power the ``repro store`` CLI subcommand.  They operate
 on raw backends (not :class:`~repro.store.core.ResultStore`), so they
-see documents exactly as persisted.
+see documents exactly as persisted; a document that does not decode
+is skipped.  :func:`migrate_store` merges into an existing
+destination, which is how a root in the retired ``sharded`` layout
+moves: one migration per ``shards/<name>/`` directory (each a
+per-file ``json`` root) into the same new root.
 
 Filtering model
 ---------------
@@ -13,8 +17,8 @@ Documents are labeled two ways:
   pack's content identity -- schema, version, kind, sha256 -- for any
   run that named a workload pack;
 * the optional *meta* envelope (written since the backend split,
-  never hashed) additionally carries the pack *name* and the shard
-  key.
+  never hashed) additionally carries the pack *name* and provenance
+  stamps such as the campaign id.
 
 ``ls``/``gc`` filters therefore match pack versions and sha prefixes
 on every document, while pack-*name* filters only match documents new
@@ -67,7 +71,6 @@ class DocumentInfo:
     pack_name: str | None
     pack_version: int | None
     pack_sha256: str | None
-    shard: str | None
     campaign: str | None = None
 
     @classmethod
@@ -83,7 +86,6 @@ class DocumentInfo:
             pack_name=meta_pack.get("name"),
             pack_version=pack.get("version", meta_pack.get("version")),
             pack_sha256=pack.get("sha256", meta_pack.get("sha256")),
-            shard=meta.get("shard"),
             campaign=meta.get("campaign"),
         )
 
@@ -222,10 +224,10 @@ def migrate_store(
     """Copy every document from ``source`` into a ``to``-format ``dest``.
 
     The copy preserves documents verbatim (same JSON trees, same
-    fingerprints, shard hints taken from each document's meta), then
-    re-reads every fingerprint from the destination and compares the
-    canonical JSON serialization -- the bit-identity check behind
-    ``repro store migrate``.
+    fingerprints), then re-reads every fingerprint from the
+    destination and compares the canonical JSON serialization -- the
+    bit-identity check behind ``repro store migrate``.  An existing
+    ``dest`` is merged into, so several sources can land in one root.
 
     Self-migration is refused: with ``dest`` equal to ``source`` --
     or nested inside it, or containing it -- the writer's puts land in
@@ -251,8 +253,7 @@ def migrate_store(
     writer = open_backend(dest, to)
     migrated = 0
     for fingerprint, document in reader.scan():
-        shard = (document.get("meta") or {}).get("shard")
-        writer.put(fingerprint, document, shard=shard)
+        writer.put(fingerprint, document)
         migrated += 1
     mismatched = []
     for fingerprint, document in reader.scan():

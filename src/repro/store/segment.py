@@ -59,7 +59,7 @@ from typing import BinaryIO, Iterator
 
 import numpy as np
 
-from repro.store.base import write_marker
+from repro.store.base import decode_document, write_marker
 
 #: One mmap-able offset-index entry: raw fingerprint, offset, length.
 INDEX_DTYPE = np.dtype(
@@ -231,14 +231,9 @@ class SegmentBackend:
             payload = self._read_payload(*entry)
         if payload is None:
             return None
-        try:
-            return json.loads(payload)
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            return None
+        return decode_document(payload)
 
-    def put(
-        self, fingerprint: str, document: dict, shard: str | None = None
-    ) -> None:
+    def put(self, fingerprint: str, document: dict) -> None:
         """Append one document to this instance's segment."""
         payload = json.dumps(document).encode()
         with self._lock:
@@ -299,7 +294,8 @@ class SegmentBackend:
         per chunk), which amortizes the per-call decoder overhead that
         dominates small-document scans.  A chunk containing a corrupt
         payload falls back to per-record parsing so intact neighbors
-        still stream out.
+        still stream out; a record that parses to anything but a JSON
+        object is skipped on either path.
         """
         for seg_path, entries in self._grouped_entries():
             try:
@@ -321,19 +317,11 @@ class SegmentBackend:
                             b"[" + b",".join(payloads) + b"]"
                         )
                     except (UnicodeDecodeError, json.JSONDecodeError):
-                        documents = None
-                    if documents is None:
-                        for (_, fingerprint, _), payload in zip(
-                            chunk, payloads
-                        ):
-                            try:
-                                yield fingerprint, json.loads(payload)
-                            except (UnicodeDecodeError, json.JSONDecodeError):
-                                continue
-                    else:
-                        for (_, fingerprint, _), document in zip(
-                            chunk, documents
-                        ):
+                        documents = map(decode_document, payloads)
+                    for (_, fingerprint, _), document in zip(
+                        chunk, documents
+                    ):
+                        if isinstance(document, dict):
                             yield fingerprint, document
 
     def count(self) -> int:

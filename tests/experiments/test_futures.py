@@ -208,12 +208,10 @@ class TestProgress:
 
 
 class TestRunMeta:
-    def test_synthetic_run_shards_by_config_name(self):
-        meta = run_meta(request())
-        assert meta["shard"] == "tiny"
-        assert "pack" not in meta
+    def test_synthetic_run_has_no_labels(self):
+        assert run_meta(request()) == {}
 
-    def test_pack_run_shards_by_pack_name(self):
+    def test_pack_run_carries_only_its_pack_block(self):
         rng = np.random.default_rng(3)
         pack = TracePack(
             name="My Recorded Pack!",
@@ -222,17 +220,20 @@ class TestRunMeta:
                 steps_per_slot=30,
             ),
         )
-        meta = run_meta(request(pack=pack))
-        assert meta["shard"] == "My-Recorded-Pack"
-        assert meta["pack"]["name"] == "My Recorded Pack!"
-        assert meta["pack"]["sha256"] == pack.sha256
-        assert meta["pack"]["version"] == pack.version
+        assert run_meta(request(pack=pack)) == {
+            "pack": {
+                "name": "My Recorded Pack!",
+                "version": pack.version,
+                "kind": pack.kind,
+                "sha256": pack.sha256,
+            }
+        }
 
     def test_meta_travels_to_disk_documents(self, tmp_path):
         store = ResultStore(tmp_path)
-        Orchestrator(store=store).run(request())
+        Orchestrator(store=store, meta={"campaign": "c-1"}).run(request())
         ((_, document),) = list(store.documents())
-        assert document["meta"]["shard"] == "tiny"
+        assert document["meta"] == {"campaign": "c-1"}
 
 
 class TestLifecycle:

@@ -126,17 +126,18 @@ class TestResultStore:
     def test_disk_document_layout(self, tmp_path):
         store = ResultStore(tmp_path)
         artifact = Orchestrator(store=store).run(request())
-        path = store.path_for(artifact.fingerprint)
+        path = store.backend.path_for(artifact.fingerprint)
         assert path.exists()
         assert path.parent.name == artifact.fingerprint[:2]
         document = json.loads(path.read_text())
         assert document["fingerprint"] == artifact.fingerprint
         assert document["request"]["policy"]["name"] == "Ener-aware"
+        assert "meta" not in document  # a synthetic run has no labels
 
     def test_corrupt_document_is_a_miss(self, tmp_path):
         store = ResultStore(tmp_path)
         artifact = Orchestrator(store=store).run(request())
-        store.path_for(artifact.fingerprint).write_text("{not json")
+        store.backend.path_for(artifact.fingerprint).write_text("{not json")
         fresh = ResultStore(tmp_path)
         assert fresh.fetch(artifact.fingerprint) is None
         assert fresh.misses == 1

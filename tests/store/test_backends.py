@@ -6,23 +6,18 @@ import json
 import pytest
 
 from repro.store import (
-    DEFAULT_SHARD,
     JsonFileBackend,
     MARKER_NAME,
     ResultStore,
     SegmentBackend,
-    ShardedBackend,
     detect_format,
+    list_documents,
     open_backend,
-    shard_slug,
 )
+from repro.store.base import write_marker
 from repro.store.segment import INDEX_DTYPE
 
-BACKENDS = {
-    "json": JsonFileBackend,
-    "sharded": ShardedBackend,
-    "segment": SegmentBackend,
-}
+BACKENDS = {"json": JsonFileBackend, "segment": SegmentBackend}
 
 
 def fp(index: int) -> str:
@@ -37,6 +32,39 @@ def doc(index: int, **extra) -> dict:
         "result": {"values": [index, index * 2, index * 3]},
         **extra,
     }
+
+
+def sharded_root(root, marker: bool):
+    """A root in the retired ``sharded`` layout, built by hand.
+
+    Every ``shards/<name>/`` directory is a per-file json root; the
+    layout's writer also stamped the root with a ``sharded`` marker.
+    """
+    if marker:
+        write_marker(root, "sharded")
+    JsonFileBackend(root / "shards" / "pack-a").put(fp(1), doc(1))
+    JsonFileBackend(root / "shards" / "pack-b").put(fp(2), doc(2))
+    return root
+
+
+#: Ways a stored document can rot: bytes that are not UTF-8, text that
+#: is not JSON, and JSON that is not an object.
+CORRUPTIONS = {
+    "non-utf8": b"\xff\xfe\x00\x80garbage",
+    "non-json": b"{not json",
+    "non-object": b"[1, 2]",
+}
+
+
+def corrupt(backend, fingerprint: str, payload: bytes) -> None:
+    """Overwrite a stored document's bytes in place with ``payload``."""
+    if isinstance(backend, JsonFileBackend):
+        backend.path_for(fingerprint).write_bytes(payload)
+        return
+    path, offset, length = backend._index[fingerprint]
+    with open(path, "r+b") as handle:  # pad to keep the record length
+        handle.seek(offset)
+        handle.write(payload.ljust(length, b" "))
 
 
 @pytest.fixture(params=sorted(BACKENDS))
@@ -100,10 +128,8 @@ class TestAutoDetection:
         assert isinstance(open_backend(tmp_path), JsonFileBackend)
 
     def test_sharded_root_detected_via_marker(self, tmp_path):
-        ShardedBackend(tmp_path).put(fp(1), doc(1), shard="packA")
-        assert (tmp_path / MARKER_NAME).exists()
+        write_marker(tmp_path, "sharded")
         assert detect_format(tmp_path) == "sharded"
-        assert isinstance(open_backend(tmp_path), ShardedBackend)
 
     def test_segment_root_detected_via_marker(self, tmp_path):
         SegmentBackend(tmp_path).put(fp(1), doc(1))
@@ -131,32 +157,41 @@ class TestAutoDetection:
         )
 
 
-class TestShardedLayout:
-    def test_documents_land_in_shard_directories(self, tmp_path):
-        backend = ShardedBackend(tmp_path)
-        backend.put(fp(1), doc(1), shard="pack-a")
-        backend.put(fp(2), doc(2), shard="pack-b")
-        backend.put(fp(3), doc(3))
-        assert backend.shards() == [DEFAULT_SHARD, "pack-a", "pack-b"]
-        path = tmp_path / "shards" / "pack-a" / "v1" / fp(1)[:2]
-        assert (path / f"{fp(1)}.json").exists()
+class TestRetiredShardedRoot:
+    """A ``sharded`` root is detected and refused, never opened."""
 
-    def test_fetch_probes_shards(self, tmp_path):
-        ShardedBackend(tmp_path).put(fp(1), doc(1), shard="pack-a")
-        fresh = ShardedBackend(tmp_path)
-        assert fresh.fetch(fp(1)) == doc(1)
+    @pytest.mark.parametrize("marker", [True, False], ids=["marker", "dirs"])
+    @pytest.mark.parametrize("name", ["auto", "json", "segment"])
+    def test_open_backend_refuses(self, tmp_path, marker, name):
+        sharded_root(tmp_path, marker)
+        with pytest.raises(ValueError, match="repro store migrate") as error:
+            open_backend(tmp_path, name)
+        assert f"{tmp_path / 'shards'}/<name>" in str(error.value)
+        # Nothing was written beside the old data.
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+            ["shards"] + [MARKER_NAME] * marker
+        )
 
-    def test_hostile_shard_names_sanitized(self, tmp_path):
-        backend = ShardedBackend(tmp_path)
-        backend.put(fp(1), doc(1), shard="../../etc/passwd")
-        (shard_dir,) = (tmp_path / "shards").iterdir()
-        assert shard_dir.parent == tmp_path / "shards"
-        assert ".." not in shard_dir.name
+    @pytest.mark.parametrize("marker", [True, False], ids=["marker", "dirs"])
+    def test_result_store_refuses(self, tmp_path, marker):
+        sharded_root(tmp_path, marker)
+        with pytest.raises(ValueError, match="repro store migrate"):
+            ResultStore(tmp_path)
 
-    def test_shard_slug(self):
-        assert shard_slug(None) == "default"
-        assert shard_slug("trace pack v2!") == "trace-pack-v2"
-        assert len(shard_slug("x" * 200)) <= 64
+
+class TestCorruptDocuments:
+    """Rotten documents are misses for fetch and skipped by scans."""
+
+    @pytest.mark.parametrize("kind", sorted(CORRUPTIONS))
+    def test_fetch_misses_and_listing_skips(self, backend, kind):
+        for i in range(3):
+            backend.put(fp(i), doc(i))
+        corrupt(backend, fp(1), CORRUPTIONS[kind])
+        fresh = type(backend)(backend.root)
+        assert fresh.fetch(fp(1)) is None
+        assert fresh.fetch(fp(2)) == doc(2)
+        listed = [info.fingerprint for info in list_documents(fresh)]
+        assert sorted(listed) == sorted([fp(0), fp(2)])
 
 
 class TestSegmentLayout:
@@ -273,27 +308,23 @@ class TestResultStoreBackends:
         assert warm.source == "disk"
         assert warm.result.slots == cold.result.slots
 
-    def test_sharded_store_routes_by_config_name(self, tmp_path):
-        artifact = self.run_one(ResultStore(tmp_path, backend="sharded"))
-        assert artifact.source == "computed"
-        assert (tmp_path / "shards" / "tiny").is_dir()
-
-    def test_document_meta_records_shard(self, tmp_path):
-        store = ResultStore(tmp_path, backend="segment")
-        self.run_one(store)
-        ((_, document),) = list(store.documents())
-        assert document["meta"]["shard"] == "tiny"
-
     def test_memory_only_store_has_no_backend(self):
         store = ResultStore()
         assert store.backend is None
-        assert store.path_for(fp(1)) is None
         assert list(store.documents()) == []
 
-    def test_segment_store_has_no_per_document_path(self, tmp_path):
-        store = ResultStore(tmp_path, backend="segment")
-        self.run_one(store)
-        assert store.path_for(fp(1)) is None
+    @pytest.mark.parametrize("kind", sorted(CORRUPTIONS))
+    @pytest.mark.parametrize("name", sorted(BACKENDS))
+    def test_corrupt_document_is_recomputed(self, tmp_path, name, kind):
+        artifact = self.run_one(ResultStore(tmp_path, backend=name))
+        store = ResultStore(tmp_path)
+        corrupt(store.backend, artifact.fingerprint, CORRUPTIONS[kind])
+        assert store.fetch(artifact.fingerprint) is None
+        assert store.misses == 1
+        again = self.run_one(ResultStore(tmp_path))
+        assert again.source == "computed"
+        assert again.result.slots == artifact.result.slots
+        assert self.run_one(ResultStore(tmp_path)).source == "disk"
 
     def test_corrupt_segment_payload_is_a_miss(self, tmp_path):
         store = ResultStore(tmp_path, backend="segment")
@@ -312,23 +343,6 @@ class TestMarkerFile:
         SegmentBackend(tmp_path).put(fp(1), doc(1))
         payload = json.loads((tmp_path / MARKER_NAME).read_text())
         assert payload == {"format": "segment", "store_version": 1}
-
-
-class TestShardedRerouting:
-    def test_rehinted_fingerprint_overwrites_in_place(self, tmp_path):
-        """A fingerprint rerun with a different shard hint (e.g. a
-        renamed pack, which keeps its fingerprint by design) must not
-        duplicate the document across shards."""
-        backend = ShardedBackend(tmp_path)
-        backend.put(fp(1), doc(1), shard="pack-old")
-        backend.put(fp(1), doc(1, extra="rerun"), shard="pack-new")
-        assert backend.count() == 1
-        assert backend.fetch(fp(1))["extra"] == "rerun"
-        assert backend.shards() == ["pack-old"]  # overwritten in place
-        fresh = ShardedBackend(tmp_path)
-        assert fresh.count() == 1
-        assert backend.delete(fp(1)) is True
-        assert ShardedBackend(tmp_path).count() == 0
 
 
 class TestResultStoreBackendInstance:

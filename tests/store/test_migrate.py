@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.cli import main
 from repro.experiments.orchestrator import Orchestrator, RunRequest
 from repro.experiments.runner import default_policies
 from repro.sim.config import scaled_config
@@ -13,8 +14,8 @@ from repro.store import (
     ResultStore,
     SegmentBackend,
     migrate_store,
-    open_backend,
 )
+from repro.store.base import write_marker
 
 
 def tiny_requests(count: int = 3):
@@ -69,14 +70,6 @@ class TestMigrateToSegment:
         for warm_artifact, cold_artifact in zip(warm, cold):
             assert warm_artifact.result.slots == cold_artifact.result.slots
 
-    def test_migrate_to_sharded_routes_by_meta(self, v1_root, tmp_path):
-        report = migrate_store(v1_root, tmp_path / "sh", to="sharded")
-        assert report.verified
-        backend = open_backend(tmp_path / "sh")
-        assert backend.format == "sharded"
-        # v1 documents carry meta with the config-name shard key.
-        assert backend.shards() == ["tiny"]
-
     def test_migration_merges_into_existing_dest(self, v1_root, tmp_path):
         dest = tmp_path / "seg"
         extra_fp = "ab" * 32
@@ -84,6 +77,44 @@ class TestMigrateToSegment:
         report = migrate_store(v1_root, dest, to="segment")
         assert report.verified
         assert SegmentBackend(dest).count() == 4
+
+
+class TestRetiredShardedRoot:
+    """The refusal's recipe moves a ``sharded`` root shard by shard."""
+
+    def test_per_shard_migrations_merge_into_one_root(
+        self, v1_root, tmp_path, capsys
+    ):
+        # The retired layout, built by hand: a marker plus one per-file
+        # json root per shard, here splitting the warm runs two ways.
+        root = tmp_path / "old"
+        write_marker(root, "sharded")
+        shards = {"a": {}, "b": {}}
+        for index, (fingerprint, document) in enumerate(
+            JsonFileBackend(v1_root).scan()
+        ):
+            shards["a" if index < 2 else "b"][fingerprint] = document
+        for name, documents in shards.items():
+            backend = JsonFileBackend(root / "shards" / name)
+            for fingerprint, document in documents.items():
+                backend.put(fingerprint, document)
+        with pytest.raises(ValueError, match="repro store migrate"):
+            ResultStore(root)
+
+        dest = tmp_path / "new"
+        for name in shards:
+            assert main(["store", "migrate",
+                         "--store", str(root / "shards" / name),
+                         "--dest", str(dest), "--to", "segment"]) == 0
+            out = capsys.readouterr().out
+            assert "every document round-tripped bit-identically" in out
+        assert set(SegmentBackend(dest).keys()) == {
+            *shards["a"], *shards["b"]
+        }
+        warm = Orchestrator(store=ResultStore(dest)).run_many(
+            tiny_requests()
+        )
+        assert [artifact.source for artifact in warm] == ["disk"] * 3
 
 
 class TestSelfMigrationRefused:

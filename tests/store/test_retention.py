@@ -12,16 +12,11 @@ from repro.cli import main
 from repro.store import (
     JsonFileBackend,
     SegmentBackend,
-    ShardedBackend,
     collect_garbage,
     parse_age,
 )
 
-BACKENDS = {
-    "json": JsonFileBackend,
-    "sharded": ShardedBackend,
-    "segment": SegmentBackend,
-}
+BACKENDS = {"json": JsonFileBackend, "segment": SegmentBackend}
 
 
 def fingerprint(index: int) -> str:
@@ -31,15 +26,14 @@ def fingerprint(index: int) -> str:
 def document(index: int, pack: str | None) -> dict:
     doc = {"fingerprint": fingerprint(index), "result": {"v": index}}
     if pack is not None:
-        doc["meta"] = {"shard": pack, "pack": {"name": pack, "version": 1}}
+        doc["meta"] = {"pack": {"name": pack, "version": 1}}
     return doc
 
 
 def fill(backend, packs: list[str | None]) -> list[str]:
     fingerprints = []
     for index, pack in enumerate(packs):
-        doc = document(index, pack)
-        backend.put(fingerprint(index), doc, shard=pack)
+        backend.put(fingerprint(index), document(index, pack))
         fingerprints.append(fingerprint(index))
     return fingerprints
 
@@ -92,7 +86,7 @@ class TestTimestamps:
 
 
 class TestOlderThan:
-    @pytest.mark.parametrize("name", ["json", "sharded"])
+    @pytest.mark.parametrize("name", ["json"])
     def test_collects_only_old_documents(self, tmp_path, name):
         backend = BACKENDS[name](tmp_path / name)
         fill(backend, ["alpha"] * 4)
@@ -111,7 +105,7 @@ class TestOlderThan:
         assert len(doomed) == 3
         # A fresh append renews the file's clock; nothing is then old
         # enough -- conservative in the keep direction.
-        backend.put(fingerprint(9), document(9, "alpha"), shard="alpha")
+        backend.put(fingerprint(9), document(9, "alpha"))
         doomed = collect_garbage(backend, older_than=1800, dry_run=True)
         assert doomed == []
 

@@ -5,6 +5,8 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.sim.engine import SimulationEngine
+from repro.store import JsonFileBackend
+from repro.store.base import write_marker
 
 
 class TestParser:
@@ -250,10 +252,31 @@ class TestStoreBackendFlag:
         assert invocations == []
         assert capsys.readouterr().out == first
 
-    def test_sharded_backend_routes_by_config(self, capsys, tmp_path):
-        store = tmp_path / "shstore"
-        assert main(self.argv(store, "sharded")) == 0
-        assert (store / "shards" / "tiny").is_dir()
+    @pytest.mark.parametrize("marker", [True, False], ids=["marker", "dirs"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["compare", "--scale", "tiny", "--horizon", "2"],
+            ["store", "ls"],
+            ["store", "migrate", "--dest", "{new}"],
+        ],
+        ids=["compare", "store-ls", "store-migrate"],
+    )
+    def test_sharded_root_refused(self, tmp_path, command, marker):
+        """A retired ``sharded`` root is refused with the migrate recipe."""
+        root = tmp_path / "old"
+        if marker:
+            write_marker(root, "sharded")
+        JsonFileBackend(root / "shards" / "tiny").put(
+            "ab" * 32, {"fingerprint": "ab" * 32}
+        )
+        argv = [arg.format(new=tmp_path / "new") for arg in command]
+        with pytest.raises(SystemExit) as error:
+            main(argv + ["--store", str(root)])
+        # A string exit code prints to stderr and exits with status 1.
+        assert isinstance(error.value.code, str)
+        assert "repro store migrate" in error.value.code
+        assert not (tmp_path / "new").exists()
 
     def test_backend_conflict_rejected(self, capsys, tmp_path):
         store = tmp_path / "plain"
@@ -307,6 +330,24 @@ class TestStoreSubcommand:
         assert "4 document(s)" in out
         assert "Proposed" in out
         assert "[json backend]" in out
+
+    def test_ls_lists_documents_with_a_shard_label(self, capsys, tmp_path):
+        """Documents from before shard routing left still list."""
+        store = tmp_path / "oldstore"
+        fingerprint = "cd" * 32
+        JsonFileBackend(store).put(fingerprint, {
+            "store_version": 1,
+            "fingerprint": fingerprint,
+            "request": {"policy": {"name": "Proposed"}},
+            "result": {},
+            "meta": {"shard": "old-pack",
+                     "pack": {"name": "old-pack", "version": 2}},
+        })
+        assert main(["store", "ls", "--store", str(store)]) == 0
+        out = capsys.readouterr().out
+        assert "1 document(s)" in out
+        assert fingerprint[:12] in out
+        assert "old-pack" in out
 
     def test_ls_fingerprint_filter(self, capsys, tmp_path):
         store = self.warm_store(tmp_path)

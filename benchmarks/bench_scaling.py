@@ -137,7 +137,9 @@ def _it_power_inputs(n_vms: int, steps: int = 720, seed: int = 0):
 
 @pytest.mark.parametrize("n_vms", [300, 1000])
 def test_it_power_per_slot(benchmark, n_vms):
-    """Per-slot IT power: one CSR segment-sum over the whole placement."""
+    """Per-slot IT power: per-server sequential sums over the whole
+    placement, one slice-add per VM depth (servers ranked by VM
+    count)."""
     kernel = _physics_engine(steps=720).kernel
     placement, vm_rows, demand = _it_power_inputs(n_vms)
     power, actives = benchmark(

@@ -17,7 +17,8 @@ program with perfect knowledge of the whole horizon:
 No online controller can pay less for the same demand/PV trajectories,
 so ``policy cost / bound`` measures the green controller's optimality
 gap.  Solved with :func:`scipy.optimize.linprog` (HiGHS), one LP per DC
-(they decouple).
+(they decouple).  scipy is imported inside the solver, so only a caller
+that computes a bound pays for loading it.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from repro.sim.config import ExperimentConfig
 from repro.sim.results import RunResult
@@ -84,6 +83,9 @@ def _solve_dc_lp(
     solver's dual-feasibility tolerance and HiGHS accepts any feasible
     vertex as "optimal".
     """
+    from scipy import sparse
+    from scipy.optimize import linprog
+
     horizon = len(demand)
     if horizon == 0:
         return 0.0

@@ -8,7 +8,7 @@ driver schedules those slots:
   with the per-slot row cache and the optional shared
   :class:`~repro.workload.materialize.WorkloadMaterialization`;
 * the per-slot physics, one implementation per step -- every DC's IT
-  power from one CSR membership product over the whole placement
+  power from per-server sequential sums over the whole placement
   (:meth:`SlotKernel._fleet_it_power`), one PUE broadcast, one
   fleet-wide green controller pass
   (:meth:`~repro.core.green.GreenController.run_slot_fleet`), and the
@@ -33,7 +33,6 @@ those loops' bit for bit.  The loops live in ``tests/oracles.py``, and
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
 
 from repro.core.green import GreenController
 from repro.datacenter.pue import fleet_pue
@@ -168,21 +167,26 @@ class SlotKernel:
         vm_rows: dict[int, int],
         demand_now: np.ndarray,
     ) -> tuple[np.ndarray, list[int]]:
-        """IT power traces (W) of *every* DC from one CSR product.
+        """IT power traces (W) of *every* DC in one pass.
 
-        Builds a single server-by-VM-row membership matrix over the
-        whole placement -- block rows per DC, in DC index order -- and
-        computes all per-server aggregates and power draws in one pass.
+        Sums each server's VM rows over the whole placement -- servers
+        in DC index order, then placement order -- evaluates every
+        server's power trace at once and adds the traces per DC.
         Returns the ``(n_dcs, steps)`` power matrix and the per-DC
         active-server counts.
 
-        Bit-identical to per-server Python loops (sum each server's VM
-        rows in placement order, evaluate the server's power trace,
-        add the traces per DC): a CSR row's product terms accumulate
-        sequentially in stored-column order, which is the placement's
-        VM order; the per-server power expression is elementwise; and
-        each DC's reduction is ``sum(axis=0)`` over its *contiguous
-        block* of per-server rows, which adds the rows in order.
+        Bit-identical to per-server Python loops (add each server's VM
+        rows onto a zero row in placement order, evaluate the server's
+        power trace, add the traces per DC).  Servers are ranked by VM
+        count, deepest first, so the servers holding a ``depth``-th VM
+        are a prefix of the ranking: one slice-add per depth adds every
+        server's ``depth``-th row, and each server still sums its rows
+        in placement order.  The per-server power expression is
+        elementwise, and each DC's reduction is ``sum(axis=0)`` over
+        its *contiguous block* of per-server rows, which adds the rows
+        in order.  Not ``np.add.reduceat``: it does not sum
+        sequentially along axis 0, so its sums differ from the loops'
+        in the last ulps.
         """
         steps = self.config.steps_per_slot
         allocations = placement.allocations
@@ -192,32 +196,22 @@ class SlotKernel:
         if sum(counts) == 0:
             return power, actives
 
+        servers = [
+            vms for allocation in allocations for vms in allocation.server_vms
+        ]
+        sizes = np.array([len(vms) for vms in servers], dtype=int)
         row_of_vm = np.array(
-            [
-                vm_rows[vm_id]
-                for allocation in allocations
-                for vms in allocation.server_vms
-                for vm_id in vms
-            ],
-            dtype=int,
+            [vm_rows[vm_id] for vms in servers for vm_id in vms], dtype=int
         )
-        indptr = np.concatenate(
-            (
-                [0],
-                np.cumsum(
-                    [
-                        len(vms)
-                        for allocation in allocations
-                        for vms in allocation.server_vms
-                    ]
-                ),
-            )
-        )
-        membership = sparse.csr_matrix(
-            (np.ones(row_of_vm.size), row_of_vm, indptr),
-            shape=(sum(counts), demand_now.shape[0]),
-        )
-        aggregate = membership @ demand_now
+        rank = np.argsort(-sizes, kind="stable")
+        first_rows = (np.cumsum(sizes) - sizes)[rank]
+        # widths[depth]: how many servers hold more than ``depth`` VMs.
+        widths = len(servers) - np.cumsum(np.bincount(sizes))[:-1]
+        ranked = np.zeros((len(servers), steps))
+        for depth, width in enumerate(widths):
+            ranked[:width] += demand_now[row_of_vm[first_rows[:width] + depth]]
+        aggregate = np.empty_like(ranked)
+        aggregate[rank] = ranked
 
         cap_rows, idle_rows, peak_rows = [], [], []
         for allocation in allocations:

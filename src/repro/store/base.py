@@ -125,12 +125,18 @@ def write_marker(root: pathlib.Path, fmt: str) -> None:
 
 
 def read_marker(root: pathlib.Path) -> str | None:
-    """The format a ``STORE_FORMAT.json`` marker names, if present."""
+    """The format a ``STORE_FORMAT.json`` marker names, if present.
+
+    A marker that :func:`decode_document` rejects (non-UTF-8 bytes,
+    invalid JSON, JSON that is not an object) names nothing, so
+    detection falls through to the directory rules.
+    """
     try:
-        payload = json.loads((root / MARKER_NAME).read_text())
-    except (OSError, json.JSONDecodeError):
+        payload = (root / MARKER_NAME).read_bytes()
+    except OSError:
         return None
-    fmt = payload.get("format")
+    marker = decode_document(payload)
+    fmt = None if marker is None else marker.get("format")
     return fmt if isinstance(fmt, str) else None
 
 

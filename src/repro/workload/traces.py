@@ -12,7 +12,10 @@ not public, so this module synthesizes an equivalent library:
   same mean -- exactly the extension step the paper applies to its
   measured day;
 * traces are generated *per (vm, slot)* from a deterministic seed, so
-  the library needs O(steps_per_slot) memory regardless of horizon.
+  the library needs O(steps_per_slot) memory regardless of horizon;
+* the AR(1) recurrence runs once per call over every requested row,
+  one step at a time with a per-row coefficient, so a batch of VMs
+  costs one pass rather than one filter per VM.
 
 Trace values are utilization fractions in [0, 1]; multiply by
 ``vm.cores`` to obtain the demand in core units (see
@@ -24,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from repro.seeding import rng_for
 
@@ -90,6 +92,10 @@ def diurnal_mean(profile: ApplicationProfile, hour: np.ndarray | float) -> np.nd
 class TraceLibrary:
     """Deterministic per-(vm, slot) utilization trace generator.
 
+    Every (vm, slot) cell draws from its own seeded RNG, so a row never
+    depends on which other VMs share a call; the rows of one call are
+    then filtered together.
+
     Parameters
     ----------
     steps_per_slot:
@@ -139,32 +145,56 @@ class TraceLibrary:
         offset = float(day0.normal(0.0, profile.noise_sigma * 0.5))
         return float(np.clip(base + offset, 0.02, 0.98))
 
+    def _fractions(self, vms: list[VirtualMachine], slot: int) -> np.ndarray:
+        """Utilization fractions of every VM in ``vms`` over ``slot``.
+
+        Draws each row's AR(1) innovations and start level from the
+        (vm, slot) RNG, in ``vms`` order, then filters all rows in one
+        pass.  Days after the first add fresh same-mean variance
+        (``extension_sigma``), the paper's week-extension rule.
+        """
+        count = len(vms)
+        noise = np.empty((count, self.steps_per_slot))
+        means = np.empty(count)
+        rho = np.empty(count)
+        level = np.empty(count)
+        for index, vm in enumerate(vms):
+            profile = PROFILES[vm.app_type]
+            means[index] = self.slot_mean(vm, slot)
+            rng = self._rng(vm, slot)
+            sigma = profile.noise_sigma
+            if slot >= SLOTS_PER_DAY:
+                sigma = float(np.hypot(sigma, self.extension_sigma))
+            # AR(1) innovations around the hour mean; stationary
+            # marginal sigma.
+            rho[index] = profile.noise_rho
+            noise[index] = rng.normal(
+                0.0,
+                sigma * np.sqrt(1.0 - profile.noise_rho**2),
+                self.steps_per_slot,
+            )
+            level[index] = rng.normal(0.0, sigma)
+        # In place, y[t] = x[t] + rho * y[t-1] from y[-1] = level, every
+        # row at once.  Each step is one multiply and one add per
+        # element, the two IEEE operations of lfilter([1], [1, -rho], x,
+        # zi=[rho * level]), so each row equals that filter's output
+        # bit for bit (tests/workload/test_traces.py keeps it as the
+        # oracle).
+        previous = level
+        for step in range(self.steps_per_slot):
+            column = noise[:, step]
+            column += rho * previous
+            previous = column
+        noise += means[:, None]
+        return np.clip(noise, 0.0, 1.0, out=noise)
+
     def slot_trace(self, vm: VirtualMachine, slot: int) -> np.ndarray:
         """Utilization fractions for ``vm`` over ``slot``.
 
         Returns an array of shape ``(steps_per_slot,)`` with values in
-        [0, 1].  Days after the first add fresh same-mean variance
-        (``extension_sigma``), the paper's week-extension rule.
+        [0, 1]: one row of :meth:`_fractions`.
         """
-        profile = PROFILES[vm.app_type]
-        mean = self.slot_mean(vm, slot)
-        rng = self._rng(vm, slot)
-
-        sigma = profile.noise_sigma
-        if slot >= SLOTS_PER_DAY:
-            sigma = float(np.hypot(sigma, self.extension_sigma))
-
-        # AR(1) noise around the hour mean; stationary marginal sigma.
-        # y[n] = rho * y[n-1] + eps[n], evaluated as an IIR filter.
-        rho = profile.noise_rho
-        innovations = rng.normal(0.0, sigma * np.sqrt(1.0 - rho**2), self.steps_per_slot)
-        level = rng.normal(0.0, sigma)
-        # Filter state for y[-1] = level: lfiltic's closed form for a
-        # first-order all-pole filter.
-        zi = np.array([rho * level])
-        noise, _ = lfilter([1.0], [1.0, -rho], innovations, zi=zi)
-
-        return np.clip(mean + noise, 0.0, 1.0)
+        return self._fractions([vm], slot)[0]
 
     def slot_demand(self, vm: VirtualMachine, slot: int) -> np.ndarray:
         """CPU demand in core units for ``vm`` over ``slot``."""
@@ -177,11 +207,10 @@ class TraceLibrary:
 
         Row ``i`` is :meth:`slot_demand` of ``vms[i]``, bit for bit;
         this is the array the correlation metrics and the power model
-        consume.  Synthetic traces are RNG-per-(vm, slot), so the rows
-        cannot be drawn across VMs in one call without changing the
-        streams; they are filled into one preallocated matrix.
+        consume.  RNG draws stay per (vm, slot), so no row depends on
+        its neighbours, while the AR(1) filter runs over all rows
+        together in one pass.
         """
-        matrix = np.empty((len(vms), self.steps_per_slot))
-        for index, vm in enumerate(vms):
-            matrix[index] = self.slot_demand(vm, slot)
+        matrix = self._fractions(vms, slot)
+        matrix *= np.array([vm.cores for vm in vms], dtype=float)[:, None]
         return matrix

@@ -1,5 +1,6 @@
 """Futures-based orchestration: submit, as_resolved, progress, errors."""
 
+import os
 import time
 
 import pytest
@@ -34,12 +35,22 @@ def request(policy_index: int = 1, **kwargs):
 
 
 class StalledPolicy(PriAwarePolicy):
-    """Sleeps every slot: a deliberately slow worker (picklable)."""
+    """Blocks until a release file exists: a deliberately stalled
+    worker (picklable).  The wait is bounded, so a test that never
+    releases it fails instead of hanging."""
 
     name = "Stalled"
 
+    def __init__(self, release) -> None:
+        super().__init__()
+        self.release = str(release)
+
     def place(self, observation):
-        time.sleep(1.5)
+        deadline = time.monotonic() + 60.0
+        while not os.path.exists(self.release):
+            if time.monotonic() > deadline:
+                raise TimeoutError("stalled worker was never released")
+            time.sleep(0.01)
         return super().place(observation)
 
 
@@ -99,11 +110,12 @@ class TestSubmit:
 
 
 class TestAsResolved:
-    def test_yields_in_completion_order_while_misses_execute(self):
+    def test_yields_in_completion_order_while_misses_execute(self, tmp_path):
         """The stalled-worker guarantee: fast artifacts stream out
         while a slow run is still executing; nothing waits for the
         whole batch."""
-        slow = request(policy=StalledPolicy())
+        gate = tmp_path / "release"
+        slow = request(policy=StalledPolicy(gate))
         fast = request(1)
         with Orchestrator(jobs=2) as orchestrator:
             futures = orchestrator.submit_many([slow, fast])
@@ -113,19 +125,23 @@ class TestAsResolved:
             # genuinely still executing at this moment.
             assert first.fingerprint == futures[1].fingerprint
             assert not futures[0].done()
+            gate.touch()
             rest = list(stream)
         assert [artifact.fingerprint for artifact in rest] == [
             futures[0].fingerprint
         ]
 
-    def test_cache_hits_yield_before_pending_misses(self):
+    def test_cache_hits_yield_before_pending_misses(self, tmp_path):
+        gate = tmp_path / "release"
         with Orchestrator(jobs=2) as orchestrator:
             orchestrator.run(request(1))
             futures = orchestrator.submit_many(
-                [request(policy=StalledPolicy()), request(1)]
+                [request(policy=StalledPolicy(gate)), request(1)]
             )
             first = next(orchestrator.as_resolved(futures))
             assert first.source == "memory"
+            assert not futures[0].done()
+            gate.touch()
             futures[0].result()  # drain
 
     def test_duplicates_yield_once(self):
@@ -161,9 +177,14 @@ class TestRunManyWrapper:
                 artifact.result.to_dict() == reference.to_dict()
             )
 
-    def test_order_preserved_despite_completion_order(self):
-        slow_first = [request(policy=StalledPolicy()), request(1)]
-        with Orchestrator(jobs=2) as orchestrator:
+    def test_order_preserved_despite_completion_order(self, tmp_path):
+        gate = tmp_path / "release"
+        slow_first = [request(policy=StalledPolicy(gate)), request(1)]
+        # The fast run completes first; its progress tick releases the
+        # stalled one.
+        with Orchestrator(
+            jobs=2, progress=lambda done, total: gate.touch()
+        ) as orchestrator:
             artifacts = orchestrator.run_many(slow_first)
         assert artifacts[0].result.policy_name == "Stalled"
         assert artifacts[1].result.policy_name == "Ener-aware"
@@ -186,15 +207,19 @@ class TestProgress:
         orchestrator.run_many([request(1), request(1), request(2)])
         assert calls == [(1, 2), (2, 2)]
 
-    def test_progress_fires_while_stalled_worker_runs(self):
+    def test_progress_fires_while_stalled_worker_runs(self, tmp_path):
+        gate = tmp_path / "release"
         snapshots = []
+
+        def progress(done, total):
+            snapshots.append((done, total, futures[0].done()))
+            gate.touch()
+
         with Orchestrator(jobs=2) as orchestrator:
-            slow = request(policy=StalledPolicy())
+            slow = request(policy=StalledPolicy(gate))
             fast = request(1)
             futures = orchestrator.submit_many([slow, fast])
-            orchestrator.progress = lambda done, total: snapshots.append(
-                (done, total, futures[0].done())
-            )
+            orchestrator.progress = progress
             orchestrator.run_many([slow, fast])
         # The first progress tick arrived before the stalled run ended.
         assert snapshots[0][:2] == (1, 2)

@@ -193,8 +193,67 @@ class TestDemandCacheEviction:
         assert {slot for _, slot in kernel._demand_cache} <= {2, 3}
 
 
+def it_power_case(server_vms_per_dc, n_vms, steps, seed=5):
+    """A hand-built placement over ``n_vms`` rows of random demand.
+
+    ``server_vms_per_dc`` lists each DC's per-server VM ids; VM ids map
+    to shuffled demand rows, so placement order is not row order.  Some
+    demand saturates a server, and a few samples are exactly zero.
+    """
+    from repro.core.local import ServerAllocation
+    from repro.datacenter.server import XEON_E5410
+
+    rng = np.random.default_rng(seed)
+    demand = rng.uniform(0.0, 3.0, (n_vms, steps))
+    demand[rng.random((n_vms, steps)) < 0.05] = 0.0
+    vm_rows = dict(enumerate(rng.permutation(n_vms).tolist()))
+    levels = len(XEON_E5410.levels)
+    allocations = [
+        ServerAllocation(
+            model=XEON_E5410,
+            n_servers=max(len(servers), 1),
+            server_vms=[list(vms) for vms in servers],
+            frequencies=[
+                int(level) for level in rng.integers(0, levels, len(servers))
+            ],
+        )
+        for servers in server_vms_per_dc
+    ]
+    placement = type("Stub", (), {"allocations": allocations})()
+    return placement, vm_rows, demand
+
+
+#: Per-DC server layouts: (DC 0, DC 1, DC 2) lists of per-server VM ids.
+IT_POWER_LAYOUTS = {
+    "mixed-depths": (
+        [[3, 0, 7], [], [1], [9, 4]],
+        [],
+        [[2], [8, 5, 6, 10, 11], [], [12]],
+    ),
+    "single-vm-servers": ([[0], [1], [2]], [[3]], [[4], [5]]),
+    "empty-servers-only": ([[], []], [], [[]]),
+    "one-server-holds-all": ([], [list(range(13))[::-1]], []),
+}
+
+
 class TestFleetItPower:
-    """The one-shot fleet CSR product equals the per-server loops."""
+    """The fleet-wide per-server sums equal the per-server loops."""
+
+    @pytest.mark.parametrize("layout", sorted(IT_POWER_LAYOUTS))
+    def test_layouts_match_loop_oracle(self, layout):
+        config = scaled_config("tiny").with_horizon(2)
+        kernel = SimulationEngine(config, default_policies()[1]).kernel
+        servers = IT_POWER_LAYOUTS[layout]
+        n_vms = sum(len(vms) for dc in servers for vms in dc)
+        placement, vm_rows, demand = it_power_case(
+            servers, n_vms, config.steps_per_slot
+        )
+        power, actives = kernel._fleet_it_power(placement, vm_rows, demand)
+        oracle = loop_kernel(kernel)
+        for dc_index in range(config.n_dcs):
+            loop = oracle._dc_it_power(placement, dc_index, vm_rows, demand)
+            assert np.array_equal(power[dc_index], loop[0])
+            assert actives[dc_index] == loop[1]
 
     def test_matches_per_dc_paths(self):
         config, kernel, placement, vm_rows, demand = placed_slot()

@@ -157,6 +157,23 @@ class TestAutoDetection:
         )
 
 
+class TestCorruptMarker:
+    """A rotten marker names no format; the directory rules decide."""
+
+    @pytest.mark.parametrize("kind", sorted(CORRUPTIONS))
+    def test_virgin_root_opens_as_json(self, tmp_path, kind):
+        (tmp_path / MARKER_NAME).write_bytes(CORRUPTIONS[kind])
+        assert detect_format(tmp_path) is None
+        assert isinstance(ResultStore(tmp_path).backend, JsonFileBackend)
+
+    @pytest.mark.parametrize("kind", sorted(CORRUPTIONS))
+    def test_segment_root_detected_by_directory(self, tmp_path, kind):
+        SegmentBackend(tmp_path).put(fp(1), doc(1))
+        (tmp_path / MARKER_NAME).write_bytes(CORRUPTIONS[kind])
+        assert detect_format(tmp_path) == "segment"
+        assert ResultStore(tmp_path).backend.fetch(fp(1)) == doc(1)
+
+
 class TestRetiredShardedRoot:
     """A ``sharded`` root is detected and refused, never opened."""
 

@@ -58,8 +58,18 @@ class TestSlotTrace:
             assert np.all(trace <= 1.0)
 
     def test_deterministic(self, library):
+        """A (vm, slot) trace depends only on the library seed and the
+        VM: a fresh library reproduces it, alone or inside a batch."""
         vm = make_vm(seed=5)
-        assert np.array_equal(library.slot_trace(vm, 3), library.slot_trace(vm, 3))
+        trace = library.slot_trace(vm, 3)
+        fresh = TraceLibrary(steps_per_slot=60, seed=11)
+        assert np.array_equal(fresh.slot_trace(vm, 3), trace)
+        neighbours = [
+            make_vm(vm_id=vm_id, app_type=app_type, seed=40 + vm_id)
+            for vm_id, app_type in enumerate(AppType, start=1)
+        ]
+        batch = fresh.slot_demand_many(neighbours[:1] + [vm] + neighbours[1:], 3)
+        assert np.array_equal(batch[1], trace * vm.cores)
 
     def test_different_slots_differ(self, library):
         vm = make_vm(seed=5)
@@ -108,6 +118,41 @@ class TestFilterState:
             assert np.array_equal(
                 library.slot_trace(vm, slot), lfiltic_slot_trace(library, vm, slot)
             )
+
+
+class TestBatchedFilter:
+    """``slot_demand_many`` filters all its rows in one AR(1) pass with
+    a per-row coefficient; every row must still equal ``lfilter`` on
+    that VM's own draws."""
+
+    @staticmethod
+    def mixed_vms(count=9):
+        kinds = list(AppType)
+        return [
+            make_vm(
+                vm_id=vm_id,
+                app_type=kinds[vm_id % len(kinds)],
+                cores=1.0 + vm_id % 4,
+                seed=200 + vm_id,
+            )
+            for vm_id in range(count)
+        ]
+
+    @pytest.mark.parametrize("steps", [1, 60, 720])
+    @pytest.mark.parametrize("slot", [7, SLOTS_PER_DAY + 7])
+    def test_rows_match_lfilter(self, steps, slot):
+        library = TraceLibrary(steps_per_slot=steps, seed=11)
+        vms = self.mixed_vms()
+        matrix = library.slot_demand_many(vms, slot)
+        assert matrix.shape == (len(vms), steps)
+        for row, vm in zip(matrix, vms):
+            expected = lfiltic_slot_trace(library, vm, slot) * vm.cores
+            assert np.array_equal(row, expected)
+
+    @pytest.mark.parametrize("steps", [1, 60, 720])
+    def test_empty_batch(self, steps):
+        library = TraceLibrary(steps_per_slot=steps, seed=11)
+        assert library.slot_demand_many([], 0).shape == (0, steps)
 
 
 class TestWeekExtension:

@@ -13,7 +13,8 @@
 #                      subprocesses vs 1 over one shared store root
 #                      -> BENCH_fleet.json; skips below 4 CPUs),
 #                      the slot kernel's per-slot IT-power and
-#                      response-latency hot paths (bench_scaling), the
+#                      response-latency hot paths and cold-population
+#                      slot volumes (bench_scaling), the
 #                      discrete-event driver throughput + byte-identity
 #                      gate (bench_events -> BENCH_events.json) and the
 #                      campaign-ledger overhead gate (bench_suite:
@@ -36,7 +37,7 @@ bench-smoke:
 		benchmarks/bench_service.py benchmarks/bench_fleet.py \
 		benchmarks/bench_workload_cache.py benchmarks/bench_events.py \
 		benchmarks/bench_suite.py \
-		-k "orchestrator or it_power or response_latencies or store or service or fleet or workload or event_core or suite" \
+		-k "orchestrator or it_power or response_latencies or volumes or store or service or fleet or workload or event_core or suite" \
 		--benchmark-min-rounds=3
 
 # Nightly follow-up to bench-smoke: compact the segment store the

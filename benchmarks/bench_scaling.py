@@ -3,10 +3,12 @@
 The paper argues the two-phase split keeps the controller cheap enough
 for real-time hourly invocation.  These micro-benchmarks time each
 phase (embedding, constrained k-means, Algorithm 2, local allocation)
-on synthetic fleets of growing size, plus the slot kernel's per-slot
-physics hot paths (`_fleet_it_power`, `_response_latencies`).  Their
-bit-identity with the reference loops is a tier-1 test
-(``tests/sim/test_engine_vectorized.py``); these benches only time them.
+on synthetic fleets of growing size, the slot kernel's per-slot
+physics hot paths (`_fleet_it_power`, `_response_latencies`) and the
+volume layer on a population it has not seen.  Their bit-identity
+with the reference loops is a tier-1 test
+(``tests/sim/test_engine_vectorized.py``,
+``tests/workload/test_datacorr.py``); these benches only time them.
 """
 
 import numpy as np
@@ -22,8 +24,10 @@ from repro.datacenter.server import XEON_E5410
 from repro.network.ber import BERProcess
 from repro.network.latency import LatencyModel
 from repro.network.topology import GeoTopology
-from repro.sim.config import scaled_config
+from repro.sim.config import paper_config, scaled_config
 from repro.sim.engine import SimulationEngine
+from repro.workload.arrivals import VMPopulation
+from repro.workload.datacorr import DataCorrelationProcess
 
 
 def synthetic_inputs(n_vms: int, steps: int = 60, seed: int = 0):
@@ -168,3 +172,25 @@ def test_response_latencies_per_slot(benchmark, n_vms):
     )
     assert len(latencies) == 3
     assert all(latency > 0.0 for latency, _ in latencies)
+
+
+# -- workload generation -------------------------------------------------
+
+
+@pytest.mark.parametrize("n_vms", [300, 1177])
+def test_volumes_new_population(benchmark, n_vms):
+    """Slot-0 volumes of the first ``n_vms`` VMs alive at slot 0 of the
+    paper fleet (1,177 is all of them).  Each round gets a fresh
+    process, so its population and per-pair caches start cold: the
+    round pays the first-uniform pass over every pair, the
+    communicating pairs' seeded draws and the slot's jitter."""
+    config = paper_config()
+    vms = VMPopulation.generate(config.arrival_model, 1, seed=config.seed).alive(0)
+    vms = vms[:n_vms]
+    assert len(vms) == n_vms
+    matrix = benchmark.pedantic(
+        lambda process: process.volumes(vms, 0),
+        setup=lambda: ((DataCorrelationProcess(seed=config.seed + 2),), {}),
+        rounds=3,
+    )
+    assert matrix.volumes.shape == (n_vms, n_vms)

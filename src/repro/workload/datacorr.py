@@ -18,11 +18,15 @@ of cross-service pairs also communicates (``background_fraction``).  A
 paper's sentence.
 
 Generation is batched per slot: :meth:`DataCorrelationProcess.volumes`
-caches a per-population base matrix (every per-pair seeded draw, made
-once), indexes a 97-entry modulation table built with scalar
-arithmetic, and multiplies in one batched jitter draw.  The result
-equals a per-pair Python loop over the same draws bit for bit
-(``tests/workload/test_datacorr.py`` keeps that loop as an oracle).
+caches a per-population base matrix, indexes a 97-entry modulation
+table built with scalar arithmetic, and multiplies in one batched
+jitter draw.  The base matrix decides which pairs communicate from the
+service-equality mask and each pair generator's first uniform, derived
+for a block of rows at once by :func:`repro.seeding.first_randoms`
+without building the generators; only communicating pairs then make
+their seeded per-pair draws.  The result equals a per-pair Python loop
+over the same draws bit for bit (``tests/workload/test_datacorr.py``
+keeps that loop as an oracle).
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.seeding import rng_for
+from repro.seeding import first_randoms, rng_for
 from repro.workload.vm import VirtualMachine
 
 #: Paper's mean exchanged volume per pair per slot (MB).
@@ -57,7 +61,8 @@ class VolumeMatrix:
                 f"volume matrix shape {self.volumes.shape} does not match "
                 f"{n} vm ids"
             )
-        if np.any(self.volumes < 0):
+        # One pass that also rejects NaN, which compares false.
+        if not (self.volumes >= 0).all():
             raise ValueError("volumes must be non-negative")
         self._index = {vm_id: i for i, vm_id in enumerate(self.vm_ids)}
 
@@ -109,6 +114,10 @@ class DataCorrelationProcess:
     #: Distinct VM populations whose base/phase arrays stay cached.
     POPULATION_CACHE_SIZE = 8
 
+    #: Rows per first-uniform pass when deciding which pairs talk: the
+    #: pass's temporaries are O(ROW_BLOCK * n), not O(n^2).
+    ROW_BLOCK = 64
+
     def __init__(
         self,
         background_fraction: float = 0.005,
@@ -120,14 +129,20 @@ class DataCorrelationProcess:
     ) -> None:
         if not 0.0 <= background_fraction <= 1.0:
             raise ValueError("background_fraction must be in [0, 1]")
-        if background_scale < 0:
-            raise ValueError("background_scale must be non-negative")
+        if not (np.isfinite(background_scale) and background_scale >= 0):
+            raise ValueError("background_scale must be finite and non-negative")
+        if not (np.isfinite(modulation_period_slots) and modulation_period_slots > 0):
+            raise ValueError("modulation_period_slots must be finite and positive")
+        if not (np.isfinite(jitter_sigma) and jitter_sigma >= 0):
+            raise ValueError("jitter_sigma must be finite and non-negative")
         self.background_fraction = background_fraction
         self.background_scale = background_scale
         self.dense = dense
         self.modulation_period_slots = modulation_period_slots
         self.jitter_sigma = jitter_sigma
         self.seed = seed
+        #: Per-pair base volumes; :meth:`volumes` only adds the pairs
+        #: that communicate.
         self._base_cache: dict[tuple[int, int], float] = {}
         #: Per-population (base matrix, phase-index matrix) pairs keyed
         #: by the vm-id tuple; bounded FIFO since the engine only ever
@@ -198,24 +213,38 @@ class DataCorrelationProcess:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Base-volume and phase-index matrices for one population.
 
-        The base matrix realizes every per-pair seeded draw through
-        :meth:`pair_base_mb` in row-major (a, b) order, filling the
-        per-pair ``_base_cache`` as it goes.  Cached per vm-id tuple:
-        the alive set changes slot to slot but repeats heavily, so the
-        O(n^2) Python work runs once per population instead of twice
-        per slot.
+        Pairs communicate if they share a service or their generator's
+        first uniform is below ``background_fraction``; that uniform is
+        :func:`~repro.seeding.first_randoms` over :attr:`ROW_BLOCK` rows
+        at a time, so silent pairs build no generator.  Only the
+        communicating pairs go through :meth:`pair_base_mb` (every pair
+        when ``dense``), filling the per-pair ``_base_cache``.  Cached
+        per vm-id tuple: the alive set changes slot to slot but repeats
+        heavily, so this runs once per population instead of twice per
+        slot.
         """
         key = tuple(vm.vm_id for vm in vms)
         cached = self._population_cache.get(key)
         if cached is not None:
             return cached
         n = len(vms)
-        base = np.zeros((n, n))
-        for a, src in enumerate(vms):
-            for b, dst in enumerate(vms):
-                if a != b:
-                    base[a, b] = self.pair_base_mb(src, dst)
         ids = np.array(key, dtype=np.int64).reshape(n)
+        base = np.zeros((n, n))
+        if self.dense:
+            talks = np.ones((n, n), dtype=bool)
+        else:
+            services = np.array([vm.service_id for vm in vms], dtype=np.int64)
+            talks = np.empty((n, n), dtype=bool)
+            for start in range(0, n, self.ROW_BLOCK):
+                rows = slice(start, start + self.ROW_BLOCK)
+                uniforms = first_randoms(
+                    self.seed, "pair", ids[rows, None], ids[None, :]
+                )
+                np.less(uniforms, self.background_fraction, out=talks[rows])
+                talks[rows] |= services[rows, None] == services[None, :]
+        np.fill_diagonal(talks, False)
+        for a, b in np.argwhere(talks).tolist():
+            base[a, b] = self.pair_base_mb(vms[a], vms[b])
         phase_index = (ids[:, None] * 31 + ids[None, :] * 17) % self.PHASE_MODULUS
         while len(self._population_cache) >= self.POPULATION_CACHE_SIZE:
             self._population_cache.pop(next(iter(self._population_cache)))
@@ -226,8 +255,8 @@ class DataCorrelationProcess:
         """Resident size of the generator caches, for cache telemetry.
 
         Counts the per-pair base scalars (float + 2-int dict keys,
-        ~100 bytes of CPython overhead each) and the per-population
-        matrices.  Consumed by
+        ~100 bytes of CPython overhead each; only communicating pairs
+        are cached) and the per-population matrices.  Consumed by
         :meth:`~repro.workload.materialize.WorkloadMaterialization.approx_bytes`
         so ``workload_cache`` byte counters reflect what sharing a
         materialization actually keeps alive.

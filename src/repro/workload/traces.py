@@ -13,6 +13,9 @@ not public, so this module synthesizes an equivalent library:
   measured day;
 * traces are generated *per (vm, slot)* from a deterministic seed, so
   the library needs O(steps_per_slot) memory regardless of horizon;
+* the generators of a call's (vm, slot) rows and day-0 offsets come
+  from one batched seeding pass (:func:`repro.seeding.rngs_for`), equal
+  to one ``rng_for`` per row; the normal draws stay per row;
 * the AR(1) recurrence runs once per call over every requested row,
   one step at a time with a per-row coefficient, so a batch of VMs
   costs one pass rather than one filter per VM.
@@ -28,8 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.seeding import rng_for
-
+from repro.seeding import rngs_for
 from repro.workload.vm import AppType, VirtualMachine
 
 #: Number of slots (hours) per day.
@@ -120,48 +122,62 @@ class TraceLibrary:
         self.extension_sigma = extension_sigma
         self.seed = seed
 
-    def _rng(self, vm: VirtualMachine, slot: int) -> np.random.Generator:
-        """RNG for a (vm, slot) cell, stable across calls."""
-        return rng_for(self.seed, vm.seed, vm.vm_id, slot)
-
-    def _day_zero_rng(self, vm: VirtualMachine, hour: int) -> np.random.Generator:
-        """RNG used by every day for day-0's hour-level realization."""
-        return rng_for(self.seed, vm.seed, vm.vm_id, "day0", hour)
-
     def _hour_of_day(self, vm: VirtualMachine, slot: int) -> float:
         return (slot + vm.phase_hours) % SLOTS_PER_DAY
+
+    @staticmethod
+    def _tags(vms: list[VirtualMachine]) -> tuple[np.ndarray, np.ndarray]:
+        """Per-VM seed and id arrays, the batched seeding tags."""
+        seeds = np.array([vm.seed for vm in vms], dtype=np.int64)
+        ids = np.array([vm.vm_id for vm in vms], dtype=np.int64)
+        return seeds, ids
+
+    def _slot_means(self, vms: list[VirtualMachine], slot: int) -> np.ndarray:
+        """Mean utilization (fraction) of each VM in ``vms`` during ``slot``.
+
+        Day 0 realizes the archetype mean plus a per-hour offset, drawn
+        from the ``(seed, vm.seed, vm.vm_id, "day0", hour)`` generator;
+        later days replay day 0's value (same mean), matching the
+        extension rule.
+        """
+        hours = [self._hour_of_day(vm, slot) for vm in vms]
+        day0 = rngs_for(
+            self.seed, *self._tags(vms), "day0",
+            np.array([int(hour) for hour in hours], dtype=np.int64),
+        )
+        means = np.empty(len(vms))
+        for index, (vm, hour, rng) in enumerate(zip(vms, hours, day0)):
+            profile = PROFILES[vm.app_type]
+            base = float(diurnal_mean(profile, hour))
+            offset = float(rng.normal(0.0, profile.noise_sigma * 0.5))
+            means[index] = np.clip(base + offset, 0.02, 0.98)
+        return means
 
     def slot_mean(self, vm: VirtualMachine, slot: int) -> float:
         """Mean utilization (fraction) of ``vm`` during ``slot``.
 
-        Day 0 realizes the archetype mean plus a per-hour offset; later
-        days replay day 0's value (same mean), matching the extension
-        rule.  Used by forecasts and by tests as the trace ground truth.
+        The one-VM case of :meth:`_slot_means`, part of the trace
+        provider interface; tests use it as the trace ground truth.
         """
-        profile = PROFILES[vm.app_type]
-        hour = self._hour_of_day(vm, slot)
-        base = float(diurnal_mean(profile, hour))
-        day0 = self._day_zero_rng(vm, int(hour))
-        offset = float(day0.normal(0.0, profile.noise_sigma * 0.5))
-        return float(np.clip(base + offset, 0.02, 0.98))
+        return float(self._slot_means([vm], slot)[0])
 
     def _fractions(self, vms: list[VirtualMachine], slot: int) -> np.ndarray:
         """Utilization fractions of every VM in ``vms`` over ``slot``.
 
         Draws each row's AR(1) innovations and start level from the
-        (vm, slot) RNG, in ``vms`` order, then filters all rows in one
-        pass.  Days after the first add fresh same-mean variance
-        (``extension_sigma``), the paper's week-extension rule.
+        ``(seed, vm.seed, vm.vm_id, slot)`` generator, in ``vms``
+        order, then filters all rows in one pass.  Days after the first
+        add fresh same-mean variance (``extension_sigma``), the paper's
+        week-extension rule.
         """
         count = len(vms)
         noise = np.empty((count, self.steps_per_slot))
-        means = np.empty(count)
+        means = self._slot_means(vms, slot)
         rho = np.empty(count)
         level = np.empty(count)
-        for index, vm in enumerate(vms):
+        rngs = rngs_for(self.seed, *self._tags(vms), slot)
+        for index, (vm, rng) in enumerate(zip(vms, rngs)):
             profile = PROFILES[vm.app_type]
-            means[index] = self.slot_mean(vm, slot)
-            rng = self._rng(vm, slot)
             sigma = profile.noise_sigma
             if slot >= SLOTS_PER_DAY:
                 sigma = float(np.hypot(sigma, self.extension_sigma))

@@ -26,6 +26,12 @@ class TestVolumeMatrix:
         with pytest.raises(ValueError, match="non-negative"):
             VolumeMatrix(vm_ids=[1, 2], volumes=np.array([[0.0, -1.0], [0.0, 0.0]]))
 
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            VolumeMatrix(
+                vm_ids=[1, 2], volumes=np.array([[0.0, np.nan], [0.0, 0.0]])
+            )
+
     def test_volume_lookup_by_id(self):
         matrix = VolumeMatrix(
             vm_ids=[10, 20], volumes=np.array([[0.0, 3.0], [7.0, 0.0]])
@@ -149,6 +155,24 @@ class TestVolumesMatrixGeneration:
         with pytest.raises(ValueError, match="background_scale"):
             DataCorrelationProcess(background_scale=-0.1)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("modulation_period_slots", 0.0),
+            ("modulation_period_slots", -24.0),
+            ("modulation_period_slots", np.nan),
+            ("background_scale", np.nan),
+            ("background_scale", np.inf),
+            ("jitter_sigma", -0.1),
+            ("jitter_sigma", np.nan),
+        ],
+    )
+    def test_bad_parameters_rejected_at_construction(self, name, value):
+        """Each used to fail only at the first ``volumes`` call, or to
+        yield NaN volumes."""
+        with pytest.raises(ValueError, match=name):
+            DataCorrelationProcess(**{name: value})
+
 
 class TestVolumeMatrixEdgeCases:
     def test_single_vm_population(self, process):
@@ -199,6 +223,24 @@ class TestVectorizedEquivalence:
             batched = process.volumes(vms, slot)
             assert batched.vm_ids == reference.vm_ids
             assert np.array_equal(batched.volumes, reference.volumes)
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 129])
+    def test_bit_identical_at_row_block_edges(self, n):
+        """One row short of, exactly at and past the first-uniform
+        pass's row block, with background-talking pairs."""
+        vms = make_population(n)
+        process = DataCorrelationProcess(background_fraction=0.05, seed=31)
+        loop = LoopVolumes(DataCorrelationProcess(background_fraction=0.05, seed=31))
+        for slot in (0, 5):
+            assert np.array_equal(
+                process.volumes(vms, slot).volumes, loop.volumes(vms, slot).volumes
+            )
+        base, _ = process._population_arrays(vms)
+        services = np.array([vm.service_id for vm in vms])
+        cross = services[:, None] != services[None, :]
+        assert (base[cross] > 0).sum() > 0
+        # Only communicating pairs reach the per-pair cache.
+        assert len(process._base_cache) == int((base > 0).sum())
 
     def test_bit_identical_dense(self):
         vms = make_population(12)

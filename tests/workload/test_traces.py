@@ -5,6 +5,7 @@ import pytest
 from scipy.signal import lfilter, lfiltic
 
 from tests.conftest import make_vm
+from repro.seeding import rng_for
 from repro.workload.traces import (
     PROFILES,
     SLOTS_PER_DAY,
@@ -92,10 +93,14 @@ class TestSlotTrace:
 
 
 def lfiltic_slot_trace(library, vm, slot):
-    """``slot_trace`` with its filter state built by ``lfiltic``."""
+    """``slot_trace`` from one ``rng_for`` generator per draw site, with
+    its filter state built by ``lfiltic``."""
     profile = PROFILES[vm.app_type]
-    mean = library.slot_mean(vm, slot)
-    rng = library._rng(vm, slot)
+    hour = (slot + vm.phase_hours) % SLOTS_PER_DAY
+    day0 = rng_for(library.seed, vm.seed, vm.vm_id, "day0", int(hour))
+    offset = float(day0.normal(0.0, profile.noise_sigma * 0.5))
+    mean = float(np.clip(float(diurnal_mean(profile, hour)) + offset, 0.02, 0.98))
+    rng = rng_for(library.seed, vm.seed, vm.vm_id, slot)
     sigma = profile.noise_sigma
     if slot >= SLOTS_PER_DAY:
         sigma = float(np.hypot(sigma, library.extension_sigma))
@@ -133,6 +138,9 @@ class TestBatchedFilter:
                 vm_id=vm_id,
                 app_type=kinds[vm_id % len(kinds)],
                 cores=1.0 + vm_id % 4,
+                # Fractional phases put the day-0 hour tag's truncation
+                # under test.
+                phase_hours=0.75 * vm_id,
                 seed=200 + vm_id,
             )
             for vm_id in range(count)

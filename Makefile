@@ -9,9 +9,6 @@
 #                      gzip + headline-projected submit_many vs one
 #                      one-entry batch POST per artifact ->
 #                      BENCH_service.json),
-#                      the fleet cold-sweep scale-out (3 daemon
-#                      subprocesses vs 1 over one shared store root
-#                      -> BENCH_fleet.json; skips below 4 CPUs),
 #                      the slot kernel's per-slot IT-power and
 #                      response-latency hot paths and cold-population
 #                      slot volumes (bench_scaling), the
@@ -34,10 +31,9 @@ test:
 bench-smoke:
 	$(PYTEST) -q benchmarks/bench_orchestrator.py \
 		benchmarks/bench_scaling.py benchmarks/bench_store.py \
-		benchmarks/bench_service.py benchmarks/bench_fleet.py \
-		benchmarks/bench_workload_cache.py benchmarks/bench_events.py \
-		benchmarks/bench_suite.py \
-		-k "orchestrator or it_power or response_latencies or volumes or store or service or fleet or workload or event_core or suite" \
+		benchmarks/bench_service.py benchmarks/bench_workload_cache.py \
+		benchmarks/bench_events.py benchmarks/bench_suite.py \
+		-k "orchestrator or it_power or response_latencies or volumes or store or service or workload or event_core or suite" \
 		--benchmark-min-rounds=3
 
 # Nightly follow-up to bench-smoke: compact the segment store the

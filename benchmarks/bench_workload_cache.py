@@ -124,9 +124,9 @@ def _assert_identical(cached_artifacts, plain_artifacts):
 def test_workload_cache_cold_sweep(report_dir):
     """Gate: cache+sticky+shm >= 2x cache-off on a same-workload sweep.
 
-    Unlike the fleet bench, this gate holds on any CPU count: the win
-    is *eliminated recomputation* (one workload materialization
-    instead of twelve), not parallel overlap, so there is no skip.
+    This gate holds on any CPU count: the win is *eliminated
+    recomputation* (one workload materialization instead of twelve),
+    not parallel overlap, so there is no skip.
     """
     cached_elapsed, cached_artifacts, cache_stats = _timed_cold_sweep(
         _sweep_requests(), workload_cache=4

@@ -51,12 +51,10 @@ warm ``--store`` exactly like synthetic ones.
 Remote execution: ``--service URL`` resolves every run against a
 shared ``repro serve`` daemon instead of in-process -- same analysis
 code, same artifacts, one store and worker pool shared by all clients.
-Naming several members (``--service URL1,URL2,...`` or ``@FILE``)
-routes each fingerprint to exactly one daemon of a fleet sharing a
-store root, scaling cold-miss execution across hosts (``repro fleet
-status`` probes the members).  ``--service`` excludes ``--store`` (the
-store is the daemon's), and connection failures exit with a clean
-error message.
+``--service`` refuses the daemon-side flags ``--store``,
+``--store-backend``, ``--jobs`` and ``--workload-cache`` (pass them
+to ``repro serve``), and connection failures exit with a clean error
+message.
 """
 
 from __future__ import annotations
@@ -93,13 +91,7 @@ from repro.experiments.runner import (
 )
 from repro.experiments.scenarios import format_outcomes, run_scenarios
 from repro.reporting import bar_chart, histogram, series_panel
-from repro.service import (
-    ExperimentDaemon,
-    FleetClient,
-    ServiceClient,
-    ServiceError,
-    parse_fleet_spec,
-)
+from repro.service import ExperimentDaemon, ServiceClient, ServiceError
 from repro.service.client import ServiceRunError
 from repro.sim.config import (
     EngineCoreConfig,
@@ -162,11 +154,9 @@ def _orchestrator_from(args: argparse.Namespace):
     ``--service URL`` swaps the in-process orchestrator for a
     :class:`~repro.service.client.ServiceClient` against a running
     ``repro serve`` daemon -- same futures surface, so every command
-    works unchanged.  Naming several members (``URL1,URL2,...`` or a
-    fleet file) builds a
-    :class:`~repro.service.fleet.FleetClient` instead, fanning miss
-    execution out across the fleet.  The two execution backends are
-    mutually exclusive with ``--store`` (the store lives daemon-side).
+    works unchanged.  The store, its layout, the worker pool and the
+    workload cache then live daemon-side, so the flags that configure
+    them are refused rather than silently ignored.
     """
     show_progress = (
         args.progress if args.progress is not None else sys.stderr.isatty()
@@ -179,25 +169,26 @@ def _orchestrator_from(args: argparse.Namespace):
                 "(the result store belongs to the daemon; pass --store "
                 "to 'repro serve' instead)"
             )
-        if args.jobs != 1:
-            raise SystemExit(
-                "error: --jobs has no effect with --service (worker "
-                "capacity is the daemon's; pass --jobs to 'repro serve')"
-            )
+        for flag, given, owned in (
+            ("--jobs", args.jobs != 1, "worker capacity"),
+            ("--store-backend", args.store_backend != "auto", "the store"),
+            (
+                "--workload-cache",
+                args.workload_cache is not None,
+                "the workload cache",
+            ),
+        ):
+            if given:
+                raise SystemExit(
+                    f"error: {flag} has no effect with --service ({owned} "
+                    f"is the daemon's; pass {flag} to 'repro serve')"
+                )
         try:
-            urls = parse_fleet_spec(args.service)
-            if len(urls) > 1:
-                client: ServiceClient | FleetClient = FleetClient(
-                    urls,
-                    use_store=not args.no_cache,
-                    progress=progress,
-                )
-            else:
-                client = ServiceClient(
-                    urls[0],
-                    use_store=not args.no_cache,
-                    progress=progress,
-                )
+            client = ServiceClient(
+                args.service,
+                use_store=not args.no_cache,
+                progress=progress,
+            )
             client.ping()
         except ServiceError as error:
             raise SystemExit(f"error: {error}") from None
@@ -485,65 +476,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     finally:
         daemon.close()
     return 0
-
-
-def _workload_cache_cell(stats: dict | None) -> str:
-    """Compact per-member workload-cache column for ``fleet status``.
-
-    ``hits/lookups @ MiB`` for an enabled cache, ``off`` when the
-    member disabled it, ``-`` for old daemons that don't report one.
-    """
-    if not stats:
-        return "-"
-    if not stats.get("enabled"):
-        return "off"
-    hits = stats.get("hits", 0)
-    lookups = hits + stats.get("misses", 0)
-    mib = stats.get("bytes", 0) / (1 << 20)
-    return f"{hits}/{lookups} @ {mib:.0f}MiB"
-
-
-def _engine_modes_cell(counts: dict | None) -> str:
-    """Compact per-member engine-mode column for ``fleet status``.
-
-    ``slot:N,event:M`` (only modes actually seen, slot first), or
-    ``-`` for old daemons that don't report the counts or members
-    that haven't decoded a submission yet.
-    """
-    if not counts:
-        return "-"
-    order = {"slot": 0, "event": 1}
-    modes = sorted(counts, key=lambda mode: (order.get(mode, 99), mode))
-    return ",".join(f"{mode}:{counts[mode]}" for mode in modes)
-
-
-def cmd_fleet_status(args: argparse.Namespace) -> int:
-    """Probe every fleet member; exit 0 only when all are alive."""
-    fleet = FleetClient(parse_fleet_spec(args.service))
-    payload = fleet.status()["fleet"]
-    print(
-        f"{'member':<28} {'state':<6} {'daemon-id':<20} "
-        f"{'jobs':>4} {'inflight':>8} {'queued':>6} {'wl-cache':>14} "
-        f"{'engines':>14}"
-    )
-    for member in payload["members"]:
-        if member["alive"]:
-            print(
-                f"{member['url']:<28} {'up':<6} "
-                f"{member['daemon_id'] or '-':<20} "
-                f"{member['jobs'] or 0:>4} {member['inflight'] or 0:>8} "
-                f"{member['queue_depth'] or 0:>6} "
-                f"{_workload_cache_cell(member.get('workload_cache')):>14} "
-                f"{_engine_modes_cell(member.get('engine_modes')):>14}"
-            )
-        else:
-            print(
-                f"{member['url']:<28} {'down':<6} "
-                f"{member['error'] or 'unreachable'}"
-            )
-    print(f"{payload['alive']}/{payload['total']} members alive")
-    fleet.close()
-    return 0 if payload["alive"] == payload["total"] else 1
 
 
 def cmd_packs(args: argparse.Namespace) -> int:
@@ -836,10 +768,11 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument(
             "--service",
             default=None,
-            metavar="URLS",
-            help="resolve runs against 'repro serve' daemon(s) instead of "
-            "in-process: one URL, URL1,URL2,... for a fleet, or @FILE "
-            "with one URL per line (mutually exclusive with --store)",
+            metavar="URL",
+            help="resolve runs against a 'repro serve' daemon at "
+            "http://host:port instead of in-process (--store, "
+            "--store-backend, --jobs and --workload-cache then belong "
+            "to 'repro serve')",
         )
         sub.add_argument(
             "--engine",
@@ -946,9 +879,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--daemon-id",
         default=None,
         metavar="ID",
-        help="stable member identity for fleet provenance (default: the "
-        "bound host:port); echoed in /healthz and /stats and stamped "
-        "into every stored artifact's meta",
+        help="stable daemon identity (default: the bound host:port); "
+        "echoed in /healthz and /stats and stamped into every stored "
+        "artifact's meta, so a restart under the same id writes the "
+        "same bytes",
     )
     serve.add_argument(
         "--workload-cache",
@@ -960,21 +894,6 @@ def build_parser() -> argparse.ArgumentParser:
         "or 4); counters surface in /stats as 'workload_cache'",
     )
     serve.set_defaults(func=cmd_serve)
-
-    fleet = subparsers.add_parser(
-        "fleet", help="fleet introspection (status)"
-    )
-    fleet_sub = fleet.add_subparsers(dest="fleet_command", required=True)
-    fleet_status = fleet_sub.add_parser(
-        "status", help="probe every member; exit 0 when all are alive"
-    )
-    fleet_status.add_argument(
-        "--service",
-        required=True,
-        metavar="URLS",
-        help="fleet members: URL1,URL2,... or @FILE with one URL per line",
-    )
-    fleet_status.set_defaults(func=cmd_fleet_status)
 
     suite = subparsers.add_parser(
         "suite",
@@ -1000,10 +919,11 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument(
             "--service",
             default=None,
-            metavar="URLS",
-            help="execute through 'repro serve' daemon(s): one URL, "
-            "URL1,URL2,... for a fleet, or @FILE (mutually exclusive "
-            "with --store; pair with --ledger)",
+            metavar="URL",
+            help="execute through a 'repro serve' daemon at "
+            "http://host:port (--store, --store-backend, --jobs and "
+            "--workload-cache then belong to 'repro serve'; pair with "
+            "--ledger)",
         )
         sub.add_argument(
             "--ledger",

@@ -466,8 +466,8 @@ class Orchestrator:
         Extra store-document ``meta`` keys stamped onto every run this
         orchestrator records, merged over :func:`run_meta`'s derived
         labels.  Provenance only -- never part of the fingerprint (the
-        service daemon stamps ``{"daemon": <id>}`` here so fleet
-        members are attributable in the shared store).
+        service daemon stamps ``{"daemon": <id>}`` here, so every
+        stored artifact names the daemon that executed it).
     workload_cache:
         Materializations each process keeps warm (LRU entries).  ``0``
         disables the whole workload-cache layer -- plain pool, full
@@ -682,7 +682,7 @@ class Orchestrator:
         Sums the serial in-process cache with the latest snapshot each
         pool worker returned (workers report absolute counters, so the
         latest per pid is the total per pid).  Surfaced by the service
-        daemon's ``/stats`` and ``repro fleet status``.
+        daemon's ``/stats``.
         """
         stats = {
             "enabled": self.workload_cache > 0,

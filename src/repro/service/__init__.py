@@ -17,29 +17,14 @@ store, one in-flight dedup table:
   ``GET /runs/<fp>``, ``/healthz``, ``/stats``);
 * :mod:`repro.service.client` -- :class:`ServiceClient`, a drop-in
   :class:`~repro.experiments.orchestrator.Orchestrator` replacement
-  that resolves runs against a remote daemon (the CLI's ``--service``
-  path);
-* :mod:`repro.service.fleet` -- :class:`FleetClient`, the same
-  consumer surface over *many* daemons sharing one store root,
-  routing each fingerprint to exactly one member by rendezvous
-  hashing and failing dead members over (the CLI's
-  ``--service URL1,URL2,...`` path).
+  that resolves runs against one remote daemon (the CLI's
+  ``--service URL`` path).
 
-See DESIGN.md ("Experiment service", "Fleet") for the wire protocol,
-dedup semantics and when to choose the in-process orchestrator (or a
-single big daemon) instead.
+See DESIGN.md ("Experiment service") for the wire protocol, dedup
+semantics and when to choose the in-process orchestrator instead.
 """
 
-from repro.service.client import (
-    ServiceClient,
-    ServiceError,
-    ServiceUnavailable,
-)
-from repro.service.fleet import (
-    FleetClient,
-    parse_fleet_spec,
-    rendezvous_member,
-)
+from repro.service.client import ServiceClient, ServiceError
 from repro.service.protocol import (
     WIRE_VERSION,
     WireError,
@@ -52,16 +37,12 @@ from repro.service.server import ExperimentDaemon
 
 __all__ = [
     "ExperimentDaemon",
-    "FleetClient",
     "ServiceClient",
     "ServiceError",
-    "ServiceUnavailable",
     "WIRE_VERSION",
     "WireError",
     "decode_artifact",
     "decode_request",
     "encode_artifact",
     "encode_request",
-    "parse_fleet_spec",
-    "rendezvous_member",
 ]

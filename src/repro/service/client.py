@@ -40,11 +40,9 @@ envelopes, ``detail`` projections, gzip response bodies via
 fetch the full ledger over the wire only when a consumer asks for
 something beyond the headline block.
 
-Connection-level failures raise :class:`ServiceUnavailable` (a
-:class:`ServiceError` subclass; the CLI maps both to a clean nonzero
-exit, and the fleet router uses the distinction to fail members over
--- an unreachable daemon is rerouted around, a protocol rejection is
-not); a run that *failed on the daemon* raises a
+Every failure to reach the daemon or to get a protocol answer from it
+raises :class:`ServiceError` (the CLI maps it to a clean nonzero
+exit); a run that *failed on the daemon* raises a
 :class:`ServiceRunError` carrying the daemon-side message.  A request
 that dies on a stale keep-alive socket (the daemon closes idle
 connections server-side) is retried once on a fresh connection before
@@ -52,9 +50,8 @@ any error surfaces.
 
 The HTTP plumbing lives in :class:`HttpTransport` -- per-thread
 keep-alive connections, the stale-socket retry, gzip negotiation and
-JSONL parsing -- factored out of the client so fleet-level code
-(:mod:`repro.service.fleet`) composes one transport per member
-without duplicating the orchestrator-surface semantics.
+JSONL parsing -- so the client itself holds only the
+orchestrator-surface semantics (envelopes, futures).
 """
 
 from __future__ import annotations
@@ -89,12 +86,9 @@ __all__ = [
     "ServiceClient",
     "ServiceError",
     "ServiceRunError",
-    "ServiceUnavailable",
 ]
 
-#: Seconds of server-side blocking requested per long-poll/stream call
-#: (constructor-tunable via ``poll_wait_s``; fleet failover tests use
-#: short waits so a dead member is noticed quickly).
+#: Seconds of server-side blocking requested per long-poll/stream call.
 _POLL_WAIT_S = 30.0
 
 #: Fingerprints per ``POST /runs/poll`` chunk (fingerprint-only lines
@@ -123,17 +117,12 @@ _STALE_SOCKET_ERRORS = (
 
 
 class ServiceError(ConnectionError):
-    """The daemon is unreachable or answered outside the protocol."""
+    """The daemon is unreachable, unreadable or refused a request.
 
-
-class ServiceUnavailable(ServiceError):
-    """The daemon cannot be reached (or its reply was unreadable).
-
-    Distinct from plain :class:`ServiceError` (a well-delivered
-    protocol rejection: bad envelope, refused run) because the fleet
-    router treats the two differently -- an unreachable member is
-    marked down and its pending work rerouted; a rejection is
-    terminal and surfaces to the caller.
+    Raised for a malformed service URL, a connection that cannot be
+    made or dies mid-reply, and a clean protocol rejection (bad
+    envelope, refused run) alike; a run that failed *on* the daemon
+    raises :class:`ServiceRunError` instead.
     """
 
 
@@ -212,7 +201,7 @@ class HttpTransport:
         inflated transparently; request bodies of
         :data:`_COMPRESS_MIN_BYTES` or more are gzipped when
         ``compress`` is on.  Connection-level failures raise
-        :class:`ServiceUnavailable`.
+        :class:`ServiceError`.
         """
         timeout_s = self.timeout_s if timeout_s is None else timeout_s
         headers = {"Content-Type": "application/json", **self.extra_headers}
@@ -252,7 +241,7 @@ class HttpTransport:
                     error, _STALE_SOCKET_ERRORS
                 ):
                     continue  # stale keep-alive socket; retry once
-                raise ServiceUnavailable(
+                raise ServiceError(
                     f"cannot reach experiment service at {self.url}: "
                     f"{type(error).__name__}: {error}"
                 ) from None
@@ -284,9 +273,6 @@ class ServiceClient:
     compress:
         Negotiate gzip on responses (``Accept-Encoding``) and gzip
         large request bodies.
-    poll_wait_s:
-        Server-side blocking per long-poll/stream call.  Fleet
-        routing lowers this so a dead member is noticed quickly.
     """
 
     def __init__(
@@ -297,7 +283,6 @@ class ServiceClient:
         timeout_s: float = 10.0,
         detail: str = "full",
         compress: bool = True,
-        poll_wait_s: float | None = None,
     ) -> None:
         parts = urlsplit(url if "//" in url else f"http://{url}")
         try:
@@ -309,6 +294,7 @@ class ServiceClient:
             parts is None
             or parts.scheme != "http"
             or not parts.hostname
+            or "@" in parts.netloc  # userinfo would be dropped silently
             or parts.path.strip("/")
             or parts.query
         ):
@@ -323,9 +309,6 @@ class ServiceClient:
         self.timeout_s = timeout_s
         self.detail = check_detail(detail)
         self.compress = compress
-        self.poll_wait_s = (
-            _POLL_WAIT_S if poll_wait_s is None else float(poll_wait_s)
-        )
         self.jobs = 0  # execution capacity lives daemon-side
         self._transport = HttpTransport(
             self.host, self.port, timeout_s, compress
@@ -358,10 +341,10 @@ class ServiceClient:
         )
 
     def ping(self) -> dict:
-        """``GET /healthz``; raises :class:`ServiceUnavailable` if down."""
+        """``GET /healthz``; raises :class:`ServiceError` if down."""
         status, payload = self._request("GET", "/healthz")
         if status != 200 or payload.get("status") != "ok":
-            raise ServiceUnavailable(
+            raise ServiceError(
                 f"experiment service at {self.url} is unhealthy: "
                 f"HTTP {status} {payload!r}"
             )
@@ -438,7 +421,7 @@ class ServiceClient:
             with self._lock:
                 if fingerprint not in self._pending:
                     return  # settled by a concurrent stream/poll
-            wait_s = self.poll_wait_s
+            wait_s = _POLL_WAIT_S
             if deadline is not None:
                 wait_s = min(wait_s, deadline - time.monotonic())
                 if wait_s <= 0:
@@ -715,7 +698,7 @@ class ServiceClient:
                 pending.setdefault(future.fingerprint, []).append(future)
         deadline = None if timeout is None else time.monotonic() + timeout
         while pending:
-            wait_s = self.poll_wait_s
+            wait_s = _POLL_WAIT_S
             if deadline is not None:
                 wait_s = min(wait_s, deadline - time.monotonic())
                 if wait_s <= 0:
@@ -818,7 +801,7 @@ class ServiceClient:
         except (ConnectionError, TimeoutError, OSError) as error:
             if isinstance(error, ServiceError):
                 raise
-            raise ServiceUnavailable(
+            raise ServiceError(
                 f"stream from {self.url} died: {type(error).__name__}: "
                 f"{error}"
             ) from None

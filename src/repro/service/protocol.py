@@ -277,44 +277,18 @@ def encode_pending(fingerprint: str) -> dict:
     }
 
 
-def encode_health(
-    daemon_id: str,
-    jobs: int,
-    inflight: int,
-    queue_depth: int,
-    workload_cache: dict | None = None,
-    engine_modes: dict | None = None,
-) -> dict:
-    """The ``GET /healthz`` payload: liveness plus load.
+def encode_health(daemon_id: str) -> dict:
+    """The ``GET /healthz`` payload: liveness and the daemon's identity.
 
-    Besides the liveness fields this carries the
-    member's identity and load so a fleet router can weight or skip
-    saturated members without a second ``/stats`` round trip:
-    ``jobs`` (executor width), ``inflight`` (runs executing or queued
-    daemon-side) and ``queue_depth`` (``max(0, inflight - jobs)`` --
-    work that cannot start until a slot frees).  ``workload_cache``
-    (optional -- old daemons simply omit it) summarizes the member's
-    workload materialization cache so ``repro fleet status`` can show
-    cache efficacy per member without a ``/stats`` round trip.
-    ``engine_modes`` (optional, same omission contract) counts the
-    decoded submissions per simulation driver (``{"slot": N,
-    "event": M}``) so the fleet view can show which engine cores a
-    member has been serving.
+    Load, cache and engine-mode counters live in ``/stats`` only, so
+    a health probe costs the daemon no lock.
     """
-    payload = {
+    return {
         "wire_version": WIRE_VERSION,
         "kind": "health",
         "status": "ok",
         "daemon_id": daemon_id,
-        "jobs": int(jobs),
-        "inflight": int(inflight),
-        "queue_depth": int(queue_depth),
     }
-    if workload_cache is not None:
-        payload["workload_cache"] = workload_cache
-    if engine_modes is not None:
-        payload["engine_modes"] = engine_modes
-    return payload
 
 
 def encode_error(

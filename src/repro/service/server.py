@@ -26,13 +26,17 @@ it.  Endpoints:
     :data:`MAX_WAIT_S`) for completion; replies ``200`` artifact,
     ``202`` pending, ``404`` unknown, or ``500`` with the run's error.
     ``detail`` selects the projection level.
-``GET /healthz`` and ``GET /stats``
-    Liveness and load, and counters (submitted/hits/computed/errors,
-    in-flight, the store's own counters, and the wire block: bytes
-    in/out, gzip vs identity replies, batch sizes, request-latency
-    p50/p99).  ``hits`` counts runs served from the store: warm batch
-    entries, and polls or lookups that find the run stored on their
-    first look.
+``GET /healthz``
+    Liveness and identity: ``status`` and ``daemon_id``.  Building the
+    payload takes no lock.
+``GET /stats``
+    Load and counters (submitted/hits/computed/errors, in-flight and
+    queue depth, the store's own counters, the workload cache, engine
+    modes, per-campaign submissions, and the wire block: bytes in/out,
+    gzip vs identity replies, batch sizes, request-latency p50/p99).
+    ``hits`` counts runs served from the store: warm batch entries,
+    and polls or lookups that find the run stored on their first
+    look.
 
 Every other path answers ``404``; on a POST that reply also closes the
 connection, because the unread body would desync keep-alive framing.
@@ -85,7 +89,6 @@ from concurrent.futures import (
     ThreadPoolExecutor,
     wait,
 )
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Iterator
 from urllib.parse import parse_qs, urlsplit
@@ -146,6 +149,11 @@ _LATENCY_WINDOW = 4096
 #: Most-recent campaign ids kept in the per-campaign submission tally.
 _CAMPAIGN_WINDOW = 256
 
+#: Seconds between ``serve_forever``'s shutdown checks.  ``close()``
+#: blocks until the serving loop notices, so the stdlib default of
+#: 0.5 s would add up to half a second to every daemon teardown.
+_SERVE_POLL_INTERVAL_S = 0.05
+
 
 class ExperimentDaemon:
     """One orchestrator served over HTTP to many clients.
@@ -165,11 +173,11 @@ class ExperimentDaemon:
         Keep-alive connections idle this long are closed server-side;
         ``None`` disables the idle reaper (connections park forever).
     daemon_id:
-        Stable member identity for fleet provenance (default
-        ``host:port`` of the bound address).  Echoed in ``/healthz``
-        and ``/stats`` and stamped into every artifact this daemon
-        records (the store document's ``meta.daemon``), so a sweep
-        spread over a fleet remains attributable per member.
+        Stable identity of this daemon (default ``host:port`` of the
+        bound address).  Echoed in ``/healthz`` and ``/stats`` and
+        stamped into every artifact this daemon records (the store
+        document's ``meta.daemon``); a daemon restarted on the same
+        store under the same id writes the same document bytes.
     """
 
     def __init__(
@@ -184,7 +192,6 @@ class ExperimentDaemon:
         self.orchestrator = orchestrator
         self.max_body_bytes = int(max_body_bytes)
         self.idle_timeout_s = idle_timeout_s
-        self._killed = False
         self._futures: dict[str, RunFuture] = {}
         self._errors: OrderedDict[str, str] = OrderedDict()
         self._responses: OrderedDict[tuple, bytes] = OrderedDict()
@@ -220,9 +227,9 @@ class ExperimentDaemon:
         self._server.daemon_threads = True
         bound_host, bound_port = self.address
         self.daemon_id = daemon_id or f"{bound_host}:{bound_port}"
-        # Fleet provenance: every artifact this daemon records carries
-        # the member that executed it.  setdefault so an orchestrator
-        # built with explicit provenance meta keeps it.
+        # Provenance: every artifact this daemon records carries the
+        # daemon that executed it.  setdefault so an orchestrator built
+        # with explicit provenance meta keeps it.
         self.orchestrator.meta.setdefault("daemon", self.daemon_id)
         self._thread: threading.Thread | None = None
         self._serial: ThreadPoolExecutor | None = None
@@ -244,7 +251,7 @@ class ExperimentDaemon:
         """Serve in a background thread (idempotent); returns self."""
         if self._thread is None:
             self._thread = threading.Thread(
-                target=self._server.serve_forever,
+                target=self.serve_forever,
                 name="repro-service",
                 daemon=True,
             )
@@ -253,7 +260,7 @@ class ExperimentDaemon:
 
     def serve_forever(self) -> None:
         """Serve on the calling thread until :meth:`close`/interrupt."""
-        self._server.serve_forever()
+        self._server.serve_forever(poll_interval=_SERVE_POLL_INTERVAL_S)
 
     def _serial_runner(self) -> ThreadPoolExecutor:
         """Capacity-1 executor for a serial orchestrator's launches."""
@@ -262,27 +269,6 @@ class ExperimentDaemon:
                 max_workers=1, thread_name_prefix="repro-serial-run"
             )
         return self._serial
-
-    def kill(self) -> None:
-        """Drop off the network abruptly (the fleet-failure drill).
-
-        Unlike :meth:`close` this models a member dying mid-sweep:
-        the listening socket closes (new connections are refused),
-        in-flight handler threads drop their connections without
-        replying (clients observe a connection-level failure, not a
-        clean protocol answer), and long-polls/streams wake within
-        ~0.25 s instead of running out their ``wait``.  The
-        orchestrator is left alone -- runs already executing drain
-        into the shared store, which is safe because re-execution on
-        a surviving member is idempotent.  Call :meth:`close` after
-        for full teardown (idempotent).
-        """
-        self._killed = True
-        self._server.shutdown()
-        self._server.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
 
     def close(self) -> None:
         """Stop serving and shut the orchestrator's pool down."""
@@ -638,16 +624,11 @@ class ExperimentDaemon:
             if remaining <= 0:
                 return 202, _dumps(encode_pending(fingerprint)), "identity"
             try:
-                # Chunked so a killed daemon's parked long-polls wake
-                # within ~0.25 s instead of running out their wait.
+                # Chunked: each wake re-reads the registry and the
+                # store below.
                 future.result(timeout=min(remaining, 0.25))
-            except FutureTimeoutError:
-                if self._killed:
-                    # Sentinel: the handler drops the connection
-                    # without a reply (the member is "gone").
-                    return 0, b"", "identity"
             except Exception:
-                pass  # resolved to an error; reported below
+                pass  # still running, or failed (reported below)
             # Look again: a finished run is read back from the store.
             future = self._lookup(fingerprint)
         if future is None:
@@ -675,11 +656,6 @@ class ExperimentDaemon:
             else:
                 pending[future._future] = future
         while pending:
-            if self._killed:
-                # Ending the close-delimited stream early leaves the
-                # remaining runs pending; the client's next round hits
-                # the closed socket and fails the member over.
-                return
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 for future in pending.values():
@@ -721,26 +697,15 @@ class ExperimentDaemon:
         return inflight, max(0, inflight - max(self.orchestrator.jobs, 1))
 
     def health(self) -> dict:
-        """The ``GET /healthz`` payload: liveness plus load and identity."""
-        inflight, queue_depth = self._load()
-        return encode_health(
-            self.daemon_id,
-            self.orchestrator.jobs,
-            inflight=inflight,
-            queue_depth=queue_depth,
-            workload_cache=self.orchestrator.workload_cache_stats(),
-            engine_modes=self._engine_mode_counts(),
-        )
-
-    def _engine_mode_counts(self) -> dict[str, int]:
-        with self._lock:
-            return dict(self.engine_modes)
+        """The ``GET /healthz`` payload: liveness and identity, no lock."""
+        return encode_health(self.daemon_id)
 
     def stats(self) -> dict:
         """The ``/stats`` payload."""
         with self._lock:
             counters = dict(self.counters)
             wire = dict(self.wire_counters)
+            engine_modes = dict(self.engine_modes)
             campaigns = dict(self.campaigns)
             latencies = sorted(self._latencies)
         wire["request_p50_ms"] = _percentile_ms(latencies, 50.0)
@@ -757,7 +722,7 @@ class ExperimentDaemon:
             "store": self.orchestrator.store.stats(),
             "wire": wire,
             "workload_cache": self.orchestrator.workload_cache_stats(),
-            "engine_modes": self._engine_mode_counts(),
+            "engine_modes": engine_modes,
             "campaigns": campaigns,
             **counters,
         }
@@ -971,12 +936,6 @@ def _build_handler(daemon: ExperimentDaemon) -> type:
             self._route(self._handle_post)
 
         def _route(self, handle) -> None:
-            if daemon._killed:
-                # A killed member must look dead, not politely refuse:
-                # drop the keep-alive connection without a reply so
-                # clients observe a connection-level failure.
-                self.close_connection = True
-                return
             daemon._count("requests")
             started = time.perf_counter()
             try:
@@ -1011,9 +970,6 @@ def _build_handler(daemon: ExperimentDaemon) -> type:
                 detail,
                 encoding,
             )
-            if status == 0:  # killed mid-wait; drop the connection
-                self.close_connection = True
-                return
             self._reply(status, body, encoding=used)
 
         def _handle_post(self) -> None:

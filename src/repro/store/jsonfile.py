@@ -7,10 +7,11 @@ One document per fingerprint::
 ``v1`` is :data:`~repro.store.base.STORE_VERSION`; bumping it orphans
 every old entry at once.  Writes are atomic (temp file + rename), so a
 crashed run never leaves a truncated document behind and concurrent
-writers of the same fingerprint race to an intact winner.  This layout
-is what every store root written before the backend split contains, so
-it is the auto-detected default -- see
-:func:`repro.store.base.detect_format`.
+writers of the same fingerprint race to an intact winner.  The temp
+file of a writer killed before its rename is removed by the next write
+of the same fingerprint.  This layout is what every store root written
+before the backend split contains, so it is the auto-detected default
+-- see :func:`repro.store.base.detect_format`.
 """
 
 from __future__ import annotations
@@ -50,19 +51,36 @@ class JsonFileBackend:
         return decode_document(payload)
 
     def put(self, fingerprint: str, document: dict) -> None:
-        """Write one document atomically (temp file + rename)."""
+        """Write one document atomically (temp file + rename).
+
+        The temp file is ``<fingerprint>.<random>.tmp``.  After the
+        rename every other temp file of the fingerprint is removed:
+        one a killed writer left behind, or one a concurrent writer is
+        still filling -- that writer's rename then finds its file gone
+        and leaves the intact document standing.
+        """
         path = self.path_for(fingerprint)
         path.parent.mkdir(parents=True, exist_ok=True)
         handle = tempfile.NamedTemporaryFile(
-            "w", dir=path.parent, suffix=".tmp", delete=False
+            "w",
+            dir=path.parent,
+            prefix=f"{fingerprint}.",
+            suffix=".tmp",
+            delete=False,
         )
         try:
             with handle:
                 json.dump(document, handle)
             os.replace(handle.name, path)
+        except FileNotFoundError:
+            if not path.exists():
+                raise
+            return  # a concurrent writer renamed first
         except BaseException:
-            os.unlink(handle.name)
+            pathlib.Path(handle.name).unlink(missing_ok=True)
             raise
+        for orphan in path.parent.glob(f"{fingerprint}.*.tmp"):
+            orphan.unlink(missing_ok=True)
 
     def delete(self, fingerprint: str) -> bool:
         """Unlink a document; True when one existed."""

@@ -1,7 +1,7 @@
 """Declarative experiment suites with crash-safe resumable campaigns.
 
 The suite layer turns the orchestration stack (fingerprinted
-``RunRequest``s, the result store, the service/fleet clients) into
+``RunRequest``s, the result store, the service client) into
 "regenerate the whole paper from one config file":
 
 * :mod:`repro.suite.spec` -- the TOML suite spec: ``[matrix]`` axes

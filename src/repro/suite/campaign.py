@@ -10,8 +10,8 @@ fingerprints with identical store meta, so the stores converge
 byte-identically.
 
 The driver is deliberately a thin shell around the existing consumer
-surface (:class:`~repro.experiments.orchestrator.Orchestrator`,
-``ServiceClient`` or ``FleetClient`` -- anything with
+surface (:class:`~repro.experiments.orchestrator.Orchestrator` or
+``ServiceClient`` -- anything with
 ``submit_many``/``as_done``/``lookup``): the ledger wraps execution,
 it never replaces the store as the source of truth.  Resume trusts
 the ledger only as a *hint* and verifies every ``done`` fingerprint
@@ -101,33 +101,21 @@ class CampaignReport:
         return ", ".join(parts)
 
 
-def _daemon_resolver(consumer) -> Callable[[str], str]:
-    """Map a fingerprint to the daemon id that (by routing) ran it.
+def _daemon_identity(consumer) -> str:
+    """The daemon id the ledger records for every run of a consumer.
 
-    In-process consumers stamp one identity for every run; a
-    ``FleetClient`` routes per fingerprint by rendezvous hashing, so
-    the resolver mirrors that route.  Failover may reroute a
-    fingerprint to a surviving member mid-campaign -- the ledger
-    records the *planned* route; the artifact's own store meta stays
-    authoritative for which daemon actually wrote it.
+    A ``ServiceClient`` runs everything on its daemon (the
+    ``/healthz`` identity, else the URL); an in-process orchestrator
+    records its ``meta.daemon`` stamp (``local`` if it has none).
     """
-    urls = getattr(consumer, "urls", None)
-    if urls:  # FleetClient
-        from repro.service.fleet import rendezvous_member
-
-        member_urls = list(urls)
-        return lambda fp: rendezvous_member(fp, member_urls)
     url = getattr(consumer, "url", None)
     if url is not None:  # ServiceClient
-        identity = url
         try:
-            identity = consumer.ping().get("daemon_id", url)
+            return consumer.ping().get("daemon_id", url)
         except Exception:
-            pass
-        return lambda fp: identity
+            return url
     meta = getattr(consumer, "meta", None) or {}
-    local = meta.get("daemon", "local")
-    return lambda fp: local
+    return meta.get("daemon", "local")
 
 
 class CampaignDriver:
@@ -138,7 +126,7 @@ class CampaignDriver:
     spec:
         The parsed suite spec.
     consumer:
-        Orchestrator, ``ServiceClient`` or ``FleetClient``.  If it
+        Orchestrator or ``ServiceClient``.  If it
         exposes ``with_meta``, runs are stamped with the campaign id
         (in-process: into every artifact's store meta envelope;
         service paths: an ``X-Repro-Campaign`` header feeding the
@@ -166,7 +154,7 @@ class CampaignDriver:
         if with_meta is not None:
             consumer = with_meta({"campaign": spec.campaign_id})
         self.consumer = consumer
-        self._daemon_for = _daemon_resolver(consumer)
+        self._daemon_id = _daemon_identity(consumer)
 
     def ledger(self) -> CampaignLedger:
         """This campaign's ledger handle under the configured root."""
@@ -346,7 +334,7 @@ class CampaignDriver:
                     "fingerprint": run.fingerprint,
                     "source": artifact.source,
                     "elapsed_s": artifact.elapsed_s,
-                    "daemon": self._daemon_for(run.fingerprint),
+                    "daemon": self._daemon_id,
                     "engine": run.labels["engine"],
                     "pack_sha": run.request.pack.sha256,
                     "time": time.time(),

@@ -91,9 +91,9 @@ def generate_outputs(
 
     ``consumer`` is anything with the orchestrator's ``lookup``
     surface -- the in-process orchestrator reads its store directly,
-    ``ServiceClient``/``FleetClient`` read the daemon's store over the
-    wire.  Raises :class:`OutputError` on any store miss rather than
-    executing: the output stage never simulates.
+    ``ServiceClient`` reads the daemon's store over the wire.  Raises
+    :class:`OutputError` on any store miss rather than executing: the
+    output stage never simulates.
     """
     directory = pathlib.Path(directory)
     written: list[str] = []

@@ -32,7 +32,7 @@ def canonical_documents(
 ) -> dict[str, str]:
     """Store documents as canonical JSON, provenance normalized out.
 
-    Daemon-recorded documents carry ``meta.daemon`` (which member
+    Daemon-recorded documents carry ``meta.daemon`` (which daemon
     executed the run); in-process ones do not.  Byte-identity is
     asserted on everything else; when ``expect_daemon`` is given,
     every document must carry exactly that provenance stamp.

@@ -55,6 +55,18 @@ def post_entry(url: str, entry: dict) -> tuple[int, dict]:
     return payload["status"], payload
 
 
+def grid_requests(seeds, horizon=2):
+    """The four-method grid at tiny scale, one cell per seed."""
+    return [
+        RunRequest(
+            config=scaled_config("tiny", seed=seed).with_horizon(horizon),
+            policy=policy,
+        )
+        for seed in seeds
+        for policy in default_policies()
+    ]
+
+
 @pytest.fixture
 def tiny_config():
     return scaled_config("tiny", seed=0).with_horizon(2)

@@ -20,7 +20,7 @@ from repro.workload.packs import (
     RecordedTraceSource,
     TracePack,
 )
-from tests.service.conftest import get, post_entry
+from tests.service.conftest import get, grid_requests, post_entry
 
 
 def stream_poll(daemon, fingerprints, wait_s=60.0):
@@ -56,20 +56,12 @@ class TestHealthAndStats:
     def test_healthz(self, daemon):
         status, payload = get(daemon.url, "/healthz")
         assert status == 200
-        workload_cache = payload.pop("workload_cache")
-        assert workload_cache["enabled"] == (
-            daemon.orchestrator.workload_cache > 0
-        )
-        # No submissions decoded yet: the engine-mode counts are empty.
-        assert payload.pop("engine_modes") == {}
+        # Liveness and identity only; load lives in /stats.
         assert payload == {
             "wire_version": WIRE_VERSION,
             "kind": "health",
             "status": "ok",
             "daemon_id": daemon.daemon_id,
-            "jobs": daemon.orchestrator.jobs,
-            "inflight": 0,
-            "queue_depth": 0,
         }
         # The default identity is the bound host:port.
         host, port = daemon.address
@@ -85,6 +77,21 @@ class TestHealthAndStats:
         assert payload["daemon_id"] == daemon.daemon_id
         assert payload["wire_version"] == WIRE_VERSION
         assert "supported_wire_versions" not in payload
+
+    def test_stats_counts_inflight_and_queue(self, daemon_factory):
+        daemon = daemon_factory(jobs=2)
+        with ServiceClient(daemon.url) as client:
+            futures = client.submit_many(
+                grid_requests(range(3), horizon=6)
+            )
+            stats = daemon.stats()
+            assert stats["inflight"] >= 1
+            assert (
+                stats["queue_depth"]
+                == max(0, stats["inflight"] - 2)
+            )
+            list(client.as_done(futures))
+            assert daemon.stats()["inflight"] == 0
 
     def test_unknown_endpoint_404(self, daemon):
         status, payload = get(daemon.url, "/nope")

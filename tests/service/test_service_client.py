@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import threading
+import time
 
 import pytest
 
@@ -17,6 +19,7 @@ from repro.experiments.orchestrator import (
 from repro.experiments.runner import default_policies, run_comparison
 from repro.service import ServiceClient, ServiceError
 from repro.service.client import ServiceRunError
+from tests.service.conftest import grid_requests
 
 
 class TestConstruction:
@@ -25,10 +28,17 @@ class TestConstruction:
             ServiceClient("ftp://host:1")
 
     def test_rejects_bad_port_and_paths_cleanly(self):
-        with pytest.raises(ServiceError, match="http://host:port"):
-            ServiceClient("http://127.0.0.1:80x0")
-        with pytest.raises(ServiceError, match="http://host:port"):
-            ServiceClient("http://127.0.0.1:8123/prefix")
+        for url in (
+            "http://127.0.0.1:80x0",
+            "http://127.0.0.1:8123/prefix",
+            # The retired multi-daemon forms of --service.
+            "http://127.0.0.1:8123,http://127.0.0.1:8124",
+            "@fleet.txt",
+            # Userinfo would otherwise be dropped without a word.
+            "http://user@127.0.0.1:8123",
+        ):
+            with pytest.raises(ServiceError, match="http://host:port"):
+                ServiceClient(url)
 
     def test_bare_host_port_accepted(self, daemon):
         host, port = daemon.address
@@ -152,3 +162,49 @@ class TestAnalysisConsumers:
         assert len(bounds) == 4
         for result, bound in bounds:
             assert bound.total_cost_eur <= bound.actual_cost_eur + 1e-9
+
+
+class TestTransportTunables:
+    def test_tiny_chunks_still_resolve_a_sweep(self, daemon, monkeypatch):
+        monkeypatch.setattr("repro.service.client._POLL_CHUNK", 1)
+        monkeypatch.setattr("repro.service.client._BATCH_CHUNK", 1)
+        with ServiceClient(daemon.url) as client:
+            requests = grid_requests(range(2))
+            artifacts = client.run_many(requests)
+            assert len(artifacts) == len(requests)
+        # One batch POST per request: every chunk boundary was crossed.
+        assert daemon.stats()["wire"]["batch_requests"] == len(requests)
+
+
+class TestTransportHardeningUnderThreads:
+    def test_stale_keepalive_retry_under_concurrent_threads(
+        self, daemon_factory, tiny_requests
+    ):
+        # An idle reaper aggressive enough that every thread's parked
+        # connection is stale by its second round.
+        daemon = daemon_factory(idle_timeout_s=0.25)
+        with ServiceClient(daemon.url) as client:
+            client.run_many(tiny_requests)  # warm + per-thread sockets
+            errors: list[BaseException] = []
+            barrier = threading.Barrier(4)
+
+            def body() -> None:
+                try:
+                    client.run_many(tiny_requests)  # open the socket
+                    barrier.wait()
+                    time.sleep(0.8)  # idle past the server-side reaper
+                    for _ in range(3):
+                        artifacts = client.run_many(tiny_requests)
+                        assert len(artifacts) == len(tiny_requests)
+                except BaseException as error:
+                    errors.append(error)
+                    barrier.abort()
+
+            threads = [
+                threading.Thread(target=body) for _ in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert not errors

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 
 import pytest
 
@@ -209,6 +210,41 @@ class TestCorruptDocuments:
         assert fresh.fetch(fp(2)) == doc(2)
         listed = [info.fingerprint for info in list_documents(fresh)]
         assert sorted(listed) == sorted([fp(0), fp(2)])
+
+
+class TestJsonLayout:
+    def test_put_removes_orphan_temp_files(self, tmp_path):
+        """A writer killed before its rename left a temp file behind."""
+        backend = JsonFileBackend(tmp_path)
+        directory = backend.path_for(fp(0)).parent
+        directory.mkdir(parents=True)
+        orphan = directory / f"{fp(0)}.x.tmp"
+        orphan.write_text("")
+        other = directory / f"{fp(0)[:2]}{'0' * 62}.y.tmp"
+        other.write_text("")
+        backend.put(fp(0), doc(0))
+        assert not orphan.exists()
+        assert other.exists()  # another fingerprint's write, untouched
+        assert backend.fetch(fp(0)) == doc(0)
+
+    def test_rename_that_lost_a_race_keeps_the_winner(
+        self, tmp_path, monkeypatch
+    ):
+        backend = JsonFileBackend(tmp_path)
+        backend.put(fp(0), doc(0))
+        replace = os.replace
+
+        def lost_race(source, destination):
+            # A concurrent writer renamed first and removed our file.
+            os.unlink(source)
+            return replace(source, destination)
+
+        monkeypatch.setattr(os, "replace", lost_race)
+        backend.put(fp(0), doc(0, writer="late"))
+        assert backend.fetch(fp(0)) == doc(0)
+        with pytest.raises(FileNotFoundError):
+            backend.put(fp(1), doc(1))  # no winner: the error surfaces
+        assert not list(tmp_path.rglob("*.tmp"))
 
 
 class TestSegmentLayout:

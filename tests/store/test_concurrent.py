@@ -112,6 +112,7 @@ class TestJsonConcurrentWriters:
         assert document is not None  # atomic rename: never a torn file
         assert document["fingerprint"] == key
         assert document["writer"] in range(4)
+        assert not list(tmp_path.rglob("*.tmp"))  # no orphaned temp file
 
 
 class TestOrchestratorsSharingARoot:

@@ -2,9 +2,9 @@
 
 The driver treats every consumer uniformly through ``with_meta``: an
 in-process ``Orchestrator`` stamps the campaign id into each store
-document's meta envelope, while ``ServiceClient``/``FleetClient``
-translate it to an ``X-Repro-Campaign`` header feeding the daemon's
-per-campaign ``/stats`` counters.
+document's meta envelope, while ``ServiceClient`` translates it to an
+``X-Repro-Campaign`` header feeding the daemon's per-campaign
+``/stats`` counters.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import pytest
 
 from repro.experiments.orchestrator import Orchestrator, ResultStore
 from repro.service import ExperimentDaemon, ServiceClient
-from repro.service.fleet import FleetClient, rendezvous_member
 from repro.suite import CampaignDriver, CampaignLedger
 
 
@@ -98,32 +97,6 @@ def test_service_rerun_skips_via_daemon_lookup(
         report = CampaignDriver(spec, client, ledger_root).run()
     assert report.skipped == report.total
     assert report.executed == 0 and report.warm == 0
-
-
-def test_fleet_campaign_headers_reach_every_member(
-    mini_no_outputs, daemon_factory, tmp_path
-):
-    spec = mini_no_outputs
-    first = daemon_factory(daemon_id="fleet-a")
-    second = daemon_factory(daemon_id="fleet-b")
-    with FleetClient([first.url, second.url]) as fleet:
-        report = CampaignDriver(
-            spec, fleet, tmp_path / "ledger"
-        ).run()
-    assert report.executed == report.total
-    # Each member tallied exactly its routed share of the campaign.
-    tallies = {
-        daemon.url: daemon.campaigns.get(spec.campaign_id, 0)
-        for daemon in (first, second)
-    }
-    assert sum(tallies.values()) == report.total
-    # The ledger's planned route mirrors rendezvous hashing.
-    state = CampaignLedger.for_store(
-        tmp_path / "ledger", spec.campaign_id
-    ).replay()
-    urls = [first.url, second.url]
-    for fingerprint, record in state.status.items():
-        assert record["daemon"] == rendezvous_member(fingerprint, urls)
 
 
 def spec_total(spec) -> int:

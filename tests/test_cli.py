@@ -530,10 +530,20 @@ class TestServiceFlags:
         with pytest.raises(ServiceError, match="cannot reach"):
             client.ping()
 
-    def test_service_and_jobs_mutually_exclusive(self):
-        with pytest.raises(SystemExit, match="--jobs"):
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--jobs", "4"],
+            ["--workload-cache", "0"],
+            ["--store-backend", "json"],
+        ],
+        ids=lambda flag: flag[0],
+    )
+    def test_service_and_jobs_mutually_exclusive(self, flag):
+        """Daemon-side flags are refused with --service, not ignored."""
+        with pytest.raises(SystemExit, match=f"{flag[0]}.*'repro serve'"):
             main(["compare", "--scale", "tiny", "--horizon", "2",
-                  "--service", "http://127.0.0.1:1", "--jobs", "4"])
+                  "--service", "http://127.0.0.1:1", *flag])
 
     def test_bad_service_url_is_clean_usage_error(self):
         with pytest.raises(SystemExit, match="http"):

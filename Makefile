@@ -8,7 +8,10 @@
 #                      concurrent clients vs one daemon: batched +
 #                      gzip + headline-projected submit_many vs one
 #                      one-entry batch POST per artifact ->
-#                      BENCH_service.json),
+#                      BENCH_service.json), the workload-cache cold
+#                      sweep (bench_workload_cache: materialization
+#                      cache >= 2x per-run recompute ->
+#                      BENCH_workload.json),
 #                      the slot kernel's per-slot IT-power and
 #                      response-latency hot paths and cold-population
 #                      slot volumes (bench_scaling), the

@@ -52,9 +52,8 @@ Remote execution: ``--service URL`` resolves every run against a
 shared ``repro serve`` daemon instead of in-process -- same analysis
 code, same artifacts, one store and worker pool shared by all clients.
 ``--service`` refuses the daemon-side flags ``--store``,
-``--store-backend``, ``--jobs`` and ``--workload-cache`` (pass them
-to ``repro serve``), and connection failures exit with a clean error
-message.
+``--store-backend`` and ``--jobs`` (pass them to ``repro serve``), and
+connection failures exit with a clean error message.
 """
 
 from __future__ import annotations
@@ -154,9 +153,9 @@ def _orchestrator_from(args: argparse.Namespace):
     ``--service URL`` swaps the in-process orchestrator for a
     :class:`~repro.service.client.ServiceClient` against a running
     ``repro serve`` daemon -- same futures surface, so every command
-    works unchanged.  The store, its layout, the worker pool and the
-    workload cache then live daemon-side, so the flags that configure
-    them are refused rather than silently ignored.
+    works unchanged.  The store, its layout and the worker pool then
+    live daemon-side, so the flags that configure them are refused
+    rather than silently ignored.
     """
     show_progress = (
         args.progress if args.progress is not None else sys.stderr.isatty()
@@ -172,11 +171,6 @@ def _orchestrator_from(args: argparse.Namespace):
         for flag, given, owned in (
             ("--jobs", args.jobs != 1, "worker capacity"),
             ("--store-backend", args.store_backend != "auto", "the store"),
-            (
-                "--workload-cache",
-                args.workload_cache is not None,
-                "the workload cache",
-            ),
         ):
             if given:
                 raise SystemExit(
@@ -198,7 +192,6 @@ def _orchestrator_from(args: argparse.Namespace):
         jobs=args.jobs,
         use_store=not args.no_cache,
         progress=progress,
-        workload_cache=args.workload_cache,
     )
 
 
@@ -453,9 +446,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             "(results vanish with the daemon)",
             file=sys.stderr,
         )
-    orchestrator = Orchestrator(
-        store=store, jobs=args.jobs, workload_cache=args.workload_cache
-    )
+    orchestrator = Orchestrator(store=store, jobs=args.jobs)
     daemon = ExperimentDaemon(
         orchestrator,
         host=args.host,
@@ -771,8 +762,7 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="URL",
             help="resolve runs against a 'repro serve' daemon at "
             "http://host:port instead of in-process (--store, "
-            "--store-backend, --jobs and --workload-cache then belong "
-            "to 'repro serve')",
+            "--store-backend and --jobs then belong to 'repro serve')",
         )
         sub.add_argument(
             "--engine",
@@ -781,16 +771,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="simulation driver: the slot-stepped reference loop or "
             "the discrete-event core (byte-identical slot ledgers plus "
             "per-request latency percentiles)",
-        )
-        sub.add_argument(
-            "--workload-cache",
-            type=int,
-            default=None,
-            metavar="N",
-            help="workload materializations kept warm per process "
-            "(0 disables the cache and its shared-memory fan-out; "
-            "default: $REPRO_WORKLOAD_CACHE or 4); results are "
-            "byte-identical either way",
         )
 
     table1 = subparsers.add_parser("table1", help="print Table I")
@@ -884,15 +864,6 @@ def build_parser() -> argparse.ArgumentParser:
         "artifact's meta, so a restart under the same id writes the "
         "same bytes",
     )
-    serve.add_argument(
-        "--workload-cache",
-        type=int,
-        default=None,
-        metavar="N",
-        help="workload materializations kept warm per process across "
-        "client requests (0 disables; default: $REPRO_WORKLOAD_CACHE "
-        "or 4); counters surface in /stats as 'workload_cache'",
-    )
     serve.set_defaults(func=cmd_serve)
 
     suite = subparsers.add_parser(
@@ -921,9 +892,8 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             metavar="URL",
             help="execute through a 'repro serve' daemon at "
-            "http://host:port (--store, --store-backend, --jobs and "
-            "--workload-cache then belong to 'repro serve'; pair with "
-            "--ledger)",
+            "http://host:port (--store, --store-backend and --jobs then "
+            "belong to 'repro serve'; pair with --ledger)",
         )
         sub.add_argument(
             "--ledger",
@@ -949,13 +919,6 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help="stream completed/total run counts to stderr "
             "(default: on when stderr is a TTY)",
-        )
-        sub.add_argument(
-            "--workload-cache",
-            type=int,
-            default=None,
-            metavar="N",
-            help="workload materializations kept warm per process",
         )
         sub.add_argument(
             "--out",

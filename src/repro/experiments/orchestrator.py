@@ -16,7 +16,9 @@ policy x seed)* simulation runs.  This module owns that evaluation:
   append-only segments); see that package and DESIGN.md for layouts,
   auto-detection and concurrency discipline.
 * :class:`Orchestrator` resolves requests against the store and fans
-  misses out over a persistent ``ProcessPoolExecutor``.  The primitive
+  misses out over a persistent ``ProcessPoolExecutor``; every run
+  draws its workload from a per-process materialization cache
+  (:mod:`repro.workload.materialize`).  The primitive
   is :meth:`Orchestrator.submit`, which returns a :class:`RunFuture`;
   :meth:`Orchestrator.as_resolved` streams artifacts back in
   *completion* order, so callers can render progress and chain
@@ -68,7 +70,6 @@ from concurrent.futures import Future, ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
-from repro.experiments.sticky import StickyPool
 from repro.sim.config import EngineCoreConfig, ExperimentConfig
 from repro.sim.engine import SimulationEngine
 from repro.sim.results import RunResult
@@ -76,7 +77,6 @@ from repro.sim.state import PlacementPolicy
 from repro.store import STORE_ENV_VAR, STORE_VERSION, ResultStore
 from repro.workload.materialize import (
     DEFAULT_CACHE_MATERIALIZATIONS,
-    DEFAULT_SLOT_BUDGET_BYTES,
     MaterializationCache,
     configure_process_cache,
     materialization_key,
@@ -84,12 +84,6 @@ from repro.workload.materialize import (
 )
 from repro.workload.packs import TracePack
 from repro.workload.shm import SharedPackStub, SharedWorkloadPublisher
-
-#: Environment knobs for the workload materialization cache.  They
-#: configure *execution*, never identity: no fingerprint ever sees
-#: them (cache on/off/size produces byte-identical artifacts).
-WORKLOAD_CACHE_ENV_VAR = "REPRO_WORKLOAD_CACHE"
-WORKLOAD_CACHE_MB_ENV_VAR = "REPRO_WORKLOAD_CACHE_MB"
 
 __all__ = [
     "EngineOptions",
@@ -101,7 +95,6 @@ __all__ = [
     "STORE_ENV_VAR",
     "STORE_VERSION",
     "canonical",
-    "execute_request",
     "grid_requests",
     "run_meta",
 ]
@@ -325,35 +318,6 @@ class RunFuture:
         return cls(request, fingerprint, future)
 
 
-def execute_request(request: RunRequest) -> RunResult:
-    """Run one request to completion (the process-pool work function)."""
-    engine = SimulationEngine(
-        request.resolved_config(),
-        request.policy,
-        validate=request.options.validate,
-        clairvoyant=request.options.clairvoyant,
-        workload=request.pack,
-        engine=request.options.engine,
-    )
-    return engine.run()
-
-
-def _timed_execute(request: RunRequest) -> tuple[RunResult, float]:
-    start = time.perf_counter()
-    result = execute_request(request)
-    return result, time.perf_counter() - start
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        return default
-
-
 def _materialization_key_of(request: RunRequest) -> str:
     """The request's workload materialization key, memoized like
     :meth:`RunRequest.fingerprint` (requests are value-stable)."""
@@ -368,7 +332,7 @@ def _materialization_key_of(request: RunRequest) -> str:
 
 @dataclass(frozen=True)
 class _WorkerTask:
-    """One pooled run plus its workload-cache routing envelope.
+    """One run plus its workload materialization key.
 
     When ``stub`` is set the request travels with ``pack=None`` and
     the worker re-attaches the pack zero-copy from shared memory;
@@ -384,13 +348,14 @@ class _WorkerTask:
 def _timed_execute_task(
     task: _WorkerTask, cache: MaterializationCache | None = None
 ) -> tuple[RunResult, float, dict]:
-    """Worker-side entry for cached runs.
+    """Execute one run: the serial path and the pool's work function.
 
-    Resolves the task's materialization from the per-process cache
-    (building it on miss), restores a shared-memory pack when one was
-    published, and returns the run plus a cache-stats snapshot tagged
-    with the worker pid -- the parent keeps the latest snapshot per
-    pid and sums them for :meth:`Orchestrator.workload_cache_stats`.
+    Resolves the task's materialization from ``cache`` (the worker's
+    per-process cache when ``None``), building it on miss, restores a
+    shared-memory pack when one was published, and returns the run plus
+    a cache-stats snapshot tagged with the process id -- the parent
+    keeps the latest snapshot per pool worker and sums them for
+    :meth:`Orchestrator.workload_cache_stats`.
     """
     start = time.perf_counter()
     if cache is None:
@@ -419,22 +384,6 @@ def _timed_execute_task(
     stats = dict(cache.stats())
     stats["pid"] = os.getpid()
     return result, elapsed, stats
-
-
-def _unpack_payload(payload) -> tuple[RunResult, float, dict | None]:
-    """Normalize worker payloads: cached tasks add a stats snapshot."""
-    if len(payload) == 3:
-        return payload
-    result, elapsed = payload
-    return result, elapsed, None
-
-
-def _shutdown_pool(pool) -> None:
-    pool.shutdown(wait=False)
-
-
-def _close_publisher(publisher: SharedWorkloadPublisher) -> None:
-    publisher.close()
 
 
 class Orchestrator:
@@ -468,16 +417,19 @@ class Orchestrator:
         labels.  Provenance only -- never part of the fingerprint (the
         service daemon stamps ``{"daemon": <id>}`` here, so every
         stored artifact names the daemon that executed it).
-    workload_cache:
-        Materializations each process keeps warm (LRU entries).  ``0``
-        disables the whole workload-cache layer -- plain pool, full
-        pack pickling, per-run workload builds, exactly the pre-cache
-        execution path.  ``None`` (default) reads
-        ``REPRO_WORKLOAD_CACHE`` and falls back to
-        :data:`~repro.workload.materialize.DEFAULT_CACHE_MATERIALIZATIONS`.
-        Per-materialization realized-slot budgets come from
-        ``REPRO_WORKLOAD_CACHE_MB``.  Execution detail only: artifacts
-        and fingerprints are byte-identical either way.
+
+    Every run resolves its workload through a
+    :class:`~repro.workload.materialize.MaterializationCache`: serial
+    runs through one this orchestrator owns (so a long-lived daemon
+    reuses materializations across client requests), pooled runs
+    through each worker's own, installed at spawn.  Each cache keeps
+    :data:`~repro.workload.materialize.DEFAULT_CACHE_MATERIALIZATIONS`
+    workloads and each workload at most
+    :data:`~repro.workload.materialize.DEFAULT_SLOT_BUDGET_BYTES` of
+    realized slot data.  The cache is an execution detail: artifacts
+    and fingerprints are byte-identical to a
+    :class:`~repro.sim.engine.SimulationEngine` building its own
+    workload.
     """
 
     def __init__(
@@ -487,25 +439,13 @@ class Orchestrator:
         use_store: bool = True,
         progress: Callable[[int, int], None] | None = None,
         meta: dict | None = None,
-        workload_cache: int | None = None,
     ) -> None:
         self.store = store if store is not None else ResultStore()
         self.jobs = max(1, int(jobs))
         self.use_store = use_store
         self.progress = progress
         self.meta = dict(meta or {})
-        if workload_cache is None:
-            workload_cache = _env_int(
-                WORKLOAD_CACHE_ENV_VAR, DEFAULT_CACHE_MATERIALIZATIONS
-            )
-        self.workload_cache = max(0, int(workload_cache))
-        self.slot_budget_bytes = (
-            _env_int(
-                WORKLOAD_CACHE_MB_ENV_VAR, DEFAULT_SLOT_BUDGET_BYTES >> 20
-            )
-            << 20
-        )
-        self._pool: ProcessPoolExecutor | StickyPool | None = None
+        self._pool: ProcessPoolExecutor | None = None
         self._publisher: SharedWorkloadPublisher | None = None
         self._local_cache: MaterializationCache | None = None
         self._worker_stats: dict[int, dict] = {}
@@ -527,7 +467,6 @@ class Orchestrator:
             use_store=self.use_store,
             progress=self.progress,
             meta=self.meta,
-            workload_cache=self.workload_cache,
         )
 
     def with_meta(self, extra: dict) -> "Orchestrator":
@@ -548,7 +487,6 @@ class Orchestrator:
             use_store=self.use_store,
             progress=self.progress,
             meta=merged,
-            workload_cache=self.workload_cache,
         )
 
     def _meta_for(self, request: RunRequest) -> dict:
@@ -559,23 +497,18 @@ class Orchestrator:
 
     # -- worker-pool lifecycle ---------------------------------------------
 
-    def _ensure_pool(self) -> ProcessPoolExecutor | StickyPool:
+    def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            if self.workload_cache > 0:
-                # Sticky, key-affine workers with the per-process
-                # materialization cache installed at spawn.
-                self._pool = StickyPool(
-                    self.jobs,
-                    initializer=configure_process_cache,
-                    initargs=(self.workload_cache, self.slot_budget_bytes),
-                )
-                self._publisher = SharedWorkloadPublisher()
-                weakref.finalize(self, _close_publisher, self._publisher)
-            else:
-                self._pool = ProcessPoolExecutor(max_workers=self.jobs)
+            # Each worker gets a fresh per-process materialization
+            # cache at spawn.
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.jobs, initializer=configure_process_cache
+            )
+            self._publisher = SharedWorkloadPublisher()
             # Workers outlive batches (submissions stream), but must
             # not outlive the orchestrator.
-            weakref.finalize(self, _shutdown_pool, self._pool)
+            weakref.finalize(self, self._pool.shutdown, wait=False)
+            weakref.finalize(self, self._publisher.close)
         return self._pool
 
     def _ensure_local_cache(self) -> MaterializationCache:
@@ -585,10 +518,7 @@ class Orchestrator:
         materializations across client requests.
         """
         if self._local_cache is None:
-            self._local_cache = MaterializationCache(
-                size=self.workload_cache,
-                slot_budget_bytes=self.slot_budget_bytes,
-            )
+            self._local_cache = MaterializationCache()
         return self._local_cache
 
     def close(self) -> None:
@@ -685,8 +615,7 @@ class Orchestrator:
         daemon's ``/stats``.
         """
         stats = {
-            "enabled": self.workload_cache > 0,
-            "size": self.workload_cache,
+            "size": DEFAULT_CACHE_MATERIALIZATIONS,
             "hits": 0,
             "misses": 0,
             "entries": 0,
@@ -720,16 +649,12 @@ class Orchestrator:
         launches with their own registry).
         """
         if self.jobs == 1:
-            if self.workload_cache > 0:
-                result, elapsed, _stats = _timed_execute_task(
-                    _WorkerTask(
-                        request=request,
-                        key=_materialization_key_of(request),
-                    ),
-                    cache=self._ensure_local_cache(),
-                )
-            else:
-                result, elapsed = _timed_execute(request)
+            result, elapsed, _stats = _timed_execute_task(
+                _WorkerTask(
+                    request=request, key=_materialization_key_of(request)
+                ),
+                cache=self._ensure_local_cache(),
+            )
             self.store.put(
                 fingerprint, result, request.descriptor(),
                 self._meta_for(request),
@@ -748,14 +673,9 @@ class Orchestrator:
             base = self._inflight.get(fingerprint)
             created = base is None
             if created:
-                pool = self._ensure_pool()
-                if isinstance(pool, StickyPool):
-                    task = self._worker_task(request)
-                    base = pool.submit(
-                        _timed_execute_task, task, key=task.key
-                    )
-                else:
-                    base = pool.submit(_timed_execute, request)
+                base = self._ensure_pool().submit(
+                    _timed_execute_task, self._worker_task(request)
+                )
                 self._inflight[fingerprint] = base
         # Callbacks are registered *outside* the lock: a future that is
         # already done runs its callback inline in this thread, and
@@ -776,7 +696,7 @@ class Orchestrator:
             if error is not None:
                 wrapper.set_exception(error)
                 return
-            result, elapsed, _stats = _unpack_payload(done.result())
+            result, elapsed, _stats = done.result()
             wrapper.set_result(
                 RunArtifact(
                     fingerprint=fingerprint,
@@ -790,17 +710,16 @@ class Orchestrator:
         return RunFuture(request, fingerprint, wrapper)
 
     def _worker_task(self, request: RunRequest) -> _WorkerTask:
-        """The sticky-pool envelope for ``request``.
+        """The pool task for ``request``.
 
         Publishes large recorded packs to shared memory (once per pack
         content) so the task ships a few-hundred-byte stub instead of
         the utilization matrix; anything unpublishable falls back to
-        the ordinary full-request pickle.
+        the ordinary full-request pickle.  Called under the lock right
+        after :meth:`_ensure_pool`, which creates the publisher.
         """
         key = _materialization_key_of(request)
-        stub = None
-        if self._publisher is not None:
-            stub = self._publisher.publish_pack(request.pack)
+        stub = self._publisher.publish_pack(request.pack)
         if stub is not None:
             request = dataclasses.replace(request, pack=None)
         return _WorkerTask(request=request, key=key, stub=stub)
@@ -816,16 +735,15 @@ class Orchestrator:
         re-simulates.
         """
         if base.exception() is None:
-            result, _elapsed, stats = _unpack_payload(base.result())
+            result, _elapsed, stats = base.result()
             self.store.put(
                 fingerprint, result, request.descriptor(),
                 self._meta_for(request),
             )
-            if stats is not None:
-                # Latest absolute snapshot per worker pid; summed in
-                # workload_cache_stats().
-                with self._lock:
-                    self._worker_stats[stats["pid"]] = stats
+            # Latest absolute snapshot per worker pid; summed in
+            # workload_cache_stats().
+            with self._lock:
+                self._worker_stats[stats["pid"]] = stats
         with self._lock:
             self._inflight.pop(fingerprint, None)
 
@@ -837,18 +755,18 @@ class Orchestrator:
     ) -> list[RunFuture]:
         """Submit a batch; duplicates share one future (simulated once).
 
-        With the workload cache enabled, submissions are issued in
-        materialization-key order (stable, so same-key requests keep
-        their relative order): each sticky worker then drains its
-        queue one workload at a time instead of thrashing between
-        materializations.  The *returned* futures always align with
-        ``requests``.
+        With ``jobs > 1``, submissions are issued in materialization-key
+        order (stable, so same-key requests keep their relative order):
+        the pool hands them out first come, first served, so its
+        workers move through a sweep's workloads one at a time instead
+        of cycling every workload through their bounded caches.  The
+        *returned* futures always align with ``requests``.
 
         ``detail`` is accepted for service-client parity and ignored
         in-process (see :meth:`submit`).
         """
         order = list(range(len(requests)))
-        if self.workload_cache > 0 and self.jobs > 1:
+        if self.jobs > 1:
             order.sort(key=lambda i: _materialization_key_of(requests[i]))
         future_at: dict[int, RunFuture] = {}
         by_fingerprint: dict[str, RunFuture] = {}

@@ -54,15 +54,16 @@ fingerprint recomputed and verified (``409`` on mismatch), and only
 then does it enter the shared orchestrator core
 (:meth:`~repro.experiments.orchestrator.Orchestrator.resolve`).
 
-The response cache stores fully *rendered* reply bodies keyed by
-``(fingerprint, detail, encoding)`` -- for gzip that means
+The response cache stores fully *rendered* reply bodies of store hits
+keyed by ``(fingerprint, detail, encoding)`` -- for gzip that means
 pre-compressed bytes, so a warm hit is one cache lookup plus one
 socket write with no per-request ``json.dumps`` or ``gzip.compress``
-on the hot path.  Gzip variants are complete gzip members whose
-decompressed form ends in a newline; batch and buffered-poll replies
-are built by *concatenating* members (a multi-member stream is valid
-gzip and ``gzip.decompress`` handles it), so batching never has to
-re-compress cached artifacts.
+on the hot path.  A computed run's own reply is rendered uncached, so
+later hits never replay its ``source: "computed"``.  Gzip variants are
+complete gzip members whose decompressed form ends in a newline; batch
+and buffered-poll replies are built by *concatenating* members (a
+multi-member stream is valid gzip and ``gzip.decompress`` handles it),
+so batching never has to re-compress cached artifacts.
 
 Handlers run on per-connection daemon threads
 (``ThreadingHTTPServer``); waits are capped at :data:`MAX_WAIT_S`,
@@ -353,11 +354,16 @@ class ExperimentDaemon:
         one complete gzip member whose decompressed form is the JSON
         object plus a trailing newline, so batch replies concatenate
         cached members verbatim (see the module docstring).
+
+        Only store hits are cached.  A computed run's reply carries
+        ``source: "computed"`` and its run time; replaying it for later
+        hits would report every warm resolution as an execution.
         """
         key = (future.fingerprint, detail, encoding)
         cached = self._cached_response(key)
         if cached is not None:
             return cached
+        artifact = future.result(timeout=0)
         if encoding == "gzip":
             # Derive from the identity variant so both encodings carry
             # the same envelope byte for byte (the artifact's volatile
@@ -368,9 +374,9 @@ class ExperimentDaemon:
                 identity + b"\n", compresslevel=_GZIP_LEVEL, mtime=0
             )
         else:
-            artifact = future.result(timeout=0)
             body = _dumps(encode_artifact(artifact, detail=detail))
-        self._cache_response(key, body)
+        if artifact.from_cache:
+            self._cache_response(key, body)
         return body
 
     def _finish(self, fingerprint: str, base: Future) -> None:

@@ -25,9 +25,10 @@ reusable unit:
   flag turns any future violation into an immediate ``ValueError``
   instead of a silent cross-run corruption.
 * :class:`MaterializationCache` -- a bounded per-process LRU of
-  materializations, installed in orchestrator worker processes via the
-  pool initializer (:func:`configure_process_cache`) and consulted by
-  :func:`~repro.experiments.orchestrator.Orchestrator` submissions.
+  materializations.  The orchestrator owns one for its serial runs and
+  installs one in each pool worker via the pool initializer
+  (:func:`configure_process_cache`); every orchestrated run resolves
+  its workload through one of them.
 
 Correctness contract
 --------------------
@@ -70,12 +71,12 @@ __all__ = [
     "process_cache",
 ]
 
-#: Default number of materializations kept per process.  A sweep
-#: touches few distinct workloads at a time (policies x options share
-#: one), so a small LRU covers the working set while bounding memory.
+#: Materializations kept per process.  A sweep touches few distinct
+#: workloads at a time (policies x options share one), so a small LRU
+#: covers the working set while bounding memory.
 DEFAULT_CACHE_MATERIALIZATIONS = 4
 
-#: Default byte budget for one materialization's realized slot data.
+#: Byte budget for one materialization's realized slot data.
 #: Covers a full small-scale week (~85 MB of demand + volume
 #: matrices); at paper scale the budget caps admission instead of
 #: ballooning (see :class:`SlotDataCache`).
@@ -485,29 +486,24 @@ class MaterializationCache:
 
 # -- the per-process cache ----------------------------------------------
 #
-# Worker processes get theirs installed by the orchestrator pool's
-# initializer (configure_process_cache); the parent process (serial
-# orchestrators, the jobs=1 daemon) lazily creates one on first use.
+# Orchestrator pool workers get theirs installed by the pool's
+# initializer (configure_process_cache); serial orchestrators own a
+# cache of their own instead.
 
 _PROCESS_CACHE: MaterializationCache | None = None
 _PROCESS_CACHE_LOCK = threading.Lock()
 
 
-def configure_process_cache(
-    size: int = DEFAULT_CACHE_MATERIALIZATIONS,
-    slot_budget_bytes: int = DEFAULT_SLOT_BUDGET_BYTES,
-) -> MaterializationCache:
+def configure_process_cache() -> MaterializationCache:
     """(Re)install this process's materialization cache.
 
-    The orchestrator's worker initializer; also the test hook for
-    shrinking caps.  Replaces any existing cache (dropping its
-    entries), so counters restart from zero.
+    The orchestrator's worker initializer.  Replaces any existing cache
+    (a forked worker inherits its parent's), dropping its entries, so
+    counters restart from zero.
     """
     global _PROCESS_CACHE
     with _PROCESS_CACHE_LOCK:
-        _PROCESS_CACHE = MaterializationCache(
-            size=size, slot_budget_bytes=slot_budget_bytes
-        )
+        _PROCESS_CACHE = MaterializationCache()
         return _PROCESS_CACHE
 
 

@@ -33,7 +33,6 @@ fingerprints and artifacts are unchanged versus the pickle path.
 from __future__ import annotations
 
 import atexit
-import dataclasses
 from dataclasses import dataclass, field
 from multiprocessing import resource_tracker, shared_memory
 from typing import Mapping
@@ -63,9 +62,10 @@ class SharedArrayRef:
         return count * np.dtype(self.dtype).itemsize
 
 
-#: Segment names created by a publisher in *this* process.  The
-#: jobs=1 inline path restores stubs in the publishing process itself;
-#: its attaches must not cancel the creator's resource registration.
+#: Segment names created by a publisher in *this* process.  A pool
+#: worker forked after the first publish inherits the set and restores
+#: those stubs; its attaches must not cancel the creator's resource
+#: registration.
 _OWNED_SEGMENTS: set[str] = set()
 
 
@@ -266,13 +266,3 @@ class SharedWorkloadPublisher:
             except Exception:
                 pass
         self._stubs.clear()
-
-
-def strip_pack(request, stub: SharedPackStub):
-    """``request`` with its pack removed, for shipping next to ``stub``.
-
-    The worker re-attaches the pack via :meth:`SharedPackStub.restore`;
-    fingerprints are always computed parent-side from the original
-    request, so the stripped copy never needs one.
-    """
-    return dataclasses.replace(request, pack=None)

@@ -1,20 +1,22 @@
 """Workload cache in the orchestrator: identity, sharing, plumbing."""
 
-import dataclasses
+import json
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import numpy as np
-import pytest
 
 from repro.experiments.orchestrator import (
     Orchestrator,
-    ResultStore,
     RunRequest,
     grid_requests,
 )
 from repro.experiments.runner import default_policies
-from repro.experiments.sticky import StickyPool
 from repro.sim.config import scaled_config
+from repro.sim.engine import SimulationEngine
+from repro.workload.materialize import (
+    DEFAULT_CACHE_MATERIALIZATIONS,
+    MaterializationCache,
+)
 from repro.workload.packs import RecordedTraceSource, TracePack, get_pack
 
 
@@ -42,66 +44,79 @@ def big_recorded_pack(n_vms: int = 200):
     )
 
 
+def direct_run(req: RunRequest):
+    """The recompute reference: an engine building its own workload."""
+    return SimulationEngine(
+        req.resolved_config(),
+        req.policy,
+        validate=req.options.validate,
+        clairvoyant=req.options.clairvoyant,
+        workload=req.pack,
+        engine=req.options.engine,
+    ).run()
+
+
+def result_bytes(result) -> str:
+    return json.dumps(result.to_dict(), sort_keys=True)
+
+
 def slots_of(artifacts):
     return [artifact.result.slots for artifact in artifacts]
 
 
 class TestByteIdentity:
-    """Cached, shared-memory and from-scratch paths emit equal runs."""
+    """Serial and pooled runs equal the engine's own recompute.
 
-    def grid(self):
-        return grid_requests([tiny()], lambda _: default_policies())
+    Every test covers all four policies; fresh requests per side, since
+    policies carry cross-slot state.
+    """
 
-    def test_pooled_cached_equals_cache_off_equals_serial(self):
-        with Orchestrator(jobs=2, workload_cache=4) as cached:
-            warm = cached.run_many(self.grid())
-            stats = cached.workload_cache_stats()
-        with Orchestrator(jobs=2, workload_cache=0) as plain:
-            cold = plain.run_many(self.grid())
-        serial = Orchestrator(jobs=1, workload_cache=4).run_many(self.grid())
-        assert slots_of(warm) == slots_of(cold) == slots_of(serial)
-        assert [a.fingerprint for a in warm] == [
-            a.fingerprint for a in cold
-        ] == [a.fingerprint for a in serial]
-        assert stats["enabled"] and stats["workers"] >= 1
-        assert stats["misses"] >= 1
+    def check(self, make_requests):
+        with Orchestrator(jobs=2) as pooled:
+            pooled_artifacts = pooled.run_many(make_requests())
+            stats = pooled.workload_cache_stats()
+        serial = Orchestrator(jobs=1)
+        serial_artifacts = serial.run_many(make_requests())
+        references = make_requests()
+        for pooled_artifact, serial_artifact, reference in zip(
+            pooled_artifacts, serial_artifacts, references, strict=True
+        ):
+            expected = result_bytes(direct_run(reference))
+            assert pooled_artifact.fingerprint == reference.fingerprint()
+            assert serial_artifact.fingerprint == reference.fingerprint()
+            assert result_bytes(pooled_artifact.result) == expected
+            assert result_bytes(serial_artifact.result) == expected
+        assert 1 <= stats["misses"] <= 2 and stats["workers"] >= 1
+        assert stats["hits"] + stats["misses"] == len(references)
+        return serial.workload_cache_stats(), stats
+
+    def test_pooled_and_serial_equal_direct_engine(self):
+        serial_stats, _ = self.check(
+            lambda: grid_requests([tiny()], lambda _: default_policies())
+        )
+        assert serial_stats["misses"] == 1
+        assert serial_stats["hits"] == len(default_policies()) - 1
 
     def test_scenario_pack_identity_serial_cached(self):
         pack = get_pack("scenario-hpc")
-        requests = [
-            request(config=tiny(), policy=policy, pack=pack)
-            for policy in default_policies()[:3]
-        ]
-        cached = Orchestrator(jobs=1, workload_cache=4)
-        warm = cached.run_many(requests)
-        cold = Orchestrator(jobs=1, workload_cache=0).run_many(
-            [
+        serial_stats, _ = self.check(
+            lambda: [
                 request(config=tiny(), policy=policy, pack=pack)
-                for policy in default_policies()[:3]
+                for policy in default_policies()
             ]
         )
-        assert slots_of(warm) == slots_of(cold)
-        stats = cached.workload_cache_stats()
-        assert stats["misses"] == 1
-        assert stats["hits"] == 2
+        assert serial_stats["misses"] == 1
+        assert serial_stats["hits"] == len(default_policies()) - 1
 
     def test_shared_memory_pack_identity_and_engagement(self):
         pack = big_recorded_pack()
-        requests = [
-            request(config=tiny(2), policy=policy, pack=pack)
-            for policy in default_policies()[1:3]
-        ]
-        with Orchestrator(jobs=2, workload_cache=4) as cached:
-            warm = cached.run_many(requests)
-            shared = cached.workload_cache_stats()["shared"]
-        with Orchestrator(jobs=2, workload_cache=0) as plain:
-            cold = plain.run_many(
-                [
-                    request(config=tiny(2), policy=policy, pack=pack)
-                    for policy in default_policies()[1:3]
-                ]
-            )
-        assert slots_of(warm) == slots_of(cold)
+        _, pooled_stats = self.check(
+            lambda: [
+                request(config=tiny(2), policy=policy, pack=pack)
+                for policy in default_policies()
+            ]
+        )
+        shared = pooled_stats["shared"]
         assert shared["segments"] == 1
         assert shared["bytes"] == pack.source.utilization.nbytes
 
@@ -129,16 +144,15 @@ class TestSharing:
             )
         stats = orchestrator.workload_cache_stats()
         assert stats["misses"] == 1  # every thread hit the warm entry
-        serial = [
-            Orchestrator(workload_cache=0).run(request(policy=policy))
+        reference = [
+            direct_run(request(policy=policy))
             for policy in default_policies()
         ]
-        assert slots_of(artifacts) == slots_of(serial)
+        assert slots_of(artifacts) == [result.slots for result in reference]
 
     def test_lru_eviction_with_cap_one(self):
-        orchestrator = Orchestrator(
-            jobs=1, use_store=False, workload_cache=1
-        )
+        orchestrator = Orchestrator(jobs=1, use_store=False)
+        orchestrator._local_cache = MaterializationCache(size=1)
         alternating = [
             request(config=tiny(2, seed=run % 2)) for run in range(4)
         ]
@@ -157,54 +171,38 @@ class TestSharing:
 
 
 class TestPlumbing:
-    def test_cache_off_uses_plain_pool(self):
-        with Orchestrator(jobs=2, workload_cache=0) as orchestrator:
-            assert isinstance(
-                orchestrator._ensure_pool(), ProcessPoolExecutor
-            )
-            assert orchestrator._publisher is None
+    def test_pool_is_plain_executor(self):
+        with Orchestrator(jobs=2) as orchestrator:
+            pool = orchestrator._ensure_pool()
+            assert type(pool) is ProcessPoolExecutor
+            assert pool._max_workers == 2
+            assert orchestrator._ensure_pool() is pool
 
-    def test_cache_on_uses_sticky_pool_and_publisher(self):
-        with Orchestrator(jobs=2, workload_cache=4) as orchestrator:
-            assert isinstance(orchestrator._ensure_pool(), StickyPool)
+    def test_pool_starts_publisher(self):
+        with Orchestrator(jobs=2) as orchestrator:
+            assert orchestrator._publisher is None
+            orchestrator._ensure_pool()
             assert orchestrator._publisher is not None
 
     def test_close_releases_pool_and_publisher(self):
-        orchestrator = Orchestrator(jobs=2, workload_cache=4)
+        orchestrator = Orchestrator(jobs=2)
         orchestrator._ensure_pool()
         orchestrator.close()
         assert orchestrator._pool is None
         assert orchestrator._publisher is None
 
-    def test_env_var_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKLOAD_CACHE", "0")
-        assert Orchestrator().workload_cache == 0
-        monkeypatch.setenv("REPRO_WORKLOAD_CACHE", "7")
-        assert Orchestrator().workload_cache == 7
-        monkeypatch.setenv("REPRO_WORKLOAD_CACHE", "nonsense")
-        assert (
-            Orchestrator().workload_cache
-            == Orchestrator(workload_cache=None).workload_cache
-            == 4
-        )
-
-    def test_explicit_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKLOAD_CACHE", "9")
-        assert Orchestrator(workload_cache=2).workload_cache == 2
-
-    def test_budget_env_var(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKLOAD_CACHE_MB", "16")
-        assert Orchestrator().slot_budget_bytes == 16 << 20
-
-    def test_with_jobs_carries_cache_setting(self):
-        orchestrator = Orchestrator(jobs=1, workload_cache=2)
-        assert orchestrator.with_jobs(3).workload_cache == 2
-
-    def test_stats_shape_when_disabled(self):
-        stats = Orchestrator(workload_cache=0).workload_cache_stats()
-        assert stats["enabled"] is False
-        assert stats["hits"] == stats["misses"] == 0
-        assert "shared" not in stats
+    def test_stats_shape(self):
+        stats = Orchestrator().workload_cache_stats()
+        assert stats == {
+            "size": DEFAULT_CACHE_MATERIALIZATIONS,
+            "hits": 0,
+            "misses": 0,
+            "entries": 0,
+            "slot_hits": 0,
+            "slot_misses": 0,
+            "bytes": 0,
+            "workers": 0,
+        }
 
     def test_cache_never_joins_fingerprint(self):
         assert (
@@ -213,15 +211,12 @@ class TestPlumbing:
                 config=tiny(), policy=default_policies()[1]
             ).fingerprint()
         )
-        orchestrators = [
-            Orchestrator(workload_cache=0),
-            Orchestrator(workload_cache=8),
-        ]
-        fingerprints = {
-            orchestrator.run(request(), use_store=False).fingerprint
-            for orchestrator in orchestrators
-        }
-        assert len(fingerprints) == 1
+        with Orchestrator(jobs=2) as pooled:
+            fingerprints = {
+                orchestrator.run(request(), use_store=False).fingerprint
+                for orchestrator in (Orchestrator(jobs=1), pooled)
+            }
+        assert fingerprints == {request().fingerprint()}
 
 
 class TestSubmitMany:
@@ -235,8 +230,5 @@ class TestSubmitMany:
             futures = orchestrator.submit_many(requests)
             assert [f.request for f in futures] == requests
             artifacts = [future.result(timeout=300) for future in futures]
-        serial = [
-            Orchestrator(workload_cache=0).run(req, use_store=False)
-            for req in requests
-        ]
-        assert slots_of(artifacts) == slots_of(serial)
+        reference = [direct_run(req) for req in requests]
+        assert slots_of(artifacts) == [result.slots for result in reference]

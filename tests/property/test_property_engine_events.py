@@ -1,12 +1,15 @@
 """Property tests: event-driver equivalence and weighted percentiles.
 
 The discrete-event driver's contract is *byte-identical* slot-boundary
-ledgers against the slot-stepped reference loop -- for any seed and
-any workload pack kind (synthetic generator, recorded matrix, bare
-trace library).  Hypothesis sweeps that product at tiny scale; each
-example runs both drivers end to end and compares the serialized
-ledgers, which covers battery state, cost ledgers and migration counts
-in one equality.
+ledgers against the slot-stepped reference loop -- for any seed, any of
+the four policies and any workload pack kind (synthetic generator,
+recorded matrix, bare trace library).  Hypothesis sweeps that product
+at tiny scale; each example runs both drivers end to end and compares
+the serialized ledgers, which covers battery state, cost ledgers and
+migration counts in one equality.  Each run must also pass the physics
+audit (:func:`~repro.sim.audit.audit_run`: energy balance, SoC bounds,
+server capacity), so the invariants hold on both drivers, not just
+agree between them.
 
 ``weighted_percentile`` backs the per-request latency accessors: its
 pin is bit-exact agreement with ``np.percentile`` over the expanded
@@ -21,7 +24,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines import EnerAwarePolicy
+from repro.baselines import EnerAwarePolicy, NetAwarePolicy, PriAwarePolicy
+from repro.core.controller import ProposedPolicy
+from repro.sim.audit import audit_run
 from repro.sim.config import EngineCoreConfig, scaled_config
 from repro.sim.engine import SimulationEngine
 from repro.sim.metrics import weighted_percentile
@@ -37,6 +42,8 @@ from repro.workload.recorded import RecordedTraceLibrary
 HORIZON = 6
 
 PACK_KINDS = ("synthetic", "recorded", "library")
+
+POLICIES = (ProposedPolicy, EnerAwarePolicy, PriAwarePolicy, NetAwarePolicy)
 
 
 def _recorded_matrix(seed: int) -> np.ndarray:
@@ -67,20 +74,26 @@ class TestEventDriverEquivalence:
     @given(
         seed=st.integers(0, 4),
         pack_kind=st.sampled_from(PACK_KINDS),
+        make_policy=st.sampled_from(POLICIES),
     )
     @settings(max_examples=12, deadline=None)
-    def test_slot_ledgers_byte_identical(self, seed, pack_kind):
+    def test_slot_ledgers_byte_identical(self, seed, pack_kind, make_policy):
         config = scaled_config("tiny", seed=seed).with_horizon(HORIZON)
         kwargs = _engine_kwargs(pack_kind, seed)
-        slot_run = SimulationEngine(
-            config, EnerAwarePolicy(), **kwargs
-        ).run()
-        event_run = SimulationEngine(
+        slot_engine = SimulationEngine(config, make_policy(), **kwargs)
+        slot_run = slot_engine.run()
+        event_engine = SimulationEngine(
             config,
-            EnerAwarePolicy(),
+            make_policy(),
             engine=EngineCoreConfig(kind="event"),
             **kwargs,
-        ).run()
+        )
+        event_run = event_engine.run()
+        for engine, run in (
+            (slot_engine, slot_run), (event_engine, event_run)
+        ):
+            report = audit_run(run, engine.config)
+            assert report.passed, report.violations[:5]
         slot_bytes = json.dumps(
             [record.to_dict() for record in slot_run.slots], sort_keys=True
         )

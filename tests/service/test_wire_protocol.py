@@ -6,11 +6,7 @@ import json
 
 import pytest
 
-from repro.experiments.orchestrator import (
-    RunArtifact,
-    RunRequest,
-    execute_request,
-)
+from repro.experiments.orchestrator import RunArtifact, RunRequest
 from repro.experiments.runner import default_policies
 from repro.service.protocol import (
     WIRE_VERSION,
@@ -23,13 +19,14 @@ from repro.service.protocol import (
     encode_request,
 )
 from repro.sim.config import scaled_config
+from repro.sim.engine import SimulationEngine
 
 
 @pytest.fixture(scope="module")
 def request_and_artifact():
     config = scaled_config("tiny", seed=0).with_horizon(1)
     request = RunRequest(config=config, policy=default_policies()[0])
-    result = execute_request(request)
+    result = SimulationEngine(config, request.policy).run()
     artifact = RunArtifact(
         fingerprint=request.fingerprint(),
         result=result,

@@ -99,5 +99,29 @@ def test_service_rerun_skips_via_daemon_lookup(
     assert report.executed == 0 and report.warm == 0
 
 
+def test_warm_service_campaign_counts_store_hits_as_warm(
+    mini_no_outputs, daemon_factory, tmp_path
+):
+    """A fresh campaign over a warm daemon executes nothing.
+
+    The daemon caches rendered replies; a computed run's reply must not
+    be replayed for later store hits, or they would read as executed.
+    """
+    spec = mini_no_outputs
+    daemon = daemon_factory()
+    with ServiceClient(daemon.url) as client:
+        cold = CampaignDriver(spec, client, tmp_path / "cold").run()
+        warm = CampaignDriver(spec, client, tmp_path / "warm").run()
+    assert cold.executed == spec_total(spec)
+    assert warm.executed == 0
+    assert warm.warm == spec_total(spec)
+    state = CampaignLedger.for_store(
+        tmp_path / "warm", spec.campaign_id
+    ).replay()
+    assert state.complete
+    sources = {record["source"] for record in state.status.values()}
+    assert sources and sources <= {"memory", "disk"}
+
+
 def spec_total(spec) -> int:
     return len(spec.expand())

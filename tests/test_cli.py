@@ -28,6 +28,20 @@ class TestParser:
         assert args.alpha == 0.5
         assert args.seed == 0
 
+    @pytest.mark.parametrize(
+        "command",
+        [["compare"], ["serve"], ["suite", "run", "suite.toml"]],
+        ids=lambda command: command[0],
+    )
+    def test_workload_cache_flag_is_gone(self, capsys, command):
+        """The workload cache has no knob; the old flag is a usage error."""
+        with pytest.raises(SystemExit) as error:
+            build_parser().parse_args([*command, "--workload-cache", "4"])
+        assert error.value.code == 2
+        assert "unrecognized arguments: --workload-cache" in (
+            capsys.readouterr().err
+        )
+
 
 class TestCommands:
     def test_table1(self, capsys):
@@ -534,7 +548,6 @@ class TestServiceFlags:
         "flag",
         [
             ["--jobs", "4"],
-            ["--workload-cache", "0"],
             ["--store-backend", "json"],
         ],
         ids=lambda flag: flag[0],

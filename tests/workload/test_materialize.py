@@ -9,6 +9,8 @@ from repro.experiments.runner import default_policies
 from repro.sim.config import scaled_config
 from repro.sim.engine import SimulationEngine
 from repro.workload.materialize import (
+    DEFAULT_CACHE_MATERIALIZATIONS,
+    DEFAULT_SLOT_BUDGET_BYTES,
     MaterializationCache,
     SlotDataCache,
     build_materialization,
@@ -221,13 +223,13 @@ class TestMaterializationCache:
 
     def test_configure_process_cache_replaces_global(self):
         original = process_cache()
-        replaced = configure_process_cache(size=2)
-        try:
-            assert process_cache() is replaced
-            assert replaced is not original
-            assert replaced.size == 2
-        finally:
-            configure_process_cache()
+        original.materialize(tiny(2), None)
+        replaced = configure_process_cache()
+        assert process_cache() is replaced
+        assert replaced is not original
+        assert len(replaced) == 0
+        assert replaced.size == DEFAULT_CACHE_MATERIALIZATIONS
+        assert replaced.slot_budget_bytes == DEFAULT_SLOT_BUDGET_BYTES
 
 
 class TestEngineBitIdentity:

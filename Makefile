@@ -15,8 +15,9 @@
 #                      the slot kernel's per-slot IT-power and
 #                      response-latency hot paths and cold-population
 #                      slot volumes (bench_scaling), the
-#                      discrete-event driver throughput + byte-identity
-#                      gate (bench_events -> BENCH_events.json) and the
+#                      request-sampling (--engine event) throughput +
+#                      byte-identity gate (bench_events ->
+#                      BENCH_events.json) and the
 #                      campaign-ledger overhead gate (bench_suite:
 #                      1k-run warm sweep, suite <= 1.10x raw
 #                      submit_many -> BENCH_suite.json)

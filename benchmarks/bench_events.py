@@ -1,22 +1,21 @@
-"""Event-driven engine core: throughput gate plus byte-identity.
+"""Request sampling (``--engine event``): throughput gate plus byte-identity.
 
-The discrete-event driver replays the same physics as the slot-stepped
-reference loop from a typed event heap (arrivals, departures, measure
-ticks, plus derived migration/tariff/battery/request trace events) and
-additionally materializes a per-request latency ledger the slot driver
-never builds.  Two properties keep it honest:
+An event-kind run goes through the same slot loop as a slot-kind run
+and additionally samples each slot's user requests into a per-request
+latency ledger that a slot-kind run never builds.  Two properties keep
+it honest:
 
-* **byte-identity** -- the event driver's slot-boundary ledgers must
-  serialize byte for byte equal to the slot driver's over a multi-day
+* **byte-identity** -- the event run's slot-boundary ledgers must
+  serialize byte for byte equal to the slot run's over a multi-day
   run (same config, same policy, same seed);
-* **throughput** -- draining the heap must sustain a floor of
-  simulated requests per wall-clock second over the whole run (ledger
-  rows are per-(slot, DC) aggregates, so the floor bounds event-core
-  overhead, not Python-per-request work).
+* **throughput** -- the event run must sustain a floor of simulated
+  requests per wall-clock second over the whole run (ledger rows are
+  per-(slot, DC) batches, so the floor bounds the cost of request
+  sampling on top of the slot loop, not Python-per-request work).
 
 A machine-readable ``BENCH_events.json`` lands in
 ``benchmarks/reports/`` (uploaded by the nightly workflow) so the
-event core's perf trajectory is recorded run over run.  Run via
+event run's perf trajectory is recorded run over run.  Run via
 ``make bench-smoke`` (or directly with pytest).
 """
 
@@ -32,13 +31,13 @@ from repro.sim.config import EngineCoreConfig, scaled_config
 from repro.sim.engine import SimulationEngine
 
 #: Simulated horizon: two days, so tariff edges, PV cycles and battery
-#: regime changes all generate trace events.
+#: regime changes all occur.
 HORIZON_SLOTS = 48
 
-#: Timed event-driver runs; the best repeat is scored.
+#: Timed event-kind runs; the best repeat is scored.
 REPEATS = 2
 
-#: Required simulated requests drained per wall-clock second.
+#: Required simulated requests sampled per wall-clock second.
 REQUIRED_REQUESTS_PER_S = 50_000.0
 
 
@@ -51,7 +50,7 @@ def _slot_bytes(result) -> bytes:
 
 @pytest.fixture(scope="module")
 def drivers():
-    """Slot- and event-driver runs of the same two-day experiment."""
+    """Slot- and event-kind runs of the same two-day experiment."""
     config = scaled_config("small").with_horizon(HORIZON_SLOTS)
     start = time.perf_counter()
     slot_result = SimulationEngine(config, EnerAwarePolicy()).run()
@@ -70,26 +69,26 @@ def drivers():
 
 
 def test_event_core_slot_ledgers_byte_identical(drivers):
-    """Slot-boundary snapshots match the reference loop byte for byte."""
+    """Slot-boundary snapshots match the slot-kind run byte for byte."""
     _, slot_result, _, event_result, _ = drivers
     assert _slot_bytes(event_result) == _slot_bytes(slot_result)
-    # The event driver's extra product is the request ledger; the slot
-    # driver must keep degrading to None rather than faking one.
+    # An event run's extra product is the request ledger; a slot run
+    # must keep degrading to None rather than faking one.
     assert event_result.total_requests() > 0
     assert slot_result.total_requests() is None
 
 
 def test_event_core_request_throughput(drivers, report_dir):
-    """The event heap sustains the simulated-requests/s floor."""
+    """An event-kind run sustains the simulated-requests/s floor."""
     config, _, slot_s, event_result, event_s = drivers
     total_requests = event_result.total_requests()
     requests_per_s = total_requests / event_s
     lines = [
-        "bench_events: discrete-event driver vs slot-stepped reference",
+        "bench_events: event-kind run (request sampling) vs slot-kind run",
         f"  small scale, {HORIZON_SLOTS} slots, "
         f"{len(config.specs)} DCs, best of {REPEATS}",
-        f"  slot driver  {slot_s:6.2f} s/run",
-        f"  event driver {event_s:6.2f} s/run "
+        f"  slot run  {slot_s:6.2f} s/run",
+        f"  event run {event_s:6.2f} s/run "
         f"({total_requests} simulated requests)",
         f"  throughput {requests_per_s:10.0f} requests/s "
         f"(required >= {REQUIRED_REQUESTS_PER_S:.0f})",
@@ -119,6 +118,6 @@ def test_event_core_request_throughput(drivers, report_dir):
         json.dumps(payload, indent=2) + "\n"
     )
     assert requests_per_s >= REQUIRED_REQUESTS_PER_S, (
-        f"event core drained only {requests_per_s:.0f} simulated "
+        f"event run sampled only {requests_per_s:.0f} simulated "
         f"requests/s (need >= {REQUIRED_REQUESTS_PER_S:.0f})"
     )

@@ -36,11 +36,11 @@ seeds with mean / 95 % CI reporting.  Sweeps stream ``completed/total``
 run counts to stderr as workers finish (``--progress`` forces it on,
 ``--no-progress`` off; the default follows whether stderr is a TTY).
 
-Engine selection: ``--engine {slot,event}`` picks the simulation
-driver -- the slot-stepped reference loop (default) or the
-discrete-event core, which produces byte-identical slot ledgers plus a
+Engine selection: ``--engine {slot,event}`` picks the run kind.  Both
+run the one slot loop; ``event`` additionally samples each slot's user
+requests, so its runs carry byte-identical slot ledgers plus a
 per-request latency tail (p50/p99/p99.9).  The engine mode joins the
-run fingerprint, so the two drivers cache as distinct artifacts.
+run fingerprint, so the two kinds cache as distinct artifacts.
 
 Workload selection: ``--pack NAME`` runs a registered trace pack (see
 ``packs``) and ``--pack-csv PATH`` builds a recorded pack from a
@@ -237,27 +237,9 @@ def _pack_from(
     return None
 
 
-def _options_from(
-    args: argparse.Namespace, pack: TracePack | None
-) -> EngineOptions:
-    """The engine options the command's flags describe.
-
-    Validates ``--engine event`` against the selected pack up front so
-    unsupported combinations fail with a flag-level message instead of
-    a mid-run engine error (the engine's own check stays authoritative
-    for policies and non-CLI callers).
-    """
-    engine = EngineCoreConfig(kind=args.engine)
-    if (
-        engine.kind == "event"
-        and pack is not None
-        and not getattr(pack, "supports_event_core", True)
-    ):
-        raise SystemExit(
-            f"error: pack {pack.name!r} does not support --engine event "
-            "yet; rerun with --engine slot"
-        )
-    return EngineOptions(engine=engine)
+def _options_from(args: argparse.Namespace) -> EngineOptions:
+    """The engine options the command's flags describe."""
+    return EngineOptions(engine=EngineCoreConfig(kind=args.engine))
 
 
 def _comparison_from(args: argparse.Namespace) -> list:
@@ -269,7 +251,7 @@ def _comparison_from(args: argparse.Namespace) -> list:
         use_cache=not args.no_cache,
         orchestrator=_orchestrator_from(args),
         pack=pack,
-        options=_options_from(args, pack),
+        options=_options_from(args),
     )
 
 
@@ -300,7 +282,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             seeds=tuple(range(args.seed, args.seed + args.seeds)),
             orchestrator=_orchestrator_from(args),
             pack=pack,
-            options=_options_from(args, pack),
+            options=_options_from(args),
         )
         print(format_replicated_comparison(replicates))
         return 0
@@ -352,7 +334,7 @@ def cmd_alpha(args: argparse.Namespace) -> int:
         alphas,
         orchestrator=_orchestrator_from(args),
         pack=pack,
-        options=_options_from(args, pack),
+        options=_options_from(args),
     )
     front = {point.alpha for point in pareto_front(points)}
     print(
@@ -377,7 +359,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
         alpha=args.alpha,
         orchestrator=_orchestrator_from(args),
         pack=pack,
-        options=_options_from(args, pack),
+        options=_options_from(args),
     )
     print(
         f"{'policy':<12} {'cost EUR':>10} {'LP bound':>10} {'gap %':>7}"
@@ -403,7 +385,7 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
         alpha=args.alpha,
         orchestrator=_orchestrator_from(args),
         pack=pack,
-        options=_options_from(args, pack),
+        options=_options_from(args),
     )
     print(format_outcomes(outcomes))
     return 0
@@ -431,7 +413,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         config,
         orchestrator=_orchestrator_from(args),
         pack=pack,
-        options=_options_from(args, pack),
+        options=_options_from(args),
     )
     print(format_rows(rows))
     return 0
@@ -768,9 +750,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--engine",
             choices=("slot", "event"),
             default="slot",
-            help="simulation driver: the slot-stepped reference loop or "
-            "the discrete-event core (byte-identical slot ledgers plus "
-            "per-request latency percentiles)",
+            help="run kind: slot ledgers only, or the same slot ledgers "
+            "plus sampled per-request latency percentiles",
         )
 
     table1 = subparsers.add_parser("table1", help="print Table I")

@@ -112,8 +112,8 @@ class EngineOptions:
         Give policies the current slot's traces (perfect forecast).
     engine:
         The :class:`~repro.sim.config.EngineCoreConfig` selecting the
-        simulation driver (``slot`` or ``event``) and its request-
-        stream intensity.  Part of the fingerprint: an event run
+        run kind (``slot`` or ``event``) and its request-stream
+        intensity.  Part of the fingerprint: an event run
         carries a per-request ledger a slot run does not, so they are
         distinct artifacts even though their slot ledgers are
         byte-identical.

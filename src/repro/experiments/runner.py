@@ -89,8 +89,8 @@ def run_comparison(
         its content hash keys the result store.
     options:
         Engine options for every run (``None`` = defaults) -- e.g.
-        the ``--engine event`` driver selection; part of each run's
-        fingerprint.
+        the ``--engine event`` run kind, which adds the request
+        ledger; part of each run's fingerprint.
     """
     orchestrator = orchestrator or default_orchestrator()
     if jobs != 1:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from repro.experiments.orchestrator import RunArtifact, RunRequest
-from repro.service.codec import CodecError, decode, encode
+from repro.service.codec import decode, encode
 from repro.sim.results import HeadlineResult, RunResult
 
 __all__ = [
@@ -131,7 +131,11 @@ def decode_request(payload: Any) -> tuple[RunRequest, str, bool]:
         raise WireError("run_request payload lacks a fingerprint")
     try:
         request = decode(payload.get("request"))
-    except CodecError as error:
+    except (ValueError, TypeError, KeyError) as error:
+        # CodecError is a ValueError; a dataclass's own validation
+        # (``__post_init__``), a malformed tag (``{"__tuple__": 5}``)
+        # and a tag missing its payload raise the plain built-ins --
+        # every one means a bad entry, answered on its own line.
         raise WireError(f"undecodable request: {error}") from None
     if not isinstance(request, RunRequest):
         raise WireError(

@@ -205,7 +205,7 @@ class ExperimentDaemon:
             "computed": 0,
             "errors": 0,
         }
-        #: Decoded submissions per simulation driver ("slot"/"event").
+        #: Decoded submissions per engine kind ("slot"/"event").
         #: Counted on the decode path only -- warm fast-path hits answer
         #: from the response cache without decoding, so these are
         #: "requests whose engine mode this daemon actually saw".

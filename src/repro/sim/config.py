@@ -12,6 +12,7 @@ suite and the benchmark harness use, as recorded in DESIGN.md.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from repro.datacenter.datacenter import Datacenter, DatacenterSpec
@@ -85,7 +86,7 @@ def _make_spec(site: str, n_servers: int) -> DatacenterSpec:
 
 @dataclass(frozen=True)
 class EngineCoreConfig:
-    """Which simulation driver advances the run, and its knobs.
+    """Which kind of run the engine performs, and its knobs.
 
     Part of :class:`~repro.experiments.orchestrator.EngineOptions`, so
     the engine mode joins the run fingerprint and the service wire
@@ -97,14 +98,17 @@ class EngineCoreConfig:
     Attributes
     ----------
     kind:
-        ``"slot"`` -- the reference slot-stepped loop (default);
-        ``"event"`` -- the discrete-event driver
-        (:class:`~repro.sim.events.EventCore`), which additionally
-        samples per-request latencies inside each slot.
+        ``"slot"`` -- the slot ledgers only (default); ``"event"`` --
+        the same slot loop, which additionally samples each slot's
+        user requests into the per-request latency ledger
+        (:attr:`~repro.sim.results.RunResult.requests`).  The name
+        stays ``"event"`` because it is part of stored fingerprints,
+        the ``--engine`` flag and suite specs.
     requests_per_vm_hour:
         Mean simulated user requests per receiving VM per hour-slot;
-        the event driver's Poisson request stream intensity.  Only the
-        request ledger depends on it -- slot physics never does.
+        the Poisson request stream's intensity.  Must be finite and
+        positive.  Only the request ledger depends on it -- slot
+        physics never does.
     """
 
     kind: str = "slot"
@@ -115,8 +119,14 @@ class EngineCoreConfig:
             raise ValueError(
                 f"engine kind must be 'slot' or 'event', got {self.kind!r}"
             )
-        if self.requests_per_vm_hour <= 0.0:
-            raise ValueError("requests_per_vm_hour must be positive")
+        if not (
+            math.isfinite(self.requests_per_vm_hour)
+            and self.requests_per_vm_hour > 0.0
+        ):
+            raise ValueError(
+                "requests_per_vm_hour must be finite and positive, got "
+                f"{self.requests_per_vm_hour!r}"
+            )
 
 
 @dataclass(frozen=True)

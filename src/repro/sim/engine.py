@@ -18,19 +18,22 @@ Each slot the engine (Section IV-A's protocol):
 The engine owns all mutation (battery state, forecaster history);
 policies only read the observation.
 
-The per-slot physics and accounting live in the driver-agnostic
+The per-slot physics and accounting live in the
 :class:`~repro.sim.kernel.SlotKernel`, one implementation per step;
 this module builds the run (workload, kernel, green controller) and
-holds the *slot driver* -- the reference slot-stepped loop.  A second
-driver, the discrete-event :class:`~repro.sim.events.EventCore`,
-advances the same kernel from a typed event heap (``--engine event``);
-its slot-boundary ledgers are byte-identical to the slot driver's
-because both call the identical ``observe``/``step`` kernel pair per
-slot.  Tests and tools that need the physics internals address them
-on ``engine.kernel``.
+holds the one driver: a loop that calls the kernel's
+``observe``/``step`` pair once per slot.  An ``--engine event`` run
+(``EngineCoreConfig(kind="event")``) goes through the same loop and
+additionally samples the slot's user requests after each step into
+the per-request latency ledger
+(:attr:`~repro.sim.results.RunResult.requests`), so its slot ledgers
+are byte-identical to a slot-kind run's.  Tests and tools that need
+the physics internals address them on ``engine.kernel``.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.core.green import GreenController
 from repro.sim.config import (
@@ -40,12 +43,17 @@ from repro.sim.config import (
     build_latency_model,
 )
 from repro.sim.kernel import SlotKernel
-from repro.sim.results import RunResult
+from repro.sim.results import RunResult, SlotRecord
 from repro.sim.state import PlacementPolicy
 from repro.units import SECONDS_PER_HOUR
 from repro.workload.arrivals import VMPopulation
 from repro.workload.materialize import materialization_key
 from repro.workload.packs import WorkloadProvider, default_pack
+
+#: Third word of the request stream's seed sequence: keeps the request
+#: Poisson draws disjoint from the workload streams, which derive from
+#: ``config.seed`` alone, so sampling requests never perturbs physics.
+_REQUEST_SALT = 0xE7
 
 
 class SimulationEngine:
@@ -92,13 +100,10 @@ class SimulationEngine:
         without it.
     engine:
         The :class:`~repro.sim.config.EngineCoreConfig` selecting the
-        driver: ``kind="slot"`` (default) steps the kernel slot by
-        slot; ``kind="event"`` drains a typed event heap
-        (:class:`~repro.sim.events.EventCore`) and additionally samples
-        per-request latencies.  Slot-boundary ledgers are byte-identical
-        either way.  Rejected with ``ValueError`` for policies that
-        declare ``requires_slot_engine`` or workloads that declare
-        ``supports_event_core = False``.
+        run kind: ``kind="slot"`` (default) records the slot ledgers
+        only; ``kind="event"`` runs the same loop and additionally
+        samples per-request latencies after each slot.  Slot ledgers
+        are byte-identical either way.
     """
 
     def __init__(
@@ -137,20 +142,6 @@ class SimulationEngine:
             config = workload.configure(config)
         if engine is None:
             engine = EngineCoreConfig()
-        if engine.kind == "event":
-            if getattr(policy, "requires_slot_engine", False):
-                raise ValueError(
-                    f"policy {policy.name!r} requires the slot engine "
-                    "(requires_slot_engine is set); rerun with "
-                    "--engine slot"
-                )
-            if not getattr(workload, "supports_event_core", True):
-                raise ValueError(
-                    "workload "
-                    f"{workload.descriptor().get('name', '?')!r} does "
-                    "not support the event core yet; rerun with "
-                    "--engine slot"
-                )
         self.config = config
         self.policy = policy
         self.validate = validate
@@ -189,20 +180,22 @@ class SimulationEngine:
     # -- main loop ---------------------------------------------------------
 
     def run(self) -> RunResult:
-        """Simulate the full horizon and return the result ledger."""
-        if self.engine_config.kind == "event":
-            from repro.sim.events import EventCore
+        """Simulate the full horizon and return the result ledger.
 
-            return EventCore(self).run()
-        return self._run_slot_driver()
-
-    def _run_slot_driver(self) -> RunResult:
-        """The reference driver: one kernel observe/step pair per slot."""
+        One kernel ``observe``/``step`` pair per slot.  An event-kind
+        run also appends the slot's request batches
+        (:meth:`_sample_requests`) after each step.
+        """
         config = self.config
         kernel = self.kernel
+        sample_requests = self.engine_config.kind == "event"
         self.policy.reset()
         dcs = build_datacenters(config)
-        result = RunResult(policy_name=self.policy.name, config_name=config.name)
+        result = RunResult(
+            policy_name=self.policy.name,
+            config_name=config.name,
+            requests=[] if sample_requests else None,
+        )
         previous_assignment: dict[int, int] = {}
 
         for slot in range(config.horizon_slots):
@@ -218,11 +211,36 @@ class SimulationEngine:
             if self.validate:
                 placement.validate(observation)
 
-            result.slots.append(kernel.step(slot, vms, placement, dcs))
+            record = kernel.step(slot, vms, placement, dcs)
+            result.slots.append(record)
             previous_assignment = dict(placement.assignment)
             kernel._evict_cache(slot)
+            if sample_requests:
+                result.requests.extend(self._sample_requests(record))
 
         return result
+
+    def _sample_requests(self, record: SlotRecord) -> list[list]:
+        """The slot's ``[slot, dc, latency_s, count]`` request batches.
+
+        One Poisson count per DC with receiving VMs, in DC order, of
+        mean ``receiving_vms * requests_per_vm_hour``, drawn from the
+        slot's own ``default_rng([seed, slot, _REQUEST_SALT])`` stream;
+        each nonzero count is ledgered at the DC's Eq. 1 latency.
+        """
+        slot = record.slot
+        rate = self.engine_config.requests_per_vm_hour
+        rng = np.random.default_rng([self.config.seed, slot, _REQUEST_SALT])
+        rows = []
+        for dc_index, dc_record in enumerate(record.dc_records):
+            if dc_record.receiving_vms == 0:
+                continue
+            count = int(rng.poisson(dc_record.receiving_vms * rate))
+            if count:
+                rows.append(
+                    [slot, dc_index, dc_record.response_latency_s, count]
+                )
+        return rows
 
 
 def run_policies(

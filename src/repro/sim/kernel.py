@@ -1,8 +1,7 @@
-"""Driver-agnostic per-slot simulation kernel.
+"""Per-slot simulation kernel.
 
-The :class:`SlotKernel` owns everything a simulation *driver* needs to
-advance one hour-slot of the paper's protocol, independent of how the
-driver schedules those slots:
+The :class:`SlotKernel` owns everything the engine's slot loop needs to
+advance one hour-slot of the paper's protocol:
 
 * workload access -- realized demand matrices and data-volume matrices,
   with the per-slot row cache and the optional shared
@@ -17,12 +16,12 @@ driver schedules those slots:
 * the accounting -- assembling the :class:`~repro.sim.results.SlotRecord`
   ledger entry for a slot.
 
-Two drivers consume it: the slot-stepped reference loop in
-:class:`~repro.sim.engine.SimulationEngine` (the default) and the
-discrete-event :class:`~repro.sim.events.EventCore`.  Both call the
-same :meth:`observe` / :meth:`step` pair per slot, so their
-slot-boundary ledgers are byte-identical by construction -- the kernel
-is the single place slot physics happens.
+One driver consumes it: the slot loop in
+:class:`~repro.sim.engine.SimulationEngine`, which calls the
+:meth:`observe` / :meth:`step` pair once per slot for both run kinds
+(``--engine slot`` and ``--engine event``), so their slot-boundary
+ledgers are byte-identical by construction -- the kernel is the single
+place slot physics happens.
 
 Every floating-point reduction in the physics accumulates in the order
 of the plain per-server, per-DC loops it replaced, so the ledgers equal
@@ -45,7 +44,7 @@ from repro.workload.vm import VirtualMachine
 
 
 class SlotKernel:
-    """Per-slot physics and accounting, shared by every driver.
+    """Per-slot physics and accounting of one run.
 
     Parameters
     ----------
@@ -355,7 +354,7 @@ class SlotKernel:
         IT power at the chosen DVFS levels, times the time-varying PUE,
         through the green controller (renewables, battery, grid, cost),
         plus the Eq. 1 response latencies.  Mutates the battery state
-        held in ``dcs`` and the per-DC history -- drivers call this
+        held in ``dcs`` and the per-DC history -- the engine calls this
         exactly once per slot, in slot order.
         """
         config = self.config

@@ -28,9 +28,9 @@ def weighted_percentile(values, counts, percentile: float) -> float:
     """Percentile of the multiset where ``values[i]`` repeats ``counts[i]``.
 
     Exactly ``np.percentile(np.repeat(values, counts), percentile)``
-    (linear interpolation) without materializing the expansion -- the
-    event driver's request ledger stores one ``(latency, count)`` row
-    per (slot, DC) for millions of simulated requests, so tail
+    (linear interpolation) without materializing the expansion -- an
+    event-kind run's request ledger stores one ``(latency, count)`` row
+    per (slot, DC) batch for millions of simulated requests, so tail
     percentiles must come from the weighted form.  Bit-exactness with
     numpy matters for ledger round-trips: the two interpolation terms
     below mirror numpy's ``_lerp`` branch (it switches formula at

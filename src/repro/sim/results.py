@@ -275,8 +275,9 @@ class RunResult:
         """Plain-dict form of the whole run (JSON-serializable).
 
         The request ledger only appears when one exists, so
-        slot-engine dumps stay byte-identical to their pre-event-core
-        form (stored fingerprinted artifacts survive the upgrade).
+        slot-kind dumps carry no ``requests`` key at all (stored
+        fingerprinted artifacts from before request ledgers existed
+        stay valid).
         """
         payload = {
             "policy_name": self.policy_name,

@@ -145,13 +145,6 @@ class PlacementPolicy(abc.ABC):
     #: Short name used in result tables ("Proposed", "Ener-aware", ...).
     name: str = "unnamed"
 
-    #: Policies that depend on the slot-stepped driver's cadence (e.g.
-    #: by observing wall-clock side channels between slots) opt out of
-    #: the event-driven core by setting this True; the engine rejects
-    #: ``--engine event`` for them.  Every shipped policy is pure
-    #: observation -> placement, so the default is False.
-    requires_slot_engine: bool = False
-
     @abc.abstractmethod
     def place(self, observation: SlotObservation) -> FleetPlacement:
         """Decide the fleet placement for one slot."""

@@ -17,7 +17,7 @@ alone.  The TOML shape::
     policies = ["Proposed", "Ener-aware", "Pri-aware", "Net-aware"]
     seeds = [0, 1, 2]
     alphas = [0.5]           # Eq. 5 weight (Proposed only)
-    engines = ["slot"]       # slot | event simulation drivers
+    engines = ["slot"]       # slot | event run kinds
     qos = [0.98]             # migration QoS levels (scenario knob)
 
     [outputs]

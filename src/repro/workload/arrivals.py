@@ -23,14 +23,6 @@ from repro.workload.vm import (
     sample_image_size_gb,
 )
 
-#: Lifecycle event kinds emitted by :meth:`VMPopulation.events`.
-#: Departures sort before arrivals at the same slot boundary, matching
-#: ``alive(slot)`` (a VM with ``departure_slot == slot`` is already
-#: gone when slot ``slot`` begins).
-EVENT_DEPARTURE = 0
-EVENT_ARRIVAL = 1
-
-
 @dataclass(frozen=True)
 class ArrivalModel:
     """Parameters of the service arrival process.
@@ -84,9 +76,6 @@ class VMPopulation:
     horizon_slots: int
     _by_slot: dict[int, list[VirtualMachine]] = field(
         default_factory=dict, repr=False
-    )
-    _events: list[tuple[int, int, VirtualMachine]] | None = field(
-        default=None, repr=False
     )
 
     @classmethod
@@ -158,31 +147,6 @@ class VMPopulation:
     def departures(self, slot: int) -> list[VirtualMachine]:
         """VMs whose last slot was ``slot - 1``."""
         return [vm for vm in self.vms if vm.departure_slot == slot]
-
-    def events(self) -> list[tuple[int, int, VirtualMachine]]:
-        """Lifecycle events as ``(slot, kind, vm)`` in drain order.
-
-        The event-driven driver's feed: one :data:`EVENT_ARRIVAL` per
-        VM at its arrival slot and one :data:`EVENT_DEPARTURE` at its
-        departure slot (omitted when the VM outlives the horizon).
-        Sorted stably by ``(slot, kind)``, so at any slot boundary
-        departures precede arrivals and same-kind events keep vm_id
-        order -- replaying them into an insertion-ordered dict yields
-        exactly :meth:`alive`'s VM ordering (vm_ids are assigned in
-        arrival order).  Built once and cached.
-        """
-        if self._events is None:
-            events = [
-                (vm.arrival_slot, EVENT_ARRIVAL, vm) for vm in self.vms
-            ]
-            events += [
-                (vm.departure_slot, EVENT_DEPARTURE, vm)
-                for vm in self.vms
-                if vm.departure_slot < self.horizon_slots
-            ]
-            events.sort(key=lambda event: (event[0], event[1]))
-            self._events = events
-        return self._events
 
     def peak_alive(self) -> int:
         """Maximum simultaneous VM count over the horizon."""

@@ -255,15 +255,6 @@ class TracePack:
     )
     app_mix: Mapping[AppType, float] | None = None
 
-    #: Event-core opt-in (unannotated on purpose: a class constant,
-    #: not a dataclass field).  All shipped packs pre-realize their
-    #: traces per slot, which is exactly what the event driver's
-    #: MEASURE events replay, so they all support it; a future
-    #: streaming pack whose realization depends on the slot loop's
-    #: call cadence would set this False and ``--engine event`` is
-    #: rejected for it.
-    supports_event_core = True
-
     @property
     def kind(self) -> str:
         """Source kind: ``"synthetic"`` or ``"recorded"``."""
@@ -392,10 +383,6 @@ class LibraryWorkload:
     datacorr: DataCorrelationParams = field(
         default_factory=DataCorrelationParams
     )
-
-    #: See :attr:`TracePack.supports_event_core`; a wrapped library is
-    #: a pre-realized per-slot table too.
-    supports_event_core = True
 
     def configure(self, config):
         """No overrides: the config passes through unchanged."""

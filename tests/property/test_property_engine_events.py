@@ -1,15 +1,17 @@
-"""Property tests: event-driver equivalence and weighted percentiles.
+"""Property tests: slot/event run equivalence and weighted percentiles.
 
-The discrete-event driver's contract is *byte-identical* slot-boundary
-ledgers against the slot-stepped reference loop -- for any seed, any of
-the four policies and any workload pack kind (synthetic generator,
-recorded matrix, bare trace library).  Hypothesis sweeps that product
-at tiny scale; each example runs both drivers end to end and compares
-the serialized ledgers, which covers battery state, cost ledgers and
-migration counts in one equality.  Each run must also pass the physics
-audit (:func:`~repro.sim.audit.audit_run`: energy balance, SoC bounds,
-server capacity), so the invariants hold on both drivers, not just
-agree between them.
+An event-kind run's contract is *byte-identical* slot-boundary ledgers
+against a slot-kind run -- for any seed, any of the four policies and
+any workload pack kind (synthetic generator, recorded matrix, bare
+trace library).  Hypothesis sweeps that product at tiny scale; each
+example runs both kinds end to end and compares the serialized
+ledgers, which covers battery state, cost ledgers and migration counts
+in one equality.  Each run must also pass the physics audit
+(:func:`~repro.sim.audit.audit_run`: energy balance, SoC bounds,
+server capacity), so the invariants hold on both kinds, not just agree
+between them.  The event run's request ledger must equal the one
+rebuilt from its slot ledgers by the documented sampling rule
+(:func:`expected_requests`), row for row.
 
 ``weighted_percentile`` backs the per-request latency accessors: its
 pin is bit-exact agreement with ``np.percentile`` over the expanded
@@ -44,6 +46,37 @@ HORIZON = 6
 PACK_KINDS = ("synthetic", "recorded", "library")
 
 POLICIES = (ProposedPolicy, EnerAwarePolicy, PriAwarePolicy, NetAwarePolicy)
+
+
+#: Third word of the request stream's seed sequence, as documented in
+#: DESIGN.md ("Request sampling"); restated so the oracle below does
+#: not share the engine's constant.
+REQUEST_SALT = 0xE7
+
+
+def expected_requests(run, seed: int, rate: float) -> list[list]:
+    """The request ledger rebuilt from ``run.slots`` alone.
+
+    Per slot, DCs in order: skip DCs without receiving VMs, draw
+    ``Poisson(receiving_vms * rate)`` from ``default_rng([seed, slot,
+    REQUEST_SALT])``, and keep nonzero counts as ``[slot, dc,
+    latency_s, count]`` rows.
+    """
+    rows = []
+    for record in run.slots:
+        rng = np.random.default_rng([seed, record.slot, REQUEST_SALT])
+        for dc_index, dc_record in enumerate(record.dc_records):
+            if dc_record.receiving_vms == 0:
+                continue
+            count = int(rng.poisson(dc_record.receiving_vms * rate))
+            if count:
+                rows.append([
+                    record.slot,
+                    dc_index,
+                    dc_record.response_latency_s,
+                    count,
+                ])
+    return rows
 
 
 def _recorded_matrix(seed: int) -> np.ndarray:
@@ -107,6 +140,12 @@ class TestEventDriverEquivalence:
             slot_run.total_grid_cost_eur()
         )
         assert event_run.total_migrations() == slot_run.total_migrations()
+        assert slot_run.requests is None
+        assert event_run.requests == expected_requests(
+            event_run,
+            config.seed,
+            event_engine.engine_config.requests_per_vm_hour,
+        )
 
 
 class TestWeightedPercentile:

@@ -1,10 +1,10 @@
-"""Event-engine runs over the service wire: identity and visibility.
+"""Event-kind runs over the service wire: identity and visibility.
 
-The acceptance bar for the event core is byte-identical slot ledgers
-on *every* execution path, including ``--service``: a daemon decodes
-the request (with its :class:`~repro.sim.config.EngineCoreConfig`),
-simulates with the event driver in its own process, and ships the
-artifact back.  These tests pin the wire round-trip of the engine
+An event-kind run must keep byte-identical slot ledgers on *every*
+execution path, including ``--service``: a daemon decodes the request
+(with its :class:`~repro.sim.config.EngineCoreConfig`), runs the slot
+loop with request sampling in its own process, and ships the artifact
+back.  These tests pin the wire round-trip of the engine
 config, the cross-process ledger identity, and the daemon's
 engine-mode observability (``/stats``).
 """
@@ -70,7 +70,7 @@ class TestServicePathIdentity:
             [record.to_dict() for record in local.slots], sort_keys=True
         )
         assert remote_bytes == local_bytes
-        # The event driver's extra product crossed the wire too.
+        # The request ledger crossed the wire too.
         assert artifact.result.total_requests() > 0
         assert artifact.result.p99_request_s() is not None
 

@@ -240,7 +240,18 @@ class TestBatchEndpoints:
         good = encode_request(tiny_requests[0])
         bad = {"wire_version": WIRE_VERSION, "kind": "nonsense"}
         old = dict(good, wire_version=1)
-        body = json.dumps(encode_batch([bad, old, good])).encode()
+        # Entries whose request tree fails while being rebuilt: a
+        # dataclass's own validation (ValueError), a malformed tag
+        # (TypeError) and a tag missing its payload (KeyError).
+        warp = json.loads(json.dumps(good))
+        options = warp["request"]["fields"]["options"]["fields"]
+        options["engine"]["fields"]["kind"] = "warp"
+        not_a_tuple = dict(good, request={"__tuple__": 5})
+        no_data = dict(good, request={"__ndarray__": "<f8"})
+        undecodable = [warp, not_a_tuple, no_data]
+        body = json.dumps(
+            encode_batch([bad, old, *undecodable, good])
+        ).encode()
         status, _, data = raw(
             daemon.address, "POST", "/runs/batch",
             body=body, headers={"Content-Type": "application/json"},
@@ -249,12 +260,17 @@ class TestBatchEndpoints:
         lines = [
             json.loads(line) for line in data.splitlines() if line.strip()
         ]
+        assert len(lines) == 6
         assert lines[0]["kind"] == "error"
         # A v1 entry is refused on its own line; its sibling is served.
         assert lines[1]["kind"] == "error"
         assert lines[1]["status"] == 400
         assert "wire version" in lines[1]["error"]
-        assert lines[2]["kind"] in ("pending", "run_artifact")
+        for line in lines[2:5]:
+            assert line["kind"] == "error"
+            assert line["status"] == 400
+            assert "undecodable request" in line["error"]
+        assert lines[5]["kind"] in ("pending", "run_artifact")
         get(daemon.url, f"/runs/{tiny_requests[0].fingerprint()}?wait=60")
 
     def test_poll_reports_unknown_fingerprints(self, daemon):

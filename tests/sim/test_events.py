@@ -1,4 +1,4 @@
-"""Event-driven engine core: heap ordering, equivalence, validation."""
+"""Event-kind runs: engine config, slot-ledger identity, request ledger."""
 
 from __future__ import annotations
 
@@ -9,23 +9,6 @@ import pytest
 from repro.baselines import EnerAwarePolicy
 from repro.sim.config import EngineCoreConfig, scaled_config
 from repro.sim.engine import SimulationEngine
-from repro.sim.events import (
-    ARRIVAL,
-    BATTERY,
-    DEPARTURE,
-    MEASURE,
-    MIGRATION,
-    REQUEST,
-    TARIFF,
-    EventCore,
-    EventHeap,
-)
-from repro.workload.arrivals import (
-    EVENT_ARRIVAL,
-    EVENT_DEPARTURE,
-    VMPopulation,
-)
-from repro.workload.packs import default_pack
 
 
 @pytest.fixture(scope="module")
@@ -39,51 +22,14 @@ def slot_result(config):
 
 
 @pytest.fixture(scope="module")
-def event_engine(config):
+def event_result(config):
     return SimulationEngine(
         config, EnerAwarePolicy(), engine=EngineCoreConfig(kind="event")
-    )
-
-
-@pytest.fixture(scope="module")
-def event_result(event_engine):
-    return event_engine.run()
+    ).run()
 
 
 def slot_dicts(result) -> list[dict]:
     return [record.to_dict() for record in result.slots]
-
-
-class TestEventHeap:
-    def test_orders_by_time(self):
-        heap = EventHeap()
-        heap.push(2.0, MEASURE, "late")
-        heap.push(0.5, REQUEST, "early")
-        heap.push(1.0, MEASURE, "middle")
-        assert [heap.pop()[2] for _ in range(3)] == [
-            "early", "middle", "late",
-        ]
-
-    def test_same_time_drains_in_lifecycle_order(self):
-        heap = EventHeap()
-        for kind in (REQUEST, MEASURE, ARRIVAL, DEPARTURE):
-            heap.push(3.0, kind, kind)
-        drained = [heap.pop()[1] for _ in range(4)]
-        assert drained == [DEPARTURE, ARRIVAL, MEASURE, REQUEST]
-
-    def test_same_time_same_kind_keeps_push_order(self):
-        heap = EventHeap()
-        for label in ("a", "b", "c"):
-            heap.push(1.0, MIGRATION, label)
-        assert [heap.pop()[2] for _ in range(3)] == ["a", "b", "c"]
-
-    def test_len_peek_and_bool(self):
-        heap = EventHeap()
-        assert not heap and len(heap) == 0
-        heap.push(4.0, TARIFF)
-        heap.push(1.5, BATTERY)
-        assert heap and len(heap) == 2
-        assert heap.peek_time() == 1.5
 
 
 class TestEngineCoreConfig:
@@ -97,45 +43,11 @@ class TestEngineCoreConfig:
             EngineCoreConfig(kind="warp")
 
     def test_rejects_non_positive_request_rate(self):
-        with pytest.raises(ValueError, match="requests_per_vm_hour"):
-            EngineCoreConfig(requests_per_vm_hour=0.0)
-
-
-class TestPopulationEvents:
-    def test_events_cover_the_population(self, config):
-        population = VMPopulation.generate(
-            config.arrival_model, config.horizon_slots, seed=config.seed
-        )
-        events = population.events()
-        arrivals = [e for e in events if e[1] == EVENT_ARRIVAL]
-        departures = [e for e in events if e[1] == EVENT_DEPARTURE]
-        assert len(arrivals) == len(population.vms)
-        assert len(departures) == sum(
-            1
-            for vm in population.vms
-            if vm.departure_slot < population.horizon_slots
-        )
-        slots = [e[0] for e in events]
-        assert slots == sorted(slots)
-
-    def test_alive_replay_matches_alive_query(self, config):
-        """The incremental alive dict reproduces ``alive(slot)`` exactly."""
-        population = VMPopulation.generate(
-            config.arrival_model, config.horizon_slots, seed=config.seed
-        )
-        alive: dict[int, object] = {}
-        by_slot: dict[int, list] = {
-            slot: [] for slot in range(config.horizon_slots)
-        }
-        for slot, kind, vm in population.events():
-            by_slot[slot].append((kind, vm))
-        for slot in range(config.horizon_slots):
-            for kind, vm in sorted(by_slot[slot], key=lambda e: e[0]):
-                if kind == EVENT_DEPARTURE:
-                    del alive[vm.vm_id]
-                else:
-                    alive[vm.vm_id] = vm
-            assert list(alive.values()) == population.alive(slot)
+        # NaN passes a plain ``<= 0`` check and inf overflows the
+        # Poisson draw mid-run; both must fail at construction.
+        for rate in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="requests_per_vm_hour"):
+                EngineCoreConfig(requests_per_vm_hour=rate)
 
 
 class TestSlotBoundaryEquivalence:
@@ -159,28 +71,6 @@ class TestSlotBoundaryEquivalence:
         slot_bytes = json.dumps(slot_dicts(slot_result), sort_keys=True)
         event_bytes = json.dumps(slot_dicts(event_result), sort_keys=True)
         assert slot_bytes == event_bytes
-
-    def test_event_counts_match_population(
-        self, config, event_engine, event_result
-    ):
-        core = EventCore(
-            SimulationEngine(
-                config,
-                EnerAwarePolicy(),
-                engine=EngineCoreConfig(kind="event"),
-            )
-        )
-        result = core.run()
-        population = core.engine.kernel.population
-        assert core.event_counts["arrival"] == len(population.vms)
-        assert core.event_counts["measure"] == config.horizon_slots
-        assert core.event_counts["departure"] == sum(
-            1
-            for vm in population.vms
-            if vm.departure_slot < population.horizon_slots
-        )
-        assert core.event_counts["migration"] == result.total_migrations()
-        assert core.event_counts["request"] == len(result.requests)
 
     def test_request_ledger_is_deterministic(self, config, event_result):
         again = SimulationEngine(
@@ -237,50 +127,3 @@ class TestPercentileAccessors:
         slot_headline = slot_result.headline()
         assert slot_headline["total_requests"] is None
         assert slot_headline["p50_request_s"] is None
-
-
-class TestValidation:
-    def test_policy_requiring_slot_engine_is_rejected(self, config):
-        class SlotOnlyPolicy(EnerAwarePolicy):
-            requires_slot_engine = True
-
-        with pytest.raises(ValueError, match="requires the slot engine"):
-            SimulationEngine(
-                config,
-                SlotOnlyPolicy(),
-                engine=EngineCoreConfig(kind="event"),
-            )
-
-    def test_workload_without_event_support_is_rejected(self, config):
-        class NoEventWorkload:
-            supports_event_core = False
-
-            def __init__(self, inner):
-                self._inner = inner
-
-            def configure(self, config):
-                return self._inner.configure(config)
-
-            def build_traces(self, config):
-                return self._inner.build_traces(config)
-
-            def build_volumes(self, config):
-                return self._inner.build_volumes(config)
-
-            def descriptor(self):
-                return self._inner.descriptor()
-
-        with pytest.raises(ValueError, match="does not support the event"):
-            SimulationEngine(
-                config,
-                EnerAwarePolicy(),
-                workload=NoEventWorkload(default_pack()),
-                engine=EngineCoreConfig(kind="event"),
-            )
-
-    def test_slot_engine_accepts_both(self, config):
-        class SlotOnlyPolicy(EnerAwarePolicy):
-            requires_slot_engine = True
-
-        engine = SimulationEngine(config, SlotOnlyPolicy())
-        assert engine.engine_config.kind == "slot"

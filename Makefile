@@ -20,7 +20,10 @@
 #                      BENCH_events.json) and the
 #                      campaign-ledger overhead gate (bench_suite:
 #                      1k-run warm sweep, suite <= 1.10x raw
-#                      submit_many -> BENCH_suite.json)
+#                      submit_many -> BENCH_suite.json) and the
+#                      8-slot paper-scale smoke (bench_paper_smoke:
+#                      four audited policies past the workload slot
+#                      budget -> BENCH_paper_smoke.json)
 #   make bench       - full benchmark harness (slow: one-week comparison)
 
 PYTEST := PYTHONPATH=src python -m pytest
@@ -37,7 +40,8 @@ bench-smoke:
 		benchmarks/bench_scaling.py benchmarks/bench_store.py \
 		benchmarks/bench_service.py benchmarks/bench_workload_cache.py \
 		benchmarks/bench_events.py benchmarks/bench_suite.py \
-		-k "orchestrator or it_power or response_latencies or volumes or store or service or workload or event_core or suite" \
+		benchmarks/bench_paper_smoke.py \
+		-k "orchestrator or it_power or response_latencies or volumes or store or service or workload or event_core or suite or paper_smoke" \
 		--benchmark-min-rounds=3
 
 # Nightly follow-up to bench-smoke: compact the segment store the

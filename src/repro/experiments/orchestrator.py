@@ -59,7 +59,6 @@ document's ``meta`` envelope instead (:func:`run_meta`).
 from __future__ import annotations
 
 import dataclasses
-import enum
 import hashlib
 import json
 import os
@@ -70,6 +69,7 @@ from concurrent.futures import Future, ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
+from repro.canonical import canonical
 from repro.sim.config import EngineCoreConfig, ExperimentConfig
 from repro.sim.engine import SimulationEngine
 from repro.sim.results import RunResult
@@ -122,48 +122,6 @@ class EngineOptions:
     validate: bool = True
     clairvoyant: bool = False
     engine: EngineCoreConfig = field(default_factory=EngineCoreConfig)
-
-
-def canonical(value):
-    """Canonicalize ``value`` into JSON-stable plain data.
-
-    Handles dataclasses, enums (and enum-keyed dicts), functions,
-    numpy scalars and arbitrary objects with public attribute state.
-    Deterministic: equal configurations canonicalize to equal trees.
-    """
-    if isinstance(value, (bool, int, float, str)) or value is None:
-        return value
-    if isinstance(value, enum.Enum):
-        return {"__enum__": type(value).__qualname__, "name": value.name}
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {
-            "__class__": type(value).__qualname__,
-            **{
-                f.name: canonical(getattr(value, f.name))
-                for f in dataclasses.fields(value)
-            },
-        }
-    if isinstance(value, dict):
-        return {str(canonical(key)): canonical(val) for key, val in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [canonical(item) for item in value]
-    if callable(value) and hasattr(value, "__qualname__"):
-        return {
-            "__function__": f"{getattr(value, '__module__', '?')}."
-            f"{value.__qualname__}"
-        }
-    if hasattr(value, "item") and not hasattr(value, "__len__"):
-        return value.item()  # numpy scalar
-    if hasattr(value, "__dict__"):
-        return {
-            "__class__": type(value).__qualname__,
-            **{
-                key: canonical(val)
-                for key, val in sorted(vars(value).items())
-                if not key.startswith("_")
-            },
-        }
-    raise TypeError(f"cannot canonicalize {type(value).__name__}: {value!r}")
 
 
 @dataclass(frozen=True)
@@ -546,7 +504,8 @@ class Orchestrator:
     ) -> RunFuture:
         """Resolve one request asynchronously.
 
-        Store hits return an already-resolved future.  Misses are
+        A store hit (:meth:`lookup`) returns an already-resolved
+        future; a miss goes to :meth:`launch`.  Misses are
         deduplicated against in-flight work (two submissions of one
         fingerprint share a worker) and their results stream into the
         store the moment the worker finishes -- before the future is
@@ -562,20 +521,7 @@ class Orchestrator:
         """
         if use_store is None:
             use_store = self.use_store
-        return self.resolve(request, request.fingerprint(), use_store)
-
-    def resolve(
-        self, request: RunRequest, fingerprint: str, use_store: bool = True
-    ) -> RunFuture:
-        """The submit/dedup core: store lookup, in-flight dedup, launch.
-
-        Shared by the in-process path (:meth:`submit`, which computes
-        the fingerprint itself) and the service daemon
-        (:mod:`repro.service.server`, which receives the fingerprint
-        over the wire and verifies it against the decoded request
-        before calling in) -- both sides therefore apply identical
-        hit/dedup semantics against one store.
-        """
+        fingerprint = request.fingerprint()
         if use_store:
             hit = self.lookup(request, fingerprint)
             if hit is not None:
@@ -621,6 +567,7 @@ class Orchestrator:
             "entries": 0,
             "slot_hits": 0,
             "slot_misses": 0,
+            "slot_declined": 0,
             "bytes": 0,
         }
         sources: list[dict] = []
@@ -632,7 +579,7 @@ class Orchestrator:
         for source in sources:
             for counter in (
                 "hits", "misses", "entries",
-                "slot_hits", "slot_misses", "bytes",
+                "slot_hits", "slot_misses", "slot_declined", "bytes",
             ):
                 stats[counter] += source.get(counter, 0)
         stats["workers"] = len(workers)

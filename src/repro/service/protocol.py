@@ -131,17 +131,22 @@ def decode_request(payload: Any) -> tuple[RunRequest, str, bool]:
         raise WireError("run_request payload lacks a fingerprint")
     try:
         request = decode(payload.get("request"))
-    except (ValueError, TypeError, KeyError) as error:
+        if not isinstance(request, RunRequest):
+            raise WireError(
+                f"payload decodes to {type(request).__name__}, "
+                "not a RunRequest"
+            )
+        actual = request.fingerprint()
+    except WireError:
+        raise
+    except (ValueError, TypeError, KeyError, AttributeError) as error:
         # CodecError is a ValueError; a dataclass's own validation
         # (``__post_init__``), a malformed tag (``{"__tuple__": 5}``)
-        # and a tag missing its payload raise the plain built-ins --
+        # and a tag missing its payload raise the plain built-ins, and
+        # a RunRequest whose fields are not the objects it hashes
+        # (``"policy": 5``) raises AttributeError from fingerprint() --
         # every one means a bad entry, answered on its own line.
         raise WireError(f"undecodable request: {error}") from None
-    if not isinstance(request, RunRequest):
-        raise WireError(
-            f"payload decodes to {type(request).__name__}, not a RunRequest"
-        )
-    actual = request.fingerprint()
     if actual != declared:
         raise FingerprintMismatch(
             f"fingerprint mismatch: payload declares {declared[:12]}..., "

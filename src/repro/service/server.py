@@ -51,8 +51,10 @@ path trusts the one declared in the envelope: if it already resolves
 request -- a client that declares a wrong fingerprint only mis-serves
 itself.  Misses take the strict path: the request is decoded, its
 fingerprint recomputed and verified (``409`` on mismatch), and only
-then does it enter the shared orchestrator core
-(:meth:`~repro.experiments.orchestrator.Orchestrator.resolve`).
+then does it reach the orchestrator: a store lookup
+(:meth:`~repro.experiments.orchestrator.Orchestrator.lookup`), then
+the daemon's own in-flight registry, then
+:meth:`~repro.experiments.orchestrator.Orchestrator.launch`.
 
 The response cache stores fully *rendered* reply bodies of store hits
 keyed by ``(fingerprint, detail, encoding)`` -- for gzip that means

@@ -19,10 +19,11 @@ The engine owns all mutation (battery state, forecaster history);
 policies only read the observation.
 
 The per-slot physics and accounting live in the
-:class:`~repro.sim.kernel.SlotKernel`, one implementation per step;
-this module builds the run (workload, kernel, green controller) and
-holds the one driver: a loop that calls the kernel's
-``observe``/``step`` pair once per slot.  An ``--engine event`` run
+:class:`~repro.sim.kernel.SlotKernel`, one implementation per step,
+and the workload in a shared or private
+:class:`~repro.workload.materialize.WorkloadMaterialization`; this
+module wires the run and holds the one driver: a loop that calls the
+kernel's ``observe``/``step`` pair once per slot.  An ``--engine event`` run
 (``EngineCoreConfig(kind="event")``) goes through the same loop and
 additionally samples the slot's user requests after each step into
 the per-request latency ledger
@@ -46,9 +47,11 @@ from repro.sim.kernel import SlotKernel
 from repro.sim.results import RunResult, SlotRecord
 from repro.sim.state import PlacementPolicy
 from repro.units import SECONDS_PER_HOUR
-from repro.workload.arrivals import VMPopulation
-from repro.workload.materialize import materialization_key
-from repro.workload.packs import WorkloadProvider, default_pack
+from repro.workload.materialize import (
+    build_materialization,
+    materialization_key,
+)
+from repro.workload.packs import WorkloadProvider
 
 #: Third word of the request stream's seed sequence: keeps the request
 #: Poisson draws disjoint from the workload streams, which derive from
@@ -87,15 +90,17 @@ class SimulationEngine:
         last-interval data (Section IV-A); the clairvoyant mode bounds
         what better forecasting could buy.
     materialization:
-        Optional pre-built
+        Optional shared
         :class:`~repro.workload.materialize.WorkloadMaterialization`
-        supplying the population, traces and volumes (plus a shared
-        per-slot array cache) instead of building them here.  Its
+        supplying the population, traces, volumes and realized
+        per-slot matrices.  Its
         :func:`~repro.workload.materialize.materialization_key` must
         match this ``config`` -- configs differing only in
         workload-irrelevant fields (fleet specs, tariffs, QoS) share
         materializations; it already carries its pack, so ``workload``
-        must not also be passed.
+        must not also be passed.  Without one the engine builds a
+        private one from ``workload`` with a zero slot budget
+        (:func:`~repro.workload.materialize.build_materialization`).
         Purely an execution detail: runs are bit-identical with or
         without it.
     engine:
@@ -116,30 +121,27 @@ class SimulationEngine:
         materialization=None,
         engine: EngineCoreConfig | None = None,
     ) -> None:
-        if materialization is not None:
-            if workload is not None:
-                raise ValueError(
-                    "materialization already carries its workload"
-                )
+        if materialization is None:
+            materialization = build_materialization(
+                config, workload, slot_budget_bytes=0
+            )
+        elif workload is not None:
+            raise ValueError("materialization already carries its workload")
+        elif (
+            materialization_key(config, materialization.pack)
+            != materialization.key
+        ):
             # The sharing contract is the key, not config equality:
             # configs differing only in workload-irrelevant fields
             # (fleet specs, tariffs, QoS -- a battery sweep) share one
             # materialization.  The engine keeps ITS config for the
             # physics and only adopts the pack's configure overrides.
-            if (
-                materialization_key(config, materialization.pack)
-                != materialization.key
-            ):
-                raise ValueError(
-                    "materialization was built for a different workload "
-                    "(materialization key mismatch)"
-                )
-            workload = materialization.pack
-            config = workload.configure(config)
-        else:
-            if workload is None:
-                workload = default_pack()
-            config = workload.configure(config)
+            raise ValueError(
+                "materialization was built for a different workload "
+                "(materialization key mismatch)"
+            )
+        workload = materialization.pack
+        config = workload.configure(config)
         if engine is None:
             engine = EngineCoreConfig()
         self.config = config
@@ -148,32 +150,14 @@ class SimulationEngine:
         self.clairvoyant = clairvoyant
         self.workload = workload
         self.engine_config = engine
-        self._materialization = materialization
-
-        if materialization is not None:
-            population = materialization.population
-            traces = materialization.traces
-            volumes = materialization.volumes
-        else:
-            population = VMPopulation.generate(
-                config.arrival_model, config.horizon_slots, seed=config.seed
-            )
-            traces = workload.build_traces(config)
-            volumes = workload.build_volumes(config)
         self.kernel = SlotKernel(
             config,
-            population=population,
-            traces=traces,
-            volumes=volumes,
+            materialization=materialization,
             latency_model=build_latency_model(config),
             green=GreenController(
                 step_s=SECONDS_PER_HOUR / config.steps_per_slot
             ),
-            materialization=materialization,
         )
-        self.population = population
-        self.traces = traces
-        self.volumes = volumes
         self.latency_model = self.kernel.latency_model
         self.green = self.kernel.green
 
@@ -198,8 +182,9 @@ class SimulationEngine:
         )
         previous_assignment: dict[int, int] = {}
 
+        population = kernel.materialization.population
         for slot in range(config.horizon_slots):
-            vms = self.population.alive(slot)
+            vms = population.alive(slot)
             observation = kernel.observe(
                 slot,
                 vms,
@@ -214,7 +199,6 @@ class SimulationEngine:
             record = kernel.step(slot, vms, placement, dcs)
             result.slots.append(record)
             previous_assignment = dict(placement.assignment)
-            kernel._evict_cache(slot)
             if sample_requests:
                 result.requests.extend(self._sample_requests(record))
 

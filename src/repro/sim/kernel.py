@@ -3,9 +3,11 @@
 The :class:`SlotKernel` owns everything the engine's slot loop needs to
 advance one hour-slot of the paper's protocol:
 
-* workload access -- realized demand matrices and data-volume matrices,
-  with the per-slot row cache and the optional shared
-  :class:`~repro.workload.materialize.WorkloadMaterialization`;
+* workload access -- every realized demand matrix and data-volume
+  matrix comes from the run's
+  :class:`~repro.workload.materialize.WorkloadMaterialization`, which
+  alone decides what is cached and for how long; the kernel holds no
+  workload state of its own;
 * the per-slot physics, one implementation per step -- every DC's IT
   power from per-server sequential sums over the whole placement
   (:meth:`SlotKernel._fleet_it_power`), one PUE broadcast, one
@@ -39,7 +41,7 @@ from repro.sim.config import ExperimentConfig
 from repro.sim.results import DCSlotRecord, SlotRecord
 from repro.sim.state import FleetPlacement, SlotObservation
 from repro.units import SECONDS_PER_HOUR
-from repro.workload.arrivals import VMPopulation
+from repro.workload.materialize import WorkloadMaterialization
 from repro.workload.vm import VirtualMachine
 
 
@@ -50,42 +52,27 @@ class SlotKernel:
     ----------
     config:
         The (already workload-configured) experiment configuration.
-    population:
-        The realized VM population over the horizon.
-    traces:
-        Demand-trace source (``slot_demand`` / ``slot_demand_many``).
-    volumes:
-        Data-volume process (``volumes(vms, slot)``).
+    materialization:
+        The run's workload: population, traces, volumes and every
+        realized per-slot matrix.
     latency_model:
         The Eq. 1 latency model of the fleet.
     green:
         The green controller stepping batteries/tariffs inside a slot.
-    materialization:
-        Optional shared workload materialization (see the engine).
     """
 
     def __init__(
         self,
         config: ExperimentConfig,
         *,
-        population: VMPopulation,
-        traces,
-        volumes,
+        materialization: WorkloadMaterialization,
         latency_model,
         green: GreenController,
-        materialization=None,
     ) -> None:
         self.config = config
-        self.population = population
-        self.traces = traces
-        self.volumes = volumes
+        self.materialization = materialization
         self.latency_model = latency_model
         self.green = green
-        self._materialization = materialization
-        self._demand_cache: dict[tuple[int, int], np.ndarray] = {}
-        #: Per-slot buckets of cache keys so eviction touches only the
-        #: keys it removes (O(evicted)), not every live key each slot.
-        self._demand_cache_slots: dict[int, list[tuple[int, int]]] = {}
         #: Per-ServerModel (capacity, idle, peak) level arrays, keyed
         #: by object id; the value keeps the model alive so ids stay
         #: unique.  Server models are fixed per spec, so the fleet
@@ -111,52 +98,10 @@ class SlotKernel:
     # -- workload access ------------------------------------------------
 
     def _demand(self, vms: list[VirtualMachine], slot: int) -> np.ndarray:
-        if not vms:
-            return np.zeros((0, self.config.steps_per_slot))
-        if self._materialization is not None:
-            matrix = self._materialization.demand(vms, slot)
-            if matrix is not None:
-                return matrix
-        cached = [self._demand_cache.get((vm.vm_id, slot)) for vm in vms]
-        missing = [index for index, row in enumerate(cached) if row is None]
-        if not missing:
-            return np.stack(cached)
-        if len(missing) == len(vms):
-            matrix = self.traces.slot_demand_many(vms, slot)
-        else:
-            matrix = np.empty((len(vms), self.config.steps_per_slot))
-            for index, row in enumerate(cached):
-                if row is not None:
-                    matrix[index] = row
-            fresh = self.traces.slot_demand_many(
-                [vms[index] for index in missing], slot
-            )
-            for position, index in enumerate(missing):
-                matrix[index] = fresh[position]
-        # Freeze so cached row views cannot be corrupted downstream --
-        # nothing in the engine or the policies writes to demand
-        # matrices, and the materialization path serves frozen arrays
-        # already.
-        matrix.flags.writeable = False
-        for index in missing:
-            key = (vms[index].vm_id, slot)
-            self._demand_cache[key] = matrix[index]
-            self._demand_cache_slots.setdefault(slot, []).append(key)
-        return matrix
+        return self.materialization.demand(vms, slot)
 
     def _slot_volumes(self, vms: list[VirtualMachine], slot: int):
-        """The slot's volume matrix, via the shared materialization
-        cache when one is installed (with per-run fallback)."""
-        if self._materialization is not None:
-            matrix = self._materialization.volume_matrix(vms, slot)
-            if matrix is not None:
-                return matrix
-        return self.volumes.volumes(vms, slot)
-
-    def _evict_cache(self, older_than_slot: int) -> None:
-        for slot in [s for s in self._demand_cache_slots if s < older_than_slot]:
-            for key in self._demand_cache_slots.pop(slot):
-                del self._demand_cache[key]
+        return self.materialization.volume_matrix(vms, slot)
 
     # -- per-slot physics -------------------------------------------------
 

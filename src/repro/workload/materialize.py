@@ -1,16 +1,11 @@
 """Content-keyed workload materializations shared across runs.
 
 The paper's deliverables are sweeps: many policies (and engine-option
-variants) evaluated over the *same* workload realization.  Every
-:class:`~repro.sim.engine.SimulationEngine` historically rebuilt that
-realization from scratch -- the VM population, the trace library, the
-data-correlation process, and (the dominant cost) every realized
-per-slot demand matrix and volume matrix.  Profiling a baseline-policy
-run shows ~90% of its wall time is exactly this workload generation,
-recomputed identically for every policy in a comparison.
-
-This module factors the whole workload side of a run into one shared,
-reusable unit:
+variants) evaluated over the *same* workload realization -- the VM
+population, the trace library, the data-correlation process and every
+realized per-slot demand and volume matrix.  This module owns that
+realization, and is the only place that decides which realized arrays
+are kept and for how long:
 
 * :func:`materialization_key` -- a deterministic SHA-256 over the
   *workload-relevant* request state: the pack's content hash plus the
@@ -18,17 +13,19 @@ reusable unit:
   model.  Two runs share a key iff they realize bit-identical
   workloads.
 * :class:`WorkloadMaterialization` -- population + trace library +
-  volume process, plus a :class:`SlotDataCache` of *realized* per-slot
-  demand and volume matrices (the arrays every run of the key would
-  otherwise regenerate).  Served arrays are marked read-only: sharing
-  is only sound because policies never write observations, and the
-  flag turns any future violation into an immediate ``ValueError``
-  instead of a silent cross-run corruption.
+  volume process, and the source of every demand and volume matrix a
+  :class:`~repro.sim.kernel.SlotKernel` reads: those within its byte
+  budget are kept for later runs of the key, the rest are served
+  unkept.  Served arrays are marked read-only: sharing is only sound
+  because policies never write observations, and the flag turns any
+  future violation into an immediate ``ValueError`` instead of a
+  silent cross-run corruption.
 * :class:`MaterializationCache` -- a bounded per-process LRU of
   materializations.  The orchestrator owns one for its serial runs and
   installs one in each pool worker via the pool initializer
   (:func:`configure_process_cache`); every orchestrated run resolves
-  its workload through one of them.
+  its workload through one of them, and an engine handed none builds
+  a private one with a zero budget.
 
 Correctness contract
 --------------------
@@ -37,25 +34,24 @@ The cache is an *execution detail*: it never joins a
 :class:`~repro.experiments.orchestrator.RunRequest` fingerprint, and a
 cached run must be byte-identical to a from-scratch run.  That holds
 because every shared component is a deterministic memo of the same
-seeded draws the engine would perform itself: demand rows come from
-the same ``slot_demand`` calls in the same order, volume matrices from
-the same :class:`~repro.workload.datacorr.DataCorrelationProcess`
-(whose per-pair RNG streams depend only on vm ids), and the population
-from the same ``VMPopulation.generate``.
+seeded draws: demand row ``i`` is ``slot_demand(vms[i], slot)``
+whichever batch computes it, volume matrices come from the same
+:class:`~repro.workload.datacorr.DataCorrelationProcess` (whose
+per-pair RNG streams depend only on vm ids), and the population from
+the same ``VMPopulation.generate``.
 ``tests/experiments/test_workload_cache.py`` asserts the equivalence
 across pack kinds and execution paths.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import enum
 import json
 import threading
 from typing import Callable
 
 import numpy as np
 
+from repro.canonical import canonical
 from repro.workload.arrivals import VMPopulation
 from repro.workload.packs import TracePack, default_pack, _hash_items
 
@@ -63,7 +59,6 @@ __all__ = [
     "DEFAULT_CACHE_MATERIALIZATIONS",
     "DEFAULT_SLOT_BUDGET_BYTES",
     "MaterializationCache",
-    "SlotDataCache",
     "WorkloadMaterialization",
     "build_materialization",
     "configure_process_cache",
@@ -79,41 +74,8 @@ DEFAULT_CACHE_MATERIALIZATIONS = 4
 #: Byte budget for one materialization's realized slot data.
 #: Covers a full small-scale week (~85 MB of demand + volume
 #: matrices); at paper scale the budget caps admission instead of
-#: ballooning (see :class:`SlotDataCache`).
+#: ballooning (see :class:`WorkloadMaterialization`).
 DEFAULT_SLOT_BUDGET_BYTES = 192 << 20
-
-
-def _canonical_workload(value):
-    """JSON-stable plain data for the workload-relevant config state.
-
-    A local (dependency-free) subset of the orchestrator's
-    ``canonical``: dataclasses, enums, dicts and scalars -- everything
-    an :class:`~repro.workload.arrivals.ArrivalModel` can contain.
-    Kept here because :mod:`repro.experiments.orchestrator` imports the
-    engine (and hence this module); importing it back would cycle.
-    """
-    if isinstance(value, (bool, int, float, str)) or value is None:
-        return value
-    if isinstance(value, enum.Enum):
-        return {"__enum__": type(value).__qualname__, "name": value.name}
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {
-            "__class__": type(value).__qualname__,
-            **{
-                f.name: _canonical_workload(getattr(value, f.name))
-                for f in dataclasses.fields(value)
-            },
-        }
-    if isinstance(value, dict):
-        return {
-            str(_canonical_workload(key)): _canonical_workload(val)
-            for key, val in value.items()
-        }
-    if isinstance(value, (list, tuple)):
-        return [_canonical_workload(item) for item in value]
-    raise TypeError(
-        f"cannot canonicalize workload field {type(value).__name__}: {value!r}"
-    )
 
 
 def materialization_key(config, pack: TracePack | None) -> str:
@@ -140,9 +102,7 @@ def materialization_key(config, pack: TracePack | None) -> str:
     if pack is None:
         pack = default_pack()
     configured = pack.configure(config)
-    arrival = json.dumps(
-        _canonical_workload(configured.arrival_model), sort_keys=True
-    )
+    arrival = json.dumps(canonical(configured.arrival_model), sort_keys=True)
     return _hash_items(
         "repro-workload-materialization",
         pack.content_descriptor()["schema"],
@@ -161,213 +121,197 @@ def _freeze(array: np.ndarray) -> np.ndarray:
     return array
 
 
-class SlotDataCache:
-    """Realized per-slot demand and volume matrices for one workload.
+class WorkloadMaterialization:
+    """One workload realization and the realized slot arrays runs read.
 
-    Keys are ``(slot, vm-id tuple)``: the engine's demand and volume
-    calls are exact functions of the slot and the ordered alive set,
-    so whole-matrix memoization is sound (the volume process's
-    per-slot jitter depends on matrix *position*, not VM identity --
-    only exact-population hits may be served).
-
-    Demand rows are additionally memoized per ``(vm_id, slot)`` as
-    views into their matrices, preserving the engine's original
-    incremental behavior: a cold run assembling slot ``s+1``'s matrix
-    recomputes only the newly-arrived VMs' rows.
+    Bundles the population, trace library and volume process of the
+    keyed ``(config, pack)`` pair, and serves every per-slot demand and
+    volume matrix a :class:`~repro.sim.kernel.SlotKernel` uses.  Keys
+    are ``(slot, vm-id tuple)``: demand and volume matrices are exact
+    functions of the slot and the ordered alive set, so whole-matrix
+    memoization is sound (the volume process's per-slot jitter depends
+    on matrix *position*, not VM identity -- only exact-population hits
+    may be served).
 
     Memory policy: admission-capped rather than evicted.  Runs replay
     slots in ascending order, so LRU eviction under a scan working set
-    larger than the budget would evict precisely the entries the next
-    run is about to need (classic scan thrash, zero reuse).  Instead
-    the first ``budget_bytes`` of entries stay resident -- every later
-    run gets a deterministic warm prefix -- and once the budget is
-    full both lookup methods *decline* (return ``None``) so the engine
-    falls back to its original per-run caches, preserving the
-    pre-cache cold-run behavior exactly.
-    """
+    larger than the budget would evict precisely the matrices the next
+    run is about to need (scan thrash, zero reuse).  Instead the first
+    ``budget_bytes`` of matrices are kept -- every later run of the key
+    gets a deterministic warm prefix -- and a matrix past the budget is
+    computed, frozen and served without being kept, counted as a miss
+    and as ``declined``.
 
-    def __init__(self, budget_bytes: int = DEFAULT_SLOT_BUDGET_BYTES) -> None:
-        self.budget_bytes = int(budget_bytes)
-        self.bytes = 0
-        self.hits = 0
-        self.misses = 0
-        self.declined = 0
-        self._demand: dict[tuple, np.ndarray] = {}
-        self._rows: dict[tuple[int, int], np.ndarray] = {}
-        self._volumes: dict[tuple, object] = {}
-        self._lock = threading.RLock()
+    Demand rows are reused within a slot: a demand miss copies the
+    rows it shares with the last demand matrix served, if that matrix
+    is of the same slot and on the same side of the budget (both kept,
+    or both not), and a request for the last matrix's own key is a
+    hit.  So observing slot ``s`` over slot ``s + 1``'s alive set
+    computes only the newly arrived VMs' rows, and past the budget the
+    last matrix is all the demand data held.
+    ``tests/workload/test_materialize.py`` pins the provider work this
+    costs, including at a budget that splits a run.
 
-    def demand(self, traces, vms, slot: int) -> np.ndarray | None:
-        """The ``(len(vms), steps)`` demand matrix, memoized.
-
-        Row ``i`` is exactly ``traces.slot_demand(vms[i], slot)`` --
-        assembled through the provider's batched ``slot_demand_many``
-        when all rows are new, from per-row memo views (the engine's
-        original incremental behavior) otherwise.  Returns ``None``
-        when the byte budget cannot admit the matrix.
-        """
-        key = (slot, tuple(vm.vm_id for vm in vms))
-        steps = traces.steps_per_slot
-        with self._lock:
-            matrix = self._demand.get(key)
-            if matrix is not None:
-                self.hits += 1
-                return matrix
-            estimate = len(vms) * steps * 8
-            if self.bytes + estimate > self.budget_bytes:
-                self.declined += 1
-                return None
-            self.misses += 1
-            cached_rows = [self._rows.get((vm.vm_id, slot)) for vm in vms]
-            missing = [
-                index for index, row in enumerate(cached_rows)
-                if row is None
-            ]
-            if len(missing) == len(vms):
-                matrix = traces.slot_demand_many(vms, slot)
-            else:
-                matrix = np.empty((len(vms), steps))
-                for index, row in enumerate(cached_rows):
-                    if row is not None:
-                        matrix[index] = row
-                if missing:
-                    fresh = traces.slot_demand_many(
-                        [vms[index] for index in missing], slot
-                    )
-                    for position, index in enumerate(missing):
-                        matrix[index] = fresh[position]
-            _freeze(matrix)
-            self.bytes += matrix.nbytes
-            self._demand[key] = matrix
-            for index, vm in enumerate(vms):
-                self._rows.setdefault((vm.vm_id, slot), matrix[index])
-            return matrix
-
-    def volume_matrix(self, process, vms, slot: int):
-        """The slot's :class:`~repro.workload.datacorr.VolumeMatrix`,
-        memoized; ``None`` when the byte budget cannot admit it."""
-        key = (slot, tuple(vm.vm_id for vm in vms))
-        with self._lock:
-            cached = self._volumes.get(key)
-            if cached is not None:
-                self.hits += 1
-                return cached
-            estimate = len(vms) * len(vms) * 8
-            if self.bytes + estimate > self.budget_bytes:
-                self.declined += 1
-                return None
-            self.misses += 1
-            matrix = process.volumes(list(vms), slot)
-            _freeze(matrix.volumes)
-            self.bytes += matrix.volumes.nbytes
-            self._volumes[key] = matrix
-            return matrix
-
-    def stats(self) -> dict:
-        """Counter snapshot: hit/miss/declined plus resident entries."""
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "declined": self.declined,
-                "bytes": self.bytes,
-                "demand_entries": len(self._demand),
-                "volume_entries": len(self._volumes),
-            }
-
-
-class WorkloadMaterialization:
-    """One workload realization, frozen for sharing across engines.
-
-    Bundles the population, trace library and volume process a
-    :class:`~repro.sim.engine.SimulationEngine` would build for the
-    keyed ``(config, pack)`` pair, plus the
-    :class:`SlotDataCache` of realized per-slot arrays.  All mutation
-    funnels through :meth:`demand` and :meth:`volume_matrix`, which
-    serialize under one lock -- engines sharing a materialization from
-    several threads (a ``jobs=1`` daemon serving concurrent clients)
-    interleave safely and deterministically.
+    Lookups serialize under one lock, so engines sharing a
+    materialization from several threads (callers sharing one
+    ``jobs=1`` orchestrator) interleave safely and deterministically.
 
     Attributes
     ----------
     key:
-        The :func:`materialization_key` this realization answers to.
-    base_config:
-        The configuration *before* the pack's ``configure`` overrides
-        (what an engine is constructed with; used to verify a
-        materialization is being applied to the run it was built for).
+        The :func:`materialization_key` this realization answers to;
+        ``None`` for a provider without content identity (a
+        :class:`~repro.workload.packs.LibraryWorkload`).
     config:
         The configured experiment (pack overrides applied) every
         consumer must simulate under.
+    budget_bytes:
+        Bytes of realized matrices kept for later runs.
     """
 
     def __init__(
         self,
-        key: str,
-        base_config,
+        key: str | None,
         config,
-        pack: TracePack,
+        pack,
         population: VMPopulation,
         traces,
         volumes,
         slot_budget_bytes: int = DEFAULT_SLOT_BUDGET_BYTES,
     ) -> None:
         self.key = key
-        self.base_config = base_config
         self.config = config
         self.pack = pack
         self.population = population
         self.traces = traces
         self.volumes = volumes
-        self.slots = SlotDataCache(budget_bytes=slot_budget_bytes)
+        self.budget_bytes = int(slot_budget_bytes)
+        self.bytes = 0
+        self.hits = 0
+        self.misses = 0
+        self.declined = 0
+        self._demand: dict[tuple, np.ndarray] = {}
+        self._volumes: dict[tuple, object] = {}
+        #: ``(key, matrix, kept)`` of the last demand matrix served.
+        self._last: tuple[tuple, np.ndarray, bool] | None = None
+        self._lock = threading.RLock()
 
-    def demand(self, vms, slot: int) -> np.ndarray | None:
-        """Shared, read-only demand matrix for ``(vms, slot)``.
+    def _admit(self, nbytes: int) -> bool:
+        """Charge ``nbytes`` to the budget if they fit; else decline."""
+        if self.bytes + nbytes > self.budget_bytes:
+            self.declined += 1
+            return False
+        self.bytes += nbytes
+        return True
 
-        ``None`` when the slot budget declines -- the engine then
-        falls back to its own per-run demand cache.
+    def demand(self, vms, slot: int) -> np.ndarray:
+        """The read-only ``(len(vms), steps)`` demand matrix.
+
+        Row ``i`` is exactly ``traces.slot_demand(vms[i], slot)``; the
+        rows not copied from the slot's last matrix come from one
+        batched ``slot_demand_many`` call.
         """
+        steps = self.config.steps_per_slot
         if not vms:
-            return np.zeros((0, self.config.steps_per_slot))
-        return self.slots.demand(self.traces, vms, slot)
+            return np.zeros((0, steps))
+        key = (slot, tuple(vm.vm_id for vm in vms))
+        with self._lock:
+            matrix = self._demand.get(key)
+            if matrix is not None:
+                self.hits += 1
+                self._last = (key, matrix, True)
+                return matrix
+            if self._last is not None and self._last[0] == key:
+                self.hits += 1
+                return self._last[1]
+            self.misses += 1
+            kept = self._admit(len(vms) * steps * 8)
+            matrix = _freeze(self._fresh_demand(vms, slot, kept))
+            if kept:
+                self._demand[key] = matrix
+            self._last = (key, matrix, kept)
+            return matrix
+
+    def _fresh_demand(self, vms, slot: int, kept: bool) -> np.ndarray:
+        """The rows the slot's last matrix shares, if it is on the
+        ``kept`` side of the budget; one provider batch for the rest."""
+        rows: dict[int, int] = {}
+        if self._last is not None:
+            (last_slot, last_ids), last, last_kept = self._last
+            if last_slot == slot and last_kept == kept:
+                rows = {vm_id: row for row, vm_id in enumerate(last_ids)}
+        shared = [index for index, vm in enumerate(vms) if vm.vm_id in rows]
+        if not shared:
+            return self.traces.slot_demand_many(vms, slot)
+        matrix = np.empty((len(vms), self.config.steps_per_slot))
+        matrix[shared] = last[[rows[vms[index].vm_id] for index in shared]]
+        missing = [
+            index for index, vm in enumerate(vms) if vm.vm_id not in rows
+        ]
+        if missing:
+            matrix[missing] = self.traces.slot_demand_many(
+                [vms[index] for index in missing], slot
+            )
+        return matrix
 
     def volume_matrix(self, vms, slot: int):
-        """Shared, read-only volume matrix for ``(vms, slot)``, or
-        ``None`` when the slot budget declines."""
-        return self.slots.volume_matrix(self.volumes, vms, slot)
+        """The read-only volume matrix of ``(vms, slot)``."""
+        key = (slot, tuple(vm.vm_id for vm in vms))
+        with self._lock:
+            matrix = self._volumes.get(key)
+            if matrix is not None:
+                self.hits += 1
+                return matrix
+            self.misses += 1
+            matrix = self.volumes.volumes(list(vms), slot)
+            _freeze(matrix.volumes)
+            if self._admit(matrix.volumes.nbytes):
+                self._volumes[key] = matrix
+            return matrix
 
     def approx_bytes(self) -> int:
-        """Rough resident size: realized slot data + generator caches."""
-        total = self.slots.bytes
+        """Rough resident size: kept slot data + generator caches."""
+        total = self.bytes
         approx = getattr(self.volumes, "approx_cache_bytes", None)
         if approx is not None:
             total += approx()
         return total
 
     def stats(self) -> dict:
-        """The slot cache's counters with ``bytes`` widened to
-        :meth:`approx_bytes` (realized arrays + generator caches)."""
-        stats = self.slots.stats()
-        stats["bytes"] = self.approx_bytes()
-        return stats
+        """Counter snapshot: hits, misses, declined, resident entries
+        and :meth:`approx_bytes`."""
+        with self._lock:
+            return {
+                "hits": self.hits,
+                "misses": self.misses,
+                "declined": self.declined,
+                "bytes": self.approx_bytes(),
+                "demand_entries": len(self._demand),
+                "volume_entries": len(self._volumes),
+            }
 
 
 def build_materialization(
     config,
-    pack: TracePack | None,
+    pack,
     slot_budget_bytes: int = DEFAULT_SLOT_BUDGET_BYTES,
     key: str | None = None,
 ) -> WorkloadMaterialization:
     """Materialize the workload for ``(config, pack)``.
 
-    Builds exactly what :class:`~repro.sim.engine.SimulationEngine`
-    builds for itself -- same construction order, same seed
-    derivations -- so an engine running from this materialization is
-    bit-identical to one building its own.
+    The one place a run's population, traces and volumes are built:
+    orchestrated runs get theirs through a
+    :class:`MaterializationCache`, and a
+    :class:`~repro.sim.engine.SimulationEngine` handed none builds a
+    private one here with ``slot_budget_bytes=0``.  ``pack`` is any
+    :class:`~repro.workload.packs.WorkloadProvider` (``None`` = the
+    default pack); ``key`` defaults to :func:`materialization_key` for
+    a :class:`~repro.workload.packs.TracePack` and stays ``None`` for
+    a provider without content identity.
     """
     if pack is None:
         pack = default_pack()
-    if key is None:
+    if key is None and isinstance(pack, TracePack):
         key = materialization_key(config, pack)
     configured = pack.configure(config)
     population = VMPopulation.generate(
@@ -379,7 +323,6 @@ def build_materialization(
     volumes = pack.build_volumes(configured)
     return WorkloadMaterialization(
         key=key,
-        base_config=config,
         config=configured,
         pack=pack,
         population=population,
@@ -472,15 +415,10 @@ class MaterializationCache:
                 "misses": self.misses,
                 "entries": len(entries),
             }
-        slot_hits = slot_misses = total_bytes = 0
-        for entry in entries:
-            slot = entry.stats()
-            slot_hits += slot["hits"]
-            slot_misses += slot["misses"]
-            total_bytes += slot["bytes"]
-        stats["slot_hits"] = slot_hits
-        stats["slot_misses"] = slot_misses
-        stats["bytes"] = total_bytes
+        slots = [entry.stats() for entry in entries]
+        for counter in ("hits", "misses", "declined"):
+            stats[f"slot_{counter}"] = sum(slot[counter] for slot in slots)
+        stats["bytes"] = sum(slot["bytes"] for slot in slots)
         return stats
 
 

@@ -200,6 +200,7 @@ class TestPlumbing:
             "entries": 0,
             "slot_hits": 0,
             "slot_misses": 0,
+            "slot_declined": 0,
             "bytes": 0,
             "workers": 0,
         }

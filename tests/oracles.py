@@ -129,18 +129,15 @@ class LoopKernel(SlotKernel):
     """A :class:`SlotKernel` whose every physics step is a plain loop."""
 
     def _demand(self, vms, slot: int) -> np.ndarray:
+        """One ``slot_demand`` call per row, on the run's own traces."""
         if not vms:
             return np.zeros((0, self.config.steps_per_slot))
-        return np.stack([self._demand_row(vm, slot) for vm in vms])
+        traces = self.materialization.traces
+        return np.stack([traces.slot_demand(vm, slot) for vm in vms])
 
-    def _demand_row(self, vm, slot: int) -> np.ndarray:
-        key = (vm.vm_id, slot)
-        row = self._demand_cache.get(key)
-        if row is None:
-            row = self.traces.slot_demand(vm, slot)
-            self._demand_cache[key] = row
-            self._demand_cache_slots.setdefault(slot, []).append(key)
-        return row
+    def _slot_volumes(self, vms, slot: int) -> VolumeMatrix:
+        """:class:`LoopVolumes` over the run's own volume process."""
+        return LoopVolumes(self.materialization.volumes).volumes(vms, slot)
 
     def _dc_it_power(
         self, placement, dc_index: int, vm_rows: dict, demand_now: np.ndarray
@@ -231,9 +228,7 @@ def loop_kernel(kernel: SlotKernel) -> LoopKernel:
     """A :class:`LoopKernel` over ``kernel``'s workload and models."""
     return LoopKernel(
         kernel.config,
-        population=kernel.population,
-        traces=kernel.traces,
-        volumes=LoopVolumes(kernel.volumes),
+        materialization=kernel.materialization,
         latency_model=kernel.latency_model,
         green=kernel.green,
     )

@@ -242,13 +242,22 @@ class TestBatchEndpoints:
         old = dict(good, wire_version=1)
         # Entries whose request tree fails while being rebuilt: a
         # dataclass's own validation (ValueError), a malformed tag
-        # (TypeError) and a tag missing its payload (KeyError).
+        # (TypeError), a tag missing its payload (KeyError) and a
+        # RunRequest whose fields cannot be fingerprinted
+        # (AttributeError).
         warp = json.loads(json.dumps(good))
         options = warp["request"]["fields"]["options"]["fields"]
         options["engine"]["fields"]["kind"] = "warp"
         not_a_tuple = dict(good, request={"__tuple__": 5})
         no_data = dict(good, request={"__ndarray__": "<f8"})
-        undecodable = [warp, not_a_tuple, no_data]
+        int_fields = dict(
+            good,
+            request={
+                "__dataclass__": "repro.experiments.orchestrator:RunRequest",
+                "fields": {"config": 5, "policy": 5},
+            },
+        )
+        undecodable = [warp, not_a_tuple, no_data, int_fields]
         body = json.dumps(
             encode_batch([bad, old, *undecodable, good])
         ).encode()
@@ -260,17 +269,17 @@ class TestBatchEndpoints:
         lines = [
             json.loads(line) for line in data.splitlines() if line.strip()
         ]
-        assert len(lines) == 6
+        assert len(lines) == 7
         assert lines[0]["kind"] == "error"
         # A v1 entry is refused on its own line; its sibling is served.
         assert lines[1]["kind"] == "error"
         assert lines[1]["status"] == 400
         assert "wire version" in lines[1]["error"]
-        for line in lines[2:5]:
+        for line in lines[2:6]:
             assert line["kind"] == "error"
             assert line["status"] == 400
             assert "undecodable request" in line["error"]
-        assert lines[5]["kind"] in ("pending", "run_artifact")
+        assert lines[6]["kind"] in ("pending", "run_artifact")
         get(daemon.url, f"/runs/{tiny_requests[0].fingerprint()}?wait=60")
 
     def test_poll_reports_unknown_fingerprints(self, daemon):

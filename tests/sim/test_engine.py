@@ -108,7 +108,18 @@ class TestRunPolicies:
 
 class TestCaching:
     def test_demand_cache_evicts_old_slots(self, short_config):
+        """A standalone engine's private materialization keeps nothing
+        past its run but the last demand matrix it served."""
         engine = SimulationEngine(short_config, PriAwarePolicy())
         engine.run()
-        slots_cached = {slot for _, slot in engine.kernel._demand_cache}
-        assert all(slot >= short_config.horizon_slots - 1 for slot in slots_cached)
+        materialization = engine.kernel.materialization
+        stats = materialization.stats()
+        assert stats["demand_entries"] == stats["volume_entries"] == 0
+        assert materialization.bytes == 0
+        last = short_config.horizon_slots - 1
+        vms = materialization.population.alive(last)
+        hits = materialization.hits
+        materialization.demand(vms, last)
+        assert materialization.hits == hits + 1
+        materialization.demand(materialization.population.alive(0), 0)
+        assert materialization.hits == hits + 1

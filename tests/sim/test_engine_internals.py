@@ -91,7 +91,7 @@ class TestResponseLatencies:
             make_vm(vm_id=2, service_id=0, seed=3),
         ]
         placement = manual_placement(vms, {0: 0, 1: 1, 2: 1})
-        volumes = kernel.volumes.volumes(vms, 2).volumes
+        volumes = kernel.materialization.volumes.volumes(vms, 2).volumes
         latencies = kernel._response_latencies(placement, vms, volumes, 2)
 
         # DC1 receives from vm0 (DC0) and internally from vm2<->vm1.
@@ -110,7 +110,7 @@ class TestResponseLatencies:
             make_vm(vm_id=1, service_id=0, seed=2),
         ]
         placement = manual_placement(vms, {0: 0, 1: 0})
-        volumes = kernel.volumes.volumes(vms, 1).volumes
+        volumes = kernel.materialization.volumes.volumes(vms, 1).volumes
         latencies = kernel._response_latencies(placement, vms, volumes, 1)
         receiving = [count for _, count in latencies]
         # Both VMs exchange intra-service data, both sit in DC0.
@@ -131,16 +131,15 @@ class TestDemandCache:
     def test_rows_cached(self, kernel):
         vm = make_vm(vm_id=0, seed=1)
         first = kernel._demand([vm], 2)
-        row = kernel._demand_cache[(0, 2)]
         second = kernel._demand([vm], 2)
-        assert np.shares_memory(row, first)
-        assert kernel._demand_cache[(0, 2)] is row
-        assert np.array_equal(first, second)
+        assert second is first
+        assert not first.flags.writeable
+        traces = kernel.materialization.traces
+        assert np.array_equal(first[0], traces.slot_demand(vm, 2))
 
     def test_eviction_keeps_recent(self, kernel):
         vm = make_vm(vm_id=0, seed=1)
-        kernel._demand([vm], 0)
-        kernel._demand([vm], 5)
-        kernel._evict_cache(5)
-        assert (0, 0) not in kernel._demand_cache
-        assert (0, 5) in kernel._demand_cache
+        old = kernel._demand([vm], 0)
+        recent = kernel._demand([vm], 5)
+        assert kernel._demand([vm], 5) is recent
+        assert kernel._demand([vm], 0) is not old

@@ -51,7 +51,7 @@ def placed_slot(slot=0, horizon=2):
     config = scaled_config("tiny").with_horizon(horizon)
     engine = SimulationEngine(config, default_policies()[1])
     kernel = engine.kernel
-    vms = kernel.population.alive(slot)
+    vms = kernel.materialization.population.alive(slot)
     vm_rows = {vm.vm_id: row for row, vm in enumerate(vms)}
     demand = kernel._demand(vms, slot)
     policy = default_policies()[1]
@@ -60,7 +60,7 @@ def placed_slot(slot=0, horizon=2):
         slot=slot,
         vms=vms,
         demand_traces=demand,
-        volumes=kernel.volumes.volumes(vms, slot),
+        volumes=kernel.materialization.volumes.volumes(vms, slot),
         previous_assignment={},
         dcs=build_datacenters(config),
         latency_model=kernel.latency_model,
@@ -81,7 +81,7 @@ def driven_slots(policy_index=0, horizon=6):
     dcs = build_datacenters(config)
     previous: dict[int, int] = {}
     for slot in range(horizon):
-        vms = kernel.population.alive(slot)
+        vms = kernel.materialization.population.alive(slot)
         placement = engine.policy.place(
             kernel.observe(slot, vms, previous, dcs)
         )
@@ -168,29 +168,31 @@ class TestRunPoliciesOptions:
 
 
 class TestDemandCacheEviction:
-    def test_eviction_is_bucketed_per_slot(self):
+    def test_holds_only_the_last_matrix(self):
+        """Past its zero budget, a standalone engine's materialization
+        holds one demand matrix: the last it served."""
         config = scaled_config("tiny").with_horizon(3)
         kernel = SimulationEngine(config, default_policies()[1]).kernel
-        vms = kernel.population.alive(0)
-        kernel._demand(vms, 0)
-        kernel._demand(vms, 1)
-        assert set(kernel._demand_cache_slots) == {0, 1}
-        kernel._evict_cache(1)
-        assert set(kernel._demand_cache_slots) == {1}
-        assert all(slot == 1 for _, slot in kernel._demand_cache)
+        vms = kernel.materialization.population.alive(0)
+        first = kernel._demand(vms, 0)
+        second = kernel._demand(vms, 1)
+        assert kernel._demand(vms, 1) is second
+        again = kernel._demand(vms, 0)
+        assert again is not first
+        assert np.array_equal(again, first)
 
     def test_cache_consistent_after_run(self):
         config = scaled_config("tiny").with_horizon(4)
         engine = SimulationEngine(config, default_policies()[1])
         engine.run()
-        kernel = engine.kernel
-        bucketed = {
-            key
-            for keys in kernel._demand_cache_slots.values()
-            for key in keys
-        }
-        assert bucketed == set(kernel._demand_cache)
-        assert {slot for _, slot in kernel._demand_cache} <= {2, 3}
+        materialization = engine.kernel.materialization
+        stats = materialization.stats()
+        assert stats["demand_entries"] == stats["volume_entries"] == 0
+        assert materialization.bytes == 0
+        assert stats["misses"] == stats["declined"]
+        final = materialization.population.alive(3)
+        materialization.demand(final, 3)
+        assert materialization.hits == stats["hits"] + 1
 
 
 def it_power_case(server_vms_per_dc, n_vms, steps, seed=5):
@@ -308,11 +310,11 @@ class TestPairVolumes:
         """Kernel path vs per-pair nonzero oracle, elementwise exact."""
         config = scaled_config("tiny").with_horizon(2)
         kernel = SimulationEngine(config, default_policies()[1]).kernel
-        vms = kernel.population.alive(slot)
+        vms = kernel.materialization.population.alive(slot)
         # Drive the real entry points with a stub placement over the
         # kernel's own population (identity must hold end to end).
         stub = stub_placement(vms, config.n_dcs, seed=3)
-        real = kernel.volumes.volumes(vms, slot).volumes
+        real = kernel.materialization.volumes.volumes(vms, slot).volumes
         loop = loop_kernel(kernel)._response_latencies(stub, vms, real, slot)
         assert kernel._response_latencies(stub, vms, real, slot) == loop
 

@@ -1,18 +1,18 @@
-"""Workload materializations: keys, slot cache, LRU, engine identity."""
+"""Workload materializations: keys, slot arrays, LRU, engine identity."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
-from repro.experiments.runner import default_policies
+from repro.experiments.orchestrator import Orchestrator
+from repro.experiments.runner import default_policies, run_comparison
 from repro.sim.config import scaled_config
 from repro.sim.engine import SimulationEngine
 from repro.workload.materialize import (
     DEFAULT_CACHE_MATERIALIZATIONS,
     DEFAULT_SLOT_BUDGET_BYTES,
     MaterializationCache,
-    SlotDataCache,
     build_materialization,
     configure_process_cache,
     materialization_key,
@@ -21,10 +21,33 @@ from repro.workload.materialize import (
 from repro.workload.packs import (
     RecordedTraceSource,
     TracePack,
+    available_packs,
     default_pack,
     get_pack,
 )
+from repro.workload.datacorr import DataCorrelationProcess
+from repro.workload.traces import TraceLibrary
 from tests.oracles import loop_engine
+
+
+#: ``materialization_key(scaled_config("tiny", seed), pack)`` of every
+#: registered pack.
+PINNED_KEYS = {
+    0: {
+        "scenario-hpc": "2fad42bc3a310bdac7c04078e38467956dfb56cb6bbcd8dea7ba400803d07048",
+        "scenario-mixed": "49393ec3aeb832e533ee9564401e5ea470573d00c6fd82cb7b3a12d0a4f4f941",
+        "scenario-scale-out": "8d696741d1fa6a057100106c81428a61912e609fec0a98197aef6abcf6dd652f",
+        "synthetic": "d211d16ec8810fbff37c57754f5846a0a6d323d1f0d4edca7868fb2825fc39de",
+        "synthetic-dense": "025afb45a000c7f6eb588eeaa3646423cfc7e3b58660e23cc11505a8971d9c85",
+    },
+    1: {
+        "scenario-hpc": "d5c9a2ec15cfe7f72cd7b9f36040084aad8dcf3e80b3e12bfc637a868e9be613",
+        "scenario-mixed": "fbdc08305ec277bdbb01bf78024d70f17335a3eefaff04ef0d89f64cd5d07a24",
+        "scenario-scale-out": "a8529bdf7a4ace797ec9051cda3d7291d6865ab330174c75fcb63cb2c204d8e5",
+        "synthetic": "5e972c168b673ad80c162c0d7fecbdd47eaccfb4a9bea674692705cb5591e899",
+        "synthetic-dense": "dbfa047d99e9a451d10ca3171d893a87ea02da2fa35a7f9bdde1a783fd128837",
+    },
+}
 
 
 def tiny(horizon=3):
@@ -87,6 +110,17 @@ class TestMaterializationKey:
             config, get_pack("synthetic")
         ) != materialization_key(config, get_pack("scenario-hpc"))
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_registered_pack_keys_are_pinned(self, seed):
+        """Keys of every registered pack, as first published: moving
+        the canonicalizer must not move a key."""
+        config = scaled_config("tiny", seed=seed)
+        keys = {
+            name: materialization_key(config, get_pack(name))
+            for name in available_packs()
+        }
+        assert keys == PINNED_KEYS[seed]
+
     def test_workload_irrelevant_fields_do_not_change_key(self):
         config = tiny()
         renamed = dataclasses.replace(config, name="renamed-experiment")
@@ -96,6 +130,9 @@ class TestMaterializationKey:
 
 
 class TestSlotDataCache:
+    """The materialization's realized slot arrays: kept, shared, and
+    always served."""
+
     def materialized(self, horizon=3, **kwargs):
         return build_materialization(tiny(horizon), None, **kwargs)
 
@@ -106,8 +143,8 @@ class TestSlotDataCache:
         second = mat.demand(vms, 0)
         assert first is second
         assert not first.flags.writeable
-        assert mat.slots.hits == 1
-        assert mat.slots.misses == 1
+        assert mat.hits == 1
+        assert mat.misses == 1
 
     def test_demand_matches_trace_provider_exactly(self):
         mat = self.materialized()
@@ -132,38 +169,88 @@ class TestSlotDataCache:
         assert np.array_equal(cached.volumes, fresh.volumes)
 
     def test_tiny_budget_declines_instead_of_evicting(self):
+        """A matrix past the budget is computed, frozen and served
+        without being kept, and counts as a miss and a decline."""
         mat = self.materialized(slot_budget_bytes=1)
-        vms = mat.population.alive(0)
-        assert mat.demand(vms, 0) is None
-        assert mat.volume_matrix(vms, 0) is None
-        assert mat.slots.declined == 2
-        assert mat.slots.bytes == 0
+        vms = mat.population.alive(1)
+        demand = mat.demand(vms, 1)
+        volumes = mat.volume_matrix(vms, 1)
+        assert not demand.flags.writeable
+        assert not volumes.volumes.flags.writeable
+        fresh = self.materialized()
+        assert np.array_equal(demand, fresh.demand(vms, 1))
+        assert np.array_equal(
+            volumes.volumes, fresh.volume_matrix(vms, 1).volumes
+        )
+        assert mat.volume_matrix(vms, 1) is not volumes  # never kept
+        stats = mat.stats()
+        assert (stats["misses"], stats["declined"]) == (3, 3)
+        assert mat.bytes == 0
+        assert stats["demand_entries"] == stats["volume_entries"] == 0
 
     def test_budget_admits_prefix_then_declines(self):
         mat = self.materialized()
         vms = mat.population.alive(0)
-        one_matrix = len(vms) * mat.config.steps_per_slot * 8
-        mat.slots.budget_bytes = one_matrix
-        assert mat.demand(vms, 0) is not None  # fills the budget...
-        assert mat.demand(vms, 0) is not None  # ...hits stay served
-        assert mat.demand(vms, 1) is None  # ...new slots decline
-        assert mat.slots.declined == 1
+        mat.budget_bytes = len(vms) * mat.config.steps_per_slot * 8
+        kept = mat.demand(vms, 0)  # fills the budget...
+        assert mat.demand(vms, 0) is kept  # ...hits stay served
+        assert mat.demand(vms, 1) is not None  # ...new slots decline
+        assert mat.demand(vms, 0) is kept  # the prefix stays kept
+        stats = mat.stats()
+        assert stats["declined"] == 1
+        assert stats["demand_entries"] == 1
 
     def test_empty_population_shortcut(self):
         mat = self.materialized()
         empty = mat.demand([], 0)
         assert empty.shape == (0, mat.config.steps_per_slot)
 
-    def test_per_row_memo_reuses_overlapping_population(self):
-        mat = self.materialized()
+    @pytest.mark.parametrize(
+        "budget", [0, DEFAULT_SLOT_BUDGET_BYTES], ids=["unkept", "kept"]
+    )
+    def test_rows_reused_within_a_slot(self, budget, monkeypatch):
+        """A miss copies the rows it shares with the slot's last matrix
+        and asks the provider only for the rest."""
+        mat = self.materialized(slot_budget_bytes=budget)
+        asked = []
+        original = mat.traces.slot_demand_many
+
+        def counted(vms, slot):
+            asked.append(len(vms))
+            return original(vms, slot)
+
+        monkeypatch.setattr(mat.traces, "slot_demand_many", counted)
         vms = mat.population.alive(0)
         assert len(vms) >= 2
+        newcomer = mat.population.alive(1)[-1]
+        assert newcomer not in vms
         full = mat.demand(vms, 0)
-        subset = mat.demand(vms[:-1], 0)
-        assert np.array_equal(subset, full[:-1])
-        # The subset matrix reassembles from row memos: no fresh
-        # slot_demand work, visible as rows equal to the full matrix's.
-        assert mat.slots.misses == 2
+        grown = mat.demand(vms[:-1] + [newcomer], 0)
+        assert asked == [len(vms), 1]
+        assert np.array_equal(grown[:-1], full[:-1])
+        assert np.array_equal(
+            grown[-1], mat.traces.slot_demand(newcomer, 0)
+        )
+        assert mat.misses == 2
+
+    def test_rows_never_cross_the_budget(self, monkeypatch):
+        """A matrix past the budget takes no rows from a kept one."""
+        mat = self.materialized()
+        asked = []
+        original = mat.traces.slot_demand_many
+
+        def counted(vms, slot):
+            asked.append(len(vms))
+            return original(vms, slot)
+
+        monkeypatch.setattr(mat.traces, "slot_demand_many", counted)
+        vms = mat.population.alive(0)
+        mat.budget_bytes = len(vms) * mat.config.steps_per_slot * 8
+        kept = mat.demand(vms, 0)
+        served = mat.demand(vms[:-1], 0)
+        assert asked == [len(vms), len(vms) - 1]
+        assert np.array_equal(served, kept[:-1])
+        assert mat.declined == 1
 
     def test_cache_decline_is_engine_fallback_not_error(self):
         config = tiny()
@@ -175,8 +262,9 @@ class TestSlotDataCache:
         assert starved.slots == plain.slots
 
     def test_stats_shape(self):
-        cache = SlotDataCache(budget_bytes=123)
-        stats = cache.stats()
+        stats = build_materialization(
+            tiny(), None, slot_budget_bytes=123
+        ).stats()
         assert stats == {
             "hits": 0,
             "misses": 0,
@@ -276,7 +364,7 @@ class TestEngineBitIdentity:
         policy = default_policies()[2]
         plain = SimulationEngine(config, policy).run()
         assert results[0].slots == results[1].slots == plain.slots
-        assert mat.slots.hits > 0  # the second run was served warm
+        assert mat.hits > 0  # the second run was served warm
 
     def test_wrong_workload_config_rejected(self):
         mat = build_materialization(tiny(3), None)
@@ -314,3 +402,60 @@ class TestEngineBitIdentity:
                 workload=recorded_pack(),
                 materialization=mat,
             )
+
+
+def run_standalone(config):
+    SimulationEngine(config, default_policies()[1]).run()
+
+
+def run_orchestrated(config):
+    run_comparison(config, orchestrator=Orchestrator(jobs=1))
+
+
+def run_clairvoyant(config):
+    SimulationEngine(config, default_policies()[1], clairvoyant=True).run()
+
+
+def run_half_budget(config):
+    # The run's slot arrays take 218,144 bytes; 100,000 keeps a prefix
+    # of them and serves the rest unkept.
+    mat = build_materialization(config, None, slot_budget_bytes=100_000)
+    for policy in default_policies():
+        SimulationEngine(config, policy, materialization=mat).run()
+    stats = mat.stats()
+    assert stats["declined"] > 0 and stats["demand_entries"] > 0
+
+
+class TestProviderWork:
+    """What a 12-slot tiny run asks of its providers, per way of
+    running it: ``slot_demand_many`` rows and calls, and
+    ``DataCorrelationProcess.volumes`` calls."""
+
+    @pytest.mark.parametrize(
+        "run, expected",
+        [
+            (run_standalone, {"rows": 301, "calls": 17, "volumes": 24}),
+            (run_orchestrated, {"rows": 301, "calls": 17, "volumes": 22}),
+            (run_clairvoyant, {"rows": 280, "calls": 12, "volumes": 24}),
+            (run_half_budget, {"rows": 872, "calls": 48, "volumes": 65}),
+        ],
+        ids=["standalone", "orchestrated", "clairvoyant", "half-budget"],
+    )
+    def test_provider_work(self, run, expected, monkeypatch):
+        work = {"rows": 0, "calls": 0, "volumes": 0}
+        demand_many = TraceLibrary.slot_demand_many
+        volumes = DataCorrelationProcess.volumes
+
+        def counted_demand(library, vms, slot):
+            work["rows"] += len(vms)
+            work["calls"] += 1
+            return demand_many(library, vms, slot)
+
+        def counted_volumes(process, vms, slot):
+            work["volumes"] += 1
+            return volumes(process, vms, slot)
+
+        monkeypatch.setattr(TraceLibrary, "slot_demand_many", counted_demand)
+        monkeypatch.setattr(DataCorrelationProcess, "volumes", counted_volumes)
+        run(scaled_config("tiny").with_horizon(12))
+        assert work == expected

@@ -248,7 +248,7 @@ class TestEngineIntegration:
         hpc = SimulationEngine(
             config, PriAwarePolicy(), workload=get_pack("scenario-hpc")
         )
-        vms = hpc.population.alive(0)
+        vms = hpc.kernel.materialization.population.alive(0)
         hpc_fraction = sum(
             1 for vm in vms if vm.app_type is AppType.HPC
         ) / len(vms)

@@ -13,8 +13,9 @@
 #                      cache >= 2x per-run recompute ->
 #                      BENCH_workload.json),
 #                      the slot kernel's per-slot IT-power and
-#                      response-latency hot paths and cold-population
-#                      slot volumes (bench_scaling), the
+#                      response-latency hot paths, cold-population
+#                      slot volumes and the paper-width repulsion and
+#                      local phase (bench_scaling; times only), the
 #                      request-sampling (--engine event) throughput +
 #                      byte-identity gate (bench_events ->
 #                      BENCH_events.json) and the
@@ -41,7 +42,7 @@ bench-smoke:
 		benchmarks/bench_service.py benchmarks/bench_workload_cache.py \
 		benchmarks/bench_events.py benchmarks/bench_suite.py \
 		benchmarks/bench_paper_smoke.py \
-		-k "orchestrator or it_power or response_latencies or volumes or store or service or workload or event_core or suite or paper_smoke" \
+		-k "orchestrator or it_power or response_latencies or volumes or paper_width or store or service or workload or event_core or suite or paper_smoke" \
 		--benchmark-min-rounds=3
 
 # Nightly follow-up to bench-smoke: compact the segment store the

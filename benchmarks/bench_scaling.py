@@ -4,11 +4,13 @@ The paper argues the two-phase split keeps the controller cheap enough
 for real-time hourly invocation.  These micro-benchmarks time each
 phase (embedding, constrained k-means, Algorithm 2, local allocation)
 on synthetic fleets of growing size, the slot kernel's per-slot
-physics hot paths (`_fleet_it_power`, `_response_latencies`) and the
-volume layer on a population it has not seen.  Their bit-identity
-with the reference loops is a tier-1 test
-(``tests/sim/test_engine_vectorized.py``,
-``tests/workload/test_datacorr.py``); these benches only time them.
+physics hot paths (`_fleet_it_power`, `_response_latencies`), the
+volume layer on a population it has not seen, and the repulsion matrix
+and local phase at the paper's width.  Their bit-identity with the
+reference loops is a tier-1 test (``tests/sim/test_engine_vectorized.py``,
+``tests/workload/test_datacorr.py``,
+``tests/property/test_property_kernels.py``); these benches only time
+them.
 """
 
 import numpy as np
@@ -24,10 +26,11 @@ from repro.datacenter.server import XEON_E5410
 from repro.network.ber import BERProcess
 from repro.network.latency import LatencyModel
 from repro.network.topology import GeoTopology
-from repro.sim.config import paper_config, scaled_config
+from repro.sim.config import build_latency_model, paper_config, scaled_config
 from repro.sim.engine import SimulationEngine
 from repro.workload.arrivals import VMPopulation
 from repro.workload.datacorr import DataCorrelationProcess
+from repro.workload.materialize import build_materialization
 
 
 def synthetic_inputs(n_vms: int, steps: int = 60, seed: int = 0):
@@ -64,30 +67,37 @@ def test_kmeans_scaling(benchmark, n_vms):
 
 @pytest.mark.parametrize("n_vms", [50, 150])
 def test_migration_revision_scaling(benchmark, n_vms):
+    """Algorithm 2 on slot 0 of a fresh latency model per round: the
+    model keeps a slot's BER windows once drawn, so reusing one would
+    time warm lookups instead of the draws a slot's first revision
+    pays."""
     rng = np.random.default_rng(2)
     vms = [
         make_vm(vm_id=i, image_gb=float(rng.choice([2, 4, 8])), seed=i)
         for i in range(n_vms)
     ]
-    latency_model = LatencyModel(GeoTopology(make_specs()), BERProcess(seed=1))
+    topology = GeoTopology(make_specs())
     target = rng.integers(0, 3, n_vms)
     previous = rng.integers(0, 3, n_vms)
     positions = rng.normal(size=(n_vms, 2))
     centroids = rng.normal(size=(3, 2))
     loads = rng.uniform(0.2, 2.0, n_vms)
     caps = np.full(3, loads.sum() / 2.0)
-    plan = benchmark(
-        revise_migrations,
-        vms,
-        target,
-        previous,
-        positions,
-        centroids,
-        loads,
-        caps,
-        latency_model,
-        0,
-        72.0,
+    plan = benchmark.pedantic(
+        lambda latency_model: revise_migrations(
+            vms,
+            target,
+            previous,
+            positions,
+            centroids,
+            loads,
+            caps,
+            latency_model,
+            0,
+            72.0,
+        ),
+        setup=lambda: ((LatencyModel(topology, BERProcess(seed=1)),), {}),
+        rounds=10,
     )
     assert len(plan.assignment) == n_vms
 
@@ -156,7 +166,11 @@ def test_it_power_per_slot(benchmark, n_vms):
 
 @pytest.mark.parametrize("n_vms", [150, 450])
 def test_response_latencies_per_slot(benchmark, n_vms):
-    """Per-slot Eq. 1 evaluation over the grouped volume matrix."""
+    """Per-slot Eq. 1 evaluation over the grouped volume matrix.
+
+    Each round gets a fresh latency model, so it times the cold slot a
+    run's step pays (the BER windows are drawn once per slot and then
+    served from memory), not a warm lookup."""
     rng = np.random.default_rng(3)
     kernel = _physics_engine(steps=60).kernel
     vms = [
@@ -167,8 +181,15 @@ def test_response_latencies_per_slot(benchmark, n_vms):
     placement = _SyntheticPlacement(
         assignment={vm.vm_id: int(rng.integers(0, 3)) for vm in vms}
     )
-    latencies = benchmark(
-        kernel._response_latencies, placement, vms, volumes, 5
+
+    def fresh_model():
+        kernel.latency_model = build_latency_model(kernel.config)
+        return (), {}
+
+    latencies = benchmark.pedantic(
+        lambda: kernel._response_latencies(placement, vms, volumes, 5),
+        setup=fresh_model,
+        rounds=20,
     )
     assert len(latencies) == 3
     assert all(latency > 0.0 for latency, _ in latencies)
@@ -194,3 +215,44 @@ def test_volumes_new_population(benchmark, n_vms):
         rounds=3,
     )
     assert matrix.volumes.shape == (n_vms, n_vms)
+
+
+# -- paper-width policy kernels ------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def paper_observed_demand():
+    """The demand Proposed observes at slot 1 of the paper fleet: slot
+    0's traces of the VMs alive at slot 1 (1,163 x 720)."""
+    config = paper_config(0).with_horizon(2)
+    materialization = build_materialization(config, None, slot_budget_bytes=0)
+    demand = materialization.demand(materialization.population.alive(1), 0)
+    assert demand.shape == (1163, 720)
+    return materialization.config, demand
+
+
+def test_repulsion_paper_width(benchmark, paper_observed_demand):
+    """The repulsion matrix at paper width (times only, no bar: shared
+    CI hosts drift too far in speed for one)."""
+    _, demand = paper_observed_demand
+    repulsion = benchmark.pedantic(repulsion_matrix, args=(demand,), rounds=3)
+    assert repulsion.shape == (1163, 1163)
+
+
+def test_local_phase_paper_width(benchmark, paper_observed_demand):
+    """The correlation-aware local phase with every observed VM on the
+    largest DC, as Ener-aware places them at paper scale (times only,
+    no bar)."""
+    config, demand = paper_observed_demand
+    spec = config.specs[0]
+    allocation = benchmark.pedantic(
+        allocate_correlation_aware,
+        args=(
+            list(range(demand.shape[0])),
+            demand,
+            spec.server_model,
+            spec.n_servers,
+        ),
+        rounds=3,
+    )
+    assert allocation.vm_count() == demand.shape[0]

@@ -41,13 +41,16 @@ def peak_coincidence(traces: np.ndarray) -> np.ndarray:
         return np.zeros((0, 0))
     peaks = traces.max(axis=1)
     result = np.ones((n, n))
-    for i in range(n):
-        combined_peak = (traces[i][None, :] + traces).max(axis=1)
-        denom = peaks[i] + peaks
+    # R is symmetric bit for bit: fl(a + b) = fl(b + a) elementwise and
+    # a max does not depend on order, so each pair i < j is computed
+    # once and mirrored.
+    for i in range(n - 1):
+        combined_peak = (traces[i][None, :] + traces[i + 1 :]).max(axis=1)
+        denom = peaks[i] + peaks[i + 1 :]
         with np.errstate(invalid="ignore", divide="ignore"):
             row = np.where(denom > 0.0, combined_peak / denom, 1.0)
-        result[i, :] = row
-    np.fill_diagonal(result, 1.0)
+        result[i, i + 1 :] = row
+        result[i + 1 :, i] = row
     return result
 
 

@@ -94,25 +94,33 @@ class EmbeddingResult:
 
 def _geometry(
     positions: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-coordinate offsets and distances of 2D points.
+    dx: np.ndarray,
+    dy: np.ndarray,
+    dists: np.ndarray,
+    scratch: np.ndarray,
+) -> None:
+    """Write the per-coordinate offsets and distances of 2D points.
 
-    Returns ``(dx, dy, dists)``, each ``(n, n)``, with
-    ``dx[i, j] = x_i - x_j`` (the j -> i direction) and
-    ``dists = sqrt(dx^2 + dy^2)``.
+    Fills the ``(n, n)`` buffers with ``dx[i, j] = x_i - x_j`` (the
+    j -> i direction), ``dy`` likewise and ``dists = sqrt(dx^2 +
+    dy^2)``; ``scratch`` is overwritten.
     """
     x = positions[:, 0]
     y = positions[:, 1]
-    dx = x[:, None] - x[None, :]
-    dy = y[:, None] - y[None, :]
-    dists = dx * dx
-    dists += dy * dy
-    return dx, dy, np.sqrt(dists, out=dists)
+    np.subtract(x[:, None], x[None, :], out=dx)
+    np.subtract(y[:, None], y[None, :], out=dy)
+    np.multiply(dx, dx, out=dists)
+    np.multiply(dy, dy, out=scratch)
+    dists += scratch
+    np.sqrt(dists, out=dists)
 
 
 def pairwise_distances(positions: np.ndarray) -> np.ndarray:
     """Euclidean distance matrix of 2D points, shape ``(n, n)``."""
-    return _geometry(positions)[2]
+    n = positions.shape[0]
+    dx, dy, dists, scratch = (np.empty((n, n)) for _ in range(4))
+    _geometry(positions, dx, dy, dists, scratch)
+    return dists
 
 
 class ForceDirectedEmbedding:
@@ -133,32 +141,38 @@ class ForceDirectedEmbedding:
         dy: np.ndarray,
         dists: np.ndarray,
         forces: np.ndarray,
+        scratch: np.ndarray,
+        tiny: np.ndarray,
     ) -> np.ndarray:
         """Resultant force vector on each point (Eq. 6's F_x, F_y).
 
         ``forces[j, i]`` scales the unit vector from j to i: positive
         entries push i away from j, negative pull it toward j.  Takes
-        :func:`_geometry`'s arrays; jittered pairs overwrite ``dx`` and
-        ``dy`` in place, ``dists`` is left untouched.
+        :func:`_geometry`'s arrays with the diagonal of ``dists`` set
+        to 1.0 (no 0/0); jittered pairs overwrite ``dx`` and ``dy`` in
+        place, ``dists`` is left untouched.  ``scratch`` and the
+        boolean ``tiny`` are overwritten.
         """
         n = dists.shape[0]
         min_distance = self.params.min_distance
-        scale = dists.copy()
+        scale = dists
         # Deterministic jitter for coincident points.
-        tiny = scale < min_distance
+        np.less(dists, min_distance, out=tiny)
         np.fill_diagonal(tiny, False)
         if tiny.any():
             ii, jj = np.nonzero(tiny)
             angle = 2.0 * np.pi * ((ii * 31 + jj * 17) % 101) / 101.0
             dx[ii, jj] = np.cos(angle) * min_distance
             dy[ii, jj] = np.sin(angle) * min_distance
+            scale = dists.copy()
             scale[ii, jj] = min_distance
-        np.fill_diagonal(scale, 1.0)  # avoid 0/0 on the diagonal
         # Sum over j of F[j, i] * unit(j -> i), one coordinate at a time;
         # this einsum form keeps the sequential order over j.
         resultant = np.empty((n, 2))
-        resultant[:, 0] = np.einsum("ji,ij->i", forces, dx / scale)
-        resultant[:, 1] = np.einsum("ji,ij->i", forces, dy / scale)
+        np.divide(dx, scale, out=scratch)
+        resultant[:, 0] = np.einsum("ji,ij->i", forces, scratch)
+        np.divide(dy, scale, out=scratch)
+        resultant[:, 1] = np.einsum("ji,ij->i", forces, scratch)
         if self.params.normalize_forces and n > 1:
             resultant /= n - 1
         return resultant
@@ -195,21 +209,35 @@ class ForceDirectedEmbedding:
             return EmbeddingResult(positions=positions, iterations=0, converged=True)
 
         gain = 0.5 * self.params.time_step**2
-        # One geometry pass per iteration: its distances close this
-        # iteration's CostAR and its offsets drive the next resultant.
-        dx, dy, previous_distances = _geometry(positions)
+        # One geometry pass per iteration, into buffers reused by every
+        # iteration: its distances close this iteration's CostAR and
+        # its offsets drive the next resultant.  The distance diagonal
+        # is held at 1.0, so the distances are also the resultant's
+        # scale; CostAR's diagonal term F_ii * (1 - 1) has the bits of
+        # F_ii * (0 - 0).
+        dx, dy, distances, previous_distances, scratch = (
+            np.empty((n, n)) for _ in range(5)
+        )
+        tiny = np.empty((n, n), dtype=bool)
+        _geometry(positions, dx, dy, previous_distances, scratch)
+        np.fill_diagonal(previous_distances, 1.0)
         cost_history: list[float] = []
         converged = False
         iterations = 0
 
         for _ in range(self.params.max_iterations):
-            resultant = self._resultant(dx, dy, previous_distances, forces)
+            resultant = self._resultant(
+                dx, dy, previous_distances, forces, scratch, tiny
+            )
             positions += gain * resultant
             iterations += 1
 
-            dx, dy, distances = _geometry(positions)
-            cost = float((forces * (distances - previous_distances)).sum())
-            previous_distances = distances
+            _geometry(positions, dx, dy, distances, scratch)
+            np.fill_diagonal(distances, 1.0)
+            np.subtract(distances, previous_distances, out=scratch)
+            scratch *= forces
+            cost = float(scratch.sum())
+            distances, previous_distances = previous_distances, distances
             cost_history.append(cost)
 
             if len(cost_history) >= 2 and cost < cost_history[-2]:

@@ -146,6 +146,9 @@ def constrained_kmeans(
         )
 
     assignment = np.full(n, -1, dtype=int)
+    # Hardest points first: large loads are placed while room exists.
+    order = np.argsort(-loads, kind="stable").tolist()
+    point_loads = loads.tolist()
     iterations = 0
     for _ in range(max_iterations):
         iterations += 1
@@ -155,23 +158,27 @@ def constrained_kmeans(
         if stickiness > 0.0 and current_assignment is not None:
             rows = np.nonzero(current_assignment >= 0)[0]
             distances[rows, current_assignment[rows]] *= 1.0 - stickiness
-        remaining = capacities.astype(float).copy()
-        new_assignment = np.full(n, -1, dtype=int)
-        # Hardest points first: large loads are placed while room exists.
-        order = np.argsort(-loads, kind="stable")
+        # Every point's clusters, nearest first; a stable row sort ranks
+        # ties exactly as a per-point stable sort does.  The greedy pass
+        # runs on Python floats, which are float64 like the arrays.
+        ranks = np.argsort(distances, axis=1, kind="stable").tolist()
+        remaining = capacities.tolist()
+        targets = [-1] * n
         for point in order:
-            ranked = np.argsort(distances[point], kind="stable")
+            load = point_loads[point]
+            ranked = ranks[point]
             target = -1
             for cluster in ranked:
-                if loads[point] <= remaining[cluster]:
-                    target = int(cluster)
+                if load <= remaining[cluster]:
+                    target = cluster
                     break
             if target < 0:
                 # No cluster has room: nearest centroid absorbs the
                 # overflow (Algorithm 2 and the local phase handle it).
-                target = int(ranked[0])
-            remaining[target] -= loads[point]
-            new_assignment[point] = target
+                target = ranked[0]
+            remaining[target] -= load
+            targets[point] = target
+        new_assignment = np.array(targets, dtype=int)
 
         if np.array_equal(new_assignment, assignment):
             break

@@ -130,34 +130,50 @@ def allocate_correlation_aware(
         return allocation
 
     capacity = model.max_capacity
-    order = np.argsort(-demand.max(axis=1), kind="stable")
+    trace_peaks = demand.max(axis=1)
+    order = np.argsort(-trace_peaks, kind="stable")
+    trace_peaks = trace_peaks.tolist()
+    trace_floors = demand.min(axis=1).tolist()
     aggregates: list[np.ndarray] = []
+    peaks: list[float] = []  # each aggregate's max, as a Python float
 
     for index in order:
         trace = demand[index]
+        floor = trace_floors[index]
         placed = False
         # First fit: scan active servers in opening order; the fit test
-        # is the *combined peak* (correlation-aware packing).
+        # is the *combined peak* (correlation-aware packing).  Rounding
+        # is monotone, so a server whose peak plus the trace's floor
+        # already exceeds the capacity cannot fit it: skip it without
+        # forming the combined trace.  ``not <=`` keeps NaN peaks unfit.
         for server, aggregate in enumerate(aggregates):
-            if float((aggregate + trace).max()) <= capacity:
-                aggregates[server] = aggregate + trace
-                allocation.server_vms[server].append(vm_ids[index])
-                placed = True
-                break
+            if peaks[server] + floor > capacity:
+                continue
+            combined = aggregate + trace
+            combined_peak = float(combined.max())
+            if not combined_peak <= capacity:
+                continue
+            aggregates[server] = combined
+            peaks[server] = combined_peak
+            allocation.server_vms[server].append(vm_ids[index])
+            placed = True
+            break
         if placed:
             continue
         if len(aggregates) < n_servers:
             aggregates.append(trace.copy())
+            peaks.append(trace_peaks[index])
             allocation.server_vms.append([vm_ids[index]])
             continue
         # Fleet exhausted: overload the server that stays lowest.
-        peaks = [float((agg + trace).max()) for agg in aggregates]
-        server = int(np.argmin(peaks))
+        overloads = [float((agg + trace).max()) for agg in aggregates]
+        server = int(np.argmin(overloads))
         aggregates[server] = aggregates[server] + trace
+        peaks[server] = overloads[server]
         allocation.server_vms[server].append(vm_ids[index])
 
-    for aggregate in aggregates:
-        level, saturated = _select_frequency(model, float(aggregate.max()))
+    for peak in peaks:
+        level, saturated = _select_frequency(model, peak)
         allocation.frequencies.append(level)
         allocation.saturated.append(saturated)
     return allocation
@@ -190,7 +206,6 @@ def allocate_first_fit(
     peaks = demand.max(axis=1)
     order = np.argsort(-peaks, kind="stable")
     budget: list[float] = []  # sum of individual peaks per server
-    aggregates: list[np.ndarray] = []
 
     for index in order:
         peak = float(peaks[index])
@@ -198,7 +213,6 @@ def allocate_first_fit(
         for server in range(len(budget)):
             if budget[server] + peak <= capacity:
                 budget[server] += peak
-                aggregates[server] = aggregates[server] + demand[index]
                 allocation.server_vms[server].append(vm_ids[index])
                 placed = True
                 break
@@ -206,18 +220,16 @@ def allocate_first_fit(
             continue
         if len(budget) < n_servers:
             budget.append(peak)
-            aggregates.append(demand[index].copy())
             allocation.server_vms.append([vm_ids[index]])
             continue
         server = int(np.argmin(budget))
         budget[server] += peak
-        aggregates[server] = aggregates[server] + demand[index]
         allocation.server_vms[server].append(vm_ids[index])
 
-    for server, aggregate in enumerate(aggregates):
+    for server_budget in budget:
         # Conservative sizing: frequency chosen from summed peaks, the
         # stationary worst case (this is what costs the baseline energy).
-        level, saturated = _select_frequency(model, float(budget[server]))
+        level, saturated = _select_frequency(model, float(server_budget))
         allocation.frequencies.append(level)
         allocation.saturated.append(saturated)
     return allocation

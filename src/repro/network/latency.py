@@ -90,12 +90,41 @@ class DestinationLatency:
     dest_local_s: float
 
 
+#: Per-second BERs pre-drawn per (slot, link); Algorithm 1 cycles them
+#: if a transfer runs longer.
+BER_WINDOW = 256
+
+
 class LatencyModel:
-    """Eq. 1-4 evaluator bound to a topology and a BER process."""
+    """Eq. 1-4 evaluator bound to a topology and a BER process.
+
+    The BER window of each directed link is drawn once per slot: the
+    kernel step and Algorithm 2's repeated checks of one slot all read
+    the same read-only arrays.  The memo is one ``(slot, windows)``
+    pair that a new slot replaces whole, so a model shared across
+    threads never serves one slot's samples to another.
+    """
 
     def __init__(self, topology: GeoTopology, ber: BERProcess | None = None) -> None:
         self.topology = topology
         self.ber = ber or BERProcess()
+        #: ``(slot, {(src, dst): window})`` of the last slot asked for.
+        self._windows: tuple[int, dict] = (-1, {})
+
+    def ber_window(self, slot: int, src: int, dst: int) -> np.ndarray:
+        """The (read-only) per-second BERs of ``src -> dst`` in ``slot``."""
+        memo = self._windows
+        if memo[0] != slot:
+            memo = self._windows = (slot, {})
+        window = memo[1].get((src, dst))
+        if window is None:
+            rng = self.ber.link_rng(slot, src, dst)
+            window = np.asarray(
+                self.ber.sample(rng, size=BER_WINDOW), dtype=float
+            )
+            window.flags.writeable = False
+            memo[1][(src, dst)] = window
+        return window
 
     def source_local_latency(self, src: int, volume_mb: float) -> float:
         """Eq. 2: time for a source DC to push a volume to its uplink."""
@@ -119,12 +148,10 @@ class LatencyModel:
         """Eq. 4: propagation plus BER-aware data latency."""
         if src == dst:
             return 0.0
-        rng = self.ber.link_rng(slot, src, dst)
-        # Pre-draw a generous window of per-second BERs; Algorithm 1
-        # cycles if the transfer runs longer.
-        samples = np.asarray(self.ber.sample(rng, size=256), dtype=float)
         data_latency = global_data_latency(
-            volume_mb, self.topology.backbone_bandwidth_bps, samples
+            volume_mb,
+            self.topology.backbone_bandwidth_bps,
+            self.ber_window(slot, src, dst),
         )
         return self.propagation_latency(src, dst) + data_latency
 

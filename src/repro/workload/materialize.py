@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import json
 import threading
+from concurrent.futures import Future
 from typing import Callable
 
 import numpy as np
@@ -143,18 +144,20 @@ class WorkloadMaterialization:
     and as ``declined``.
 
     Demand rows are reused within a slot: a demand miss copies the
-    rows it shares with the last demand matrix served, if that matrix
-    is of the same slot and on the same side of the budget (both kept,
-    or both not), and a request for the last matrix's own key is a
-    hit.  So observing slot ``s`` over slot ``s + 1``'s alive set
-    computes only the newly arrived VMs' rows, and past the budget the
-    last matrix is all the demand data held.
-    ``tests/workload/test_materialize.py`` pins the provider work this
-    costs, including at a budget that splits a run.
+    rows it shares with the last demand matrix served to the same
+    thread, if that matrix is of the same slot and on the same side of
+    the budget (both kept, or both not), and a thread's request for
+    its last matrix's own key is a hit.  So observing slot ``s`` over
+    slot ``s + 1``'s alive set computes only the newly arrived VMs'
+    rows, and past the budget the last matrix is all the demand data
+    a thread holds.  ``tests/workload/test_materialize.py`` pins the
+    provider work this costs, including at a budget that splits a run.
 
     Lookups serialize under one lock, so engines sharing a
     materialization from several threads (callers sharing one
-    ``jobs=1`` orchestrator) interleave safely and deterministically.
+    ``jobs=1`` orchestrator) interleave safely and deterministically;
+    each thread's last matrix is its own, so one engine's requests
+    never evict the rows another's next miss would copy.
 
     Attributes
     ----------
@@ -192,8 +195,9 @@ class WorkloadMaterialization:
         self.declined = 0
         self._demand: dict[tuple, np.ndarray] = {}
         self._volumes: dict[tuple, object] = {}
-        #: ``(key, matrix, kept)`` of the last demand matrix served.
-        self._last: tuple[tuple, np.ndarray, bool] | None = None
+        #: Per thread, ``last``: the ``(key, matrix, kept)`` of the last
+        #: demand matrix served to that thread.
+        self._served = threading.local()
         self._lock = threading.RLock()
 
     def _admit(self, nbytes: int) -> bool:
@@ -215,29 +219,34 @@ class WorkloadMaterialization:
         if not vms:
             return np.zeros((0, steps))
         key = (slot, tuple(vm.vm_id for vm in vms))
+        served = self._served
         with self._lock:
             matrix = self._demand.get(key)
             if matrix is not None:
                 self.hits += 1
-                self._last = (key, matrix, True)
+                served.last = (key, matrix, True)
                 return matrix
-            if self._last is not None and self._last[0] == key:
+            last = getattr(served, "last", None)
+            if last is not None and last[0] == key:
                 self.hits += 1
-                return self._last[1]
+                return last[1]
             self.misses += 1
             kept = self._admit(len(vms) * steps * 8)
-            matrix = _freeze(self._fresh_demand(vms, slot, kept))
+            matrix = _freeze(self._fresh_demand(vms, slot, kept, last))
             if kept:
                 self._demand[key] = matrix
-            self._last = (key, matrix, kept)
+            served.last = (key, matrix, kept)
             return matrix
 
-    def _fresh_demand(self, vms, slot: int, kept: bool) -> np.ndarray:
-        """The rows the slot's last matrix shares, if it is on the
-        ``kept`` side of the budget; one provider batch for the rest."""
+    def _fresh_demand(
+        self, vms, slot: int, kept: bool, last_served
+    ) -> np.ndarray:
+        """The rows ``last_served`` shares, if it is of the slot and on
+        the ``kept`` side of the budget; one provider batch for the
+        rest."""
         rows: dict[int, int] = {}
-        if self._last is not None:
-            (last_slot, last_ids), last, last_kept = self._last
+        if last_served is not None:
+            (last_slot, last_ids), last, last_kept = last_served
             if last_slot == slot and last_kept == kept:
                 rows = {vm_id: row for row, vm_id in enumerate(last_ids)}
         shared = [index for index, vm in enumerate(vms) if vm.vm_id in rows]
@@ -338,7 +347,9 @@ class MaterializationCache:
     ``get`` moves hits to the back and evicts from the front when the
     entry cap is exceeded -- sweeps alternating between a few
     workloads keep them all warm; a stream of distinct workloads
-    cannot grow the process beyond ``size`` materializations.
+    cannot grow the process beyond ``size`` materializations.  Each
+    key is built once: concurrent callers of a key being built wait
+    for that build, and count as hits when it succeeds.
     """
 
     def __init__(
@@ -351,6 +362,8 @@ class MaterializationCache:
         self.hits = 0
         self.misses = 0
         self._entries: dict[str, WorkloadMaterialization] = {}
+        #: Keys being built, each with the future its waiters block on.
+        self._building: dict[str, Future] = {}
         self._lock = threading.RLock()
 
     def get(
@@ -358,28 +371,49 @@ class MaterializationCache:
         key: str,
         build: Callable[[], WorkloadMaterialization],
     ) -> WorkloadMaterialization:
-        """The cached materialization for ``key``, building on miss."""
+        """The cached materialization for ``key``, building on miss.
+
+        A caller that finds ``key`` being built waits for that build
+        and gets its entry, or its exception; a failed build caches
+        nothing.
+        """
         with self._lock:
             entry = self._entries.pop(key, None)
             if entry is not None:
                 self.hits += 1
                 self._entries[key] = entry  # refresh LRU position
                 return entry
-            self.misses += 1
+            pending = self._building.get(key)
+            building = pending is None
+            if building:
+                self.misses += 1
+                pending = self._building[key] = Future()
+        if not building:
+            entry = pending.result()
+            with self._lock:
+                self.hits += 1
+            return entry
         # Build outside the lock: materialization is seconds of work
         # and concurrent callers for *different* keys must not
-        # serialize.  A duplicate concurrent build of the same key is
-        # benign (deterministic; last insert wins).
-        entry = build()
-        if entry.key != key:
-            raise ValueError(
-                f"materialization key mismatch: built {entry.key[:12]} "
-                f"for requested {key[:12]}"
-            )
+        # serialize.
+        try:
+            entry = build()
+            if entry.key != key:
+                raise ValueError(
+                    f"materialization key mismatch: built {entry.key[:12]} "
+                    f"for requested {key[:12]}"
+                )
+        except BaseException as exc:
+            with self._lock:
+                del self._building[key]
+            pending.set_exception(exc)
+            raise
         with self._lock:
+            del self._building[key]
             self._entries[key] = entry
             while len(self._entries) > self.size:
                 self._entries.pop(next(iter(self._entries)))
+        pending.set_result(entry)
         return entry
 
     def materialize(

@@ -13,6 +13,19 @@ those implementations were derived from live here, as test oracles:
 * :func:`loop_engine` -- a :class:`SimulationEngine` running on
   :class:`LoopKernel` and :class:`LoopVolumes`.
 
+The placement policies' per-slot kernels keep their earlier forms here
+too, each doing the full work the production kernel skips or reuses:
+
+* :class:`RedrawLatencyModel` -- Eq. 1 drawing a fresh BER window on
+  every call instead of once per (slot, link);
+* :func:`embedding_run` -- the embedding with fresh ``(n, n)``
+  temporaries every iteration;
+* :func:`allocate_correlation_aware` and :func:`allocate_first_fit` --
+  the local phase testing every open server's combined trace, and the
+  first-fit baseline with its per-server aggregates;
+* :func:`constrained_kmeans` -- one ``argsort`` per point per round;
+* :func:`peak_coincidence` -- every row of the repulsion matrix.
+
 Every production path must equal its oracle exactly; the tests compare
 with ``==`` / ``np.array_equal``, never with a tolerance.
 """
@@ -21,8 +34,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.forces import EmbeddingResult, ForceDirectedEmbedding
 from repro.core.green import GreenController, GreenSlotResult
+from repro.core.kmeans import ClusterResult
+from repro.core.local import ServerAllocation, _select_frequency
 from repro.datacenter.datacenter import Datacenter
+from repro.network.latency import BER_WINDOW, LatencyModel
 from repro.sim.engine import SimulationEngine
 from repro.sim.kernel import SlotKernel
 from repro.sim.results import DCSlotRecord, SlotRecord
@@ -239,3 +256,248 @@ def loop_engine(config, policy, **options) -> SimulationEngine:
     engine = SimulationEngine(config, policy, **options)
     engine.kernel = loop_kernel(engine.kernel)
     return engine
+
+
+# -- placement policy kernels ---------------------------------------------
+
+
+class RedrawLatencyModel(LatencyModel):
+    """A :class:`LatencyModel` that draws every BER window afresh."""
+
+    def ber_window(self, slot: int, src: int, dst: int) -> np.ndarray:
+        rng = self.ber.link_rng(slot, src, dst)
+        return np.asarray(self.ber.sample(rng, size=BER_WINDOW), dtype=float)
+
+
+def _geometry(positions: np.ndarray):
+    """Fresh ``(dx, dy, dists)`` arrays of 2D points."""
+    x = positions[:, 0]
+    y = positions[:, 1]
+    dx = x[:, None] - x[None, :]
+    dy = y[:, None] - y[None, :]
+    dists = dx * dx
+    dists += dy * dy
+    return dx, dy, np.sqrt(dists, out=dists)
+
+
+def _resultant(params, dx, dy, dists, forces) -> np.ndarray:
+    n = dists.shape[0]
+    min_distance = params.min_distance
+    scale = dists.copy()
+    tiny = scale < min_distance
+    np.fill_diagonal(tiny, False)
+    if tiny.any():
+        ii, jj = np.nonzero(tiny)
+        angle = 2.0 * np.pi * ((ii * 31 + jj * 17) % 101) / 101.0
+        dx[ii, jj] = np.cos(angle) * min_distance
+        dy[ii, jj] = np.sin(angle) * min_distance
+        scale[ii, jj] = min_distance
+    np.fill_diagonal(scale, 1.0)
+    resultant = np.empty((n, 2))
+    resultant[:, 0] = np.einsum("ji,ij->i", forces, dx / scale)
+    resultant[:, 1] = np.einsum("ji,ij->i", forces, dy / scale)
+    if params.normalize_forces and n > 1:
+        resultant /= n - 1
+    return resultant
+
+
+def embedding_run(
+    embedding: ForceDirectedEmbedding, positions, attraction, repulsion
+) -> EmbeddingResult:
+    """``embedding.run`` allocating its geometry every iteration."""
+    params = embedding.params
+    positions = np.array(positions, dtype=float, copy=True)
+    n = positions.shape[0]
+    forces = np.ascontiguousarray(embedding.total_forces(attraction, repulsion))
+    if n < 2:
+        return EmbeddingResult(positions=positions, iterations=0, converged=True)
+    gain = 0.5 * params.time_step**2
+    dx, dy, previous_distances = _geometry(positions)
+    cost_history: list[float] = []
+    converged = False
+    iterations = 0
+    for _ in range(params.max_iterations):
+        positions += gain * _resultant(params, dx, dy, previous_distances, forces)
+        iterations += 1
+        dx, dy, distances = _geometry(positions)
+        cost = float((forces * (distances - previous_distances)).sum())
+        previous_distances = distances
+        cost_history.append(cost)
+        if len(cost_history) >= 2 and cost < cost_history[-2]:
+            converged = True
+            break
+    return EmbeddingResult(
+        positions=positions,
+        iterations=iterations,
+        cost_history=cost_history,
+        converged=converged,
+    )
+
+
+def allocate_correlation_aware(vm_ids, demand, model, n_servers):
+    """The combined-peak first fit, testing every open server."""
+    demand = np.asarray(demand, dtype=float)
+    allocation = ServerAllocation(model=model, n_servers=n_servers)
+    if len(vm_ids) == 0:
+        return allocation
+    capacity = model.max_capacity
+    order = np.argsort(-demand.max(axis=1), kind="stable")
+    aggregates: list[np.ndarray] = []
+    for index in order:
+        trace = demand[index]
+        placed = False
+        for server, aggregate in enumerate(aggregates):
+            if float((aggregate + trace).max()) <= capacity:
+                aggregates[server] = aggregate + trace
+                allocation.server_vms[server].append(vm_ids[index])
+                placed = True
+                break
+        if placed:
+            continue
+        if len(aggregates) < n_servers:
+            aggregates.append(trace.copy())
+            allocation.server_vms.append([vm_ids[index]])
+            continue
+        peaks = [float((agg + trace).max()) for agg in aggregates]
+        server = int(np.argmin(peaks))
+        aggregates[server] = aggregates[server] + trace
+        allocation.server_vms[server].append(vm_ids[index])
+    for aggregate in aggregates:
+        level, saturated = _select_frequency(model, float(aggregate.max()))
+        allocation.frequencies.append(level)
+        allocation.saturated.append(saturated)
+    return allocation
+
+
+def allocate_first_fit(vm_ids, demand, model, n_servers):
+    """Sum-of-peaks first fit, also summing each server's traces."""
+    demand = np.asarray(demand, dtype=float)
+    allocation = ServerAllocation(model=model, n_servers=n_servers)
+    if len(vm_ids) == 0:
+        return allocation
+    capacity = model.max_capacity
+    peaks = demand.max(axis=1)
+    order = np.argsort(-peaks, kind="stable")
+    budget: list[float] = []
+    aggregates: list[np.ndarray] = []
+    for index in order:
+        peak = float(peaks[index])
+        placed = False
+        for server in range(len(budget)):
+            if budget[server] + peak <= capacity:
+                budget[server] += peak
+                aggregates[server] = aggregates[server] + demand[index]
+                allocation.server_vms[server].append(vm_ids[index])
+                placed = True
+                break
+        if placed:
+            continue
+        if len(budget) < n_servers:
+            budget.append(peak)
+            aggregates.append(demand[index].copy())
+            allocation.server_vms.append([vm_ids[index]])
+            continue
+        server = int(np.argmin(budget))
+        budget[server] += peak
+        aggregates[server] = aggregates[server] + demand[index]
+        allocation.server_vms[server].append(vm_ids[index])
+    for server in range(len(aggregates)):
+        level, saturated = _select_frequency(model, float(budget[server]))
+        allocation.frequencies.append(level)
+        allocation.saturated.append(saturated)
+    return allocation
+
+
+def constrained_kmeans(
+    positions,
+    loads,
+    capacities,
+    initial_centroids,
+    max_iterations: int = 25,
+    current_assignment=None,
+    stickiness: float = 0.0,
+) -> ClusterResult:
+    """The capacity-constrained k-means, ranking each point on its own."""
+    positions = np.asarray(positions, dtype=float)
+    loads = np.asarray(loads, dtype=float)
+    capacities = np.asarray(capacities, dtype=float)
+    centroids = np.array(initial_centroids, dtype=float, copy=True)
+    n = positions.shape[0]
+    k = centroids.shape[0]
+    if current_assignment is not None:
+        current_assignment = np.asarray(current_assignment, dtype=int)
+    if n == 0:
+        zero = np.zeros(k)
+        return ClusterResult(
+            assignment=np.zeros(0, dtype=int),
+            centroids=centroids,
+            loads=zero,
+            overflow=zero.copy(),
+            iterations=0,
+        )
+    assignment = np.full(n, -1, dtype=int)
+    iterations = 0
+    for _ in range(max_iterations):
+        iterations += 1
+        distances = np.sqrt(
+            ((positions[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        )
+        if stickiness > 0.0 and current_assignment is not None:
+            rows = np.nonzero(current_assignment >= 0)[0]
+            distances[rows, current_assignment[rows]] *= 1.0 - stickiness
+        remaining = capacities.astype(float).copy()
+        new_assignment = np.full(n, -1, dtype=int)
+        order = np.argsort(-loads, kind="stable")
+        for point in order:
+            ranked = np.argsort(distances[point], kind="stable")
+            target = -1
+            for cluster in ranked:
+                if loads[point] <= remaining[cluster]:
+                    target = int(cluster)
+                    break
+            if target < 0:
+                target = int(ranked[0])
+            remaining[target] -= loads[point]
+            new_assignment[point] = target
+        if np.array_equal(new_assignment, assignment):
+            break
+        assignment = new_assignment
+        for cluster in range(k):
+            members = np.nonzero(assignment == cluster)[0]
+            if members.size:
+                weights = loads[members]
+                if weights.sum() > 0:
+                    centroids[cluster] = np.average(
+                        positions[members], axis=0, weights=weights
+                    )
+                else:
+                    centroids[cluster] = positions[members].mean(axis=0)
+    cluster_loads = np.array(
+        [loads[assignment == cluster].sum() for cluster in range(k)]
+    )
+    overflow = np.maximum(cluster_loads - capacities, 0.0)
+    return ClusterResult(
+        assignment=assignment,
+        centroids=centroids,
+        loads=cluster_loads,
+        overflow=overflow,
+        iterations=iterations,
+    )
+
+
+def peak_coincidence(traces) -> np.ndarray:
+    """The peak-coincidence matrix, computing both halves row by row."""
+    traces = np.asarray(traces, dtype=float)
+    n = traces.shape[0]
+    if n == 0:
+        return np.zeros((0, 0))
+    peaks = traces.max(axis=1)
+    result = np.ones((n, n))
+    for i in range(n):
+        combined_peak = (traces[i][None, :] + traces).max(axis=1)
+        denom = peaks[i] + peaks
+        with np.errstate(invalid="ignore", divide="ignore"):
+            row = np.where(denom > 0.0, combined_peak / denom, 1.0)
+        result[i, :] = row
+    np.fill_diagonal(result, 1.0)
+    return result

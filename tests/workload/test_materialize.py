@@ -1,11 +1,12 @@
 """Workload materializations: keys, slot arrays, LRU, engine identity."""
 
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
 
-from repro.experiments.orchestrator import Orchestrator
+from repro.experiments.orchestrator import Orchestrator, RunRequest
 from repro.experiments.runner import default_policies, run_comparison
 from repro.sim.config import scaled_config
 from repro.sim.engine import SimulationEngine
@@ -308,6 +309,152 @@ class TestMaterializationCache:
             cache.get(
                 "0" * 64, lambda: build_materialization(config, None)
             )
+
+    def test_concurrent_cold_callers_share_one_build(self, monkeypatch):
+        """Four threads running the four policies cold on one serial
+        orchestrator build the workload once: one materialization's
+        618 demand rows, not four's 2,472."""
+        rows = []
+        demand_many = TraceLibrary.slot_demand_many
+
+        def counted(library, vms, slot):
+            rows.append(len(vms))
+            return demand_many(library, vms, slot)
+
+        monkeypatch.setattr(TraceLibrary, "slot_demand_many", counted)
+        orchestrator = Orchestrator(jobs=1)
+        config = scaled_config("tiny")
+        barrier = threading.Barrier(4, timeout=60)
+        errors = []
+
+        def run(policy):
+            try:
+                barrier.wait()
+                orchestrator.run(RunRequest(config, policy))
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=run, args=(policy,))
+            for policy in default_policies()
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        assert sum(rows) == 618
+        stats = orchestrator.workload_cache_stats()
+        assert (stats["misses"], stats["hits"]) == (1, 3)
+
+    def waiting_callers(self, cache, key, build, callers=3):
+        """Start ``callers`` threads on ``cache.get(key)`` once a build
+        of ``key`` is under way; returns (threads, outcomes)."""
+        outcomes = []
+
+        def call():
+            try:
+                outcomes.append(cache.get(key, build))
+            except Exception as exc:  # collected for the assertions
+                outcomes.append(exc)
+
+        threads = [threading.Thread(target=call) for _ in range(callers)]
+        return threads, outcomes
+
+    def test_waiters_get_the_one_build(self):
+        cache = MaterializationCache(size=2)
+        config = tiny(2)
+        key = materialization_key(config, None)
+        started, release = threading.Event(), threading.Event()
+        builds = []
+
+        def build():
+            builds.append(key)
+            started.set()
+            assert release.wait(timeout=60)
+            return build_materialization(config, None)
+
+        owner = threading.Thread(target=lambda: cache.get(key, build))
+        owner.start()
+        assert started.wait(timeout=60)
+        threads, outcomes = self.waiting_callers(cache, key, build)
+        for thread in threads:
+            thread.start()
+        release.set()
+        for thread in [owner, *threads]:
+            thread.join(timeout=60)
+        assert not any(t.is_alive() for t in [owner, *threads])
+        assert len(builds) == 1
+        assert all(entry is outcomes[0] for entry in outcomes)
+        assert outcomes[0] is cache.get(key, build)
+        stats = cache.stats()
+        assert (stats["misses"], stats["hits"]) == (1, 4)
+
+    def test_failed_build_raises_in_every_waiter_and_caches_nothing(self):
+        cache = MaterializationCache(size=2)
+        key = materialization_key(tiny(2), None)
+        started, release = threading.Event(), threading.Event()
+
+        def failing():
+            started.set()
+            assert release.wait(timeout=60)
+            raise RuntimeError("build failed")
+
+        owner_errors = []
+
+        def owner_call():
+            try:
+                cache.get(key, failing)
+            except RuntimeError as exc:
+                owner_errors.append(exc)
+
+        owner = threading.Thread(target=owner_call)
+        owner.start()
+        assert started.wait(timeout=60)
+        threads, outcomes = self.waiting_callers(cache, key, failing)
+        for thread in threads:
+            thread.start()
+        release.set()
+        for thread in [owner, *threads]:
+            thread.join(timeout=60)
+        assert len(owner_errors) == 1
+        assert len(outcomes) == 3
+        # A waiter either shared the failed build or, arriving after
+        # it, ran (and failed) a build of its own: it never got an entry.
+        assert all(
+            isinstance(outcome, RuntimeError) for outcome in outcomes
+        )
+        assert len(cache) == 0
+        assert cache.stats()["hits"] == 0
+        rebuilt = cache.get(key, lambda: build_materialization(tiny(2), None))
+        assert rebuilt.key == key
+
+    def test_builds_of_different_keys_overlap(self):
+        cache = MaterializationCache(size=2)
+        configs = [tiny(2), dataclasses.replace(tiny(2), seed=9)]
+        both_building = threading.Barrier(2, timeout=60)
+        errors = []
+
+        def fetch(config):
+            def build():
+                both_building.wait()  # breaks if builds serialize
+                return build_materialization(config, None)
+
+            try:
+                cache.get(materialization_key(config, None), build)
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=fetch, args=(config,)) for config in configs
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not errors, errors
+        assert len(cache) == 2
 
     def test_configure_process_cache_replaces_global(self):
         original = process_cache()

@@ -8,10 +8,10 @@
 #                      concurrent clients vs one daemon: batched +
 #                      gzip + headline-projected submit_many vs one
 #                      one-entry batch POST per artifact ->
-#                      BENCH_service.json), the workload-cache cold
-#                      sweep (bench_workload_cache: materialization
-#                      cache >= 2x per-run recompute ->
-#                      BENCH_workload.json),
+#                      BENCH_service.json), a four-policy lockstep
+#                      group against four solo engines
+#                      (bench_lockstep: byte-identical, time ratio
+#                      recorded, no bar -> BENCH_lockstep.json),
 #                      the slot kernel's per-slot IT-power and
 #                      response-latency hot paths, cold-population
 #                      slot volumes and the paper-width repulsion and
@@ -23,8 +23,9 @@
 #                      1k-run warm sweep, suite <= 1.10x raw
 #                      submit_many -> BENCH_suite.json) and the
 #                      8-slot paper-scale smoke (bench_paper_smoke:
-#                      four audited policies past the workload slot
-#                      budget -> BENCH_paper_smoke.json)
+#                      four audited policies, each lockstep sub-group
+#                      computing each demand row once, wall time and
+#                      peak memory -> BENCH_paper_smoke.json)
 #   make bench       - full benchmark harness (slow: one-week comparison)
 
 PYTEST := PYTHONPATH=src python -m pytest
@@ -39,10 +40,10 @@ test:
 bench-smoke:
 	$(PYTEST) -q benchmarks/bench_orchestrator.py \
 		benchmarks/bench_scaling.py benchmarks/bench_store.py \
-		benchmarks/bench_service.py benchmarks/bench_workload_cache.py \
+		benchmarks/bench_service.py benchmarks/bench_lockstep.py \
 		benchmarks/bench_events.py benchmarks/bench_suite.py \
 		benchmarks/bench_paper_smoke.py \
-		-k "orchestrator or it_power or response_latencies or volumes or paper_width or store or service or workload or event_core or suite or paper_smoke" \
+		-k "orchestrator or it_power or response_latencies or volumes or paper_width or store or service or lockstep or event_core or suite or paper_smoke" \
 		--benchmark-min-rounds=3
 
 # Nightly follow-up to bench-smoke: compact the segment store the

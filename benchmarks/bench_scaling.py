@@ -225,7 +225,7 @@ def paper_observed_demand():
     """The demand Proposed observes at slot 1 of the paper fleet: slot
     0's traces of the VMs alive at slot 1 (1,163 x 720)."""
     config = paper_config(0).with_horizon(2)
-    materialization = build_materialization(config, None, slot_budget_bytes=0)
+    materialization = build_materialization(config, None)
     demand = materialization.demand(materialization.population.alive(1), 0)
     assert demand.shape == (1163, 720)
     return materialization.config, demand

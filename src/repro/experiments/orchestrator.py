@@ -15,11 +15,13 @@ policy x seed)* simulation runs.  This module owns that evaluation:
   layer plus one of two persistent backends (per-file JSON,
   append-only segments); see that package and DESIGN.md for layouts,
   auto-detection and concurrency discipline.
-* :class:`Orchestrator` resolves requests against the store and fans
-  misses out over a persistent ``ProcessPoolExecutor``; every run
-  draws its workload from a per-process materialization cache
-  (:mod:`repro.workload.materialize`).  The primitive
-  is :meth:`Orchestrator.submit`, which returns a :class:`RunFuture`;
+* :class:`Orchestrator` resolves requests against the store and runs
+  the misses of a batch as lockstep groups -- the runs that share a
+  workload materialization key advance slot by slot on one
+  :class:`~repro.workload.materialize.WorkloadMaterialization` --
+  inline or as tasks of a persistent ``ProcessPoolExecutor``.  The
+  primitive is :meth:`Orchestrator.submit`, which returns a
+  :class:`RunFuture`;
   :meth:`Orchestrator.as_resolved` streams artifacts back in
   *completion* order, so callers can render progress and chain
   dependent analyses (LP bounds, report rows) while later misses are
@@ -61,9 +63,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 import threading
 import time
+import traceback
 import weakref
 from concurrent.futures import Future, ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
@@ -71,16 +73,13 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.canonical import canonical
 from repro.sim.config import EngineCoreConfig, ExperimentConfig
-from repro.sim.engine import SimulationEngine
+from repro.sim.engine import SimulationEngine, run_lockstep
 from repro.sim.results import RunResult
 from repro.sim.state import PlacementPolicy
 from repro.store import STORE_ENV_VAR, STORE_VERSION, ResultStore
 from repro.workload.materialize import (
-    DEFAULT_CACHE_MATERIALIZATIONS,
-    MaterializationCache,
-    configure_process_cache,
+    build_materialization,
     materialization_key,
-    process_cache,
 )
 from repro.workload.packs import TracePack
 from repro.workload.shm import SharedPackStub, SharedWorkloadPublisher
@@ -96,6 +95,8 @@ __all__ = [
     "STORE_VERSION",
     "canonical",
     "grid_requests",
+    "lockstep_groups",
+    "materialization_key_of",
     "run_meta",
 ]
 
@@ -240,9 +241,9 @@ class RunArtifact:
 class RunFuture:
     """Handle to one submitted request, resolving to a :class:`RunArtifact`.
 
-    Store hits resolve immediately; misses resolve when their worker
-    finishes (by which point the result has already streamed into the
-    store -- persistence callbacks run before the future completes, so
+    Store hits resolve immediately; misses resolve when their lockstep
+    group finishes (by which point the result has already streamed
+    into the store -- persistence runs before the future completes, so
     an artifact you hold is an artifact that survives a crash).
     """
 
@@ -276,7 +277,7 @@ class RunFuture:
         return cls(request, fingerprint, future)
 
 
-def _materialization_key_of(request: RunRequest) -> str:
+def materialization_key_of(request: RunRequest) -> str:
     """The request's workload materialization key, memoized like
     :meth:`RunRequest.fingerprint` (requests are value-stable)."""
     cached = request.__dict__.get("_materialization_key")
@@ -288,64 +289,134 @@ def _materialization_key_of(request: RunRequest) -> str:
     return cached
 
 
-@dataclass(frozen=True)
-class _WorkerTask:
-    """One run plus its workload materialization key.
+def lockstep_groups(futures: Iterable[RunFuture]) -> list[list[RunFuture]]:
+    """Futures grouped by their request's materialization key.
 
-    When ``stub`` is set the request travels with ``pack=None`` and
+    Groups come in order of first appearance, and each keeps its
+    futures in the order given.
+    """
+    groups: dict[str, list[RunFuture]] = {}
+    for future in futures:
+        key = materialization_key_of(future.request)
+        groups.setdefault(key, []).append(future)
+    return list(groups.values())
+
+
+def _cost(group: Sequence[RunFuture]) -> float:
+    """A group's estimated run time, in baseline runs."""
+    return sum(future.request.policy.relative_cost for future in group)
+
+
+def _spread(
+    groups: list[list[RunFuture]], workers: int
+) -> list[list[RunFuture]]:
+    """Split groups until ``workers`` of them can start at once.
+
+    While there are fewer groups than workers, the costliest group
+    with more than one run (:func:`_cost`, from each policy's
+    :attr:`~repro.sim.state.PlacementPolicy.relative_cost`) splits in
+    two: its runs, costliest first (ties in request order), each join
+    the cheaper half.  At ``jobs=2`` a comparison thus runs Proposed
+    on one worker and its three baselines, still sharing one
+    materialization, on the other, and a four-point sweep of one
+    policy runs two points per worker (DESIGN.md, "Workload
+    materialization & lockstep groups").
+    """
+    while len(groups) < workers:
+        splittable = [group for group in groups if len(group) > 1]
+        if not splittable:
+            break
+        costliest = max(splittable, key=_cost)
+        halves: tuple[list, list] = ([], [])
+        for future in sorted(costliest, key=lambda run: -_cost([run])):
+            min(halves, key=_cost).append(future)
+        groups = [group for group in groups if group is not costliest]
+        groups.extend(halves)
+    return groups
+
+
+@dataclass(frozen=True)
+class _GroupTask:
+    """The requests of one lockstep group.
+
+    When ``stub`` is set the requests travel with ``pack=None`` and
     the worker re-attaches the pack zero-copy from shared memory;
     fingerprints are always computed parent-side from the original
-    request, so the stripped copy never needs one.
+    requests, so the stripped copies never need one.
     """
 
-    request: RunRequest
-    key: str
+    requests: tuple[RunRequest, ...]
     stub: SharedPackStub | None = None
 
 
-def _timed_execute_task(
-    task: _WorkerTask, cache: MaterializationCache | None = None
-) -> tuple[RunResult, float, dict]:
-    """Execute one run: the serial path and the pool's work function.
+class _RemoteTraceback(Exception):
+    """A pooled run's worker-side traceback, chained as the cause of
+    its error (a pickled exception loses its ``__traceback__``)."""
 
-    Resolves the task's materialization from ``cache`` (the worker's
-    per-process cache when ``None``), building it on miss, restores a
-    shared-memory pack when one was published, and returns the run plus
-    a cache-stats snapshot tagged with the process id -- the parent
-    keeps the latest snapshot per pool worker and sums them for
-    :meth:`Orchestrator.workload_cache_stats`.
+
+def _execute_group(task: _GroupTask) -> tuple[list[tuple], dict]:
+    """Run one lockstep group: the serial path and the pool's work function.
+
+    Builds the group's one materialization (restoring a shared-memory
+    pack when one was published) and advances every request's engine
+    on it through :func:`~repro.sim.engine.run_lockstep`.  Returns one
+    ``(RunResult or exception, elapsed_s, traceback)`` triple per
+    request -- ``traceback`` is the formatted traceback of a failed
+    run, ``None`` otherwise -- and the group's workload counters: one
+    materialization miss, a hit for every other run, and the window's
+    slot lookups.  What fails before the engines run (the build, an
+    engine's set-up) raises, failing the whole group.
+
+    A run's ``elapsed_s`` is its engine's own slot steps plus an equal
+    share of what the group spent outside them (the materialization
+    build, engine set-up), so a group's runs add up to its wall time.
     """
     start = time.perf_counter()
-    if cache is None:
-        cache = process_cache()
-    request = task.request
+    requests = task.requests
     if task.stub is not None:
-        request = dataclasses.replace(request, pack=task.stub.restore())
-    materialization = cache.materialize(
-        request.resolved_config(), request.pack
+        pack = task.stub.restore()
+        requests = [
+            dataclasses.replace(request, pack=pack) for request in requests
+        ]
+    first = requests[0]
+    materialization = build_materialization(
+        first.resolved_config(), first.pack
     )
-    if materialization.key != task.key:
-        raise RuntimeError(
-            "workload materialization key diverged between parent "
-            f"({task.key[:12]}) and worker ({materialization.key[:12]})"
+    engines = [
+        SimulationEngine(
+            request.resolved_config(),
+            request.policy,
+            validate=request.options.validate,
+            clairvoyant=request.options.clairvoyant,
+            materialization=materialization,
+            engine=request.options.engine,
         )
-    engine = SimulationEngine(
-        request.resolved_config(),
-        request.policy,
-        validate=request.options.validate,
-        clairvoyant=request.options.clairvoyant,
-        materialization=materialization,
-        engine=request.options.engine,
-    )
-    result = engine.run()
-    elapsed = time.perf_counter() - start
-    stats = dict(cache.stats())
-    stats["pid"] = os.getpid()
-    return result, elapsed, stats
+        for request in requests
+    ]
+    outcomes = run_lockstep(engines)
+    wall = time.perf_counter() - start
+    share = (wall - sum(engine.elapsed_s for engine in engines)) / len(engines)
+    runs = []
+    for outcome, engine in zip(outcomes, engines):
+        text = None
+        if isinstance(outcome, BaseException):
+            text = "".join(
+                traceback.format_exception(
+                    type(outcome), outcome, outcome.__traceback__
+                )
+            )
+        runs.append((outcome, share + engine.elapsed_s, text))
+    counters = {
+        "hits": len(requests) - 1,
+        "misses": 1,
+        "slot_hits": materialization.hits,
+        "slot_misses": materialization.misses,
+    }
+    return runs, counters
 
 
 class Orchestrator:
-    """Resolves run requests against a store, fanning misses out.
+    """Resolves run requests against a store, running misses in groups.
 
     Parameters
     ----------
@@ -376,15 +447,12 @@ class Orchestrator:
         service daemon stamps ``{"daemon": <id>}`` here, so every
         stored artifact names the daemon that executed it).
 
-    Every run resolves its workload through a
-    :class:`~repro.workload.materialize.MaterializationCache`: serial
-    runs through one this orchestrator owns (so a long-lived daemon
-    reuses materializations across client requests), pooled runs
-    through each worker's own, installed at spawn.  Each cache keeps
-    :data:`~repro.workload.materialize.DEFAULT_CACHE_MATERIALIZATIONS`
-    workloads and each workload at most
-    :data:`~repro.workload.materialize.DEFAULT_SLOT_BUDGET_BYTES` of
-    realized slot data.  The cache is an execution detail: artifacts
+    The misses of a batch run as *lockstep groups*
+    (:meth:`launch_many`): the runs that share a materialization key
+    advance slot by slot on one
+    :class:`~repro.workload.materialize.WorkloadMaterialization`, built
+    for the group and dropped with it.  Nothing is cached across
+    batches but results.  Grouping is an execution detail: artifacts
     and fingerprints are byte-identical to a
     :class:`~repro.sim.engine.SimulationEngine` building its own
     workload.
@@ -405,8 +473,9 @@ class Orchestrator:
         self.meta = dict(meta or {})
         self._pool: ProcessPoolExecutor | None = None
         self._publisher: SharedWorkloadPublisher | None = None
-        self._local_cache: MaterializationCache | None = None
-        self._worker_stats: dict[int, dict] = {}
+        self._workload = dict.fromkeys(
+            ("hits", "misses", "slot_hits", "slot_misses"), 0
+        )
         self._inflight: dict[str, Future] = {}
         self._lock = threading.Lock()
 
@@ -457,27 +526,13 @@ class Orchestrator:
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            # Each worker gets a fresh per-process materialization
-            # cache at spawn.
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.jobs, initializer=configure_process_cache
-            )
+            self._pool = ProcessPoolExecutor(max_workers=self.jobs)
             self._publisher = SharedWorkloadPublisher()
             # Workers outlive batches (submissions stream), but must
             # not outlive the orchestrator.
             weakref.finalize(self, self._pool.shutdown, wait=False)
             weakref.finalize(self, self._publisher.close)
         return self._pool
-
-    def _ensure_local_cache(self) -> MaterializationCache:
-        """The in-process cache behind serial (``jobs == 1``) runs.
-
-        Owned by the orchestrator, so a long-lived daemon reuses
-        materializations across client requests.
-        """
-        if self._local_cache is None:
-            self._local_cache = MaterializationCache()
-        return self._local_cache
 
     def close(self) -> None:
         """Shut the worker pool down (idempotent; pending runs finish)."""
@@ -502,16 +557,13 @@ class Orchestrator:
         use_store: bool | None = None,
         detail: str | None = None,
     ) -> RunFuture:
-        """Resolve one request asynchronously.
+        """Resolve one request asynchronously: the batch of one
+        (:meth:`submit_many`).
 
-        A store hit (:meth:`lookup`) returns an already-resolved
-        future; a miss goes to :meth:`launch`.  Misses are
-        deduplicated against in-flight work (two submissions of one
-        fingerprint share a worker) and their results stream into the
-        store the moment the worker finishes -- before the future is
-        marked done.  With ``jobs == 1`` the miss executes inline and
-        errors propagate from ``submit`` itself, preserving the serial
-        fail-fast behavior.
+        A store hit returns an already-resolved future; a miss runs as
+        a lockstep group of one.  With ``jobs == 1`` the miss executes
+        inline, so the returned future is already resolved (a failed
+        run's future holds its error).
 
         ``detail`` is accepted for interface parity with
         :class:`~repro.service.client.ServiceClient` (where
@@ -519,14 +571,7 @@ class Orchestrator:
         result already sits in local memory, so there is nothing to
         project away.
         """
-        if use_store is None:
-            use_store = self.use_store
-        fingerprint = request.fingerprint()
-        if use_store:
-            hit = self.lookup(request, fingerprint)
-            if hit is not None:
-                return hit
-        return self.launch(request, fingerprint)
+        return self.submit_many([request], use_store=use_store)[0]
 
     def lookup(
         self, request: RunRequest, fingerprint: str
@@ -553,146 +598,166 @@ class Orchestrator:
             return len(self._inflight)
 
     def workload_cache_stats(self) -> dict:
-        """Aggregate workload-cache efficacy across every process.
+        """Workload sharing over this orchestrator's life.
 
-        Sums the serial in-process cache with the latest snapshot each
-        pool worker returned (workers report absolute counters, so the
-        latest per pid is the total per pid).  Surfaced by the service
-        daemon's ``/stats``.
+        ``misses`` counts materializations built (one per lockstep
+        group), ``hits`` the runs that shared their group's, and
+        ``slot_hits`` / ``slot_misses`` every demand and volume lookup
+        of every group, served from its window or computed.  Pooled
+        groups return their counts with their results.  Surfaced by
+        the service daemon's ``/stats``, with the shared-memory
+        publisher's counters under ``shared`` once a pool exists.
         """
-        stats = {
-            "size": DEFAULT_CACHE_MATERIALIZATIONS,
-            "hits": 0,
-            "misses": 0,
-            "entries": 0,
-            "slot_hits": 0,
-            "slot_misses": 0,
-            "slot_declined": 0,
-            "bytes": 0,
-        }
-        sources: list[dict] = []
-        if self._local_cache is not None:
-            sources.append(self._local_cache.stats())
         with self._lock:
-            workers = list(self._worker_stats.values())
-        sources.extend(workers)
-        for source in sources:
-            for counter in (
-                "hits", "misses", "entries",
-                "slot_hits", "slot_misses", "slot_declined", "bytes",
-            ):
-                stats[counter] += source.get(counter, 0)
-        stats["workers"] = len(workers)
+            stats = dict(self._workload)
         if self._publisher is not None:
             stats["shared"] = self._publisher.stats()
         return stats
 
-    def launch(self, request: RunRequest, fingerprint: str) -> RunFuture:
-        """Execute a miss, bypassing the store lookup.
+    def launch_many(
+        self, misses: Sequence[tuple[RunRequest, str]]
+    ) -> list[RunFuture]:
+        """Execute misses as lockstep groups, bypassing the store lookup.
 
-        Pooled runs (``jobs > 1``) still dedup against in-flight work;
-        serial runs execute inline on the calling thread (callers that
-        can race themselves -- the service daemon -- guard serial
-        launches with their own registry).
+        ``misses`` are ``(request, fingerprint)`` pairs of distinct
+        fingerprints; the returned futures align with them.  They run
+        in groups of one materialization key (:func:`lockstep_groups`),
+        one task per group: inline on the calling thread when
+        ``jobs == 1``, so every returned future is already resolved;
+        else one pool task per group.  A pooled miss first dedups
+        against in-flight work (a fingerprint already executing shares
+        its future), and when fewer groups than ``jobs`` remain they
+        are split (:func:`_spread`) so that no worker idles.
+
+        Each run's result streams into the store before its future
+        resolves, so an artifact you hold survives a crash.  A run that
+        raises fails only its own future; the rest of its group
+        completes and is stored.  Serial callers that can race
+        themselves -- the service daemon -- guard launches with their
+        own registry.
         """
+        futures = [
+            RunFuture(request, fingerprint, Future())
+            for request, fingerprint in misses
+        ]
         if self.jobs == 1:
-            result, elapsed, _stats = _timed_execute_task(
-                _WorkerTask(
-                    request=request, key=_materialization_key_of(request)
-                ),
-                cache=self._ensure_local_cache(),
-            )
-            self.store.put(
-                fingerprint, result, request.descriptor(),
-                self._meta_for(request),
-            )
-            return RunFuture.resolved(
-                request,
-                fingerprint,
-                RunArtifact(
-                    fingerprint=fingerprint,
-                    result=result,
-                    source="computed",
-                    elapsed_s=elapsed,
-                ),
-            )
+            for group in lockstep_groups(futures):
+                self._run_inline(group)
+            return futures
+        fresh = []
+        tasks = []
         with self._lock:
-            base = self._inflight.get(fingerprint)
-            created = base is None
-            if created:
-                base = self._ensure_pool().submit(
-                    _timed_execute_task, self._worker_task(request)
-                )
-                self._inflight[fingerprint] = base
-        # Callbacks are registered *outside* the lock: a future that is
-        # already done runs its callback inline in this thread, and
-        # _record re-acquires the (non-reentrant) lock.  Persistence
-        # (_record) registers before the wrapper chain, so in both the
-        # executor-thread and inline cases the store.put completes
-        # before the wrapper future reports done.
-        if created:
-            base.add_done_callback(
-                lambda done, fp=fingerprint, req=request: self._record(
-                    fp, req, done
-                )
+            for index, future in enumerate(futures):
+                running = self._inflight.get(future.fingerprint)
+                if running is None:
+                    self._inflight[future.fingerprint] = future._future
+                    fresh.append(future)
+                else:
+                    futures[index] = RunFuture(
+                        future.request, future.fingerprint, running
+                    )
+            for group in _spread(lockstep_groups(fresh), self.jobs):
+                try:
+                    task = self._ensure_pool().submit(
+                        _execute_group, self._group_task(group)
+                    )
+                except Exception as error:  # e.g. a broken or closed pool
+                    task = Future()
+                    task.set_exception(error)
+                tasks.append((group, task))
+        # Callbacks are registered *outside* the lock: a task that is
+        # already done (or failed to submit) runs its callback inline
+        # in this thread, and _settle re-acquires the (non-reentrant)
+        # lock.
+        for group, task in tasks:
+            task.add_done_callback(
+                lambda done, group=group: self._settle_task(group, done)
             )
-        wrapper: Future = Future()
+        return futures
 
-        def _chain(done: Future) -> None:
-            error = done.exception()
-            if error is not None:
-                wrapper.set_exception(error)
-                return
-            result, elapsed, _stats = done.result()
-            wrapper.set_result(
-                RunArtifact(
-                    fingerprint=fingerprint,
-                    result=result,
-                    source="computed",
-                    elapsed_s=elapsed,
-                )
-            )
+    def _group_task(self, group: list[RunFuture]) -> _GroupTask:
+        """The pool task for ``group``.
 
-        base.add_done_callback(_chain)
-        return RunFuture(request, fingerprint, wrapper)
-
-    def _worker_task(self, request: RunRequest) -> _WorkerTask:
-        """The pool task for ``request``.
-
-        Publishes large recorded packs to shared memory (once per pack
-        content) so the task ships a few-hundred-byte stub instead of
-        the utilization matrix; anything unpublishable falls back to
-        the ordinary full-request pickle.  Called under the lock right
-        after :meth:`_ensure_pool`, which creates the publisher.
+        Publishes a large recorded pack to shared memory (once per pack
+        content; a group's requests share their pack's content) so the
+        task ships a few-hundred-byte stub instead of the utilization
+        matrix; anything unpublishable falls back to the ordinary
+        full-request pickle.  Called under the lock right after
+        :meth:`_ensure_pool`, which creates the publisher.
         """
-        key = _materialization_key_of(request)
-        stub = self._publisher.publish_pack(request.pack)
+        requests = tuple(future.request for future in group)
+        stub = self._publisher.publish_pack(requests[0].pack)
         if stub is not None:
-            request = dataclasses.replace(request, pack=None)
-        return _WorkerTask(request=request, key=key, stub=stub)
+            requests = tuple(
+                dataclasses.replace(request, pack=None)
+                for request in requests
+            )
+        return _GroupTask(requests=requests, stub=stub)
 
-    def _record(self, fingerprint: str, request: RunRequest, base: Future) -> None:
-        """Completion callback: stream the result into the store.
+    def _run_inline(self, group: list[RunFuture]) -> None:
+        """Execute one group on this thread and settle its futures."""
+        task = _GroupTask(requests=tuple(f.request for f in group))
+        try:
+            outcomes, counters = _execute_group(task)
+        except Exception as error:
+            outcomes, counters = [(error, 0.0, None)] * len(group), {}
+        self._settle(group, outcomes, counters)
+
+    def _settle_task(self, group: list[RunFuture], task: Future) -> None:
+        """Done callback of a pooled group: settle its futures.
 
         Runs in the executor's management thread, so a batch that dies
-        partway (worker crash, interrupt) keeps every completed run.
-        The store write happens *before* the in-flight entry is
-        dropped -- a resubmission of the same fingerprint either
-        shares the in-flight future or hits the store, never
-        re-simulates.
+        partway (worker crash, interrupt) keeps every completed group.
+        A task that failed as a whole fails each of its futures.
         """
-        if base.exception() is None:
-            result, _elapsed, stats = base.result()
-            self.store.put(
-                fingerprint, result, request.descriptor(),
-                self._meta_for(request),
-            )
-            # Latest absolute snapshot per worker pid; summed in
-            # workload_cache_stats().
-            with self._lock:
-                self._worker_stats[stats["pid"]] = stats
+        error = task.exception()
+        if error is None:
+            outcomes, counters = task.result()
+        else:
+            outcomes, counters = [(error, 0.0, None)] * len(group), {}
+        self._settle(group, outcomes, counters)
+
+    def _settle(
+        self, group: list[RunFuture], outcomes: list[tuple], counters: dict
+    ) -> None:
+        """Store each result, then resolve its future.
+
+        The store write happens *before* the future resolves and the
+        in-flight entry is dropped -- a resubmission of the same
+        fingerprint either shares the in-flight future or hits the
+        store, never re-simulates.  A failed run's error that lost its
+        traceback on the way back from a worker gets the worker's
+        traceback as its ``__cause__``.
+        """
         with self._lock:
-            self._inflight.pop(fingerprint, None)
+            for name, count in counters.items():
+                self._workload[name] += count
+        for future, (outcome, elapsed, text) in zip(group, outcomes):
+            error = outcome if isinstance(outcome, BaseException) else None
+            if error is not None and text and error.__traceback__ is None:
+                error.__cause__ = _RemoteTraceback(f'\n"""\n{text}"""')
+            if error is None:
+                try:
+                    self.store.put(
+                        future.fingerprint, outcome,
+                        future.request.descriptor(),
+                        self._meta_for(future.request),
+                    )
+                except Exception as put_error:
+                    error = put_error
+            if error is None:
+                future._future.set_result(
+                    RunArtifact(
+                        fingerprint=future.fingerprint,
+                        result=outcome,
+                        source="computed",
+                        elapsed_s=elapsed,
+                    )
+                )
+            else:
+                future._future.set_exception(error)
+            with self._lock:
+                self._inflight.pop(future.fingerprint, None)
 
     def submit_many(
         self,
@@ -702,30 +767,28 @@ class Orchestrator:
     ) -> list[RunFuture]:
         """Submit a batch; duplicates share one future (simulated once).
 
-        With ``jobs > 1``, submissions are issued in materialization-key
-        order (stable, so same-key requests keep their relative order):
-        the pool hands them out first come, first served, so its
-        workers move through a sweep's workloads one at a time instead
-        of cycling every workload through their bounded caches.  The
-        *returned* futures always align with ``requests``.
+        Store hits resolve at once; the misses run as lockstep groups
+        (:meth:`launch_many`), one per materialization key.  The
+        returned futures always align with ``requests``.
 
         ``detail`` is accepted for service-client parity and ignored
         in-process (see :meth:`submit`).
         """
-        order = list(range(len(requests)))
-        if self.jobs > 1:
-            order.sort(key=lambda i: _materialization_key_of(requests[i]))
-        future_at: dict[int, RunFuture] = {}
-        by_fingerprint: dict[str, RunFuture] = {}
-        for index in order:
-            request = requests[index]
+        if use_store is None:
+            use_store = self.use_store
+        futures: dict[str, RunFuture | None] = {}
+        misses = []
+        for request in requests:
             fingerprint = request.fingerprint()
-            future = by_fingerprint.get(fingerprint)
-            if future is None:
-                future = self.submit(request, use_store=use_store)
-                by_fingerprint[fingerprint] = future
-            future_at[index] = future
-        return [future_at[index] for index in range(len(requests))]
+            if fingerprint in futures:
+                continue
+            hit = self.lookup(request, fingerprint) if use_store else None
+            futures[fingerprint] = hit
+            if hit is None:
+                misses.append((request, fingerprint))
+        for future in self.launch_many(misses):
+            futures[future.fingerprint] = future
+        return [futures[request.fingerprint()] for request in requests]
 
     def _notify(self, done: int, total: int) -> None:
         if self.progress is not None:

@@ -70,6 +70,7 @@ from repro.experiments.orchestrator import (
     RunArtifact,
     RunFuture,
     RunRequest,
+    materialization_key_of,
 )
 from repro.service.protocol import (
     WireError,
@@ -519,7 +520,9 @@ class ServiceClient:
         fingerprint-only poll pass settles warm hits (and runs already
         in flight) without uploading encoded bodies -- which for
         recorded-trace packs are the whole matrix -- then the
-        remainder ship in chunked ``POST /runs/batch`` calls.
+        remainder ship in chunked ``POST /runs/batch`` calls, stably
+        sorted by materialization key so that a workload's runs share
+        a batch, and with it a lockstep group, where they fit.
         """
         if use_store is None:
             use_store = self.use_store
@@ -566,7 +569,10 @@ class ServiceClient:
                     # Unknown (404) or previously failed (500): a
                     # fresh submission retries.
                     need_post.append(fingerprint)
-        # Phase 2: ship the rest in chunked batch POSTs.
+        # Phase 2: ship the rest in chunked batch POSTs, one workload's
+        # runs together, so the daemon runs them as one lockstep group
+        # wherever they fit in one chunk.
+        need_post.sort(key=lambda fp: materialization_key_of(fresh[fp]))
         for chunk in _chunked(need_post, _BATCH_CHUNK):
             entries = [
                 encode_request(

@@ -31,7 +31,7 @@ it.  Endpoints:
     payload takes no lock.
 ``GET /stats``
     Load and counters (submitted/hits/computed/errors, in-flight and
-    queue depth, the store's own counters, the workload cache, engine
+    queue depth, the store's own counters, workload sharing, engine
     modes, per-campaign submissions, and the wire block: bytes in/out,
     gzip vs identity replies, batch sizes, request-latency p50/p99).
     ``hits`` counts runs served from the store: warm batch entries,
@@ -53,8 +53,10 @@ itself.  Misses take the strict path: the request is decoded, its
 fingerprint recomputed and verified (``409`` on mismatch), and only
 then does it reach the orchestrator: a store lookup
 (:meth:`~repro.experiments.orchestrator.Orchestrator.lookup`), then
-the daemon's own in-flight registry, then
-:meth:`~repro.experiments.orchestrator.Orchestrator.launch`.
+the daemon's own in-flight registry.  Once a batch is read, the
+misses it claimed launch grouped by materialization key through
+:meth:`~repro.experiments.orchestrator.Orchestrator.launch_many`, so
+the runs of one workload advance in lockstep on one materialization.
 
 The response cache stores fully *rendered* reply bodies of store hits
 keyed by ``(fingerprint, detail, encoding)`` -- for gzip that means
@@ -96,7 +98,11 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Iterator
 from urllib.parse import parse_qs, urlsplit
 
-from repro.experiments.orchestrator import Orchestrator, RunFuture
+from repro.experiments.orchestrator import (
+    Orchestrator,
+    RunFuture,
+    lockstep_groups,
+)
 from repro.service.protocol import (
     FingerprintMismatch,
     WIRE_VERSION,
@@ -403,9 +409,10 @@ class ExperimentDaemon:
 
     # -- request handling (HTTP-free; the handler is a thin shim) ----------
 
-    def handle_submit(
+    def _submit_entry(
         self,
         payload: dict,
+        claimed: list[RunFuture],
         detail: str = "full",
         encoding: str = "identity",
         campaign: str | None = None,
@@ -417,7 +424,9 @@ class ExperimentDaemon:
         pending replies are always identity (they are tiny, and
         per-line gzip wrapping is the batch assembler's job).
         ``campaign`` is the submitter's ``X-Repro-Campaign`` label,
-        tallied into the ``/stats`` campaigns block.
+        tallied into the ``/stats`` campaigns block.  A miss this
+        entry claims is appended to ``claimed`` for the batch to
+        launch.
         """
         self._count("submitted")
         self._count_campaign(campaign)
@@ -471,46 +480,60 @@ class ExperimentDaemon:
         # launching, so overlapping submissions -- same client or a
         # different one, pooled or serial -- park on one run.  (The
         # orchestrator pool dedups too, but only for jobs > 1; the
-        # registry also backs polls and error reporting.)
+        # registry also backs polls and error reporting.)  Misses
+        # answer 202 unconditionally -- even a launch that fails
+        # immediately reports through the poll endpoints, keeping the
+        # wire contract deterministic (200 = store hit, 202 =
+        # accepted).
         with self._lock:
-            existing = self._futures.get(fingerprint)
-            if existing is None:
-                wrapper: Future = Future()
-                shared = RunFuture(request, fingerprint, wrapper)
-                self._futures[fingerprint] = shared
-                wrapper.add_done_callback(
+            if fingerprint not in self._futures:
+                claim = RunFuture(request, fingerprint, Future())
+                self._futures[fingerprint] = claim
+                claim._future.add_done_callback(
                     lambda base, fp=fingerprint: self._finish(fp, base)
                 )
-        if existing is not None:
-            return 202, _dumps(encode_pending(fingerprint)), "identity"
-        # A serial orchestrator executes launches inline; running that
-        # on the handler thread would stall the POST for the whole
-        # simulation (longer than any client timeout), so serial
-        # launches move to a capacity-1 runner thread.  Misses answer
-        # 202 unconditionally -- even a launch that fails immediately
-        # reports through the poll endpoints, keeping the wire
-        # contract deterministic (200 = store hit, 202 = accepted).
-        if self.orchestrator.jobs == 1:
-            def _serial_launch() -> None:
-                try:
-                    done = self.orchestrator.launch(request, fingerprint)
-                except Exception as error:
-                    wrapper.set_exception(error)
-                else:
-                    _chain(done._future, wrapper)
-
-            self._serial_runner().submit(_serial_launch)
-        else:
-            try:
-                launched = self.orchestrator.launch(request, fingerprint)
-            except Exception as error:
-                # e.g. a broken/closed worker pool: the claimed
-                # registry entry must still resolve, or this
-                # fingerprint would answer 202 forever.
-                wrapper.set_exception(error)
-            else:
-                _chain(launched._future, wrapper)
+                claimed.append(claim)
         return 202, _dumps(encode_pending(fingerprint)), "identity"
+
+    def _launch(self, claimed: list[RunFuture]) -> None:
+        """Launch a batch's claimed misses as lockstep groups.
+
+        A serial orchestrator executes launches inline; running that
+        on the handler thread would stall the POST for the whole
+        simulation (longer than any client timeout), so each group
+        runs on a capacity-1 runner thread, in turn.  A pooled
+        orchestrator gets the whole batch at once and spreads its
+        groups over the workers.  Every claim resolves -- a launch
+        that raises (e.g. a broken or closed pool, a runner that is
+        shut down) fails each claim it did not hand on, or those
+        fingerprints would answer 202 forever.
+        """
+
+        def launch(claims: list[RunFuture]) -> None:
+            try:
+                launched = self.orchestrator.launch_many(
+                    [(claim.request, claim.fingerprint) for claim in claims]
+                )
+            except Exception as error:
+                for claim in claims:
+                    claim._future.set_exception(error)
+                return
+            for claim, future in zip(claims, launched):
+                _chain(future._future, claim._future)
+
+        serial = self.orchestrator.jobs == 1
+        groups = lockstep_groups(claimed) if serial else [claimed]
+        for index, group in enumerate(groups):
+            try:
+                if serial:
+                    self._serial_runner().submit(launch, group)
+                elif group:
+                    launch(group)
+            except Exception as error:
+                for unlaunched in groups[index:]:
+                    for claim in unlaunched:
+                        claim._future.set_exception(error)
+                return
 
     def handle_batch(
         self,
@@ -520,9 +543,14 @@ class ExperimentDaemon:
     ) -> tuple[int, bytes, str]:
         """``POST /runs/batch``: one disposition line per entry.
 
-        Gzip bodies are assembled by concatenating members: cached
-        artifact variants verbatim, tiny pending/error lines wrapped
-        on the fly.  A malformed entry poisons only its own line.
+        Every miss is claimed in the daemon registry as its entry is
+        read; once the whole batch is read, the misses launch grouped
+        by materialization key (:meth:`_launch`).  The claims launch
+        even when reading a later entry raises (an unreadable store
+        document, say), so none is left unresolved.  Gzip bodies are
+        assembled by concatenating members: cached artifact variants
+        verbatim, tiny pending/error lines wrapped on the fly.  A
+        malformed entry poisons only its own line.
         """
         self._count_wire("batch_requests")
         try:
@@ -533,11 +561,16 @@ class ExperimentDaemon:
             )
         self._count_wire("batch_entries", len(entries))
         parts = []
-        for entry in entries:
-            _, body, used = self.handle_submit(
-                entry, detail=detail, encoding=encoding, campaign=campaign
-            )
-            parts.append(_as_member(body, used, encoding))
+        claimed: list[RunFuture] = []
+        try:
+            for entry in entries:
+                _, body, used = self._submit_entry(
+                    entry, claimed, detail=detail, encoding=encoding,
+                    campaign=campaign,
+                )
+                parts.append(_as_member(body, used, encoding))
+        finally:
+            self._launch(claimed)
         return 200, b"".join(parts), encoding
 
     def handle_poll_batch(

@@ -20,19 +20,26 @@ policies only read the observation.
 
 The per-slot physics and accounting live in the
 :class:`~repro.sim.kernel.SlotKernel`, one implementation per step,
-and the workload in a shared or private
-:class:`~repro.workload.materialize.WorkloadMaterialization`; this
-module wires the run and holds the one driver: a loop that calls the
-kernel's ``observe``/``step`` pair once per slot.  An ``--engine event`` run
-(``EngineCoreConfig(kind="event")``) goes through the same loop and
-additionally samples the slot's user requests after each step into
-the per-request latency ledger
+and the workload in a
+:class:`~repro.workload.materialize.WorkloadMaterialization`.  This
+module holds the one slot loop, :func:`run_lockstep`: it advances a
+group of engines that share one materialization through
+:meth:`SimulationEngine.advance` slot by slot, so the paper's
+comparison protocol -- every policy on the same alive set, demand and
+volumes -- realizes each slot's workload once for the whole group.
+:meth:`SimulationEngine.run` is the group of one.  An ``--engine
+event`` run (``EngineCoreConfig(kind="event")``) goes through the same
+loop and additionally samples the slot's user requests after each
+step into the per-request latency ledger
 (:attr:`~repro.sim.results.RunResult.requests`), so its slot ledgers
 are byte-identical to a slot-kind run's.  Tests and tools that need
 the physics internals address them on ``engine.kernel``.
 """
 
 from __future__ import annotations
+
+import time
+from typing import Sequence
 
 import numpy as np
 
@@ -47,10 +54,7 @@ from repro.sim.kernel import SlotKernel
 from repro.sim.results import RunResult, SlotRecord
 from repro.sim.state import PlacementPolicy
 from repro.units import SECONDS_PER_HOUR
-from repro.workload.materialize import (
-    build_materialization,
-    materialization_key,
-)
+from repro.workload.materialize import build_materialization
 from repro.workload.packs import WorkloadProvider
 
 #: Third word of the request stream's seed sequence: keeps the request
@@ -93,13 +97,15 @@ class SimulationEngine:
         Optional shared
         :class:`~repro.workload.materialize.WorkloadMaterialization`
         supplying the population, traces, volumes and realized
-        per-slot matrices.  Its
-        :func:`~repro.workload.materialize.materialization_key` must
-        match this ``config`` -- configs differing only in
-        workload-irrelevant fields (fleet specs, tariffs, QoS) share
-        materializations; it already carries its pack, so ``workload``
-        must not also be passed.  Without one the engine builds a
-        private one from ``workload`` with a zero slot budget
+        per-slot matrices -- the one a lockstep group
+        (:func:`run_lockstep`) shares.  It must realize this
+        ``config``'s workload
+        (:meth:`~repro.workload.materialize.WorkloadMaterialization.realizes`:
+        the same seed, horizon, slot resolution and arrival model) --
+        configs differing only in workload-irrelevant fields (fleet
+        specs, tariffs, QoS) share materializations.  It already
+        carries its pack, so ``workload`` must not also be passed.
+        Without one the engine builds its own from ``workload``
         (:func:`~repro.workload.materialize.build_materialization`).
         Purely an execution detail: runs are bit-identical with or
         without it.
@@ -109,6 +115,13 @@ class SimulationEngine:
         only; ``kind="event"`` runs the same loop and additionally
         samples per-request latencies after each slot.  Slot ledgers
         are byte-identical either way.
+
+    Attributes
+    ----------
+    result:
+        The ledger of the run in progress, set by :meth:`begin`.
+    elapsed_s:
+        Seconds spent in this engine's own :meth:`advance` calls.
     """
 
     def __init__(
@@ -122,23 +135,19 @@ class SimulationEngine:
         engine: EngineCoreConfig | None = None,
     ) -> None:
         if materialization is None:
-            materialization = build_materialization(
-                config, workload, slot_budget_bytes=0
-            )
+            materialization = build_materialization(config, workload)
         elif workload is not None:
             raise ValueError("materialization already carries its workload")
-        elif (
-            materialization_key(config, materialization.pack)
-            != materialization.key
-        ):
-            # The sharing contract is the key, not config equality:
-            # configs differing only in workload-irrelevant fields
-            # (fleet specs, tariffs, QoS -- a battery sweep) share one
-            # materialization.  The engine keeps ITS config for the
-            # physics and only adopts the pack's configure overrides.
+        elif not materialization.realizes(config):
+            # The sharing contract is the workload, not config
+            # equality: configs differing only in workload-irrelevant
+            # fields (fleet specs, tariffs, QoS -- a battery sweep)
+            # share one materialization.  The engine keeps ITS config
+            # for the physics and only adopts the pack's configure
+            # overrides.
             raise ValueError(
                 "materialization was built for a different workload "
-                "(materialization key mismatch)"
+                "(seed, horizon, slot resolution or arrival model)"
             )
         workload = materialization.pack
         config = workload.configure(config)
@@ -160,49 +169,60 @@ class SimulationEngine:
         )
         self.latency_model = self.kernel.latency_model
         self.green = self.kernel.green
+        self.result: RunResult | None = None
+        self.elapsed_s = 0.0
 
-    # -- main loop ---------------------------------------------------------
+    # -- the slot step -----------------------------------------------------
+
+    def begin(self) -> None:
+        """Reset the policy and start an empty ledger at slot 0."""
+        self.policy.reset()
+        self._dcs = build_datacenters(self.config)
+        self._previous_assignment: dict[int, int] = {}
+        self.elapsed_s = 0.0
+        self.result = RunResult(
+            policy_name=self.policy.name,
+            config_name=self.config.name,
+            requests=[] if self.engine_config.kind == "event" else None,
+        )
+
+    def advance(self, slot: int) -> None:
+        """Simulate ``slot`` and append its record to :attr:`result`.
+
+        One kernel ``observe``, the policy's placement (validated when
+        asked), one kernel ``step``; an event-kind run also appends the
+        slot's request batches (:meth:`_sample_requests`).  Slots must
+        come in order, after :meth:`begin`.
+        """
+        started = time.perf_counter()
+        kernel = self.kernel
+        vms = kernel.materialization.population.alive(slot)
+        observation = kernel.observe(
+            slot,
+            vms,
+            self._previous_assignment,
+            self._dcs,
+            clairvoyant=self.clairvoyant,
+        )
+        placement = self.policy.place(observation)
+        if self.validate:
+            placement.validate(observation)
+        record = kernel.step(slot, vms, placement, self._dcs)
+        self.result.slots.append(record)
+        self._previous_assignment = dict(placement.assignment)
+        if self.result.requests is not None:
+            self.result.requests.extend(self._sample_requests(record))
+        self.elapsed_s += time.perf_counter() - started
 
     def run(self) -> RunResult:
         """Simulate the full horizon and return the result ledger.
 
-        One kernel ``observe``/``step`` pair per slot.  An event-kind
-        run also appends the slot's request batches
-        (:meth:`_sample_requests`) after each step.
+        The lockstep group of one: a failed slot re-raises its error.
         """
-        config = self.config
-        kernel = self.kernel
-        sample_requests = self.engine_config.kind == "event"
-        self.policy.reset()
-        dcs = build_datacenters(config)
-        result = RunResult(
-            policy_name=self.policy.name,
-            config_name=config.name,
-            requests=[] if sample_requests else None,
-        )
-        previous_assignment: dict[int, int] = {}
-
-        population = kernel.materialization.population
-        for slot in range(config.horizon_slots):
-            vms = population.alive(slot)
-            observation = kernel.observe(
-                slot,
-                vms,
-                previous_assignment,
-                dcs,
-                clairvoyant=self.clairvoyant,
-            )
-            placement = self.policy.place(observation)
-            if self.validate:
-                placement.validate(observation)
-
-            record = kernel.step(slot, vms, placement, dcs)
-            result.slots.append(record)
-            previous_assignment = dict(placement.assignment)
-            if sample_requests:
-                result.requests.extend(self._sample_requests(record))
-
-        return result
+        [outcome] = run_lockstep([self])
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
 
     def _sample_requests(self, record: SlotRecord) -> list[list]:
         """The slot's ``[slot, dc, latency_s, count]`` request batches.
@@ -227,6 +247,47 @@ class SimulationEngine:
         return rows
 
 
+def run_lockstep(
+    engines: Sequence[SimulationEngine],
+) -> list[RunResult | Exception]:
+    """Advance engines that share one materialization, slot by slot.
+
+    The one slot loop.  Each slot, every engine still running advances
+    in turn, so the materialization's two-slot window serves the whole
+    group: each (vm, slot) demand row and (population, slot) volume
+    matrix is computed once.  An engine that raises drops out with its
+    exception as its outcome; the others run on.  Returns each
+    engine's :class:`~repro.sim.results.RunResult` or exception, in
+    engine order.
+    """
+    if not engines:
+        return []
+    materialization = engines[0].kernel.materialization
+    if any(
+        engine.kernel.materialization is not materialization
+        for engine in engines
+    ):
+        raise ValueError("a lockstep group shares one materialization")
+    failed: dict[int, Exception] = {}
+    for index, engine in enumerate(engines):
+        try:
+            engine.begin()
+        except Exception as error:
+            failed[index] = error
+    for slot in range(materialization.config.horizon_slots):
+        for index, engine in enumerate(engines):
+            if index in failed:
+                continue
+            try:
+                engine.advance(slot)
+            except Exception as error:
+                failed[index] = error
+    return [
+        failed.get(index, engine.result)
+        for index, engine in enumerate(engines)
+    ]
+
+
 def run_policies(
     config: ExperimentConfig,
     policies: list[PlacementPolicy],
@@ -237,20 +298,29 @@ def run_policies(
 ) -> list[RunResult]:
     """Run several policies over the *same* workload realization.
 
-    Every engine derives its stochastic streams from ``config.seed``,
-    so policies see identical VMs, traces, volumes, weather and BER --
-    the paper's comparison protocol.  The engine options (``validate``,
-    ``clairvoyant``, ``workload``, ``engine``) are forwarded to every
-    :class:`SimulationEngine` constructed.
+    The paper's comparison protocol: the policies advance in lockstep
+    (:func:`run_lockstep`) on one materialization, so they see
+    identical VMs, traces and volumes -- and every engine derives its
+    weather and BER streams from ``config.seed`` too.  The engine
+    options (``validate``, ``clairvoyant``, ``engine``) are forwarded
+    to every :class:`SimulationEngine` constructed.  The first failed
+    run's error re-raises once every run has finished.
     """
-    return [
-        SimulationEngine(
-            config,
-            policy,
-            validate=validate,
-            clairvoyant=clairvoyant,
-            workload=workload,
-            engine=engine,
-        ).run()
-        for policy in policies
-    ]
+    materialization = build_materialization(config, workload)
+    outcomes = run_lockstep(
+        [
+            SimulationEngine(
+                config,
+                policy,
+                validate=validate,
+                clairvoyant=clairvoyant,
+                materialization=materialization,
+                engine=engine,
+            )
+            for policy in policies
+        ]
+    )
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    return outcomes

@@ -5,9 +5,9 @@ advance one hour-slot of the paper's protocol:
 
 * workload access -- every realized demand matrix and data-volume
   matrix comes from the run's
-  :class:`~repro.workload.materialize.WorkloadMaterialization`, which
-  alone decides what is cached and for how long; the kernel holds no
-  workload state of its own;
+  :class:`~repro.workload.materialize.WorkloadMaterialization` (shared
+  by a lockstep group), which alone decides what is kept and for how
+  long; the kernel holds no workload state of its own;
 * the per-slot physics, one implementation per step -- every DC's IT
   power from per-server sequential sums over the whole placement
   (:meth:`SlotKernel._fleet_it_power`), one PUE broadcast, one
@@ -18,12 +18,13 @@ advance one hour-slot of the paper's protocol:
 * the accounting -- assembling the :class:`~repro.sim.results.SlotRecord`
   ledger entry for a slot.
 
-One driver consumes it: the slot loop in
-:class:`~repro.sim.engine.SimulationEngine`, which calls the
-:meth:`observe` / :meth:`step` pair once per slot for both run kinds
-(``--engine slot`` and ``--engine event``), so their slot-boundary
-ledgers are byte-identical by construction -- the kernel is the single
-place slot physics happens.
+One caller consumes it: :meth:`~repro.sim.engine.SimulationEngine.advance`,
+stepped by the one slot loop
+(:func:`~repro.sim.engine.run_lockstep`), calls the :meth:`observe` /
+:meth:`step` pair once per slot for both run kinds (``--engine slot``
+and ``--engine event``), so their slot-boundary ledgers are
+byte-identical by construction -- the kernel is the single place slot
+physics happens.
 
 Every floating-point reduction in the physics accumulates in the order
 of the plain per-server, per-DC loops it replaced, so the ledgers equal

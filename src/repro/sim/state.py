@@ -145,6 +145,12 @@ class PlacementPolicy(abc.ABC):
     #: Short name used in result tables ("Proposed", "Ener-aware", ...).
     name: str = "unnamed"
 
+    #: Placement-and-physics time of a run relative to a baseline's, at
+    #: the ``small`` scale: the orchestrator's estimate when it splits
+    #: a lone run group over idle workers.  A class attribute, so it
+    #: never joins a run fingerprint.
+    relative_cost: float = 1.0
+
     @abc.abstractmethod
     def place(self, observation: SlotObservation) -> FleetPlacement:
         """Decide the fleet placement for one slot."""

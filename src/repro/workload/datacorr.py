@@ -112,7 +112,11 @@ class DataCorrelationProcess:
     PHASE_MODULUS = 97
 
     #: Distinct VM populations whose base/phase arrays stay cached.
-    POPULATION_CACHE_SIZE = 8
+    #: Every caller asks for a population's volumes back to back (a
+    #: slot's ``observe`` and ``step`` both read the alive set of that
+    #: slot), so two -- the current population and the one before --
+    #: suffice.
+    POPULATION_CACHE_SIZE = 2
 
     #: Rows per first-uniform pass when deciding which pairs talk: the
     #: pass's temporaries are O(ROW_BLOCK * n), not O(n^2).
@@ -145,8 +149,7 @@ class DataCorrelationProcess:
         #: that communicate.
         self._base_cache: dict[tuple[int, int], float] = {}
         #: Per-population (base matrix, phase-index matrix) pairs keyed
-        #: by the vm-id tuple; bounded FIFO since the engine only ever
-        #: revisits the current and previous slots' populations.
+        #: by the vm-id tuple; a bounded FIFO.
         self._population_cache: dict[
             tuple[int, ...], tuple[np.ndarray, np.ndarray]
         ] = {}
@@ -250,21 +253,6 @@ class DataCorrelationProcess:
             self._population_cache.pop(next(iter(self._population_cache)))
         self._population_cache[key] = (base, phase_index)
         return base, phase_index
-
-    def approx_cache_bytes(self) -> int:
-        """Resident size of the generator caches, for cache telemetry.
-
-        Counts the per-pair base scalars (float + 2-int dict keys,
-        ~100 bytes of CPython overhead each; only communicating pairs
-        are cached) and the per-population matrices.  Consumed by
-        :meth:`~repro.workload.materialize.WorkloadMaterialization.approx_bytes`
-        so ``workload_cache`` byte counters reflect what sharing a
-        materialization actually keeps alive.
-        """
-        total = len(self._base_cache) * 100
-        for base, phase_index in self._population_cache.values():
-            total += base.nbytes + phase_index.nbytes
-        return total
 
     def volumes(self, vms: list[VirtualMachine], slot: int) -> VolumeMatrix:
         """Directed volume matrix (MB) for ``vms`` during ``slot``.

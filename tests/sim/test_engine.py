@@ -108,18 +108,23 @@ class TestRunPolicies:
 
 class TestCaching:
     def test_demand_cache_evicts_old_slots(self, short_config):
-        """A standalone engine's private materialization keeps nothing
-        past its run but the last demand matrix it served."""
+        """A standalone engine's materialization keeps only its last
+        two slots' matrices past its run: the last slot's matrix is
+        served again, slot 0's is recomputed and not kept."""
         engine = SimulationEngine(short_config, PriAwarePolicy())
         engine.run()
         materialization = engine.kernel.materialization
-        stats = materialization.stats()
-        assert stats["demand_entries"] == stats["volume_entries"] == 0
-        assert materialization.bytes == 0
         last = short_config.horizon_slots - 1
+        assert {slot for slot, _ in materialization._demand} == {
+            last - 1, last
+        }
         vms = materialization.population.alive(last)
-        hits = materialization.hits
+        hits, misses = materialization.hits, materialization.misses
         materialization.demand(vms, last)
         assert materialization.hits == hits + 1
         materialization.demand(materialization.population.alive(0), 0)
         assert materialization.hits == hits + 1
+        assert materialization.misses == misses + 1
+        assert {slot for slot, _ in materialization._demand} == {
+            last - 1, last
+        }

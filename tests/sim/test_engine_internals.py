@@ -140,6 +140,10 @@ class TestDemandCache:
     def test_eviction_keeps_recent(self, kernel):
         vm = make_vm(vm_id=0, seed=1)
         old = kernel._demand([vm], 0)
-        recent = kernel._demand([vm], 5)
-        assert kernel._demand([vm], 5) is recent
-        assert kernel._demand([vm], 0) is not old
+        previous = kernel._demand([vm], 5)
+        recent = kernel._demand([vm], 6)
+        assert kernel._demand([vm], 5) is previous
+        assert kernel._demand([vm], 6) is recent
+        again = kernel._demand([vm], 0)
+        assert again is not old
+        assert np.array_equal(again, old)

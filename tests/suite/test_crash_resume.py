@@ -49,9 +49,10 @@ TOTAL = 8
 KILL_AFTER = 3
 
 #: Child driver: runs one campaign; in store mode it SIGKILLs itself
-#: after KILL_AFTER submissions (mid-submit_many -- runs beyond the
-#: kill point have not even started).  Service mode runs to whatever
-#: end the daemon's fate dictates.
+#: once KILL_AFTER artifacts have reached the store (mid-submit_many:
+#: the rest of that lockstep group ran but was never stored, and the
+#: next group has not started).  Service mode runs to whatever end the
+#: daemon's fate dictates.
 CHILD = """
 import os, signal, sys
 
@@ -70,16 +71,16 @@ else:
 driver = CampaignDriver(spec, consumer, root)
 if mode == "store":
     kill_after = int(sys.argv[4])
-    real_submit = driver.consumer.submit
+    real_put = consumer.store.put
     seen = {"n": 0}
 
-    def submit(request, use_store=None):
+    def put(*args, **kwargs):
         if seen["n"] >= kill_after:
             os.kill(os.getpid(), signal.SIGKILL)
         seen["n"] += 1
-        return real_submit(request, use_store=use_store)
+        return real_put(*args, **kwargs)
 
-    driver.consumer.submit = submit
+    consumer.store.put = put
 driver.run()
 """
 

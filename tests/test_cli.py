@@ -215,13 +215,13 @@ class TestPackFlags:
             "--pack-csv", str(path), "--store", str(store),
         ]
         invocations = []
-        original = SimulationEngine.run
+        original = SimulationEngine.begin
 
-        def counting_run(self):
+        def counting_begin(self):
             invocations.append(self.policy.name)
             return original(self)
 
-        monkeypatch.setattr(SimulationEngine, "run", counting_run)
+        monkeypatch.setattr(SimulationEngine, "begin", counting_begin)
         assert main(argv) == 0
         assert len(invocations) == 4
         first = capsys.readouterr().out
@@ -245,13 +245,13 @@ class TestStoreBackendFlag:
     ):
         store = tmp_path / "segstore"
         invocations = []
-        original = SimulationEngine.run
+        original = SimulationEngine.begin
 
-        def counting_run(self):
+        def counting_begin(self):
             invocations.append(self.policy.name)
             return original(self)
 
-        monkeypatch.setattr(SimulationEngine, "run", counting_run)
+        monkeypatch.setattr(SimulationEngine, "begin", counting_begin)
         assert main(self.argv(store, "segment")) == 0
         assert len(invocations) == 4
         assert list(store.glob("segments/*.seg"))
@@ -429,13 +429,13 @@ class TestStoreSubcommand:
         assert "migrated 4 document(s)" in out
         assert "bit-identically" in out
         invocations = []
-        original = SimulationEngine.run
+        original = SimulationEngine.begin
 
-        def counting_run(self):
+        def counting_begin(self):
             invocations.append(self.policy.name)
             return original(self)
 
-        monkeypatch.setattr(SimulationEngine, "run", counting_run)
+        monkeypatch.setattr(SimulationEngine, "begin", counting_begin)
         assert main(["compare", "--scale", "tiny", "--horizon", "2",
                      "--store", str(dest)]) == 0
         assert invocations == []  # the migrated root serves every run

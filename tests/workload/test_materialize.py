@@ -1,25 +1,23 @@
-"""Workload materializations: keys, slot arrays, LRU, engine identity."""
+"""Workload materializations: keys, the slot window, engine identity."""
 
 import dataclasses
-import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.experiments.orchestrator import Orchestrator, RunRequest
+from repro.experiments.orchestrator import Orchestrator
 from repro.experiments.runner import default_policies, run_comparison
 from repro.sim.config import scaled_config
-from repro.sim.engine import SimulationEngine
+from repro.sim.engine import SimulationEngine, run_policies
 from repro.workload.materialize import (
-    DEFAULT_CACHE_MATERIALIZATIONS,
-    DEFAULT_SLOT_BUDGET_BYTES,
-    MaterializationCache,
+    WINDOW_SLOTS,
     build_materialization,
-    configure_process_cache,
     materialization_key,
-    process_cache,
 )
 from repro.workload.packs import (
+    LibraryWorkload,
     RecordedTraceSource,
     TracePack,
     available_packs,
@@ -130,12 +128,19 @@ class TestMaterializationKey:
         )
 
 
-class TestSlotDataCache:
-    """The materialization's realized slot arrays: kept, shared, and
-    always served."""
+def held_slots(mat) -> set[int]:
+    """The slots whose demand or volume matrices ``mat`` holds."""
+    return {slot for slot, _ in mat._demand} | {
+        slot for slot, _ in mat._volumes
+    }
 
-    def materialized(self, horizon=3, **kwargs):
-        return build_materialization(tiny(horizon), None, **kwargs)
+
+class TestSlotDataCache:
+    """The materialization's realized slot arrays: kept for a two-slot
+    window, shared, and always served."""
+
+    def materialized(self, horizon=3):
+        return build_materialization(tiny(horizon), None)
 
     def test_demand_hit_returns_same_frozen_array(self):
         mat = self.materialized()
@@ -169,50 +174,46 @@ class TestSlotDataCache:
         fresh = default_pack().build_volumes(mat.config).volumes(vms, 2)
         assert np.array_equal(cached.volumes, fresh.volumes)
 
-    def test_tiny_budget_declines_instead_of_evicting(self):
-        """A matrix past the budget is computed, frozen and served
-        without being kept, and counts as a miss and a decline."""
-        mat = self.materialized(slot_budget_bytes=1)
-        vms = mat.population.alive(1)
-        demand = mat.demand(vms, 1)
-        volumes = mat.volume_matrix(vms, 1)
+    def test_newer_slot_drops_the_oldest(self):
+        mat = self.materialized(horizon=4)
+        vms = mat.population.alive(0)
+        slot0 = mat.demand(vms, 0)
+        volumes0 = mat.volume_matrix(vms, 0)
+        mat.demand(vms, 1)
+        assert mat.demand(vms, 0) is slot0  # two slots fit the window
+        mat.volume_matrix(vms, 2)  # the first request of slot 2...
+        assert held_slots(mat) == {1, 2}  # ...drops slot 0's matrices
+        assert mat.volume_matrix(vms, 0) is not volumes0
+        assert mat.demand(vms, 0) is not slot0
+
+    def test_slot_older_than_window_served_unkept(self):
+        """A slot older than the window is computed, frozen and served
+        without being kept, and counts as a miss."""
+        mat = self.materialized()
+        vms = mat.population.alive(0)
+        mat.demand(vms, 1)
+        mat.demand(vms, 2)
+        misses = mat.misses
+        demand = mat.demand(vms, 0)
+        volumes = mat.volume_matrix(vms, 0)
         assert not demand.flags.writeable
         assert not volumes.volumes.flags.writeable
         fresh = self.materialized()
-        assert np.array_equal(demand, fresh.demand(vms, 1))
+        assert np.array_equal(demand, fresh.demand(vms, 0))
         assert np.array_equal(
-            volumes.volumes, fresh.volume_matrix(vms, 1).volumes
+            volumes.volumes, fresh.volume_matrix(vms, 0).volumes
         )
-        assert mat.volume_matrix(vms, 1) is not volumes  # never kept
-        stats = mat.stats()
-        assert (stats["misses"], stats["declined"]) == (3, 3)
-        assert mat.bytes == 0
-        assert stats["demand_entries"] == stats["volume_entries"] == 0
-
-    def test_budget_admits_prefix_then_declines(self):
-        mat = self.materialized()
-        vms = mat.population.alive(0)
-        mat.budget_bytes = len(vms) * mat.config.steps_per_slot * 8
-        kept = mat.demand(vms, 0)  # fills the budget...
-        assert mat.demand(vms, 0) is kept  # ...hits stay served
-        assert mat.demand(vms, 1) is not None  # ...new slots decline
-        assert mat.demand(vms, 0) is kept  # the prefix stays kept
-        stats = mat.stats()
-        assert stats["declined"] == 1
-        assert stats["demand_entries"] == 1
+        assert mat.volume_matrix(vms, 0) is not volumes  # never kept
+        assert mat.misses == misses + 3
+        assert held_slots(mat) == {1, 2}
 
     def test_empty_population_shortcut(self):
         mat = self.materialized()
         empty = mat.demand([], 0)
         assert empty.shape == (0, mat.config.steps_per_slot)
 
-    @pytest.mark.parametrize(
-        "budget", [0, DEFAULT_SLOT_BUDGET_BYTES], ids=["unkept", "kept"]
-    )
-    def test_rows_reused_within_a_slot(self, budget, monkeypatch):
-        """A miss copies the rows it shares with the slot's last matrix
-        and asks the provider only for the rest."""
-        mat = self.materialized(slot_budget_bytes=budget)
+    def counted_demand(self, mat, monkeypatch) -> list[int]:
+        """Record the batch size of every provider demand call."""
         asked = []
         original = mat.traces.slot_demand_many
 
@@ -221,250 +222,79 @@ class TestSlotDataCache:
             return original(vms, slot)
 
         monkeypatch.setattr(mat.traces, "slot_demand_many", counted)
+        return asked
+
+    @pytest.mark.parametrize("dropped", [False, True], ids=["kept", "unkept"])
+    def test_rows_reused_within_a_slot(self, dropped, monkeypatch):
+        """A miss copies the rows it shares with the slot's kept matrix
+        and asks the provider only for the rest; a kept matrix of
+        another slot gives it no rows, and once two newer slots have
+        dropped the slot's matrix every row is asked for again."""
+        mat = self.materialized()
+        asked = self.counted_demand(mat, monkeypatch)
         vms = mat.population.alive(0)
         assert len(vms) >= 2
         newcomer = mat.population.alive(1)[-1]
         assert newcomer not in vms
         full = mat.demand(vms, 0)
+        mat.demand(vms, 1)
+        if dropped:
+            mat.demand(vms, 2)
         grown = mat.demand(vms[:-1] + [newcomer], 0)
-        assert asked == [len(vms), 1]
+        reused = 0 if dropped else len(vms) - 1
+        assert asked == [len(vms)] * (2 + dropped) + [len(vms) - reused]
         assert np.array_equal(grown[:-1], full[:-1])
         assert np.array_equal(
             grown[-1], mat.traces.slot_demand(newcomer, 0)
         )
-        assert mat.misses == 2
+        assert mat.misses == 3 + dropped
 
     def test_rows_never_cross_the_budget(self, monkeypatch):
-        """A matrix past the budget takes no rows from a kept one."""
+        """The window is the materialization's memory budget, and rows
+        never cross it: a slot older than the window takes no rows from
+        the kept matrices of the same VMs in newer slots."""
         mat = self.materialized()
-        asked = []
-        original = mat.traces.slot_demand_many
-
-        def counted(vms, slot):
-            asked.append(len(vms))
-            return original(vms, slot)
-
-        monkeypatch.setattr(mat.traces, "slot_demand_many", counted)
+        asked = self.counted_demand(mat, monkeypatch)
         vms = mat.population.alive(0)
-        mat.budget_bytes = len(vms) * mat.config.steps_per_slot * 8
-        kept = mat.demand(vms, 0)
+        mat.demand(vms, 1)
+        mat.demand(vms, 2)  # the window now holds slots 1 and 2
         served = mat.demand(vms[:-1], 0)
-        assert asked == [len(vms), len(vms) - 1]
-        assert np.array_equal(served, kept[:-1])
-        assert mat.declined == 1
-
-    def test_cache_decline_is_engine_fallback_not_error(self):
-        config = tiny()
-        mat = build_materialization(config, None, slot_budget_bytes=1)
-        policy = default_policies()[1]
-        starved = SimulationEngine(config, policy, materialization=mat).run()
-        policy = default_policies()[1]
-        plain = SimulationEngine(config, policy).run()
-        assert starved.slots == plain.slots
+        assert asked == [len(vms), len(vms), len(vms) - 1]
+        fresh = self.materialized().demand(vms, 0)
+        assert np.array_equal(served, fresh[:-1])
+        assert held_slots(mat) == {1, 2}
 
     def test_stats_shape(self):
-        stats = build_materialization(
-            tiny(), None, slot_budget_bytes=123
-        ).stats()
-        assert stats == {
-            "hits": 0,
-            "misses": 0,
-            "declined": 0,
-            "bytes": 0,
-            "demand_entries": 0,
-            "volume_entries": 0,
-        }
+        """A fresh materialization has served and computed nothing, and
+        holds no slot."""
+        mat = build_materialization(tiny(), None)
+        assert (mat.hits, mat.misses) == (0, 0)
+        assert held_slots(mat) == set()
 
-
-class TestMaterializationCache:
-    def test_lru_eviction_under_small_cap(self):
-        cache = MaterializationCache(size=1)
-        config_a = tiny(2)
-        config_b = dataclasses.replace(config_a, seed=config_a.seed + 7)
-        first = cache.materialize(config_a, None)
-        assert cache.materialize(config_a, None) is first
-        cache.materialize(config_b, None)  # evicts config_a's entry
-        assert cache.keys() == [materialization_key(config_b, None)]
-        rebuilt = cache.materialize(config_a, None)
-        assert rebuilt is not first
-        assert cache.stats()["entries"] == 1
-        assert cache.stats()["hits"] == 1
-        assert cache.stats()["misses"] == 3
-
-    def test_lru_refreshes_on_hit(self):
-        cache = MaterializationCache(size=2)
-        config_a = tiny(2)
-        config_b = dataclasses.replace(config_a, seed=config_a.seed + 7)
-        config_c = dataclasses.replace(config_a, seed=config_a.seed + 8)
-        kept = cache.materialize(config_a, None)
-        cache.materialize(config_b, None)
-        cache.materialize(config_a, None)  # refresh: b is now oldest
-        cache.materialize(config_c, None)  # evicts b, not a
-        assert cache.materialize(config_a, None) is kept
-
-    def test_key_mismatch_raises(self):
-        cache = MaterializationCache(size=2)
-        config = tiny(2)
-        with pytest.raises(ValueError, match="key mismatch"):
-            cache.get(
-                "0" * 64, lambda: build_materialization(config, None)
-            )
-
-    def test_concurrent_cold_callers_share_one_build(self, monkeypatch):
-        """Four threads running the four policies cold on one serial
-        orchestrator build the workload once: one materialization's
-        618 demand rows, not four's 2,472."""
-        rows = []
-        demand_many = TraceLibrary.slot_demand_many
-
-        def counted(library, vms, slot):
-            rows.append(len(vms))
-            return demand_many(library, vms, slot)
-
-        monkeypatch.setattr(TraceLibrary, "slot_demand_many", counted)
-        orchestrator = Orchestrator(jobs=1)
-        config = scaled_config("tiny")
-        barrier = threading.Barrier(4, timeout=60)
-        errors = []
-
-        def run(policy):
-            try:
-                barrier.wait()
-                orchestrator.run(RunRequest(config, policy))
-            except Exception as exc:  # reported below
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(target=run, args=(policy,))
-            for policy in default_policies()
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
-        assert not any(thread.is_alive() for thread in threads)
-        assert not errors, errors
-        assert sum(rows) == 618
-        stats = orchestrator.workload_cache_stats()
-        assert (stats["misses"], stats["hits"]) == (1, 3)
-
-    def waiting_callers(self, cache, key, build, callers=3):
-        """Start ``callers`` threads on ``cache.get(key)`` once a build
-        of ``key`` is under way; returns (threads, outcomes)."""
-        outcomes = []
-
-        def call():
-            try:
-                outcomes.append(cache.get(key, build))
-            except Exception as exc:  # collected for the assertions
-                outcomes.append(exc)
-
-        threads = [threading.Thread(target=call) for _ in range(callers)]
-        return threads, outcomes
-
-    def test_waiters_get_the_one_build(self):
-        cache = MaterializationCache(size=2)
-        config = tiny(2)
-        key = materialization_key(config, None)
-        started, release = threading.Event(), threading.Event()
-        builds = []
-
-        def build():
-            builds.append(key)
-            started.set()
-            assert release.wait(timeout=60)
-            return build_materialization(config, None)
-
-        owner = threading.Thread(target=lambda: cache.get(key, build))
-        owner.start()
-        assert started.wait(timeout=60)
-        threads, outcomes = self.waiting_callers(cache, key, build)
-        for thread in threads:
-            thread.start()
-        release.set()
-        for thread in [owner, *threads]:
-            thread.join(timeout=60)
-        assert not any(t.is_alive() for t in [owner, *threads])
-        assert len(builds) == 1
-        assert all(entry is outcomes[0] for entry in outcomes)
-        assert outcomes[0] is cache.get(key, build)
-        stats = cache.stats()
-        assert (stats["misses"], stats["hits"]) == (1, 4)
-
-    def test_failed_build_raises_in_every_waiter_and_caches_nothing(self):
-        cache = MaterializationCache(size=2)
-        key = materialization_key(tiny(2), None)
-        started, release = threading.Event(), threading.Event()
-
-        def failing():
-            started.set()
-            assert release.wait(timeout=60)
-            raise RuntimeError("build failed")
-
-        owner_errors = []
-
-        def owner_call():
-            try:
-                cache.get(key, failing)
-            except RuntimeError as exc:
-                owner_errors.append(exc)
-
-        owner = threading.Thread(target=owner_call)
-        owner.start()
-        assert started.wait(timeout=60)
-        threads, outcomes = self.waiting_callers(cache, key, failing)
-        for thread in threads:
-            thread.start()
-        release.set()
-        for thread in [owner, *threads]:
-            thread.join(timeout=60)
-        assert len(owner_errors) == 1
-        assert len(outcomes) == 3
-        # A waiter either shared the failed build or, arriving after
-        # it, ran (and failed) a build of its own: it never got an entry.
-        assert all(
-            isinstance(outcome, RuntimeError) for outcome in outcomes
-        )
-        assert len(cache) == 0
-        assert cache.stats()["hits"] == 0
-        rebuilt = cache.get(key, lambda: build_materialization(tiny(2), None))
-        assert rebuilt.key == key
-
-    def test_builds_of_different_keys_overlap(self):
-        cache = MaterializationCache(size=2)
-        configs = [tiny(2), dataclasses.replace(tiny(2), seed=9)]
-        both_building = threading.Barrier(2, timeout=60)
-        errors = []
-
-        def fetch(config):
-            def build():
-                both_building.wait()  # breaks if builds serialize
-                return build_materialization(config, None)
-
-            try:
-                cache.get(materialization_key(config, None), build)
-            except Exception as exc:  # reported below
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(target=fetch, args=(config,)) for config in configs
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
-        assert not errors, errors
-        assert len(cache) == 2
-
-    def test_configure_process_cache_replaces_global(self):
-        original = process_cache()
-        original.materialize(tiny(2), None)
-        replaced = configure_process_cache()
-        assert process_cache() is replaced
-        assert replaced is not original
-        assert len(replaced) == 0
-        assert replaced.size == DEFAULT_CACHE_MATERIALIZATIONS
-        assert replaced.slot_budget_bytes == DEFAULT_SLOT_BUDGET_BYTES
+    @settings(max_examples=40, deadline=None)
+    @given(
+        horizon=st.integers(1, 8),
+        lookups=st.lists(
+            st.tuples(st.integers(0, 7), st.integers(0, 7), st.booleans()),
+            max_size=24,
+        ),
+    )
+    def test_never_holds_more_than_two_slots(self, horizon, lookups):
+        """Whatever order slots are asked in, the matrices held are of
+        the two newest slots requested, or fewer."""
+        mat = self.materialized(horizon)
+        requested: set[int] = set()
+        for slot, alive_slot, volumes in lookups:
+            slot, alive_slot = slot % horizon, alive_slot % horizon
+            vms = mat.population.alive(alive_slot)
+            if volumes:
+                mat.volume_matrix(vms, slot)
+            else:
+                mat.demand(vms, slot)
+            requested.add(slot)
+            held = held_slots(mat)
+            assert len(held) <= WINDOW_SLOTS
+            assert held <= set(sorted(requested)[-WINDOW_SLOTS:])
 
 
 class TestEngineBitIdentity:
@@ -520,6 +350,24 @@ class TestEngineBitIdentity:
                 tiny(4), default_policies()[1], materialization=mat
             )
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("horizon_slots", 4), ("seed", 1), ("steps_per_slot", 12)],
+    )
+    def test_library_materialization_checks_its_workload(self, field, value):
+        """A library provider has no content hash, yet an engine whose
+        seed, horizon or slot resolution differs from its
+        materialization's is refused all the same."""
+        config = tiny(3)
+        library = TraceLibrary(
+            steps_per_slot=config.steps_per_slot, seed=config.seed + 99
+        )
+        mat = build_materialization(config, LibraryWorkload(library))
+        other = dataclasses.replace(config, **{field: value})
+        with pytest.raises(ValueError, match="different workload"):
+            SimulationEngine(other, default_policies()[1], materialization=mat)
+        SimulationEngine(config, default_policies()[1], materialization=mat)
+
     def test_workload_irrelevant_config_change_shares(self):
         """A battery sweep's configs share one materialization: fleet
         fields stay out of the key, and the engine keeps its own
@@ -563,30 +411,26 @@ def run_clairvoyant(config):
     SimulationEngine(config, default_policies()[1], clairvoyant=True).run()
 
 
-def run_half_budget(config):
-    # The run's slot arrays take 218,144 bytes; 100,000 keeps a prefix
-    # of them and serves the rest unkept.
-    mat = build_materialization(config, None, slot_budget_bytes=100_000)
-    for policy in default_policies():
-        SimulationEngine(config, policy, materialization=mat).run()
-    stats = mat.stats()
-    assert stats["declined"] > 0 and stats["demand_entries"] > 0
+def run_lockstep_group(config):
+    run_policies(config, default_policies())
 
 
 class TestProviderWork:
     """What a 12-slot tiny run asks of its providers, per way of
     running it: ``slot_demand_many`` rows and calls, and
-    ``DataCorrelationProcess.volumes`` calls."""
+    ``DataCorrelationProcess.volumes`` calls.  A four-policy lockstep
+    group, through the engine or the orchestrator, costs what one
+    standalone run does."""
 
     @pytest.mark.parametrize(
         "run, expected",
         [
-            (run_standalone, {"rows": 301, "calls": 17, "volumes": 24}),
+            (run_standalone, {"rows": 301, "calls": 17, "volumes": 22}),
             (run_orchestrated, {"rows": 301, "calls": 17, "volumes": 22}),
-            (run_clairvoyant, {"rows": 280, "calls": 12, "volumes": 24}),
-            (run_half_budget, {"rows": 872, "calls": 48, "volumes": 65}),
+            (run_clairvoyant, {"rows": 280, "calls": 12, "volumes": 12}),
+            (run_lockstep_group, {"rows": 301, "calls": 17, "volumes": 22}),
         ],
-        ids=["standalone", "orchestrated", "clairvoyant", "half-budget"],
+        ids=["standalone", "orchestrated", "clairvoyant", "lockstep"],
     )
     def test_provider_work(self, run, expected, monkeypatch):
         work = {"rows": 0, "calls": 0, "volumes": 0}
@@ -606,3 +450,28 @@ class TestProviderWork:
         monkeypatch.setattr(DataCorrelationProcess, "volumes", counted_volumes)
         run(scaled_config("tiny").with_horizon(12))
         assert work == expected
+
+
+def test_two_populations_build_as_many_as_eight(monkeypatch):
+    """A lockstep group asks for each population's volumes back to
+    back, so the volume process's two-entry population cache builds as
+    many base/phase matrices as an eight-entry one would."""
+    assert DataCorrelationProcess.POPULATION_CACHE_SIZE == 2
+    original = DataCorrelationProcess._population_arrays
+    builds = {}
+    for size in (2, 8):
+        builds[size] = 0
+
+        def counted(process, vms, size=size):
+            key = tuple(vm.vm_id for vm in vms)
+            builds[size] += key not in process._population_cache
+            return original(process, vms)
+
+        monkeypatch.setattr(
+            DataCorrelationProcess, "POPULATION_CACHE_SIZE", size
+        )
+        monkeypatch.setattr(
+            DataCorrelationProcess, "_population_arrays", counted
+        )
+        run_policies(scaled_config("tiny").with_horizon(12), default_policies())
+    assert builds[2] == builds[8] > 0

@@ -26,11 +26,14 @@
 #                      four audited policies, each lockstep sub-group
 #                      computing each demand row once, wall time and
 #                      peak memory -> BENCH_paper_smoke.json)
+#   make service-drill - one daemon, two fresh campaigns of the mini
+#                      suite: the cold one executes 4 runs, the warm
+#                      one 0, and their outputs diff clean
 #   make bench       - full benchmark harness (slow: one-week comparison)
 
 PYTEST := PYTHONPATH=src python -m pytest
 
-.PHONY: test bench-smoke bench store-compact-nightly
+.PHONY: test bench-smoke bench store-compact-nightly service-drill
 
 test:
 	$(PYTEST) -x -q
@@ -52,6 +55,32 @@ bench-smoke:
 store-compact-nightly:
 	PYTHONPATH=src python -m repro store compact \
 		--store benchmarks/reports/service_store
+
+# Nightly service drill: `repro serve` behind two fresh campaigns of
+# the mini suite, which between them drive every client read (the warm
+# poll, the batch, the stream and the output stage's lookup).  The
+# daemon is stopped however the drill ends.
+DRILL := benchmarks/reports/drill
+DRILL_URL := http://127.0.0.1:8123
+REPRO := PYTHONPATH=src python -m repro
+
+service-drill:
+	rm -rf $(DRILL) $(DRILL)-store
+	mkdir -p $(DRILL)
+	$(REPRO) serve --port 8123 --store $(DRILL)-store & daemon=$$!; \
+	trap 'kill $$daemon' EXIT; set -e; \
+	for attempt in $$(seq 50); do \
+		PYTHONPATH=src python -c "from repro.service import ServiceClient; \
+			ServiceClient('$(DRILL_URL)').ping()" 2>/dev/null && break; \
+		sleep 0.2; \
+	done; \
+	$(REPRO) suite run examples/suites/mini.toml --service $(DRILL_URL) \
+		--ledger $(DRILL)/L1 --out $(DRILL)/O1 > $(DRILL)/cold.txt; \
+	cat $(DRILL)/cold.txt; grep -q ", 4 executed," $(DRILL)/cold.txt; \
+	$(REPRO) suite run examples/suites/mini.toml --service $(DRILL_URL) \
+		--ledger $(DRILL)/L2 --out $(DRILL)/O2 > $(DRILL)/warm.txt; \
+	cat $(DRILL)/warm.txt; grep -q ", 0 executed," $(DRILL)/warm.txt; \
+	diff -r $(DRILL)/O1 $(DRILL)/O2
 
 bench:
 	$(PYTEST) -q benchmarks

@@ -13,8 +13,9 @@ store, one in-flight dedup table:
   :class:`~repro.experiments.orchestrator.RunRequest` and
   :class:`~repro.experiments.orchestrator.RunArtifact`;
 * :mod:`repro.service.server` -- the threaded stdlib-HTTP daemon
-  behind ``repro serve`` (``POST /runs/batch``, ``POST /runs/poll``,
-  ``GET /runs/<fp>``, ``/healthz``, ``/stats``);
+  behind ``repro serve``: ``POST /runs/batch`` submits,
+  ``POST /runs/poll`` is the one read route, and ``GET /healthz`` and
+  ``GET /stats`` report;
 * :mod:`repro.service.client` -- :class:`ServiceClient`, a drop-in
   :class:`~repro.experiments.orchestrator.Orchestrator` replacement
   that resolves runs against one remote daemon (the CLI's

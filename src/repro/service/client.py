@@ -13,19 +13,20 @@ changes to its logic: the CLI's ``--service URL`` path is exactly
 Resolution model
 ----------------
 
-``submit_many`` settles work in two chunked phases -- a
-fingerprint-only ``POST /runs/poll`` (warm hits resolve without
-uploading encoded bodies at all), then ``POST /runs/batch`` for the
-remainder -- so a 1k-run sweep costs ~tens of HTTP round trips
-instead of ~1k; ``submit`` is a one-request ``submit_many``.  Store
-hits resolve their futures immediately; the rest stay pending and
-resolve two ways, whichever happens first:
+Every read is one primitive, :meth:`ServiceClient._poll`: chunked
+``POST /runs/poll`` calls, the daemon's only read route.
+``submit_many`` settles work in two chunked phases -- a no-wait poll
+by fingerprint (warm hits resolve without uploading encoded bodies at
+all), then ``POST /runs/batch`` for the remainder -- so a 1k-run
+sweep costs ~tens of HTTP round trips instead of ~1k; ``submit`` is a
+one-request ``submit_many``.  Store hits resolve their futures
+immediately; the rest stay pending and resolve two ways, whichever
+happens first:
 
-* :meth:`as_done` / :meth:`as_resolved` multiplex settlement over
-  long-polls (``POST /runs/poll`` with ``wait>0``) and resolve futures
-  as artifact lines arrive in completion order;
-* :meth:`RunFuture.result` on an individual pending future falls back
-  to long-polling ``GET /runs/<fingerprint>``.
+* :meth:`as_done` / :meth:`as_resolved` poll with ``wait>0`` and
+  resolve futures as artifact lines stream in, in completion order;
+* :meth:`RunFuture.result` on an individual pending future polls its
+  one fingerprint the same way.
 
 Both paths funnel through one idempotent resolver, so a stream and a
 poll racing on the same future are benign.
@@ -37,8 +38,8 @@ envelopes, ``detail`` projections, gzip response bodies via
 
 ``detail="headline"`` artifacts decode to
 :class:`~repro.sim.results.HeadlineResult` projections that lazily
-fetch the full ledger over the wire only when a consumer asks for
-something beyond the headline block.
+fetch the full ledger, with a one-fingerprint poll, only when a
+consumer asks for something beyond the headline block.
 
 Every failure to reach the daemon or to get a protocol answer from it
 raises :class:`ServiceError` (the CLI maps it to a clean nonzero
@@ -64,7 +65,7 @@ import threading
 import time
 from concurrent.futures import Future
 from typing import Callable, Iterable, Iterator, Sequence
-from urllib.parse import quote, urlsplit
+from urllib.parse import urlsplit
 
 from repro.experiments.orchestrator import (
     RunArtifact,
@@ -89,7 +90,7 @@ __all__ = [
     "ServiceRunError",
 ]
 
-#: Seconds of server-side blocking requested per long-poll/stream call.
+#: Seconds of server-side blocking requested per waiting poll.
 _POLL_WAIT_S = 30.0
 
 #: Fingerprints per ``POST /runs/poll`` chunk (fingerprint-only lines
@@ -264,9 +265,9 @@ class ServiceClient:
         Optional ``callback(completed, total)`` fired per resolved run
         of a batch, exactly like the orchestrator's.
     timeout_s:
-        Socket timeout for individual HTTP calls.  Calls that
-        deliberately block server-side (long-poll, stream) add their
-        ``wait`` on top.
+        Socket timeout for individual HTTP calls.  Polls that
+        deliberately block server-side (``wait>0``) add their ``wait``
+        on top.
     detail:
         Default artifact projection (``full`` or ``headline``) for
         submissions that do not name one.  Headline artifacts carry
@@ -361,23 +362,16 @@ class ServiceClient:
     # -- future resolution -------------------------------------------------
 
     def _full_fetcher(self, fingerprint: str) -> Callable[[], RunResult]:
-        """The lazy headline->full upgrade: one ``detail=full`` GET."""
+        """The lazy headline->full upgrade: one ``detail=full`` poll."""
 
         def fetch() -> RunResult:
-            status, payload = self._request(
-                "GET", self._poll_path(fingerprint, "full")
-            )
-            if status == 200 and payload.get("kind") == "run_artifact":
-                try:
-                    return decode_artifact(payload).result
-                except WireError as error:
-                    raise ServiceError(
-                        f"undecodable artifact from {self.url}: {error}"
-                    ) from None
-            raise ServiceError(
-                f"cannot upgrade headline run {fingerprint[:12]}... to "
-                f"full detail: HTTP {status}"
-            )
+            hit = self.lookup(None, fingerprint)
+            if hit is None:
+                raise ServiceError(
+                    f"cannot upgrade headline run {fingerprint[:12]}... "
+                    f"to full detail from {self.url}"
+                )
+            return hit.result().result
 
         return fetch
 
@@ -405,9 +399,40 @@ class ServiceClient:
                 )
             )
 
-    @staticmethod
-    def _poll_path(fingerprint: str, detail: str) -> str:
-        return f"/runs/{quote(fingerprint)}?detail={detail}"
+    def _poll(
+        self, fingerprints: list[str], wait_s: float, detail: str
+    ) -> Iterator[dict]:
+        """``POST /runs/poll`` in chunks; yields every reply line.
+
+        Only the first chunk waits: with ``wait_s > 0`` its lines
+        stream in completion order, pending lines included, and the
+        rest are no-wait buffered polls, so a call costs
+        ``ceil(n/chunk)`` exchanges but blocks only once.
+        """
+        for index, chunk in enumerate(_chunked(fingerprints, _POLL_CHUNK)):
+            chunk_wait = wait_s if index == 0 else 0.0
+            body = json.dumps(
+                encode_poll(chunk, chunk_wait, detail)
+            ).encode()
+            if chunk_wait > 0:
+                status, response = self._request(
+                    "POST",
+                    "/runs/poll",
+                    body=body,
+                    timeout_s=self.timeout_s + chunk_wait,
+                    stream=True,
+                )
+                yield from self._consume_stream(status, response)
+                continue
+            status, payloads = self._request(
+                "POST", "/runs/poll", body=body, jsonl=True
+            )
+            if status != 200:
+                message = payloads[0].get("error", "") if payloads else ""
+                raise ServiceError(
+                    f"poll endpoint answered HTTP {status}: {message}"
+                )
+            yield from payloads
 
     def _await(
         self,
@@ -415,9 +440,8 @@ class ServiceClient:
         timeout: float | None,
         detail: str = "full",
     ) -> None:
-        """Long-poll one fingerprint until it settles (or times out)."""
+        """Poll one fingerprint until it settles (or times out)."""
         deadline = None if timeout is None else time.monotonic() + timeout
-        path = self._poll_path(fingerprint, detail)
         while True:
             with self._lock:
                 if fingerprint not in self._pending:
@@ -429,15 +453,10 @@ class ServiceClient:
                     raise TimeoutError(
                         f"run {fingerprint[:12]}... still pending"
                     )
-            status, payload = self._request(
-                "GET",
-                f"{path}&wait={wait_s:.3f}",
-                timeout_s=self.timeout_s + wait_s,
-            )
-            if status == 202:
-                continue
-            self._settle(fingerprint, payload)
-            return
+            for payload in self._poll([fingerprint], wait_s, detail):
+                if payload.get("kind") != "pending":
+                    self._settle(fingerprint, payload)
+                    return
 
     # -- the orchestrator surface ------------------------------------------
 
@@ -463,23 +482,20 @@ class ServiceClient:
     def lookup(self, request, fingerprint: str) -> RunFuture | None:
         """An already-resolved future for a daemon-store hit, else None.
 
-        The warm-only read behind suite resume verification and the
-        output stage: a non-blocking (``wait=0``) GET that never
-        triggers execution.  Mirrors
+        The warm-only read behind suite resume verification, the
+        output stage and the headline upgrade: a no-wait poll of one
+        fingerprint that never triggers execution.  Mirrors
         :meth:`repro.experiments.orchestrator.Orchestrator.lookup`.
         """
-        status, payload = self._request(
-            "GET", f"{self._poll_path(fingerprint, 'full')}&wait=0"
-        )
-        if status != 200 or payload.get("kind") != "run_artifact":
-            return None
-        try:
-            artifact = self._decode(fingerprint, payload)
-        except WireError:
-            return None
-        future: Future = Future()
-        future.set_result(artifact)
-        return RunFuture(request, fingerprint, future)
+        for payload in self._poll([fingerprint], 0.0, "full"):
+            if payload.get("kind") != "run_artifact":
+                return None
+            try:
+                artifact = self._decode(fingerprint, payload)
+            except WireError:
+                return None
+            return RunFuture.resolved(request, fingerprint, artifact)
+        return None
 
     def close(self) -> None:
         """Drop this thread's keep-alive connection (idempotent)."""
@@ -501,8 +517,8 @@ class ServiceClient:
 
         Store hits (daemon-side) return an already-resolved future;
         misses return a pending future that resolves through the
-        batch-aware poll (:meth:`as_done`) or an individual long-poll
-        (:meth:`RunFuture.result`).
+        batch-aware poll (:meth:`as_done`) or its own one-fingerprint
+        poll (:meth:`RunFuture.result`).
         """
         return self.submit_many(
             [request], use_store=use_store, detail=detail
@@ -550,9 +566,8 @@ class ServiceClient:
             # Phase 1: settle what the daemon already has by
             # fingerprint alone.
             need_post = []
-            for fingerprint, payload in self._poll_batch(
-                list(fresh), detail
-            ):
+            for payload in self._poll(list(fresh), 0.0, detail):
+                fingerprint = payload.get("fingerprint", "")
                 request = fresh.get(fingerprint)
                 if request is None:
                     continue
@@ -624,7 +639,7 @@ class ServiceClient:
                         f"{payload.get('error', payload)!r}"
                     )
         # Entries a misbehaving daemon failed to answer resolve via
-        # the individual long-poll rather than KeyError-ing here.
+        # their own poll rather than KeyError-ing here.
         for fingerprint in fresh:
             if fingerprint not in handles:
                 handles[fingerprint] = self._pending_handle(
@@ -655,25 +670,6 @@ class ServiceClient:
             future = self._pending.setdefault(fingerprint, Future())
         return _ClientRunFuture(self, request, fingerprint, future, detail)
 
-    def _poll_batch(
-        self, fingerprints: list[str], detail: str
-    ) -> Iterator[tuple[str, dict]]:
-        """Chunked no-wait ``POST /runs/poll``; yields (fp, payload)."""
-        for chunk in _chunked(fingerprints, _POLL_CHUNK):
-            body = json.dumps(encode_poll(chunk, 0.0, detail)).encode()
-            status, payloads = self._request(
-                "POST", "/runs/poll", body=body, jsonl=True
-            )
-            if status != 200:
-                message = (
-                    payloads[0].get("error", "") if payloads else ""
-                )
-                raise ServiceError(
-                    f"poll endpoint answered HTTP {status}: {message}"
-                )
-            for payload in payloads:
-                yield payload.get("fingerprint", ""), payload
-
     def _notify(self, done: int, total: int) -> None:
         if self.progress is not None:
             self.progress(done, total)
@@ -683,9 +679,9 @@ class ServiceClient:
     ) -> Iterator[RunFuture]:
         """Yield unique futures as the daemon completes their runs.
 
-        Resolved futures come first; the rest settle over batch-aware
-        long-poll rounds (one connection per round, daemon completion
-        order).
+        Resolved futures come first; the rest settle over polling
+        rounds with ``wait>0`` (one streamed connection per round,
+        daemon completion order).
         """
         unique = list(dict.fromkeys(futures))
         total = len(unique)
@@ -724,8 +720,11 @@ class ServiceClient:
                 )
                 else "headline"
             )
-            settled = self._poll_settled(list(pending), wait_s, round_detail)
-            for fingerprint in settled:
+            for payload in self._poll(list(pending), wait_s, round_detail):
+                if payload.get("kind") == "pending":
+                    continue
+                fingerprint = payload.get("fingerprint", "")
+                self._settle(fingerprint, payload)
                 for future in pending.pop(fingerprint, []):
                     if future.done():
                         done += 1
@@ -743,67 +742,22 @@ class ServiceClient:
                     self._notify(done, total)
                     yield future
 
-    def _poll_settled(
-        self, fingerprints: list[str], wait_s: float, detail: str
-    ) -> Iterator[str]:
-        """One batch-poll round; yields fingerprints it settled.
-
-        The first chunk long-polls (streamed JSONL in completion
-        order); follow-up chunks are no-wait buffered polls, so one
-        round costs ``ceil(n/chunk)`` exchanges but blocks only once.
-        """
-        for index, chunk in enumerate(_chunked(fingerprints, _POLL_CHUNK)):
-            chunk_wait = wait_s if index == 0 else 0.0
-            body = json.dumps(
-                encode_poll(chunk, chunk_wait, detail)
-            ).encode()
-            if chunk_wait > 0:
-                status, response = self._request(
-                    "POST",
-                    "/runs/poll",
-                    body=body,
-                    timeout_s=self.timeout_s + chunk_wait,
-                    stream=True,
-                )
-                yield from self._consume_stream(status, response)
-            else:
-                status, payloads = self._request(
-                    "POST", "/runs/poll", body=body, jsonl=True
-                )
-                if status != 200:
-                    raise ServiceError(
-                        f"poll endpoint answered HTTP {status}"
-                    )
-                for payload in payloads:
-                    if payload.get("kind") == "pending":
-                        continue
-                    fingerprint = payload.get("fingerprint", "")
-                    self._settle(fingerprint, payload)
-                    yield fingerprint
-
-    def _consume_stream(self, status: int, response) -> Iterator[str]:
-        """Settle futures off a live JSONL response (close-delimited)."""
+    def _consume_stream(self, status: int, response) -> Iterator[dict]:
+        """The payloads of a live JSONL response (close-delimited)."""
         try:
             if status != 200:
                 response.read()
-                raise ServiceError(
-                    f"streaming endpoint answered HTTP {status}"
-                )
+                raise ServiceError(f"poll endpoint answered HTTP {status}")
             for raw in response:
-                line = raw.strip()
-                if not line:
+                if not raw.strip():
                     continue
                 try:
-                    payload = json.loads(line)
+                    payload = json.loads(raw)
                 except json.JSONDecodeError as error:
                     raise ServiceError(
                         f"undecodable stream line: {error}"
                     ) from None
-                fingerprint = payload.get("fingerprint", "")
-                if payload.get("kind") == "pending":
-                    continue
-                self._settle(fingerprint, payload)
-                yield fingerprint
+                yield payload
         except (ConnectionError, TimeoutError, OSError) as error:
             if isinstance(error, ServiceError):
                 raise
@@ -866,11 +820,11 @@ def _chunked(items: list, size: int) -> Iterator[list]:
 class _ClientRunFuture(RunFuture):
     """A :class:`RunFuture` whose pending state lives on the daemon.
 
-    ``result``/``exception`` trigger an individual long-poll when
-    nobody is streaming the batch; everything else (``done``,
-    identity, artifact access) is the inherited behavior.  The detail
-    level it was submitted at rides along so individual long-polls
-    ask for the same projection the batch paths would.
+    ``result``/``exception`` poll its one fingerprint when nobody is
+    streaming the batch; everything else (``done``, identity, artifact
+    access) is the inherited behavior.  The detail level it was
+    submitted at rides along so that poll asks for the same projection
+    the batch paths would.
     """
 
     __slots__ = ("_client", "_detail")
@@ -892,7 +846,7 @@ class _ClientRunFuture(RunFuture):
             self._client._await(self.fingerprint, timeout, self._detail)
 
     def result(self, timeout: float | None = None) -> RunArtifact:
-        """Block for the artifact, long-polling the daemon if needed."""
+        """Block for the artifact, polling the daemon if needed."""
         self._ensure_resolution(timeout)
         return self._future.result(timeout)
 

@@ -22,6 +22,7 @@ The codec (:mod:`repro.service.codec`) handles the object tree inside
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable
 
 from repro.experiments.orchestrator import RunArtifact, RunRequest
@@ -249,9 +250,11 @@ def encode_poll(
 ) -> dict:
     """The ``POST /runs/poll`` body: settle many runs in one call.
 
-    The fingerprint list rides in the body, so no URL length caps it.
-    ``wait=0`` answers in one (compressible) body; ``wait>0``
-    long-poll streams JSON lines in completion order.
+    The daemon's only read: a warm check, a lookup and a headline
+    upgrade are polls too, of one fingerprint or many.  The list rides
+    in the body, so no URL length caps it.  ``wait=0`` answers in one
+    (compressible) body; ``wait>0`` streams JSON lines in completion
+    order for up to ``wait`` seconds.
     """
     return {
         "wire_version": WIRE_VERSION,
@@ -274,11 +277,14 @@ def decode_poll(payload: Any) -> tuple[list[str], float, str]:
         wait_s = float(payload.get("wait", 0.0))
     except (TypeError, ValueError):
         raise WireError("run_poll wait must be a number") from None
+    # JSON parsers accept NaN and 1e999; neither is a wait.
+    if not 0.0 <= wait_s < math.inf:
+        raise WireError("run_poll wait must be finite and non-negative")
     return fingerprints, wait_s, check_detail(payload.get("detail"))
 
 
 def encode_pending(fingerprint: str) -> dict:
-    """The ``202``/stream payload for a run still executing."""
+    """The batch or poll line for a run still executing."""
     return {
         "wire_version": WIRE_VERSION,
         "kind": "pending",

@@ -14,18 +14,14 @@ it.  Endpoints:
     overlapping submissions of one fingerprint -- same client or
     different clients -- execute exactly once.
 ``POST /runs/poll``
-    Settle many fingerprints in one call.  ``wait=0`` answers
-    immediately with one buffered -- and compressible -- body;
-    ``wait>0`` streams JSON lines in *completion* order, the wire
-    mirror of
+    Settle many fingerprints in one call; the daemon's only read
+    route.  One line per distinct fingerprint: unknown, failed and
+    settled runs first, then in-flight runs in completion order as
+    they land, then ``pending`` for each still running when ``wait``
+    (capped at :data:`MAX_WAIT_S`) expires; the client re-polls.
+    ``wait=0`` answers with one buffered -- and compressible -- body;
+    ``wait>0`` streams the lines, the wire mirror of
     :meth:`~repro.experiments.orchestrator.Orchestrator.as_resolved`.
-    Runs still pending when ``wait`` expires stream a ``pending``
-    line; the client re-polls.
-``GET /runs/<fingerprint>[?wait=S&detail=D]``
-    Poll one run.  ``wait`` long-polls up to S seconds (capped at
-    :data:`MAX_WAIT_S`) for completion; replies ``200`` artifact,
-    ``202`` pending, ``404`` unknown, or ``500`` with the run's error.
-    ``detail`` selects the projection level.
 ``GET /healthz``
     Liveness and identity: ``status`` and ``daemon_id``.  Building the
     payload takes no lock.
@@ -34,9 +30,11 @@ it.  Endpoints:
     queue depth, the store's own counters, workload sharing, engine
     modes, per-campaign submissions, and the wire block: bytes in/out,
     gzip vs identity replies, batch sizes, request-latency p50/p99).
-    ``hits`` counts runs served from the store: warm batch entries,
-    and polls or lookups that find the run stored on their first
-    look.
+    ``hits`` counts runs served from the store: warm batch entries and
+    poll lines that find the run stored.  A run this daemon computed
+    counts under ``computed`` only: its claim stays registered until a
+    poll delivers it, so it settles as computed whenever that poll
+    comes.
 
 Every other path answers ``404``; on a POST that reply also closes the
 connection, because the unread body would desync keep-alive framing.
@@ -62,8 +60,9 @@ The response cache stores fully *rendered* reply bodies of store hits
 keyed by ``(fingerprint, detail, encoding)`` -- for gzip that means
 pre-compressed bytes, so a warm hit is one cache lookup plus one
 socket write with no per-request ``json.dumps`` or ``gzip.compress``
-on the hot path.  A computed run's own reply is rendered uncached, so
-later hits never replay its ``source: "computed"``.  Gzip variants are
+on the hot path.  A computed run's own reply is rendered uncached and
+never served from the cache, so later hits never replay its ``source:
+"computed"`` and it never reads as a hit.  Gzip variants are
 complete gzip members whose decompressed form ends in a newline; batch
 and buffered-poll replies are built by *concatenating* members (a
 multi-member stream is valid gzip and ``gzip.decompress`` handles it),
@@ -96,7 +95,7 @@ from concurrent.futures import (
 )
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Iterator
-from urllib.parse import parse_qs, urlsplit
+from urllib.parse import urlsplit
 
 from repro.experiments.orchestrator import (
     Orchestrator,
@@ -107,7 +106,6 @@ from repro.service.protocol import (
     FingerprintMismatch,
     WIRE_VERSION,
     WireError,
-    check_detail,
     decode_batch,
     decode_poll,
     decode_request,
@@ -363,15 +361,17 @@ class ExperimentDaemon:
         object plus a trailing newline, so batch replies concatenate
         cached members verbatim (see the module docstring).
 
-        Only store hits are cached.  A computed run's reply carries
-        ``source: "computed"`` and its run time; replaying it for later
-        hits would report every warm resolution as an execution.
+        Only store hits read or fill the cache.  A computed run's reply
+        carries ``source: "computed"`` and its run time; replaying it
+        for later hits would report every warm resolution as an
+        execution, and serving a cached hit for it would report the
+        execution as a hit.
         """
         key = (future.fingerprint, detail, encoding)
-        cached = self._cached_response(key)
+        artifact = future.result(timeout=0)
+        cached = self._cached_response(key) if artifact.from_cache else None
         if cached is not None:
             return cached
-        artifact = future.result(timeout=0)
         if encoding == "gzip":
             # Derive from the identity variant so both encodings carry
             # the same envelope byte for byte (the artifact's volatile
@@ -387,25 +387,30 @@ class ExperimentDaemon:
             self._cache_response(key, body)
         return body
 
-    def _finish(self, fingerprint: str, base: Future) -> None:
-        """Done callback of every miss: counters, errors, registry."""
-        error = base.exception()
-        if error is not None:
-            with self._lock:
-                self._errors[fingerprint] = (
-                    f"{type(error).__name__}: {error}"
-                )
-                self._errors.move_to_end(fingerprint)
-                while len(self._errors) > _ERROR_CACHE_SIZE:
-                    self._errors.popitem(last=False)
-            self._count("errors")
-        else:
-            self._count("computed")
-            with self._lock:
+    def _finish(self, claim: RunFuture) -> None:
+        """Done callback of every claim: counters and errors.
+
+        A succeeded claim stays registered until a poll delivers it
+        (:meth:`_settled`), so the run reads as computed however late
+        that poll comes; a failed one leaves its message for polls and
+        leaves the registry.  Only this claim is dropped: a newer one
+        (a ``use_store=False`` resubmission) may have replaced it.
+        """
+        fingerprint = claim.fingerprint
+        error = claim.exception(timeout=0)
+        with self._lock:
+            if error is None:
+                self.counters["computed"] += 1
                 # A successful recompute supersedes any stale failure.
                 self._errors.pop(fingerprint, None)
-        with self._lock:
-            self._futures.pop(fingerprint, None)
+                return
+            self.counters["errors"] += 1
+            self._errors[fingerprint] = f"{type(error).__name__}: {error}"
+            self._errors.move_to_end(fingerprint)
+            while len(self._errors) > _ERROR_CACHE_SIZE:
+                self._errors.popitem(last=False)
+            if self._futures.get(fingerprint) is claim:
+                del self._futures[fingerprint]
 
     # -- request handling (HTTP-free; the handler is a thin shim) ----------
 
@@ -482,15 +487,18 @@ class ExperimentDaemon:
         # orchestrator pool dedups too, but only for jobs > 1; the
         # registry also backs polls and error reporting.)  Misses
         # answer 202 unconditionally -- even a launch that fails
-        # immediately reports through the poll endpoints, keeping the
-        # wire contract deterministic (200 = store hit, 202 =
-        # accepted).
+        # immediately reports through the poll, keeping the wire
+        # contract deterministic (200 = store hit, 202 = accepted).  A
+        # finished claim is replaced: a stored result answered above,
+        # so only a rerun (use_store=False) or a failed run's retry
+        # gets here.
         with self._lock:
-            if fingerprint not in self._futures:
+            existing = self._futures.get(fingerprint)
+            if existing is None or existing.done():
                 claim = RunFuture(request, fingerprint, Future())
                 self._futures[fingerprint] = claim
                 claim._future.add_done_callback(
-                    lambda base, fp=fingerprint: self._finish(fp, base)
+                    lambda _, claim=claim: self._finish(claim)
                 )
                 claimed.append(claim)
         return 202, _dumps(encode_pending(fingerprint)), "identity"
@@ -573,167 +581,112 @@ class ExperimentDaemon:
             self._launch(claimed)
         return 200, b"".join(parts), encoding
 
-    def handle_poll_batch(
-        self,
-        fingerprints: list[str],
-        detail: str = "full",
-        encoding: str = "identity",
-    ) -> tuple[int, bytes, str]:
-        """``POST /runs/poll`` with ``wait=0``: one buffered body.
+    def _lookup(self, fingerprint: str) -> RunFuture | None:
+        """A future for a fingerprint: claimed, else store-resolved.
 
-        One line per distinct fingerprint: artifact, pending, or error
-        (404 unknown / 500 failed), assembled like a batch reply so
-        warm artifacts reuse their pre-compressed cache entries.
-        """
-        parts = []
-        for fingerprint in dict.fromkeys(fingerprints):
-            _, body, used = self.handle_poll(
-                fingerprint, 0.0, detail=detail, encoding=encoding
-            )
-            parts.append(_as_member(body, used, encoding))
-        return 200, b"".join(parts), encoding
-
-    def _lookup(
-        self, fingerprint: str, first: bool = False
-    ) -> RunFuture | None:
-        """A future for a fingerprint: in-flight, else store-resolved.
-
-        ``first`` marks a request's first look: a store hit found then
-        counts under ``/stats`` ``hits``.  The daemon's own in-flight
-        runs are never hits; they count under ``computed``.
+        A store hit counts under ``/stats`` ``hits``; the daemon's own
+        claims never do, as they count under ``computed``.
         """
         with self._lock:
             future = self._futures.get(fingerprint)
         if future is not None:
             return future
         hit = self.orchestrator.lookup(None, fingerprint)
-        if hit is not None and first:
+        if hit is not None:
             self._count("hits")
         return hit
 
-    def _missing(self, fingerprint: str) -> tuple[int, bytes, str]:
-        """The reply for a fingerprint neither in flight nor stored.
+    def _missing(self, fingerprint: str) -> dict:
+        """The error for a fingerprint neither claimed nor stored.
 
-        A run that failed earlier reports its recorded error (``500``);
-        anything else is unknown (``404``).
+        A run that failed earlier reports its recorded error (status
+        500); anything else is unknown (404).
         """
         with self._lock:
             message = self._errors.get(fingerprint)
         if message is not None:
-            return 500, _dumps(
-                encode_error(message, fingerprint=fingerprint, status=500)
-            ), "identity"
-        return 404, _dumps(
-            encode_error(
-                "unknown fingerprint (not stored, not in flight)",
-                fingerprint=fingerprint,
-                status=404,
-            )
-        ), "identity"
+            return encode_error(message, fingerprint=fingerprint, status=500)
+        return encode_error(
+            "unknown fingerprint (not stored, not in flight)",
+            fingerprint=fingerprint,
+            status=404,
+        )
 
     def _settled(
-        self, future: RunFuture, detail: str, encoding: str = "identity"
-    ) -> tuple[int, bytes, str]:
-        """The reply for a done future: its artifact, else its error."""
-        if future.exception(timeout=0) is None:
-            return 200, self._artifact_bytes(
-                future, detail, encoding
-            ), encoding
-        return 500, _dumps(
-            encode_error(
-                self._error_message(future),
-                fingerprint=future.fingerprint,
-                status=500,
-            )
-        ), "identity"
+        self, future: RunFuture, detail: str, encoding: str
+    ) -> bytes:
+        """The line for a done future: its artifact, else its error.
 
-    def handle_poll(
-        self,
-        fingerprint: str,
-        wait_s: float,
-        detail: str = "full",
-        encoding: str = "identity",
-    ) -> tuple[int, bytes, str]:
-        """``GET /runs/<fingerprint>``: ``(status, body, encoding)``.
-
-        Also answers each line of a no-wait ``POST /runs/poll``.
-        """
-        deadline = time.monotonic() + min(max(wait_s, 0.0), MAX_WAIT_S)
-        future = self._lookup(fingerprint, first=True)
-        while future is not None and not future.done():
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                return 202, _dumps(encode_pending(fingerprint)), "identity"
-            try:
-                # Chunked: each wake re-reads the registry and the
-                # store below.
-                future.result(timeout=min(remaining, 0.25))
-            except Exception:
-                pass  # still running, or failed (reported below)
-            # Look again: a finished run is read back from the store.
-            future = self._lookup(fingerprint)
-        if future is None:
-            return self._missing(fingerprint)
-        return self._settled(future, detail, encoding)
-
-    def handle_stream(
-        self, fingerprints: list[str], wait_s: float, detail: str = "full"
-    ) -> Iterator[bytes]:
-        """``POST /runs/poll`` with ``wait>0``: lines in completion order.
-
-        Always identity-encoded: lines go out as runs complete, and
-        close-delimited incremental gzip would force clients into
-        streaming decompression for no warm-path gain (streamed lines
-        are the *cold* path; warm settlement uses the buffered poll).
-        """
-        deadline = time.monotonic() + min(max(wait_s, 0.0), MAX_WAIT_S)
-        pending: dict[Future, RunFuture] = {}
-        for fingerprint in dict.fromkeys(fingerprints):
-            future = self._lookup(fingerprint, first=True)
-            if future is None:
-                yield self._missing(fingerprint)[1] + b"\n"
-            elif future.done():
-                yield self._settled(future, detail)[1] + b"\n"
-            else:
-                pending[future._future] = future
-        while pending:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                for future in pending.values():
-                    yield _dumps(encode_pending(future.fingerprint)) + b"\n"
-                return
-            done_now, _ = wait(
-                pending,
-                timeout=min(remaining, 0.25),
-                return_when=FIRST_COMPLETED,
-            )
-            for base in done_now:
-                yield self._settled(pending.pop(base), detail)[1] + b"\n"
-
-    def _error_message(self, future: RunFuture) -> str:
-        """A failed future's message, straight from its exception.
-
-        Waiters can observe a future failed *before* its done
-        callback records the message in ``_errors``, so the future
-        itself is the authoritative source and the registry only a
-        fallback (for runs whose future is long gone).
+        Rendering a succeeded claim delivers it: the claim leaves the
+        registry, and later polls read the run from the store.
         """
         error = future.exception(timeout=0)
         if error is not None:
-            return f"{type(error).__name__}: {error}"
+            return _line(
+                encode_error(
+                    f"{type(error).__name__}: {error}",
+                    fingerprint=future.fingerprint,
+                    status=500,
+                ),
+                encoding,
+            )
+        body = self._artifact_bytes(future, detail, encoding)
         with self._lock:
-            return self._errors.get(future.fingerprint, "run failed")
+            if self._futures.get(future.fingerprint) is future:
+                del self._futures[future.fingerprint]
+        return _as_member(body, encoding, encoding)
+
+    def handle_poll(
+        self,
+        fingerprints: list[str],
+        wait_s: float = 0.0,
+        detail: str = "full",
+        encoding: str = "identity",
+    ) -> Iterator[bytes]:
+        """``POST /runs/poll``: one line per distinct fingerprint.
+
+        Unknown, failed and settled runs come first, in request order;
+        in-flight runs follow in completion order as they land within
+        ``wait_s`` (capped at :data:`MAX_WAIT_S`), and each still
+        running at the deadline gets a pending line.  Lines are framed
+        for ``encoding`` like a batch reply's, so warm artifacts reuse
+        their pre-compressed cache entries.
+        """
+        deadline = time.monotonic() + min(wait_s, MAX_WAIT_S)
+        running: dict[Future, RunFuture] = {}
+        for fingerprint in dict.fromkeys(fingerprints):
+            future = self._lookup(fingerprint)
+            if future is None:
+                yield _line(self._missing(fingerprint), encoding)
+            elif future.done():
+                yield self._settled(future, detail, encoding)
+            else:
+                running[future._future] = future
+        while running:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                break
+            landed, _ = wait(
+                running, timeout=remaining, return_when=FIRST_COMPLETED
+            )
+            for base in landed:
+                yield self._settled(running.pop(base), detail, encoding)
+        for future in running.values():
+            yield _line(encode_pending(future.fingerprint), encoding)
 
     def _load(self) -> tuple[int, int]:
         """Current ``(inflight, queue_depth)``.
 
-        ``inflight`` counts runs executing or queued daemon-side (the
-        registry and the orchestrator's dedup table can each lead
-        during handoff, so take the max); ``queue_depth`` is the part
-        that cannot start until an executor slot frees.
+        ``inflight`` counts runs executing or queued daemon-side: the
+        registry's unfinished claims (a landed claim waits there for
+        its poll) or the orchestrator's dedup table, whichever leads
+        during handoff; ``queue_depth`` is the part that cannot start
+        until an executor slot frees.
         """
         with self._lock:
-            inflight = len(self._futures)
+            inflight = sum(
+                not claim.done() for claim in self._futures.values()
+            )
         inflight = max(inflight, self.orchestrator.inflight_count())
         return inflight, max(0, inflight - max(self.orchestrator.jobs, 1))
 
@@ -796,6 +749,11 @@ def _as_member(body: bytes, used: str, encoding: str) -> bytes:
     if used == "gzip":
         return body
     return gzip.compress(body + b"\n", compresslevel=_GZIP_LEVEL, mtime=0)
+
+
+def _line(payload: dict, encoding: str) -> bytes:
+    """A small reply line (error, pending) framed for ``encoding``."""
+    return _as_member(_dumps(payload), "identity", encoding)
 
 
 def _gunzip_capped(data: bytes, cap: int) -> bytes | None:
@@ -985,33 +943,15 @@ def _build_handler(daemon: ExperimentDaemon) -> type:
                 daemon._record_latency(time.perf_counter() - started)
 
         def _handle_get(self) -> None:
-            parts = urlsplit(self.path)
-            path = parts.path.rstrip("/")
+            path = urlsplit(self.path).path.rstrip("/")
             if path == "/healthz":
                 self._reply(200, _dumps(daemon.health()))
-                return
-            if path == "/stats":
+            elif path == "/stats":
                 self._reply(200, _dumps(daemon.stats()))
-                return
-            if not path.startswith("/runs/"):
+            else:
                 self._reply(
                     404, _dumps(encode_error("no such endpoint", status=404))
                 )
-                return
-            query = parse_qs(parts.query)
-            try:
-                detail = check_detail(query.get("detail", [None])[0])
-            except WireError as error:
-                self._reply(400, _dumps(encode_error(str(error), status=400)))
-                return
-            encoding = "gzip" if self._wants_gzip() else "identity"
-            status, body, used = daemon.handle_poll(
-                path[len("/runs/") :],
-                _float_param(query, "wait", 0.0),
-                detail,
-                encoding,
-            )
-            self._reply(status, body, encoding=used)
 
         def _handle_post(self) -> None:
             path = urlsplit(self.path).path.rstrip("/")
@@ -1041,22 +981,15 @@ def _build_handler(daemon: ExperimentDaemon) -> type:
                 self._reply(400, _dumps(encode_error(str(error), status=400)))
                 return
             if wait_s > 0:
-                # Streamed settlement in completion order; identity by
-                # design (see handle_stream).
+                # Lines go out as runs land, so the stream stays
+                # identity: streamed lines are the cold path, and warm
+                # settlement uses the buffered reply below.
                 self._reply_stream(
-                    daemon.handle_stream(fingerprints, wait_s, detail)
+                    daemon.handle_poll(fingerprints, wait_s, detail)
                 )
                 return
-            status, body, used = daemon.handle_poll_batch(
-                fingerprints, detail, encoding
-            )
-            self._reply(status, body, encoding=used)
+            lines = daemon.handle_poll(fingerprints, 0.0, detail, encoding)
+            self._reply(200, b"".join(lines), encoding=encoding)
 
     return Handler
 
-
-def _float_param(query: dict, name: str, default: float) -> float:
-    try:
-        return float(query.get(name, [default])[0])
-    except (TypeError, ValueError):
-        return default

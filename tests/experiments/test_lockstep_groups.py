@@ -31,6 +31,12 @@ def tiny(seed: int = 0, horizon: int = 3):
     return scaled_config("tiny", seed=seed).with_horizon(horizon)
 
 
+def poll_line(daemon: ExperimentDaemon, fingerprint: str) -> dict:
+    """The daemon's poll line for one fingerprint, waiting for it."""
+    (line,) = daemon.handle_poll([fingerprint], 60.0)
+    return json.loads(line)
+
+
 class FailsAtSlotOne(PriAwarePolicy):
     """Places slot 0, then raises (picklable for pool workers)."""
 
@@ -357,8 +363,9 @@ def test_batch_entry_that_raises_still_launches_earlier_claims(
         batch = encode_batch([encode_request(first), encode_request(second)])
         with pytest.raises(OSError, match="unreadable segment"):
             daemon.handle_batch(batch)
-        status, _, _ = daemon.handle_poll(first.fingerprint(), 60.0)
-        assert status == 200
+        assert poll_line(daemon, first.fingerprint())["kind"] == (
+            "run_artifact"
+        )
         assert first.fingerprint() in orchestrator.store
         assert daemon.stats()["inflight"] == 0
 
@@ -385,8 +392,9 @@ def test_runner_that_refuses_a_group_fails_its_claims(monkeypatch):
         daemon.handle_batch(
             encode_batch([encode_request(request) for request in requests])
         )
-        settled, _, _ = daemon.handle_poll(requests[0].fingerprint(), 60.0)
-        failed, body, _ = daemon.handle_poll(requests[1].fingerprint(), 60.0)
+        settled = poll_line(daemon, requests[0].fingerprint())
+        failed = poll_line(daemon, requests[1].fingerprint())
         assert daemon.stats()["inflight"] == 0
-    assert settled == 200
-    assert failed == 500 and b"runner is shut down" in body
+    assert settled["kind"] == "run_artifact"
+    assert failed["status"] == 500
+    assert "runner is shut down" in failed["error"]

@@ -15,7 +15,7 @@ from repro.experiments.orchestrator import (
 )
 from repro.experiments.runner import default_policies
 from repro.service import ExperimentDaemon, ServiceClient
-from repro.service.protocol import encode_batch
+from repro.service.protocol import encode_batch, encode_poll
 from repro.sim.config import scaled_config
 
 
@@ -26,6 +26,32 @@ def get(url: str, path: str) -> tuple[int, dict]:
             return response.status, json.loads(response.read())
     except urllib.error.HTTPError as error:
         return error.code, json.loads(error.read())
+
+
+def poll(
+    url: str, fingerprints, wait=0.0, detail="full"
+) -> tuple[int, list[dict]]:
+    """One ``POST /runs/poll``: ``(HTTP status, [JSON line, ...])``.
+
+    ``wait`` and ``detail`` go into the envelope as given, unchecked,
+    so a test can send values the daemon must refuse; a refused poll
+    returns its HTTP status and a one-element list of its error body.
+    """
+    envelope = dict(encode_poll(list(fingerprints)), wait=wait, detail=detail)
+    request = urllib.request.Request(
+        url + "/runs/poll",
+        data=json.dumps(envelope).encode(),
+        headers={"Content-Type": "application/json"},
+        method="POST",
+    )
+    try:
+        with urllib.request.urlopen(request, timeout=90) as response:
+            status, body = response.status, response.read()
+    except urllib.error.HTTPError as error:
+        status, body = error.code, error.read()
+    return status, [
+        json.loads(line) for line in body.splitlines() if line.strip()
+    ]
 
 
 def post_entry(url: str, entry: dict) -> tuple[int, dict]:

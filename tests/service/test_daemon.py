@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import threading
 import time
 
 import numpy as np
@@ -20,7 +21,7 @@ from repro.workload.packs import (
     RecordedTraceSource,
     TracePack,
 )
-from tests.service.conftest import get, grid_requests, post_entry
+from tests.service.conftest import get, grid_requests, poll, post_entry
 
 
 def stream_poll(daemon, fingerprints, wait_s=60.0):
@@ -42,6 +43,14 @@ def stream_poll(daemon, fingerprints, wait_s=60.0):
         ]
     finally:
         connection.close()
+
+
+def wait_until(predicate, timeout_s: float = 30.0) -> None:
+    """Block until ``predicate()`` holds (the deadline is a hang guard)."""
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.01)
 
 
 def settled_stats(daemon) -> dict:
@@ -100,7 +109,7 @@ class TestHealthAndStats:
 
 
 class TestRouteTable:
-    """Only batch, poll, one-run GET, /healthz and /stats are served."""
+    """Only batch, poll, /healthz and /stats are served."""
 
     def test_single_entry_post_is_gone(self, daemon, tiny_requests):
         connection = http.client.HTTPConnection(*daemon.address, timeout=10)
@@ -121,6 +130,40 @@ class TestRouteTable:
         status, payload = get(daemon.url, f"/runs?fp={'0' * 64}&wait=1")
         assert status == 404
         assert payload["error"] == "no such endpoint"
+
+    def test_run_get_is_gone(self, daemon, tiny_requests):
+        """``GET /runs/<fp>`` is not a route; the poll is the one read."""
+        fingerprint = tiny_requests[0].fingerprint()
+        connection = http.client.HTTPConnection(*daemon.address, timeout=10)
+        try:
+            for query in ("", "?wait=1"):
+                connection.request("GET", f"/runs/{fingerprint}{query}")
+                response = connection.getresponse()
+                assert response.status == 404
+                assert json.loads(response.read())["error"] == (
+                    "no such endpoint"
+                )
+            # A GET 404 has no unread body: keep-alive carries on, on
+            # the same socket.
+            sock = connection.sock
+            connection.request("GET", "/healthz")
+            response = connection.getresponse()
+            assert response.status == 200
+            assert json.loads(response.read())["status"] == "ok"
+            assert sock is not None and connection.sock is sock
+        finally:
+            connection.close()
+
+    def test_poll_wait_must_be_finite_and_non_negative(self, daemon):
+        unknown = ["0" * 64]
+        for wait in (float("nan"), -1.0, float("inf")):
+            status, lines = poll(daemon.url, unknown, wait=wait)
+            assert status == 400
+            assert "wait" in lines[0]["error"]
+        for wait in (0.0, 30.0):
+            status, lines = poll(daemon.url, unknown, wait=wait)
+            assert status == 200
+            assert lines[0]["status"] == 404
 
     def test_post_404_closes_the_connection(self, daemon):
         """The unread body of a refused POST must not desync keep-alive."""
@@ -173,9 +216,7 @@ class TestSubmitAndPoll:
         assert payload["kind"] == "pending"
         assert payload["fingerprint"] == fingerprint
 
-        status, payload = get(
-            daemon.url, f"/runs/{fingerprint}?wait=30"
-        )
+        status, (payload,) = poll(daemon.url, [fingerprint], wait=30)
         assert status == 200
         assert payload["kind"] == "run_artifact"
         assert payload["fingerprint"] == fingerprint
@@ -194,19 +235,23 @@ class TestSubmitAndPoll:
         assert stats["hits"] >= 1
 
     def test_unknown_fingerprint_404(self, daemon):
-        status, payload = get(daemon.url, f"/runs/{'0' * 64}")
-        assert status == 404 or payload["kind"] == "error"
+        status, (payload,) = poll(daemon.url, ["0" * 64], wait=30)
+        assert status == 200
+        assert payload["kind"] == "error"
+        assert payload["status"] == 404
 
     def test_poll_without_wait_reports_pending(self, daemon, tiny_requests):
         request = tiny_requests[1]
         fingerprint = request.fingerprint()
         status, _ = post_entry(daemon.url, encode_request(request))
         assert status == 202
-        status, payload = get(daemon.url, f"/runs/{fingerprint}")
-        assert status in (200, 202)  # 202 unless the run won the race
-        # Drain so teardown doesn't race the executing run.
-        status, payload = get(daemon.url, f"/runs/{fingerprint}?wait=30")
+        status, (payload,) = poll(daemon.url, [fingerprint])
         assert status == 200
+        # Pending unless the run won the race.
+        assert payload["kind"] in ("pending", "run_artifact")
+        # Drain so teardown doesn't race the executing run.
+        _, (payload,) = poll(daemon.url, [fingerprint], wait=30)
+        assert payload["kind"] == "run_artifact"
 
     def test_malformed_body_400(self, daemon):
         connection = http.client.HTTPConnection(*daemon.address, timeout=10)
@@ -231,7 +276,7 @@ class TestSubmitAndPoll:
         """The warm fast path must not serve a mismatched peer."""
         request = tiny_requests[0]
         post_entry(daemon.url, encode_request(request))
-        get(daemon.url, f"/runs/{request.fingerprint()}?wait=30")
+        poll(daemon.url, [request.fingerprint()], wait=30)
         warm = encode_request(request)
         status, _ = post_entry(daemon.url, warm)
         assert status == 200  # cached
@@ -265,11 +310,9 @@ class TestSubmitAndPoll:
         )
         status, payload = post_entry(daemon.url, encode_request(request))
         assert status == 202  # even serial daemons answer promptly
-        status, payload = get(
-            daemon.url, f"/runs/{request.fingerprint()}?wait=30"
-        )
-        assert status == 500
+        _, (payload,) = poll(daemon.url, [request.fingerprint()], wait=30)
         assert payload["kind"] == "error"
+        assert payload["status"] == 500
         assert "steps per slot" in payload["error"]
         # The streamed poll reports the recorded error too (the run is
         # neither stored nor in flight by now -- it must not be
@@ -309,6 +352,31 @@ class TestStreamEndpoint:
         lines = stream_poll(daemon, ["0" * 64], wait_s=1.0)
         assert lines[0]["kind"] == "error"
         assert lines[0]["status"] == 404
+
+    def test_settled_lines_come_before_pending_ones(
+        self, daemon_factory, tiny_requests
+    ):
+        """Unknown and settled runs answer first, in request order;
+        a run still in flight at the deadline gets a pending line."""
+        daemon = daemon_factory(jobs=1)
+        landed, held = (request.fingerprint() for request in tiny_requests[:2])
+        post_entry(daemon.url, encode_request(tiny_requests[0]))
+        poll(daemon.url, [landed], wait=30)
+        # Hold the serial runner so the next claim stays in flight.
+        gate = threading.Event()
+        daemon._serial_runner().submit(gate.wait)
+        try:
+            post_entry(daemon.url, encode_request(tiny_requests[1]))
+            unknown = "0" * 64
+            status, lines = poll(daemon.url, [held, unknown, landed])
+        finally:
+            gate.set()
+        assert status == 200
+        assert [(line["kind"], line["fingerprint"]) for line in lines] == [
+            ("error", unknown), ("run_artifact", landed), ("pending", held),
+        ]
+        _, (line,) = poll(daemon.url, [held], wait=30)
+        assert (line["kind"], line["source"]) == ("run_artifact", "computed")
 
 
 class TestHitCounting:
@@ -354,3 +422,90 @@ class TestHitCounting:
         stats = settled_stats(daemon)
         assert stats["computed"] == 2
         assert stats["hits"] == 0
+
+
+class TestProvenance:
+    """A run this daemon computed settles as computed -- ``source`` and
+    ``elapsed_s`` from the run, ``computed`` +1 and ``hits`` +0 --
+    whichever poll delivers it, however late that poll comes."""
+
+    def test_cold_run_settles_as_computed(
+        self, daemon_factory, tiny_requests
+    ):
+        daemon = daemon_factory(jobs=1)
+        with ServiceClient(daemon.url) as client:
+            artifacts = [client.run(request) for request in tiny_requests]
+        assert [artifact.source for artifact in artifacts] == (
+            ["computed"] * len(tiny_requests)
+        )
+        assert all(artifact.elapsed_s > 0 for artifact in artifacts)
+        stats = settled_stats(daemon)
+        assert stats["computed"] == len(tiny_requests)
+        assert stats["hits"] == 0
+
+    def test_as_done_settles_landed_and_running_runs_as_computed(
+        self, daemon_factory
+    ):
+        daemon = daemon_factory(jobs=1)
+        requests = grid_requests(range(2))  # two groups, run in turn
+        with ServiceClient(daemon.url) as client:
+            futures = client.submit_many(requests)
+            # The first group lands before as_done's first poll.
+            wait_until(lambda: daemon.stats()["computed"] >= 4)
+            artifacts = [
+                future.result() for future in client.as_done(futures)
+            ]
+        assert {artifact.source for artifact in artifacts} == {"computed"}
+        stats = settled_stats(daemon)
+        assert stats["computed"] == len(requests)
+        assert stats["hits"] == 0
+
+    def test_run_that_landed_before_its_first_poll_reads_computed(
+        self, daemon_factory, tiny_requests
+    ):
+        daemon = daemon_factory(jobs=1)
+        with ServiceClient(daemon.url) as client:
+            futures = client.submit_many(tiny_requests)
+            wait_until(
+                lambda: daemon.stats()["computed"] == len(tiny_requests)
+            )
+            # A landed claim waits for its poll, but is not in flight.
+            assert daemon.stats()["inflight"] == 0
+            artifacts = [future.result() for future in futures]
+        assert {artifact.source for artifact in artifacts} == {"computed"}
+        assert all(artifact.elapsed_s > 0 for artifact in artifacts)
+        stats = daemon.stats()
+        assert stats["computed"] == len(tiny_requests)
+        assert stats["hits"] == 0
+
+    def test_landed_claim_is_not_served_a_cached_hit(
+        self, daemon_factory, tiny_requests
+    ):
+        """A batch entry reads a landed, undelivered run from the store
+        and caches that reply; the claim's own poll still reads
+        computed."""
+        daemon = daemon_factory(jobs=1)
+        request = tiny_requests[0]
+        fingerprint = request.fingerprint()
+        post_entry(daemon.url, encode_request(request))
+        wait_until(lambda: daemon.stats()["computed"] == 1)
+        status, hit = post_entry(daemon.url, encode_request(request))
+        assert (status, hit["source"]) == (200, "memory")
+        _, (line,) = poll(daemon.url, [fingerprint])
+        assert line["source"] == "computed"
+        _, (line,) = poll(daemon.url, [fingerprint])
+        assert line["source"] == "memory"
+        stats = daemon.stats()
+        assert (stats["computed"], stats["hits"]) == (1, 2)
+
+    def test_no_cache_resubmission_replaces_a_landed_claim(
+        self, daemon_factory, tiny_requests
+    ):
+        daemon = daemon_factory(jobs=1)
+        request = tiny_requests[0]
+        with ServiceClient(daemon.url) as client:
+            client.submit(request)  # claimed, landed, never polled
+            wait_until(lambda: daemon.stats()["computed"] == 1)
+            artifact = client.run(request, use_store=False)
+        assert artifact.source == "computed"
+        assert settled_stats(daemon)["computed"] == 2

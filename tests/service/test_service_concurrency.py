@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import socket
+import sys
 import threading
 import time
 import urllib.request
@@ -72,6 +73,55 @@ class TestCrossClientDedup:
         assert stats["errors"] == 0
         assert stats["submitted"] >= len(tiny_requests)
 
+    def test_racing_readers_agree_on_provenance(
+        self, daemon_factory, tiny_requests
+    ):
+        """Six clients race the grid on a serial daemon, half through
+        ``run_many`` (``as_done``) and half through ``run`` (one poll
+        per run), with a short switch interval.  Each run is computed
+        once and some reader receives it as computed; every other read
+        came from the store and counted one hit."""
+        daemon = daemon_factory(jobs=1)
+        sources: dict[int, list[str]] = {}
+        errors: list[BaseException] = []
+
+        def read(slot: int) -> None:
+            try:
+                with ServiceClient(daemon.url) as client:
+                    if slot % 2:
+                        artifacts = client.run_many(tiny_requests)
+                    else:
+                        artifacts = [client.run(r) for r in tiny_requests]
+                sources[slot] = [artifact.source for artifact in artifacts]
+            except BaseException as error:  # surfaced by the main thread
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=read, args=(slot,))
+                for slot in range(6)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert len(sources) == 6
+        for column in zip(*sources.values()):
+            assert "computed" in column
+        stats = _stats_settled(daemon.url)
+        assert stats["computed"] == len(tiny_requests)
+        assert stats["hits"] == sum(
+            source != "computed"
+            for column in sources.values()
+            for source in column
+        )
+
     def test_serial_daemon_also_dedups(self, daemon_factory, tiny_requests):
         """jobs=1 (inline execution) still dedups across clients."""
         daemon = daemon_factory(jobs=1)
@@ -101,12 +151,16 @@ class TestAbandonedConnections:
         fingerprint = request.fingerprint()
         post_entry(daemon.url, encode_request(request))
 
-        # Open a raw long-poll on the pending run and slam the socket.
+        # Open a raw one-fingerprint waiting poll on the pending run, as
+        # RunFuture.result() sends it, and slam the socket.
         host, port = daemon.address
+        body = json.dumps(encode_poll([fingerprint], 30.0)).encode()
         rogue = socket.create_connection((host, port), timeout=10)
         rogue.sendall(
-            f"GET /runs/{fingerprint}?wait=30 HTTP/1.1\r\n"
-            f"Host: {host}\r\n\r\n".encode()
+            f"POST /runs/poll HTTP/1.1\r\nHost: {host}\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n".encode()
+            + body
         )
         time.sleep(0.05)
         rogue.close()

@@ -17,7 +17,7 @@ from repro.service.protocol import (
     encode_request,
 )
 from repro.sim.results import HeadlineResult, RunResult
-from tests.service.conftest import get
+from tests.service.conftest import get, poll
 
 
 def raw(address, method, path, body=None, headers=None):
@@ -43,13 +43,16 @@ class TestGzip:
     ):
         request = tiny_requests[0]
         warm(daemon, [request])
-        path = f"/runs/{request.fingerprint()}?detail=full"
-        status, headers, identity = raw(daemon.address, "GET", path)
+        body = json.dumps(encode_poll([request.fingerprint()])).encode()
+        plain = {"Content-Type": "application/json"}
+        status, headers, identity = raw(
+            daemon.address, "POST", "/runs/poll", body=body, headers=plain
+        )
         assert status == 200
         assert "Content-Encoding" not in headers
         status, headers, compressed = raw(
-            daemon.address, "GET", path,
-            headers={"Accept-Encoding": "gzip"},
+            daemon.address, "POST", "/runs/poll", body=body,
+            headers={**plain, "Accept-Encoding": "gzip"},
         )
         assert status == 200
         assert headers.get("Content-Encoding") == "gzip"
@@ -74,7 +77,8 @@ class TestGzip:
         assert line["kind"] in ("pending", "run_artifact")
         assert line["fingerprint"] == request.fingerprint()
         # Drain so teardown does not race the launched run.
-        get(daemon.url, f"/runs/{request.fingerprint()}?wait=60")
+        _, (line,) = poll(daemon.url, [request.fingerprint()], wait=60)
+        assert line["kind"] == "run_artifact"
 
     def test_batch_poll_concatenates_gzip_members(
         self, daemon, tiny_requests
@@ -126,12 +130,10 @@ class TestDetailProjection:
         request = tiny_requests[0]
         warm(daemon, [request])
         fingerprint = request.fingerprint()
-        status, full_payload = get(
-            daemon.url, f"/runs/{fingerprint}?detail=full"
-        )
+        status, (full_payload,) = poll(daemon.url, [fingerprint])
         assert status == 200
-        status, head_payload = get(
-            daemon.url, f"/runs/{fingerprint}?detail=headline"
+        status, (head_payload,) = poll(
+            daemon.url, [fingerprint], detail="headline"
         )
         assert status == 200
         assert head_payload["detail"] == "headline"
@@ -203,8 +205,8 @@ class TestDetailProjection:
         assert isinstance(artifacts[0].result, RunResult)
 
     def test_bad_detail_rejected(self, daemon, tiny_requests):
-        status, payload = get(
-            daemon.url, f"/runs/{'0' * 64}?detail=everything"
+        status, (payload,) = poll(
+            daemon.url, ["0" * 64], detail="everything"
         )
         assert status == 400
         assert "detail" in payload["error"]
@@ -232,7 +234,8 @@ class TestBatchEndpoints:
         assert lines[0]["kind"] == "run_artifact"
         assert lines[1]["fingerprint"] == fresh_request.fingerprint()
         assert lines[1]["kind"] in ("pending", "run_artifact")
-        get(daemon.url, f"/runs/{fresh_request.fingerprint()}?wait=60")
+        _, (line,) = poll(daemon.url, [fresh_request.fingerprint()], wait=60)
+        assert line["kind"] == "run_artifact"
 
     def test_malformed_batch_entry_poisons_only_its_line(
         self, daemon, tiny_requests
@@ -280,7 +283,10 @@ class TestBatchEndpoints:
             assert line["status"] == 400
             assert "undecodable request" in line["error"]
         assert lines[6]["kind"] in ("pending", "run_artifact")
-        get(daemon.url, f"/runs/{tiny_requests[0].fingerprint()}?wait=60")
+        _, (line,) = poll(
+            daemon.url, [tiny_requests[0].fingerprint()], wait=60
+        )
+        assert line["kind"] == "run_artifact"
 
     def test_poll_reports_unknown_fingerprints(self, daemon):
         body = json.dumps(encode_poll(["0" * 64])).encode()
@@ -305,6 +311,34 @@ class TestBatchEndpoints:
         # One chunked poll settles the whole warm sweep -- not one
         # POST per request; the second request is the /stats read.
         assert after - before == 2
+
+    def test_each_single_read_costs_one_poll(self, daemon, tiny_requests):
+        """A lookup, a warm run() and a headline upgrade: one POST each."""
+        request = tiny_requests[0]
+        warm(daemon, [request])
+
+        def cost(read) -> tuple[int, bool, int]:
+            """(requests, whether a body was posted, batch POSTs)."""
+            before = daemon.stats()
+            read()
+            after = daemon.stats()
+            return (
+                after["requests"] - before["requests"],
+                after["wire"]["bytes_in"] > before["wire"]["bytes_in"],
+                after["wire"]["batch_requests"]
+                - before["wire"]["batch_requests"],
+            )
+
+        one_poll = (1, True, 0)  # a GET posts no body
+        with ServiceClient(daemon.url, detail="headline") as client:
+            assert cost(
+                lambda: client.lookup(request, request.fingerprint())
+            ) == one_poll
+            runs = []
+            assert cost(lambda: runs.append(client.run(request))) == one_poll
+            head = runs[0].result
+            assert isinstance(head, HeadlineResult)
+            assert cost(head.full) == one_poll
 
     def test_wire_counters_observe_batching(self, daemon, tiny_requests):
         with ServiceClient(daemon.url) as client:

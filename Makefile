@@ -5,8 +5,8 @@
 #                      result-store warm hits, store-backend write/read/
 #                      scan (per-file vs segment), the
 #                      experiment-service warm wire throughput (8
-#                      concurrent clients vs one daemon: batched +
-#                      gzip + headline-projected submit_many vs one
+#                      concurrent clients vs one daemon: batched,
+#                      headline-projected submit_many vs one
 #                      one-entry batch POST per artifact ->
 #                      BENCH_service.json), a four-policy lockstep
 #                      group against four solo engines

@@ -6,25 +6,22 @@ headline number is *cached* artifacts served per second: one daemon
 scale) serving :data:`N_CLIENTS` concurrent
 :class:`~repro.service.client.ServiceClient` threads.
 
-Three wire modes are measured in the same run:
+Two wire modes are measured in the same run:
 
-``single_entry_identity``
-    One pre-encoded, one-entry ``POST /runs/batch`` per artifact, no
-    compression: the per-artifact round trip the lean-wire work is
-    judged against.
-``batch_identity``
-    ``submit_many`` over ``POST /runs/poll`` (headline detail), still
-    uncompressed -- isolates the batching win.
-``batch_gzip``
-    The full lean-wire path: batched, gzip-encoded, headline-projected
-    responses assembled from the daemon's pre-compressed cache.
+``single_entry``
+    One pre-encoded, one-entry ``POST /runs/batch`` per artifact: the
+    per-artifact round trip the lean-wire work is judged against.
+``batch``
+    The lean-wire path: ``submit_many`` over chunked
+    ``POST /runs/poll`` calls, ``detail="headline"`` per call, each
+    reply a run of cached lines.
 
 Gates (asserted, and recorded in ``benchmarks/reports/``):
 
-* ``batch_gzip``    >= :data:`BATCH_RATE_BAR` warm artifacts/s,
-* ``batch_gzip``    >= :data:`SPEEDUP_BAR` x ``single_entry_identity``,
-* ``single_entry_identity`` >= :data:`SINGLE_RATE_BAR` (the original
-  ROADMAP bar -- one round trip per artifact must not regress).
+* ``batch``        >= :data:`BATCH_RATE_BAR` warm artifacts/s,
+* ``batch``        >= :data:`SPEEDUP_BAR` x ``single_entry``,
+* ``single_entry`` >= :data:`SINGLE_RATE_BAR` (the original ROADMAP
+  bar -- one round trip per artifact must not regress).
 
 Note both sides of the exchange run in this one process (8 clients +
 the daemon share the GIL), so the daemon alone clears the bars with
@@ -61,10 +58,10 @@ N_CLIENTS = 8
 #: Distinct seeds in the warm grid; x4 policies = warm fingerprints.
 WARM_SEEDS = 16
 
-#: Minimum warm throughput of the batched+compressed path.
+#: Minimum warm throughput of the batched path.
 BATCH_RATE_BAR = 8_000.0
 
-#: Minimum speedup of the batched+compressed path over single-entry.
+#: Minimum speedup of the batched path over single-entry.
 SPEEDUP_BAR = 3.0
 
 #: The original one-round-trip-per-artifact bar (must not regress).
@@ -142,7 +139,7 @@ def _measure(make_client, iterate, prime) -> dict:
 
 
 def test_service_warm_wire_throughput(report_dir):
-    """Gates: batched+gzip >= 8k warm artifacts/s and >= 3x single-entry."""
+    """Gates: batched >= 8k warm artifacts/s and >= 3x single-entry."""
     daemon, requests = _start_daemon()
     try:
         url = daemon.url
@@ -164,7 +161,7 @@ def test_service_warm_wire_throughput(report_dir):
             return len(payloads)
 
         def batch_iterate(client: ServiceClient) -> int:
-            artifacts = client.run_many(requests)
+            artifacts = client.run_many(requests, detail="headline")
             assert len(artifacts) == len(requests)
             return len(artifacts)
 
@@ -175,32 +172,19 @@ def test_service_warm_wire_throughput(report_dir):
             batch_iterate(client)
 
         modes = {
-            "single_entry_identity": _measure(
-                lambda: ServiceClient(url, compress=False),
-                single_iterate,
-                single_prime,
+            "single_entry": _measure(
+                lambda: ServiceClient(url), single_iterate, single_prime
             ),
-            "batch_identity": _measure(
-                lambda: ServiceClient(
-                    url, compress=False, detail="headline"
-                ),
-                batch_iterate,
-                batch_prime,
-            ),
-            "batch_gzip": _measure(
-                lambda: ServiceClient(
-                    url, compress=True, detail="headline"
-                ),
-                batch_iterate,
-                batch_prime,
+            "batch": _measure(
+                lambda: ServiceClient(url), batch_iterate, batch_prime
             ),
         }
         stats = ServiceClient(url).stats()
     finally:
         daemon.close()
 
-    single_rate = modes["single_entry_identity"]["rate_per_s"]
-    batch_rate = modes["batch_gzip"]["rate_per_s"]
+    single_rate = modes["single_entry"]["rate_per_s"]
+    batch_rate = modes["batch"]["rate_per_s"]
     speedup = batch_rate / single_rate
     report = {
         "benchmark": "service_warm_wire_throughput",
@@ -208,9 +192,9 @@ def test_service_warm_wire_throughput(report_dir):
         "warm_fingerprints": len(requests),
         "measure_s": MEASURE_S,
         "modes": modes,
-        "speedup_batch_gzip_vs_single_entry": round(speedup, 2),
+        "speedup_batch_vs_single_entry": round(speedup, 2),
         "bars": {
-            "batch_gzip_min_per_s": BATCH_RATE_BAR,
+            "batch_min_per_s": BATCH_RATE_BAR,
             "speedup_min": SPEEDUP_BAR,
             "single_entry_min_per_s": SINGLE_RATE_BAR,
         },
@@ -230,7 +214,7 @@ def test_service_warm_wire_throughput(report_dir):
             f"({mode['artifacts_served']} in {mode['elapsed_s']:.2f}s)"
         )
     lines.append(
-        f"  batch_gzip / single   : {speedup:9.2f}x "
+        f"  batch / single_entry  : {speedup:9.2f}x "
         f"(bars: >= {BATCH_RATE_BAR:.0f}/s and >= {SPEEDUP_BAR:.0f}x)"
     )
     (report_dir / "service_throughput.txt").write_text(
@@ -241,11 +225,11 @@ def test_service_warm_wire_throughput(report_dir):
         print(line)
 
     assert batch_rate >= BATCH_RATE_BAR, (
-        f"batched+gzip rate {batch_rate:.0f}/s below the "
+        f"batched rate {batch_rate:.0f}/s below the "
         f"{BATCH_RATE_BAR:.0f}/s bar"
     )
     assert speedup >= SPEEDUP_BAR, (
-        f"batched+gzip is only {speedup:.2f}x single-entry "
+        f"batched is only {speedup:.2f}x single-entry "
         f"(bar: {SPEEDUP_BAR:.0f}x)"
     )
     assert single_rate >= SINGLE_RATE_BAR, (

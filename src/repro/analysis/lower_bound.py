@@ -231,7 +231,6 @@ def operational_cost_lower_bound(
 def comparison_bounds(
     config: ExperimentConfig,
     alpha: float = 0.5,
-    jobs: int = 1,
     orchestrator=None,
     pack=None,
     options=None,
@@ -239,11 +238,11 @@ def comparison_bounds(
     """Four-method comparison with the sourcing bound per policy.
 
     Obtains the comparison runs through the orchestrator's futures API
-    (parallel with ``jobs > 1``, cached by the result store) and solves
-    each policy's offline LP *as its run resolves* -- the dependent
-    analysis is chained on completion instead of waiting behind the
-    slowest policy.  The returned list keeps the comparison's policy
-    order.
+    (parallel on an orchestrator with ``jobs > 1``, cached by the
+    result store) and solves each policy's offline LP *as its run
+    resolves* -- the dependent analysis is chained on completion
+    instead of waiting behind the slowest policy.  The returned list
+    keeps the comparison's policy order.
     """
     from repro.experiments.orchestrator import grid_requests
     from repro.experiments.runner import (
@@ -252,8 +251,6 @@ def comparison_bounds(
     )
 
     orchestrator = orchestrator or default_orchestrator()
-    if jobs != 1:
-        orchestrator = orchestrator.with_jobs(jobs)
     futures = orchestrator.submit_many(
         grid_requests(
             [config],

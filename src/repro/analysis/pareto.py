@@ -52,24 +52,22 @@ class ParetoPoint:
 def alpha_sweep(
     config: ExperimentConfig,
     alphas: tuple[float, ...] = (0.1, 0.3, 0.5, 0.7, 0.9),
-    jobs: int = 1,
     orchestrator: Orchestrator | None = None,
     pack: TracePack | None = None,
     options: EngineOptions | None = None,
 ) -> list[ParetoPoint]:
     """Run the proposed controller once per alpha over one workload.
 
-    The alphas fan out through the orchestrator's futures layer: with
-    ``jobs > 1`` they run in parallel worker processes, previously
-    evaluated alphas come back from the result store immediately, and
-    progress streams per completion.  The returned list pairs each
-    artifact with its alpha by position (``alphas`` order).
+    The alphas fan out through the orchestrator's futures layer: on an
+    orchestrator with ``jobs > 1`` they run in parallel worker
+    processes, previously evaluated alphas come back from the result
+    store immediately, and progress streams per completion.  The
+    returned list pairs each artifact with its alpha by position
+    (``alphas`` order).
     """
     from repro.experiments.runner import default_orchestrator
 
     orchestrator = orchestrator or default_orchestrator()
-    if jobs != 1:
-        orchestrator = orchestrator.with_jobs(jobs)
     # Pareto points read only headline aggregates (cost, energy, p99),
     # so a remote orchestrator may ship the projected artifact form.
     artifacts = orchestrator.run_many(

@@ -4,8 +4,8 @@ Generic helpers that rerun the proposed controller while varying one
 infrastructure parameter (battery size, migration QoS window, PV
 size), producing tidy rows for tables, examples and the ablation
 benchmarks.  Each sweep submits its whole configuration grid as one
-orchestrator batch, so sweep points run in parallel with ``jobs > 1``
-and repeat evaluations resolve from the result store.
+orchestrator batch, so sweep points run in parallel on an orchestrator
+with ``jobs > 1`` and repeat evaluations resolve from the result store.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ def _run_grid(
     configs: list[ExperimentConfig],
     parameter: str,
     values: tuple[float, ...],
-    jobs: int,
     orchestrator: Orchestrator | None,
     pack: TracePack | None = None,
     options: EngineOptions | None = None,
@@ -61,8 +60,6 @@ def _run_grid(
     from repro.experiments.runner import default_orchestrator
 
     orchestrator = orchestrator or default_orchestrator()
-    if jobs != 1:
-        orchestrator = orchestrator.with_jobs(jobs)
     # run_many streams misses through the futures layer (progress
     # fires per completion) and returns artifacts in request order,
     # which is what labels each row: sweep values must pair by
@@ -89,7 +86,6 @@ def _run_grid(
 def sweep_battery_scale(
     config: ExperimentConfig,
     scales: tuple[float, ...] = (0.0, 0.5, 1.0, 2.0),
-    jobs: int = 1,
     orchestrator: Orchestrator | None = None,
     pack: TracePack | None = None,
     options: EngineOptions | None = None,
@@ -107,14 +103,13 @@ def sweep_battery_scale(
         )
         configs.append(dataclasses.replace(config, specs=specs))
     return _run_grid(
-        configs, "battery_scale", scales, jobs, orchestrator, pack, options
+        configs, "battery_scale", scales, orchestrator, pack, options
     )
 
 
 def sweep_qos(
     config: ExperimentConfig,
     qos_levels: tuple[float, ...] = (0.9995, 0.995, 0.98, 0.95),
-    jobs: int = 1,
     orchestrator: Orchestrator | None = None,
     pack: TracePack | None = None,
     options: EngineOptions | None = None,
@@ -124,14 +119,13 @@ def sweep_qos(
         dataclasses.replace(config, qos=qos) for qos in qos_levels
     ]
     return _run_grid(
-        configs, "qos", qos_levels, jobs, orchestrator, pack, options
+        configs, "qos", qos_levels, orchestrator, pack, options
     )
 
 
 def sweep_pv_scale(
     config: ExperimentConfig,
     scales: tuple[float, ...] = (0.0, 1.0, 2.0),
-    jobs: int = 1,
     orchestrator: Orchestrator | None = None,
     pack: TracePack | None = None,
     options: EngineOptions | None = None,
@@ -145,7 +139,7 @@ def sweep_pv_scale(
         )
         configs.append(dataclasses.replace(config, specs=specs))
     return _run_grid(
-        configs, "pv_scale", scales, jobs, orchestrator, pack, options
+        configs, "pv_scale", scales, orchestrator, pack, options
     )
 
 

@@ -248,7 +248,6 @@ def _comparison_from(args: argparse.Namespace) -> list:
     return run_comparison(
         config,
         alpha=args.alpha,
-        use_cache=not args.no_cache,
         orchestrator=_orchestrator_from(args),
         pack=pack,
         options=_options_from(args),

@@ -479,23 +479,6 @@ class Orchestrator:
         self._inflight: dict[str, Future] = {}
         self._lock = threading.Lock()
 
-    def with_jobs(self, jobs: int) -> "Orchestrator":
-        """This orchestrator's store and options at a new worker count.
-
-        Returns ``self`` when the count already matches -- the helper
-        behind every ``jobs=N`` convenience parameter in the
-        experiment runners.
-        """
-        if jobs == self.jobs:
-            return self
-        return Orchestrator(
-            store=self.store,
-            jobs=jobs,
-            use_store=self.use_store,
-            progress=self.progress,
-            meta=self.meta,
-        )
-
     def with_meta(self, extra: dict) -> "Orchestrator":
         """This orchestrator's store and options with extra meta stamps.
 

@@ -8,10 +8,10 @@ is fingerprinted and resolved against a :class:`ResultStore` -- an
 in-memory layer by default, plus one of the pluggable persistent
 backends in :mod:`repro.store` when a store root is configured
 (``REPRO_RESULT_STORE`` or an explicit orchestrator) -- and cache
-misses fan out over worker processes when ``jobs > 1``.  The
-comparison itself goes through ``run_many`` (the submit-all/await-all
-wrapper over the futures API), so parallel, streamed and cached runs
-are bit-identical to serial cold runs.
+misses fan out over worker processes when the orchestrator has
+``jobs > 1``.  The comparison itself goes through ``run_many`` (the
+submit-all/await-all wrapper over the futures API), so parallel,
+streamed and cached runs are bit-identical to serial cold runs.
 
 :func:`run_replicated_comparison` repeats the comparison over several
 seeds for mean/CI reporting
@@ -61,8 +61,6 @@ def default_policies(alpha: float = 0.5) -> list[PlacementPolicy]:
 def run_comparison(
     config: ExperimentConfig,
     alpha: float = 0.5,
-    use_cache: bool = True,
-    jobs: int = 1,
     orchestrator: Orchestrator | None = None,
     pack: TracePack | None = None,
     options: EngineOptions | None = None,
@@ -77,13 +75,10 @@ def run_comparison(
         ``config.seed``).
     alpha:
         Eq. 5 trade-off weight for the proposed method.
-    use_cache:
-        Resolve against the orchestrator's result store.  ``False``
-        simulates unconditionally (results are still recorded).
-    jobs:
-        Worker processes for uncached runs (1 = serial).
     orchestrator:
-        Execution backend; defaults to the process-wide one.
+        Execution backend; defaults to the process-wide one.  Its own
+        ``jobs`` and ``use_store`` (the CLI's ``--jobs`` and
+        ``--no-cache``) govern parallelism and store reads.
     pack:
         Workload pack for every run (``None`` = synthetic default);
         its content hash keys the result store.
@@ -93,17 +88,13 @@ def run_comparison(
         ledger; part of each run's fingerprint.
     """
     orchestrator = orchestrator or default_orchestrator()
-    if jobs != 1:
-        orchestrator = orchestrator.with_jobs(jobs)
     requests = grid_requests(
         [config], lambda _: default_policies(alpha), pack=pack,
         options=options,
     )
     # Comparison results feed figures and tables that walk the full
     # ledger, so the service path must ship it -- no projection.
-    artifacts = orchestrator.run_many(
-        requests, use_store=use_cache, detail="full"
-    )
+    artifacts = orchestrator.run_many(requests, detail="full")
     return [artifact.result for artifact in artifacts]
 
 
@@ -111,7 +102,6 @@ def run_replicated_comparison(
     config: ExperimentConfig,
     alpha: float = 0.5,
     seeds: tuple[int, ...] = (0, 1, 2),
-    jobs: int = 1,
     orchestrator: Orchestrator | None = None,
     pack: TracePack | None = None,
     options: EngineOptions | None = None,
@@ -124,8 +114,6 @@ def run_replicated_comparison(
     :func:`repro.sim.metrics.format_replicated_comparison`.
     """
     orchestrator = orchestrator or default_orchestrator()
-    if jobs != 1:
-        orchestrator = orchestrator.with_jobs(jobs)
     requests = grid_requests(
         [config], lambda _: default_policies(alpha), seeds=list(seeds),
         pack=pack, options=options,

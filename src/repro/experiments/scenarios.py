@@ -84,7 +84,6 @@ def run_scenarios(
     base: ExperimentConfig,
     scenarios: tuple[str, ...] = ("scale-out", "mixed", "hpc"),
     alpha: float = 0.5,
-    jobs: int = 1,
     orchestrator: Orchestrator | None = None,
     pack: TracePack | None = None,
     options: EngineOptions | None = None,
@@ -92,11 +91,11 @@ def run_scenarios(
     """Four-method comparison per scenario, summarized vs best baseline.
 
     The whole (scenario x policy) grid is submitted as one orchestrator
-    batch, so with ``jobs > 1`` scenarios and policies parallelize
-    together.  Without a ``pack`` the mixes apply through
-    :func:`scenario_config`; with one, each scenario runs the derived
-    :func:`scenario_pack` (same trace source, scenario app mix) so
-    recorded workloads join the study and cache by content hash.
+    batch, so on an orchestrator with ``jobs > 1`` scenarios and
+    policies parallelize together.  Without a ``pack`` the mixes apply
+    through :func:`scenario_config`; with one, each scenario runs the
+    derived :func:`scenario_pack` (same trace source, scenario app mix)
+    so recorded workloads join the study and cache by content hash.
 
     Note that the archetype mix shapes *synthetic* diurnal profiles;
     a recorded source serves the recorded demand regardless of app
@@ -104,8 +103,6 @@ def run_scenarios(
     construction (the study is meaningful for synthetic sources).
     """
     orchestrator = orchestrator or default_orchestrator()
-    if jobs != 1:
-        orchestrator = orchestrator.with_jobs(jobs)
     requests = []
     for scenario in scenarios:
         if pack is None:

@@ -15,7 +15,7 @@ store, one in-flight dedup table:
 * :mod:`repro.service.server` -- the threaded stdlib-HTTP daemon
   behind ``repro serve``: ``POST /runs/batch`` submits,
   ``POST /runs/poll`` is the one read route, and ``GET /healthz`` and
-  ``GET /stats`` report;
+  ``GET /stats`` report; every body is JSON in HTTP's identity coding;
 * :mod:`repro.service.client` -- :class:`ServiceClient`, a drop-in
   :class:`~repro.experiments.orchestrator.Orchestrator` replacement
   that resolves runs against one remote daemon (the CLI's

@@ -3,7 +3,7 @@
 :class:`ServiceClient` implements the
 :class:`~repro.experiments.orchestrator.Orchestrator` consumer surface
 -- ``submit`` / ``submit_many`` / ``as_done`` / ``as_resolved`` /
-``run`` / ``run_many`` / ``with_jobs`` -- against an
+``run`` / ``run_many`` / ``lookup`` -- against an
 :class:`~repro.service.server.ExperimentDaemon` URL, so every analysis
 that takes an ``orchestrator=`` parameter (``runner``, ``scenarios``,
 ``pareto``, ``sensitivity``, ``lower_bound``) runs remotely with zero
@@ -33,8 +33,8 @@ poll racing on the same future are benign.
 
 The client speaks wire v2
 (:data:`~repro.service.protocol.WIRE_VERSION`) only: batch and poll
-envelopes, ``detail`` projections, gzip response bodies via
-``Accept-Encoding`` and gzip request bodies of 1 KiB or more.
+envelopes and ``detail`` projections, in HTTP's identity coding.  A
+call that names no ``detail`` gets ``full``.
 
 ``detail="headline"`` artifacts decode to
 :class:`~repro.sim.results.HeadlineResult` projections that lazily
@@ -50,14 +50,13 @@ connections server-side) is retried once on a fresh connection before
 any error surfaces.
 
 The HTTP plumbing lives in :class:`HttpTransport` -- per-thread
-keep-alive connections, the stale-socket retry, gzip negotiation and
-JSONL parsing -- so the client itself holds only the
-orchestrator-surface semantics (envelopes, futures).
+keep-alive connections, the stale-socket retry and line-by-line JSONL
+parsing -- so the client itself holds only the orchestrator-surface
+semantics (envelopes, futures).
 """
 
 from __future__ import annotations
 
-import gzip
 import http.client
 import json
 import socket
@@ -102,10 +101,6 @@ _POLL_CHUNK = 512
 #: batches chunk far smaller than polls.
 _BATCH_CHUNK = 64
 
-#: Request bodies below this stay identity even when compression is
-#: on: gzip's header overhead and CPU beat nothing out of tiny JSON.
-_COMPRESS_MIN_BYTES = 1024
-
 #: Exceptions that mean "the keep-alive socket went stale under us"
 #: (e.g. the daemon's idle reaper closed it between requests); the
 #: request is retried once on a fresh connection.
@@ -138,19 +133,16 @@ class HttpTransport:
     One instance per daemon URL; each calling thread gets its own
     keep-alive connection (``http.client`` connections are not
     thread-safe), created lazily with TCP_NODELAY and torn down via
-    :meth:`close`.  Handles the stale-socket retry, request/response
-    gzip and JSONL parsing; everything protocol-level (envelopes,
-    futures) stays in :class:`ServiceClient`.
+    :meth:`close`.  Handles the stale-socket retry and JSONL parsing;
+    everything protocol-level (envelopes, futures) stays in
+    :class:`ServiceClient`.
     """
 
-    def __init__(
-        self, host: str, port: int, timeout_s: float, compress: bool
-    ) -> None:
+    def __init__(self, host: str, port: int, timeout_s: float) -> None:
         self.host = host
         self.port = port
         self.url = f"http://{host}:{port}"
         self.timeout_s = timeout_s
-        self.compress = compress
         # Merged into every request's headers; the campaign driver
         # plants ``X-Repro-Campaign`` here so the daemon can count
         # per-campaign submissions.
@@ -164,8 +156,8 @@ class HttpTransport:
                 self.host, self.port, timeout=timeout_s
             )
             connection.connect()
-            # Requests also go out as two sends (headers, body); see
-            # the server handler's disable_nagle_algorithm note.
+            # Requests go out as two sends (headers, body); see the
+            # server handler's disable_nagle_algorithm note.
             connection.sock.setsockopt(
                 socket.IPPROTO_TCP, socket.TCP_NODELAY, 1
             )
@@ -198,20 +190,12 @@ class HttpTransport:
         dies on a stale socket is retried once on a fresh one.
         Returns the live response object when ``stream`` (caller
         reads/closes); a ``(status, [payload, ...])`` list of parsed
-        JSON lines when ``jsonl``; else ``(status, parsed payload)``.
-        Response bodies arriving ``Content-Encoding: gzip`` are
-        inflated transparently; request bodies of
-        :data:`_COMPRESS_MIN_BYTES` or more are gzipped when
-        ``compress`` is on.  Connection-level failures raise
+        JSON lines when ``jsonl``, parsed as each line is read; else
+        ``(status, parsed payload)``.  Connection-level failures raise
         :class:`ServiceError`.
         """
         timeout_s = self.timeout_s if timeout_s is None else timeout_s
         headers = {"Content-Type": "application/json", **self.extra_headers}
-        if self.compress:
-            headers["Accept-Encoding"] = "gzip"
-            if body is not None and len(body) >= _COMPRESS_MIN_BYTES:
-                body = gzip.compress(body, compresslevel=6)
-                headers["Content-Encoding"] = "gzip"
         for attempt in (0, 1):
             try:
                 connection = self._connection(timeout_s)
@@ -219,18 +203,19 @@ class HttpTransport:
                 response = connection.getresponse()
                 if stream:
                     return response.status, response
-                raw = response.read()
-                if response.getheader("Content-Encoding") == "gzip":
-                    raw = gzip.decompress(raw)
+                if jsonl:
+                    payload = [
+                        json.loads(line) for line in response if line.strip()
+                    ]
+                    # Lines stop at Content-Length without finishing the
+                    # exchange; only a read to EOF frees the keep-alive
+                    # connection for the next request.
+                    response.read()
+                else:
+                    payload = json.loads(response.read())
                 if response.will_close:
                     self.close()
-                if jsonl:
-                    return response.status, [
-                        json.loads(line)
-                        for line in raw.splitlines()
-                        if line.strip()
-                    ]
-                return response.status, json.loads(raw)
+                return response.status, payload
             except (
                 http.client.HTTPException,
                 ConnectionError,
@@ -268,13 +253,6 @@ class ServiceClient:
         Socket timeout for individual HTTP calls.  Polls that
         deliberately block server-side (``wait>0``) add their ``wait``
         on top.
-    detail:
-        Default artifact projection (``full`` or ``headline``) for
-        submissions that do not name one.  Headline artifacts carry
-        only the aggregate metrics block and lazily upgrade.
-    compress:
-        Negotiate gzip on responses (``Accept-Encoding``) and gzip
-        large request bodies.
     """
 
     def __init__(
@@ -283,8 +261,6 @@ class ServiceClient:
         use_store: bool = True,
         progress: Callable[[int, int], None] | None = None,
         timeout_s: float = 10.0,
-        detail: str = "full",
-        compress: bool = True,
     ) -> None:
         parts = urlsplit(url if "//" in url else f"http://{url}")
         try:
@@ -309,12 +285,7 @@ class ServiceClient:
         self.use_store = use_store
         self.progress = progress
         self.timeout_s = timeout_s
-        self.detail = check_detail(detail)
-        self.compress = compress
-        self.jobs = 0  # execution capacity lives daemon-side
-        self._transport = HttpTransport(
-            self.host, self.port, timeout_s, compress
-        )
+        self._transport = HttpTransport(self.host, self.port, timeout_s)
         self._lock = threading.Lock()
         self._pending: dict[str, Future] = {}
 
@@ -460,10 +431,6 @@ class ServiceClient:
 
     # -- the orchestrator surface ------------------------------------------
 
-    def with_jobs(self, jobs: int) -> "ServiceClient":
-        """No-op for API compatibility: capacity is the daemon's."""
-        return self
-
     def with_meta(self, extra: dict) -> "ServiceClient":
         """Orchestrator-surface meta stamping, service flavor.
 
@@ -542,7 +509,7 @@ class ServiceClient:
         """
         if use_store is None:
             use_store = self.use_store
-        detail = self.detail if detail is None else check_detail(detail)
+        detail = check_detail(detail)
         order: list[str] = []
         handles: dict[str, RunFuture] = {}
         fresh: dict[str, RunRequest] = {}
@@ -591,10 +558,7 @@ class ServiceClient:
         for chunk in _chunked(need_post, _BATCH_CHUNK):
             entries = [
                 encode_request(
-                    fresh[fingerprint],
-                    fingerprint,
-                    use_store=use_store,
-                    detail=detail,
+                    fresh[fingerprint], fingerprint, use_store=use_store
                 )
                 for fingerprint in chunk
             ]

@@ -99,14 +99,15 @@ def encode_request(
     request: RunRequest,
     fingerprint: str | None = None,
     use_store: bool = True,
-    detail: str = "full",
 ) -> dict:
     """One ``POST /runs/batch`` entry for ``request``.
 
     ``fingerprint`` defaults to the request's own; passing a
     precomputed one saves the client a second canonicalization pass.
     ``use_store=False`` asks the daemon to resimulate even on a store
-    hit (the ``--no-cache`` path; the result is still recorded).
+    hit (the ``--no-cache`` path; the result is still recorded).  The
+    artifact's ``detail`` is the batch envelope's
+    (:func:`encode_batch`), one for every entry.
     """
     return {
         "wire_version": WIRE_VERSION,
@@ -114,7 +115,6 @@ def encode_request(
         "fingerprint": fingerprint or request.fingerprint(),
         "use_store": bool(use_store),
         "request": encode(request),
-        "detail": check_detail(detail),
     }
 
 
@@ -253,8 +253,8 @@ def encode_poll(
     The daemon's only read: a warm check, a lookup and a headline
     upgrade are polls too, of one fingerprint or many.  The list rides
     in the body, so no URL length caps it.  ``wait=0`` answers in one
-    (compressible) body; ``wait>0`` streams JSON lines in completion
-    order for up to ``wait`` seconds.
+    buffered body; ``wait>0`` streams JSON lines in completion order
+    for up to ``wait`` seconds.
     """
     return {
         "wire_version": WIRE_VERSION,

@@ -19,8 +19,8 @@ it.  Endpoints:
     settled runs first, then in-flight runs in completion order as
     they land, then ``pending`` for each still running when ``wait``
     (capped at :data:`MAX_WAIT_S`) expires; the client re-polls.
-    ``wait=0`` answers with one buffered -- and compressible -- body;
-    ``wait>0`` streams the lines, the wire mirror of
+    ``wait=0`` answers with one buffered body; ``wait>0`` streams the
+    lines, the wire mirror of
     :meth:`~repro.experiments.orchestrator.Orchestrator.as_resolved`.
 ``GET /healthz``
     Liveness and identity: ``status`` and ``daemon_id``.  Building the
@@ -29,7 +29,7 @@ it.  Endpoints:
     Load and counters (submitted/hits/computed/errors, in-flight and
     queue depth, the store's own counters, workload sharing, engine
     modes, per-campaign submissions, and the wire block: bytes in/out,
-    gzip vs identity replies, batch sizes, request-latency p50/p99).
+    batch sizes, request-latency p50/p99).
     ``hits`` counts runs served from the store: warm batch entries and
     poll lines that find the run stored.  A run this daemon computed
     counts under ``computed`` only: its claim stays registered until a
@@ -56,17 +56,19 @@ misses it claimed launch grouped by materialization key through
 :meth:`~repro.experiments.orchestrator.Orchestrator.launch_many`, so
 the runs of one workload advance in lockstep on one materialization.
 
-The response cache stores fully *rendered* reply bodies of store hits
-keyed by ``(fingerprint, detail, encoding)`` -- for gzip that means
-pre-compressed bytes, so a warm hit is one cache lookup plus one
-socket write with no per-request ``json.dumps`` or ``gzip.compress``
-on the hot path.  A computed run's own reply is rendered uncached and
-never served from the cache, so later hits never replay its ``source:
-"computed"`` and it never reads as a hit.  Gzip variants are
-complete gzip members whose decompressed form ends in a newline; batch
-and buffered-poll replies are built by *concatenating* members (a
-multi-member stream is valid gzip and ``gzip.decompress`` handles it),
-so batching never has to re-compress cached artifacts.
+The response cache stores fully *rendered* reply lines of store hits
+keyed by ``(fingerprint, detail)``, so a warm hit is one cache lookup
+with no per-request ``json.dumps`` on the hot path.  A computed run's
+own line is rendered uncached and never served from the cache, so
+later hits never replay its ``source: "computed"`` and it never reads
+as a hit.  Batch and buffered-poll replies go out line by line through
+the handler's buffered socket writer, never joined into one body.
+
+Bodies travel in HTTP's identity coding only: on loopback, where the
+daemon's clients are measured, compressing a line costs more time
+than sending it.  ``Accept-Encoding`` is ignored (identity is always
+acceptable), and a request body under any other ``Content-Encoding``
+is refused with ``415`` before being read.
 
 Handlers run on per-connection daemon threads
 (``ThreadingHTTPServer``); waits are capped at :data:`MAX_WAIT_S`,
@@ -76,16 +78,16 @@ abandoned connection occupies one thread for at most its ``wait`` and
 never wedges the daemon or the worker that owns the run.  Request
 bodies above ``max_body_bytes`` are refused with ``413`` *before*
 being read (the connection closes: the unread body would desync
-keep-alive framing); bodies without a ``Content-Length`` get ``411``.
+keep-alive framing, as it does on the ``415`` path); bodies without a
+``Content-Length`` get ``411``.
 """
 
 from __future__ import annotations
 
-import gzip
+import io
 import json
 import threading
 import time
-import zlib
 from collections import OrderedDict, deque
 from concurrent.futures import (
     FIRST_COMPLETED,
@@ -134,20 +136,14 @@ DEFAULT_MAX_BODY_BYTES = 64 << 20
 #: parked thread per client that ever connected.
 DEFAULT_IDLE_TIMEOUT_S = 120.0
 
-#: Rendered reply bodies kept for the warm fast path.  Keys are
-#: ``(fingerprint, detail, encoding)`` -- a fingerprint hot in every
-#: variant costs at most 4 slots (2 details x 2 encodings),
-#: headline/gzip variants being tiny.
+#: Rendered reply lines kept for the warm fast path.  Keys are
+#: ``(fingerprint, detail)`` -- a fingerprint hot at both details
+#: costs 2 slots, the headline one being tiny.
 _RESPONSE_CACHE_SIZE = 4096
 
 #: Failed-run messages retained for polls (bounded; a daemon lives
 #: for weeks and failures must not accumulate without limit).
 _ERROR_CACHE_SIZE = 1024
-
-#: Compression level for cached artifact bodies: 6 is zlib's sweet
-#: spot (±1% of level 9's ratio at a fraction of the CPU) and the
-#: cost is paid once per cached variant, not per request.
-_GZIP_LEVEL = 6
 
 #: Request latencies retained for the /stats p50/p99 (a sliding
 #: window, not a full history: the daemon is long-lived).
@@ -174,8 +170,7 @@ class ExperimentDaemon:
         Bind address; port 0 picks a free port (see :attr:`address`).
     max_body_bytes:
         Request bodies larger than this are refused with ``413``
-        before being read (also the cap on a gzip body's *decompressed*
-        size, so a compression bomb cannot balloon in memory).
+        before being read.
     idle_timeout_s:
         Keep-alive connections idle this long are closed server-side;
         ``None`` disables the idle reaper (connections park forever).
@@ -223,8 +218,6 @@ class ExperimentDaemon:
         self.wire_counters = {
             "bytes_in": 0,
             "bytes_out": 0,
-            "responses_gzip": 0,
-            "responses_identity": 0,
             "batch_requests": 0,
             "batch_entries": 0,
         }
@@ -325,15 +318,6 @@ class ExperimentDaemon:
             while len(self.campaigns) > _CAMPAIGN_WINDOW:
                 self.campaigns.pop(next(iter(self.campaigns)))
 
-    def _record_sent(self, nbytes: int, encoding: str) -> None:
-        with self._lock:
-            self.wire_counters["bytes_out"] += nbytes
-            key = (
-                "responses_gzip" if encoding == "gzip"
-                else "responses_identity"
-            )
-            self.wire_counters[key] += 1
-
     def _cache_response(self, key: tuple, payload: bytes) -> None:
         with self._lock:
             self._responses[key] = payload
@@ -348,44 +332,24 @@ class ExperimentDaemon:
                 self._responses.move_to_end(key)
             return payload
 
-    def _artifact_bytes(
-        self,
-        future: RunFuture,
-        detail: str = "full",
-        encoding: str = "identity",
-    ) -> bytes:
-        """One rendered reply body for a done future, cached per variant.
+    def _artifact_line(self, future: RunFuture, detail: str) -> bytes:
+        """The reply line for a done future's artifact.
 
-        Identity variants are the bare JSON object; gzip variants are
-        one complete gzip member whose decompressed form is the JSON
-        object plus a trailing newline, so batch replies concatenate
-        cached members verbatim (see the module docstring).
-
-        Only store hits read or fill the cache.  A computed run's reply
+        Only store hits read or fill the cache.  A computed run's line
         carries ``source: "computed"`` and its run time; replaying it
         for later hits would report every warm resolution as an
         execution, and serving a cached hit for it would report the
         execution as a hit.
         """
-        key = (future.fingerprint, detail, encoding)
+        key = (future.fingerprint, detail)
         artifact = future.result(timeout=0)
         cached = self._cached_response(key) if artifact.from_cache else None
         if cached is not None:
             return cached
-        if encoding == "gzip":
-            # Derive from the identity variant so both encodings carry
-            # the same envelope byte for byte (the artifact's volatile
-            # metadata -- elapsed_s, source -- would otherwise differ
-            # between a re-resolve and the first render).
-            identity = self._artifact_bytes(future, detail)
-            body = gzip.compress(
-                identity + b"\n", compresslevel=_GZIP_LEVEL, mtime=0
-            )
-        else:
-            body = _dumps(encode_artifact(artifact, detail=detail))
+        line = _line(encode_artifact(artifact, detail=detail))
         if artifact.from_cache:
-            self._cache_response(key, body)
-        return body
+            self._cache_response(key, line)
+        return line
 
     def _finish(self, claim: RunFuture) -> None:
         """Done callback of every claim: counters and errors.
@@ -419,26 +383,21 @@ class ExperimentDaemon:
         payload: dict,
         claimed: list[RunFuture],
         detail: str = "full",
-        encoding: str = "identity",
         campaign: str | None = None,
-    ) -> tuple[int, bytes, str]:
-        """One ``POST /runs/batch`` entry: ``(status, body, encoding)``.
+    ) -> bytes:
+        """One ``POST /runs/batch`` entry's reply line.
 
-        ``detail`` is the batch-level projection.  ``encoding`` is
-        what the rendered artifact body should use -- error and
-        pending replies are always identity (they are tiny, and
-        per-line gzip wrapping is the batch assembler's job).
-        ``campaign`` is the submitter's ``X-Repro-Campaign`` label,
-        tallied into the ``/stats`` campaigns block.  A miss this
-        entry claims is appended to ``claimed`` for the batch to
-        launch.
+        ``detail`` is the batch-level projection.  ``campaign`` is the
+        submitter's ``X-Repro-Campaign`` label, tallied into the
+        ``/stats`` campaigns block.  A miss this entry claims is
+        appended to ``claimed`` for the batch to launch.
         """
         self._count("submitted")
         self._count_campaign(campaign)
         if not isinstance(payload, dict):
-            return 400, _dumps(
+            return _line(
                 encode_error("expected a JSON object body", status=400)
-            ), "identity"
+            )
         if (
             payload.get("wire_version") != WIRE_VERSION
             or payload.get("kind") != "run_request"
@@ -446,30 +405,26 @@ class ExperimentDaemon:
             # Checked before the warm fast path too: a mismatched peer
             # must be refused deterministically, not served whenever
             # its fingerprint happens to be cached.
-            return 400, _dumps(
+            return _line(
                 encode_error(
                     "expected a run_request payload at wire version "
                     f"{WIRE_VERSION}",
                     status=400,
                 )
-            ), "identity"
+            )
         declared = payload.get("fingerprint")
         use_store = bool(payload.get("use_store", True))
         if use_store and isinstance(declared, str):
-            cached = self._cached_response((declared, detail, encoding))
+            cached = self._cached_response((declared, detail))
             if cached is not None:
                 self._count("hits")
-                return 200, cached, encoding
+                return cached
         try:
             request, fingerprint, use_store = decode_request(payload)
         except FingerprintMismatch as error:
-            return 409, _dumps(
-                encode_error(str(error), status=409)
-            ), "identity"
+            return _line(encode_error(str(error), status=409))
         except WireError as error:
-            return 400, _dumps(
-                encode_error(str(error), status=400)
-            ), "identity"
+            return _line(encode_error(str(error), status=400))
         engine = getattr(request.options, "engine", None)
         kind = getattr(engine, "kind", "slot")
         with self._lock:
@@ -478,20 +433,18 @@ class ExperimentDaemon:
             hit = self.orchestrator.lookup(request, fingerprint)
             if hit is not None:
                 self._count("hits")
-                return 200, self._artifact_bytes(
-                    hit, detail, encoding
-                ), encoding
+                return self._artifact_line(hit, detail)
         # Miss: claim the fingerprint in the daemon registry *before*
         # launching, so overlapping submissions -- same client or a
         # different one, pooled or serial -- park on one run.  (The
         # orchestrator pool dedups too, but only for jobs > 1; the
         # registry also backs polls and error reporting.)  Misses
-        # answer 202 unconditionally -- even a launch that fails
+        # answer pending unconditionally -- even a launch that fails
         # immediately reports through the poll, keeping the wire
-        # contract deterministic (200 = store hit, 202 = accepted).  A
-        # finished claim is replaced: a stored result answered above,
-        # so only a rerun (use_store=False) or a failed run's retry
-        # gets here.
+        # contract deterministic (artifact = store hit, pending =
+        # accepted).  A finished claim is replaced: a stored result
+        # answered above, so only a rerun (use_store=False) or a failed
+        # run's retry gets here.
         with self._lock:
             existing = self._futures.get(fingerprint)
             if existing is None or existing.done():
@@ -501,7 +454,7 @@ class ExperimentDaemon:
                     lambda _, claim=claim: self._finish(claim)
                 )
                 claimed.append(claim)
-        return 202, _dumps(encode_pending(fingerprint)), "identity"
+        return _line(encode_pending(fingerprint))
 
     def _launch(self, claimed: list[RunFuture]) -> None:
         """Launch a batch's claimed misses as lockstep groups.
@@ -544,42 +497,33 @@ class ExperimentDaemon:
                 return
 
     def handle_batch(
-        self,
-        payload: dict,
-        encoding: str = "identity",
-        campaign: str | None = None,
-    ) -> tuple[int, bytes, str]:
-        """``POST /runs/batch``: one disposition line per entry.
+        self, payload: dict, campaign: str | None = None
+    ) -> tuple[int, list[bytes]]:
+        """``POST /runs/batch``: ``(status, lines)``, one per entry.
 
         Every miss is claimed in the daemon registry as its entry is
         read; once the whole batch is read, the misses launch grouped
         by materialization key (:meth:`_launch`).  The claims launch
         even when reading a later entry raises (an unreadable store
-        document, say), so none is left unresolved.  Gzip bodies are
-        assembled by concatenating members: cached artifact variants
-        verbatim, tiny pending/error lines wrapped on the fly.  A
-        malformed entry poisons only its own line.
+        document, say), so none is left unresolved.  A malformed entry
+        poisons only its own line.
         """
         self._count_wire("batch_requests")
         try:
             entries, detail = decode_batch(payload)
         except WireError as error:
-            return 400, _dumps(encode_error(str(error), status=400)), (
-                "identity"
-            )
+            return 400, [_line(encode_error(str(error), status=400))]
         self._count_wire("batch_entries", len(entries))
-        parts = []
+        lines = []
         claimed: list[RunFuture] = []
         try:
             for entry in entries:
-                _, body, used = self._submit_entry(
-                    entry, claimed, detail=detail, encoding=encoding,
-                    campaign=campaign,
+                lines.append(
+                    self._submit_entry(entry, claimed, detail, campaign)
                 )
-                parts.append(_as_member(body, used, encoding))
         finally:
             self._launch(claimed)
-        return 200, b"".join(parts), encoding
+        return 200, lines
 
     def _lookup(self, fingerprint: str) -> RunFuture | None:
         """A future for a fingerprint: claimed, else store-resolved.
@@ -612,9 +556,7 @@ class ExperimentDaemon:
             status=404,
         )
 
-    def _settled(
-        self, future: RunFuture, detail: str, encoding: str
-    ) -> bytes:
+    def _settled(self, future: RunFuture, detail: str) -> bytes:
         """The line for a done future: its artifact, else its error.
 
         Rendering a succeeded claim delivers it: the claim leaves the
@@ -627,39 +569,35 @@ class ExperimentDaemon:
                     f"{type(error).__name__}: {error}",
                     fingerprint=future.fingerprint,
                     status=500,
-                ),
-                encoding,
+                )
             )
-        body = self._artifact_bytes(future, detail, encoding)
+        line = self._artifact_line(future, detail)
         with self._lock:
             if self._futures.get(future.fingerprint) is future:
                 del self._futures[future.fingerprint]
-        return _as_member(body, encoding, encoding)
+        return line
 
     def handle_poll(
         self,
         fingerprints: list[str],
         wait_s: float = 0.0,
         detail: str = "full",
-        encoding: str = "identity",
     ) -> Iterator[bytes]:
         """``POST /runs/poll``: one line per distinct fingerprint.
 
         Unknown, failed and settled runs come first, in request order;
         in-flight runs follow in completion order as they land within
         ``wait_s`` (capped at :data:`MAX_WAIT_S`), and each still
-        running at the deadline gets a pending line.  Lines are framed
-        for ``encoding`` like a batch reply's, so warm artifacts reuse
-        their pre-compressed cache entries.
+        running at the deadline gets a pending line.
         """
         deadline = time.monotonic() + min(wait_s, MAX_WAIT_S)
         running: dict[Future, RunFuture] = {}
         for fingerprint in dict.fromkeys(fingerprints):
             future = self._lookup(fingerprint)
             if future is None:
-                yield _line(self._missing(fingerprint), encoding)
+                yield _line(self._missing(fingerprint))
             elif future.done():
-                yield self._settled(future, detail, encoding)
+                yield self._settled(future, detail)
             else:
                 running[future._future] = future
         while running:
@@ -670,9 +608,9 @@ class ExperimentDaemon:
                 running, timeout=remaining, return_when=FIRST_COMPLETED
             )
             for base in landed:
-                yield self._settled(running.pop(base), detail, encoding)
+                yield self._settled(running.pop(base), detail)
         for future in running.values():
-            yield _line(encode_pending(future.fingerprint), encoding)
+            yield _line(encode_pending(future.fingerprint))
 
     def _load(self) -> tuple[int, int]:
         """Current ``(inflight, queue_depth)``.
@@ -737,39 +675,9 @@ def _percentile_ms(sorted_latencies: list[float], percentile: float) -> float:
     return sorted_latencies[rank] * 1000.0
 
 
-def _as_member(body: bytes, used: str, encoding: str) -> bytes:
-    """One reply line for a batch body in the negotiated encoding.
-
-    Identity bodies (no trailing newline) get one appended; under gzip
-    a pre-compressed body passes through verbatim (its member already
-    ends in a newline) and identity lines are wrapped into members.
-    """
-    if encoding != "gzip":
-        return body + b"\n"
-    if used == "gzip":
-        return body
-    return gzip.compress(body + b"\n", compresslevel=_GZIP_LEVEL, mtime=0)
-
-
-def _line(payload: dict, encoding: str) -> bytes:
-    """A small reply line (error, pending) framed for ``encoding``."""
-    return _as_member(_dumps(payload), "identity", encoding)
-
-
-def _gunzip_capped(data: bytes, cap: int) -> bytes | None:
-    """Decompress one gzip member, refusing to exceed ``cap`` bytes.
-
-    Returns None when the decompressed size would exceed the cap (the
-    compression-bomb guard); raises ``WireError`` on corrupt input.
-    """
-    decompressor = zlib.decompressobj(16 + zlib.MAX_WBITS)
-    try:
-        payload = decompressor.decompress(data, cap + 1)
-    except zlib.error as error:
-        raise WireError(f"undecodable gzip body: {error}") from None
-    if len(payload) > cap:
-        return None
-    return payload
+def _line(payload: dict) -> bytes:
+    """One JSON line of a batch or poll reply."""
+    return _dumps(payload) + b"\n"
 
 
 def _chain(source: Future, target: Future) -> None:
@@ -793,9 +701,14 @@ def _build_handler(daemon: ExperimentDaemon) -> type:
 
         protocol_version = "HTTP/1.1"
         server_version = "repro-service"
-        # Responses go out as two sends (headers, body); with Nagle on,
-        # the second waits out the peer's delayed ACK (~40 ms per
-        # exchange), capping keep-alive throughput at ~25 req/s.
+        # Headers and body lines collect in one 64 KiB socket buffer, so
+        # a reply leaves in as few sends as it fills, with no joined
+        # copy of its body; each reply ends with a flush.
+        wbufsize = 64 << 10
+        # A reply past the buffer, and each streamed line, still leaves
+        # in several sends; with Nagle on, a send queued behind an
+        # unacknowledged one waits out the peer's delayed ACK (~40 ms
+        # per exchange).
         disable_nagle_algorithm = True
         # BaseHTTPRequestHandler applies this as the socket timeout: a
         # keep-alive connection idle past it raises in the request-line
@@ -807,33 +720,56 @@ def _build_handler(daemon: ExperimentDaemon) -> type:
 
         # -- plumbing ------------------------------------------------------
 
-        def _wants_gzip(self) -> bool:
-            accept = self.headers.get("Accept-Encoding", "")
-            return "gzip" in accept.lower()
+        def handle_expect_100(self) -> bool:
+            # The interim reply must leave now, not with the final one:
+            # the client holds its body back until it arrives.
+            super().handle_expect_100()
+            self.wfile.flush()
+            return True
+
+        def _abandon(self) -> None:
+            """Drop a connection whose peer left mid-reply.
+
+            The bytes still buffered for the peer go with it: the
+            handler loop flushes ``wfile`` after every request, and
+            that flush would retry the dead socket and raise.
+            """
+            self.close_connection = True
+            try:
+                self.wfile.close()  # its flush fails again; it still closes
+            except OSError:
+                pass
+            self.wfile = io.BytesIO()
 
         def _reply(
-            self,
-            status: int,
-            body: bytes,
-            encoding: str = "identity",
-            close: bool = False,
+            self, status: int, lines: list[bytes], close: bool = False
         ) -> None:
+            """One reply whose body is ``lines``, written back to back."""
+            length = sum(map(len, lines))
             try:
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
-                if encoding == "gzip":
-                    self.send_header("Content-Encoding", "gzip")
                 if close:
                     self.send_header("Connection", "close")
                     self.close_connection = True
-                self.send_header("Content-Length", str(len(body)))
+                self.send_header("Content-Length", str(length))
                 self.end_headers()
-                self.wfile.write(body)
-                daemon._record_sent(len(body), encoding)
+                for line in lines:
+                    self.wfile.write(line)
+                self.wfile.flush()
+                daemon._count_wire("bytes_out", length)
             except (BrokenPipeError, ConnectionResetError, TimeoutError):
-                self.close_connection = True
+                self._abandon()
 
-        def _reply_stream(self, lines) -> None:
+        def _refuse(
+            self, status: int, message: str, close: bool = False
+        ) -> None:
+            self._reply(
+                status, [_dumps(encode_error(message, status=status))], close
+            )
+
+        def _reply_stream(self, lines: Iterator[bytes]) -> None:
+            """A close-delimited reply; each line leaves as it lands."""
             sent = 0
             try:
                 self.send_response(200)
@@ -845,85 +781,49 @@ def _build_handler(daemon: ExperimentDaemon) -> type:
                     self.wfile.flush()
                     sent += len(line)
             except (BrokenPipeError, ConnectionResetError, TimeoutError):
-                pass
-            daemon._record_sent(sent, "identity")
+                self._abandon()
+            daemon._count_wire("bytes_out", sent)
             self.close_connection = True
 
         def _read_body(self) -> dict | None:
             """The POST body as parsed JSON; None = already replied.
 
-            Enforces the size cap *before* reading (413 closes the
-            connection: the unread body would desync keep-alive
-            framing) and transparently inflates gzip request bodies,
-            capping their decompressed size too.
+            Refuses a coded body (``415``) and enforces the size cap
+            (``413``) *before* reading; both close the connection, as
+            the unread body would desync keep-alive framing.
             """
-            length_header = self.headers.get("Content-Length")
-            if length_header is None:
-                self._reply(
-                    411,
-                    _dumps(
-                        encode_error(
-                            "Content-Length required", status=411
-                        )
-                    ),
+            coding = self.headers.get("Content-Encoding", "")
+            if coding.strip().lower() not in ("", "identity"):
+                self._refuse(
+                    415,
+                    f"Content-Encoding {coding!r} is not supported; "
+                    "send an identity body",
                     close=True,
                 )
+                return None
+            length_header = self.headers.get("Content-Length")
+            if length_header is None:
+                self._refuse(411, "Content-Length required", close=True)
                 return None
             try:
                 length = int(length_header)
             except ValueError:
-                self._reply(
-                    400,
-                    _dumps(
-                        encode_error("malformed Content-Length", status=400)
-                    ),
-                    close=True,
-                )
+                self._refuse(400, "malformed Content-Length", close=True)
                 return None
             if length > daemon.max_body_bytes:
-                self._reply(
+                self._refuse(
                     413,
-                    _dumps(
-                        encode_error(
-                            f"request body of {length} bytes exceeds "
-                            f"the {daemon.max_body_bytes}-byte cap",
-                            status=413,
-                        )
-                    ),
+                    f"request body of {length} bytes exceeds the "
+                    f"{daemon.max_body_bytes}-byte cap",
                     close=True,
                 )
                 return None
             raw = self.rfile.read(length)
             daemon._count_wire("bytes_in", len(raw))
-            if self.headers.get("Content-Encoding", "").lower() == "gzip":
-                try:
-                    inflated = _gunzip_capped(raw, daemon.max_body_bytes)
-                except WireError as error:
-                    self._reply(
-                        400, _dumps(encode_error(str(error), status=400))
-                    )
-                    return None
-                if inflated is None:
-                    self._reply(
-                        413,
-                        _dumps(
-                            encode_error(
-                                "request body inflates past the "
-                                f"{daemon.max_body_bytes}-byte cap",
-                                status=413,
-                            )
-                        ),
-                        close=True,
-                    )
-                    return None
-                raw = inflated
             try:
                 return json.loads(raw)
             except (ValueError, json.JSONDecodeError):
-                self._reply(
-                    400,
-                    _dumps(encode_error("malformed JSON body", status=400)),
-                )
+                self._refuse(400, "malformed JSON body")
                 return None
 
         # -- routes --------------------------------------------------------
@@ -945,51 +845,38 @@ def _build_handler(daemon: ExperimentDaemon) -> type:
         def _handle_get(self) -> None:
             path = urlsplit(self.path).path.rstrip("/")
             if path == "/healthz":
-                self._reply(200, _dumps(daemon.health()))
+                self._reply(200, [_dumps(daemon.health())])
             elif path == "/stats":
-                self._reply(200, _dumps(daemon.stats()))
+                self._reply(200, [_dumps(daemon.stats())])
             else:
-                self._reply(
-                    404, _dumps(encode_error("no such endpoint", status=404))
-                )
+                self._refuse(404, "no such endpoint")
 
         def _handle_post(self) -> None:
             path = urlsplit(self.path).path.rstrip("/")
             if path not in ("/runs/batch", "/runs/poll"):
                 # Close: the unread body would desync keep-alive framing.
-                self._reply(
-                    404,
-                    _dumps(encode_error("no such endpoint", status=404)),
-                    close=True,
-                )
+                self._refuse(404, "no such endpoint", close=True)
                 return
             payload = self._read_body()
             if payload is None:
                 return
-            encoding = "gzip" if self._wants_gzip() else "identity"
             if path == "/runs/batch":
-                status, body, used = daemon.handle_batch(
-                    payload,
-                    encoding,
-                    campaign=self.headers.get("X-Repro-Campaign"),
+                self._reply(
+                    *daemon.handle_batch(
+                        payload,
+                        campaign=self.headers.get("X-Repro-Campaign"),
+                    )
                 )
-                self._reply(status, body, encoding=used)
                 return
             try:
                 fingerprints, wait_s, detail = decode_poll(payload)
             except WireError as error:
-                self._reply(400, _dumps(encode_error(str(error), status=400)))
+                self._refuse(400, str(error))
                 return
+            lines = daemon.handle_poll(fingerprints, wait_s, detail)
             if wait_s > 0:
-                # Lines go out as runs land, so the stream stays
-                # identity: streamed lines are the cold path, and warm
-                # settlement uses the buffered reply below.
-                self._reply_stream(
-                    daemon.handle_poll(fingerprints, wait_s, detail)
-                )
-                return
-            lines = daemon.handle_poll(fingerprints, 0.0, detail, encoding)
-            self._reply(200, b"".join(lines), encoding=encoding)
+                self._reply_stream(lines)  # lines leave as runs land
+            else:
+                self._reply(200, list(lines))
 
     return Handler
-

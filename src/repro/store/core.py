@@ -17,6 +17,7 @@ from __future__ import annotations
 import os
 import pathlib
 import threading
+from collections import OrderedDict
 
 from repro.sim.results import RunResult
 from repro.store.base import (
@@ -31,6 +32,12 @@ from repro.store.jsonfile import JsonFileBackend
 from repro.store.segment import SegmentBackend
 
 _BACKENDS = {"json": JsonFileBackend, "segment": SegmentBackend}
+
+#: Results a backed store keeps in memory, least recently used out
+#: first; an evicted run resolves from its backend (``source: disk``).
+#: A small-scale week's result takes about 176 KB in memory, so the
+#: layer stays near 180 MB in a daemon that serves for weeks.
+_MEMORY_RESULTS = 1024
 
 
 def open_backend(
@@ -84,6 +91,10 @@ class ResultStore:
         per-file ``json`` layout), ``"json"``, ``"segment"`` -- or an
         already-constructed :class:`~repro.store.base.StoreBackend`.
 
+    A backed store keeps at most :data:`_MEMORY_RESULTS` results in
+    memory; a memory-only store keeps every one, memory being its only
+    copy.
+
     Thread safety: ``put``/``fetch`` may be called from the
     orchestrator's completion callbacks while the submitting thread
     keeps resolving, so the memory layer and counters are
@@ -106,7 +117,7 @@ class ResultStore:
         else:
             self.root = pathlib.Path(root)
             self._backend = open_backend(self.root, backend)
-        self._memory: dict[str, RunResult] = {}
+        self._memory: OrderedDict[str, RunResult] = OrderedDict()
         self._lock = threading.RLock()
         self.hits_memory = 0
         self.hits_disk = 0
@@ -134,6 +145,7 @@ class ResultStore:
         with self._lock:
             cached = self._memory.get(fingerprint)
             if cached is not None:
+                self._memory.move_to_end(fingerprint)
                 self.hits_memory += 1
                 return cached, "memory"
         if self._backend is not None:
@@ -145,7 +157,7 @@ class ResultStore:
             ):
                 result = RunResult.from_dict(payload["result"])
                 with self._lock:
-                    self._memory[fingerprint] = result
+                    self._remember(fingerprint, result)
                     self.hits_disk += 1
                 return result, "disk"
         with self._lock:
@@ -167,7 +179,7 @@ class ResultStore:
         Writes are atomic per backend discipline.
         """
         with self._lock:
-            self._memory[fingerprint] = result
+            self._remember(fingerprint, result)
             self.writes += 1
         if self._backend is None:
             return
@@ -180,6 +192,14 @@ class ResultStore:
         if meta:
             document["meta"] = meta
         self._backend.put(fingerprint, document)
+
+    def _remember(self, fingerprint: str, result: RunResult) -> None:
+        """Keep ``result`` in memory; caller holds the lock."""
+        self._memory[fingerprint] = result
+        self._memory.move_to_end(fingerprint)
+        if self._backend is not None:
+            while len(self._memory) > _MEMORY_RESULTS:
+                self._memory.popitem(last=False)
 
     def documents(self):
         """Every persisted ``(fingerprint, document)`` pair."""

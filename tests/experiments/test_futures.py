@@ -226,11 +226,6 @@ class TestProgress:
         assert snapshots[0][2] is False
         assert snapshots[-1][:2] == (2, 2)
 
-    def test_with_jobs_carries_progress(self):
-        callback = lambda done, total: None  # noqa: E731
-        orchestrator = Orchestrator(jobs=1, progress=callback)
-        assert orchestrator.with_jobs(3).progress is callback
-
 
 class TestRunMeta:
     def test_synthetic_run_has_no_labels(self):

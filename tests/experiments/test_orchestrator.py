@@ -160,6 +160,25 @@ class TestResultStore:
         assert stats["hits_memory"] == 1
         assert stats["writes"] == 1
 
+    def test_backed_memory_layer_is_bounded(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("repro.store.core._MEMORY_RESULTS", 2)
+        result = Orchestrator().run(request()).result
+        backed, memory_only = ResultStore(tmp_path), ResultStore()
+        fingerprints = [f"{index:064x}" for index in range(3)]
+        for store in (backed, memory_only):
+            for fingerprint in fingerprints:
+                store.put(fingerprint, result)
+        # The least recently used result left memory, not the store.
+        assert len(backed) == 2
+        assert backed.fetch(fingerprints[0])[1] == "disk"
+        assert backed.fetch(fingerprints[2])[1] == "memory"
+        assert backed.fetch(fingerprints[1])[1] == "disk"
+        # That memory hit made the second result the most recent.
+        assert backed.fetch(fingerprints[2])[1] == "memory"
+        # Memory is a memory-only store's one copy: it keeps them all.
+        assert len(memory_only) == 3
+        assert memory_only.fetch(fingerprints[0])[1] == "memory"
+
 
 class TestOrchestrator:
     def test_parallel_matches_serial_exactly(self):
@@ -325,16 +344,3 @@ class TestParallelFailureIsolation:
         assert batch[1].fingerprint() in store
         retry = Orchestrator(store=ResultStore(tmp_path)).run(request(1))
         assert retry.source == "disk"
-
-
-class TestWithJobs:
-    def test_same_count_returns_self(self):
-        orchestrator = Orchestrator(jobs=2)
-        assert orchestrator.with_jobs(2) is orchestrator
-
-    def test_new_count_shares_store_and_options(self):
-        orchestrator = Orchestrator(jobs=1, use_store=False)
-        rewrapped = orchestrator.with_jobs(4)
-        assert rewrapped.jobs == 4
-        assert rewrapped.store is orchestrator.store
-        assert rewrapped.use_store is False

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.experiments.orchestrator import Orchestrator, ResultStore
 from repro.experiments.runner import (
     clear_cache,
+    default_orchestrator,
     default_policies,
     run_comparison,
 )
@@ -42,9 +44,33 @@ def test_seed_distinguishes_cache_entries():
 def test_cache_bypass():
     config = scaled_config("tiny").with_horizon(3)
     a = run_comparison(config)
-    b = run_comparison(config, use_cache=False)
+    bypass = Orchestrator(store=default_orchestrator().store, use_store=False)
+    b = run_comparison(config, orchestrator=bypass)
     assert a is not b
+    assert a[0] is not b[0]  # recomputed, not the stored object
     assert a[0].total_grid_cost_eur() == b[0].total_grid_cost_eur()
+
+
+def test_comparison_honours_the_orchestrators_store_setting(monkeypatch):
+    """A warm store behind ``use_store=False`` is recomputed, not read."""
+    config = scaled_config("tiny").with_horizon(2)
+    store = ResultStore()
+    run_comparison(config, orchestrator=Orchestrator(store=store))
+    before = store.stats()
+    bypass = Orchestrator(store=store, use_store=False)
+    artifacts = []
+    run_many = bypass.run_many
+
+    def recording(*args, **kwargs):
+        artifacts.extend(run_many(*args, **kwargs))
+        return artifacts
+
+    monkeypatch.setattr(bypass, "run_many", recording)
+    run_comparison(config, orchestrator=bypass)
+    after = store.stats()
+    assert after["writes"] - before["writes"] == 4
+    assert after["hits_memory"] == before["hits_memory"]
+    assert [artifact.source for artifact in artifacts] == ["computed"] * 4
 
 
 def test_default_policies_order_and_names():
@@ -75,16 +101,12 @@ def test_run_replicated_comparison_shape():
 
 
 def test_jobs_parallel_comparison_identical():
-    from repro.experiments.orchestrator import Orchestrator, ResultStore
-    from repro.experiments.runner import run_comparison
-
     config = scaled_config("tiny").with_horizon(3)
     serial = run_comparison(
         config, orchestrator=Orchestrator(store=ResultStore())
     )
-    parallel = run_comparison(
-        config, jobs=2, orchestrator=Orchestrator(store=ResultStore())
-    )
+    with Orchestrator(store=ResultStore(), jobs=2) as pooled:
+        parallel = run_comparison(config, orchestrator=pooled)
     for a, b in zip(serial, parallel):
         assert a.policy_name == b.policy_name
         assert a.slots == b.slots

@@ -50,9 +50,6 @@ class TestConstruction:
         with pytest.raises(ServiceError, match="cannot reach"):
             client.ping()
 
-    def test_with_jobs_is_identity(self, client):
-        assert client.with_jobs(8) is client
-
 
 class TestSubmission:
     def test_submit_resolves_to_artifact(self, client, tiny_requests):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import socket
+import struct
 import sys
 import threading
 import time
@@ -203,3 +204,29 @@ class TestAbandonedConnections:
         artifacts = client.run_many(tiny_requests[:2])
         assert [a.fingerprint for a in artifacts] == fingerprints
         client.close()
+
+    def test_reply_to_a_reset_peer_is_swallowed(self, daemon):
+        """A reply whose peer is gone is dropped with its buffered bytes:
+        the handler returns instead of raising from its closing flush."""
+        listener = socket.create_server(("127.0.0.1", 0))
+        peer = socket.create_connection(listener.getsockname())
+        conn, address = listener.accept()
+        body = json.dumps(encode_poll(["0" * 64])).encode()
+        peer.sendall(
+            b"POST /runs/poll HTTP/1.1\r\nHost: t\r\n"
+            + f"Content-Length: {len(body)}\r\n\r\n".encode()
+            + body
+        )
+        # Close with a reset, so the reply's first send fails.
+        peer.setsockopt(
+            socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+        )
+        peer.close()
+        try:
+            daemon._server.RequestHandlerClass(
+                conn, address, daemon._server
+            )
+        finally:
+            conn.close()
+            listener.close()
+        assert daemon.stats()["requests"] == 1

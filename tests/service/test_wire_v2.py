@@ -1,12 +1,13 @@
-"""Wire v2: gzip, batching, projections, hardening."""
+"""Wire v2: identity coding, batching, projections, hardening."""
 
 from __future__ import annotations
 
-import gzip
 import http.client
 import json
 import socket
 import time
+
+import pytest
 
 from repro.experiments.orchestrator import Orchestrator, ResultStore
 from repro.service import ServiceClient
@@ -37,92 +38,49 @@ def warm(daemon, requests):
         client.run_many(requests)
 
 
-class TestGzip:
-    def test_response_gzip_negotiation_round_trips(
-        self, daemon, tiny_requests
-    ):
+class TestIdentityWire:
+    """Bodies travel in HTTP's identity coding, both ways."""
+
+    @pytest.mark.parametrize("path", ["/runs/batch", "/runs/poll"])
+    def test_coded_request_body_gets_415(self, daemon, path):
+        """A gzip body is refused before it is read: its 415 arrives
+        though the declared body is never sent, and the daemon closes
+        the connection (EOF, not the 120 s idle reaper)."""
+        sock = socket.create_connection(daemon.address, timeout=10)
+        try:
+            sock.sendall(
+                f"POST {path} HTTP/1.1\r\nHost: t\r\n".encode()
+                + b"Content-Type: application/json\r\n"
+                b"Content-Encoding: gzip\r\n"
+                b"Content-Length: 4096\r\n\r\n"
+            )
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+        finally:
+            sock.close()
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert b" 415 " in head.partition(b"\r\n")[0]
+        assert b"connection: close" in head.lower()
+        assert "Content-Encoding" in json.loads(body)["error"]
+        assert daemon.stats()["wire"]["bytes_in"] == 0
+
+    def test_accept_encoding_gzip_is_ignored(self, daemon, tiny_requests):
         request = tiny_requests[0]
         warm(daemon, [request])
         body = json.dumps(encode_poll([request.fingerprint()])).encode()
         plain = {"Content-Type": "application/json"}
-        status, headers, identity = raw(
-            daemon.address, "POST", "/runs/poll", body=body, headers=plain
-        )
-        assert status == 200
-        assert "Content-Encoding" not in headers
-        status, headers, compressed = raw(
-            daemon.address, "POST", "/runs/poll", body=body,
-            headers={**plain, "Accept-Encoding": "gzip"},
-        )
-        assert status == 200
-        assert headers.get("Content-Encoding") == "gzip"
-        assert len(compressed) < len(identity)
-        assert json.loads(gzip.decompress(compressed)) == (
-            json.loads(identity)
-        )
-
-    def test_gzip_request_body_accepted(self, daemon, tiny_requests):
-        request = tiny_requests[0]
-        body = json.dumps(encode_batch([encode_request(request)])).encode()
-        status, _, data = raw(
-            daemon.address, "POST", "/runs/batch",
-            body=gzip.compress(body),
-            headers={
-                "Content-Type": "application/json",
-                "Content-Encoding": "gzip",
-            },
-        )
-        assert status == 200
-        line = json.loads(data.splitlines()[0])
-        assert line["kind"] in ("pending", "run_artifact")
-        assert line["fingerprint"] == request.fingerprint()
-        # Drain so teardown does not race the launched run.
-        _, (line,) = poll(daemon.url, [request.fingerprint()], wait=60)
-        assert line["kind"] == "run_artifact"
-
-    def test_batch_poll_concatenates_gzip_members(
-        self, daemon, tiny_requests
-    ):
-        """A gzip poll body is cached members stitched, not re-zipped."""
-        requests = tiny_requests[:2]
-        warm(daemon, requests)
-        fingerprints = [r.fingerprint() for r in requests]
-        body = json.dumps(encode_poll(fingerprints)).encode()
-        status, headers, compressed = raw(
-            daemon.address, "POST", "/runs/poll",
-            body=body,
-            headers={
-                "Content-Type": "application/json",
-                "Accept-Encoding": "gzip",
-            },
-        )
-        assert status == 200
-        assert headers.get("Content-Encoding") == "gzip"
-        # Multi-member stream: decompress yields every line.
-        lines = [
-            json.loads(line)
-            for line in gzip.decompress(compressed).splitlines()
-            if line.strip()
+        replies = [
+            raw(daemon.address, "POST", "/runs/poll", body=body, headers=h)
+            for h in (plain, {**plain, "Accept-Encoding": "gzip"})
         ]
-        assert [line["fingerprint"] for line in lines] == fingerprints
-        assert {line["kind"] for line in lines} == {"run_artifact"}
-
-    def test_compressed_and_identity_clients_agree(
-        self, daemon_factory, tiny_requests
-    ):
-        daemon = daemon_factory()
-        with ServiceClient(daemon.url, compress=False) as plain:
-            identity = plain.run_many(tiny_requests)
-        with ServiceClient(daemon.url, compress=True) as zipped:
-            compressed = zipped.run_many(tiny_requests)
-        for a, b in zip(identity, compressed):
-            assert a.fingerprint == b.fingerprint
-            assert json.dumps(a.result.to_dict(), sort_keys=True) == (
-                json.dumps(b.result.to_dict(), sort_keys=True)
-            )
-        wire = get(daemon.url, "/stats")[1]["wire"]
-        assert wire["responses_gzip"] >= 1
-        assert wire["responses_identity"] >= 1
+        for status, headers, _ in replies:
+            assert status == 200
+            assert "Content-Encoding" not in headers
+        (line,) = [json.loads(text) for text in replies[1][2].splitlines()]
+        assert line["kind"] == "run_artifact"
+        assert line["fingerprint"] == request.fingerprint()
+        assert replies[1][2] == replies[0][2]
 
 
 class TestDetailProjection:
@@ -172,10 +130,11 @@ class TestDetailProjection:
 
     def test_headline_lazily_upgrades_to_full(self, daemon, tiny_requests):
         request = tiny_requests[0]
-        with ServiceClient(daemon.url, detail="headline") as client:
-            full = client.run(request, detail="full").result
-            head = client.run(request).result  # client default: headline
+        with ServiceClient(daemon.url) as client:
+            full = client.run(request).result  # no detail named: full
+            head = client.run(request, detail="headline").result
             assert isinstance(head, HeadlineResult)
+            assert not isinstance(full, HeadlineResult)
             # Anything beyond the headline block fetches the full
             # ledger over the wire, transparently.
             assert head.to_dict() == full.to_dict()
@@ -330,12 +289,14 @@ class TestBatchEndpoints:
             )
 
         one_poll = (1, True, 0)  # a GET posts no body
-        with ServiceClient(daemon.url, detail="headline") as client:
+        with ServiceClient(daemon.url) as client:
             assert cost(
                 lambda: client.lookup(request, request.fingerprint())
             ) == one_poll
             runs = []
-            assert cost(lambda: runs.append(client.run(request))) == one_poll
+            assert cost(
+                lambda: runs.append(client.run(request, detail="headline"))
+            ) == one_poll
             head = runs[0].result
             assert isinstance(head, HeadlineResult)
             assert cost(head.full) == one_poll
@@ -364,20 +325,25 @@ class TestRequestCaps:
             sock.close()
         assert " 411 " in reply.partition("\r\n")[0]
 
-    def test_gzip_bomb_capped_on_inflated_size(self, daemon_factory):
-        daemon = daemon_factory(max_body_bytes=2048)
-        bomb = gzip.compress(b"0" * 1_000_000)  # ~1KB compressed
-        assert len(bomb) <= 2048
-        status, _, data = raw(
-            daemon.address, "POST", "/runs/batch",
-            body=bomb,
-            headers={
-                "Content-Type": "application/json",
-                "Content-Encoding": "gzip",
-            },
-        )
-        assert status == 413
-        assert "inflates" in json.loads(data)["error"]
+    def test_interim_100_continue_precedes_the_body(self, daemon):
+        """A client that sends ``Expect: 100-continue`` holds its body
+        back until the interim reply arrives; it must not sit in the
+        daemon's write buffer."""
+        body = json.dumps(encode_poll(["0" * 64])).encode()
+        sock = socket.create_connection(daemon.address, timeout=10)
+        try:
+            sock.sendall(
+                b"POST /runs/poll HTTP/1.1\r\nHost: t\r\n"
+                b"Expect: 100-continue\r\n"
+                + f"Content-Length: {len(body)}\r\n\r\n".encode()
+            )
+            interim = sock.recv(65536)
+            sock.sendall(body)
+            reply = sock.recv(65536)
+        finally:
+            sock.close()
+        assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+        assert reply.startswith(b"HTTP/1.1 200 ")
 
     def test_batch_endpoint_shares_the_cap(self, daemon_factory):
         daemon = daemon_factory(max_body_bytes=2048)

@@ -26,6 +26,9 @@
 #                      four audited policies, each lockstep sub-group
 #                      computing each demand row once, wall time and
 #                      peak memory -> BENCH_paper_smoke.json)
+#   make leak-check  - the service and store tests under -X dev, with
+#                      every ResourceWarning (an unclosed file or
+#                      socket) an error
 #   make service-drill - one daemon, two fresh campaigns of the mini
 #                      suite: the cold one executes 4 runs, the warm
 #                      one 0, and their outputs diff clean
@@ -33,10 +36,18 @@
 
 PYTEST := PYTHONPATH=src python -m pytest
 
-.PHONY: test bench-smoke bench store-compact-nightly service-drill
+.PHONY: test bench-smoke bench store-compact-nightly service-drill leak-check
 
 test:
 	$(PYTEST) -x -q
+
+# Nightly: a file or socket left open past its owner's life fails the
+# test that leaked it (its warning surfaces in a destructor, hence the
+# second filter).
+leak-check:
+	PYTHONPATH=src python -X dev -m pytest -q tests/service tests/store \
+		-W error::ResourceWarning \
+		-W error::pytest.PytestUnraisableExceptionWarning
 
 # NOTE: -k matches whole node ids (module names included), so keywords
 # must not appear in every bench_* filename or the filter is a no-op.

@@ -19,17 +19,18 @@ policy x seed)* simulation runs.  This module owns that evaluation:
   the misses of a batch as lockstep groups -- the runs that share a
   workload materialization key advance slot by slot on one
   :class:`~repro.workload.materialize.WorkloadMaterialization` --
-  inline or as tasks of a persistent ``ProcessPoolExecutor``.  The
-  primitive is :meth:`Orchestrator.submit`, which returns a
-  :class:`RunFuture`;
-  :meth:`Orchestrator.as_resolved` streams artifacts back in
-  *completion* order, so callers can render progress and chain
-  dependent analyses (LP bounds, report rows) while later misses are
-  still simulating.  :meth:`Orchestrator.run_many` is a thin
-  submit-all/await-all wrapper that preserves request order.  Runs are
-  deterministic per request, so parallel, streamed and serial
-  execution produce identical :class:`~repro.sim.results.RunResult`
-  ledgers.
+  inline or as tasks of a persistent ``ProcessPoolExecutor``.
+* :class:`ConsumerSurface` is the surface every analysis calls, shared
+  with :class:`~repro.service.client.ServiceClient`.  The primitive is
+  :meth:`~ConsumerSurface.submit_many`, which returns
+  :class:`RunFuture` handles; :meth:`~ConsumerSurface.as_resolved`
+  streams artifacts back in *completion* order, so callers can render
+  progress and chain dependent analyses (LP bounds, report rows) while
+  later misses are still simulating.
+  :meth:`~ConsumerSurface.run_many` is a thin submit-all/await-all
+  wrapper that preserves request order.  Runs are deterministic per
+  request, so parallel, streamed and serial execution produce
+  identical :class:`~repro.sim.results.RunResult` ledgers.
 
 Cache-invalidation (fingerprint) rules
 --------------------------------------
@@ -85,6 +86,7 @@ from repro.workload.packs import TracePack
 from repro.workload.shm import SharedPackStub, SharedWorkloadPublisher
 
 __all__ = [
+    "ConsumerSurface",
     "EngineOptions",
     "Orchestrator",
     "ResultStore",
@@ -415,7 +417,176 @@ def _execute_group(task: _GroupTask) -> tuple[list[tuple], dict]:
     return runs, counters
 
 
-class Orchestrator:
+class ConsumerSurface:
+    """The methods an analysis calls on its ``orchestrator=`` argument.
+
+    :class:`Orchestrator` serves them in-process and
+    :class:`~repro.service.client.ServiceClient` against a daemon.
+    This class holds their shared bookkeeping: dedup by fingerprint,
+    futures aligned with the request order, progress per resolved run,
+    and run_many's rule that every survivor settles before the first
+    error re-raises.  A subclass sets ``use_store`` and ``progress``
+    and supplies what differs, besides ``lookup``, ``with_meta`` and
+    ``close``:
+
+    * ``_warm(fresh, detail)``: the futures of runs that need no
+      launch -- stored, or (over the wire) already running;
+    * ``_launch(misses, use_store, detail)``: futures for the rest,
+      aligned with the ``(request, fingerprint)`` pairs given;
+    * ``_landed(pending, timeout)``: await completions, yielding each
+      fingerprint of ``pending`` once, as it lands.
+
+    ``detail`` (``full`` or ``headline``) names the projection a
+    service client fetches over the wire; in-process the result
+    already sits in local memory, so it is ignored.
+    """
+
+    use_store: bool
+    progress: Callable[[int, int], None] | None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def submit(
+        self,
+        request: RunRequest,
+        use_store: bool | None = None,
+        detail: str | None = None,
+    ) -> RunFuture:
+        """Resolve one request asynchronously: the batch of one
+        (:meth:`submit_many`).
+
+        A stored run returns an already-resolved future.  An in-process
+        miss runs as a lockstep group of one; with ``jobs == 1`` it
+        executes inline, so its future is resolved too (a failed run's
+        future holds its error).
+        """
+        return self.submit_many(
+            [request], use_store=use_store, detail=detail
+        )[0]
+
+    def submit_many(
+        self,
+        requests: Sequence[RunRequest],
+        use_store: bool | None = None,
+        detail: str | None = None,
+    ) -> list[RunFuture]:
+        """Submit a batch; duplicates share one future (simulated once).
+
+        Stored runs resolve at once and runs already in flight share
+        their future; the rest launch together, so the runs of one
+        workload advance as one lockstep group.  The returned futures
+        always align with ``requests``.  ``use_store=False`` skips the
+        lookup (every request simulates) but still records results;
+        ``None`` defers to this consumer's default.
+        """
+        if use_store is None:
+            use_store = self.use_store
+        fresh: dict[str, RunRequest] = {}
+        for request in requests:
+            fresh.setdefault(request.fingerprint(), request)
+        futures = self._warm(fresh, detail) if use_store else {}
+        misses = [
+            (request, fingerprint)
+            for fingerprint, request in fresh.items()
+            if fingerprint not in futures
+        ]
+        for future in self._launch(misses, use_store, detail):
+            futures[future.fingerprint] = future
+        return [futures[request.fingerprint()] for request in requests]
+
+    def _notify(self, done: int, total: int) -> None:
+        if self.progress is not None:
+            self.progress(done, total)
+
+    def as_done(
+        self, futures: Iterable[RunFuture], timeout: float | None = None
+    ) -> Iterator[RunFuture]:
+        """Yield unique futures as they resolve, firing progress.
+
+        Already-resolved futures (store hits, serial runs) come first;
+        pending ones follow in completion order, every future of a
+        fingerprint when that fingerprint lands (two ``submit`` calls
+        of one request give two futures and both yield).  The shared
+        loop behind :meth:`as_resolved` and :meth:`run_many` (which
+        differ only in error handling) -- and the primitive for
+        consumers that chain per-run analyses and need the *future*
+        (its ``request``, or its position in a batch) rather than just
+        the artifact.
+        """
+        unique = list(dict.fromkeys(futures))
+        total = len(unique)
+        done = 0
+        pending: dict[str, list[RunFuture]] = {}
+        for future in unique:
+            if future.done():
+                done += 1
+                self._notify(done, total)
+                yield future
+            else:
+                pending.setdefault(future.fingerprint, []).append(future)
+        for fingerprint in self._landed(pending, timeout):
+            for future in pending.pop(fingerprint):
+                done += 1
+                self._notify(done, total)
+                yield future
+
+    def as_resolved(
+        self, futures: Iterable[RunFuture], timeout: float | None = None
+    ) -> Iterator[RunArtifact]:
+        """Yield artifacts in *completion* order as runs finish.
+
+        Already-resolved futures come first; pending runs follow as
+        they land, while later ones keep executing -- the streaming
+        primitive behind CLI progress and barrier-free dependent
+        analyses.  Duplicate futures yield once.  A failed run raises
+        at its position in the stream.
+        """
+        for future in self.as_done(futures, timeout=timeout):
+            yield future.result()
+
+    def run(
+        self,
+        request: RunRequest,
+        use_store: bool | None = None,
+        detail: str | None = None,
+    ) -> RunArtifact:
+        """Resolve one request, blocking (store lookup, else simulate)."""
+        return self.submit(
+            request, use_store=use_store, detail=detail
+        ).result()
+
+    def run_many(
+        self,
+        requests: Sequence[RunRequest],
+        use_store: bool | None = None,
+        detail: str | None = None,
+    ) -> list[RunArtifact]:
+        """Resolve a batch of requests, preserving order.
+
+        A thin wrapper over :meth:`submit_many`: duplicate
+        fingerprints simulate once, and completions stream into the
+        store as they land.  When a run fails, every surviving
+        completion is still persisted (and counted toward progress)
+        before the first error re-raises.
+        """
+        futures = self.submit_many(
+            requests, use_store=use_store, detail=detail
+        )
+        first_error: BaseException | None = None
+        for future in self.as_done(futures):
+            error = future.exception()
+            if error is not None:
+                first_error = first_error or error
+        if first_error is not None:
+            raise first_error
+        return [future.result() for future in futures]
+
+
+class Orchestrator(ConsumerSurface):
     """Resolves run requests against a store, running misses in groups.
 
     Parameters
@@ -526,35 +697,7 @@ class Orchestrator:
             self._publisher.close()
             self._publisher = None
 
-    def __enter__(self) -> "Orchestrator":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    # -- the futures API ---------------------------------------------------
-
-    def submit(
-        self,
-        request: RunRequest,
-        use_store: bool | None = None,
-        detail: str | None = None,
-    ) -> RunFuture:
-        """Resolve one request asynchronously: the batch of one
-        (:meth:`submit_many`).
-
-        A store hit returns an already-resolved future; a miss runs as
-        a lockstep group of one.  With ``jobs == 1`` the miss executes
-        inline, so the returned future is already resolved (a failed
-        run's future holds its error).
-
-        ``detail`` is accepted for interface parity with
-        :class:`~repro.service.client.ServiceClient` (where
-        ``headline`` trims the wire payload) and ignored here: the
-        result already sits in local memory, so there is nothing to
-        project away.
-        """
-        return self.submit_many([request], use_store=use_store)[0]
+    # -- where runs come from ---------------------------------------------
 
     def lookup(
         self, request: RunRequest, fingerprint: str
@@ -742,129 +885,39 @@ class Orchestrator:
             with self._lock:
                 self._inflight.pop(future.fingerprint, None)
 
-    def submit_many(
+    # -- the consumer hooks ------------------------------------------------
+
+    def _warm(
+        self, fresh: dict[str, RunRequest], detail: str | None
+    ) -> dict[str, RunFuture]:
+        """Store hits, resolved (``detail`` is moot: results are local)."""
+        found = {}
+        for fingerprint, request in fresh.items():
+            hit = self.lookup(request, fingerprint)
+            if hit is not None:
+                found[fingerprint] = hit
+        return found
+
+    def _launch(
         self,
-        requests: Sequence[RunRequest],
-        use_store: bool | None = None,
-        detail: str | None = None,
+        misses: list[tuple[RunRequest, str]],
+        use_store: bool,
+        detail: str | None,
     ) -> list[RunFuture]:
-        """Submit a batch; duplicates share one future (simulated once).
+        """The misses as lockstep groups (:meth:`launch_many`)."""
+        return self.launch_many(misses)
 
-        Store hits resolve at once; the misses run as lockstep groups
-        (:meth:`launch_many`), one per materialization key.  The
-        returned futures always align with ``requests``.
+    def _landed(
+        self, pending: dict[str, list[RunFuture]], timeout: float | None
+    ) -> Iterator[str]:
+        """Fingerprints in completion order.
 
-        ``detail`` is accepted for service-client parity and ignored
-        in-process (see :meth:`submit`).
+        A fingerprint's pending futures share one underlying future:
+        :meth:`launch_many` dedups against in-flight work.
         """
-        if use_store is None:
-            use_store = self.use_store
-        futures: dict[str, RunFuture | None] = {}
-        misses = []
-        for request in requests:
-            fingerprint = request.fingerprint()
-            if fingerprint in futures:
-                continue
-            hit = self.lookup(request, fingerprint) if use_store else None
-            futures[fingerprint] = hit
-            if hit is None:
-                misses.append((request, fingerprint))
-        for future in self.launch_many(misses):
-            futures[future.fingerprint] = future
-        return [futures[request.fingerprint()] for request in requests]
-
-    def _notify(self, done: int, total: int) -> None:
-        if self.progress is not None:
-            self.progress(done, total)
-
-    @staticmethod
-    def _unique(futures: Iterable[RunFuture]) -> list[RunFuture]:
-        return list(dict.fromkeys(futures))
-
-    def as_done(
-        self, futures: Iterable[RunFuture], timeout: float | None = None
-    ) -> Iterator[RunFuture]:
-        """Yield unique futures as they resolve, firing progress.
-
-        Already-resolved futures (store hits, serial runs) come first;
-        pending misses follow in completion order.  The shared loop
-        behind :meth:`as_resolved` and :meth:`run_many` (which differ
-        only in error handling) -- and the primitive for consumers
-        that chain per-run analyses and need the *future* (its
-        ``request``, or its position in a batch) rather than just the
-        artifact.
-        """
-        unique = self._unique(futures)
-        total = len(unique)
-        done = 0
-        pending: dict[Future, RunFuture] = {}
-        for future in unique:
-            if future.done():
-                done += 1
-                self._notify(done, total)
-                yield future
-            else:
-                pending[future._future] = future
-        for resolved in as_completed(pending, timeout=timeout):
-            done += 1
-            self._notify(done, total)
-            yield pending[resolved]
-
-    def as_resolved(
-        self, futures: Iterable[RunFuture], timeout: float | None = None
-    ) -> Iterator[RunArtifact]:
-        """Yield artifacts in *completion* order as workers finish.
-
-        Already-resolved futures (store hits, serial runs) come first;
-        pending misses follow as they land, while later misses keep
-        executing -- the streaming primitive behind CLI progress and
-        barrier-free dependent analyses.  Duplicate futures yield
-        once.  A failed run raises at its position in the stream.
-        """
-        for future in self.as_done(futures, timeout=timeout):
-            yield future.result()
-
-    # -- batch conveniences ------------------------------------------------
-
-    def run(
-        self,
-        request: RunRequest,
-        use_store: bool | None = None,
-        detail: str | None = None,
-    ) -> RunArtifact:
-        """Resolve one request (store lookup, else simulate + record)."""
-        return self.submit(request, use_store=use_store).result()
-
-    def run_many(
-        self,
-        requests: Sequence[RunRequest],
-        use_store: bool | None = None,
-        detail: str | None = None,
-    ) -> list[RunArtifact]:
-        """Resolve a batch of requests, preserving order.
-
-        A thin wrapper over :meth:`submit_many`: duplicate
-        fingerprints simulate once, misses run in parallel when
-        ``jobs > 1`` and stream into the store as they complete.  When
-        a run fails, every surviving completion is still persisted
-        (and counted toward progress) before the first error
-        re-raises.  ``use_store=False`` skips the lookup (every
-        request simulates) but still records results; ``None`` defers
-        to the orchestrator's default.  ``detail`` is accepted for
-        service-client parity and ignored in-process.
-        """
-        futures = self.submit_many(
-            requests, use_store=use_store, detail=detail
-        )
-        first_error: BaseException | None = None
-        for future in self.as_done(futures):
-            error = future.exception()
-            if error is not None:
-                first_error = first_error or error
-        if first_error is not None:
-            raise first_error
-        return [future.result() for future in futures]
-
+        waiting = {group[0]._future: fp for fp, group in pending.items()}
+        for landed in as_completed(waiting, timeout=timeout):
+            yield waiting[landed]
 
 def grid_requests(
     configs: Iterable[ExperimentConfig],

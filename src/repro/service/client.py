@@ -1,14 +1,17 @@
 """Drop-in orchestrator client for a remote experiment daemon.
 
-:class:`ServiceClient` implements the
-:class:`~repro.experiments.orchestrator.Orchestrator` consumer surface
--- ``submit`` / ``submit_many`` / ``as_done`` / ``as_resolved`` /
-``run`` / ``run_many`` / ``lookup`` -- against an
+:class:`ServiceClient` serves the consumer surface of
+:class:`~repro.experiments.orchestrator.ConsumerSurface` --
+``submit`` / ``submit_many`` / ``as_done`` / ``as_resolved`` /
+``run`` / ``run_many`` plus ``lookup`` -- against an
 :class:`~repro.service.server.ExperimentDaemon` URL, so every analysis
 that takes an ``orchestrator=`` parameter (``runner``, ``scenarios``,
 ``pareto``, ``sensitivity``, ``lower_bound``) runs remotely with zero
 changes to its logic: the CLI's ``--service URL`` path is exactly
-``orchestrator=ServiceClient(url)``.
+``orchestrator=ServiceClient(url)``.  The surface's bookkeeping
+(dedup, request-aligned futures, progress, error order) is the
+in-process orchestrator's own, inherited; this module supplies where a
+warm run is found, how misses launch and how completions are awaited.
 
 Resolution model
 ----------------
@@ -23,8 +26,8 @@ one-request ``submit_many``.  Store hits resolve their futures
 immediately; the rest stay pending and resolve two ways, whichever
 happens first:
 
-* :meth:`as_done` / :meth:`as_resolved` poll with ``wait>0`` and
-  resolve futures as artifact lines stream in, in completion order;
+* ``as_done`` / ``as_resolved`` poll with ``wait>0`` and resolve
+  futures as artifact lines stream in, in completion order;
 * :meth:`RunFuture.result` on an individual pending future polls its
   one fingerprint the same way.
 
@@ -44,15 +47,11 @@ consumer asks for something beyond the headline block.
 Every failure to reach the daemon or to get a protocol answer from it
 raises :class:`ServiceError` (the CLI maps it to a clean nonzero
 exit); a run that *failed on the daemon* raises a
-:class:`ServiceRunError` carrying the daemon-side message.  A request
-that dies on a stale keep-alive socket (the daemon closes idle
-connections server-side) is retried once on a fresh connection before
-any error surfaces.
-
-The HTTP plumbing lives in :class:`HttpTransport` -- per-thread
-keep-alive connections, the stale-socket retry and line-by-line JSONL
-parsing -- so the client itself holds only the orchestrator-surface
-semantics (envelopes, futures).
+:class:`ServiceRunError` carrying the daemon-side message.  Each
+calling thread keeps its own keep-alive connection (``http.client``
+connections are not thread-safe); a request that dies on a stale one
+(the daemon closes idle connections server-side) is retried once on a
+fresh connection before any error surfaces.
 """
 
 from __future__ import annotations
@@ -63,10 +62,11 @@ import socket
 import threading
 import time
 from concurrent.futures import Future
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator
 from urllib.parse import urlsplit
 
 from repro.experiments.orchestrator import (
+    ConsumerSurface,
     RunArtifact,
     RunFuture,
     RunRequest,
@@ -74,7 +74,6 @@ from repro.experiments.orchestrator import (
 )
 from repro.service.protocol import (
     WireError,
-    check_detail,
     decode_artifact,
     encode_batch,
     encode_poll,
@@ -83,7 +82,6 @@ from repro.service.protocol import (
 from repro.sim.results import RunResult
 
 __all__ = [
-    "HttpTransport",
     "ServiceClient",
     "ServiceError",
     "ServiceRunError",
@@ -127,115 +125,7 @@ class ServiceRunError(RuntimeError):
     """A run failed on the daemon; carries the daemon-side message."""
 
 
-class HttpTransport:
-    """Per-thread keep-alive HTTP plumbing for one daemon.
-
-    One instance per daemon URL; each calling thread gets its own
-    keep-alive connection (``http.client`` connections are not
-    thread-safe), created lazily with TCP_NODELAY and torn down via
-    :meth:`close`.  Handles the stale-socket retry and JSONL parsing;
-    everything protocol-level (envelopes, futures) stays in
-    :class:`ServiceClient`.
-    """
-
-    def __init__(self, host: str, port: int, timeout_s: float) -> None:
-        self.host = host
-        self.port = port
-        self.url = f"http://{host}:{port}"
-        self.timeout_s = timeout_s
-        # Merged into every request's headers; the campaign driver
-        # plants ``X-Repro-Campaign`` here so the daemon can count
-        # per-campaign submissions.
-        self.extra_headers: dict[str, str] = {}
-        self._local = threading.local()
-
-    def _connection(self, timeout_s: float) -> http.client.HTTPConnection:
-        connection = getattr(self._local, "connection", None)
-        if connection is None:
-            connection = http.client.HTTPConnection(
-                self.host, self.port, timeout=timeout_s
-            )
-            connection.connect()
-            # Requests go out as two sends (headers, body); see the
-            # server handler's disable_nagle_algorithm note.
-            connection.sock.setsockopt(
-                socket.IPPROTO_TCP, socket.TCP_NODELAY, 1
-            )
-            self._local.connection = connection
-        else:
-            connection.timeout = timeout_s
-            if connection.sock is not None:
-                connection.sock.settimeout(timeout_s)
-        return connection
-
-    def close(self) -> None:
-        """Drop the calling thread's keep-alive connection."""
-        connection = getattr(self._local, "connection", None)
-        if connection is not None:
-            connection.close()
-            self._local.connection = None
-
-    def request(
-        self,
-        method: str,
-        path: str,
-        body: bytes | None = None,
-        timeout_s: float | None = None,
-        stream: bool = False,
-        jsonl: bool = False,
-    ):
-        """One HTTP exchange; returns ``(status, response)``.
-
-        Keep-alive connections are reused per thread; a request that
-        dies on a stale socket is retried once on a fresh one.
-        Returns the live response object when ``stream`` (caller
-        reads/closes); a ``(status, [payload, ...])`` list of parsed
-        JSON lines when ``jsonl``, parsed as each line is read; else
-        ``(status, parsed payload)``.  Connection-level failures raise
-        :class:`ServiceError`.
-        """
-        timeout_s = self.timeout_s if timeout_s is None else timeout_s
-        headers = {"Content-Type": "application/json", **self.extra_headers}
-        for attempt in (0, 1):
-            try:
-                connection = self._connection(timeout_s)
-                connection.request(method, path, body=body, headers=headers)
-                response = connection.getresponse()
-                if stream:
-                    return response.status, response
-                if jsonl:
-                    payload = [
-                        json.loads(line) for line in response if line.strip()
-                    ]
-                    # Lines stop at Content-Length without finishing the
-                    # exchange; only a read to EOF frees the keep-alive
-                    # connection for the next request.
-                    response.read()
-                else:
-                    payload = json.loads(response.read())
-                if response.will_close:
-                    self.close()
-                return response.status, payload
-            except (
-                http.client.HTTPException,
-                ConnectionError,
-                TimeoutError,
-                OSError,
-                json.JSONDecodeError,
-            ) as error:
-                self.close()
-                if attempt == 0 and isinstance(
-                    error, _STALE_SOCKET_ERRORS
-                ):
-                    continue  # stale keep-alive socket; retry once
-                raise ServiceError(
-                    f"cannot reach experiment service at {self.url}: "
-                    f"{type(error).__name__}: {error}"
-                ) from None
-        raise AssertionError("unreachable")
-
-
-class ServiceClient:
+class ServiceClient(ConsumerSurface):
     """Resolve run requests against a remote experiment daemon.
 
     Parameters
@@ -285,14 +175,41 @@ class ServiceClient:
         self.use_store = use_store
         self.progress = progress
         self.timeout_s = timeout_s
-        self._transport = HttpTransport(self.host, self.port, timeout_s)
+        # Sent with every request; with_meta adds X-Repro-Campaign.
+        self._headers = {"Content-Type": "application/json"}
+        self._local = threading.local()
         self._lock = threading.Lock()
+        # Every thread's connection opened since the last close().
+        self._connections: set[http.client.HTTPConnection] = set()
         self._pending: dict[str, Future] = {}
 
     # -- HTTP plumbing -----------------------------------------------------
 
+    def _connection(self, timeout_s: float) -> http.client.HTTPConnection:
+        """The calling thread's keep-alive connection, (re)opened lazily."""
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = http.client.HTTPConnection(self.host, self.port)
+            self._local.connection = connection
+        connection.timeout = timeout_s
+        if connection.sock is None:
+            connection.connect()
+            # Requests go out as two sends (headers, body); see the
+            # server handler's disable_nagle_algorithm note.
+            connection.sock.setsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY, 1
+            )
+            with self._lock:
+                self._connections.add(connection)
+        else:
+            connection.sock.settimeout(timeout_s)
+        return connection
+
     def _drop_connection(self) -> None:
-        self._transport.close()
+        """Close this thread's connection; its next request reopens it."""
+        connection = getattr(self._local, "connection", None)
+        if connection is not None:
+            connection.close()
 
     def _request(
         self,
@@ -303,15 +220,56 @@ class ServiceClient:
         stream: bool = False,
         jsonl: bool = False,
     ):
-        """One HTTP exchange via the transport; see its docstring."""
-        return self._transport.request(
-            method,
-            path,
-            body=body,
-            timeout_s=timeout_s,
-            stream=stream,
-            jsonl=jsonl,
-        )
+        """One HTTP exchange; returns ``(status, response)``.
+
+        Keep-alive connections are reused per thread; a request that
+        dies on a stale socket is retried once on a fresh one.
+        Returns the live response object when ``stream`` (caller
+        reads/closes); a ``(status, [payload, ...])`` list of parsed
+        JSON lines when ``jsonl``, parsed as each line is read; else
+        ``(status, parsed payload)``.  Connection-level failures raise
+        :class:`ServiceError`.
+        """
+        timeout_s = self.timeout_s if timeout_s is None else timeout_s
+        for attempt in (0, 1):
+            try:
+                connection = self._connection(timeout_s)
+                connection.request(
+                    method, path, body=body, headers=self._headers
+                )
+                response = connection.getresponse()
+                if stream:
+                    return response.status, response
+                if jsonl:
+                    payload = [
+                        json.loads(line) for line in response if line.strip()
+                    ]
+                    # Lines stop at Content-Length without finishing the
+                    # exchange; only a read to EOF frees the keep-alive
+                    # connection for the next request.
+                    response.read()
+                else:
+                    payload = json.loads(response.read())
+                if response.will_close:
+                    self._drop_connection()
+                return response.status, payload
+            except (
+                http.client.HTTPException,
+                ConnectionError,
+                TimeoutError,
+                OSError,
+                json.JSONDecodeError,
+            ) as error:
+                self._drop_connection()
+                if attempt == 0 and isinstance(
+                    error, _STALE_SOCKET_ERRORS
+                ):
+                    continue  # stale keep-alive socket; retry once
+                raise ServiceError(
+                    f"cannot reach experiment service at {self.url}: "
+                    f"{type(error).__name__}: {error}"
+                ) from None
+        raise AssertionError("unreachable")
 
     def ping(self) -> dict:
         """``GET /healthz``; raises :class:`ServiceError` if down."""
@@ -371,7 +329,7 @@ class ServiceClient:
             )
 
     def _poll(
-        self, fingerprints: list[str], wait_s: float, detail: str
+        self, fingerprints: list[str], wait_s: float, detail: str | None
     ) -> Iterator[dict]:
         """``POST /runs/poll`` in chunks; yields every reply line.
 
@@ -405,307 +363,6 @@ class ServiceClient:
                 )
             yield from payloads
 
-    def _await(
-        self,
-        fingerprint: str,
-        timeout: float | None,
-        detail: str = "full",
-    ) -> None:
-        """Poll one fingerprint until it settles (or times out)."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            with self._lock:
-                if fingerprint not in self._pending:
-                    return  # settled by a concurrent stream/poll
-            wait_s = _POLL_WAIT_S
-            if deadline is not None:
-                wait_s = min(wait_s, deadline - time.monotonic())
-                if wait_s <= 0:
-                    raise TimeoutError(
-                        f"run {fingerprint[:12]}... still pending"
-                    )
-            for payload in self._poll([fingerprint], wait_s, detail):
-                if payload.get("kind") != "pending":
-                    self._settle(fingerprint, payload)
-                    return
-
-    # -- the orchestrator surface ------------------------------------------
-
-    def with_meta(self, extra: dict) -> "ServiceClient":
-        """Orchestrator-surface meta stamping, service flavor.
-
-        Store-document meta belongs to the daemon (per-request meta
-        would complicate the dedup core), so only the campaign
-        identity crosses the wire -- as an ``X-Repro-Campaign``
-        header feeding the daemon's per-campaign ``/stats`` counters.
-        """
-        campaign = extra.get("campaign")
-        if campaign is not None:
-            self._transport.extra_headers["X-Repro-Campaign"] = str(
-                campaign
-            )
-        return self
-
-    def lookup(self, request, fingerprint: str) -> RunFuture | None:
-        """An already-resolved future for a daemon-store hit, else None.
-
-        The warm-only read behind suite resume verification, the
-        output stage and the headline upgrade: a no-wait poll of one
-        fingerprint that never triggers execution.  Mirrors
-        :meth:`repro.experiments.orchestrator.Orchestrator.lookup`.
-        """
-        for payload in self._poll([fingerprint], 0.0, "full"):
-            if payload.get("kind") != "run_artifact":
-                return None
-            try:
-                artifact = self._decode(fingerprint, payload)
-            except WireError:
-                return None
-            return RunFuture.resolved(request, fingerprint, artifact)
-        return None
-
-    def close(self) -> None:
-        """Drop this thread's keep-alive connection (idempotent)."""
-        self._drop_connection()
-
-    def __enter__(self) -> "ServiceClient":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def submit(
-        self,
-        request: RunRequest,
-        use_store: bool | None = None,
-        detail: str | None = None,
-    ) -> RunFuture:
-        """Submit one request to the daemon (a one-entry batch).
-
-        Store hits (daemon-side) return an already-resolved future;
-        misses return a pending future that resolves through the
-        batch-aware poll (:meth:`as_done`) or its own one-fingerprint
-        poll (:meth:`RunFuture.result`).
-        """
-        return self.submit_many(
-            [request], use_store=use_store, detail=detail
-        )[0]
-
-    def submit_many(
-        self,
-        requests: Sequence[RunRequest],
-        use_store: bool | None = None,
-        detail: str | None = None,
-    ) -> list[RunFuture]:
-        """Submit a batch; duplicate fingerprints share one future.
-
-        This costs ~``len(requests)/chunk`` round trips: one
-        fingerprint-only poll pass settles warm hits (and runs already
-        in flight) without uploading encoded bodies -- which for
-        recorded-trace packs are the whole matrix -- then the
-        remainder ship in chunked ``POST /runs/batch`` calls, stably
-        sorted by materialization key so that a workload's runs share
-        a batch, and with it a lockstep group, where they fit.
-        """
-        if use_store is None:
-            use_store = self.use_store
-        detail = check_detail(detail)
-        order: list[str] = []
-        handles: dict[str, RunFuture] = {}
-        fresh: dict[str, RunRequest] = {}
-        for request in requests:
-            fingerprint = request.fingerprint()
-            order.append(fingerprint)
-            if fingerprint in handles or fingerprint in fresh:
-                continue
-            pending = None
-            if use_store:
-                with self._lock:
-                    pending = self._pending.get(fingerprint)
-            if pending is not None:
-                handles[fingerprint] = _ClientRunFuture(
-                    self, request, fingerprint, pending, detail
-                )
-            else:
-                fresh[fingerprint] = request
-        need_post = list(fresh)
-        if use_store and fresh:
-            # Phase 1: settle what the daemon already has by
-            # fingerprint alone.
-            need_post = []
-            for payload in self._poll(list(fresh), 0.0, detail):
-                fingerprint = payload.get("fingerprint", "")
-                request = fresh.get(fingerprint)
-                if request is None:
-                    continue
-                kind = payload.get("kind")
-                if kind == "run_artifact":
-                    handles[fingerprint] = self._resolved_handle(
-                        request, fingerprint, payload, detail
-                    )
-                elif kind == "pending":
-                    handles[fingerprint] = self._pending_handle(
-                        request, fingerprint, detail
-                    )
-                else:
-                    # Unknown (404) or previously failed (500): a
-                    # fresh submission retries.
-                    need_post.append(fingerprint)
-        # Phase 2: ship the rest in chunked batch POSTs, one workload's
-        # runs together, so the daemon runs them as one lockstep group
-        # wherever they fit in one chunk.
-        need_post.sort(key=lambda fp: materialization_key_of(fresh[fp]))
-        for chunk in _chunked(need_post, _BATCH_CHUNK):
-            entries = [
-                encode_request(
-                    fresh[fingerprint], fingerprint, use_store=use_store
-                )
-                for fingerprint in chunk
-            ]
-            body = json.dumps(encode_batch(entries, detail=detail)).encode()
-            status, payloads = self._request(
-                "POST", "/runs/batch", body=body, jsonl=True
-            )
-            if status != 200:
-                message = (
-                    payloads[0].get("error", "") if payloads else ""
-                )
-                raise ServiceError(
-                    f"batch endpoint answered HTTP {status}: {message}"
-                )
-            for payload in payloads:
-                fingerprint = payload.get("fingerprint", "")
-                request = fresh.get(fingerprint)
-                if request is None or fingerprint in handles:
-                    continue
-                kind = payload.get("kind")
-                if kind == "run_artifact":
-                    handles[fingerprint] = self._resolved_handle(
-                        request, fingerprint, payload, detail
-                    )
-                elif kind == "pending":
-                    handles[fingerprint] = self._pending_handle(
-                        request, fingerprint, detail
-                    )
-                elif int(payload.get("status", 500)) >= 500:
-                    failed: Future = Future()
-                    failed.set_exception(
-                        ServiceRunError(
-                            payload.get("error", "run failed")
-                        )
-                    )
-                    handles[fingerprint] = _ClientRunFuture(
-                        self, request, fingerprint, failed, detail
-                    )
-                else:
-                    raise ServiceError(
-                        f"service rejected run {fingerprint[:12]}...: "
-                        f"{payload.get('error', payload)!r}"
-                    )
-        # Entries a misbehaving daemon failed to answer resolve via
-        # their own poll rather than KeyError-ing here.
-        for fingerprint in fresh:
-            if fingerprint not in handles:
-                handles[fingerprint] = self._pending_handle(
-                    fresh[fingerprint], fingerprint, detail
-                )
-        return [handles[fingerprint] for fingerprint in order]
-
-    def _resolved_handle(
-        self,
-        request: RunRequest,
-        fingerprint: str,
-        payload: dict,
-        detail: str,
-    ) -> RunFuture:
-        future: Future = Future()
-        try:
-            future.set_result(self._decode(fingerprint, payload))
-        except WireError as error:
-            raise ServiceError(
-                f"undecodable artifact from {self.url}: {error}"
-            ) from None
-        return _ClientRunFuture(self, request, fingerprint, future, detail)
-
-    def _pending_handle(
-        self, request: RunRequest, fingerprint: str, detail: str
-    ) -> RunFuture:
-        with self._lock:
-            future = self._pending.setdefault(fingerprint, Future())
-        return _ClientRunFuture(self, request, fingerprint, future, detail)
-
-    def _notify(self, done: int, total: int) -> None:
-        if self.progress is not None:
-            self.progress(done, total)
-
-    def as_done(
-        self, futures: Iterable[RunFuture], timeout: float | None = None
-    ) -> Iterator[RunFuture]:
-        """Yield unique futures as the daemon completes their runs.
-
-        Resolved futures come first; the rest settle over polling
-        rounds with ``wait>0`` (one streamed connection per round,
-        daemon completion order).
-        """
-        unique = list(dict.fromkeys(futures))
-        total = len(unique)
-        done = 0
-        # Distinct future objects can share one fingerprint (two
-        # submit() calls of the same request); all of them resolve --
-        # and yield -- when that fingerprint settles, mirroring the
-        # in-process as_done over per-call wrapper futures.
-        pending: dict[str, list[RunFuture]] = {}
-        for future in unique:
-            if future.done():
-                done += 1
-                self._notify(done, total)
-                yield future
-            else:
-                pending.setdefault(future.fingerprint, []).append(future)
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while pending:
-            wait_s = _POLL_WAIT_S
-            if deadline is not None:
-                wait_s = min(wait_s, deadline - time.monotonic())
-                if wait_s <= 0:
-                    raise TimeoutError(
-                        f"{len(pending)} run(s) still pending"
-                    )
-            # Futures for one fingerprint share a detail level by
-            # construction; across fingerprints the round polls at the
-            # richest level any waiter needs (a full ledger satisfies a
-            # headline waiter; not vice versa).
-            round_detail = (
-                "full"
-                if any(
-                    getattr(f, "_detail", "full") == "full"
-                    for group in pending.values()
-                    for f in group
-                )
-                else "headline"
-            )
-            for payload in self._poll(list(pending), wait_s, round_detail):
-                if payload.get("kind") == "pending":
-                    continue
-                fingerprint = payload.get("fingerprint", "")
-                self._settle(fingerprint, payload)
-                for future in pending.pop(fingerprint, []):
-                    if future.done():
-                        done += 1
-                        self._notify(done, total)
-                        yield future
-            # Defensive: a future settled by a concurrent poller would
-            # never surface through this round's stream.
-            for fingerprint in [
-                fp
-                for fp, group in pending.items()
-                if group and group[0].done()
-            ]:
-                for future in pending.pop(fingerprint):
-                    done += 1
-                    self._notify(done, total)
-                    yield future
-
     def _consume_stream(self, status: int, response) -> Iterator[dict]:
         """The payloads of a live JSONL response (close-delimited)."""
         try:
@@ -733,47 +390,227 @@ class ServiceClient:
             response.close()
             self._drop_connection()  # stream sockets are close-delimited
 
-    def as_resolved(
-        self, futures: Iterable[RunFuture], timeout: float | None = None
-    ) -> Iterator[RunArtifact]:
-        """Yield artifacts in daemon completion order (errors raise)."""
-        for future in self.as_done(futures, timeout=timeout):
-            yield future.result()
+    # -- the consumer hooks ------------------------------------------------
 
-    def run(
+    def _dispatch(
         self,
         request: RunRequest,
-        use_store: bool | None = None,
-        detail: str | None = None,
-    ) -> RunArtifact:
-        """Resolve one request against the daemon, blocking."""
-        return self.submit(
-            request, use_store=use_store, detail=detail
-        ).result()
+        fingerprint: str,
+        payload: dict,
+        detail: str | None,
+    ) -> RunFuture | None:
+        """The future for an artifact or ``pending`` reply line, else None.
 
-    def run_many(
-        self,
-        requests: Sequence[RunRequest],
-        use_store: bool | None = None,
-        detail: str | None = None,
-    ) -> list[RunArtifact]:
-        """Resolve a batch, preserving request order.
-
-        Matches the orchestrator's semantics: duplicates resolve once,
-        completions stream (and persist daemon-side) as they land, and
-        the first failure raises only after every survivor resolved.
+        An artifact resolves; ``pending`` waits on this client's one
+        future for the fingerprint.  What anything else means is up to
+        the phase that read it.
         """
-        futures = self.submit_many(
-            requests, use_store=use_store, detail=detail
+        kind = payload.get("kind")
+        if kind == "pending":
+            return self._pending_handle(request, fingerprint, detail)
+        if kind != "run_artifact":
+            return None
+        future: Future = Future()
+        try:
+            future.set_result(self._decode(fingerprint, payload))
+        except WireError as error:
+            raise ServiceError(
+                f"undecodable artifact from {self.url}: {error}"
+            ) from None
+        return _ClientRunFuture(self, request, fingerprint, future, detail)
+
+    def _pending_handle(
+        self, request: RunRequest, fingerprint: str, detail: str | None
+    ) -> RunFuture:
+        with self._lock:
+            future = self._pending.setdefault(fingerprint, Future())
+        return _ClientRunFuture(self, request, fingerprint, future, detail)
+
+    def _warm(
+        self, fresh: dict[str, RunRequest], detail: str | None
+    ) -> dict[str, RunFuture]:
+        """Runs that need no upload.
+
+        A fingerprint this client already waits on shares its future;
+        the rest are polled by fingerprint alone, without waiting, so
+        warm hits (and runs in flight) settle without uploading encoded
+        bodies -- which for recorded-trace packs are the whole matrix.
+        """
+        found: dict[str, RunFuture] = {}
+        with self._lock:
+            for fingerprint, request in fresh.items():
+                future = self._pending.get(fingerprint)
+                if future is not None:
+                    found[fingerprint] = _ClientRunFuture(
+                        self, request, fingerprint, future, detail
+                    )
+        asked = [fp for fp in fresh if fp not in found]
+        if asked:
+            for payload in self._poll(asked, 0.0, detail):
+                fingerprint = payload.get("fingerprint", "")
+                request = fresh.get(fingerprint)
+                if request is None:
+                    continue
+                # Unknown (404) or previously failed (500): a fresh
+                # submission retries, so the run is left to _launch.
+                future = self._dispatch(request, fingerprint, payload, detail)
+                if future is not None:
+                    found[fingerprint] = future
+        return found
+
+    def _launch(
+        self,
+        misses: list[tuple[RunRequest, str]],
+        use_store: bool,
+        detail: str | None,
+    ) -> list[RunFuture]:
+        """Ship misses in chunked ``POST /runs/batch`` calls.
+
+        They go stably sorted by materialization key, so that a
+        workload's runs share a batch, and with it a lockstep group,
+        wherever they fit in one chunk.
+        """
+        requests = {fingerprint: request for request, fingerprint in misses}
+        ordered = sorted(
+            misses, key=lambda miss: materialization_key_of(miss[0])
         )
-        first_error: BaseException | None = None
-        for future in self.as_done(futures):
-            error = future.exception()
-            if error is not None:
-                first_error = first_error or error
-        if first_error is not None:
-            raise first_error
-        return [future.result() for future in futures]
+        futures: dict[str, RunFuture] = {}
+        for chunk in _chunked(ordered, _BATCH_CHUNK):
+            entries = [
+                encode_request(request, fingerprint, use_store=use_store)
+                for request, fingerprint in chunk
+            ]
+            body = json.dumps(encode_batch(entries, detail=detail)).encode()
+            status, payloads = self._request(
+                "POST", "/runs/batch", body=body, jsonl=True
+            )
+            if status != 200:
+                message = (
+                    payloads[0].get("error", "") if payloads else ""
+                )
+                raise ServiceError(
+                    f"batch endpoint answered HTTP {status}: {message}"
+                )
+            for payload in payloads:
+                fingerprint = payload.get("fingerprint", "")
+                request = requests.get(fingerprint)
+                if request is None or fingerprint in futures:
+                    continue
+                future = self._dispatch(request, fingerprint, payload, detail)
+                if future is None:
+                    if int(payload.get("status", 500)) < 500:
+                        raise ServiceError(
+                            f"service rejected run {fingerprint[:12]}...: "
+                            f"{payload.get('error', payload)!r}"
+                        )
+                    failed: Future = Future()
+                    failed.set_exception(
+                        ServiceRunError(payload.get("error", "run failed"))
+                    )
+                    future = _ClientRunFuture(
+                        self, request, fingerprint, failed, detail
+                    )
+                futures[fingerprint] = future
+        # Entries a misbehaving daemon failed to answer resolve via
+        # their own poll rather than KeyError-ing here.
+        return [
+            futures.get(fingerprint)
+            or self._pending_handle(request, fingerprint, detail)
+            for request, fingerprint in misses
+        ]
+
+    def _landed(
+        self, pending: dict[str, list[RunFuture]], timeout: float | None
+    ) -> Iterator[str]:
+        """Fingerprints as the daemon completes their runs.
+
+        Each round is one waiting poll of every pending fingerprint,
+        streamed in daemon completion order.  A lone pending future's
+        ``result()`` waits through this too, on its one fingerprint.
+        """
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while pending:
+            wait_s = _POLL_WAIT_S
+            if deadline is not None:
+                wait_s = min(wait_s, deadline - time.monotonic())
+                if wait_s <= 0:
+                    raise TimeoutError(
+                        f"{len(pending)} run(s) still pending"
+                    )
+            # Futures for one fingerprint share a detail level by
+            # construction; across fingerprints the round polls at the
+            # richest level any waiter needs (a full ledger satisfies a
+            # headline waiter; not vice versa).
+            detail = (
+                "headline"
+                if all(
+                    future._detail == "headline"
+                    for group in pending.values()
+                    for future in group
+                )
+                else "full"
+            )
+            for payload in self._poll(list(pending), wait_s, detail):
+                if payload.get("kind") == "pending":
+                    continue
+                fingerprint = payload.get("fingerprint", "")
+                self._settle(fingerprint, payload)
+                if fingerprint in pending:
+                    yield fingerprint
+            # Defensive: a future settled by a concurrent poller would
+            # never surface through this round's stream.
+            yield from [
+                fingerprint
+                for fingerprint, group in pending.items()
+                if group[0].done()
+            ]
+
+    # -- the rest of the surface -------------------------------------------
+
+    def with_meta(self, extra: dict) -> "ServiceClient":
+        """Orchestrator-surface meta stamping, service flavor.
+
+        Store-document meta belongs to the daemon (per-request meta
+        would complicate the dedup core), so only the campaign
+        identity crosses the wire -- as an ``X-Repro-Campaign``
+        header feeding the daemon's per-campaign ``/stats`` counters.
+        """
+        campaign = extra.get("campaign")
+        if campaign is not None:
+            self._headers = {
+                **self._headers,
+                "X-Repro-Campaign": str(campaign),
+            }
+        return self
+
+    def lookup(self, request, fingerprint: str) -> RunFuture | None:
+        """An already-resolved future for a daemon-store hit, else None.
+
+        The warm-only read behind suite resume verification, the
+        output stage and the headline upgrade: a no-wait poll of one
+        fingerprint that never triggers execution.  Mirrors
+        :meth:`repro.experiments.orchestrator.Orchestrator.lookup`.
+        """
+        for payload in self._poll([fingerprint], 0.0, "full"):
+            if payload.get("kind") != "run_artifact":
+                return None
+            try:
+                artifact = self._decode(fingerprint, payload)
+            except WireError:
+                return None
+            return RunFuture.resolved(request, fingerprint, artifact)
+        return None
+
+    def close(self) -> None:
+        """Close every thread's keep-alive connection (idempotent).
+
+        The client stays usable: a thread's next request reopens its
+        connection.  Call it while no request is in flight.
+        """
+        with self._lock:
+            connections, self._connections = self._connections, set()
+        for connection in connections:
+            connection.close()
 
 
 def _chunked(items: list, size: int) -> Iterator[list]:
@@ -799,7 +636,7 @@ class _ClientRunFuture(RunFuture):
         request: RunRequest,
         fingerprint: str,
         future: Future,
-        detail: str = "full",
+        detail: str | None = None,
     ) -> None:
         super().__init__(request, fingerprint, future)
         self._client = client
@@ -807,7 +644,7 @@ class _ClientRunFuture(RunFuture):
 
     def _ensure_resolution(self, timeout: float | None) -> None:
         if not self._future.done():
-            self._client._await(self.fingerprint, timeout, self._detail)
+            next(self._client._landed({self.fingerprint: [self]}, timeout))
 
     def result(self, timeout: float | None = None) -> RunArtifact:
         """Block for the artifact, polling the daemon if needed."""

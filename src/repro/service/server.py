@@ -44,15 +44,18 @@ Dedup and the warm fast path
 ----------------------------
 
 Fingerprints are self-certifying SHA-256 content hashes, so the warm
-path trusts the one declared in the envelope: if it already resolves
-(response cache, store), the daemon replies without decoding the full
+path trusts the one declared in the envelope: if its reply line is in
+the response cache, the daemon replies without decoding the full
 request -- a client that declares a wrong fingerprint only mis-serves
-itself.  Misses take the strict path: the request is decoded, its
-fingerprint recomputed and verified (``409`` on mismatch), and only
-then does it reach the orchestrator: a store lookup
+itself.  Other entries take the strict path: the request is decoded,
+its fingerprint recomputed and verified (``409`` on mismatch), and
+only then does it reach the store
 (:meth:`~repro.experiments.orchestrator.Orchestrator.lookup`), then
-the daemon's own in-flight registry.  Once a batch is read, the
-misses it claimed launch grouped by materialization key through
+the daemon's own in-flight registry.  A poll line asks the registry
+first, then the response cache, then the store: the cache answers
+warm lines however many results the store keeps in memory.  Once a
+batch is read, the misses it claimed launch grouped by
+materialization key through
 :meth:`~repro.experiments.orchestrator.Orchestrator.launch_many`, so
 the runs of one workload advance in lockstep on one materialization.
 
@@ -332,23 +335,24 @@ class ExperimentDaemon:
                 self._responses.move_to_end(key)
             return payload
 
-    def _artifact_line(self, future: RunFuture, detail: str) -> bytes:
-        """The reply line for a done future's artifact.
+    def _warm_line(self, fingerprint: str, detail: str) -> bytes | None:
+        """A stored run's reply line, counted as a hit, else None.
 
-        Only store hits read or fill the cache.  A computed run's line
-        carries ``source: "computed"`` and its run time; replaying it
-        for later hits would report every warm resolution as an
-        execution, and serving a cached hit for it would report the
-        execution as a hit.
+        The response cache answers first, then the store, whose line
+        joins the cache.  A poll line asks once the fingerprint has no
+        claim; a batch entry asks once decoded, behind its no-decode
+        fast path through the cache alone.  Only store hits read or
+        fill the cache (a claim's line is :meth:`_settled`'s).
         """
-        key = (future.fingerprint, detail)
-        artifact = future.result(timeout=0)
-        cached = self._cached_response(key) if artifact.from_cache else None
-        if cached is not None:
-            return cached
-        line = _line(encode_artifact(artifact, detail=detail))
-        if artifact.from_cache:
+        key = (fingerprint, detail)
+        line = self._cached_response(key)
+        if line is None:
+            hit = self.orchestrator.lookup(None, fingerprint)
+            if hit is None:
+                return None
+            line = _line(encode_artifact(hit.result(), detail=detail))
             self._cache_response(key, line)
+        self._count("hits")
         return line
 
     def _finish(self, claim: RunFuture) -> None:
@@ -430,10 +434,9 @@ class ExperimentDaemon:
         with self._lock:
             self.engine_modes[kind] = self.engine_modes.get(kind, 0) + 1
         if use_store:
-            hit = self.orchestrator.lookup(request, fingerprint)
-            if hit is not None:
-                self._count("hits")
-                return self._artifact_line(hit, detail)
+            line = self._warm_line(fingerprint, detail)
+            if line is not None:
+                return line
         # Miss: claim the fingerprint in the daemon registry *before*
         # launching, so overlapping submissions -- same client or a
         # different one, pooled or serial -- park on one run.  (The
@@ -525,21 +528,6 @@ class ExperimentDaemon:
             self._launch(claimed)
         return 200, lines
 
-    def _lookup(self, fingerprint: str) -> RunFuture | None:
-        """A future for a fingerprint: claimed, else store-resolved.
-
-        A store hit counts under ``/stats`` ``hits``; the daemon's own
-        claims never do, as they count under ``computed``.
-        """
-        with self._lock:
-            future = self._futures.get(fingerprint)
-        if future is not None:
-            return future
-        hit = self.orchestrator.lookup(None, fingerprint)
-        if hit is not None:
-            self._count("hits")
-        return hit
-
     def _missing(self, fingerprint: str) -> dict:
         """The error for a fingerprint neither claimed nor stored.
 
@@ -556,25 +544,28 @@ class ExperimentDaemon:
             status=404,
         )
 
-    def _settled(self, future: RunFuture, detail: str) -> bytes:
-        """The line for a done future: its artifact, else its error.
+    def _settled(self, claim: RunFuture, detail: str) -> bytes:
+        """The line for a done claim: its artifact, else its error.
 
         Rendering a succeeded claim delivers it: the claim leaves the
-        registry, and later polls read the run from the store.
+        registry, and later polls read the run from the store.  Its
+        line carries ``source: "computed"`` and its run time, so it is
+        never cached: replaying it would report every later warm
+        resolution as an execution.
         """
-        error = future.exception(timeout=0)
+        error = claim.exception(timeout=0)
         if error is not None:
             return _line(
                 encode_error(
                     f"{type(error).__name__}: {error}",
-                    fingerprint=future.fingerprint,
+                    fingerprint=claim.fingerprint,
                     status=500,
                 )
             )
-        line = self._artifact_line(future, detail)
+        line = _line(encode_artifact(claim.result(timeout=0), detail=detail))
         with self._lock:
-            if self._futures.get(future.fingerprint) is future:
-                del self._futures[future.fingerprint]
+            if self._futures.get(claim.fingerprint) is claim:
+                del self._futures[claim.fingerprint]
         return line
 
     def handle_poll(
@@ -585,21 +576,25 @@ class ExperimentDaemon:
     ) -> Iterator[bytes]:
         """``POST /runs/poll``: one line per distinct fingerprint.
 
-        Unknown, failed and settled runs come first, in request order;
-        in-flight runs follow in completion order as they land within
-        ``wait_s`` (capped at :data:`MAX_WAIT_S`), and each still
-        running at the deadline gets a pending line.
+        Each fingerprint is looked up in the daemon's claims, then
+        through :meth:`_warm_line`.  Unknown, failed and settled runs
+        come first, in request order; in-flight runs follow in
+        completion order as they land within ``wait_s`` (capped at
+        :data:`MAX_WAIT_S`), and each still running at the deadline
+        gets a pending line.
         """
         deadline = time.monotonic() + min(wait_s, MAX_WAIT_S)
         running: dict[Future, RunFuture] = {}
         for fingerprint in dict.fromkeys(fingerprints):
-            future = self._lookup(fingerprint)
-            if future is None:
-                yield _line(self._missing(fingerprint))
-            elif future.done():
-                yield self._settled(future, detail)
+            with self._lock:
+                claim = self._futures.get(fingerprint)
+            if claim is None:
+                line = self._warm_line(fingerprint, detail)
+                yield line or _line(self._missing(fingerprint))
+            elif claim.done():
+                yield self._settled(claim, detail)
             else:
-                running[future._future] = future
+                running[claim._future] = claim
         while running:
             remaining = deadline - time.monotonic()
             if remaining <= 0:

@@ -70,7 +70,9 @@ class JsonFileBackend:
         )
         try:
             with handle:
-                json.dump(document, handle)
+                # One write of the C-encoded text: json.dump streams
+                # through the pure-Python encoder.
+                handle.write(json.dumps(document))
             os.replace(handle.name, path)
         except FileNotFoundError:
             if not path.exists():

@@ -55,7 +55,7 @@ import struct
 import threading
 import time
 import uuid
-from typing import BinaryIO, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -91,7 +91,11 @@ def _fingerprint_bytes(fingerprint: str) -> bytes:
 
 
 class _SegmentWriter:
-    """This instance's private append-only segment/index file pair."""
+    """This instance's private append-only segment/index file pair.
+
+    Each append opens and closes both files, so no handle outlives
+    its write.
+    """
 
     def __init__(self, base: pathlib.Path) -> None:
         base.mkdir(parents=True, exist_ok=True)
@@ -100,27 +104,20 @@ class _SegmentWriter:
         )
         self.seg_path = base / f"{stamp}.seg"
         self.idx_path = base / f"{stamp}.idx"
-        self._seg = open(self.seg_path, "ab")
-        self._idx = open(self.idx_path, "ab")
         self._offset = 0
 
     def append(self, fingerprint: str, payload: bytes) -> int:
         """Append one record; returns the payload's segment offset."""
         raw = _fingerprint_bytes(fingerprint)
-        self._seg.write(RECORD_HEADER.pack(raw, len(payload)))
-        if payload:
-            self._seg.write(payload)
-        self._seg.flush()
+        with open(self.seg_path, "ab") as segment:
+            segment.write(RECORD_HEADER.pack(raw, len(payload)))
+            segment.write(payload)
         offset = self._offset + RECORD_HEADER.size
         entry = np.array([(raw, offset, len(payload))], dtype=INDEX_DTYPE)
-        self._idx.write(entry.tobytes())
-        self._idx.flush()
+        with open(self.idx_path, "ab") as index:
+            index.write(entry.tobytes())
         self._offset += RECORD_HEADER.size + len(payload)
         return offset
-
-    def close(self) -> None:
-        self._seg.close()
-        self._idx.close()
 
 
 class SegmentBackend:
@@ -134,7 +131,6 @@ class SegmentBackend:
         self._index: dict[str, tuple[pathlib.Path, int, int]] = {}
         self._consumed: dict[pathlib.Path, int] = {}
         self._writer: _SegmentWriter | None = None
-        self._readers: dict[pathlib.Path, BinaryIO] = {}
         self._load()
 
     # -- index maintenance -------------------------------------------------
@@ -207,14 +203,11 @@ class SegmentBackend:
     def _read_payload(
         self, seg_path: pathlib.Path, offset: int, length: int
     ) -> bytes | None:
-        handle = self._readers.get(seg_path)
-        if handle is None:
-            try:
-                handle = open(seg_path, "rb")
-            except OSError:
-                return None
-            self._readers[seg_path] = handle
-        payload = os.pread(handle.fileno(), length, offset)
+        try:
+            with open(seg_path, "rb") as handle:
+                payload = os.pread(handle.fileno(), length, offset)
+        except OSError:
+            return None
         return payload if len(payload) == length else None
 
     # -- StoreBackend API --------------------------------------------------
@@ -389,7 +382,7 @@ class SegmentBackend:
                     for path in base.iterdir()
                     if path.suffix in (".seg", ".idx")
                 ]
-                self.close()
+                self._writer = None  # the next put starts a fresh pair
                 self._index.clear()
                 self._consumed.clear()
                 for fingerprint, document in live:
@@ -406,13 +399,3 @@ class SegmentBackend:
         finally:
             os.close(lock_fd)
             lock_path.unlink(missing_ok=True)
-
-    def close(self) -> None:
-        """Close this instance's writer and cached read handles."""
-        with self._lock:
-            if self._writer is not None:
-                self._writer.close()
-                self._writer = None
-            for handle in self._readers.values():
-                handle.close()
-            self._readers.clear()

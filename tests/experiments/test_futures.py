@@ -144,6 +144,31 @@ class TestAsResolved:
             gate.touch()
             futures[0].result()  # drain
 
+    def test_as_done_over_two_submits_of_one_inflight_run(self, tmp_path):
+        """Both futures yield and progress reaches (2, 2), though the
+        pool runs the fingerprint once behind one shared future."""
+        gate = tmp_path / "release"
+        calls = []
+        with Orchestrator(
+            jobs=2, progress=lambda done, total: calls.append((done, total))
+        ) as orchestrator:
+            stalled = request(policy=StalledPolicy(gate))
+            first = orchestrator.submit(stalled)
+            second = orchestrator.submit(stalled)
+            assert first is not second
+            assert first._future is second._future
+            assert not first.done()
+
+            def release_once_read():
+                # as_done reads its futures before checking which are
+                # done, so the run is still stalled at that check.
+                yield from (first, second)
+                gate.touch()
+
+            yielded = list(orchestrator.as_done(release_once_read()))
+        assert set(yielded) == {first, second}
+        assert calls == [(1, 2), (2, 2)]
+
     def test_duplicates_yield_once(self):
         orchestrator = Orchestrator()
         futures = orchestrator.submit_many([request(), request()])

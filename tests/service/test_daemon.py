@@ -408,6 +408,35 @@ class TestHitCounting:
         assert after["hits"] - before["hits"] == 2
         assert after["computed"] == before["computed"]
 
+    def test_cached_warm_poll_lines_read_no_store_document(
+        self, daemon_factory, tiny_requests, monkeypatch
+    ):
+        """A poll line asks the response cache before the store, so a
+        warm set past the store's memory bound is not re-read from disk
+        on every round (a batch entry already asked the cache first)."""
+        monkeypatch.setattr("repro.store.core._MEMORY_RESULTS", 2)
+        daemon = daemon_factory(jobs=1)
+        disk, hits, lines = [], [], []
+        with ServiceClient(daemon.url) as client:
+            client.run_many(tiny_requests)
+            for _ in range(3):
+                before = settled_stats(daemon)
+                artifacts = client.run_many(tiny_requests, detail="headline")
+                after = settled_stats(daemon)
+                disk.append(
+                    after["store"]["hits_disk"] - before["store"]["hits_disk"]
+                )
+                hits.append(after["hits"] - before["hits"])
+                lines.append(
+                    [
+                        (a.source, a.elapsed_s, a.result.headline())
+                        for a in artifacts
+                    ]
+                )
+        assert disk[1:] == [0, 0]
+        assert hits == [len(tiny_requests)] * 3
+        assert lines[0] == lines[1] == lines[2]
+
     def test_long_poll_on_an_inflight_run_is_not_a_hit(
         self, daemon_factory, tiny_requests
     ):

@@ -42,8 +42,8 @@ class TestConstruction:
 
     def test_bare_host_port_accepted(self, daemon):
         host, port = daemon.address
-        client = ServiceClient(f"{host}:{port}")
-        assert client.ping()["status"] == "ok"
+        with ServiceClient(f"{host}:{port}") as client:
+            assert client.ping()["status"] == "ok"
 
     def test_unreachable_daemon(self):
         client = ServiceClient("http://127.0.0.1:9", timeout_s=0.5)
@@ -77,14 +77,20 @@ class TestSubmission:
     def test_as_done_yields_every_distinct_future(
         self, client, tiny_requests
     ):
-        """Two submit() calls of one request both yield, like in-process."""
+        """Two submit() calls of one request both yield, like in-process:
+        the second shares the first one's pending future until a poll
+        settles it, and progress reaches (2, 2)."""
         request = tiny_requests[0]
         first = client.submit(request)
         second = client.submit(request)
         assert first is not second
+        assert first._future is second._future
+        calls = []
+        client.progress = lambda *call: calls.append(call)
         yielded = list(client.as_done([first, second]))
         assert set(yielded) == {first, second}
         assert all(f.done() for f in yielded)
+        assert calls == [(1, 2), (2, 2)]
 
     def test_run_many_matches_inprocess_bit_for_bit(
         self, client, tiny_requests, tmp_path

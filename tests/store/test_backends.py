@@ -227,6 +227,14 @@ class TestJsonLayout:
         assert other.exists()  # another fingerprint's write, untouched
         assert backend.fetch(fp(0)) == doc(0)
 
+    def test_stored_bytes_are_one_json_dumps(self, tmp_path):
+        backend = JsonFileBackend(tmp_path)
+        document = doc(0, ratio=0.1 + 0.2, label="café", empty={})
+        backend.put(fp(0), document)
+        assert backend.path_for(fp(0)).read_bytes() == (
+            json.dumps(document).encode()
+        )
+
     def test_rename_that_lost_a_race_keeps_the_winner(
         self, tmp_path, monkeypatch
     ):

@@ -39,7 +39,6 @@ Sub-packages:
 
 from repro.analysis import (
     alpha_sweep,
-    evaluate_forecaster,
     operational_cost_lower_bound,
     pareto_front,
 )
@@ -76,7 +75,6 @@ __version__ = "1.0.0"
 __all__ = [
     "EnerAwarePolicy",
     "alpha_sweep",
-    "evaluate_forecaster",
     "operational_cost_lower_bound",
     "pareto_front",
     "ExperimentConfig",

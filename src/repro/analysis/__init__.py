@@ -5,13 +5,10 @@
   measure how much headroom each policy leaves;
 * :mod:`repro.analysis.pareto` -- alpha-sweep Pareto fronts for the
   cost/energy/performance trade-off (the Figs. 5-6 axes as curves);
-* :mod:`repro.analysis.forecast_eval` -- accuracy metrics for the WCMA
-  renewable forecaster;
 * :mod:`repro.analysis.sensitivity` -- generic configuration sweeps
   (battery size, QoS window, PV size...).
 """
 
-from repro.analysis.forecast_eval import ForecastAccuracy, evaluate_forecaster
 from repro.analysis.lower_bound import (
     CostLowerBound,
     comparison_bounds,
@@ -27,12 +24,10 @@ from repro.analysis.sensitivity import (
 
 __all__ = [
     "CostLowerBound",
-    "ForecastAccuracy",
     "ParetoPoint",
     "SweepRow",
     "alpha_sweep",
     "comparison_bounds",
-    "evaluate_forecaster",
     "operational_cost_lower_bound",
     "pareto_front",
     "sweep_battery_scale",

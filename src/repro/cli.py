@@ -24,9 +24,12 @@ Commands
   for ``gc`` -- age/retention policy (``--older-than``,
   ``--keep-latest``)
 
-All commands accept ``--scale {small,tiny}``, ``--horizon N`` and
-``--seed N``; runs are deterministic per seed.  Execution goes through
-the experiment orchestrator: ``--jobs N`` fans uncached runs out over
+The analysis commands accept ``--scale {tiny,small,paper}``,
+``--horizon N`` and ``--seed N``; runs are deterministic per seed.
+``table1`` takes only those three.  ``--alpha F`` is Eq. 5's weight
+for Proposed (``alpha`` sweeps ``--alphas`` instead, and ``sweep``
+runs the default 0.5).  Every command but ``table1`` runs through the
+experiment orchestrator: ``--jobs N`` fans uncached runs out over
 N worker processes, ``--store DIR`` persists results on disk keyed by
 request fingerprint (warm reruns skip simulation entirely),
 ``--store-backend {auto,json,segment}`` picks the on-disk
@@ -95,8 +98,7 @@ from repro.service.client import ServiceRunError
 from repro.sim.config import (
     EngineCoreConfig,
     ExperimentConfig,
-    paper_config,
-    scaled_config,
+    config_for_scale,
 )
 from repro.sim.metrics import format_comparison, format_replicated_comparison
 from repro.store import (
@@ -123,13 +125,7 @@ from repro.workload.packs import TracePack, available_packs, get_pack
 
 
 def _config_from(args: argparse.Namespace) -> ExperimentConfig:
-    if args.scale == "paper":
-        config = paper_config(seed=args.seed)
-    else:
-        config = scaled_config(args.scale, seed=args.seed)
-    if args.horizon:
-        config = config.with_horizon(args.horizon)
-    return config
+    return config_for_scale(args.scale, seed=args.seed, horizon=args.horizon)
 
 
 def _progress_printer():
@@ -679,7 +675,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sub: argparse.ArgumentParser) -> None:
+    def add_config(sub: argparse.ArgumentParser) -> None:
         sub.add_argument(
             "--scale",
             choices=("tiny", "small", "paper"),
@@ -688,7 +684,11 @@ def build_parser() -> argparse.ArgumentParser:
         )
         sub.add_argument("--horizon", type=int, default=None)
         sub.add_argument("--seed", type=int, default=0)
-        sub.add_argument("--alpha", type=float, default=0.5)
+
+    def add_common(sub: argparse.ArgumentParser, alpha: bool = True) -> None:
+        add_config(sub)
+        if alpha:
+            sub.add_argument("--alpha", type=float, default=0.5)
         sub.add_argument(
             "--jobs",
             type=int,
@@ -754,7 +754,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     table1 = subparsers.add_parser("table1", help="print Table I")
-    add_common(table1)
+    add_config(table1)
     table1.set_defaults(func=cmd_table1)
 
     compare = subparsers.add_parser("compare", help="four-method comparison")
@@ -765,8 +765,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(figures)
     figures.set_defaults(func=cmd_figures)
 
-    alpha = subparsers.add_parser("alpha", help="Eq. 5 alpha Pareto sweep")
-    add_common(alpha)
+    # No abbreviations here: --alpha would silently mean --alphas.
+    alpha = subparsers.add_parser(
+        "alpha", help="Eq. 5 alpha Pareto sweep", allow_abbrev=False
+    )
+    add_common(alpha, alpha=False)
     alpha.add_argument(
         "--alphas", default="0.1,0.3,0.5,0.7,0.9", help="comma-separated"
     )
@@ -777,7 +780,7 @@ def build_parser() -> argparse.ArgumentParser:
     bound.set_defaults(func=cmd_bound)
 
     sweep = subparsers.add_parser("sweep", help="sensitivity sweeps")
-    add_common(sweep)
+    add_common(sweep, alpha=False)
     sweep.add_argument("parameter", choices=("battery", "qos", "pv"))
     sweep.set_defaults(func=cmd_sweep)
 

@@ -18,7 +18,6 @@ from repro.core.capacity import CapacityCap, compute_capacity_caps
 from repro.core.controller import ProposedPolicy
 from repro.core.correlation import (
     attraction_matrix,
-    pearson_cpu_correlation,
     peak_coincidence,
     repulsion_matrix,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "compute_capacity_caps",
     "constrained_kmeans",
     "peak_coincidence",
-    "pearson_cpu_correlation",
     "repulsion_matrix",
     "revise_migrations",
 ]

@@ -8,9 +8,6 @@ in the system:
   during the last time slot", normalized to (0, 1];
 * an **attraction** matrix from data correlation (the amount of data
   two VMs exchange, both directions), normalized to [-1, 0).
-
-This module also provides the classical Pearson CPU-load correlation
-used by the local allocation literature (Kim et al., DATE 2013).
 """
 
 from __future__ import annotations
@@ -52,29 +49,6 @@ def peak_coincidence(traces: np.ndarray) -> np.ndarray:
         result[i, i + 1 :] = row
         result[i + 1 :, i] = row
     return result
-
-
-def pearson_cpu_correlation(traces: np.ndarray) -> np.ndarray:
-    """Pearson correlation between demand traces (NaN-free).
-
-    Constant traces (zero variance) correlate 0 with everything and 1
-    with themselves, rather than producing NaNs.
-    """
-    traces = np.asarray(traces, dtype=float)
-    if traces.ndim != 2:
-        raise ValueError("traces must be 2-D (n_vms, n_steps)")
-    n = traces.shape[0]
-    if n == 0:
-        return np.zeros((0, 0))
-    stds = traces.std(axis=1)
-    safe = np.where(stds > 0.0, stds, 1.0)
-    centered = traces - traces.mean(axis=1, keepdims=True)
-    corr = (centered @ centered.T) / traces.shape[1]
-    corr /= np.outer(safe, safe)
-    corr[stds == 0.0, :] = 0.0
-    corr[:, stds == 0.0] = 0.0
-    np.fill_diagonal(corr, 1.0)
-    return np.clip(corr, -1.0, 1.0)
 
 
 def repulsion_matrix(traces: np.ndarray) -> np.ndarray:

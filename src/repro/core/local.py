@@ -65,13 +65,6 @@ class ServerAllocation:
         """Total VMs placed on this DC."""
         return sum(len(vms) for vms in self.server_vms)
 
-    def server_of(self, vm_id: int) -> int:
-        """Index of the active server hosting ``vm_id``."""
-        for index, vms in enumerate(self.server_vms):
-            if vm_id in vms:
-                return index
-        raise KeyError(f"vm {vm_id} not in this allocation")
-
     def validate(self) -> None:
         """Raise if the allocation is structurally inconsistent."""
         if len(self.frequencies) != len(self.server_vms):

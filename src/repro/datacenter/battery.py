@@ -112,14 +112,3 @@ class Battery:
         self.soc_joules += accepted * self.charge_efficiency
         return accepted
 
-    def clone(self) -> "Battery":
-        """Independent copy with the same parameters and SoC."""
-        return Battery(
-            capacity_joules=self.capacity_joules,
-            dod=self.dod,
-            charge_efficiency=self.charge_efficiency,
-            discharge_efficiency=self.discharge_efficiency,
-            max_c_rate=self.max_c_rate,
-            soc_joules=self.soc_joules,
-        )
-

@@ -67,12 +67,6 @@ class FreeCoolingPUE:
         )
         return np.minimum(self.floor + self.slope_per_c * excess, self.ceiling)
 
-    def facility_power(
-        self, it_watts: float | np.ndarray, time_s: float | np.ndarray
-    ) -> np.ndarray:
-        """Total facility power (W) for an IT power draw at a time."""
-        return np.asarray(it_watts, dtype=float) * self.pue(time_s)
-
 
 def fleet_pue(
     models: list[FreeCoolingPUE], time_s: np.ndarray

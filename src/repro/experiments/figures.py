@@ -259,7 +259,7 @@ def all_figure_reports(results: list[RunResult]) -> list[dict]:
     """Every figure report (Figs. 1-6) from one comparison, in order.
 
     The results may come from any orchestrator path -- a cold serial
-    run, a parallel fan-out, a streamed ``submit()``/``as_resolved()``
+    run, a parallel fan-out, a streamed ``submit()``/``as_done()``
     pipeline or a warm result store (any backend) -- they are
     bit-identical, so the reports are too.
     """

@@ -23,8 +23,8 @@ policy x seed)* simulation runs.  This module owns that evaluation:
 * :class:`ConsumerSurface` is the surface every analysis calls, shared
   with :class:`~repro.service.client.ServiceClient`.  The primitive is
   :meth:`~ConsumerSurface.submit_many`, which returns
-  :class:`RunFuture` handles; :meth:`~ConsumerSurface.as_resolved`
-  streams artifacts back in *completion* order, so callers can render
+  :class:`RunFuture` handles; :meth:`~ConsumerSurface.as_done`
+  streams them back in *completion* order, so callers can render
   progress and chain dependent analyses (LP bounds, report rows) while
   later misses are still simulating.
   :meth:`~ConsumerSurface.run_many` is a thin submit-all/await-all
@@ -234,11 +234,6 @@ class RunArtifact:
     source: str
     elapsed_s: float
 
-    @property
-    def from_cache(self) -> bool:
-        """True when the store supplied the result without simulating."""
-        return self.source != "computed"
-
 
 class RunFuture:
     """Handle to one submitted request, resolving to a :class:`RunArtifact`.
@@ -431,9 +426,9 @@ class ConsumerSurface:
 
     * ``_warm(fresh, detail)``: the futures of runs that need no
       launch -- stored, or (over the wire) already running;
-    * ``_launch(misses, use_store, detail)``: futures for the rest,
-      aligned with the ``(request, fingerprint)`` pairs given;
-    * ``_landed(pending, timeout)``: await completions, yielding each
+    * ``_launch(misses, detail)``: futures for the rest, aligned with
+      the ``(request, fingerprint)`` pairs given;
+    * ``_landed(pending)``: await completions, yielding each
       fingerprint of ``pending`` once, as it lands.
 
     ``detail`` (``full`` or ``headline``) names the projection a
@@ -451,10 +446,7 @@ class ConsumerSurface:
         self.close()
 
     def submit(
-        self,
-        request: RunRequest,
-        use_store: bool | None = None,
-        detail: str | None = None,
+        self, request: RunRequest, detail: str | None = None
     ) -> RunFuture:
         """Resolve one request asynchronously: the batch of one
         (:meth:`submit_many`).
@@ -464,37 +456,30 @@ class ConsumerSurface:
         executes inline, so its future is resolved too (a failed run's
         future holds its error).
         """
-        return self.submit_many(
-            [request], use_store=use_store, detail=detail
-        )[0]
+        return self.submit_many([request], detail=detail)[0]
 
     def submit_many(
-        self,
-        requests: Sequence[RunRequest],
-        use_store: bool | None = None,
-        detail: str | None = None,
+        self, requests: Sequence[RunRequest], detail: str | None = None
     ) -> list[RunFuture]:
         """Submit a batch; duplicates share one future (simulated once).
 
         Stored runs resolve at once and runs already in flight share
         their future; the rest launch together, so the runs of one
         workload advance as one lockstep group.  The returned futures
-        always align with ``requests``.  ``use_store=False`` skips the
-        lookup (every request simulates) but still records results;
-        ``None`` defers to this consumer's default.
+        always align with ``requests``.  A consumer built with
+        ``use_store=False`` skips the lookup (every request simulates)
+        but still records results.
         """
-        if use_store is None:
-            use_store = self.use_store
         fresh: dict[str, RunRequest] = {}
         for request in requests:
             fresh.setdefault(request.fingerprint(), request)
-        futures = self._warm(fresh, detail) if use_store else {}
+        futures = self._warm(fresh, detail) if self.use_store else {}
         misses = [
             (request, fingerprint)
             for fingerprint, request in fresh.items()
             if fingerprint not in futures
         ]
-        for future in self._launch(misses, use_store, detail):
+        for future in self._launch(misses, detail):
             futures[future.fingerprint] = future
         return [futures[request.fingerprint()] for request in requests]
 
@@ -502,20 +487,17 @@ class ConsumerSurface:
         if self.progress is not None:
             self.progress(done, total)
 
-    def as_done(
-        self, futures: Iterable[RunFuture], timeout: float | None = None
-    ) -> Iterator[RunFuture]:
+    def as_done(self, futures: Iterable[RunFuture]) -> Iterator[RunFuture]:
         """Yield unique futures as they resolve, firing progress.
 
         Already-resolved futures (store hits, serial runs) come first;
         pending ones follow in completion order, every future of a
         fingerprint when that fingerprint lands (two ``submit`` calls
-        of one request give two futures and both yield).  The shared
-        loop behind :meth:`as_resolved` and :meth:`run_many` (which
-        differ only in error handling) -- and the primitive for
-        consumers that chain per-run analyses and need the *future*
-        (its ``request``, or its position in a batch) rather than just
-        the artifact.
+        of one request give two futures and both yield), while later
+        runs keep executing.  The streaming primitive behind CLI
+        progress, :meth:`run_many` and barrier-free dependent analyses
+        that need the *future* (its ``request``, or its position in a
+        batch) as well as its artifact.
         """
         unique = list(dict.fromkeys(futures))
         total = len(unique)
@@ -528,42 +510,20 @@ class ConsumerSurface:
                 yield future
             else:
                 pending.setdefault(future.fingerprint, []).append(future)
-        for fingerprint in self._landed(pending, timeout):
+        for fingerprint in self._landed(pending):
             for future in pending.pop(fingerprint):
                 done += 1
                 self._notify(done, total)
                 yield future
 
-    def as_resolved(
-        self, futures: Iterable[RunFuture], timeout: float | None = None
-    ) -> Iterator[RunArtifact]:
-        """Yield artifacts in *completion* order as runs finish.
-
-        Already-resolved futures come first; pending runs follow as
-        they land, while later ones keep executing -- the streaming
-        primitive behind CLI progress and barrier-free dependent
-        analyses.  Duplicate futures yield once.  A failed run raises
-        at its position in the stream.
-        """
-        for future in self.as_done(futures, timeout=timeout):
-            yield future.result()
-
     def run(
-        self,
-        request: RunRequest,
-        use_store: bool | None = None,
-        detail: str | None = None,
+        self, request: RunRequest, detail: str | None = None
     ) -> RunArtifact:
         """Resolve one request, blocking (store lookup, else simulate)."""
-        return self.submit(
-            request, use_store=use_store, detail=detail
-        ).result()
+        return self.submit(request, detail=detail).result()
 
     def run_many(
-        self,
-        requests: Sequence[RunRequest],
-        use_store: bool | None = None,
-        detail: str | None = None,
+        self, requests: Sequence[RunRequest], detail: str | None = None
     ) -> list[RunArtifact]:
         """Resolve a batch of requests, preserving order.
 
@@ -573,9 +533,7 @@ class ConsumerSurface:
         completion is still persisted (and counted toward progress)
         before the first error re-raises.
         """
-        futures = self.submit_many(
-            requests, use_store=use_store, detail=detail
-        )
+        futures = self.submit_many(requests, detail=detail)
         first_error: BaseException | None = None
         for future in self.as_done(futures):
             error = future.exception()
@@ -602,15 +560,14 @@ class Orchestrator(ConsumerSurface):
         are deterministic: every engine derives its streams from the
         request, so results are identical to serial execution.
     use_store:
-        Default store behavior.  ``False`` makes every resolution
-        simulate (results are still recorded) -- consumers that only
-        take an orchestrator, like the CLI's ``--no-cache`` path,
-        configure cache bypass here.
+        Store behavior.  ``False`` makes every resolution simulate
+        (results are still recorded) -- consumers that only take an
+        orchestrator, like the CLI's ``--no-cache`` path, configure
+        cache bypass here.
     progress:
         Optional ``callback(completed, total)`` fired as each unique
-        run of a batch resolves (:meth:`run_many` /
-        :meth:`as_resolved`); the CLI uses it to stream run counts
-        during sweeps.
+        run of a batch resolves (:meth:`run_many` / :meth:`as_done`);
+        the CLI uses it to stream run counts during sweeps.
     meta:
         Extra store-document ``meta`` keys stamped onto every run this
         orchestrator records, merged over :func:`run_meta`'s derived
@@ -899,24 +856,19 @@ class Orchestrator(ConsumerSurface):
         return found
 
     def _launch(
-        self,
-        misses: list[tuple[RunRequest, str]],
-        use_store: bool,
-        detail: str | None,
+        self, misses: list[tuple[RunRequest, str]], detail: str | None
     ) -> list[RunFuture]:
         """The misses as lockstep groups (:meth:`launch_many`)."""
         return self.launch_many(misses)
 
-    def _landed(
-        self, pending: dict[str, list[RunFuture]], timeout: float | None
-    ) -> Iterator[str]:
+    def _landed(self, pending: dict[str, list[RunFuture]]) -> Iterator[str]:
         """Fingerprints in completion order.
 
         A fingerprint's pending futures share one underlying future:
         :meth:`launch_many` dedups against in-flight work.
         """
         waiting = {group[0]._future: fp for fp, group in pending.items()}
-        for landed in as_completed(waiting, timeout=timeout):
+        for landed in as_completed(waiting):
             yield waiting[landed]
 
 def grid_requests(

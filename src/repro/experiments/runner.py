@@ -127,20 +127,10 @@ def run_replicated_comparison(
     return replicates
 
 
-def clear_cache() -> None:
-    """Drop the default store's in-memory results (mainly for tests).
-
-    Disk documents, when a persistent root is configured, survive --
-    delete the store directory to cold-start those.
-    """
-    default_orchestrator().store.clear_memory()
-
-
 #: Engine-flag pass-through re-exported for consumers that build
 #: requests directly.
 __all__ = [
     "EngineOptions",
-    "clear_cache",
     "default_orchestrator",
     "default_policies",
     "run_comparison",

@@ -48,11 +48,3 @@ class BERProcess:
         """Draw BER value(s) from the paper's distribution."""
         index = rng.choice(len(_BER_VALUES), size=size, p=_BER_PROBS)
         return _BER_VALUES[index]
-
-    def slot_link_ber(self, slot: int, src: int, dst: int) -> float:
-        """Representative BER of the (src -> dst) link during ``slot``."""
-        return float(self.sample(self.link_rng(slot, src, dst)))
-
-    def expected_ber(self) -> float:
-        """Mean of the distribution (useful for analytic sanity checks)."""
-        return float(np.dot(_BER_VALUES, _BER_PROBS))

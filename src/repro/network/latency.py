@@ -194,19 +194,3 @@ class LatencyModel:
             source_terms=source_terms,
             dest_local_s=dest_local,
         )
-
-    def migration_latency(
-        self, src: int, dst: int, volume_mb: float, slot: int
-    ) -> float:
-        """Latency to migrate VM images totalling ``volume_mb`` src->dst.
-
-        Same path as data transfers: source-local, global, then
-        destination-local storage write (Eq. 1 with a single source).
-        """
-        if src == dst or volume_mb == 0.0:
-            return 0.0
-        return (
-            self.source_local_latency(src, volume_mb)
-            + self.global_latency(src, dst, volume_mb, slot)
-            + self.dest_local_latency(dst, volume_mb)
-        )

@@ -91,7 +91,3 @@ class GeoTopology:
     def local_bandwidth_bps(self, dc: int) -> float:
         """Intra-DC (storage) bandwidth B_L of a DC."""
         return self.specs[dc].local_bandwidth_bps
-
-    def distance_matrix_m(self) -> np.ndarray:
-        """Copy of the full fiber-distance matrix."""
-        return self._distances.copy()

@@ -1,7 +1,7 @@
 """Shared experiment daemon: HTTP front-end over the orchestrator.
 
 The futures orchestrator (:mod:`repro.experiments.orchestrator`) gives
-one process non-blocking ``submit``/``as_resolved`` semantics over a
+one process non-blocking ``submit``/``as_done`` semantics over a
 persistent result store.  This package puts a network front-end on it
 so *many* clients share one long-lived daemon -- one worker pool, one
 store, one in-flight dedup table:

@@ -2,8 +2,8 @@
 
 :class:`ServiceClient` serves the consumer surface of
 :class:`~repro.experiments.orchestrator.ConsumerSurface` --
-``submit`` / ``submit_many`` / ``as_done`` / ``as_resolved`` /
-``run`` / ``run_many`` plus ``lookup`` -- against an
+``submit`` / ``submit_many`` / ``as_done`` / ``run`` / ``run_many``
+plus ``lookup`` -- against an
 :class:`~repro.service.server.ExperimentDaemon` URL, so every analysis
 that takes an ``orchestrator=`` parameter (``runner``, ``scenarios``,
 ``pareto``, ``sensitivity``, ``lower_bound``) runs remotely with zero
@@ -26,8 +26,8 @@ one-request ``submit_many``.  Store hits resolve their futures
 immediately; the rest stay pending and resolve two ways, whichever
 happens first:
 
-* ``as_done`` / ``as_resolved`` poll with ``wait>0`` and resolve
-  futures as artifact lines stream in, in completion order;
+* ``as_done`` polls with ``wait>0`` and resolves futures as artifact
+  lines stream in, in completion order;
 * :meth:`RunFuture.result` on an individual pending future polls its
   one fingerprint the same way.
 
@@ -133,9 +133,9 @@ class ServiceClient(ConsumerSurface):
     url:
         Daemon base URL, e.g. ``http://127.0.0.1:8123``.
     use_store:
-        Default cache behavior forwarded with every submission
-        (``False`` = the CLI's ``--no-cache``: the daemon resimulates
-        but still records).
+        Cache behavior forwarded with every submission (``False`` =
+        the CLI's ``--no-cache``: the daemon resimulates but still
+        records).
     progress:
         Optional ``callback(completed, total)`` fired per resolved run
         of a batch, exactly like the orchestrator's.
@@ -459,10 +459,7 @@ class ServiceClient(ConsumerSurface):
         return found
 
     def _launch(
-        self,
-        misses: list[tuple[RunRequest, str]],
-        use_store: bool,
-        detail: str | None,
+        self, misses: list[tuple[RunRequest, str]], detail: str | None
     ) -> list[RunFuture]:
         """Ship misses in chunked ``POST /runs/batch`` calls.
 
@@ -477,7 +474,9 @@ class ServiceClient(ConsumerSurface):
         futures: dict[str, RunFuture] = {}
         for chunk in _chunked(ordered, _BATCH_CHUNK):
             entries = [
-                encode_request(request, fingerprint, use_store=use_store)
+                encode_request(
+                    request, fingerprint, use_store=self.use_store
+                )
                 for request, fingerprint in chunk
             ]
             body = json.dumps(encode_batch(entries, detail=detail)).encode()
@@ -520,13 +519,16 @@ class ServiceClient(ConsumerSurface):
         ]
 
     def _landed(
-        self, pending: dict[str, list[RunFuture]], timeout: float | None
+        self,
+        pending: dict[str, list[RunFuture]],
+        timeout: float | None = None,
     ) -> Iterator[str]:
         """Fingerprints as the daemon completes their runs.
 
         Each round is one waiting poll of every pending fingerprint,
         streamed in daemon completion order.  A lone pending future's
-        ``result()`` waits through this too, on its one fingerprint.
+        ``result(timeout)`` waits through this too, on its one
+        fingerprint, and raises ``TimeoutError`` past ``timeout``.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         while pending:

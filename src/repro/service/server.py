@@ -21,7 +21,7 @@ it.  Endpoints:
     (capped at :data:`MAX_WAIT_S`) expires; the client re-polls.
     ``wait=0`` answers with one buffered body; ``wait>0`` streams the
     lines, the wire mirror of
-    :meth:`~repro.experiments.orchestrator.Orchestrator.as_resolved`.
+    :meth:`~repro.experiments.orchestrator.ConsumerSurface.as_done`.
 ``GET /healthz``
     Liveness and identity: ``status`` and ``daemon_id``.  Building the
     payload takes no lock.
@@ -34,7 +34,9 @@ it.  Endpoints:
     poll lines that find the run stored.  A run this daemon computed
     counts under ``computed`` only: its claim stays registered until a
     poll delivers it, so it settles as computed whenever that poll
-    comes.
+    comes -- unless :data:`_UNDELIVERED_CLAIMS` newer runs land
+    undelivered first; the poll then reads it from the store as a
+    hit.
 
 Every other path answers ``404``; on a POST that reply also closes the
 connection, because the unread body would desync keep-alive framing.
@@ -148,6 +150,12 @@ _RESPONSE_CACHE_SIZE = 4096
 #: for weeks and failures must not accumulate without limit).
 _ERROR_CACHE_SIZE = 1024
 
+#: Landed claims kept for the polls that have not delivered them yet,
+#: as many as the store keeps results in memory.  Each holds its
+#: result, so past the bound the oldest is dropped: a poll for it then
+#: reads the run from the store, as a hit.
+_UNDELIVERED_CLAIMS = 1024
+
 #: Request latencies retained for the /stats p50/p99 (a sliding
 #: window, not a full history: the daemon is long-lived).
 _LATENCY_WINDOW = 4096
@@ -198,6 +206,8 @@ class ExperimentDaemon:
         self.max_body_bytes = int(max_body_bytes)
         self.idle_timeout_s = idle_timeout_s
         self._futures: dict[str, RunFuture] = {}
+        #: The landed, undelivered claims of ``_futures``, oldest first.
+        self._undelivered: OrderedDict[str, RunFuture] = OrderedDict()
         self._errors: OrderedDict[str, str] = OrderedDict()
         self._responses: OrderedDict[tuple, bytes] = OrderedDict()
         self._lock = threading.Lock()
@@ -360,9 +370,11 @@ class ExperimentDaemon:
 
         A succeeded claim stays registered until a poll delivers it
         (:meth:`_settled`), so the run reads as computed however late
-        that poll comes; a failed one leaves its message for polls and
-        leaves the registry.  Only this claim is dropped: a newer one
-        (a ``use_store=False`` resubmission) may have replaced it.
+        that poll comes, unless :data:`_UNDELIVERED_CLAIMS` newer
+        claims land undelivered first and drop it; a failed one leaves
+        its message for polls and leaves the registry.  Only finished
+        claims are dropped: a newer one (a ``use_store=False``
+        resubmission) may have replaced this one.
         """
         fingerprint = claim.fingerprint
         error = claim.exception(timeout=0)
@@ -371,6 +383,12 @@ class ExperimentDaemon:
                 self.counters["computed"] += 1
                 # A successful recompute supersedes any stale failure.
                 self._errors.pop(fingerprint, None)
+                if self._futures.get(fingerprint) is claim:
+                    self._undelivered[fingerprint] = claim
+                while len(self._undelivered) > _UNDELIVERED_CLAIMS:
+                    _, oldest = self._undelivered.popitem(last=False)
+                    if self._futures.get(oldest.fingerprint) is oldest:
+                        del self._futures[oldest.fingerprint]
                 return
             self.counters["errors"] += 1
             self._errors[fingerprint] = f"{type(error).__name__}: {error}"
@@ -451,6 +469,7 @@ class ExperimentDaemon:
         with self._lock:
             existing = self._futures.get(fingerprint)
             if existing is None or existing.done():
+                self._undelivered.pop(fingerprint, None)
                 claim = RunFuture(request, fingerprint, Future())
                 self._futures[fingerprint] = claim
                 claim._future.add_done_callback(
@@ -566,6 +585,7 @@ class ExperimentDaemon:
         with self._lock:
             if self._futures.get(claim.fingerprint) is claim:
                 del self._futures[claim.fingerprint]
+                self._undelivered.pop(claim.fingerprint, None)
         return line
 
     def handle_poll(

@@ -257,6 +257,24 @@ def scaled_config(scale: str = "small", seed: int = 0) -> ExperimentConfig:
     raise ValueError(f"unknown scale {scale!r} (use 'small' or 'tiny')")
 
 
+def config_for_scale(
+    scale: str, seed: int = 0, horizon: int | None = None
+) -> ExperimentConfig:
+    """The config a named scale (``tiny``, ``small`` or ``paper``) runs.
+
+    ``horizon`` overrides the scale's horizon in slots; ``None`` or 0
+    keeps it.  The CLI's ``--scale``/``--seed``/``--horizon`` and a
+    suite's ``[matrix]`` resolve through here.
+    """
+    if scale == "paper":
+        config = paper_config(seed=seed)
+    else:
+        config = scaled_config(scale, seed=seed)
+    if horizon:
+        config = config.with_horizon(horizon)
+    return config
+
+
 def build_datacenters(config: ExperimentConfig) -> list[Datacenter]:
     """Fresh live DCs (full batteries, empty forecast history)."""
     return [

@@ -55,7 +55,6 @@ from repro.sim.results import RunResult, SlotRecord
 from repro.sim.state import PlacementPolicy
 from repro.units import SECONDS_PER_HOUR
 from repro.workload.materialize import build_materialization
-from repro.workload.packs import WorkloadProvider
 
 #: Third word of the request stream's seed sequence: keeps the request
 #: Poisson draws disjoint from the workload streams, which derive from
@@ -75,18 +74,6 @@ class SimulationEngine:
     validate:
         Validate every placement against the observation (cheap; keep
         on except in micro-benchmarks).
-    workload:
-        The :class:`~repro.workload.packs.WorkloadProvider` supplying
-        traces and data volumes -- typically a named, content-hashed
-        :class:`~repro.workload.packs.TracePack`; wrap a pre-built
-        trace library (e.g. a
-        :class:`~repro.workload.recorded.RecordedTraceLibrary` holding
-        real DC traces) in a
-        :class:`~repro.workload.packs.LibraryWorkload`.  Defaults to the
-        synthetic pack, which reproduces the engine's historical
-        workload bit-for-bit.  The provider may also rewrite the
-        config (``configure``), e.g. a scenario pack overriding the
-        arrival model's archetype mix.
     clairvoyant:
         When True the observation carries the *current* slot's traces
         and volumes instead of the previous slot's -- a perfect
@@ -94,21 +81,20 @@ class SimulationEngine:
         last-interval data (Section IV-A); the clairvoyant mode bounds
         what better forecasting could buy.
     materialization:
-        Optional shared
-        :class:`~repro.workload.materialize.WorkloadMaterialization`
+        The :class:`~repro.workload.materialize.WorkloadMaterialization`
         supplying the population, traces, volumes and realized
         per-slot matrices -- the one a lockstep group
-        (:func:`run_lockstep`) shares.  It must realize this
-        ``config``'s workload
+        (:func:`run_lockstep`) shares, built by
+        :func:`~repro.workload.materialize.build_materialization` from
+        the run's :class:`~repro.workload.packs.TracePack`.  It must
+        realize this ``config``'s workload
         (:meth:`~repro.workload.materialize.WorkloadMaterialization.realizes`:
         the same seed, horizon, slot resolution and arrival model) --
         configs differing only in workload-irrelevant fields (fleet
-        specs, tariffs, QoS) share materializations.  It already
-        carries its pack, so ``workload`` must not also be passed.
-        Without one the engine builds its own from ``workload``
-        (:func:`~repro.workload.materialize.build_materialization`).
-        Purely an execution detail: runs are bit-identical with or
-        without it.
+        specs, tariffs, QoS) share materializations.  Its pack may
+        rewrite the config (``configure``), e.g. a scenario pack
+        overriding the arrival model's archetype mix.  Without one the
+        engine builds the default (synthetic) pack's.
     engine:
         The :class:`~repro.sim.config.EngineCoreConfig` selecting the
         run kind: ``kind="slot"`` (default) records the slot ledgers
@@ -130,14 +116,11 @@ class SimulationEngine:
         policy: PlacementPolicy,
         validate: bool = True,
         clairvoyant: bool = False,
-        workload: WorkloadProvider | None = None,
         materialization=None,
         engine: EngineCoreConfig | None = None,
     ) -> None:
         if materialization is None:
-            materialization = build_materialization(config, workload)
-        elif workload is not None:
-            raise ValueError("materialization already carries its workload")
+            materialization = build_materialization(config, None)
         elif not materialization.realizes(config):
             # The sharing contract is the workload, not config
             # equality: configs differing only in workload-irrelevant
@@ -149,15 +132,13 @@ class SimulationEngine:
                 "materialization was built for a different workload "
                 "(seed, horizon, slot resolution or arrival model)"
             )
-        workload = materialization.pack
-        config = workload.configure(config)
+        config = materialization.pack.configure(config)
         if engine is None:
             engine = EngineCoreConfig()
         self.config = config
         self.policy = policy
         self.validate = validate
         self.clairvoyant = clairvoyant
-        self.workload = workload
         self.engine_config = engine
         self.kernel = SlotKernel(
             config,
@@ -293,20 +274,19 @@ def run_policies(
     policies: list[PlacementPolicy],
     validate: bool = True,
     clairvoyant: bool = False,
-    workload: WorkloadProvider | None = None,
     engine: EngineCoreConfig | None = None,
 ) -> list[RunResult]:
     """Run several policies over the *same* workload realization.
 
     The paper's comparison protocol: the policies advance in lockstep
-    (:func:`run_lockstep`) on one materialization, so they see
-    identical VMs, traces and volumes -- and every engine derives its
-    weather and BER streams from ``config.seed`` too.  The engine
-    options (``validate``, ``clairvoyant``, ``engine``) are forwarded
-    to every :class:`SimulationEngine` constructed.  The first failed
-    run's error re-raises once every run has finished.
+    (:func:`run_lockstep`) on one materialization of the default pack,
+    so they see identical VMs, traces and volumes -- and every engine
+    derives its weather and BER streams from ``config.seed`` too.  The
+    engine options (``validate``, ``clairvoyant``, ``engine``) are
+    forwarded to every :class:`SimulationEngine` constructed.  The
+    first failed run's error re-raises once every run has finished.
     """
-    materialization = build_materialization(config, workload)
+    materialization = build_materialization(config, None)
     outcomes = run_lockstep(
         [
             SimulationEngine(

@@ -414,7 +414,7 @@ class HeadlineResult:
         return self._headline["total_grid_energy_joules"]
 
     def renewable_utilization(self) -> float:
-        """Fraction of demand met by renewables."""
+        """Fraction of generated PV energy actually used or stored."""
         return self._headline["renewable_utilization"]
 
     def mean_response_s(self) -> float:

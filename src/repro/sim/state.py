@@ -71,10 +71,6 @@ class SlotObservation:
         """Number of data centers."""
         return len(self.dcs)
 
-    def vm_index(self) -> dict[int, int]:
-        """vm_id -> positional index into ``vms`` (and trace rows)."""
-        return {vm.vm_id: i for i, vm in enumerate(self.vms)}
-
     def previous_array(self) -> np.ndarray:
         """Previous DC per VM as an array; -1 marks new arrivals."""
         return np.array(

@@ -207,11 +207,6 @@ class ResultStore:
             return iter(())
         return self._backend.scan()
 
-    def clear_memory(self) -> None:
-        """Drop the in-memory layer (persistent documents survive)."""
-        with self._lock:
-            self._memory.clear()
-
     def stats(self) -> dict[str, int]:
         """Hit/miss/write counters (for benchmarks and logs)."""
         with self._lock:

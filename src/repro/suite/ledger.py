@@ -42,7 +42,6 @@ store), so the ledger can stay cheap on the hot path.
 from __future__ import annotations
 
 import json
-import os
 import pathlib
 from dataclasses import dataclass, field
 from typing import IO, Iterator
@@ -59,8 +58,6 @@ __all__ = [
 #: and ignore this directory, so ledgers ride next to the documents
 #: they describe without perturbing any backend.
 CAMPAIGNS_DIR = "campaigns"
-
-_STATUSES = ("submitted", "done", "failed")
 
 #: Shared encoder for the write path.  Ledger records are flat dicts
 #: built in-process, so circular-reference tracking is pure overhead;
@@ -238,21 +235,6 @@ class CampaignLedger:
         )
         handle.flush()
 
-    def status(self, fingerprint: str, status: str, **provenance) -> None:
-        """Append one status transition for ``fingerprint``."""
-        if status not in _STATUSES:
-            raise ValueError(
-                f"unknown status {status!r} (use {_STATUSES})"
-            )
-        self.append(
-            {
-                "type": "status",
-                "fingerprint": fingerprint,
-                "status": status,
-                **provenance,
-            }
-        )
-
     def close(self) -> None:
         """Close the write handle (appends reopen it on demand)."""
         if self._handle is not None:
@@ -316,13 +298,3 @@ def list_campaigns(root: str | pathlib.Path) -> list[CampaignLedger]:
         CampaignLedger(path)
         for path in sorted(directory.glob("*.jsonl"))
     ]
-
-
-def remove_campaign(root: str | pathlib.Path, campaign_id: str) -> bool:
-    """Delete one campaign's ledger file (used by campaign GC)."""
-    ledger = CampaignLedger.for_store(root, campaign_id)
-    try:
-        os.remove(ledger.path)
-        return True
-    except FileNotFoundError:
-        return False

@@ -51,20 +51,17 @@ import hashlib
 import pathlib
 import tomllib
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Iterator
 
-from repro.baselines import EnerAwarePolicy, NetAwarePolicy, PriAwarePolicy
-from repro.core.controller import ProposedPolicy
-from repro.core.forces import ForceParameters
 from repro.experiments.orchestrator import (
     EngineOptions,
     RunRequest,
 )
+from repro.experiments.runner import default_policies
 from repro.sim.config import (
     EngineCoreConfig,
     ExperimentConfig,
-    paper_config,
-    scaled_config,
+    config_for_scale,
 )
 from repro.sim.state import PlacementPolicy
 from repro.workload.packs import TracePack, available_packs, get_pack
@@ -82,7 +79,7 @@ __all__ = [
 
 #: The paper's four methods in reporting order -- what the figure
 #: reports require, and the policy-name vocabulary specs may use.
-COMPARISON_POLICIES = ("Proposed", "Ener-aware", "Pri-aware", "Net-aware")
+COMPARISON_POLICIES = tuple(policy.name for policy in default_policies())
 
 #: Figures/tables a suite may declare as outputs.
 KNOWN_FIGURES = (1, 2, 3, 4, 5, 6)
@@ -194,17 +191,11 @@ class SuiteCell:
         }
 
 
-def _policy_builder(name: str) -> Callable[[float], PlacementPolicy]:
-    """A fresh-policy factory for ``name`` (policies carry state)."""
-    builders: dict[str, Callable[[float], PlacementPolicy]] = {
-        "Proposed": lambda alpha: ProposedPolicy(
-            force_params=ForceParameters(alpha=alpha)
-        ),
-        "Ener-aware": lambda alpha: EnerAwarePolicy(),
-        "Pri-aware": lambda alpha: PriAwarePolicy(),
-        "Net-aware": lambda alpha: NetAwarePolicy(),
-    }
-    return builders[name]
+def _policy(name: str, alpha: float) -> PlacementPolicy:
+    """A fresh ``name`` policy (policies carry state) at ``alpha``."""
+    return next(
+        policy for policy in default_policies(alpha) if policy.name == name
+    )
 
 
 @dataclass(frozen=True)
@@ -243,12 +234,7 @@ class SuiteSpec:
         return bool(self.figures or self.tables or self.export)
 
     def _config(self, seed: int, qos: float) -> ExperimentConfig:
-        if self.scale == "paper":
-            config = paper_config(seed=seed)
-        else:
-            config = scaled_config(self.scale, seed=seed)
-        if self.horizon is not None:
-            config = config.with_horizon(self.horizon)
+        config = config_for_scale(self.scale, seed=seed, horizon=self.horizon)
         if qos != config.qos:
             import dataclasses
 
@@ -294,7 +280,7 @@ class SuiteSpec:
     ) -> SuiteRun:
         request = RunRequest(
             config=self._config(seed, qos),
-            policy=_policy_builder(policy_name)(alpha),
+            policy=_policy(policy_name, alpha),
             options=EngineOptions(engine=EngineCoreConfig(kind=engine)),
             pack=pack,
         )

@@ -44,11 +44,6 @@ def mb_to_bits(megabytes: float) -> float:
     return megabytes * BITS_PER_MB
 
 
-def bits_to_mb(bits: float) -> float:
-    """Convert a number of bits to megabytes."""
-    return bits / BITS_PER_MB
-
-
 def gb_to_mb(gigabytes: float) -> float:
     """Convert gigabytes (VM image size) to megabytes."""
     return gigabytes * MB_PER_GB
@@ -67,8 +62,3 @@ def joules_to_kwh(joules: float) -> float:
 def joules_to_gj(joules: float) -> float:
     """Convert Joules to gigajoules."""
     return joules / JOULES_PER_GJ
-
-
-def watts_over(watts: float, seconds: float) -> float:
-    """Energy in Joules of a constant power draw over a duration."""
-    return watts * seconds

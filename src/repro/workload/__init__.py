@@ -14,20 +14,17 @@ with (Section V-A):
   10 MB mean and uniform variance in [1, 4]
   (:mod:`repro.workload.datacorr`),
 * and versioned, content-hashed *trace packs* that bundle a trace
-  source with its data-correlation parameters behind the single
-  :class:`~repro.workload.packs.WorkloadProvider` layer the engine and
-  orchestrator consume (:mod:`repro.workload.packs`).
+  source with its data-correlation parameters: the one workload type
+  the engine and orchestrator consume (:mod:`repro.workload.packs`).
 """
 
 from repro.workload.arrivals import ArrivalModel, VMPopulation
 from repro.workload.datacorr import DataCorrelationProcess, VolumeMatrix
 from repro.workload.packs import (
     DataCorrelationParams,
-    LibraryWorkload,
     RecordedTraceSource,
     SyntheticTraceSource,
     TracePack,
-    WorkloadProvider,
     available_packs,
     default_pack,
     get_pack,
@@ -43,7 +40,6 @@ __all__ = [
     "ArrivalModel",
     "DataCorrelationParams",
     "DataCorrelationProcess",
-    "LibraryWorkload",
     "RecordedTraceLibrary",
     "RecordedTraceSource",
     "SyntheticTraceSource",
@@ -52,7 +48,6 @@ __all__ = [
     "VMPopulation",
     "VirtualMachine",
     "VolumeMatrix",
-    "WorkloadProvider",
     "available_packs",
     "default_pack",
     "get_pack",

@@ -143,14 +143,3 @@ class VMPopulation:
     def arrivals(self, slot: int) -> list[VirtualMachine]:
         """VMs whose first slot is ``slot``."""
         return [vm for vm in self.vms if vm.arrival_slot == slot]
-
-    def departures(self, slot: int) -> list[VirtualMachine]:
-        """VMs whose last slot was ``slot - 1``."""
-        return [vm for vm in self.vms if vm.departure_slot == slot]
-
-    def peak_alive(self) -> int:
-        """Maximum simultaneous VM count over the horizon."""
-        return max(
-            (len(self.alive(slot)) for slot in range(self.horizon_slots)),
-            default=0,
-        )

@@ -64,23 +64,6 @@ class VolumeMatrix:
         # One pass that also rejects NaN, which compares false.
         if not (self.volumes >= 0).all():
             raise ValueError("volumes must be non-negative")
-        self._index = {vm_id: i for i, vm_id in enumerate(self.vm_ids)}
-
-    def volume(self, src_id: int, dst_id: int) -> float:
-        """MB sent from ``src_id`` to ``dst_id`` this slot."""
-        return float(self.volumes[self._index[src_id], self._index[dst_id]])
-
-    def pair_volume(self, a_id: int, b_id: int) -> float:
-        """Total MB exchanged between the two VMs (both directions)."""
-        return self.volume(a_id, b_id) + self.volume(b_id, a_id)
-
-    def symmetric(self) -> np.ndarray:
-        """Symmetrized exchange matrix (``v + v.T``)."""
-        return self.volumes + self.volumes.T
-
-    def total_mb(self) -> float:
-        """Total MB exchanged by all pairs this slot."""
-        return float(self.volumes.sum())
 
 
 class DataCorrelationProcess:

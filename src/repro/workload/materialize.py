@@ -165,8 +165,7 @@ class WorkloadMaterialization:
         """True if ``config`` under this pack realizes this workload.
 
         Compares what :func:`materialization_key` hashes besides the
-        pack, so it also holds for a provider without content identity
-        (a :class:`~repro.workload.packs.LibraryWorkload`).
+        pack.
         """
         return _workload_fields(self.pack.configure(config)) == (
             _workload_fields(self.config)
@@ -244,15 +243,17 @@ class WorkloadMaterialization:
             self._volumes[key] = matrix
         return matrix
 
-def build_materialization(config, pack) -> WorkloadMaterialization:
+def build_materialization(
+    config, pack: TracePack | None
+) -> WorkloadMaterialization:
     """Materialize the workload for ``(config, pack)``.
 
     The one place a run's population, traces and volumes are built:
     the orchestrator builds one per lockstep group, and a
-    :class:`~repro.sim.engine.SimulationEngine` handed none builds its
-    own here.  ``pack`` is any
-    :class:`~repro.workload.packs.WorkloadProvider` (``None`` = the
-    default pack).
+    :class:`~repro.sim.engine.SimulationEngine` handed none builds the
+    default pack's here.  ``pack`` is a
+    :class:`~repro.workload.packs.TracePack` (``None`` = the default
+    pack).
     """
     if pack is None:
         pack = default_pack()

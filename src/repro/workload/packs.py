@@ -1,24 +1,17 @@
-"""Versioned, content-hashed workload packs behind one provider layer.
+"""Versioned, content-hashed workload packs: the one workload type.
 
 The paper's evaluation consumes two workload inputs: per-VM utilization
 traces (a real DC recording extended one day -> one week, Section V)
 and the runtime-varying pairwise data correlations (Section V-A).
-Historically the engine special-cased them (``trace_library or
-TraceLibrary(...)`` plus a hard-wired
-:class:`~repro.workload.datacorr.DataCorrelationProcess`), which left
-recorded workloads without an identity the experiment orchestrator
-could fingerprint.
+Both come from one :class:`TracePack`, so every workload has an
+identity the experiment orchestrator can fingerprint:
 
-This module unifies all workload sources behind one provider protocol:
-
-* :class:`WorkloadProvider` is what the simulation engine consumes --
-  anything that can configure an experiment, build a trace library and
-  build a volume process;
-* :class:`TracePack` is the canonical provider: a *named*, *versioned*
-  bundle of a trace source (synthetic generator parameters or a
-  recorded utilization matrix), data-correlation parameters and an
-  optional application-mix override, identified by a SHA-256 content
-  hash;
+* :class:`TracePack` is a *named*, *versioned* bundle of a trace
+  source (synthetic generator parameters or a recorded utilization
+  matrix), data-correlation parameters and an optional
+  application-mix override, identified by a SHA-256 content hash; it
+  configures an experiment, builds its trace library and builds its
+  volume process;
 * a process-wide registry maps pack names to packs so the CLI can
   select workloads by name (``--pack``) and list what is available.
 
@@ -45,7 +38,7 @@ import hashlib
 import pathlib
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping, Protocol, runtime_checkable
+from typing import Mapping
 
 import numpy as np
 
@@ -206,28 +199,6 @@ class RecordedTraceSource:
         )
 
 
-@runtime_checkable
-class WorkloadProvider(Protocol):
-    """What the simulation engine consumes in place of raw libraries."""
-
-    def configure(self, config):
-        """Return ``config`` with the provider's overrides applied."""
-
-    def build_traces(self, config):
-        """Trace library (``slot_demand``/``slot_demand_many``/``slot_mean``).
-
-        ``slot_demand_many(vms, slot)`` returns the ``(len(vms), steps)``
-        matrix whose rows equal ``slot_demand(vm, slot)`` bit for bit,
-        in ``vms`` order, and has shape ``(0, steps)`` for no VMs.
-        """
-
-    def build_volumes(self, config):
-        """The pairwise data-volume process for ``config``."""
-
-    def descriptor(self) -> dict:
-        """JSON-stable identity folded into run fingerprints."""
-
-
 @dataclass(frozen=True, eq=False)
 class TracePack:
     """A named, versioned, content-hashed workload bundle.
@@ -311,7 +282,11 @@ class TracePack:
         return dataclasses.replace(config, arrival_model=arrival_model)
 
     def build_traces(self, config):
-        """The pack's trace library, checked against the config slotting."""
+        """The pack's trace library, checked against the config slotting.
+
+        Its ``slot_demand_many(vms, slot)`` rows equal
+        ``slot_demand(vm, slot)`` bit for bit, in ``vms`` order.
+        """
         library = self.source.build(config)
         steps = getattr(library, "steps_per_slot", config.steps_per_slot)
         if steps != config.steps_per_slot:
@@ -366,45 +341,6 @@ class TracePack:
             datacorr=datacorr or DataCorrelationParams(),
             app_mix=app_mix,
         )
-
-
-@dataclass(frozen=True, eq=False)
-class LibraryWorkload:
-    """Adapter wrapping a pre-built trace library as a provider.
-
-    Pass it as the engine's ``workload`` to run on a live library
-    (e.g. a :class:`~repro.workload.recorded.RecordedTraceLibrary`).
-    It carries no content hash (the library is an opaque live object),
-    so it cannot key the result store -- use a :class:`TracePack` for
-    that.
-    """
-
-    library: object
-    datacorr: DataCorrelationParams = field(
-        default_factory=DataCorrelationParams
-    )
-
-    def configure(self, config):
-        """No overrides: the config passes through unchanged."""
-        return config
-
-    def build_traces(self, config):
-        """The wrapped library, as given."""
-        return self.library
-
-    def build_volumes(self, config) -> DataCorrelationProcess:
-        """Volume process with the engine's established seed derivation."""
-        return self.datacorr.build(config.seed + 2)
-
-    def descriptor(self) -> dict:
-        """Opaque identity -- deliberately not usable as a cache key."""
-        return {
-            "schema": PACK_SCHEMA_VERSION,
-            "name": f"library:{type(self.library).__name__}",
-            "version": 0,
-            "kind": "library",
-            "sha256": None,
-        }
 
 
 # -- registry -----------------------------------------------------------

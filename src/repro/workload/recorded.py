@@ -96,13 +96,6 @@ class RecordedTraceLibrary:
         self.utilization = utilization
         self.steps_per_slot = steps_per_slot
 
-    @classmethod
-    def from_csv(
-        cls, path: str | pathlib.Path, steps_per_slot: int
-    ) -> "RecordedTraceLibrary":
-        """Build from a CSV file (see :func:`load_utilization_csv`)."""
-        return cls(load_utilization_csv(path), steps_per_slot)
-
     @property
     def recorded_slots(self) -> int:
         """Number of whole slots in the recording."""

@@ -95,11 +95,6 @@ class VirtualMachine:
         if self.image_gb <= 0:
             raise ValueError(f"VM {self.vm_id}: image_gb must be positive")
 
-    @property
-    def lifetime_slots(self) -> int:
-        """Number of slots the VM lives for."""
-        return self.departure_slot - self.arrival_slot
-
     def alive_at(self, slot: int) -> bool:
         """Whether the VM exists during ``slot``."""
         return self.arrival_slot <= slot < self.departure_slot

@@ -1,6 +1,9 @@
-"""Shared fixtures for the test suite."""
+"""Shared fixtures for the test suite, and its cost report."""
 
 from __future__ import annotations
+
+import resource
+import time
 
 import numpy as np
 import pytest
@@ -149,3 +152,31 @@ def observation(
 @pytest.fixture(scope="session")
 def tiny_config():
     return scaled_config("tiny")
+
+
+def _user_cpu_s() -> float:
+    """User CPU seconds of this process and of its reaped children."""
+    return sum(
+        resource.getrusage(who).ru_utime
+        for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
+    )
+
+
+#: Wall clock and user CPU when pytest imports this file, just before
+#: the session starts.
+_STARTED = (time.perf_counter(), _user_cpu_s())
+
+
+def pytest_terminal_summary(terminalreporter) -> None:
+    """Report the session's wall time beside its user CPU time.
+
+    User CPU counts pytest and the worker processes it has reaped; it
+    drifts less with the host's load than wall time does, so a slower
+    host is not read as a slower suite.
+    """
+    wall = time.perf_counter() - _STARTED[0]
+    cpu = _user_cpu_s() - _STARTED[1]
+    terminalreporter.write_line(
+        f"session cost: {wall:.1f} s wall, {cpu:.1f} s user CPU "
+        "(pytest and its reaped children)"
+    )

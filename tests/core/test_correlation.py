@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.correlation import (
     attraction_matrix,
-    pearson_cpu_correlation,
     peak_coincidence,
     repulsion_matrix,
     total_force_matrix,
@@ -58,35 +57,6 @@ class TestPeakCoincidence:
     def test_requires_2d(self):
         with pytest.raises(ValueError):
             peak_coincidence(np.zeros(10))
-
-
-class TestPearson:
-    def test_self_correlation_one(self):
-        rng = np.random.default_rng(2)
-        traces = rng.normal(size=(4, 200))
-        corr = pearson_cpu_correlation(traces)
-        assert np.allclose(np.diag(corr), 1.0)
-
-    def test_anti_correlated_pair(self):
-        t = np.linspace(0, 4 * np.pi, 200)
-        traces = np.stack([np.sin(t), -np.sin(t)])
-        corr = pearson_cpu_correlation(traces)
-        assert corr[0, 1] == pytest.approx(-1.0, abs=1e-9)
-
-    def test_constant_trace_zero_not_nan(self):
-        traces = np.stack([np.ones(50), np.linspace(0, 1, 50)])
-        corr = pearson_cpu_correlation(traces)
-        assert corr[0, 1] == 0.0
-        assert not np.any(np.isnan(corr))
-
-    def test_bounded(self):
-        rng = np.random.default_rng(3)
-        corr = pearson_cpu_correlation(rng.normal(size=(6, 100)))
-        assert np.all(corr >= -1.0)
-        assert np.all(corr <= 1.0)
-
-    def test_empty(self):
-        assert pearson_cpu_correlation(np.zeros((0, 5))).shape == (0, 0)
 
 
 class TestRepulsion:

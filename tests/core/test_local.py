@@ -140,18 +140,6 @@ class TestServerAllocationType:
         )
         assert allocation.vm_count() == 3
 
-    def test_server_of(self):
-        allocation = ServerAllocation(
-            model=XEON_E5410,
-            n_servers=2,
-            server_vms=[[1, 2], [3]],
-            frequencies=[0, 1],
-            saturated=[False, False],
-        )
-        assert allocation.server_of(3) == 1
-        with pytest.raises(KeyError):
-            allocation.server_of(99)
-
     def test_validate_rejects_duplicates(self):
         allocation = ServerAllocation(
             model=XEON_E5410,

@@ -114,9 +114,3 @@ class TestRoundTrip:
         delivered = bank.discharge(10_000.0)
         assert delivered < accepted
 
-    def test_clone_independent(self, bank):
-        twin = bank.clone()
-        bank.discharge(1000.0)
-        assert twin.soc_joules == twin.capacity_joules
-        assert twin.soc_joules != bank.soc_joules
-

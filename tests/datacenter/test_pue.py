@@ -35,13 +35,6 @@ class TestPUE:
         dawn = float(model.ambient_c(4 * SECONDS_PER_HOUR))
         assert afternoon > dawn
 
-    def test_facility_power_scales_it(self):
-        model = FreeCoolingPUE(mean_temp_c=25.0)
-        t = 15 * SECONDS_PER_HOUR
-        assert float(model.facility_power(1000.0, t)) == pytest.approx(
-            1000.0 * float(model.pue(t))
-        )
-
     def test_pue_at_least_floor(self):
         model = FreeCoolingPUE()
         times = np.linspace(0, 7 * 24 * SECONDS_PER_HOUR, 400)

@@ -14,7 +14,8 @@ from repro.experiments.figures import (
     render,
     table1_rows,
 )
-from repro.experiments.runner import clear_cache, default_policies, run_comparison
+from repro.experiments import runner
+from repro.experiments.runner import default_policies, run_comparison
 from repro.sim.config import paper_config, scaled_config
 
 
@@ -38,10 +39,10 @@ class TestRunner:
         second = run_comparison(config)
         assert all(a is b for a, b in zip(first, second))
 
-    def test_cache_clear(self):
+    def test_cache_clear(self, monkeypatch):
         config = scaled_config("tiny").with_horizon(8)
         first = run_comparison(config)
-        clear_cache()
+        monkeypatch.setattr(runner, "_DEFAULT_ORCHESTRATOR", None)
         second = run_comparison(config)
         assert all(a is not b for a, b in zip(first, second))
 

@@ -1,4 +1,4 @@
-"""Futures-based orchestration: submit, as_resolved, progress, errors."""
+"""Futures-based orchestration: submit, as_done, progress, errors."""
 
 import os
 import time
@@ -110,16 +110,18 @@ class TestSubmit:
 
 
 class TestAsResolved:
+    """``as_done`` streams futures out as their runs resolve."""
+
     def test_yields_in_completion_order_while_misses_execute(self, tmp_path):
-        """The stalled-worker guarantee: fast artifacts stream out
-        while a slow run is still executing; nothing waits for the
-        whole batch."""
+        """The stalled-worker guarantee: fast runs stream out while a
+        slow run is still executing; nothing waits for the whole
+        batch."""
         gate = tmp_path / "release"
         slow = request(policy=StalledPolicy(gate))
         fast = request(1)
         with Orchestrator(jobs=2) as orchestrator:
             futures = orchestrator.submit_many([slow, fast])
-            stream = orchestrator.as_resolved(futures)
+            stream = orchestrator.as_done(futures)
             first = next(stream)
             # The fast run resolved first -- and the stalled one is
             # genuinely still executing at this moment.
@@ -127,7 +129,7 @@ class TestAsResolved:
             assert not futures[0].done()
             gate.touch()
             rest = list(stream)
-        assert [artifact.fingerprint for artifact in rest] == [
+        assert [future.fingerprint for future in rest] == [
             futures[0].fingerprint
         ]
 
@@ -138,8 +140,8 @@ class TestAsResolved:
             futures = orchestrator.submit_many(
                 [request(policy=StalledPolicy(gate)), request(1)]
             )
-            first = next(orchestrator.as_resolved(futures))
-            assert first.source == "memory"
+            first = next(orchestrator.as_done(futures))
+            assert first.result().source == "memory"
             assert not futures[0].done()
             gate.touch()
             futures[0].result()  # drain
@@ -172,8 +174,7 @@ class TestAsResolved:
     def test_duplicates_yield_once(self):
         orchestrator = Orchestrator()
         futures = orchestrator.submit_many([request(), request()])
-        artifacts = list(orchestrator.as_resolved(futures))
-        assert len(artifacts) == 1
+        assert len(list(orchestrator.as_done(futures))) == 1
 
     def test_failed_run_raises_in_stream(self):
         with Orchestrator(jobs=2) as orchestrator:
@@ -181,7 +182,7 @@ class TestAsResolved:
                 [request(policy=ExplodingPolicy())]
             )
             with pytest.raises(RuntimeError, match="boom"):
-                list(orchestrator.as_resolved(futures))
+                [future.result() for future in orchestrator.as_done(futures)]
 
 
 class TestRunManyWrapper:

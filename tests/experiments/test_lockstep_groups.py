@@ -24,7 +24,10 @@ from repro.service.server import ExperimentDaemon
 from repro.sim.config import EngineCoreConfig, scaled_config
 from repro.sim.engine import SimulationEngine
 from repro.store import ResultStore
-from repro.workload.materialize import WorkloadMaterialization
+from repro.workload.materialize import (
+    WorkloadMaterialization,
+    build_materialization,
+)
 
 
 def tiny(seed: int = 0, horizon: int = 3):
@@ -55,7 +58,9 @@ def solo_bytes(request: RunRequest) -> str:
         request.policy,
         validate=request.options.validate,
         clairvoyant=request.options.clairvoyant,
-        workload=request.pack,
+        materialization=build_materialization(
+            request.resolved_config(), request.pack
+        ),
         engine=request.options.engine,
     ).run()
     return json.dumps(result.to_dict(), sort_keys=True)

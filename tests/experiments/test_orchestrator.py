@@ -142,14 +142,6 @@ class TestResultStore:
         assert fresh.fetch(artifact.fingerprint) is None
         assert fresh.misses == 1
 
-    def test_clear_memory_keeps_disk(self, tmp_path):
-        store = ResultStore(tmp_path)
-        orchestrator = Orchestrator(store=store)
-        artifact = orchestrator.run(request())
-        store.clear_memory()
-        assert orchestrator.run(request()).source == "disk"
-        assert artifact.fingerprint in store
-
     def test_stats_counters(self):
         store = ResultStore()
         orchestrator = Orchestrator(store=store)
@@ -199,9 +191,8 @@ class TestOrchestrator:
 
     def test_use_store_false_recomputes(self):
         store = ResultStore()
-        orchestrator = Orchestrator(store=store)
-        first = orchestrator.run(request())
-        second = orchestrator.run(request(), use_store=False)
+        first = Orchestrator(store=store).run(request())
+        second = Orchestrator(store=store, use_store=False).run(request())
         assert second.source == "computed"
         assert second.result is not first.result
         assert second.result.slots == first.result.slots
@@ -215,11 +206,6 @@ class TestOrchestrator:
             "Pri-aware",
             "Net-aware",
         ]
-
-    def test_from_cache_flag(self):
-        orchestrator = Orchestrator()
-        assert orchestrator.run(request()).from_cache is False
-        assert orchestrator.run(request()).from_cache is True
 
 
 class TestGridRequests:
@@ -247,12 +233,6 @@ class TestUseStoreDefault:
         bypass = Orchestrator(store=store, use_store=False).run(request())
         assert bypass.source == "computed"
         assert bypass.result is not first.result
-
-    def test_explicit_argument_overrides_default(self):
-        store = ResultStore()
-        orchestrator = Orchestrator(store=store, use_store=False)
-        orchestrator.run(request())
-        assert orchestrator.run(request(), use_store=True).source == "memory"
 
 
 class TestPackFingerprints:

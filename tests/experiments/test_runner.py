@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.experiments import runner
 from repro.experiments.orchestrator import Orchestrator, ResultStore
 from repro.experiments.runner import (
-    clear_cache,
     default_orchestrator,
     default_policies,
     run_comparison,
@@ -13,10 +13,9 @@ from repro.sim.config import scaled_config
 
 
 @pytest.fixture(autouse=True)
-def fresh_cache():
-    clear_cache()
-    yield
-    clear_cache()
+def fresh_default_orchestrator(monkeypatch):
+    """Each test starts on a new default orchestrator (an empty store)."""
+    monkeypatch.setattr(runner, "_DEFAULT_ORCHESTRATOR", None)
 
 
 def test_alpha_distinguishes_cache_entries():

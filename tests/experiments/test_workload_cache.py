@@ -13,6 +13,7 @@ from repro.experiments.orchestrator import (
 from repro.experiments.runner import default_policies
 from repro.sim.config import scaled_config
 from repro.sim.engine import SimulationEngine
+from repro.workload.materialize import build_materialization
 from repro.workload.packs import RecordedTraceSource, TracePack, get_pack
 
 
@@ -47,7 +48,9 @@ def direct_run(req: RunRequest):
         req.policy,
         validate=req.options.validate,
         clairvoyant=req.options.clairvoyant,
-        workload=req.pack,
+        materialization=build_materialization(
+            req.resolved_config(), req.pack
+        ),
         engine=req.options.engine,
     ).run()
 
@@ -172,10 +175,13 @@ class TestPlumbing:
                 config=tiny(), policy=default_policies()[1]
             ).fingerprint()
         )
-        with Orchestrator(jobs=2) as pooled:
+        with Orchestrator(jobs=2, use_store=False) as pooled:
             fingerprints = {
-                orchestrator.run(request(), use_store=False).fingerprint
-                for orchestrator in (Orchestrator(jobs=1), pooled)
+                orchestrator.run(request()).fingerprint
+                for orchestrator in (
+                    Orchestrator(jobs=1, use_store=False),
+                    pooled,
+                )
             }
         assert fingerprints == {request().fingerprint()}
 

@@ -51,13 +51,3 @@ def test_different_slots_differ(process):
     a = process.sample(process.link_rng(5, 0, 1), size=32)
     b = process.sample(process.link_rng(6, 0, 1), size=32)
     assert not np.array_equal(a, b)
-
-
-def test_slot_link_ber_scalar(process):
-    value = process.slot_link_ber(2, 0, 1)
-    assert value in {v for v, _ in BER_DISTRIBUTION}
-
-
-def test_expected_ber(process):
-    expected = sum(value * prob for value, prob in BER_DISTRIBUTION)
-    assert process.expected_ber() == pytest.approx(expected)

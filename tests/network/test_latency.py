@@ -123,18 +123,19 @@ class TestDestinationLatency:
 
 
 class TestMigrationLatency:
-    def test_same_dc_zero(self, latency_model):
-        assert latency_model.migration_latency(1, 1, 4000.0, slot=0) == 0.0
+    """A migration's latency is Eq. 1 with its one source DC, the value
+    the migration revision checks against the QoS window."""
 
     def test_zero_volume_zero(self, latency_model):
-        assert latency_model.migration_latency(0, 1, 0.0, slot=0) == 0.0
+        result = latency_model.destination_latency(1, {0: 0.0}, slot=0)
+        assert result.total_s == 0.0
 
     def test_monotone_in_volume(self, latency_model):
-        small = latency_model.migration_latency(0, 1, 2000.0, slot=0)
-        large = latency_model.migration_latency(0, 1, 8000.0, slot=0)
-        assert large > small
+        small = latency_model.destination_latency(1, {0: 2000.0}, slot=0)
+        large = latency_model.destination_latency(1, {0: 8000.0}, slot=0)
+        assert large.total_s > small.total_s
 
     def test_8gb_feasible_within_qos_window(self, latency_model):
         """An 8 GB image must fit the 72 s window of the paper's setup."""
-        latency = latency_model.migration_latency(0, 2, 8000.0, slot=0)
-        assert latency < 72.0
+        result = latency_model.destination_latency(2, {0: 8000.0}, slot=0)
+        assert result.total_s < 72.0

@@ -9,7 +9,6 @@ from hypothesis.extra.numpy import arrays
 from repro.core.correlation import (
     attraction_matrix,
     peak_coincidence,
-    pearson_cpu_correlation,
     total_force_matrix,
 )
 from repro.core.forces import ForceDirectedEmbedding, ForceParameters
@@ -39,14 +38,6 @@ class TestCorrelationProperties:
         assert np.all(matrix >= 0.0)
         assert np.all(matrix <= 1.0 + 1e-12)
         assert np.allclose(matrix, matrix.T)
-
-    @given(traces=finite_traces)
-    @settings(max_examples=60, deadline=None)
-    def test_pearson_bounded_and_nan_free(self, traces):
-        corr = pearson_cpu_correlation(traces)
-        assert not np.any(np.isnan(corr))
-        assert np.all(corr >= -1.0 - 1e-12)
-        assert np.all(corr <= 1.0 + 1e-12)
 
     @given(volumes=volume_matrices)
     @settings(max_examples=60, deadline=None)

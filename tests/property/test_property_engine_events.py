@@ -2,8 +2,8 @@
 
 An event-kind run's contract is *byte-identical* slot-boundary ledgers
 against a slot-kind run -- for any seed, any of the four policies and
-any workload pack kind (synthetic generator, recorded matrix, bare
-trace library).  Hypothesis sweeps that product at tiny scale; each
+any workload pack kind (synthetic generator, recorded matrix).
+Hypothesis sweeps that product at tiny scale; each
 example runs both kinds end to end and compares the serialized
 ledgers, which covers battery state, cost ledgers and migration counts
 in one equality.  Each run must also pass the physics audit
@@ -32,18 +32,14 @@ from repro.sim.audit import audit_run
 from repro.sim.config import EngineCoreConfig, scaled_config
 from repro.sim.engine import SimulationEngine
 from repro.sim.metrics import weighted_percentile
-from repro.workload.packs import (
-    LibraryWorkload,
-    RecordedTraceSource,
-    TracePack,
-)
-from repro.workload.recorded import RecordedTraceLibrary
+from repro.workload.materialize import build_materialization
+from repro.workload.packs import RecordedTraceSource, TracePack
 
 #: Slots per example; long enough for arrivals, departures, tariff
 #: edges and migrations to all occur, short enough for ~10 examples.
 HORIZON = 6
 
-PACK_KINDS = ("synthetic", "recorded", "library")
+PACK_KINDS = ("synthetic", "recorded")
 
 POLICIES = (ProposedPolicy, EnerAwarePolicy, PriAwarePolicy, NetAwarePolicy)
 
@@ -84,23 +80,15 @@ def _recorded_matrix(seed: int) -> np.ndarray:
     return rng.uniform(0.1, 0.8, size=(3, 60))
 
 
-def _engine_kwargs(kind: str, seed: int) -> dict:
+def _pack(kind: str, seed: int) -> TracePack | None:
     if kind == "synthetic":
-        return {}
-    if kind == "recorded":
-        return {
-            "workload": TracePack(
-                name="prop-recorded",
-                source=RecordedTraceSource(
-                    utilization=_recorded_matrix(seed), steps_per_slot=30
-                ),
-            )
-        }
-    return {
-        "workload": LibraryWorkload(
-            RecordedTraceLibrary(_recorded_matrix(seed), steps_per_slot=30)
-        )
-    }
+        return None
+    return TracePack(
+        name="prop-recorded",
+        source=RecordedTraceSource(
+            utilization=_recorded_matrix(seed), steps_per_slot=30
+        ),
+    )
 
 
 class TestEventDriverEquivalence:
@@ -112,14 +100,18 @@ class TestEventDriverEquivalence:
     @settings(max_examples=12, deadline=None)
     def test_slot_ledgers_byte_identical(self, seed, pack_kind, make_policy):
         config = scaled_config("tiny", seed=seed).with_horizon(HORIZON)
-        kwargs = _engine_kwargs(pack_kind, seed)
-        slot_engine = SimulationEngine(config, make_policy(), **kwargs)
+        pack = _pack(pack_kind, seed)
+        slot_engine = SimulationEngine(
+            config,
+            make_policy(),
+            materialization=build_materialization(config, pack),
+        )
         slot_run = slot_engine.run()
         event_engine = SimulationEngine(
             config,
             make_policy(),
             engine=EngineCoreConfig(kind="event"),
-            **kwargs,
+            materialization=build_materialization(config, pack),
         )
         event_run = event_engine.run()
         for engine, run in (

@@ -261,10 +261,6 @@ class TestBerWindowMemo:
             assert model.destination_latency(
                 dst, volumes, slot
             ) == oracle.destination_latency(dst, volumes, slot)
-            for src, volume in volumes.items():
-                assert model.migration_latency(
-                    src, dst, volume, slot
-                ) == oracle.migration_latency(src, dst, volume, slot)
 
     def test_one_draw_per_link_and_slot(self, monkeypatch):
         model, _ = latency_models()

@@ -79,6 +79,6 @@ class TestDestinationLatencyProperties:
     )
     @settings(max_examples=40, deadline=None)
     def test_migration_latency_positive_between_dcs(self, model, volume, slot):
-        latency = model.migration_latency(0, 1, volume, slot)
+        latency = model.destination_latency(1, {0: volume}, slot).total_s
         assert latency > 0.0
         assert np.isfinite(latency)

@@ -12,8 +12,10 @@ import numpy as np
 from repro.experiments.orchestrator import RunRequest
 from repro.experiments.runner import default_policies
 from repro.service import ServiceClient
+from repro.service import server
 from repro.service.protocol import (
     WIRE_VERSION,
+    encode_batch,
     encode_poll,
     encode_request,
 )
@@ -535,6 +537,42 @@ class TestProvenance:
         with ServiceClient(daemon.url) as client:
             client.submit(request)  # claimed, landed, never polled
             wait_until(lambda: daemon.stats()["computed"] == 1)
-            artifact = client.run(request, use_store=False)
+        with ServiceClient(daemon.url, use_store=False) as rerun:
+            artifact = rerun.run(request)
         assert artifact.source == "computed"
         assert settled_stats(daemon)["computed"] == 2
+
+    def test_undelivered_claims_are_bounded(
+        self, daemon_factory, tiny_requests, monkeypatch
+    ):
+        """Landed runs no poll asks for keep at most the bound's claims:
+        the oldest drop and read from the store as hits, the newest
+        still settle as computed."""
+        monkeypatch.setattr(server, "_UNDELIVERED_CLAIMS", 2)
+        daemon = daemon_factory(jobs=1)
+        connection = http.client.HTTPConnection(*daemon.address, timeout=90)
+        try:
+            connection.request(
+                "POST",
+                "/runs/batch",
+                body=json.dumps(
+                    encode_batch([encode_request(r) for r in tiny_requests])
+                ).encode(),
+                headers={"Content-Type": "application/json"},
+            )
+            response = connection.getresponse()
+            lines = response.read().splitlines()
+        finally:
+            connection.close()
+        assert [json.loads(line)["kind"] for line in lines] == (
+            ["pending"] * 4
+        )
+        wait_until(lambda: daemon.stats()["computed"] == 4)
+        assert len(daemon._futures) == 2
+        _, lines = poll(daemon.url, [r.fingerprint() for r in tiny_requests])
+        assert [line["source"] for line in lines] == [
+            "memory", "memory", "computed", "computed"
+        ]
+        assert daemon._futures == {}
+        stats = daemon.stats()
+        assert (stats["computed"], stats["hits"]) == (4, 2)

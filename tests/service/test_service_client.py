@@ -63,7 +63,7 @@ class TestSubmission:
         client.submit(tiny_requests[0]).result(timeout=60)
         future = client.submit(tiny_requests[0])
         assert future.done()  # instant reply, no polling needed
-        assert future.result().from_cache
+        assert future.result().source != "computed"
 
     def test_submit_many_shares_duplicates(self, client, tiny_requests):
         request = tiny_requests[0]
@@ -104,13 +104,6 @@ class TestSubmission:
             assert json.dumps(
                 over_wire.result.to_dict(), sort_keys=True
             ) == json.dumps(in_process.result.to_dict(), sort_keys=True)
-
-    def test_as_resolved_streams_all(self, client, tiny_requests):
-        futures = client.submit_many(tiny_requests)
-        artifacts = list(client.as_resolved(futures))
-        assert {a.fingerprint for a in artifacts} == {
-            r.fingerprint() for r in tiny_requests
-        }
 
     def test_progress_callback_fires(self, daemon, tiny_requests):
         seen = []

@@ -12,7 +12,6 @@ from repro.experiments.runner import default_policies
 from repro.sim.config import EngineCoreConfig, build_datacenters, scaled_config
 from repro.sim.engine import SimulationEngine, run_policies
 from repro.sim.state import SlotObservation
-from repro.workload.packs import LibraryWorkload
 from tests.oracles import loop_engine, loop_kernel
 
 
@@ -148,23 +147,6 @@ class TestRunPoliciesOptions:
         config = scaled_config("tiny").with_horizon(2)
         results = run_policies(config, default_policies()[1:2], validate=False)
         assert results[0].horizon == 2
-
-    def test_trace_library_threaded_through(self):
-        from repro.workload.traces import TraceLibrary
-
-        config = scaled_config("tiny").with_horizon(2)
-        alternate = TraceLibrary(
-            steps_per_slot=config.steps_per_slot, seed=config.seed + 99
-        )
-        default = run_policies(config, default_policies()[1:2])
-        swapped = run_policies(
-            config,
-            default_policies()[1:2],
-            workload=LibraryWorkload(alternate),
-        )
-        assert default[0].total_facility_energy_joules() != pytest.approx(
-            swapped[0].total_facility_energy_joules()
-        )
 
 
 class TestDemandCacheEviction:

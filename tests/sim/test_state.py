@@ -10,11 +10,6 @@ from repro.sim.state import FleetPlacement
 
 
 class TestObservation:
-    def test_vm_index(self, observation):
-        index = observation.vm_index()
-        for row, vm in enumerate(observation.vms):
-            assert index[vm.vm_id] == row
-
     def test_previous_array_marks_new(
         self, six_vms, datacenters, latency_model, trace_library, volume_process
     ):

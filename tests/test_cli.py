@@ -42,6 +42,37 @@ class TestParser:
             capsys.readouterr().err
         )
 
+    @pytest.mark.parametrize(
+        "argv, ignored",
+        [
+            (
+                ["table1", "--scale", "tiny", "--jobs", "3", "--service",
+                 "http://127.0.0.1:1", "--pack", "nonexistent", "--engine",
+                 "event"],
+                "--jobs 3 --service http://127.0.0.1:1 --pack nonexistent "
+                "--engine event",
+            ),
+            (
+                ["sweep", "qos", "--scale", "tiny", "--horizon", "2",
+                 "--alpha", "0.9"],
+                "--alpha 0.9",
+            ),
+            (
+                ["alpha", "--scale", "tiny", "--horizon", "2", "--alpha",
+                 "0.9"],
+                "--alpha 0.9",
+            ),
+        ],
+        ids=["table1", "sweep", "alpha"],
+    )
+    def test_flags_a_command_ignores_are_refused(self, capsys, argv, ignored):
+        """table1 reads only --scale/--horizon/--seed, and alpha and
+        sweep never read --alpha, so none of them accepts the rest."""
+        with pytest.raises(SystemExit) as error:
+            main(argv)
+        assert error.value.code == 2
+        assert f"unrecognized arguments: {ignored}" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_table1(self, capsys):
@@ -138,9 +169,6 @@ class TestOrchestratorFlags:
         assert len(documents) == 4
         # Second invocation must resolve from disk and print the same table.
         first = capsys.readouterr().out
-        from repro.experiments.runner import clear_cache
-
-        clear_cache()
         assert main(argv) == 0
         assert capsys.readouterr().out == first
 
@@ -257,9 +285,6 @@ class TestStoreBackendFlag:
         assert list(store.glob("segments/*.seg"))
         first = capsys.readouterr().out
 
-        from repro.experiments.runner import clear_cache
-
-        clear_cache()
         invocations.clear()
         # Auto-detection: no --store-backend on the warm run.
         assert main(self.argv(store)) == 0
@@ -331,9 +356,6 @@ class TestStoreSubcommand:
         if backend != "json":
             argv += ["--store-backend", backend]
         assert main(argv) == 0
-        from repro.experiments.runner import clear_cache
-
-        clear_cache()
         return store
 
     def test_ls_lists_documents(self, capsys, tmp_path):
@@ -407,9 +429,6 @@ class TestStoreSubcommand:
                      "--store", str(store), "--pack-csv", str(csv)]) == 0
         assert main(["compare", "--scale", "tiny", "--horizon", "2",
                      "--store", str(store)]) == 0
-        from repro.experiments.runner import clear_cache
-
-        clear_cache()
         capsys.readouterr()
         assert main(["store", "gc", "--store", str(store),
                      "--pack", "recording"]) == 0

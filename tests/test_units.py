@@ -9,10 +9,6 @@ def test_mb_to_bits():
     assert units.mb_to_bits(1.0) == 8.0e6
 
 
-def test_bits_to_mb_roundtrip():
-    assert units.bits_to_mb(units.mb_to_bits(123.4)) == pytest.approx(123.4)
-
-
 def test_gb_to_mb():
     assert units.gb_to_mb(2.0) == 2000.0
 
@@ -27,10 +23,6 @@ def test_joules_to_kwh_roundtrip():
 
 def test_joules_to_gj():
     assert units.joules_to_gj(2.5e9) == pytest.approx(2.5)
-
-
-def test_watts_over():
-    assert units.watts_over(100.0, 3600.0) == pytest.approx(3.6e5)
 
 
 def test_seconds_per_hour():

@@ -78,7 +78,9 @@ class TestGeneration:
             assert 1.0 <= vm.cores <= 4.0
 
     def test_lifetimes_at_least_one(self, population):
-        assert all(vm.lifetime_slots >= 1 for vm in population.vms)
+        assert all(
+            vm.departure_slot - vm.arrival_slot >= 1 for vm in population.vms
+        )
 
     def test_horizon_validation(self):
         with pytest.raises(ValueError, match="horizon"):
@@ -98,13 +100,6 @@ class TestQueries:
     def test_arrivals_match_alive_transitions(self, population):
         arrivals = population.arrivals(10)
         assert all(vm.arrival_slot == 10 for vm in arrivals)
-
-    def test_departures(self, population):
-        departures = population.departures(10)
-        assert all(vm.departure_slot == 10 for vm in departures)
-
-    def test_peak_alive_positive(self, population):
-        assert population.peak_alive() >= len(population.alive(0))
 
     def test_arrival_counts_roughly_poisson(self):
         model = ArrivalModel(initial_services=0, arrival_rate=2.0)

@@ -17,7 +17,6 @@ from repro.workload.materialize import (
     materialization_key,
 )
 from repro.workload.packs import (
-    LibraryWorkload,
     RecordedTraceSource,
     TracePack,
     available_packs,
@@ -298,7 +297,8 @@ class TestSlotDataCache:
 
 
 class TestEngineBitIdentity:
-    """Materialized runs are byte-identical to self-built runs."""
+    """Runs on one materialization are byte-identical to runs on
+    another built for the same workload."""
 
     def run_pair(self, pack, policy_index=1, horizon=3):
         config = tiny(horizon)
@@ -306,7 +306,9 @@ class TestEngineBitIdentity:
         policy = default_policies()[policy_index]
         shared = SimulationEngine(config, policy, materialization=mat).run()
         policy = default_policies()[policy_index]
-        plain = SimulationEngine(config, policy, workload=pack).run()
+        plain = SimulationEngine(
+            config, policy, materialization=build_materialization(config, pack)
+        ).run()
         return shared, plain, mat
 
     @pytest.mark.parametrize(
@@ -354,15 +356,11 @@ class TestEngineBitIdentity:
         "field, value",
         [("horizon_slots", 4), ("seed", 1), ("steps_per_slot", 12)],
     )
-    def test_library_materialization_checks_its_workload(self, field, value):
-        """A library provider has no content hash, yet an engine whose
-        seed, horizon or slot resolution differs from its
-        materialization's is refused all the same."""
+    def test_materialization_checks_its_workload(self, field, value):
+        """An engine whose seed, horizon or slot resolution differs from
+        its materialization's is refused."""
         config = tiny(3)
-        library = TraceLibrary(
-            steps_per_slot=config.steps_per_slot, seed=config.seed + 99
-        )
-        mat = build_materialization(config, LibraryWorkload(library))
+        mat = build_materialization(config, None)
         other = dataclasses.replace(config, **{field: value})
         with pytest.raises(ValueError, match="different workload"):
             SimulationEngine(other, default_policies()[1], materialization=mat)
@@ -387,16 +385,6 @@ class TestEngineBitIdentity:
         assert shared.slots != SimulationEngine(
             config, default_policies()[1]
         ).run().slots  # the battery change did take effect
-
-    def test_materialization_excludes_other_workload_sources(self):
-        mat = build_materialization(tiny(3), None)
-        with pytest.raises(ValueError, match="already carries"):
-            SimulationEngine(
-                tiny(3),
-                default_policies()[1],
-                workload=recorded_pack(),
-                materialization=mat,
-            )
 
 
 def run_standalone(config):

@@ -6,9 +6,9 @@ import pytest
 from repro.baselines.pri_aware import PriAwarePolicy
 from repro.sim.config import scaled_config
 from repro.sim.engine import SimulationEngine
+from repro.workload.materialize import build_materialization
 from repro.workload.packs import (
     DataCorrelationParams,
-    LibraryWorkload,
     RecordedTraceSource,
     SyntheticTraceSource,
     TracePack,
@@ -17,7 +17,6 @@ from repro.workload.packs import (
     get_pack,
     register_pack,
 )
-from repro.workload.recorded import RecordedTraceLibrary
 from repro.workload.vm import AppType
 
 
@@ -224,38 +223,23 @@ class TestEngineIntegration:
         config = scaled_config("tiny").with_horizon(3)
         implicit = SimulationEngine(config, PriAwarePolicy()).run()
         explicit = SimulationEngine(
-            config, PriAwarePolicy(), workload=default_pack()
-        ).run()
-        assert implicit.slots == explicit.slots
-
-    def test_pack_matches_equivalent_trace_library(self, matrix):
-        config = scaled_config("tiny").with_horizon(3)
-        pack = recorded_pack(matrix)
-        via_pack = SimulationEngine(
-            config, PriAwarePolicy(), workload=pack
-        ).run()
-        via_library = SimulationEngine(
             config,
             PriAwarePolicy(),
-            workload=LibraryWorkload(
-                RecordedTraceLibrary(matrix, steps_per_slot=30)
-            ),
+            materialization=build_materialization(config, default_pack()),
         ).run()
-        assert via_pack.slots == via_library.slots
+        assert implicit.slots == explicit.slots
 
     def test_scenario_pack_changes_population_mix(self):
         config = scaled_config("tiny").with_horizon(2)
         hpc = SimulationEngine(
-            config, PriAwarePolicy(), workload=get_pack("scenario-hpc")
+            config,
+            PriAwarePolicy(),
+            materialization=build_materialization(
+                config, get_pack("scenario-hpc")
+            ),
         )
         vms = hpc.kernel.materialization.population.alive(0)
         hpc_fraction = sum(
             1 for vm in vms if vm.app_type is AppType.HPC
         ) / len(vms)
         assert hpc_fraction > 0.3
-
-    def test_library_workload_descriptor_is_opaque(self, matrix):
-        provider = LibraryWorkload(
-            RecordedTraceLibrary(matrix, steps_per_slot=30)
-        )
-        assert provider.descriptor()["sha256"] is None

@@ -7,7 +7,8 @@ from tests.conftest import make_vm
 from repro.baselines.pri_aware import PriAwarePolicy
 from repro.sim.config import scaled_config
 from repro.sim.engine import SimulationEngine
-from repro.workload.packs import LibraryWorkload
+from repro.workload.materialize import build_materialization
+from repro.workload.packs import RecordedTraceSource, TracePack
 from repro.workload.recorded import RecordedTraceLibrary, load_utilization_csv
 
 
@@ -159,12 +160,20 @@ class TestEngineIntegration:
     def test_engine_runs_on_recorded_traces(self):
         rng = np.random.default_rng(9)
         config = scaled_config("tiny").with_horizon(4)
-        recording = RecordedTraceLibrary(
-            rng.uniform(0.05, 0.95, size=(8, config.steps_per_slot * 2)),
-            steps_per_slot=config.steps_per_slot,
-        ).extend_days(2)
+        recording = TracePack(
+            name="recording",
+            source=RecordedTraceSource(
+                utilization=rng.uniform(
+                    0.05, 0.95, size=(8, config.steps_per_slot * 2)
+                ),
+                steps_per_slot=config.steps_per_slot,
+                extend_days=2,
+            ),
+        )
         engine = SimulationEngine(
-            config, PriAwarePolicy(), workload=LibraryWorkload(recording)
+            config,
+            PriAwarePolicy(),
+            materialization=build_materialization(config, recording),
         )
         result = engine.run()
         assert result.total_facility_energy_joules() > 0.0

@@ -37,10 +37,6 @@ class TestValidation:
 
 
 class TestLifecycle:
-    def test_lifetime_slots(self):
-        vm = make_vm(arrival_slot=3, departure_slot=10)
-        assert vm.lifetime_slots == 7
-
     def test_alive_at_arrival(self):
         vm = make_vm(arrival_slot=3, departure_slot=10)
         assert vm.alive_at(3)

@@ -33,11 +33,12 @@ experiment orchestrator: ``--jobs N`` fans uncached runs out over
 N worker processes, ``--store DIR`` persists results on disk keyed by
 request fingerprint (warm reruns skip simulation entirely),
 ``--store-backend {auto,json,segment}`` picks the on-disk
-layout for new roots (warm roots auto-detect), ``--no-cache`` forces
-recomputation, and ``--seeds N`` replicates the comparison over N
-seeds with mean / 95 % CI reporting.  Sweeps stream ``completed/total``
-run counts to stderr as workers finish (``--progress`` forces it on,
-``--no-progress`` off; the default follows whether stderr is a TTY).
+layout for new roots (warm roots auto-detect) and ``--no-cache`` forces
+recomputation.  ``compare --seeds N`` replicates the comparison over N
+seeds with mean / Student-t 95 % CI reporting; no other command takes
+``--seeds``.  Sweeps stream ``completed/total`` run counts to stderr
+as workers finish (``--progress`` forces it on, ``--no-progress`` off;
+the default follows whether stderr is a TTY).
 
 Engine selection: ``--engine {slot,event}`` picks the run kind.  Both
 run the one slot loop; ``event`` additionally samples each slot's user
@@ -696,12 +697,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="worker processes for uncached runs (1 = serial)",
         )
         sub.add_argument(
-            "--seeds",
-            type=int,
-            default=1,
-            help="replicate over N seeds and report mean/CI (compare)",
-        )
-        sub.add_argument(
             "--no-cache",
             action="store_true",
             help="recompute even when the result store has the runs",
@@ -759,6 +754,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     compare = subparsers.add_parser("compare", help="four-method comparison")
     add_common(compare)
+    compare.add_argument(
+        "--seeds",
+        type=int,
+        default=1,
+        help="replicate over N seeds and report mean/CI",
+    )
     compare.set_defaults(func=cmd_compare)
 
     figures = subparsers.add_parser("figures", help="regenerate Figs. 1-6")
@@ -1050,10 +1051,6 @@ def main(argv: list[str] | None = None) -> int:
     instead of a traceback.
     """
     args = build_parser().parse_args(argv)
-    if getattr(args, "seeds", 1) > 1 and args.func is not cmd_compare:
-        raise SystemExit(
-            "error: --seeds replication applies to the compare command only"
-        )
     try:
         return args.func(args)
     except ServiceError as error:

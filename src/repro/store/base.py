@@ -4,9 +4,9 @@ A store *backend* maps run fingerprints (SHA-256 hex digests) to JSON
 documents.  Two implementations live in this package:
 
 * :class:`~repro.store.jsonfile.JsonFileBackend` -- the original
-  one-document-per-file layout (``root/v1/<fp[:2]>/<fp>.json``), the
-  default for new roots and auto-detected on warm roots from earlier
-  versions.
+  one-document-per-file layout
+  (``root/v<STORE_VERSION>/<fp[:2]>/<fp>.json``), the default for new
+  roots and auto-detected on warm roots from earlier versions.
 * :class:`~repro.store.segment.SegmentBackend` -- append-only packed
   segments plus a fixed-width, mmap-able offset index; the scaling
   path for millions of documents.
@@ -21,8 +21,9 @@ Auto-detection rules (``detect_format``)
    :func:`repro.store.open_backend` refuses (each of its
    ``shards/<name>/`` directories is a complete ``json`` root, which
    ``repro store migrate`` moves into a supported root).
-3. A versioned document directory (``v1/``, ...) means ``json`` --
-   every store written before the backend split looks like this.
+3. A versioned document directory (``v1/``, ``v2/``, ...) means
+   ``json`` -- every store written before the backend split looks like
+   this.
 4. Otherwise the root is virgin and the caller's default applies
    (``json``, preserving the historical layout for new roots).
 
@@ -38,7 +39,10 @@ from typing import Iterator, Protocol, runtime_checkable
 
 #: Version of the on-disk schema *and* of the engine numerics contract.
 #: Bump on any change that alters stored bytes or simulated numbers.
-STORE_VERSION = 1
+#: It keys every run fingerprint, so a bump leaves older stores cold
+#: rather than stale.  2: the embedding's plateau stop rule and the
+#: re-normalised plane moved Proposed's results.
+STORE_VERSION = 2
 
 #: Environment variable naming a default on-disk store root.
 STORE_ENV_VAR = "REPRO_RESULT_STORE"

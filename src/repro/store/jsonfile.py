@@ -2,12 +2,13 @@
 
 One document per fingerprint::
 
-    root/v1/<fp[:2]>/<fingerprint>.json
+    root/v<STORE_VERSION>/<fp[:2]>/<fingerprint>.json
 
-``v1`` is :data:`~repro.store.base.STORE_VERSION`; bumping it orphans
-every old entry at once.  Writes are atomic (temp file + rename), so a
-crashed run never leaves a truncated document behind and concurrent
-writers of the same fingerprint race to an intact winner.  The temp
+The directory is named after :data:`~repro.store.base.STORE_VERSION`
+(``v2/`` today), so bumping it orphans every old entry at once.  Writes
+are atomic (temp file + rename), so a crashed run never leaves a
+truncated document behind and concurrent writers of the same
+fingerprint race to an intact winner.  The temp
 file of a writer killed before its rename is removed by the next write
 of the same fingerprint.  This layout is what every store root written
 before the backend split contains, so it is the auto-detected default
@@ -26,7 +27,7 @@ from repro.store.base import STORE_VERSION, decode_document
 
 
 class JsonFileBackend:
-    """One JSON document per fingerprint under ``root/v1/``."""
+    """One JSON document per fingerprint under ``root/v<STORE_VERSION>/``."""
 
     format = "json"
 

@@ -13,11 +13,15 @@ Layout, under ``--out DIR`` (default ``reports/suites/<suite>``)::
     <out>/<cell>/fig1.txt ... fig6.txt   # rendered figure reports
     <out>/<cell>/table1.txt              # Table I fleet spec
     <out>/<cell>/fig1_cost.csv ...       # export_all CSV series
+    <out>/<cell>/scorecard.json, .txt    # paper-claim scorecard
     <out>/MANIFEST.json                  # what was written, from which
                                          # fingerprints
 
 with one ``<cell>`` directory per (pack x engine x qos) combination in
-the suite matrix.
+the suite matrix.  Figures, tables and CSVs come from the cell's first
+seed; the scorecard (:mod:`repro.experiments.scorecard`) reads every
+seed's comparison in turn and reduces it to fact values before it
+looks up the next, so its memory does not grow with the seed count.
 """
 
 from __future__ import annotations
@@ -36,7 +40,8 @@ from repro.experiments.figures import (
     render,
     table1_rows,
 )
-from repro.suite.spec import SuiteCell, SuiteSpec
+from repro.experiments.scorecard import Scorecard, render_scorecard
+from repro.suite.spec import SuiteRun, SuiteSpec
 
 __all__ = ["OutputError", "generate_outputs"]
 
@@ -66,14 +71,14 @@ def _render_table1(report: dict) -> str:
     return "\n".join(lines)
 
 
-def _cell_results(cell: SuiteCell, consumer) -> list:
-    """The four comparison results for one cell, store-only."""
+def _cell_results(key: str, runs: tuple[SuiteRun, ...], consumer) -> list:
+    """The four comparison results of one cell's ``runs``, store-only."""
     results = []
-    for run in cell.runs:
+    for run in runs:
         future = consumer.lookup(run.request, run.fingerprint)
         if future is None:
             raise OutputError(
-                f"output cell {cell.key!r} is incomplete: "
+                f"output cell {key!r} is incomplete: "
                 f"{run.labels['policy']} run "
                 f"{run.fingerprint[:12]}... is not in the store "
                 f"(run the campaign first)"
@@ -106,28 +111,48 @@ def generate_outputs(
     for cell in spec.output_cells():
         cell_dir = directory / cell.key
         cell_dir.mkdir(parents=True, exist_ok=True)
-        results = _cell_results(cell, consumer)
         cell_written: list[str] = []
+        entry: dict = {"fingerprints": cell.fingerprints()}
 
-        for number in spec.figures:
-            report = _FIGURES[number](results)
-            path = cell_dir / f"fig{number}.txt"
-            path.write_text(render(report) + "\n")
-            cell_written.append(str(path.relative_to(directory)))
-        for number in spec.tables:
-            path = cell_dir / f"table{number}.txt"
-            path.write_text(_render_table1(table1_rows(cell.config)) + "\n")
-            cell_written.append(str(path.relative_to(directory)))
-        if spec.export:
-            for path in export_all(results, cell_dir):
-                cell_written.append(
-                    str(pathlib.Path(path).relative_to(directory))
+        if spec.figures or spec.tables or spec.export:
+            results = _cell_results(cell.key, cell.runs, consumer)
+            for number in spec.figures:
+                report = _FIGURES[number](results)
+                path = cell_dir / f"fig{number}.txt"
+                path.write_text(render(report) + "\n")
+                cell_written.append(str(path.relative_to(directory)))
+            for number in spec.tables:
+                path = cell_dir / f"table{number}.txt"
+                path.write_text(
+                    _render_table1(table1_rows(cell.config)) + "\n"
                 )
+                cell_written.append(str(path.relative_to(directory)))
+            if spec.export:
+                for path in export_all(results, cell_dir):
+                    cell_written.append(
+                        str(pathlib.Path(path).relative_to(directory))
+                    )
+        if spec.scorecard:
+            scorecard = Scorecard()
+            seed_fingerprints = {}
+            for seed, runs in spec.cell_seeds(cell):
+                scorecard.add(seed, _cell_results(cell.key, runs, consumer))
+                seed_fingerprints[str(seed)] = {
+                    run.labels["policy"]: run.fingerprint for run in runs
+                }
+            report = scorecard.report()
+            path = cell_dir / "scorecard.json"
+            path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+            cell_written.append(str(path.relative_to(directory)))
+            path = cell_dir / "scorecard.txt"
+            path.write_text(
+                render_scorecard(report, f"{spec.name} {cell.key}") + "\n"
+            )
+            cell_written.append(str(path.relative_to(directory)))
+            entry["scorecard_fingerprints"] = seed_fingerprints
 
-        manifest["cells"][cell.key] = {
-            "fingerprints": cell.fingerprints(),
-            "files": cell_written,
-        }
+        entry["files"] = cell_written
+        manifest["cells"][cell.key] = entry
         written.extend(cell_written)
 
     if written:

@@ -24,6 +24,7 @@ alone.  The TOML shape::
     figures = [1, 2, 3, 4, 5, 6]
     tables = [1]
     export = true            # CSV export of the comparison series
+    scorecard = true         # paper-claim scorecard over every seed
 
 Every ``[matrix]`` axis except ``scale``/``horizon`` is a list; the
 grid is their cross product (packs x seeds x alphas x engines x qos x
@@ -90,7 +91,7 @@ _MATRIX_KEYS = {
     "scale", "horizon", "packs", "policies", "seeds", "alphas",
     "engines", "vectorized", "qos",
 }
-_OUTPUT_KEYS = {"figures", "tables", "export"}
+_OUTPUT_KEYS = {"figures", "tables", "export", "scorecard"}
 _SCALES = ("tiny", "small", "paper")
 _ENGINES = ("slot", "event")
 
@@ -176,8 +177,9 @@ class SuiteCell:
 
     Outputs (figures/tables/export) are regenerated per cell -- one per
     (pack x engine x qos) combination at the matrix's *first* seed and
-    alpha, mirroring the paper's single-realization figures while the
-    remaining seeds serve replication studies.
+    alpha, mirroring the paper's single-realization figures.  The
+    scorecard reads the cell's comparison at every seed
+    (:meth:`SuiteSpec.cell_seeds`).
     """
 
     key: str
@@ -217,6 +219,7 @@ class SuiteSpec:
     figures: tuple[int, ...] = ()
     tables: tuple[int, ...] = ()
     export: bool = False
+    scorecard: bool = False
     raw: str = field(default="", repr=False)
 
     @property
@@ -231,7 +234,9 @@ class SuiteSpec:
 
     @property
     def has_outputs(self) -> bool:
-        return bool(self.figures or self.tables or self.export)
+        return bool(
+            self.figures or self.tables or self.export or self.scorecard
+        )
 
     def _config(self, seed: int, qos: float) -> ExperimentConfig:
         config = config_for_scale(self.scale, seed=seed, horizon=self.horizon)
@@ -296,6 +301,14 @@ class SuiteSpec:
             },
         )
 
+    def _comparison(
+        self, pack, pack_name, qos, engine, seed, alpha
+    ) -> tuple[SuiteRun, ...]:
+        return tuple(
+            self._run(pack, pack_name, qos, engine, seed, alpha, name)
+            for name in COMPARISON_POLICIES
+        )
+
     def output_cells(self) -> list[SuiteCell]:
         """The comparison cells the declared outputs regenerate from.
 
@@ -310,21 +323,31 @@ class SuiteSpec:
             pack = self._pack(pack_name)
             for qos in self.qos:
                 for engine in self.engines:
-                    runs = tuple(
-                        self._run(
-                            pack, pack_name, qos, engine, seed, alpha,
-                            policy_name,
-                        )
-                        for policy_name in COMPARISON_POLICIES
-                    )
                     cells.append(
                         SuiteCell(
                             key=_cell_key(pack_name, qos, engine),
                             config=self._config(seed, qos),
-                            runs=runs,
+                            runs=self._comparison(
+                                pack, pack_name, qos, engine, seed, alpha
+                            ),
                         )
                     )
         return cells
+
+    def cell_seeds(
+        self, cell: SuiteCell
+    ) -> Iterator[tuple[int, tuple[SuiteRun, ...]]]:
+        """``(seed, comparison)`` at ``cell``'s coordinates, every seed.
+
+        Built lazily, one seed at a time, in the matrix's seed order.
+        """
+        labels = cell.runs[0].labels
+        pack = self._pack(labels["pack"])
+        for seed in self.seeds:
+            yield seed, self._comparison(
+                pack, labels["pack"], labels["qos"], labels["engine"], seed,
+                labels["alpha"],
+            )
 
 
 def _cell_key(pack: str, qos: float, engine: str) -> str:
@@ -523,7 +546,7 @@ def parse_suite(
     outputs = _check_table(diag, document, "outputs", _OUTPUT_KEYS)
     figures: tuple[int, ...] = ()
     tables: tuple[int, ...] = ()
-    export = False
+    export = scorecard = False
     if outputs:
         if "figures" in outputs:
             figures = _axis(
@@ -549,9 +572,15 @@ def parse_suite(
                 "outputs", "export",
                 f"expected a boolean, got {export!r}",
             )
-    if (figures or tables or export) and set(COMPARISON_POLICIES) - set(
-        policies
-    ):
+        scorecard = outputs.get("scorecard", False)
+        if not isinstance(scorecard, bool):
+            raise diag.error(
+                "outputs", "scorecard",
+                f"expected a boolean, got {scorecard!r}",
+            )
+    if (figures or tables or export or scorecard) and set(
+        COMPARISON_POLICIES
+    ) - set(policies):
         missing = sorted(set(COMPARISON_POLICIES) - set(policies))
         raise diag.error(
             "matrix", "policies",
@@ -575,6 +604,7 @@ def parse_suite(
         figures=figures,
         tables=tables,
         export=export,
+        scorecard=scorecard,
         raw=text,
     )
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from tests.conftest import make_observation, make_vm
-from repro.core.controller import ProposedPolicy
-from repro.core.forces import ForceParameters
+from repro.core.controller import ProposedPolicy, normalized_plane
+from repro.core.forces import ForceParameters, pairwise_distances
 
 
 @pytest.fixture
@@ -123,6 +123,21 @@ class TestStatefulness:
         assert not second.moves  # nothing can migrate under a zero window
         for vm_id, dc in second.assignment.items():
             assert dc == placement.assignment[vm_id]
+
+
+class TestNormalizedPlane:
+    def test_similarity_transform_to_unit_rms_radius(self):
+        points = np.random.default_rng(0).normal(5.0, 40.0, size=(30, 2))
+        plane = normalized_plane(points)
+        assert np.allclose(plane.mean(axis=0), 0.0, atol=1e-12)
+        assert np.sqrt((plane**2).sum(axis=1).mean()) == pytest.approx(1.0)
+        before, after = pairwise_distances(points), pairwise_distances(plane)
+        scale = before[0, 1] / after[0, 1]
+        assert np.allclose(after * scale, before)
+
+    def test_coincident_points_are_only_recentred(self):
+        plane = normalized_plane(np.array([[3.0, -1.0]] * 3))
+        assert np.array_equal(plane, np.zeros((3, 2)))
 
 
 class TestConfiguration:

@@ -9,6 +9,7 @@ from repro.core.forces import (
     ForceDirectedEmbedding,
     ForceParameters,
     pairwise_distances,
+    plateaued,
 )
 from repro.sim.config import scaled_config
 from repro.sim.engine import SimulationEngine
@@ -130,6 +131,50 @@ class TestDynamics:
         assert np.array_equal(a.positions, b.positions)
 
 
+class TestStopRule:
+    @pytest.mark.parametrize(
+        "previous, current, fires",
+        [
+            (100.0, 100.05, True),  # growth within 1e-3 of |previous|
+            (100.0, 100.2, False),
+            (100.0, 99.0, True),  # the paper's decay
+            (0.0, 0.0, True),  # no progress at all is a plateau
+            (0.0, -1e-12, True),  # a decay from zero
+            (0.0, 1e-12, False),  # any growth from zero is progress
+            (-2.0, -2.0, True),
+            (-2.0, -2.001, True),  # a decay
+            (-2.0, -1.9995, True),  # growth within 1e-3 of |previous|
+            (-2.0, -1.99, False),
+            (-2.0, 0.0, False),
+        ],
+    )
+    def test_predicate(self, previous, current, fires):
+        assert plateaued(previous, current) is fires
+
+    def test_fires_in_every_call_and_the_plane_stays_bounded(self, monkeypatch):
+        """A 168-slot tiny run: every embedding stops early, and the
+        plane carried between slots keeps unit RMS radius instead of
+        expanding by a near-constant step per iteration."""
+        results = []
+        run = ForceDirectedEmbedding.run
+
+        def recorded(self, positions, attraction, repulsion):
+            results.append(run(self, positions, attraction, repulsion))
+            return results[-1]
+
+        monkeypatch.setattr(ForceDirectedEmbedding, "run", recorded)
+        policy = ProposedPolicy()
+        config = scaled_config("tiny").with_horizon(168)
+        SimulationEngine(config, policy).run()
+        assert len(results) == 168
+        assert all(result.converged for result in results)
+        assert max(result.iterations for result in results) < 50
+        carried = np.array(list(policy._positions.values()))
+        assert np.abs(carried.mean(axis=0)).max() < 1e-12
+        assert np.sqrt((carried**2).sum(axis=1).mean()) == pytest.approx(1.0)
+        assert np.abs(carried).max() < 5.0
+
+
 class TestValidation:
     def test_bad_position_shape(self):
         embedding = ForceDirectedEmbedding()
@@ -206,7 +251,7 @@ def reference_run(embedding, positions, attraction, repulsion):
         cost = float((forces * (distances - previous_distances)).sum())
         previous_distances = distances
         cost_history.append(cost)
-        if len(cost_history) >= 2 and cost < cost_history[-2]:
+        if len(cost_history) >= 2 and plateaued(cost_history[-2], cost):
             converged = True
             break
     return EmbeddingResult(

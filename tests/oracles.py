@@ -34,7 +34,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.forces import EmbeddingResult, ForceDirectedEmbedding
+from repro.core.forces import (
+    EmbeddingResult,
+    ForceDirectedEmbedding,
+    plateaued,
+)
 from repro.core.green import GreenController, GreenSlotResult
 from repro.core.kmeans import ClusterResult
 from repro.core.local import ServerAllocation, _select_frequency
@@ -323,7 +327,7 @@ def embedding_run(
         cost = float((forces * (distances - previous_distances)).sum())
         previous_distances = distances
         cost_history.append(cost)
-        if len(cost_history) >= 2 and cost < cost_history[-2]:
+        if len(cost_history) >= 2 and plateaued(cost_history[-2], cost):
             converged = True
             break
     return EmbeddingResult(

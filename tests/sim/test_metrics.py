@@ -142,14 +142,21 @@ class TestReplication:
         assert stats.ci95 == 0.0
         assert stats.n == 1
 
-    def test_mean_ci_matches_normal_formula(self):
+    def test_mean_ci_matches_student_t(self):
+        """The half-width is t_0.975(n - 1) * s / sqrt(n), n = 2..30."""
+        from scipy.stats import t
+
         from repro.sim.metrics import mean_ci
 
-        values = [1.0, 2.0, 3.0, 4.0]
-        stats = mean_ci(values)
-        expected = 1.959963984540054 * np.std(values, ddof=1) / np.sqrt(4)
-        assert stats.mean == pytest.approx(2.5)
-        assert stats.ci95 == pytest.approx(expected)
+        for n in range(2, 31):
+            values = np.arange(1.0, n + 1.0)
+            stats = mean_ci(values)
+            expected = (
+                t.ppf(0.975, n - 1) * np.std(values, ddof=1) / np.sqrt(n)
+            )
+            assert stats.mean == pytest.approx((n + 1) / 2.0)
+            assert stats.ci95 == pytest.approx(expected, rel=1e-12)
+            assert stats.n == n
 
     def test_mean_ci_empty_raises(self):
         from repro.sim.metrics import mean_ci

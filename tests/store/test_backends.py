@@ -15,7 +15,7 @@ from repro.store import (
     list_documents,
     open_backend,
 )
-from repro.store.base import write_marker
+from repro.store.base import STORE_VERSION, write_marker
 from repro.store.segment import INDEX_DTYPE
 
 BACKENDS = {"json": JsonFileBackend, "segment": SegmentBackend}
@@ -357,17 +357,41 @@ class TestResultStoreBackends:
 
     def test_legacy_root_read_transparently(self, tmp_path):
         """A warm root from the old per-file layout resolves unchanged."""
-        # The pre-split store wrote root/v1/<fp[:2]>/<fp>.json with no
+        # The pre-split store wrote root/v<N>/<fp[:2]>/<fp>.json with no
         # marker; the default ResultStore still produces that layout.
         cold = self.run_one(ResultStore(tmp_path))
         path = (
-            tmp_path / "v1" / cold.fingerprint[:2] / f"{cold.fingerprint}.json"
+            tmp_path
+            / f"v{STORE_VERSION}"
+            / cold.fingerprint[:2]
+            / f"{cold.fingerprint}.json"
         )
         assert path.exists()
         assert not (tmp_path / MARKER_NAME).exists()
         warm = self.run_one(ResultStore(tmp_path, backend="auto"))
         assert warm.source == "disk"
         assert warm.result.slots == cold.result.slots
+
+    @pytest.mark.parametrize("name", sorted(BACKENDS))
+    def test_older_version_resolves_cold(self, tmp_path, name, monkeypatch):
+        """A root written under the previous STORE_VERSION is cold,
+        never stale: the version keys the fingerprint and the stored
+        document alike."""
+        import repro.experiments.orchestrator as orchestrator
+        import repro.store.base as base
+        import repro.store.core as core
+        import repro.store.jsonfile as jsonfile
+
+        with monkeypatch.context() as older:
+            for module in (orchestrator, base, core, jsonfile):
+                older.setattr(module, "STORE_VERSION", STORE_VERSION - 1)
+            old = self.run_one(ResultStore(tmp_path, backend=name))
+            assert old.source == "computed"
+            assert self.run_one(ResultStore(tmp_path)).source == "disk"
+        again = self.run_one(ResultStore(tmp_path))
+        assert again.fingerprint != old.fingerprint
+        assert again.source == "computed"
+        assert self.run_one(ResultStore(tmp_path)).source == "disk"
 
     def test_memory_only_store_has_no_backend(self):
         store = ResultStore()
@@ -403,7 +427,9 @@ class TestMarkerFile:
     def test_marker_contents(self, tmp_path):
         SegmentBackend(tmp_path).put(fp(1), doc(1))
         payload = json.loads((tmp_path / MARKER_NAME).read_text())
-        assert payload == {"format": "segment", "store_version": 1}
+        assert payload == {
+            "format": "segment", "store_version": STORE_VERSION,
+        }
 
 
 class TestResultStoreBackendInstance:

@@ -139,6 +139,40 @@ class TestExpansion:
     def test_no_outputs_means_no_cells(self, mini_no_outputs):
         assert mini_no_outputs.output_cells() == []
 
+    def test_scorecard_alone_declares_outputs(self, mini_no_outputs):
+        text = MINI.split("[outputs]")[0] + "[outputs]\nscorecard = true\n"
+        spec = parse_suite(text, "s.toml")
+        assert spec.scorecard and spec.has_outputs
+        assert not (spec.figures or spec.tables or spec.export)
+        assert not parse_suite(MINI, "s.toml").scorecard
+        # The declaration is an output, not a matrix axis: the grid,
+        # and so every fingerprint, is the same as without outputs.
+        assert [r.fingerprint for r in spec.expand()] == [
+            r.fingerprint for r in mini_no_outputs.expand()
+        ]
+
+    def test_cell_seeds_walk_every_seed_of_the_cell(self):
+        text = MINI.replace("seeds = [0]", "seeds = [3, 1, 2]").replace(
+            'engines = ["slot"]', 'engines = ["slot", "event"]'
+        )
+        spec = parse_suite(text, "s.toml")
+        expanded = {r.fingerprint for r in spec.expand()}
+        for cell in spec.output_cells():
+            walked = list(spec.cell_seeds(cell))
+            assert [seed for seed, _ in walked] == [3, 1, 2]
+            assert [r.fingerprint for r in walked[0][1]] == [
+                r.fingerprint for r in cell.runs
+            ]
+            for seed, runs in walked:
+                assert [r.labels["policy"] for r in runs] == list(
+                    COMPARISON_POLICIES
+                )
+                assert {r.labels["seed"] for r in runs} == {seed}
+                assert {r.labels["engine"] for r in runs} == {
+                    cell.runs[0].labels["engine"]
+                }
+                assert {r.fingerprint for r in runs} <= expanded
+
 
 class TestFailureModes:
     """One test per rejection class, all asserting file:line:key."""
@@ -255,6 +289,13 @@ class TestFailureModes:
         message = _error(text)
         assert "[outputs].figures" in message and "unknown figure" in message
 
+    def test_scorecard_must_be_a_boolean(self):
+        text = MINI.replace("export = true", "export = true\nscorecard = 1")
+        message = _error(text)
+        assert "[outputs].scorecard" in message
+        assert "expected a boolean" in message
+        assert f"suite.toml:{_line_of(text, 'scorecard')}:" in message
+
     def test_unknown_output_key(self):
         text = MINI.replace("export = true", "export = true\ncsv = true")
         message = _error(text)
@@ -265,9 +306,13 @@ class TestFailureModes:
             'policies = ["Proposed", "Ener-aware", "Pri-aware", "Net-aware"]',
             'policies = ["Proposed"]',
         )
-        message = _error(text)
-        assert "[matrix].policies" in message
-        assert "full four-policy comparison" in message
+        scorecard_only = text.split("[outputs]")[0] + (
+            "[outputs]\nscorecard = true\n"
+        )
+        for text in (text, scorecard_only):
+            message = _error(text)
+            assert "[matrix].policies" in message
+            assert "full four-policy comparison" in message
 
     def test_every_error_carries_position(self):
         """The file:line: prefix is structural, not incidental."""

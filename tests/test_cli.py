@@ -62,12 +62,27 @@ class TestParser:
                  "0.9"],
                 "--alpha 0.9",
             ),
+            *(
+                ([command, *extra, "--scale", "tiny", "--seeds", "2"],
+                 "--seeds 2")
+                for command, extra in (
+                    ("figures", ()),
+                    ("alpha", ()),
+                    ("bound", ()),
+                    ("sweep", ("qos",)),
+                    ("scenarios", ()),
+                    ("export", ("out",)),
+                )
+            ),
         ],
-        ids=["table1", "sweep", "alpha"],
+        ids=["table1", "sweep", "alpha", "figures-seeds", "alpha-seeds",
+             "bound-seeds", "sweep-seeds", "scenarios-seeds",
+             "export-seeds"],
     )
     def test_flags_a_command_ignores_are_refused(self, capsys, argv, ignored):
-        """table1 reads only --scale/--horizon/--seed, and alpha and
-        sweep never read --alpha, so none of them accepts the rest."""
+        """table1 reads only --scale/--horizon/--seed, alpha and sweep
+        never read --alpha, and only compare replicates over --seeds,
+        so none of them accepts the rest."""
         with pytest.raises(SystemExit) as error:
             main(argv)
         assert error.value.code == 2
@@ -137,11 +152,6 @@ class TestOrchestratorFlags:
         assert args.seeds == 1
         assert args.no_cache is False
         assert args.store is None
-
-    def test_seeds_rejected_outside_compare(self):
-        with pytest.raises(SystemExit, match="compare command only"):
-            main(["figures", "--scale", "tiny", "--horizon", "2",
-                  "--seeds", "3"])
 
     def test_compare_replicated_seeds(self, capsys):
         code = main(

@@ -31,7 +31,8 @@
 #                      socket) an error
 #   make service-drill - one daemon, two fresh campaigns of the mini
 #                      suite: the cold one executes 4 runs, the warm
-#                      one 0, and their outputs diff clean
+#                      one 0, and their outputs diff clean against
+#                      each other and against an in-process run
 #   make bench       - full benchmark harness (slow: one-week comparison)
 
 PYTEST := PYTHONPATH=src python -m pytest
@@ -70,13 +71,15 @@ store-compact-nightly:
 # Nightly service drill: `repro serve` behind two fresh campaigns of
 # the mini suite, which between them drive every client read (the warm
 # poll, the batch, the stream and the output stage's lookup).  The
-# daemon is stopped however the drill ends.
+# daemon is stopped however the drill ends.  The same suite run
+# in-process must write the same outputs as the cold campaign did
+# over the wire.
 DRILL := benchmarks/reports/drill
 DRILL_URL := http://127.0.0.1:8123
 REPRO := PYTHONPATH=src python -m repro
 
 service-drill:
-	rm -rf $(DRILL) $(DRILL)-store
+	rm -rf $(DRILL) $(DRILL)-store $(DRILL)-local-store
 	mkdir -p $(DRILL)
 	$(REPRO) serve --port 8123 --store $(DRILL)-store & daemon=$$!; \
 	trap 'kill $$daemon' EXIT; set -e; \
@@ -91,7 +94,10 @@ service-drill:
 	$(REPRO) suite run examples/suites/mini.toml --service $(DRILL_URL) \
 		--ledger $(DRILL)/L2 --out $(DRILL)/O2 > $(DRILL)/warm.txt; \
 	cat $(DRILL)/warm.txt; grep -q ", 0 executed," $(DRILL)/warm.txt; \
-	diff -r $(DRILL)/O1 $(DRILL)/O2
+	diff -r $(DRILL)/O1 $(DRILL)/O2; \
+	$(REPRO) suite run examples/suites/mini.toml \
+		--store $(DRILL)-local-store --out $(DRILL)/local > /dev/null; \
+	diff -r $(DRILL)/O1 $(DRILL)/local
 
 bench:
 	$(PYTEST) -q benchmarks

@@ -13,6 +13,7 @@ from repro.core.controller import ProposedPolicy
 from repro.core.forces import ForceParameters
 from repro.sim.config import scaled_config
 from repro.sim.engine import SimulationEngine
+from repro.sim.results import OBJECTIVES
 
 ALPHAS = (0.1, 0.5, 0.9)
 
@@ -31,10 +32,10 @@ def test_ablation_alpha(benchmark, sweep, report_dir):
     def summarize():
         return {
             alpha: (
-                result.total_grid_cost_eur(),
+                OBJECTIVES["cost"](result),
                 result.total_energy_gj(),
                 result.mean_response_s(),
-                result.percentile_response_s(99.0),
+                OBJECTIVES["performance"](result),
             )
             for alpha, result in sweep.items()
         }

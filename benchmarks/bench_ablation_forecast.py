@@ -12,6 +12,7 @@ from conftest import ABLATION_HORIZON, write_report
 from repro.core.controller import ProposedPolicy
 from repro.sim.config import scaled_config
 from repro.sim.engine import SimulationEngine
+from repro.sim.results import OBJECTIVES
 
 
 @pytest.fixture(scope="module")
@@ -29,16 +30,14 @@ def test_ablation_clairvoyance(benchmark, pair, report_dir):
 
     def summarize():
         return {
-            "lagged": (
-                lagged.total_grid_cost_eur(),
-                lagged.total_energy_gj(),
-                lagged.percentile_response_s(99.0),
-            ),
-            "clairvoyant": (
-                clairvoyant.total_grid_cost_eur(),
-                clairvoyant.total_energy_gj(),
-                clairvoyant.percentile_response_s(99.0),
-            ),
+            name: (
+                OBJECTIVES["cost"](result),
+                result.total_energy_gj(),
+                OBJECTIVES["performance"](result),
+            )
+            for name, result in (
+                ("lagged", lagged), ("clairvoyant", clairvoyant)
+            )
         }
 
     table = benchmark(summarize)

@@ -14,12 +14,8 @@ import sys
 from repro import run_policies, scaled_config
 from repro.baselines import EnerAwarePolicy, NetAwarePolicy, PriAwarePolicy
 from repro.core.controller import ProposedPolicy
-from repro.sim.metrics import (
-    cost_improvements,
-    energy_improvements,
-    format_comparison,
-    performance_improvements,
-)
+from repro.sim.metrics import format_comparison, improvements
+from repro.sim.results import OBJECTIVES
 
 
 def main() -> None:
@@ -35,10 +31,9 @@ def main() -> None:
 
     print(format_comparison(results))
 
-    print("\nImprovements of Proposed (positive = Proposed better):")
-    print(f"  cost savings:   {cost_improvements(results)}")
-    print(f"  energy savings: {energy_improvements(results)}")
-    print(f"  perf (p99 RT):  {performance_improvements(results)}")
+    print("\nImprovements of Proposed (%, positive = Proposed better):")
+    for objective in OBJECTIVES:
+        print(f"  {objective + ':':<13} {improvements(results, objective)}")
 
     print(
         "\nPaper (full Table I scale, one week): 55 % cost vs Ener-aware, "

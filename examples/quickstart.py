@@ -8,6 +8,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro import ProposedPolicy, SimulationEngine, scaled_config
+from repro.units import joules_to_gj
 
 
 def main() -> None:
@@ -19,16 +20,16 @@ def main() -> None:
     engine = SimulationEngine(config, ProposedPolicy())
     result = engine.run()
 
-    summary = result.summary()
+    grid_gj = joules_to_gj(result.total_grid_energy_joules())
     print("--- one day with the Proposed controller ---")
-    print(f"operational cost:        {summary['cost_eur']:8.2f} EUR")
-    print(f"facility energy:         {summary['energy_gj']:8.3f} GJ")
-    print(f"grid energy:             {summary['grid_energy_gj']:8.3f} GJ")
-    print(f"renewable utilization:   {summary['renewable_utilization']:8.1%}")
-    print(f"mean response time:      {summary['mean_rt_s']:8.4f} s")
-    print(f"worst response time:     {summary['worst_rt_s']:8.4f} s")
-    print(f"inter-DC migrations:     {summary['migrations']:8d}")
-    print(f"mean active servers:     {summary['mean_active_servers']:8.1f}")
+    print(f"operational cost:        {result.total_grid_cost_eur():8.2f} EUR")
+    print(f"facility energy:         {result.total_energy_gj():8.3f} GJ")
+    print(f"grid energy:             {grid_gj:8.3f} GJ")
+    print(f"renewable utilization:   {result.renewable_utilization():8.1%}")
+    print(f"mean response time:      {result.mean_response_s():8.4f} s")
+    print(f"worst response time:     {result.worst_response_s():8.4f} s")
+    print(f"inter-DC migrations:     {result.total_migrations():8d}")
+    print(f"mean active servers:     {result.mean_active_servers():8.1f}")
 
     print("\nhourly grid cost (EUR):")
     for slot, cost in enumerate(result.hourly_cost_eur()):

@@ -4,7 +4,9 @@ Eq. 5's alpha is the paper's explicit trade-off knob (attraction /
 performance vs repulsion / energy).  Figs. 5-6 show two points of the
 trade-off space; this module sweeps alpha and extracts the
 Pareto-efficient frontier over (cost, energy, worst-case response
-time), turning the paper's two scatter plots into full curves.
+time), turning the paper's two scatter plots into full curves.  Each
+coordinate is one of the paper's
+:data:`~repro.sim.results.OBJECTIVES`.
 """
 
 from __future__ import annotations
@@ -19,10 +21,9 @@ from repro.experiments.orchestrator import (
     RunRequest,
 )
 from repro.sim.config import ExperimentConfig
+from repro.sim.results import OBJECTIVES
+from repro.units import joules_to_gj
 from repro.workload.packs import TracePack
-
-#: Percentile used as the SLA-relevant response-time statistic.
-WORST_CASE_PERCENTILE = 99.0
 
 
 @dataclass(frozen=True)
@@ -87,11 +88,9 @@ def alpha_sweep(
     return [
         ParetoPoint(
             alpha=alpha,
-            cost_eur=artifact.result.total_grid_cost_eur(),
-            energy_gj=artifact.result.total_energy_gj(),
-            response_p99_s=artifact.result.percentile_response_s(
-                WORST_CASE_PERCENTILE
-            ),
+            cost_eur=OBJECTIVES["cost"](artifact.result),
+            energy_gj=joules_to_gj(OBJECTIVES["energy"](artifact.result)),
+            response_p99_s=OBJECTIVES["performance"](artifact.result),
         )
         for alpha, artifact in zip(alphas, artifacts)
     ]

@@ -20,7 +20,7 @@ from repro.experiments.orchestrator import (
     grid_requests,
 )
 from repro.sim.config import ExperimentConfig
-from repro.sim.results import RunResult
+from repro.sim.results import OBJECTIVES, RunResult
 from repro.workload.packs import TracePack
 
 
@@ -41,11 +41,11 @@ def _row_from(result: RunResult, parameter: str, value: float) -> SweepRow:
     return SweepRow(
         parameter=parameter,
         value=value,
-        cost_eur=result.total_grid_cost_eur(),
+        cost_eur=OBJECTIVES["cost"](result),
         energy_gj=result.total_energy_gj(),
         renewable_utilization=result.renewable_utilization(),
         migrations=result.total_migrations(),
-        response_p99_s=result.percentile_response_s(99.0),
+        response_p99_s=OBJECTIVES["performance"](result),
     )
 
 

@@ -17,7 +17,8 @@ import csv
 import pathlib
 
 from repro.experiments.figures import fig3_response_time
-from repro.sim.results import RunResult
+from repro.sim.results import OBJECTIVES, RunResult
+from repro.units import joules_to_gj
 
 
 def _write_rows(path: pathlib.Path, header: list[str], rows) -> None:
@@ -81,24 +82,22 @@ def export_summary(results: list[RunResult], path: pathlib.Path) -> None:
         "mean_active_servers",
         "renewable_utilization",
     ]
-    rows = []
-    for result in results:
-        summary = result.summary()
-        rows.append(
-            [
-                summary["policy"],
-                f"{summary['cost_eur']:.6f}",
-                f"{summary['energy_gj']:.6f}",
-                f"{summary['grid_energy_gj']:.6f}",
-                f"{summary['mean_rt_s']:.6f}",
-                f"{summary['p95_rt_s']:.6f}",
-                f"{result.percentile_response_s(99.0):.6f}",
-                f"{summary['worst_rt_s']:.6f}",
-                summary["migrations"],
-                f"{summary['mean_active_servers']:.3f}",
-                f"{summary['renewable_utilization']:.6f}",
-            ]
-        )
+    rows = [
+        [
+            result.policy_name,
+            f"{OBJECTIVES['cost'](result):.6f}",
+            f"{result.total_energy_gj():.6f}",
+            f"{joules_to_gj(result.total_grid_energy_joules()):.6f}",
+            f"{result.mean_response_s():.6f}",
+            f"{result.percentile_response_s(95.0):.6f}",
+            f"{OBJECTIVES['performance'](result):.6f}",
+            f"{result.worst_response_s():.6f}",
+            result.total_migrations(),
+            f"{result.mean_active_servers():.3f}",
+            f"{result.renewable_utilization():.6f}",
+        ]
+        for result in results
+    ]
     _write_rows(path, header, rows)
 
 

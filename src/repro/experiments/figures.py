@@ -19,6 +19,9 @@ Paper numbers come from Section V-B:
   Net-aware: 35 % cost at only 2 % performance degradation;
 * Fig. 6 -- vs Ener-aware: 6 % performance better, 3 % energy worse;
   vs Net-aware: 15 % energy better, 2 % performance worse.
+
+Every objective (cost, energy, performance) is read through
+:data:`~repro.sim.results.OBJECTIVES`.
 """
 
 from __future__ import annotations
@@ -27,12 +30,11 @@ import numpy as np
 
 from repro.sim.config import ExperimentConfig
 from repro.sim.metrics import (
-    improvement_pct,
+    improvements,
     normalized_costs,
     response_time_pdf,
 )
-from repro.sim.results import RunResult
-from repro.units import joules_to_gj
+from repro.sim.results import OBJECTIVES, RunResult
 
 #: The paper's headline numbers, keyed by figure.
 PAPER_CLAIMS = {
@@ -49,10 +51,6 @@ PAPER_CLAIMS = {
     "fig6_vs_ener": {"energy": -3.0, "performance": 6.0},
     "fig6_vs_net": {"energy": 15.0, "performance": -2.0},
 }
-
-#: Percentile used as the SLA-relevant "worst case" response time.
-WORST_CASE_PERCENTILE = 99.0
-
 
 def _by_name(results: list[RunResult]) -> dict[str, RunResult]:
     return {result.policy_name: result for result in results}
@@ -90,22 +88,16 @@ def table1_rows(config: ExperimentConfig) -> dict:
 def fig1_operational_cost(results: list[RunResult]) -> dict:
     """Fig. 1: normalized operational cost + savings of Proposed."""
     by_name = _require(results, "Proposed", "Ener-aware", "Pri-aware", "Net-aware")
-    proposed_cost = by_name["Proposed"].total_grid_cost_eur()
-    savings = {
-        name: improvement_pct(result.total_grid_cost_eur(), proposed_cost)
-        for name, result in by_name.items()
-        if name != "Proposed"
-    }
     return {
         "id": "Fig. 1",
         "normalized_cost": normalized_costs(results),
         "weekly_cost_eur": {
-            name: result.total_grid_cost_eur() for name, result in by_name.items()
+            name: OBJECTIVES["cost"](result) for name, result in by_name.items()
         },
         "hourly_cost_eur": {
             name: result.hourly_cost_eur() for name, result in by_name.items()
         },
-        "measured_savings_pct": savings,
+        "measured_savings_pct": improvements(results, "cost"),
         "paper_savings_pct": PAPER_CLAIMS["fig1_cost_savings_pct"],
     }
 
@@ -155,7 +147,7 @@ def fig3_response_time(results: list[RunResult], bins: int = 40) -> dict:
                 "mean": float(array.mean()) / upper,
                 "std": float(array.std()) / upper,
                 "worst": float(array.max()) / upper,
-                "p99": float(np.percentile(array, WORST_CASE_PERCENTILE)) / upper,
+                "p99": OBJECTIVES["performance"](by_name[name]) / upper,
             }
         else:
             stats[name] = {"mean": 0.0, "std": 0.0, "worst": 0.0, "p99": 0.0}
@@ -171,36 +163,24 @@ def fig3_response_time(results: list[RunResult], bins: int = 40) -> dict:
     }
 
 
-def _performance_of(result: RunResult) -> float:
-    return result.percentile_response_s(WORST_CASE_PERCENTILE)
+def _versus(
+    results: list[RunResult], baseline: str, *objectives: str
+) -> dict[str, float]:
+    """Proposed's improvement (%) over ``baseline`` on each objective."""
+    return {
+        objective: improvements(results, objective)[baseline]
+        for objective in objectives
+    }
 
 
 def fig4_totals(results: list[RunResult]) -> dict:
     """Fig. 4: best-case cost/energy/performance improvements."""
-    by_name = _require(results, "Proposed", "Ener-aware", "Pri-aware", "Net-aware")
-    proposed = by_name["Proposed"]
-    others = [r for name, r in by_name.items() if name != "Proposed"]
-    cost_best = max(
-        improvement_pct(r.total_grid_cost_eur(), proposed.total_grid_cost_eur())
-        for r in others
-    )
-    energy_best = max(
-        improvement_pct(
-            r.total_facility_energy_joules(),
-            proposed.total_facility_energy_joules(),
-        )
-        for r in others
-    )
-    perf_best = max(
-        improvement_pct(_performance_of(r), _performance_of(proposed))
-        for r in others
-    )
+    _require(results, "Proposed", "Ener-aware", "Pri-aware", "Net-aware")
     return {
         "id": "Fig. 4",
         "measured_pct": {
-            "cost": cost_best,
-            "energy": energy_best,
-            "performance": perf_best,
+            objective: max(improvements(results, objective).values())
+            for objective in OBJECTIVES
         },
         "paper_pct": PAPER_CLAIMS["fig4_totals_pct"],
     }
@@ -208,23 +188,11 @@ def fig4_totals(results: list[RunResult]) -> dict:
 
 def fig5_cost_performance(results: list[RunResult]) -> dict:
     """Fig. 5: cost-performance trade-off vs Pri-aware and Net-aware."""
-    by_name = _require(results, "Proposed", "Pri-aware", "Net-aware")
-    proposed = by_name["Proposed"]
-
-    def trade_off(other: RunResult) -> dict[str, float]:
-        return {
-            "cost": improvement_pct(
-                other.total_grid_cost_eur(), proposed.total_grid_cost_eur()
-            ),
-            "performance": improvement_pct(
-                _performance_of(other), _performance_of(proposed)
-            ),
-        }
-
+    _require(results, "Proposed", "Pri-aware", "Net-aware")
     return {
         "id": "Fig. 5",
-        "measured_vs_pri": trade_off(by_name["Pri-aware"]),
-        "measured_vs_net": trade_off(by_name["Net-aware"]),
+        "measured_vs_pri": _versus(results, "Pri-aware", "cost", "performance"),
+        "measured_vs_net": _versus(results, "Net-aware", "cost", "performance"),
         "paper_vs_pri": PAPER_CLAIMS["fig5_vs_pri"],
         "paper_vs_net": PAPER_CLAIMS["fig5_vs_net"],
     }
@@ -232,24 +200,15 @@ def fig5_cost_performance(results: list[RunResult]) -> dict:
 
 def fig6_energy_performance(results: list[RunResult]) -> dict:
     """Fig. 6: energy-performance trade-off vs Ener-aware and Net-aware."""
-    by_name = _require(results, "Proposed", "Ener-aware", "Net-aware")
-    proposed = by_name["Proposed"]
-
-    def trade_off(other: RunResult) -> dict[str, float]:
-        return {
-            "energy": improvement_pct(
-                other.total_facility_energy_joules(),
-                proposed.total_facility_energy_joules(),
-            ),
-            "performance": improvement_pct(
-                _performance_of(other), _performance_of(proposed)
-            ),
-        }
-
+    _require(results, "Proposed", "Ener-aware", "Net-aware")
     return {
         "id": "Fig. 6",
-        "measured_vs_ener": trade_off(by_name["Ener-aware"]),
-        "measured_vs_net": trade_off(by_name["Net-aware"]),
+        "measured_vs_ener": _versus(
+            results, "Ener-aware", "energy", "performance"
+        ),
+        "measured_vs_net": _versus(
+            results, "Net-aware", "energy", "performance"
+        ),
         "paper_vs_ener": PAPER_CLAIMS["fig6_vs_ener"],
         "paper_vs_net": PAPER_CLAIMS["fig6_vs_net"],
     }

@@ -21,6 +21,7 @@ from repro.experiments.orchestrator import (
 from repro.experiments.runner import default_orchestrator, default_policies
 from repro.sim.config import ExperimentConfig
 from repro.sim.metrics import improvement_pct
+from repro.sim.results import OBJECTIVES
 from repro.workload.packs import SCENARIO_MIXES, SCENARIO_PACKS, TracePack
 
 __all__ = [
@@ -125,6 +126,9 @@ def run_scenarios(
     # a remote orchestrator may ship the projected artifact form.
     artifacts = orchestrator.run_many(requests, detail="headline")
     n_policies = len(default_policies(alpha))
+    cost, energy, performance = (
+        OBJECTIVES[name] for name in ("cost", "energy", "performance")
+    )
     outcomes = []
     for index, scenario in enumerate(scenarios):
         results = [
@@ -133,22 +137,20 @@ def run_scenarios(
         ]
         proposed = results[0]
         baselines = results[1:]
-        best_cost = min(r.total_grid_cost_eur() for r in baselines)
-        best_energy = min(r.total_facility_energy_joules() for r in baselines)
+        best_cost = min(map(cost, baselines))
+        best_energy = min(map(energy, baselines))
         outcomes.append(
             ScenarioOutcome(
                 scenario=scenario,
-                proposed_cost_eur=proposed.total_grid_cost_eur(),
+                proposed_cost_eur=cost(proposed),
                 best_baseline_cost_eur=best_cost,
-                cost_saving_pct=improvement_pct(
-                    best_cost, proposed.total_grid_cost_eur()
-                ),
+                cost_saving_pct=improvement_pct(best_cost, cost(proposed)),
                 proposed_energy_gj=proposed.total_energy_gj(),
                 best_baseline_energy_gj=best_energy / 1e9,
                 energy_saving_pct=improvement_pct(
-                    best_energy, proposed.total_facility_energy_joules()
+                    best_energy, energy(proposed)
                 ),
-                proposed_p99_rt_s=proposed.percentile_response_s(99.0),
+                proposed_p99_rt_s=performance(proposed),
             )
         )
     return outcomes

@@ -1,12 +1,13 @@
 """Paper-claim scorecard: does the reproduction reproduce, over seeds?
 
 Figs. 1, 2 and 4-6 state 18 numbers, but they are 9 facts: Proposed's
-operational cost, facility energy and p99 response time, each against
-the three baselines (Figs. 4-6 restate Figs. 1-2).  :data:`FACTS` names
+operational cost, facility energy and p99 response time (the paper's
+three :data:`~repro.sim.results.OBJECTIVES`), each against the three
+baselines (Figs. 4-6 restate Figs. 1-2).  :data:`FACTS` names
 the figures that state each one and the figure its paper value is read
 from; only Fig. 2 states energy against Pri-aware, as weekly totals
 (65 against 57 GJ).  Every value is Proposed's
-:func:`~repro.sim.metrics.improvement_pct` over the baseline, computed
+:func:`~repro.sim.metrics.improvements` over the baseline, computed
 exactly as the figure reports compute it, so a positive value means
 Proposed is lower (better).
 
@@ -30,14 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.experiments.figures import PAPER_CLAIMS, WORST_CASE_PERCENTILE
-from repro.sim.metrics import (
-    cost_improvements,
-    energy_improvements,
-    improvement_pct,
-    mean_ci,
-    performance_improvements,
-)
+from repro.experiments.figures import PAPER_CLAIMS
+from repro.sim.metrics import improvement_pct, improvements, mean_ci
 from repro.sim.results import RunResult
 
 __all__ = ["FACTS", "FIG3_BASELINES", "Fact", "Scorecard", "render_scorecard"]
@@ -101,11 +96,9 @@ class Scorecard:
     def add(self, seed: int, results: list[RunResult]) -> None:
         """Reduce one seed's four-policy comparison to its fact values."""
         by_metric = {
-            "cost": cost_improvements(results),
-            "energy": energy_improvements(results),
-            "p99": performance_improvements(
-                results, percentile=WORST_CASE_PERCENTILE
-            ),
+            "cost": improvements(results, "cost"),
+            "energy": improvements(results, "energy"),
+            "p99": improvements(results, "performance"),
         }
         for fact in FACTS:
             self.values[fact.name].append(by_metric[fact.metric][fact.baseline])

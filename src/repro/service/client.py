@@ -87,6 +87,9 @@ __all__ = [
     "ServiceRunError",
 ]
 
+#: Headers sent with every request.
+_HEADERS = {"Content-Type": "application/json"}
+
 #: Seconds of server-side blocking requested per waiting poll.
 _POLL_WAIT_S = 30.0
 
@@ -175,8 +178,6 @@ class ServiceClient(ConsumerSurface):
         self.use_store = use_store
         self.progress = progress
         self.timeout_s = timeout_s
-        # Sent with every request; with_meta adds X-Repro-Campaign.
-        self._headers = {"Content-Type": "application/json"}
         self._local = threading.local()
         self._lock = threading.Lock()
         # Every thread's connection opened since the last close().
@@ -235,7 +236,7 @@ class ServiceClient(ConsumerSurface):
             try:
                 connection = self._connection(timeout_s)
                 connection.request(
-                    method, path, body=body, headers=self._headers
+                    method, path, body=body, headers=_HEADERS
                 )
                 response = connection.getresponse()
                 if stream:
@@ -570,19 +571,12 @@ class ServiceClient(ConsumerSurface):
     # -- the rest of the surface -------------------------------------------
 
     def with_meta(self, extra: dict) -> "ServiceClient":
-        """Orchestrator-surface meta stamping, service flavor.
+        """Orchestrator-surface meta stamping: a no-op over the wire.
 
         Store-document meta belongs to the daemon (per-request meta
-        would complicate the dedup core), so only the campaign
-        identity crosses the wire -- as an ``X-Repro-Campaign``
-        header feeding the daemon's per-campaign ``/stats`` counters.
+        would complicate the dedup core), so nothing of ``extra``
+        crosses the wire and the client is returned as it is.
         """
-        campaign = extra.get("campaign")
-        if campaign is not None:
-            self._headers = {
-                **self._headers,
-                "X-Repro-Campaign": str(campaign),
-            }
         return self
 
     def lookup(self, request, fingerprint: str) -> RunFuture | None:

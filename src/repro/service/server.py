@@ -27,9 +27,8 @@ it.  Endpoints:
     payload takes no lock.
 ``GET /stats``
     Load and counters (submitted/hits/computed/errors, in-flight and
-    queue depth, the store's own counters, workload sharing, engine
-    modes, per-campaign submissions, and the wire block: bytes in/out,
-    batch sizes, request-latency p50/p99).
+    queue depth, the store's own counters, workload sharing, and the
+    wire block: bytes in/out, batch sizes, request-latency p50/p99).
     ``hits`` counts runs served from the store: warm batch entries and
     poll lines that find the run stored.  A run this daemon computed
     counts under ``computed`` only: its claim stays registered until a
@@ -91,6 +90,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import threading
 import time
 from collections import OrderedDict, deque
@@ -160,9 +160,6 @@ _UNDELIVERED_CLAIMS = 1024
 #: window, not a full history: the daemon is long-lived).
 _LATENCY_WINDOW = 4096
 
-#: Most-recent campaign ids kept in the per-campaign submission tally.
-_CAMPAIGN_WINDOW = 256
-
 #: Seconds between ``serve_forever``'s shutdown checks.  ``close()``
 #: blocks until the serving loop notices, so the stdlib default of
 #: 0.5 s would add up to half a second to every daemon teardown.
@@ -219,15 +216,6 @@ class ExperimentDaemon:
             "computed": 0,
             "errors": 0,
         }
-        #: Decoded submissions per engine kind ("slot"/"event").
-        #: Counted on the decode path only -- warm fast-path hits answer
-        #: from the response cache without decoding, so these are
-        #: "requests whose engine mode this daemon actually saw".
-        self.engine_modes: dict[str, int] = {}
-        #: Submissions per campaign, from the ``X-Repro-Campaign``
-        #: header the suite driver sends.  Purely observational --
-        #: routing, dedup and the store ignore campaigns entirely.
-        self.campaigns: dict[str, int] = {}
         self.wire_counters = {
             "bytes_in": 0,
             "bytes_out": 0,
@@ -315,22 +303,6 @@ class ExperimentDaemon:
         with self._lock:
             self._latencies.append(seconds)
 
-    def _count_campaign(self, campaign: str | None, delta: int = 1) -> None:
-        """Tally submissions a suite driver labeled with a campaign id.
-
-        Bounded defensively: a daemon serving many one-off campaigns
-        keeps the newest :data:`_CAMPAIGN_WINDOW` ids rather than
-        growing without limit.
-        """
-        if not campaign:
-            return
-        with self._lock:
-            self.campaigns[campaign] = (
-                self.campaigns.get(campaign, 0) + delta
-            )
-            while len(self.campaigns) > _CAMPAIGN_WINDOW:
-                self.campaigns.pop(next(iter(self.campaigns)))
-
     def _cache_response(self, key: tuple, payload: bytes) -> None:
         with self._lock:
             self._responses[key] = payload
@@ -405,17 +377,13 @@ class ExperimentDaemon:
         payload: dict,
         claimed: list[RunFuture],
         detail: str = "full",
-        campaign: str | None = None,
     ) -> bytes:
         """One ``POST /runs/batch`` entry's reply line.
 
-        ``detail`` is the batch-level projection.  ``campaign`` is the
-        submitter's ``X-Repro-Campaign`` label, tallied into the
-        ``/stats`` campaigns block.  A miss this entry claims is
-        appended to ``claimed`` for the batch to launch.
+        ``detail`` is the batch-level projection.  A miss this entry
+        claims is appended to ``claimed`` for the batch to launch.
         """
         self._count("submitted")
-        self._count_campaign(campaign)
         if not isinstance(payload, dict):
             return _line(
                 encode_error("expected a JSON object body", status=400)
@@ -447,10 +415,6 @@ class ExperimentDaemon:
             return _line(encode_error(str(error), status=409))
         except WireError as error:
             return _line(encode_error(str(error), status=400))
-        engine = getattr(request.options, "engine", None)
-        kind = getattr(engine, "kind", "slot")
-        with self._lock:
-            self.engine_modes[kind] = self.engine_modes.get(kind, 0) + 1
         if use_store:
             line = self._warm_line(fingerprint, detail)
             if line is not None:
@@ -518,9 +482,7 @@ class ExperimentDaemon:
                         claim._future.set_exception(error)
                 return
 
-    def handle_batch(
-        self, payload: dict, campaign: str | None = None
-    ) -> tuple[int, list[bytes]]:
+    def handle_batch(self, payload: dict) -> tuple[int, list[bytes]]:
         """``POST /runs/batch``: ``(status, lines)``, one per entry.
 
         Every miss is claimed in the daemon registry as its entry is
@@ -540,9 +502,7 @@ class ExperimentDaemon:
         claimed: list[RunFuture] = []
         try:
             for entry in entries:
-                lines.append(
-                    self._submit_entry(entry, claimed, detail, campaign)
-                )
+                lines.append(self._submit_entry(entry, claimed, detail))
         finally:
             self._launch(claimed)
         return 200, lines
@@ -652,8 +612,6 @@ class ExperimentDaemon:
         with self._lock:
             counters = dict(self.counters)
             wire = dict(self.wire_counters)
-            engine_modes = dict(self.engine_modes)
-            campaigns = dict(self.campaigns)
             latencies = sorted(self._latencies)
         wire["request_p50_ms"] = _percentile_ms(latencies, 50.0)
         wire["request_p99_ms"] = _percentile_ms(latencies, 99.0)
@@ -669,8 +627,6 @@ class ExperimentDaemon:
             "store": self.orchestrator.store.stats(),
             "wire": wire,
             "workload_cache": self.orchestrator.workload_cache_stats(),
-            "engine_modes": engine_modes,
-            "campaigns": campaigns,
             **counters,
         }
 
@@ -680,13 +636,14 @@ def _dumps(payload: dict) -> bytes:
 
 
 def _percentile_ms(sorted_latencies: list[float], percentile: float) -> float:
-    """Nearest-rank percentile of a sorted seconds list, in ms."""
+    """Nearest-rank percentile of a sorted seconds list, in ms.
+
+    The smallest value with at least ``percentile`` % of the list at or
+    below it: rank ``ceil(p * n / 100)``, counted from 1.
+    """
     if not sorted_latencies:
         return 0.0
-    rank = min(
-        len(sorted_latencies) - 1,
-        int(percentile / 100.0 * len(sorted_latencies)),
-    )
+    rank = max(0, math.ceil(percentile * len(sorted_latencies) / 100.0) - 1)
     return sorted_latencies[rank] * 1000.0
 
 
@@ -876,12 +833,7 @@ def _build_handler(daemon: ExperimentDaemon) -> type:
             if payload is None:
                 return
             if path == "/runs/batch":
-                self._reply(
-                    *daemon.handle_batch(
-                        payload,
-                        campaign=self.headers.get("X-Repro-Campaign"),
-                    )
-                )
+                self._reply(*daemon.handle_batch(payload))
                 return
             try:
                 fingerprints, wait_s, detail = decode_poll(payload)

@@ -19,18 +19,17 @@ from repro.sim.config import (
 from repro.sim.audit import AuditReport, audit_run
 from repro.sim.engine import SimulationEngine, run_policies
 from repro.sim.metrics import (
-    cost_improvements,
-    energy_improvements,
     format_comparison,
+    improvements,
     normalized_costs,
-    performance_improvements,
     response_time_pdf,
 )
-from repro.sim.results import RunResult, SlotRecord
+from repro.sim.results import OBJECTIVES, RunResult, SlotRecord
 from repro.sim.state import FleetPlacement, PlacementPolicy, SlotObservation
 
 __all__ = [
     "AuditReport",
+    "OBJECTIVES",
     "ExperimentConfig",
     "FleetPlacement",
     "PlacementPolicy",
@@ -41,12 +40,10 @@ __all__ = [
     "audit_run",
     "build_datacenters",
     "build_latency_model",
-    "cost_improvements",
-    "energy_improvements",
     "format_comparison",
+    "improvements",
     "normalized_costs",
     "paper_config",
-    "performance_improvements",
     "response_time_pdf",
     "run_policies",
     "scaled_config",

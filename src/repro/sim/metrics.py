@@ -3,7 +3,9 @@
 The paper's figures report *normalized* quantities: cost normalized by
 the worst method (Fig. 1), response time normalized by the worst case
 among methods (Fig. 3), pairwise improvement percentages (Figs. 4-6).
-These helpers compute them from a set of :class:`RunResult`.
+These helpers compute them from a set of :class:`RunResult`, reading
+each of the paper's objectives through
+:data:`~repro.sim.results.OBJECTIVES`.
 
 Multi-seed replication support: :func:`aggregate_replicates` reduces a
 set of same-policy runs over different seeds to mean / 95 % CI pairs
@@ -16,10 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import methodcaller
 
 import numpy as np
 
-from repro.sim.results import RunResult
+from repro.sim.results import OBJECTIVES, RunResult
 
 
 def weighted_percentile(values, counts, percentile: float) -> float:
@@ -75,13 +78,11 @@ def normalized_costs(results: list[RunResult]) -> dict[str, float]:
     """
     if not results:
         return {}
-    worst = max(result.total_grid_cost_eur() for result in results)
+    cost = OBJECTIVES["cost"]
+    worst = max(cost(result) for result in results)
     if worst <= 0:
         return {result.policy_name: 1.0 for result in results}
-    return {
-        result.policy_name: result.total_grid_cost_eur() / worst
-        for result in results
-    }
+    return {result.policy_name: cost(result) / worst for result in results}
 
 
 def improvement_pct(baseline: float, candidate: float) -> float:
@@ -94,53 +95,22 @@ def improvement_pct(baseline: float, candidate: float) -> float:
     return 100.0 * (baseline - candidate) / baseline
 
 
-def cost_improvements(
-    results: list[RunResult], reference: str = "Proposed"
+def improvements(
+    results: list[RunResult], objective: str, reference: str = "Proposed"
 ) -> dict[str, float]:
-    """Cost savings (%) of ``reference`` vs every other policy."""
-    by_name = {result.policy_name: result for result in results}
-    if reference not in by_name:
-        raise KeyError(f"no run named {reference!r}")
-    ref_cost = by_name[reference].total_grid_cost_eur()
-    return {
-        name: improvement_pct(result.total_grid_cost_eur(), ref_cost)
-        for name, result in by_name.items()
-        if name != reference
-    }
+    """Improvement (%) of ``reference`` over every other policy.
 
-
-def energy_improvements(
-    results: list[RunResult], reference: str = "Proposed"
-) -> dict[str, float]:
-    """Energy savings (%) of ``reference`` vs every other policy."""
-    by_name = {result.policy_name: result for result in results}
-    if reference not in by_name:
-        raise KeyError(f"no run named {reference!r}")
-    ref = by_name[reference].total_facility_energy_joules()
-    return {
-        name: improvement_pct(result.total_facility_energy_joules(), ref)
-        for name, result in by_name.items()
-        if name != reference
-    }
-
-
-def performance_improvements(
-    results: list[RunResult],
-    reference: str = "Proposed",
-    percentile: float = 99.0,
-) -> dict[str, float]:
-    """Worst-case response-time improvement (%) of ``reference``.
-
-    The paper judges performance by the SLA-relevant worst case; a
-    high percentile is used instead of the literal maximum to keep the
-    metric stable across seeds.
+    ``objective`` names an :data:`~repro.sim.results.OBJECTIVES` entry
+    (``cost``, ``energy`` or ``performance``); a positive value means
+    ``reference`` is lower (better) than that policy.
     """
+    read = OBJECTIVES[objective]
     by_name = {result.policy_name: result for result in results}
     if reference not in by_name:
         raise KeyError(f"no run named {reference!r}")
-    ref = by_name[reference].percentile_response_s(percentile)
+    ours = read(by_name[reference])
     return {
-        name: improvement_pct(result.percentile_response_s(percentile), ref)
+        name: improvement_pct(read(result), ours)
         for name, result in by_name.items()
         if name != reference
     }
@@ -244,25 +214,15 @@ def mean_ci(values) -> MeanCI:
     return MeanCI(mean=float(array.mean()), ci95=half, n=int(array.size))
 
 
-#: The headline metrics replicated tables aggregate, in table order.
-REPLICATE_METRICS = (
-    "cost_eur",
-    "energy_gj",
-    "mean_rt_s",
-    "p99_rt_s",
-    "migrations",
-)
-
-
-def _metrics_of(result: RunResult) -> dict[str, float]:
-    summary = result.summary()
-    return {
-        "cost_eur": float(summary["cost_eur"]),
-        "energy_gj": float(summary["energy_gj"]),
-        "mean_rt_s": float(summary["mean_rt_s"]),
-        "p99_rt_s": result.percentile_response_s(99.0),
-        "migrations": float(summary["migrations"]),
-    }
+#: The headline metrics replicated tables aggregate, in table order,
+#: each with its reading of a run.
+REPLICATE_METRICS = {
+    "cost_eur": OBJECTIVES["cost"],
+    "energy_gj": methodcaller("total_energy_gj"),
+    "mean_rt_s": methodcaller("mean_response_s"),
+    "p99_rt_s": OBJECTIVES["performance"],
+    "migrations": methodcaller("total_migrations"),
+}
 
 
 def aggregate_replicates(results: list[RunResult]) -> dict[str, MeanCI]:
@@ -279,10 +239,9 @@ def aggregate_replicates(results: list[RunResult]) -> dict[str, MeanCI]:
     names = {result.policy_name for result in results}
     if len(names) != 1:
         raise ValueError(f"replicates mix policies: {sorted(names)}")
-    rows = [_metrics_of(result) for result in results]
     return {
-        metric: mean_ci(row[metric] for row in rows)
-        for metric in REPLICATE_METRICS
+        metric: mean_ci(read(result) for result in results)
+        for metric, read in REPLICATE_METRICS.items()
     }
 
 
@@ -324,15 +283,14 @@ def format_comparison(results: list[RunResult]) -> str:
     lines = [header, "-" * len(header)]
     norms = normalized_costs(results)
     for result in results:
-        summary = result.summary()
         lines.append(
-            f"{summary['policy']:<12} "
-            f"{summary['cost_eur']:>10.2f} "
-            f"{norms[summary['policy']]:>6.3f} "
-            f"{summary['energy_gj']:>10.3f} "
-            f"{summary['mean_rt_s']:>10.4f} "
-            f"{result.percentile_response_s(99.0):>9.4f} "
-            f"{summary['worst_rt_s']:>11.4f} "
-            f"{summary['migrations']:>6d}"
+            f"{result.policy_name:<12} "
+            f"{OBJECTIVES['cost'](result):>10.2f} "
+            f"{norms[result.policy_name]:>6.3f} "
+            f"{result.total_energy_gj():>10.3f} "
+            f"{result.mean_response_s():>10.4f} "
+            f"{OBJECTIVES['performance'](result):>9.4f} "
+            f"{result.worst_response_s():>11.4f} "
+            f"{result.total_migrations():>6d}"
         )
     return "\n".join(lines)

@@ -6,6 +6,15 @@ exposes the aggregates the paper's figures are built from --
 operational cost (Fig. 1), hourly/total energy (Fig. 2) and the
 response-time distribution (Fig. 3).
 
+What a run measured is declared here once:
+
+* :data:`OBJECTIVES` -- the paper's three objectives, each a reading
+  of a run (lower is better), which every figure, table and analysis
+  reads;
+* :data:`HEADLINE_MEASURES` -- the headline projection's keys, each
+  with the accessor that computes it.  :meth:`RunResult.headline`
+  evaluates it and :class:`HeadlineResult` answers from it.
+
 Every record type round-trips losslessly through plain dictionaries
 (``to_dict`` / ``from_dict``): all fields are Python floats/ints, so
 JSON (which preserves doubles exactly via shortest-repr) reproduces a
@@ -17,6 +26,9 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from functools import partial
+from operator import methodcaller
+from types import FunctionType, MethodType
 from typing import Callable
 
 import numpy as np
@@ -24,19 +36,61 @@ import numpy as np
 from repro.core.green import GreenSlotResult
 from repro.units import joules_to_gj
 
-#: Response-time percentiles a headline projection carries verbatim.
-#: Any other percentile requires the full ledger.
-HEADLINE_PERCENTILES = (95.0, 99.0)
+#: The performance objective's reading: this percentile of the per-VM
+#: Eq. 1 response-time samples, the paper's "worst-case response time"
+#: (a high percentile rather than the literal maximum, which one slot
+#: decides).
+PERFORMANCE_PERCENTILE = 99.0
+
+#: The paper's three objectives, each a reading of a run; lower is
+#: better.  Energy stays in joules, the unit Figs. 4-6 compare.
+OBJECTIVES: dict[str, Callable] = {
+    "cost": methodcaller("total_grid_cost_eur"),
+    "energy": methodcaller("total_facility_energy_joules"),
+    "performance": methodcaller(
+        "percentile_response_s", PERFORMANCE_PERCENTILE
+    ),
+}
+
+#: Response-time percentiles a headline projection carries verbatim,
+#: the performance reading among them.
+HEADLINE_PERCENTILES = tuple(sorted({95.0, PERFORMANCE_PERCENTILE}))
 
 #: Per-request latency percentiles a headline projection carries
 #: (event-engine runs only; ``None`` on slot-engine ledgers).
 REQUEST_PERCENTILES = (50.0, 99.0, 99.9)
 
-#: Sentinel distinguishing "key absent from the headline" (an old
-#: producer that predates request ledgers -- upgrade to the full
-#: result) from "key present with value None" (a slot-engine run: the
-#: ledger genuinely does not exist -- answer None, no upgrade).
-_MISSING = object()
+#: The run identity every headline opens with.
+HEADLINE_IDENTITY = ("policy_name", "config_name", "horizon")
+
+#: The headline projection's measures, in key order: each key maps to
+#: the ``RunResult`` accessor and arguments that compute it.
+HEADLINE_MEASURES: dict[str, tuple] = {
+    **{
+        name: (name,)
+        for name in (
+            "total_grid_cost_eur",
+            "total_facility_energy_joules",
+            "total_energy_gj",
+            "total_grid_energy_joules",
+            "renewable_utilization",
+            "mean_response_s",
+            "worst_response_s",
+            "total_migrations",
+            "total_migration_volume_mb",
+            "mean_active_servers",
+        )
+    },
+    **{
+        f"p{percentile:g}_response_s": ("percentile_response_s", percentile)
+        for percentile in HEADLINE_PERCENTILES
+    },
+    "total_requests": ("total_requests",),
+    **{
+        f"p{percentile:g}_request_s": ("request_percentile_s", percentile)
+        for percentile in REQUEST_PERCENTILES
+    },
+}
 
 
 @dataclass
@@ -298,80 +352,49 @@ class RunResult:
             requests=payload.get("requests"),
         )
 
-    def summary(self) -> dict:
-        """One-line dictionary for tables and logs."""
-        return {
-            "policy": self.policy_name,
-            "config": self.config_name,
-            "cost_eur": self.total_grid_cost_eur(),
-            "energy_gj": self.total_energy_gj(),
-            "grid_energy_gj": joules_to_gj(self.total_grid_energy_joules()),
-            "mean_rt_s": self.mean_response_s(),
-            "p95_rt_s": self.percentile_response_s(95.0),
-            "worst_rt_s": self.worst_response_s(),
-            "migrations": self.total_migrations(),
-            "mean_active_servers": self.mean_active_servers(),
-            "renewable_utilization": self.renewable_utilization(),
-        }
-
     def headline(self) -> dict:
         """The headline-metrics projection of this run.
 
-        A strict subset of the information in :meth:`to_dict`: every
-        value is computed from the full slot ledger by the aggregate
-        accessors above, so a consumer reading a headline sees exactly
-        the numbers it would have computed from the full result.  The
-        experiment service ships this block for ``detail=headline``
-        responses (:class:`HeadlineResult` is the consumer-side view).
+        :data:`HEADLINE_IDENTITY`, then every :data:`HEADLINE_MEASURES`
+        key computed by its accessor from the full slot ledger, so a
+        consumer reading a headline sees exactly the numbers it would
+        have computed from the full result.  The experiment service
+        ships this block for ``detail=headline`` responses
+        (:class:`HeadlineResult` is the consumer-side view).
         """
         return {
-            "policy_name": self.policy_name,
-            "config_name": self.config_name,
-            "horizon": self.horizon,
-            "total_grid_cost_eur": self.total_grid_cost_eur(),
-            "total_facility_energy_joules": (
-                self.total_facility_energy_joules()
-            ),
-            "total_energy_gj": self.total_energy_gj(),
-            "total_grid_energy_joules": self.total_grid_energy_joules(),
-            "renewable_utilization": self.renewable_utilization(),
-            "mean_response_s": self.mean_response_s(),
-            "worst_response_s": self.worst_response_s(),
-            "total_migrations": self.total_migrations(),
-            "total_migration_volume_mb": self.total_migration_volume_mb(),
-            "mean_active_servers": self.mean_active_servers(),
+            **{name: getattr(self, name) for name in HEADLINE_IDENTITY},
             **{
-                f"p{percentile:g}_response_s": self.percentile_response_s(
-                    percentile
-                )
-                for percentile in HEADLINE_PERCENTILES
-            },
-            "total_requests": self.total_requests(),
-            **{
-                f"p{percentile:g}_request_s": self.request_percentile_s(
-                    percentile
-                )
-                for percentile in REQUEST_PERCENTILES
+                key: getattr(self, accessor)(*args)
+                for key, (accessor, *args) in HEADLINE_MEASURES.items()
             },
         }
+
+
+#: The headline key of each ``(accessor, *args)`` reading.
+_KEY_OF = {reading: key for key, reading in HEADLINE_MEASURES.items()}
+_ACCESSORS = {accessor for accessor, *_ in HEADLINE_MEASURES.values()}
 
 
 class HeadlineResult:
     """A run's headline metrics, standing in for a :class:`RunResult`.
 
-    Exposes the same aggregate accessors (``total_grid_cost_eur``,
-    ``total_energy_gj``, ``percentile_response_s`` for the
-    :data:`HEADLINE_PERCENTILES`, ...) backed by a
-    :meth:`RunResult.headline` dictionary instead of the full slot
-    ledger -- the experiment service's ``detail=headline`` wire form,
-    ~two orders of magnitude smaller than a full ledger.
+    Backed by a :meth:`RunResult.headline` dictionary instead of the
+    full slot ledger -- the experiment service's ``detail=headline``
+    wire form, ~two orders of magnitude smaller than a full ledger.
+    Every :data:`HEADLINE_IDENTITY` name and :data:`HEADLINE_MEASURES`
+    reading (``total_grid_cost_eur()``, ``percentile_response_s(99)``,
+    every :data:`OBJECTIVES` entry, ...) answers from the headline.
+    Any other ``RunResult`` method runs its own code over this view, so
+    one that reads only those (``p999_request_s``) answers from the
+    headline too.
 
-    Anything the headline cannot answer (``slots``, per-slot series,
-    arbitrary percentiles) upgrades lazily: when the projection was
-    built with a ``fetch_full`` callback (the service client supplies
-    one), the first such access fetches the full ledger once and
-    delegates to it from then on; without a callback the access raises
-    so a consumer that silently needed ``detail=full`` fails loudly.
+    Anything else (``slots``, per-slot series, a percentile or key the
+    headline lacks) upgrades lazily: when the projection was built with
+    a ``fetch_full`` callback (the service client supplies one), the
+    first such access fetches the full ledger once and delegates to it
+    from then on; without a callback the access raises so a consumer
+    that silently needed ``detail=full`` fails loudly.
     """
 
     def __init__(
@@ -383,111 +406,10 @@ class HeadlineResult:
         self._fetch_full = fetch_full
         self._full_result: RunResult | None = None
 
-    # -- identity ------------------------------------------------------
-    @property
-    def policy_name(self) -> str:
-        return self._headline["policy_name"]
-
-    @property
-    def config_name(self) -> str:
-        return self._headline["config_name"]
-
-    @property
-    def horizon(self) -> int:
-        return int(self._headline["horizon"])
-
-    # -- headline accessors (mirror RunResult's aggregate API) ---------
-    def total_grid_cost_eur(self) -> float:
-        """Fleet grid cost over the horizon, EUR."""
-        return self._headline["total_grid_cost_eur"]
-
-    def total_facility_energy_joules(self) -> float:
-        """Total facility-side energy, joules."""
-        return self._headline["total_facility_energy_joules"]
-
-    def total_energy_gj(self) -> float:
-        """Total facility-side energy, gigajoules."""
-        return self._headline["total_energy_gj"]
-
-    def total_grid_energy_joules(self) -> float:
-        """Energy drawn from the grid, joules."""
-        return self._headline["total_grid_energy_joules"]
-
-    def renewable_utilization(self) -> float:
-        """Fraction of generated PV energy actually used or stored."""
-        return self._headline["renewable_utilization"]
-
-    def mean_response_s(self) -> float:
-        """Mean VM response time, seconds."""
-        return self._headline["mean_response_s"]
-
-    def worst_response_s(self) -> float:
-        """Worst observed VM response time, seconds."""
-        return self._headline["worst_response_s"]
-
-    def percentile_response_s(self, percentile: float) -> float:
-        """Response-time percentile; non-headline percentiles upgrade."""
-        key = f"p{float(percentile):g}_response_s"
-        value = self._headline.get(key)
-        if value is not None:
-            return value
-        return self.full().percentile_response_s(percentile)
-
-    def total_requests(self) -> int | None:
-        """Simulated request count; ``None`` on slot-engine runs.
-
-        A headline lacking the key entirely (produced before request
-        ledgers existed) upgrades to the full result; a present-but-
-        ``None`` value is authoritative -- the run has no ledger and
-        fetching the full result could not change that.
-        """
-        value = self._headline.get("total_requests", _MISSING)
-        if value is _MISSING:
-            return self.full().total_requests()
-        return None if value is None else int(value)
-
-    def request_percentile_s(self, percentile: float) -> float | None:
-        """Per-request latency percentile, mirroring the RunResult rule."""
-        key = f"p{float(percentile):g}_request_s"
-        value = self._headline.get(key, _MISSING)
-        if value is not _MISSING:
-            return value
-        if "total_requests" in self._headline:
-            # A request-aware headline without this percentile: answer
-            # from the full ledger only when one exists.
-            if self._headline["total_requests"] is None:
-                return None
-        return self.full().request_percentile_s(percentile)
-
-    def p50_request_s(self) -> float | None:
-        """Median per-request latency (event engine only)."""
-        return self.request_percentile_s(50.0)
-
-    def p99_request_s(self) -> float | None:
-        """99th-percentile per-request latency (event engine only)."""
-        return self.request_percentile_s(99.0)
-
-    def p999_request_s(self) -> float | None:
-        """99.9th-percentile per-request latency (event engine only)."""
-        return self.request_percentile_s(99.9)
-
-    def total_migrations(self) -> int:
-        """Count of VM migrations over the horizon."""
-        return int(self._headline["total_migrations"])
-
-    def total_migration_volume_mb(self) -> float:
-        """Total migrated image volume, MB."""
-        return self._headline["total_migration_volume_mb"]
-
-    def mean_active_servers(self) -> float:
-        """Mean count of powered-on servers."""
-        return self._headline["mean_active_servers"]
-
     def headline(self) -> dict:
         """The projection itself (already computed -- no upgrade)."""
         return dict(self._headline)
 
-    # -- lazy upgrade to the full ledger -------------------------------
     def full(self) -> RunResult:
         """The full :class:`RunResult`, fetched on first demand."""
         if self._full_result is None:
@@ -499,11 +421,22 @@ class HeadlineResult:
             self._full_result = self._fetch_full()
         return self._full_result
 
+    def _measure(self, accessor: str, *args):
+        key = _KEY_OF.get((accessor, *args))
+        if key in self._headline:
+            return self._headline[key]
+        return getattr(self.full(), accessor)(*args)
+
     def __getattr__(self, name: str):
-        # Anything beyond the headline surface (slots, per-slot
-        # series, to_dict, summary, ...) answers from the full ledger.
         if name.startswith("_"):
             raise AttributeError(name)
+        if name in HEADLINE_IDENTITY and name in self._headline:
+            return self._headline[name]
+        if name in _ACCESSORS:
+            return partial(self._measure, name)
+        method = vars(RunResult).get(name)
+        if isinstance(method, FunctionType):
+            return MethodType(method, self)
         return getattr(self.full(), name)
 
     def __repr__(self) -> str:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import pathlib
 import subprocess
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.suite.ledger import CampaignLedger, CampaignState
@@ -85,7 +85,6 @@ class CampaignReport:
     executed: int = 0  # actually simulated this invocation
     failed: int = 0
     wall_s: float = 0.0
-    outputs: list[str] = field(default_factory=list)
 
     def summary(self) -> str:
         """One status line: planned/skipped/warm/executed and wall time."""
@@ -128,9 +127,8 @@ class CampaignDriver:
     consumer:
         Orchestrator or ``ServiceClient``.  If it
         exposes ``with_meta``, runs are stamped with the campaign id
-        (in-process: into every artifact's store meta envelope;
-        service paths: an ``X-Repro-Campaign`` header feeding the
-        daemon's per-campaign counters).
+        (in-process: into every artifact's store meta envelope; a
+        ``ServiceClient`` ignores it, as store meta is the daemon's).
     ledger_root:
         Directory whose ``campaigns/`` subdir holds the manifest --
         the store root for local runs, any scratch dir for ``--service``

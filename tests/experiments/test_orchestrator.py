@@ -121,7 +121,7 @@ class TestResultStore:
         warm = Orchestrator(store=ResultStore(tmp_path)).run(request())
         assert warm.source == "disk"
         assert warm.result.slots == cold.result.slots
-        assert warm.result.summary() == cold.result.summary()
+        assert warm.result.headline() == cold.result.headline()
 
     def test_disk_document_layout(self, tmp_path):
         store = ResultStore(tmp_path)

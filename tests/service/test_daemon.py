@@ -88,6 +88,18 @@ class TestHealthAndStats:
         assert payload["daemon_id"] == daemon.daemon_id
         assert payload["wire_version"] == WIRE_VERSION
         assert "supported_wire_versions" not in payload
+        assert "engine_modes" not in payload and "campaigns" not in payload
+
+    def test_request_latency_percentiles_are_nearest_rank(self):
+        # Rank ceil(p * n / 100), counted from 1: p50 of two values is
+        # the first, p99 of 1..100 s is 99 s (not the maximum).
+        assert server._percentile_ms([1.0, 2.0], 50.0) == 1000.0
+        hundred = [float(second) for second in range(1, 101)]
+        assert server._percentile_ms(hundred, 99.0) == 99000.0
+        assert server._percentile_ms(hundred, 99.5) == 100000.0
+        assert server._percentile_ms([1.0, 2.0], 0.0) == 1000.0
+        assert server._percentile_ms([1.0, 2.0], 100.0) == 2000.0
+        assert server._percentile_ms([], 99.0) == 0.0
 
     def test_stats_counts_inflight_and_queue(self, daemon_factory):
         daemon = daemon_factory(jobs=2)

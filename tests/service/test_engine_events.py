@@ -5,8 +5,7 @@ execution path, including ``--service``: a daemon decodes the request
 (with its :class:`~repro.sim.config.EngineCoreConfig`), runs the slot
 loop with request sampling in its own process, and ships the artifact
 back.  These tests pin the wire round-trip of the engine
-config, the cross-process ledger identity, and the daemon's
-engine-mode observability (``/stats``).
+config and the cross-process ledger identity.
 """
 
 from __future__ import annotations
@@ -81,16 +80,3 @@ class TestServicePathIdentity:
         projected = client.run(event_request, detail="headline")
         assert projected.result.total_requests() > 0
         assert projected.result.p999_request_s() is not None
-
-
-class TestEngineModeVisibility:
-    def test_stats_and_health_count_decoded_modes(
-        self, daemon, client, event_request, tiny_requests
-    ):
-        """``/stats`` counts them; ``/healthz`` carries no counters."""
-        client.run(event_request)
-        client.run(tiny_requests[0])
-        stats = daemon.stats()
-        assert stats["engine_modes"]["event"] == 1
-        assert stats["engine_modes"]["slot"] == 1
-        assert "engine_modes" not in daemon.health()

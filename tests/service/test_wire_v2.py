@@ -108,26 +108,6 @@ class TestDetailProjection:
             json.dumps(full_payload)
         )
 
-    def test_headline_accessors_match_full(self, daemon, tiny_requests):
-        request = tiny_requests[0]
-        with ServiceClient(daemon.url) as client:
-            full = client.run(request, detail="full").result
-            head = client.run(request, detail="headline").result
-        assert isinstance(head, HeadlineResult)
-        assert not isinstance(full, HeadlineResult)
-        assert head.policy_name == full.policy_name
-        assert head.total_grid_cost_eur() == full.total_grid_cost_eur()
-        assert head.total_energy_gj() == full.total_energy_gj()
-        assert head.total_facility_energy_joules() == (
-            full.total_facility_energy_joules()
-        )
-        assert head.renewable_utilization() == full.renewable_utilization()
-        assert head.mean_response_s() == full.mean_response_s()
-        assert head.percentile_response_s(99.0) == (
-            full.percentile_response_s(99.0)
-        )
-        assert head.total_migrations() == full.total_migrations()
-
     def test_headline_lazily_upgrades_to_full(self, daemon, tiny_requests):
         request = tiny_requests[0]
         with ServiceClient(daemon.url) as client:

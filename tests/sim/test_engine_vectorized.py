@@ -39,7 +39,7 @@ def test_event_driver_matches_loop_oracle():
 
 def test_summary_metrics_identical():
     loops, production = run_pair(0)
-    assert loops.summary() == production.summary()
+    assert loops.headline() == production.headline()
     assert np.array_equal(
         loops.response_samples(), production.response_samples()
     )

@@ -5,15 +5,13 @@ import pytest
 
 from tests.sim.test_results import record
 from repro.sim.metrics import (
-    cost_improvements,
-    energy_improvements,
     format_comparison,
     improvement_pct,
+    improvements,
     normalized_costs,
-    performance_improvements,
     response_time_pdf,
 )
-from repro.sim.results import RunResult
+from repro.sim.results import OBJECTIVES, RunResult
 
 
 def run_named(name, n_slots=2):
@@ -58,21 +56,47 @@ class TestImprovements:
         assert improvement_pct(0.0, 5.0) == 0.0
 
     def test_cost_improvements(self, results):
-        savings = cost_improvements(results, reference="Proposed")
+        savings = improvements(results, "cost", reference="Proposed")
         assert savings["Ener-aware"] == pytest.approx(50.0)
 
     def test_energy_improvements(self, results):
-        savings = energy_improvements(results, reference="Proposed")
+        savings = improvements(results, "energy", reference="Proposed")
         assert savings["Ener-aware"] == pytest.approx(50.0)
 
     def test_performance_improvements(self, results):
         # Identical distributions -> zero improvement.
-        perf = performance_improvements(results, reference="Proposed")
+        perf = improvements(results, "performance", reference="Proposed")
         assert perf["Ener-aware"] == pytest.approx(0.0, abs=1e-9)
+
+    def test_objectives_are_cost_energy_and_p99(self, results):
+        slower = run_named("Pri-aware")
+        for slot in slower.slots:
+            for record_ in slot.dc_records:
+                record_.response_latency_s *= 2.0
+        assert list(OBJECTIVES) == ["cost", "energy", "performance"]
+        assert OBJECTIVES["cost"](slower) == slower.total_grid_cost_eur()
+        assert OBJECTIVES["energy"](slower) == (
+            slower.total_facility_energy_joules()
+        )
+        assert OBJECTIVES["performance"](slower) == (
+            slower.percentile_response_s(99.0)
+        )
+        perf = improvements(results + [slower], "performance")
+        assert perf["Pri-aware"] == pytest.approx(50.0)
+
+    def test_improvements_exclude_the_reference(self, results):
+        assert list(improvements(results, "cost")) == ["Ener-aware"]
+        assert list(
+            improvements(results, "cost", reference="Ener-aware")
+        ) == ["Proposed"]
+
+    def test_unknown_objective_raises(self, results):
+        with pytest.raises(KeyError):
+            improvements(results, "p99")
 
     def test_missing_reference_raises(self, results):
         with pytest.raises(KeyError):
-            cost_improvements(results, reference="Nope")
+            improvements(results, "cost", reference="Nope")
 
 
 class TestResponsePdf:

@@ -1,10 +1,22 @@
-"""Result ledgers: aggregations from hand-built records."""
+"""Result ledgers: aggregations from hand-built records, headlines."""
+
+import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.core.green import GreenSlotResult
-from repro.sim.results import DCSlotRecord, RunResult, SlotRecord
+from repro.sim.results import (
+    HEADLINE_IDENTITY,
+    HEADLINE_MEASURES,
+    HEADLINE_PERCENTILES,
+    OBJECTIVES,
+    DCSlotRecord,
+    HeadlineResult,
+    RunResult,
+    SlotRecord,
+)
 
 
 def green(facility=1000.0, grid_load=600.0, grid_batt=100.0, cost=0.05,
@@ -117,17 +129,15 @@ class TestRunResult:
     def test_mean_active_servers(self, run):
         assert run.mean_active_servers() == pytest.approx(4.0)
 
-    def test_summary_keys(self, run):
-        summary = run.summary()
-        for key in (
-            "policy",
-            "cost_eur",
-            "energy_gj",
-            "mean_rt_s",
-            "worst_rt_s",
-            "migrations",
-        ):
-            assert key in summary
+    def test_headline_keys(self, run):
+        headline = run.headline()
+        assert list(headline) == [*HEADLINE_IDENTITY, *HEADLINE_MEASURES]
+        assert headline["policy_name"] == "Test"
+        assert headline["total_grid_cost_eur"] == run.total_grid_cost_eur()
+        assert headline["p99_response_s"] == run.percentile_response_s(99.0)
+        # A slot-kind run has no request ledger: its request keys are null.
+        assert headline["total_requests"] is None
+        assert headline["p99.9_request_s"] is None
 
     def test_empty_run_safe(self):
         empty = RunResult(policy_name="Empty", config_name="unit")
@@ -160,7 +170,7 @@ class TestSerialization:
         )
         clone = RunResult.from_dict(json.loads(json.dumps(run.to_dict())))
         assert clone.slots == run.slots
-        assert clone.summary() == run.summary()
+        assert clone.headline() == run.headline()
 
     def test_dc_record_roundtrip(self):
         original = record(0).dc_records[0]
@@ -171,3 +181,109 @@ class TestSerialization:
     def test_empty_run_roundtrip(self):
         empty = RunResult(policy_name="Empty", config_name="unit")
         assert RunResult.from_dict(empty.to_dict()) == empty
+
+
+@pytest.fixture(scope="module")
+def tiny_runs():
+    """Each kind's four-policy tiny comparison, by (kind, policy)."""
+    from repro.experiments.runner import default_policies
+    from repro.sim.config import EngineCoreConfig, scaled_config
+    from repro.sim.engine import run_policies
+
+    config = scaled_config("tiny").with_horizon(4)
+    return {
+        (kind, run.policy_name): run
+        for kind in ("slot", "event")
+        for run in run_policies(
+            config, default_policies(), engine=EngineCoreConfig(kind=kind)
+        )
+    }
+
+
+POLICIES = ("Proposed", "Ener-aware", "Pri-aware", "Net-aware")
+
+
+class TestHeadlineParity:
+    """A headline answers like its run, and never reaches past itself."""
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("kind", ("slot", "event"))
+    def test_headline_reads_like_the_run(self, tiny_runs, kind, policy):
+        run = tiny_runs[kind, policy]
+        # The wire form, with no way back to the full ledger.
+        head = HeadlineResult(json.loads(json.dumps(run.headline())))
+        for name in HEADLINE_IDENTITY:
+            assert getattr(head, name) == getattr(run, name)
+        for key, (accessor, *args) in HEADLINE_MEASURES.items():
+            assert getattr(head, accessor)(*args) == (
+                getattr(run, accessor)(*args)
+            ), key
+        for percentile in HEADLINE_PERCENTILES:
+            assert head.percentile_response_s(int(percentile)) == (
+                run.percentile_response_s(percentile)
+            )
+        for name in ("p50_request_s", "p99_request_s", "p999_request_s"):
+            assert getattr(head, name)() == getattr(run, name)()
+        assert (run.total_requests() is None) == (kind == "slot")
+        for name, read in OBJECTIVES.items():
+            assert read(head) == read(run), name
+        assert head.headline() == run.headline()
+        # Anything else needs the full ledger, which this view lacks.
+        for reach in (
+            lambda: head.slots,
+            lambda: head.hourly_cost_eur(),
+            lambda: head.to_dict(),
+            lambda: head.percentile_response_s(50.0),
+            lambda: head.request_percentile_s(95.0),
+        ):
+            with pytest.raises(ValueError, match="detail='full'"):
+                reach()
+
+    def test_missing_key_upgrades_once(self, tiny_runs):
+        run = tiny_runs["slot", "Proposed"]
+        headline = run.headline()
+        del headline["total_grid_cost_eur"]
+        fetches = []
+        head = HeadlineResult(
+            headline, fetch_full=lambda: fetches.append(1) or run
+        )
+        assert head.total_energy_gj() == run.total_energy_gj()
+        assert fetches == []
+        assert head.total_grid_cost_eur() == run.total_grid_cost_eur()
+        assert head.hourly_cost_eur().tolist() == (
+            run.hourly_cost_eur().tolist()
+        )
+        assert fetches == [1]
+
+    def test_headline_consumers_never_upgrade(self, tiny_runs):
+        """Pareto, sensitivity and scenario rows read headlines alone."""
+        from repro.analysis.pareto import alpha_sweep
+        from repro.analysis.sensitivity import sweep_qos
+        from repro.experiments.scenarios import run_scenarios
+        from repro.sim.config import scaled_config
+
+        class HeadlineOnly:
+            """Answers each request with its policy's bare headline."""
+
+            def run_many(self, requests, detail=None):
+                assert detail == "headline"
+                return [
+                    SimpleNamespace(
+                        result=HeadlineResult(
+                            tiny_runs["slot", request.policy.name].headline()
+                        )
+                    )
+                    for request in requests
+                ]
+
+        config = scaled_config("tiny").with_horizon(4)
+        proposed = tiny_runs["slot", "Proposed"]
+        (point,) = alpha_sweep(config, (0.5,), orchestrator=HeadlineOnly())
+        assert point.cost_eur == proposed.total_grid_cost_eur()
+        assert point.response_p99_s == proposed.percentile_response_s(99.0)
+        (row,) = sweep_qos(config, (0.98,), orchestrator=HeadlineOnly())
+        assert row.energy_gj == proposed.total_energy_gj()
+        (outcome,) = run_scenarios(
+            config, ("mixed",), orchestrator=HeadlineOnly()
+        )
+        assert outcome.proposed_p99_rt_s == point.response_p99_s

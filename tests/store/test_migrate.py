@@ -56,7 +56,7 @@ class TestMigrateToSegment:
             migrated = RunResult.from_dict(dest.fetch(fingerprint)["result"])
             assert migrated.to_dict() == original.to_dict()
             assert migrated.slots == original.slots
-            assert migrated.summary() == original.summary()
+            assert migrated.headline() == original.headline()
 
     def test_migrated_root_serves_warm_runs(self, v1_root, tmp_path):
         migrate_store(v1_root, tmp_path / "seg", to="segment")

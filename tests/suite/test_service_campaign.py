@@ -1,10 +1,9 @@
-"""Campaigns over the service path: meta stamping, headers, stats.
+"""Campaigns over the service path: meta stamping, daemon identity.
 
 The driver treats every consumer uniformly through ``with_meta``: an
 in-process ``Orchestrator`` stamps the campaign id into each store
-document's meta envelope, while ``ServiceClient`` translates it to an
-``X-Repro-Campaign`` header feeding the daemon's per-campaign
-``/stats`` counters.
+document's meta envelope, while ``ServiceClient`` ignores it (store
+meta is the daemon's), and the ledger records the daemon's identity.
 """
 
 from __future__ import annotations
@@ -65,6 +64,7 @@ def test_local_campaign_stamps_store_meta(mini_spec, tmp_path):
 def test_service_campaign_feeds_daemon_stats(
     mini_no_outputs, daemon_factory, tmp_path
 ):
+    """A campaign runs on the daemon, and its ledger names the daemon."""
     spec = mini_no_outputs
     daemon = daemon_factory(daemon_id="svc-a")
     ledger_root = tmp_path / "ledger"
@@ -72,9 +72,7 @@ def test_service_campaign_feeds_daemon_stats(
         report = CampaignDriver(spec, client, ledger_root).run()
         assert report.executed == spec_total(spec)
         assert report.failed == 0
-        # The X-Repro-Campaign header tallied every submission.
-        stats = client.stats()
-        assert stats["campaigns"][spec.campaign_id] == report.total
+        assert client.with_meta({"campaign": spec.campaign_id}) is client
     # Service-path done records carry the daemon's identity.
     state = CampaignLedger.for_store(
         ledger_root, spec.campaign_id

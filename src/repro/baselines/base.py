@@ -20,6 +20,10 @@ from repro.core.migration import MigrationMove, destination_within_constraint
 from repro.sim.state import FleetPlacement, SlotObservation
 from repro.units import gb_to_mb
 
+#: Fraction of each DC's core capacity a baseline's global packer may
+#: fill: a safety margin like the Proposed method's capacity caps.
+HEADROOM = 0.9
+
 
 def enforce_migration_constraint(
     observation: SlotObservation,
@@ -131,12 +135,8 @@ def finish_placement(
     return placement
 
 
-def dc_capacities_cores(
-    observation: SlotObservation, headroom: float = 0.9
-) -> np.ndarray:
-    """Physical core capacity per DC, derated by a packing headroom."""
-    if not 0.0 < headroom <= 1.0:
-        raise ValueError("headroom must be in (0, 1]")
+def dc_capacities_cores(observation: SlotObservation) -> np.ndarray:
+    """Physical core capacity per DC, derated by :data:`HEADROOM`."""
     return np.array(
-        [dc.spec.total_capacity_cores * headroom for dc in observation.dcs]
+        [dc.spec.total_capacity_cores * HEADROOM for dc in observation.dcs]
     )

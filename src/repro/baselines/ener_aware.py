@@ -25,21 +25,16 @@ from repro.sim.state import FleetPlacement, PlacementPolicy, SlotObservation
 class EnerAwarePolicy(PlacementPolicy):
     """FFD DC clustering + correlation-aware local consolidation.
 
-    Parameters
-    ----------
-    headroom:
-        Fraction of each DC's core capacity FFD may fill.
+    FFD fills each DC up to :data:`~repro.baselines.base.HEADROOM` of
+    its core capacity.
     """
 
     name = "Ener-aware"
 
-    def __init__(self, headroom: float = 0.9) -> None:
-        self.headroom = headroom
-
     def place(self, observation: SlotObservation) -> FleetPlacement:
         """FFD over DCs in index order, then correlation-aware packing."""
         n = len(observation.vms)
-        capacities = dc_capacities_cores(observation, self.headroom)
+        capacities = dc_capacities_cores(observation)
         loads = observation.loads()
 
         desired = np.zeros(n, dtype=int)

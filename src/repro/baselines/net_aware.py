@@ -22,6 +22,11 @@ from repro.baselines.base import dc_capacities_cores, finish_placement
 from repro.core.local import allocate_first_fit
 from repro.sim.state import FleetPlacement, PlacementPolicy, SlotObservation
 
+#: Pairs exchanging less than this (MB per slot) do not bind VMs into
+#: the same placement group: it filters out light background chatter
+#: that would otherwise merge everything into one component.
+GROUP_THRESHOLD_MB = 2.0
+
 
 def communication_groups(volumes: np.ndarray, threshold_mb: float = 0.0) -> list[list[int]]:
     """Connected components of the symmetrized volume graph.
@@ -55,30 +60,22 @@ def communication_groups(volumes: np.ndarray, threshold_mb: float = 0.0) -> list
 class NetAwarePolicy(PlacementPolicy):
     """Traffic-group placement with load balancing across DCs.
 
-    Parameters
-    ----------
-    headroom:
-        Fraction of each DC's core capacity the balancer may fill.
-    group_threshold_mb:
-        Pairs exchanging less than this per slot do not bind VMs into
-        the same placement group (filters out light background chatter
-        that would otherwise merge everything into one component).
+    The balancer fills each DC up to
+    :data:`~repro.baselines.base.HEADROOM` of its core capacity, and
+    groups VMs over pairs exchanging more than
+    :data:`GROUP_THRESHOLD_MB`.
     """
 
     name = "Net-aware"
 
-    def __init__(self, headroom: float = 0.9, group_threshold_mb: float = 2.0) -> None:
-        self.headroom = headroom
-        self.group_threshold_mb = group_threshold_mb
-
     def place(self, observation: SlotObservation) -> FleetPlacement:
         """Group-by-traffic, balance groups over DCs, plain FFD locally."""
         n = len(observation.vms)
-        capacities = dc_capacities_cores(observation, self.headroom)
+        capacities = dc_capacities_cores(observation)
         loads = observation.loads()
         volumes = observation.volumes.volumes
 
-        groups = communication_groups(volumes, self.group_threshold_mb)
+        groups = communication_groups(volumes, GROUP_THRESHOLD_MB)
         internal_traffic = []
         for group in groups:
             block = volumes[np.ix_(group, group)]

@@ -25,22 +25,16 @@ from repro.sim.state import FleetPlacement, PlacementPolicy, SlotObservation
 class PriAwarePolicy(PlacementPolicy):
     """Pack VMs into the cheapest-grid-price DCs.
 
-    Parameters
-    ----------
-    headroom:
-        Fraction of each DC's core capacity the packer may fill (keeps
-        a safety margin exactly like the other policies' caps).
+    The packer fills each DC up to
+    :data:`~repro.baselines.base.HEADROOM` of its core capacity.
     """
 
     name = "Pri-aware"
 
-    def __init__(self, headroom: float = 0.9) -> None:
-        self.headroom = headroom
-
     def place(self, observation: SlotObservation) -> FleetPlacement:
         """Greedy price-ordered packing, then plain FFD per DC."""
         n = len(observation.vms)
-        capacities = dc_capacities_cores(observation, self.headroom)
+        capacities = dc_capacities_cores(observation)
         prices = np.array(
             [dc.grid_price_at(observation.slot) for dc in observation.dcs]
         )

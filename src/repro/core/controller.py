@@ -56,20 +56,11 @@ class ProposedPolicy(PlacementPolicy):
     force_params:
         Embedding tunables; ``alpha`` is the Eq. 5 energy/performance
         trade-off weight.
-    kmeans_iterations:
-        Cap on modified k-means rounds per slot.
-    stickiness:
-        Placement inertia passed to the constrained k-means; suppresses
-        marginal reassignments (and migration churn) while letting the
-        caps still pull load toward free/cheap energy.
     local_allocator:
         The local-phase allocator (default: the paper's
         correlation-aware consolidation).  Swapping in
         :func:`repro.core.local.allocate_first_fit` ablates the local
         correlation awareness.
-    seed:
-        Root for the deterministic placement of brand-new points in the
-        plane.
     """
 
     name = "Proposed"
@@ -83,16 +74,10 @@ class ProposedPolicy(PlacementPolicy):
     def __init__(
         self,
         force_params: ForceParameters | None = None,
-        kmeans_iterations: int = 25,
-        stickiness: float = 0.0,
         local_allocator=allocate_correlation_aware,
-        seed: int = 0,
     ) -> None:
         self.force_params = force_params or ForceParameters()
-        self.kmeans_iterations = kmeans_iterations
-        self.stickiness = stickiness
         self.local_allocator = local_allocator
-        self.seed = seed
         self._embedding = ForceDirectedEmbedding(self.force_params)
         self._positions: dict[int, np.ndarray] = {}
 
@@ -106,7 +91,8 @@ class ProposedPolicy(PlacementPolicy):
         A new VM starts at the centroid of its already-embedded service
         peers (plus deterministic jitter) so the attraction force does
         not have to drag it across the whole plane; a VM of a brand-new
-        service starts at a deterministic pseudo-random location.
+        service starts at a deterministic pseudo-random location.  Both
+        draw from the VM's own ``spawn`` stream under the fixed root 0.
         """
         service_points: dict[int, list[np.ndarray]] = {}
         for vm in observation.vms:
@@ -120,7 +106,7 @@ class ProposedPolicy(PlacementPolicy):
             if known is not None:
                 positions[row] = known
                 continue
-            rng = rng_for(self.seed, "spawn", vm.vm_id)
+            rng = rng_for(0, "spawn", vm.vm_id)
             jitter = rng.normal(0.0, 0.25, size=2)
             peers = service_points.get(vm.service_id)
             if peers:
@@ -158,13 +144,7 @@ class ProposedPolicy(PlacementPolicy):
         previous = observation.previous_array()
         centroids = warm_start_centroids(embedding.positions, previous, n_dcs)
         clustering = constrained_kmeans(
-            embedding.positions,
-            loads,
-            caps_cores,
-            centroids,
-            max_iterations=self.kmeans_iterations,
-            current_assignment=previous,
-            stickiness=self.stickiness,
+            embedding.positions, loads, caps_cores, centroids
         )
 
         # -- Step 3: migration revision (Algorithm 2).

@@ -62,22 +62,16 @@ def repulsion_matrix(traces: np.ndarray) -> np.ndarray:
     return result
 
 
-def attraction_matrix(volumes: np.ndarray, log_scale: bool = True) -> np.ndarray:
+def attraction_matrix(volumes: np.ndarray) -> np.ndarray:
     """Data-correlation attraction F_a of Eq. 5, in [-1, 0].
 
-    Parameters
-    ----------
-    volumes:
-        Directed volume matrix (MB); the bidirectional exchange
-        ``v[i, j] + v[j, i]`` is normalized by the current maximum so
-        the strongest-communicating pair gets force -1.  Pairs that do
-        not communicate get 0 (no attraction).
-    log_scale:
-        Compress the heavy-tailed volume distribution with ``log1p``
-        before normalizing.  The paper's volumes are log-normal with
-        sigma up to 2: linear normalization by the max would leave the
-        median communicating pair with a vanishing force and the
-        clustering signal would ride on a single hot pair.
+    The bidirectional exchange ``v[i, j] + v[j, i]`` of the directed
+    volume matrix (MB) is compressed with ``log1p`` and normalized by
+    its maximum, so the strongest-communicating pair gets force -1 and
+    pairs that do not communicate get 0 (no attraction).  The paper's
+    volumes are log-normal with sigma up to 2: linear normalization by
+    the max would leave the median communicating pair with a vanishing
+    force and the clustering signal would ride on a single hot pair.
     """
     volumes = np.asarray(volumes, dtype=float)
     if volumes.ndim != 2 or volumes.shape[0] != volumes.shape[1]:
@@ -86,8 +80,7 @@ def attraction_matrix(volumes: np.ndarray, log_scale: bool = True) -> np.ndarray
         raise ValueError("volumes must be non-negative")
     exchanged = volumes + volumes.T
     np.fill_diagonal(exchanged, 0.0)
-    if log_scale:
-        exchanged = np.log1p(exchanged)
+    exchanged = np.log1p(exchanged)
     top = exchanged.max()
     if top == 0.0:
         return np.zeros_like(exchanged)

@@ -95,13 +95,12 @@ class GreenController:
         dcs: list[Datacenter],
         slot: int,
         facility_power_w: np.ndarray,
-        slot_duration_s: float = SECONDS_PER_HOUR,
     ) -> list[GreenSlotResult]:
         """Source one slot's facility power for every DC of the fleet.
 
         ``facility_power_w`` has shape ``(len(dcs), steps)``: row ``i``
         is ``dcs[i]``'s facility power (IT * PUE) per control step, and
-        a step lasts ``slot_duration_s / steps``.  Mutates every DC's
+        a step lasts one hour divided by ``steps``.  Mutates every DC's
         battery.
 
         * Everything time-indexed -- PV power, peak windows, prices,
@@ -134,8 +133,8 @@ class GreenController:
             return []
 
         n_dcs, steps = facility_power_w.shape
-        dt = slot_duration_s / steps
-        times = slot * slot_duration_s + (np.arange(steps) + 0.5) * dt
+        dt = SECONDS_PER_HOUR / steps
+        times = slot * SECONDS_PER_HOUR + (np.arange(steps) + 0.5) * dt
         pv_power = fleet_power_watts([dc.pv for dc in dcs], times)
 
         # (steps, n_dcs) C-order layout: the ledger's sum(axis=0) then

@@ -52,20 +52,20 @@ def warm_start_centroids(
     positions: np.ndarray,
     previous_assignment: np.ndarray | None,
     k: int,
-    spread: float = 1.0,
 ) -> np.ndarray:
     """Initial centroids from the previous slot's cluster memberships.
 
     Clusters with surviving members start at the mean position of those
     members (the paper's warm start); empty or brand-new clusters are
     placed on a deterministic circle around the population mean so that
-    every DC exists in the plane from the first slot.
+    every DC exists in the plane from the first slot.  The circle's
+    radius is the points' standard deviation (1 for a single point).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     centroids = np.zeros((k, 2))
     center = positions.mean(axis=0) if len(positions) else np.zeros(2)
-    scale = spread
+    scale = 1.0
     if len(positions) > 1:
         scale = max(float(positions.std()), 1e-3)
     for cluster in range(k):
@@ -90,8 +90,6 @@ def constrained_kmeans(
     capacities: np.ndarray,
     initial_centroids: np.ndarray,
     max_iterations: int = 25,
-    current_assignment: np.ndarray | None = None,
-    stickiness: float = 0.0,
 ) -> ClusterResult:
     """Cluster 2D points under per-cluster load capacities.
 
@@ -107,14 +105,6 @@ def constrained_kmeans(
         Warm-started centroids, shape ``(k, 2)``.
     max_iterations:
         Cap on assignment/update rounds.
-    current_assignment:
-        The cluster each point currently lives in (-1 for new points).
-        Only used when ``stickiness`` > 0.
-    stickiness:
-        Placement inertia in [0, 1): a point's distance to its current
-        cluster's centroid is discounted by this factor, so marginal
-        reassignments (and the migration churn they cause) are
-        suppressed while clearly better clusters still win.
     """
     positions = np.asarray(positions, dtype=float)
     loads = np.asarray(loads, dtype=float)
@@ -128,12 +118,6 @@ def constrained_kmeans(
         raise ValueError("loads must be non-negative")
     if capacities.shape != (k,):
         raise ValueError("capacities must have one entry per cluster")
-    if not 0.0 <= stickiness < 1.0:
-        raise ValueError("stickiness must be in [0, 1)")
-    if current_assignment is not None:
-        current_assignment = np.asarray(current_assignment, dtype=int)
-        if current_assignment.shape != (n,):
-            raise ValueError("current_assignment must have one entry per point")
 
     if n == 0:
         zero = np.zeros(k)
@@ -155,9 +139,6 @@ def constrained_kmeans(
         distances = np.sqrt(
             ((positions[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         )
-        if stickiness > 0.0 and current_assignment is not None:
-            rows = np.nonzero(current_assignment >= 0)[0]
-            distances[rows, current_assignment[rows]] *= 1.0 - stickiness
         # Every point's clusters, nearest first; a stable row sort ranks
         # ties exactly as a per-point stable sort does.  The greedy pass
         # runs on Python floats, which are float64 like the arrays.

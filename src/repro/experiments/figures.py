@@ -232,20 +232,39 @@ def all_figure_reports(results: list[RunResult]) -> list[dict]:
     ]
 
 
+def _scalars(value) -> bool:
+    """Whether ``value`` is a dict of numbers and strings."""
+    return isinstance(value, dict) and all(
+        np.isscalar(v) or isinstance(v, (int, float)) for v in value.values()
+    )
+
+
+def _format(value) -> str:
+    return f"{value:.3f}" if isinstance(value, float) else f"{value}"
+
+
+def _pairs(values: dict) -> str:
+    return ", ".join(f"{key}={_format(value)}" for key, value in values.items())
+
+
 def render(report: dict) -> str:
-    """Human-readable text for any figure report."""
+    """Human-readable text for any figure report.
+
+    A string, a number or a dict of scalars takes one line; a dict of
+    scalar dicts (Fig. 3's per-policy ``stats``) takes one indented
+    line per key.  Per-slot series and PDFs are left out.
+    """
     lines = [f"== {report['id']} =="]
     for key, value in report.items():
         if key == "id":
             continue
-        if isinstance(value, dict) and all(
-            np.isscalar(v) or isinstance(v, (int, float)) for v in value.values()
-        ):
-            body = ", ".join(
-                f"{k}={v:.3f}" if isinstance(v, float) else f"{k}={v}"
-                for k, v in value.items()
+        if isinstance(value, (str, int, float)):
+            lines.append(f"  {key}: {_format(value)}")
+        elif _scalars(value):
+            lines.append(f"  {key}: {_pairs(value)}")
+        elif isinstance(value, dict) and all(map(_scalars, value.values())):
+            lines.append(f"  {key}:")
+            lines.extend(
+                f"    {name}: {_pairs(inner)}" for name, inner in value.items()
             )
-            lines.append(f"  {key}: {body}")
-        elif isinstance(value, str):
-            lines.append(f"  {key}: {value}")
     return "\n".join(lines)

@@ -7,7 +7,7 @@ policy x seed)* simulation runs.  This module owns that evaluation:
 
 * :class:`RunRequest` names one run: an
   :class:`~repro.sim.config.ExperimentConfig`, a policy, an optional
-  seed override and the :class:`EngineOptions` flags.  Its
+  seed override and the :class:`EngineOptions` run kind.  Its
   :meth:`~RunRequest.fingerprint` is a SHA-256 over the canonicalized
   request, the unit of caching.
 * :class:`~repro.store.ResultStore` (in :mod:`repro.store`) maps
@@ -42,8 +42,7 @@ The fingerprint hashes the *complete* canonicalized request:
   sampling rate, QoS and seed;
 * the policy descriptor -- class name plus all public constructor
   state (:meth:`~repro.sim.state.PlacementPolicy.descriptor`);
-* the :class:`EngineOptions` flags that change results
-  (``clairvoyant``, ``engine``) or their provenance (``validate``);
+* the :class:`EngineOptions` run kind (``engine``);
 * the workload pack's content descriptor (schema, version, kind and
   the SHA-256 *content* hash of
   :class:`~repro.workload.packs.TracePack` -- for a recorded pack that
@@ -105,14 +104,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EngineOptions:
-    """Engine flags a :class:`RunRequest` threads through to the engine.
+    """The engine option a :class:`RunRequest` threads through to the engine.
 
     Attributes
     ----------
-    validate:
-        Validate every placement against its observation.
-    clairvoyant:
-        Give policies the current slot's traces (perfect forecast).
     engine:
         The :class:`~repro.sim.config.EngineCoreConfig` selecting the
         run kind (``slot`` or ``event``) and its request-stream
@@ -122,14 +117,12 @@ class EngineOptions:
         byte-identical.
     """
 
-    validate: bool = True
-    clairvoyant: bool = False
     engine: EngineCoreConfig = field(default_factory=EngineCoreConfig)
 
 
 @dataclass(frozen=True)
 class RunRequest:
-    """One simulation run: config x policy x seed x engine flags.
+    """One simulation run: config x policy x seed x engine kind.
 
     Attributes
     ----------
@@ -142,7 +135,7 @@ class RunRequest:
         Optional seed override; ``None`` keeps ``config.seed``.  The
         replication helpers use this to fan one config out over seeds.
     options:
-        Engine flags threaded through to the engine.
+        The engine kind threaded through to the engine.
     pack:
         Optional :class:`~repro.workload.packs.TracePack` naming the
         workload; ``None`` selects the synthetic default pack.  The
@@ -383,8 +376,6 @@ def _execute_group(task: _GroupTask) -> tuple[list[tuple], dict]:
         SimulationEngine(
             request.resolved_config(),
             request.policy,
-            validate=request.options.validate,
-            clairvoyant=request.options.clairvoyant,
             materialization=materialization,
             engine=request.options.engine,
         )
@@ -891,7 +882,7 @@ def grid_requests(
     seeds:
         Seed overrides; ``None`` keeps each config's own seed.
     options:
-        Engine flags applied to every request.
+        Engine options applied to every request.
     pack:
         Workload pack applied to every request (``None`` = synthetic
         default).

@@ -40,9 +40,8 @@ envelopes and ``detail`` projections, in HTTP's identity coding.  A
 call that names no ``detail`` gets ``full``.
 
 ``detail="headline"`` artifacts decode to
-:class:`~repro.sim.results.HeadlineResult` projections that lazily
-fetch the full ledger, with a one-fingerprint poll, only when a
-consumer asks for something beyond the headline block.
+:class:`~repro.sim.results.HeadlineResult` projections, which answer
+the headline block's readings and raise for anything beyond it.
 
 Every failure to reach the daemon or to get a protocol answer from it
 raises :class:`ServiceError` (the CLI maps it to a clean nonzero
@@ -79,7 +78,6 @@ from repro.service.protocol import (
     encode_poll,
     encode_request,
 )
-from repro.sim.results import RunResult
 
 __all__ = [
     "ServiceClient",
@@ -291,25 +289,6 @@ class ServiceClient(ConsumerSurface):
 
     # -- future resolution -------------------------------------------------
 
-    def _full_fetcher(self, fingerprint: str) -> Callable[[], RunResult]:
-        """The lazy headline->full upgrade: one ``detail=full`` poll."""
-
-        def fetch() -> RunResult:
-            hit = self.lookup(None, fingerprint)
-            if hit is None:
-                raise ServiceError(
-                    f"cannot upgrade headline run {fingerprint[:12]}... "
-                    f"to full detail from {self.url}"
-                )
-            return hit.result().result
-
-        return fetch
-
-    def _decode(self, fingerprint: str, payload: dict) -> RunArtifact:
-        return decode_artifact(
-            payload, fetch_full=self._full_fetcher(fingerprint)
-        )
-
     def _settle(self, fingerprint: str, payload: dict) -> None:
         """Resolve the pending future for one terminal payload."""
         with self._lock:
@@ -319,7 +298,7 @@ class ServiceClient(ConsumerSurface):
         kind = payload.get("kind")
         if kind == "run_artifact":
             try:
-                future.set_result(self._decode(fingerprint, payload))
+                future.set_result(decode_artifact(payload))
             except WireError as error:
                 future.set_exception(ServiceError(str(error)))
         else:
@@ -413,7 +392,7 @@ class ServiceClient(ConsumerSurface):
             return None
         future: Future = Future()
         try:
-            future.set_result(self._decode(fingerprint, payload))
+            future.set_result(decode_artifact(payload))
         except WireError as error:
             raise ServiceError(
                 f"undecodable artifact from {self.url}: {error}"
@@ -582,16 +561,16 @@ class ServiceClient(ConsumerSurface):
     def lookup(self, request, fingerprint: str) -> RunFuture | None:
         """An already-resolved future for a daemon-store hit, else None.
 
-        The warm-only read behind suite resume verification, the
-        output stage and the headline upgrade: a no-wait poll of one
-        fingerprint that never triggers execution.  Mirrors
+        The warm-only read behind suite resume verification and the
+        output stage: a no-wait poll of one fingerprint that never
+        triggers execution.  Mirrors
         :meth:`repro.experiments.orchestrator.Orchestrator.lookup`.
         """
         for payload in self._poll([fingerprint], 0.0, "full"):
             if payload.get("kind") != "run_artifact":
                 return None
             try:
-                artifact = self._decode(fingerprint, payload)
+                artifact = decode_artifact(payload)
             except WireError:
                 return None
             return RunFuture.resolved(request, fingerprint, artifact)

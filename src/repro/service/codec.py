@@ -257,6 +257,7 @@ def decode(tree: Any) -> Any:
             return cls(**state)
         except TypeError as error:
             raise CodecError(
-                f"cannot rebuild {tree['__object__']}: {error}"
+                f"cannot rebuild {tree['__object__']} from state "
+                f"{sorted(state)}: {error}"
             ) from None
     return {key: decode(val) for key, val in tree.items()}

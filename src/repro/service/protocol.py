@@ -23,7 +23,7 @@ The codec (:mod:`repro.service.codec`) handles the object tree inside
 from __future__ import annotations
 
 import math
-from typing import Any, Callable
+from typing import Any
 
 from repro.experiments.orchestrator import RunArtifact, RunRequest
 from repro.service.codec import decode, encode
@@ -178,15 +178,12 @@ def encode_artifact(artifact: RunArtifact, detail: str = "full") -> dict:
     return payload
 
 
-def decode_artifact(
-    payload: Any, fetch_full: Callable[[], RunResult] | None = None
-) -> RunArtifact:
+def decode_artifact(payload: Any) -> RunArtifact:
     """Rebuild a :class:`RunArtifact` from its wire form.
 
     ``detail=headline`` payloads decode to an artifact carrying a
-    :class:`~repro.sim.results.HeadlineResult`; ``fetch_full`` (the
-    service client supplies a per-fingerprint fetcher) is what lets
-    that projection lazily upgrade to the full ledger on demand.
+    :class:`~repro.sim.results.HeadlineResult`, which answers the
+    headline's readings and nothing else.
     """
     payload = _check_envelope(payload, "run_artifact")
     detail = check_detail(payload.get("detail"))
@@ -194,9 +191,7 @@ def decode_artifact(
         headline = payload.get("headline")
         if not isinstance(headline, dict):
             raise WireError("headline artifact lacks a headline block")
-        result: RunResult | HeadlineResult = HeadlineResult(
-            headline, fetch_full=fetch_full
-        )
+        result: RunResult | HeadlineResult = HeadlineResult(headline)
     else:
         try:
             result = RunResult.from_dict(payload["result"])
@@ -250,11 +245,11 @@ def encode_poll(
 ) -> dict:
     """The ``POST /runs/poll`` body: settle many runs in one call.
 
-    The daemon's only read: a warm check, a lookup and a headline
-    upgrade are polls too, of one fingerprint or many.  The list rides
-    in the body, so no URL length caps it.  ``wait=0`` answers in one
-    buffered body; ``wait>0`` streams JSON lines in completion order
-    for up to ``wait`` seconds.
+    The daemon's only read: a warm check and a lookup are polls too,
+    of one fingerprint or many.  The list rides in the body, so no URL
+    length caps it.  ``wait=0`` answers in one buffered body;
+    ``wait>0`` streams JSON lines in completion order for up to
+    ``wait`` seconds.
     """
     return {
         "wire_version": WIRE_VERSION,

@@ -71,9 +71,6 @@ class SimulationEngine:
         The experiment configuration (fleet, horizon, workload).
     policy:
         The placement policy under test.
-    validate:
-        Validate every placement against the observation (cheap; keep
-        on except in micro-benchmarks).
     clairvoyant:
         When True the observation carries the *current* slot's traces
         and volumes instead of the previous slot's -- a perfect
@@ -114,7 +111,6 @@ class SimulationEngine:
         self,
         config: ExperimentConfig,
         policy: PlacementPolicy,
-        validate: bool = True,
         clairvoyant: bool = False,
         materialization=None,
         engine: EngineCoreConfig | None = None,
@@ -137,7 +133,6 @@ class SimulationEngine:
             engine = EngineCoreConfig()
         self.config = config
         self.policy = policy
-        self.validate = validate
         self.clairvoyant = clairvoyant
         self.engine_config = engine
         self.kernel = SlotKernel(
@@ -170,10 +165,11 @@ class SimulationEngine:
     def advance(self, slot: int) -> None:
         """Simulate ``slot`` and append its record to :attr:`result`.
 
-        One kernel ``observe``, the policy's placement (validated when
-        asked), one kernel ``step``; an event-kind run also appends the
-        slot's request batches (:meth:`_sample_requests`).  Slots must
-        come in order, after :meth:`begin`.
+        One kernel ``observe``, the policy's placement (validated
+        against the observation), one kernel ``step``; an event-kind
+        run also appends the slot's request batches
+        (:meth:`_sample_requests`).  Slots must come in order, after
+        :meth:`begin`.
         """
         started = time.perf_counter()
         kernel = self.kernel
@@ -186,8 +182,7 @@ class SimulationEngine:
             clairvoyant=self.clairvoyant,
         )
         placement = self.policy.place(observation)
-        if self.validate:
-            placement.validate(observation)
+        placement.validate(observation)
         record = kernel.step(slot, vms, placement, self._dcs)
         self.result.slots.append(record)
         self._previous_assignment = dict(placement.assignment)
@@ -272,8 +267,6 @@ def run_lockstep(
 def run_policies(
     config: ExperimentConfig,
     policies: list[PlacementPolicy],
-    validate: bool = True,
-    clairvoyant: bool = False,
     engine: EngineCoreConfig | None = None,
 ) -> list[RunResult]:
     """Run several policies over the *same* workload realization.
@@ -282,9 +275,9 @@ def run_policies(
     (:func:`run_lockstep`) on one materialization of the default pack,
     so they see identical VMs, traces and volumes -- and every engine
     derives its weather and BER streams from ``config.seed`` too.  The
-    engine options (``validate``, ``clairvoyant``, ``engine``) are
-    forwarded to every :class:`SimulationEngine` constructed.  The
-    first failed run's error re-raises once every run has finished.
+    ``engine`` kind is forwarded to every :class:`SimulationEngine`
+    constructed.  The first failed run's error re-raises once every run
+    has finished.
     """
     materialization = build_materialization(config, None)
     outcomes = run_lockstep(
@@ -292,8 +285,6 @@ def run_policies(
             SimulationEngine(
                 config,
                 policy,
-                validate=validate,
-                clairvoyant=clairvoyant,
                 materialization=materialization,
                 engine=engine,
             )

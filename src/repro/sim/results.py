@@ -390,42 +390,28 @@ class HeadlineResult:
     headline too.
 
     Anything else (``slots``, per-slot series, a percentile or key the
-    headline lacks) upgrades lazily: when the projection was built with
-    a ``fetch_full`` callback (the service client supplies one), the
-    first such access fetches the full ledger once and delegates to it
-    from then on; without a callback the access raises so a consumer
-    that silently needed ``detail=full`` fails loudly.
+    headline lacks) raises, naming ``detail='full'``: a consumer that
+    needs the ledger asks for it up front.
     """
 
-    def __init__(
-        self,
-        headline: dict,
-        fetch_full: Callable[[], "RunResult"] | None = None,
-    ) -> None:
+    def __init__(self, headline: dict) -> None:
         self._headline = dict(headline)
-        self._fetch_full = fetch_full
-        self._full_result: RunResult | None = None
 
     def headline(self) -> dict:
-        """The projection itself (already computed -- no upgrade)."""
+        """The projection itself."""
         return dict(self._headline)
 
-    def full(self) -> RunResult:
-        """The full :class:`RunResult`, fetched on first demand."""
-        if self._full_result is None:
-            if self._fetch_full is None:
-                raise ValueError(
-                    "this result is a detail=headline projection with no "
-                    "way back to the full ledger; request detail='full'"
-                )
-            self._full_result = self._fetch_full()
-        return self._full_result
+    def _beyond(self, name: str) -> ValueError:
+        return ValueError(
+            f"{name!r} is not in this detail=headline projection; "
+            f"request detail='full'"
+        )
 
     def _measure(self, accessor: str, *args):
         key = _KEY_OF.get((accessor, *args))
-        if key in self._headline:
-            return self._headline[key]
-        return getattr(self.full(), accessor)(*args)
+        if key not in self._headline:
+            raise self._beyond(f"{accessor}{args!r}")
+        return self._headline[key]
 
     def __getattr__(self, name: str):
         if name.startswith("_"):
@@ -437,11 +423,10 @@ class HeadlineResult:
         method = vars(RunResult).get(name)
         if isinstance(method, FunctionType):
             return MethodType(method, self)
-        return getattr(self.full(), name)
+        raise self._beyond(name)
 
     def __repr__(self) -> str:
-        state = "full" if self._full_result is not None else "headline"
         return (
             f"HeadlineResult({self.policy_name!r}, {self.config_name!r}, "
-            f"detail={state})"
+            f"detail=headline)"
         )

@@ -348,9 +348,9 @@ class TracePack:
 _REGISTRY: dict[str, TracePack] = {}
 
 
-def register_pack(pack: TracePack, replace: bool = False) -> TracePack:
+def register_pack(pack: TracePack) -> TracePack:
     """Add ``pack`` to the process-wide registry (returned unchanged)."""
-    if not replace and pack.name in _REGISTRY:
+    if pack.name in _REGISTRY:
         raise ValueError(f"pack {pack.name!r} is already registered")
     _REGISTRY[pack.name] = pack
     return pack

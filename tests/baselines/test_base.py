@@ -5,6 +5,7 @@ import pytest
 
 from tests.conftest import make_observation, make_vm
 from repro.baselines.base import (
+    HEADROOM,
     build_allocations,
     dc_capacities_cores,
     enforce_migration_constraint,
@@ -113,10 +114,8 @@ class TestBuildAllocations:
 
 class TestCapacities:
     def test_headroom_scales(self, observation):
-        full = dc_capacities_cores(observation, headroom=1.0)
-        derated = dc_capacities_cores(observation, headroom=0.5)
-        assert np.allclose(derated, full * 0.5)
-
-    def test_headroom_validated(self, observation):
-        with pytest.raises(ValueError):
-            dc_capacities_cores(observation, headroom=0.0)
+        full = [dc.spec.total_capacity_cores for dc in observation.dcs]
+        assert HEADROOM == 0.9
+        assert dc_capacities_cores(observation).tolist() == [
+            capacity * HEADROOM for capacity in full
+        ]

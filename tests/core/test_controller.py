@@ -150,7 +150,7 @@ class TestConfiguration:
     ):
         results = []
         for _ in range(2):
-            policy = ProposedPolicy(seed=5)
+            policy = ProposedPolicy()
             observation = make_observation(
                 six_vms, datacenters, latency_model, trace_library, volume_process
             )

@@ -82,7 +82,7 @@ class TestAttraction:
 
     def test_strongest_pair_is_minus_one(self):
         volumes = np.array([[0.0, 5.0], [3.0, 0.0]])
-        matrix = attraction_matrix(volumes, log_scale=False)
+        matrix = attraction_matrix(volumes)
         assert matrix[0, 1] == pytest.approx(-1.0)
         assert matrix[1, 0] == pytest.approx(-1.0)
 
@@ -104,10 +104,12 @@ class TestAttraction:
         assert np.allclose(matrix, matrix.T)
 
     def test_log_scale_boosts_midrange(self):
+        """The midrange pair gets log1p(10) / log1p(1000) of the top
+        pair's force, far above the 10 / 1000 of a linear scale."""
         volumes = np.array([[0.0, 1000.0, 0.0], [0.0, 0.0, 10.0], [0.0, 0.0, 0.0]])
-        linear = attraction_matrix(volumes, log_scale=False)
-        logged = attraction_matrix(volumes, log_scale=True)
-        assert abs(logged[1, 2]) > abs(linear[1, 2])
+        logged = attraction_matrix(volumes)
+        assert logged[1, 2] == pytest.approx(-np.log1p(10.0) / np.log1p(1000.0))
+        assert abs(logged[1, 2]) > 10.0 / 1000.0
 
     def test_negative_volume_rejected(self):
         with pytest.raises(ValueError):

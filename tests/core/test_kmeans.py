@@ -121,49 +121,3 @@ class TestClustering:
             constrained_kmeans(
                 two_blobs, np.ones(10), np.array([[5.0]]), np.zeros((1, 2))
             )
-
-
-class TestStickiness:
-    def test_stickiness_keeps_marginal_points(self, rng):
-        """A point midway between clusters stays with its current one."""
-        points = np.array([[-1.0, 0.0], [1.0, 0.0], [0.05, 0.0]])
-        loads = np.ones(3)
-        capacities = np.array([5.0, 5.0])
-        initial = np.array([[-1.0, 0.0], [1.0, 0.0]])
-        current = np.array([0, 1, 0])  # marginal point currently on cluster 0
-        free = constrained_kmeans(
-            points, loads, capacities, initial, max_iterations=1
-        )
-        sticky = constrained_kmeans(
-            points,
-            loads,
-            capacities,
-            initial,
-            max_iterations=1,
-            current_assignment=current,
-            stickiness=0.5,
-        )
-        assert free.assignment[2] == 1
-        assert sticky.assignment[2] == 0
-
-    def test_stickiness_validated(self, two_blobs):
-        with pytest.raises(ValueError):
-            constrained_kmeans(
-                two_blobs,
-                np.ones(10),
-                np.array([10.0, 10.0]),
-                np.zeros((2, 2)),
-                stickiness=1.0,
-            )
-
-    def test_new_points_unaffected_by_stickiness(self):
-        points = np.array([[0.0, 0.0], [1.0, 0.0]])
-        result = constrained_kmeans(
-            points,
-            np.ones(2),
-            np.array([5.0, 5.0]),
-            np.array([[0.0, 0.0], [1.0, 0.0]]),
-            current_assignment=np.array([-1, -1]),
-            stickiness=0.9,
-        )
-        assert set(result.assignment) <= {0, 1}

@@ -141,3 +141,13 @@ class TestFigureReports:
         ):
             text = render(report)
             assert report["id"] in text
+
+    def test_render_fig3_shows_its_numbers(self, results):
+        report = fig3_response_time(results)
+        lines = render(report).splitlines()
+        upper = report["normalization_upper_s"]
+        assert f"  normalization_upper_s: {upper:.3f}" in lines
+        for name, stats in report["stats"].items():
+            assert f"    {name}: " + ", ".join(
+                f"{key}={stats[key]:.3f}" for key in ("mean", "std", "worst", "p99")
+            ) in lines

@@ -22,7 +22,7 @@ from repro.service.client import ServiceClient
 from repro.service.protocol import encode_batch, encode_request
 from repro.service.server import ExperimentDaemon
 from repro.sim.config import EngineCoreConfig, scaled_config
-from repro.sim.engine import SimulationEngine
+from repro.sim.engine import SimulationEngine, run_lockstep
 from repro.store import ResultStore
 from repro.workload.materialize import (
     WorkloadMaterialization,
@@ -51,13 +51,23 @@ class FailsAtSlotOne(PriAwarePolicy):
         return super().place(observation)
 
 
+class DropsOneVm(PriAwarePolicy):
+    """Leaves its first alive VM out of the slot-1 assignment."""
+
+    name = "Drops-one-VM"
+
+    def place(self, observation):
+        placement = super().place(observation)
+        if observation.slot == 1:
+            del placement.assignment[observation.vms[0].vm_id]
+        return placement
+
+
 def solo_bytes(request: RunRequest) -> str:
     """A request's result run on its own, as canonical JSON."""
     result = SimulationEngine(
         request.resolved_config(),
         request.policy,
-        validate=request.options.validate,
-        clairvoyant=request.options.clairvoyant,
         materialization=build_materialization(
             request.resolved_config(), request.pack
         ),
@@ -96,6 +106,32 @@ def test_raising_run_fails_only_its_own_future(jobs):
                 RunRequest(config=tiny(), policy=default_policies()[index])
             )
         assert futures[2].fingerprint not in orchestrator.store
+
+
+def test_inconsistent_placement_fails_the_run():
+    """Every placement is validated: one that leaves an alive VM
+    unassigned raises out of the engine's run."""
+    engine = SimulationEngine(tiny(), DropsOneVm())
+    with pytest.raises(ValueError, match="assignment mismatch: missing="):
+        engine.run()
+
+
+def test_inconsistent_placement_fails_only_its_own_future():
+    """Beside a good policy in one group, the invalid run fails its own
+    future and is not stored; the good run completes unchanged."""
+    requests = [
+        RunRequest(config=tiny(), policy=policy)
+        for policy in (DropsOneVm(), PriAwarePolicy())
+    ]
+    with Orchestrator(jobs=1) as orchestrator:
+        bad, good = orchestrator.submit_many(requests)
+        with pytest.raises(ValueError, match="assignment mismatch"):
+            bad.result()
+        assert good.result().source == "computed"
+        assert artifact_bytes(good) == solo_bytes(requests[1])
+        assert bad.fingerprint not in orchestrator.store
+        stats = orchestrator.workload_cache_stats()
+    assert (stats["misses"], stats["hits"]) == (1, 1)
 
 
 def split_names(policies, workers, groups=1):
@@ -167,19 +203,41 @@ def test_batch_of_two_keys_duplicates_and_hits_resolves_in_order(jobs):
 
 
 def test_clairvoyant_and_normal_runs_share_a_group():
-    """Clairvoyant and last-interval runs of one key (and an event-kind
-    run) advance on one materialization and each equal its solo run."""
+    """Clairvoyant and last-interval engines (and an event-kind one)
+    advance in lockstep on one materialization, whose two-slot window
+    serves both reads, and each equals its solo run."""
+    config = tiny(horizon=4)
+    event = EngineCoreConfig(kind="event")
+    setups = [(1, True, None), (1, False, None), (0, False, event)]
+
+    def engine(index, clairvoyant, kind, materialization=None):
+        return SimulationEngine(
+            config,
+            default_policies()[index],
+            clairvoyant=clairvoyant,
+            materialization=materialization,
+            engine=kind,
+        )
+
+    materialization = build_materialization(config, None)
+    grouped = run_lockstep(
+        [engine(*setup, materialization) for setup in setups]
+    )
+    for result, setup in zip(grouped, setups):
+        assert result.to_dict() == engine(*setup).run().to_dict()
+
+
+def test_slot_and_event_runs_share_a_group():
+    """Slot- and event-kind runs of one key form one orchestrator group
+    and each equal its solo run."""
+    event = EngineOptions(engine=EngineCoreConfig(kind="event"))
     requests = [
         RunRequest(
             config=tiny(horizon=4),
             policy=default_policies()[index],
             options=options,
         )
-        for index, options in [
-            (1, EngineOptions(clairvoyant=True)),
-            (1, EngineOptions()),
-            (0, EngineOptions(engine=EngineCoreConfig(kind="event"))),
-        ]
+        for index, options in [(1, event), (1, EngineOptions()), (0, event)]
     ]
     orchestrator = Orchestrator(jobs=1)
     futures = orchestrator.submit_many(requests)

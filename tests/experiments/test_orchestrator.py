@@ -16,7 +16,7 @@ from repro.experiments.orchestrator import (
     grid_requests,
 )
 from repro.experiments.runner import default_policies
-from repro.sim.config import scaled_config
+from repro.sim.config import EngineCoreConfig, scaled_config
 from repro.sim.state import PlacementPolicy
 
 
@@ -74,7 +74,9 @@ class TestFingerprint:
     def test_engine_options_distinguish(self):
         assert (
             request().fingerprint()
-            != request(options=EngineOptions(clairvoyant=True)).fingerprint()
+            != request(
+                options=EngineOptions(engine=EngineCoreConfig(kind="event"))
+            ).fingerprint()
         )
 
     def test_descriptor_is_json_stable(self):
@@ -93,7 +95,7 @@ class TestCanonical:
     def test_dataclass_includes_class_name(self):
         tree = canonical(EngineOptions())
         assert tree["__class__"] == "EngineOptions"
-        assert tree["validate"] is True
+        assert tree["engine"]["__class__"] == "EngineCoreConfig"
 
     def test_function_canonicalized_by_qualname(self):
         from repro.core.local import allocate_first_fit

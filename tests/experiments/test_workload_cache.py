@@ -46,8 +46,6 @@ def direct_run(req: RunRequest):
     return SimulationEngine(
         req.resolved_config(),
         req.policy,
-        validate=req.options.validate,
-        clairvoyant=req.options.clairvoyant,
         materialization=build_materialization(
             req.resolved_config(), req.pack
         ),

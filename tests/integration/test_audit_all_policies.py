@@ -25,7 +25,6 @@ POLICIES = [
         lambda: ProposedPolicy(local_allocator=allocate_first_fit),
         id="proposed-blind-local",
     ),
-    pytest.param(lambda: ProposedPolicy(stickiness=0.4), id="proposed-sticky"),
     pytest.param(lambda: EnerAwarePolicy(), id="ener"),
     pytest.param(lambda: PriAwarePolicy(), id="pri"),
     pytest.param(lambda: NetAwarePolicy(), id="net"),

@@ -56,13 +56,12 @@ def green_run_slot(
     dc: Datacenter,
     slot: int,
     facility_power_w: np.ndarray,
-    slot_duration_s: float = SECONDS_PER_HOUR,
 ) -> GreenSlotResult:
     """Source one DC's slot step by step; mutates the DC's battery."""
     facility_power_w = np.asarray(facility_power_w, dtype=float)
     steps = facility_power_w.size
-    dt = slot_duration_s / steps
-    times = slot * slot_duration_s + (np.arange(steps) + 0.5) * dt
+    dt = SECONDS_PER_HOUR / steps
+    times = slot * SECONDS_PER_HOUR + (np.arange(steps) + 0.5) * dt
     pv_power = np.asarray(dc.pv.power_watts(times), dtype=float)
     tariff = dc.spec.tariff
     battery = dc.battery
@@ -418,8 +417,6 @@ def constrained_kmeans(
     capacities,
     initial_centroids,
     max_iterations: int = 25,
-    current_assignment=None,
-    stickiness: float = 0.0,
 ) -> ClusterResult:
     """The capacity-constrained k-means, ranking each point on its own."""
     positions = np.asarray(positions, dtype=float)
@@ -428,8 +425,6 @@ def constrained_kmeans(
     centroids = np.array(initial_centroids, dtype=float, copy=True)
     n = positions.shape[0]
     k = centroids.shape[0]
-    if current_assignment is not None:
-        current_assignment = np.asarray(current_assignment, dtype=int)
     if n == 0:
         zero = np.zeros(k)
         return ClusterResult(
@@ -446,9 +441,6 @@ def constrained_kmeans(
         distances = np.sqrt(
             ((positions[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         )
-        if stickiness > 0.0 and current_assignment is not None:
-            rows = np.nonzero(current_assignment >= 0)[0]
-            distances[rows, current_assignment[rows]] *= 1.0 - stickiness
         remaining = capacities.astype(float).copy()
         new_assignment = np.full(n, -1, dtype=int)
         order = np.argsort(-loads, kind="stable")

@@ -23,7 +23,7 @@ from repro.service.protocol import (
     decode_request,
     encode_request,
 )
-from repro.sim.config import paper_config, scaled_config
+from repro.sim.config import EngineCoreConfig, paper_config, scaled_config
 from repro.workload.packs import (
     DataCorrelationParams,
     RecordedTraceSource,
@@ -113,7 +113,7 @@ class TestFingerprintStability:
                 config=config,
                 policy=policy,
                 seed=9,
-                options=EngineOptions(clairvoyant=True, validate=False),
+                options=EngineOptions(engine=EngineCoreConfig(kind="event")),
             )
             assert roundtrip(request).fingerprint() == request.fingerprint()
 
@@ -165,6 +165,29 @@ class TestRetiredEngineOptions:
         with pytest.raises(WireError, match="vectorized") as excinfo:
             decode_request(json.loads(json.dumps(payload)))
         assert not isinstance(excinfo.value, FingerprintMismatch)
+
+
+class TestRemovedParameters:
+    """An older client's request tree is refused, never rebuilt under
+    a different fingerprint: the codec's constructor call rejects a
+    removed keyword."""
+
+    @pytest.mark.parametrize("option", ["validate", "clairvoyant"])
+    def test_engine_flag_is_refused(self, option):
+        tree = encode(
+            RunRequest(config=scaled_config("tiny"), policy=default_policies()[1])
+        )
+        tree["fields"]["options"]["fields"][option] = False
+        with pytest.raises(CodecError, match=option):
+            decode(json.loads(json.dumps(tree)))
+
+    @pytest.mark.parametrize("index", [1, 2, 3])
+    def test_baseline_headroom_is_refused(self, index):
+        tree = encode(default_policies()[index])
+        assert tree["state"] == {}
+        tree["state"]["headroom"] = 0.9
+        with pytest.raises(CodecError, match="headroom"):
+            decode(json.loads(json.dumps(tree)))
 
 
 class TestDecodeSafety:

@@ -108,17 +108,22 @@ class TestDetailProjection:
             json.dumps(full_payload)
         )
 
-    def test_headline_lazily_upgrades_to_full(self, daemon, tiny_requests):
+    def test_headline_refuses_reads_past_its_block(
+        self, daemon, tiny_requests
+    ):
         request = tiny_requests[0]
         with ServiceClient(daemon.url) as client:
             full = client.run(request).result  # no detail named: full
             head = client.run(request, detail="headline").result
             assert isinstance(head, HeadlineResult)
             assert not isinstance(full, HeadlineResult)
-            # Anything beyond the headline block fetches the full
-            # ledger over the wire, transparently.
-            assert head.to_dict() == full.to_dict()
-            assert head.full().policy_name == full.policy_name
+            assert head.headline() == full.headline()
+            # Anything beyond the headline block raises, naming the
+            # detail that carries it, and asks the daemon nothing.
+            before = daemon.stats()["requests"]
+            with pytest.raises(ValueError, match="detail='full'"):
+                head.to_dict()
+            assert daemon.stats()["requests"] == before
 
     def test_client_detail_used_by_analysis_consumer(
         self, daemon, tiny_config
@@ -227,6 +232,36 @@ class TestBatchEndpoints:
         )
         assert line["kind"] == "run_artifact"
 
+    def test_old_shaped_entries_get_400_lines(self, daemon, tiny_requests):
+        """An entry carrying a removed engine flag or a baseline's
+        headroom is refused on its own line; its sibling is served."""
+        good = encode_request(tiny_requests[0])
+        flagged = json.loads(json.dumps(good))
+        options = flagged["request"]["fields"]["options"]["fields"]
+        options["validate"] = True
+        headroom = json.loads(json.dumps(encode_request(tiny_requests[1])))
+        headroom["request"]["fields"]["policy"]["state"]["headroom"] = 0.9
+        body = json.dumps(encode_batch([flagged, headroom, good])).encode()
+        status, _, data = raw(
+            daemon.address, "POST", "/runs/batch",
+            body=body, headers={"Content-Type": "application/json"},
+        )
+        assert status == 200
+        lines = [
+            json.loads(line) for line in data.splitlines() if line.strip()
+        ]
+        assert len(lines) == 3
+        for line, name in zip(lines, ("validate", "headroom")):
+            assert line["kind"] == "error"
+            assert line["status"] == 400
+            assert "undecodable request" in line["error"]
+            assert name in line["error"]
+        assert lines[2]["kind"] in ("pending", "run_artifact")
+        _, (line,) = poll(
+            daemon.url, [tiny_requests[0].fingerprint()], wait=60
+        )
+        assert line["kind"] == "run_artifact"
+
     def test_poll_reports_unknown_fingerprints(self, daemon):
         body = json.dumps(encode_poll(["0" * 64])).encode()
         status, _, data = raw(
@@ -252,7 +287,7 @@ class TestBatchEndpoints:
         assert after - before == 2
 
     def test_each_single_read_costs_one_poll(self, daemon, tiny_requests):
-        """A lookup, a warm run() and a headline upgrade: one POST each."""
+        """A lookup and a warm run(): one POST each."""
         request = tiny_requests[0]
         warm(daemon, [request])
 
@@ -273,13 +308,9 @@ class TestBatchEndpoints:
             assert cost(
                 lambda: client.lookup(request, request.fingerprint())
             ) == one_poll
-            runs = []
             assert cost(
-                lambda: runs.append(client.run(request, detail="headline"))
+                lambda: client.run(request, detail="headline")
             ) == one_poll
-            head = runs[0].result
-            assert isinstance(head, HeadlineResult)
-            assert cost(head.full) == one_poll
 
     def test_wire_counters_observe_batching(self, daemon, tiny_requests):
         with ServiceClient(daemon.url) as client:

@@ -132,21 +132,19 @@ def test_response_latency_empty_fleet():
 
 
 class TestRunPoliciesOptions:
-    """run_policies forwards engine options to every engine it builds."""
+    """run_policies forwards the engine kind to every engine it builds."""
 
-    def test_clairvoyant_threaded_through(self):
+    def test_engine_kind_threaded_through(self):
         config = scaled_config("tiny").with_horizon(4)
-        policies = default_policies()[1:2]
-        via_runner = run_policies(config, policies, clairvoyant=True)
+        event = EngineCoreConfig(kind="event")
+        via_runner = run_policies(
+            config, default_policies()[1:2], engine=event
+        )
         direct = SimulationEngine(
-            config, default_policies()[1], clairvoyant=True
+            config, default_policies()[1], engine=event
         ).run()
-        assert via_runner[0].slots == direct.slots
-
-    def test_validate_flag_threaded_through(self):
-        config = scaled_config("tiny").with_horizon(2)
-        results = run_policies(config, default_policies()[1:2], validate=False)
-        assert results[0].horizon == 2
+        assert via_runner[0].to_dict() == direct.to_dict()
+        assert direct.requests is not None
 
 
 class TestDemandCacheEviction:

@@ -239,21 +239,14 @@ class TestHeadlineParity:
             with pytest.raises(ValueError, match="detail='full'"):
                 reach()
 
-    def test_missing_key_upgrades_once(self, tiny_runs):
+    def test_missing_key_raises_naming_full(self, tiny_runs):
         run = tiny_runs["slot", "Proposed"]
         headline = run.headline()
         del headline["total_grid_cost_eur"]
-        fetches = []
-        head = HeadlineResult(
-            headline, fetch_full=lambda: fetches.append(1) or run
-        )
+        head = HeadlineResult(headline)
         assert head.total_energy_gj() == run.total_energy_gj()
-        assert fetches == []
-        assert head.total_grid_cost_eur() == run.total_grid_cost_eur()
-        assert head.hourly_cost_eur().tolist() == (
-            run.hourly_cost_eur().tolist()
-        )
-        assert fetches == [1]
+        with pytest.raises(ValueError, match="detail='full'"):
+            head.total_grid_cost_eur()
 
     def test_headline_consumers_never_upgrade(self, tiny_runs):
         """Pareto, sensitivity and scenario rows read headlines alone."""

@@ -143,17 +143,6 @@ class TestRegistry:
         with pytest.raises(ValueError, match="already registered"):
             register_pack(recorded_pack(matrix, name="synthetic"))
 
-    def test_replace_allows_reregistration(self, matrix):
-        from repro.workload import packs as packs_module
-
-        pack = recorded_pack(matrix, name="test-replace")
-        try:
-            register_pack(pack, replace=True)
-            assert get_pack("test-replace") is pack
-            register_pack(pack, replace=True)
-        finally:
-            packs_module._REGISTRY.pop("test-replace", None)
-
 
 class TestFromCsv:
     def test_named_after_file(self, tmp_path, matrix):

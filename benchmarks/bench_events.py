@@ -1,9 +1,9 @@
 """Request sampling (``--engine event``): throughput gate plus byte-identity.
 
-An event-kind run goes through the same slot loop as a slot-kind run
-and additionally samples each slot's user requests into a per-request
-latency ledger that a slot-kind run never builds.  Two properties keep
-it honest:
+An event-kind run is a slot-kind run's ledger plus one request draw
+(:func:`~repro.sim.engine.with_requests`): each slot's user requests
+land in a per-request latency ledger that a slot-kind run never
+builds.  Two properties keep it honest:
 
 * **byte-identity** -- the event run's slot-boundary ledgers must
   serialize byte for byte equal to the slot run's over a multi-day
@@ -28,7 +28,7 @@ import pytest
 
 from repro.baselines import EnerAwarePolicy
 from repro.sim.config import EngineCoreConfig, scaled_config
-from repro.sim.engine import SimulationEngine
+from repro.sim.engine import SimulationEngine, with_requests
 
 #: Simulated horizon: two days, so tariff edges, PV cycles and battery
 #: regime changes all occur.
@@ -50,7 +50,8 @@ def _slot_bytes(result) -> bytes:
 
 @pytest.fixture(scope="module")
 def drivers():
-    """Slot- and event-kind runs of the same two-day experiment."""
+    """Slot- and event-kind runs of the same two-day experiment; an
+    event run is timed over its slot loop and its request draw."""
     config = scaled_config("small").with_horizon(HORIZON_SLOTS)
     start = time.perf_counter()
     slot_result = SimulationEngine(config, EnerAwarePolicy()).run()
@@ -59,9 +60,11 @@ def drivers():
     event_result = None
     for _ in range(REPEATS):
         start = time.perf_counter()
-        candidate = SimulationEngine(
-            config, EnerAwarePolicy(), engine=EngineCoreConfig(kind="event")
-        ).run()
+        candidate = with_requests(
+            SimulationEngine(config, EnerAwarePolicy()).run(),
+            config.seed,
+            EngineCoreConfig(kind="event"),
+        )
         elapsed = time.perf_counter() - start
         if elapsed < event_s:
             event_s, event_result = elapsed, candidate

@@ -40,9 +40,9 @@ seeds with mean / Student-t 95 % CI reporting; no other command takes
 as workers finish (``--progress`` forces it on, ``--no-progress`` off;
 the default follows whether stderr is a TTY).
 
-Engine selection: ``--engine {slot,event}`` picks the run kind.  Both
-run the one slot loop; ``event`` additionally samples each slot's user
-requests, so its runs carry byte-identical slot ledgers plus a
+Engine selection: ``--engine {slot,event}`` picks the run kind.  An
+``event`` run is its slot run's ledger plus one draw of each slot's
+user requests, so it carries byte-identical slot ledgers plus a
 per-request latency tail (p50/p99/p99.9).  The engine mode joins the
 run fingerprint, so the two kinds cache as distinct artifacts.
 

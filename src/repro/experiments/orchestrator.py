@@ -18,8 +18,9 @@ policy x seed)* simulation runs.  This module owns that evaluation:
 * :class:`Orchestrator` resolves requests against the store and runs
   the misses of a batch as lockstep groups -- the runs that share a
   workload materialization key advance slot by slot on one
-  :class:`~repro.workload.materialize.WorkloadMaterialization` --
-  inline or as tasks of a persistent ``ProcessPoolExecutor``.
+  :class:`~repro.workload.materialize.WorkloadMaterialization`, each
+  distinct simulation once (:func:`_simulation_key`) -- inline or as
+  tasks of a persistent ``ProcessPoolExecutor``.
 * :class:`ConsumerSurface` is the surface every analysis calls, shared
   with :class:`~repro.service.client.ServiceClient`.  The primitive is
   :meth:`~ConsumerSurface.submit_many`, which returns
@@ -60,6 +61,7 @@ document's ``meta`` envelope instead (:func:`run_meta`).
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import hashlib
 import json
@@ -73,7 +75,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.canonical import canonical
 from repro.sim.config import EngineCoreConfig, ExperimentConfig
-from repro.sim.engine import SimulationEngine, run_lockstep
+from repro.sim.engine import SimulationEngine, run_lockstep, with_requests
 from repro.sim.results import RunResult
 from repro.sim.state import PlacementPolicy
 from repro.store import STORE_ENV_VAR, STORE_VERSION, ResultStore
@@ -113,8 +115,10 @@ class EngineOptions:
         run kind (``slot`` or ``event``) and its request-stream
         intensity.  Part of the fingerprint: an event run
         carries a per-request ledger a slot run does not, so they are
-        distinct artifacts even though their slot ledgers are
-        byte-identical.
+        distinct artifacts.  It never changes the simulation: every
+        kind projects one slot ledger
+        (:func:`~repro.sim.engine.with_requests`), so runs that differ
+        only here share one simulation (:func:`_simulation_key`).
     """
 
     engine: EngineCoreConfig = field(default_factory=EngineCoreConfig)
@@ -279,22 +283,47 @@ def materialization_key_of(request: RunRequest) -> str:
     return cached
 
 
-def lockstep_groups(futures: Iterable[RunFuture]) -> list[list[RunFuture]]:
-    """Futures grouped by their request's materialization key.
+def _simulation_key(future: RunFuture) -> str:
+    """The fingerprint of the simulation ``future``'s run projects.
 
-    Groups come in order of first appearance, and each keeps its
-    futures in the order given.
+    A run with default :class:`EngineOptions` is its own simulation;
+    any other projects its slot twin's
+    (:func:`~repro.sim.engine.with_requests`), the request with
+    ``EngineOptions()``, whose fingerprint is memoized on the request.
     """
+    request = future.request
+    if request.options == EngineOptions():
+        return future.fingerprint
+    cached = request.__dict__.get("_simulation_key")
+    if cached is None:
+        twin = dataclasses.replace(request, options=EngineOptions())
+        cached = twin.fingerprint()
+        object.__setattr__(request, "_simulation_key", cached)
+    return cached
+
+
+def _grouped(futures: Iterable[RunFuture], key) -> list[list[RunFuture]]:
+    """Futures grouped by ``key``, groups in order of first appearance,
+    each keeping its futures in the order given."""
     groups: dict[str, list[RunFuture]] = {}
     for future in futures:
-        key = materialization_key_of(future.request)
-        groups.setdefault(key, []).append(future)
+        groups.setdefault(key(future), []).append(future)
     return list(groups.values())
 
 
+def lockstep_groups(futures: Iterable[RunFuture]) -> list[list[RunFuture]]:
+    """Futures grouped by their request's materialization key."""
+    return _grouped(futures, lambda run: materialization_key_of(run.request))
+
+
 def _cost(group: Sequence[RunFuture]) -> float:
-    """A group's estimated run time, in baseline runs."""
-    return sum(future.request.policy.relative_cost for future in group)
+    """A group's estimated run time, in baseline runs, counting each
+    simulation (:func:`_simulation_key`) once."""
+    costs = {
+        _simulation_key(future): future.request.policy.relative_cost
+        for future in group
+    }
+    return sum(costs.values())
 
 
 def _spread(
@@ -303,23 +332,28 @@ def _spread(
     """Split groups until ``workers`` of them can start at once.
 
     While there are fewer groups than workers, the costliest group
-    with more than one run (:func:`_cost`, from each policy's
+    with more than one simulation (:func:`_cost`, from each policy's
     :attr:`~repro.sim.state.PlacementPolicy.relative_cost`) splits in
-    two: its runs, costliest first (ties in request order), each join
-    the cheaper half.  At ``jobs=2`` a comparison thus runs Proposed
-    on one worker and its three baselines, still sharing one
+    two: its simulations -- each a run with its twins of other kinds,
+    which move as one unit -- costliest first (ties in request order),
+    each join the cheaper half.  At ``jobs=2`` a comparison thus runs
+    Proposed on one worker and its three baselines, still sharing one
     materialization, on the other, and a four-point sweep of one
     policy runs two points per worker (DESIGN.md, "Workload
     materialization & lockstep groups").
     """
     while len(groups) < workers:
-        splittable = [group for group in groups if len(group) > 1]
+        splittable = [
+            group for group in groups
+            if len(_grouped(group, _simulation_key)) > 1
+        ]
         if not splittable:
             break
         costliest = max(splittable, key=_cost)
         halves: tuple[list, list] = ([], [])
-        for future in sorted(costliest, key=lambda run: -_cost([run])):
-            min(halves, key=_cost).append(future)
+        units = _grouped(costliest, _simulation_key)
+        for unit in sorted(units, key=lambda unit: -_cost(unit)):
+            min(halves, key=_cost).extend(unit)
         groups = [group for group in groups if group is not costliest]
         groups.extend(halves)
     return groups
@@ -327,15 +361,17 @@ def _spread(
 
 @dataclass(frozen=True)
 class _GroupTask:
-    """The requests of one lockstep group.
+    """The requests of one lockstep group and their simulation keys.
 
     When ``stub`` is set the requests travel with ``pack=None`` and
     the worker re-attaches the pack zero-copy from shared memory;
-    fingerprints are always computed parent-side from the original
-    requests, so the stripped copies never need one.
+    fingerprints and ``keys`` (:func:`_simulation_key`) are always
+    computed parent-side from the original requests, so the stripped
+    copies never need one.
     """
 
     requests: tuple[RunRequest, ...]
+    keys: tuple[str, ...]
     stub: SharedPackStub | None = None
 
 
@@ -348,18 +384,23 @@ def _execute_group(task: _GroupTask) -> tuple[list[tuple], dict]:
     """Run one lockstep group: the serial path and the pool's work function.
 
     Builds the group's one materialization (restoring a shared-memory
-    pack when one was published) and advances every request's engine
-    on it through :func:`~repro.sim.engine.run_lockstep`.  Returns one
-    ``(RunResult or exception, elapsed_s, traceback)`` triple per
-    request -- ``traceback`` is the formatted traceback of a failed
-    run, ``None`` otherwise -- and the group's workload counters: one
+    pack when one was published) and one engine per simulation key,
+    and advances them on it through
+    :func:`~repro.sim.engine.run_lockstep`.  Each request gets its
+    engine's ledger as its own kind
+    (:func:`~repro.sim.engine.with_requests`); a failed simulation
+    fails every request that shares it.  Returns one ``(RunResult or
+    exception, elapsed_s, traceback)`` triple per request --
+    ``traceback`` is the formatted traceback of a failed run, ``None``
+    otherwise -- and the group's workload counters: one
     materialization miss, a hit for every other run, and the window's
     slot lookups.  What fails before the engines run (the build, an
     engine's set-up) raises, failing the whole group.
 
-    A run's ``elapsed_s`` is its engine's own slot steps plus an equal
-    share of what the group spent outside them (the materialization
-    build, engine set-up), so a group's runs add up to its wall time.
+    A run's ``elapsed_s`` is an equal share of its engine's own slot
+    steps plus an equal share of what the group spent outside them
+    (the materialization build, engine set-up, request draws), so a
+    group's runs add up to its wall time.
     """
     start = time.perf_counter()
     requests = task.requests
@@ -372,20 +413,19 @@ def _execute_group(task: _GroupTask) -> tuple[list[tuple], dict]:
     materialization = build_materialization(
         first.resolved_config(), first.pack
     )
-    engines = [
-        SimulationEngine(
-            request.resolved_config(),
-            request.policy,
-            materialization=materialization,
-            engine=request.options.engine,
-        )
-        for request in requests
-    ]
-    outcomes = run_lockstep(engines)
-    wall = time.perf_counter() - start
-    share = (wall - sum(engine.elapsed_s for engine in engines)) / len(engines)
+    engines: dict[str, SimulationEngine] = {}
+    for request, key in zip(requests, task.keys):
+        if key not in engines:
+            engines[key] = SimulationEngine(
+                request.resolved_config(),
+                request.policy,
+                materialization=materialization,
+            )
+    ledgers = dict(zip(engines, run_lockstep(list(engines.values()))))
+    sharers = collections.Counter(task.keys)
     runs = []
-    for outcome, engine in zip(outcomes, engines):
+    for request, key in zip(requests, task.keys):
+        engine, outcome = engines[key], ledgers[key]
         text = None
         if isinstance(outcome, BaseException):
             text = "".join(
@@ -393,7 +433,15 @@ def _execute_group(task: _GroupTask) -> tuple[list[tuple], dict]:
                     type(outcome), outcome, outcome.__traceback__
                 )
             )
-        runs.append((outcome, share + engine.elapsed_s, text))
+        else:
+            outcome = with_requests(
+                outcome, engine.config.seed, request.options.engine
+            )
+        runs.append((outcome, engine.elapsed_s / sharers[key], text))
+    wall = time.perf_counter() - start
+    steps = sum(engine.elapsed_s for engine in engines.values())
+    share = (wall - steps) / len(requests)
+    runs = [(outcome, share + own, text) for outcome, own, text in runs]
     counters = {
         "hits": len(requests) - 1,
         "misses": 1,
@@ -756,23 +804,26 @@ class Orchestrator(ConsumerSurface):
         content; a group's requests share their pack's content) so the
         task ships a few-hundred-byte stub instead of the utilization
         matrix; anything unpublishable falls back to the ordinary
-        full-request pickle.  Called under the lock right after
-        :meth:`_ensure_pool`, which creates the publisher.
+        full-request pickle.  A pooled group's task is built under the
+        lock right after :meth:`_ensure_pool`, which creates the
+        publisher; an inline group (no pool, no publisher) ships nothing.
         """
         requests = tuple(future.request for future in group)
-        stub = self._publisher.publish_pack(requests[0].pack)
+        keys = tuple(_simulation_key(future) for future in group)
+        stub = None
+        if self._publisher is not None:
+            stub = self._publisher.publish_pack(requests[0].pack)
         if stub is not None:
             requests = tuple(
                 dataclasses.replace(request, pack=None)
                 for request in requests
             )
-        return _GroupTask(requests=requests, stub=stub)
+        return _GroupTask(requests=requests, keys=keys, stub=stub)
 
     def _run_inline(self, group: list[RunFuture]) -> None:
         """Execute one group on this thread and settle its futures."""
-        task = _GroupTask(requests=tuple(f.request for f in group))
         try:
-            outcomes, counters = _execute_group(task)
+            outcomes, counters = _execute_group(self._group_task(group))
         except Exception as error:
             outcomes, counters = [(error, 0.0, None)] * len(group), {}
         self._settle(group, outcomes, counters)

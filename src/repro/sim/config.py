@@ -86,21 +86,22 @@ def _make_spec(site: str, n_servers: int) -> DatacenterSpec:
 
 @dataclass(frozen=True)
 class EngineCoreConfig:
-    """Which kind of run the engine performs, and its knobs.
+    """Which kind of run a request asks for, and its knobs.
 
     Part of :class:`~repro.experiments.orchestrator.EngineOptions`, so
-    the engine mode joins the run fingerprint and the service wire
+    the kind joins the run fingerprint and the service wire
     round-trip: a ``kind="event"`` run is a *different artifact* from a
     ``kind="slot"`` run (it additionally carries the per-request
-    latency ledger) even though their slot-boundary ledgers are
-    byte-identical.
+    latency ledger), but not a different simulation: the engine runs
+    slots only, and :func:`~repro.sim.engine.with_requests` projects
+    the finished slot ledger onto this kind.
 
     Attributes
     ----------
     kind:
         ``"slot"`` -- the slot ledgers only (default); ``"event"`` --
-        the same slot loop, which additionally samples each slot's
-        user requests into the per-request latency ledger
+        the same slot ledgers plus one draw of each slot's user
+        requests into the per-request latency ledger
         (:attr:`~repro.sim.results.RunResult.requests`).  The name
         stays ``"event"`` because it is part of stored fingerprints,
         the ``--engine`` flag and suite specs.

@@ -27,17 +27,19 @@ group of engines that share one materialization through
 :meth:`SimulationEngine.advance` slot by slot, so the paper's
 comparison protocol -- every policy on the same alive set, demand and
 volumes -- realizes each slot's workload once for the whole group.
-:meth:`SimulationEngine.run` is the group of one.  An ``--engine
-event`` run (``EngineCoreConfig(kind="event")``) goes through the same
-loop and additionally samples the slot's user requests after each
-step into the per-request latency ledger
-(:attr:`~repro.sim.results.RunResult.requests`), so its slot ledgers
-are byte-identical to a slot-kind run's.  Tests and tools that need
-the physics internals address them on ``engine.kernel``.
+:meth:`SimulationEngine.run` is the group of one.  The engine records
+slot ledgers only.  An ``--engine event`` run
+(``EngineCoreConfig(kind="event")``) is its slot ledger plus one
+request draw: :func:`with_requests` projects a finished ledger onto
+the per-request latency ledger
+(:attr:`~repro.sim.results.RunResult.requests`), so a slot run and its
+event twins share one simulation.  Tests and tools that need the
+physics internals address them on ``engine.kernel``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from typing import Sequence
 
@@ -51,7 +53,7 @@ from repro.sim.config import (
     build_latency_model,
 )
 from repro.sim.kernel import SlotKernel
-from repro.sim.results import RunResult, SlotRecord
+from repro.sim.results import RunResult
 from repro.sim.state import PlacementPolicy
 from repro.units import SECONDS_PER_HOUR
 from repro.workload.materialize import build_materialization
@@ -92,12 +94,6 @@ class SimulationEngine:
         rewrite the config (``configure``), e.g. a scenario pack
         overriding the arrival model's archetype mix.  Without one the
         engine builds the default (synthetic) pack's.
-    engine:
-        The :class:`~repro.sim.config.EngineCoreConfig` selecting the
-        run kind: ``kind="slot"`` (default) records the slot ledgers
-        only; ``kind="event"`` runs the same loop and additionally
-        samples per-request latencies after each slot.  Slot ledgers
-        are byte-identical either way.
 
     Attributes
     ----------
@@ -113,7 +109,6 @@ class SimulationEngine:
         policy: PlacementPolicy,
         clairvoyant: bool = False,
         materialization=None,
-        engine: EngineCoreConfig | None = None,
     ) -> None:
         if materialization is None:
             materialization = build_materialization(config, None)
@@ -129,12 +124,9 @@ class SimulationEngine:
                 "(seed, horizon, slot resolution or arrival model)"
             )
         config = materialization.pack.configure(config)
-        if engine is None:
-            engine = EngineCoreConfig()
         self.config = config
         self.policy = policy
         self.clairvoyant = clairvoyant
-        self.engine_config = engine
         self.kernel = SlotKernel(
             config,
             materialization=materialization,
@@ -157,19 +149,15 @@ class SimulationEngine:
         self._previous_assignment: dict[int, int] = {}
         self.elapsed_s = 0.0
         self.result = RunResult(
-            policy_name=self.policy.name,
-            config_name=self.config.name,
-            requests=[] if self.engine_config.kind == "event" else None,
+            policy_name=self.policy.name, config_name=self.config.name
         )
 
     def advance(self, slot: int) -> None:
         """Simulate ``slot`` and append its record to :attr:`result`.
 
         One kernel ``observe``, the policy's placement (validated
-        against the observation), one kernel ``step``; an event-kind
-        run also appends the slot's request batches
-        (:meth:`_sample_requests`).  Slots must come in order, after
-        :meth:`begin`.
+        against the observation), one kernel ``step``.  Slots must come
+        in order, after :meth:`begin`.
         """
         started = time.perf_counter()
         kernel = self.kernel
@@ -186,8 +174,6 @@ class SimulationEngine:
         record = kernel.step(slot, vms, placement, self._dcs)
         self.result.slots.append(record)
         self._previous_assignment = dict(placement.assignment)
-        if self.result.requests is not None:
-            self.result.requests.extend(self._sample_requests(record))
         self.elapsed_s += time.perf_counter() - started
 
     def run(self) -> RunResult:
@@ -200,27 +186,34 @@ class SimulationEngine:
             raise outcome
         return outcome
 
-    def _sample_requests(self, record: SlotRecord) -> list[list]:
-        """The slot's ``[slot, dc, latency_s, count]`` request batches.
 
-        One Poisson count per DC with receiving VMs, in DC order, of
-        mean ``receiving_vms * requests_per_vm_hour``, drawn from the
-        slot's own ``default_rng([seed, slot, _REQUEST_SALT])`` stream;
-        each nonzero count is ledgered at the DC's Eq. 1 latency.
-        """
-        slot = record.slot
-        rate = self.engine_config.requests_per_vm_hour
-        rng = np.random.default_rng([self.config.seed, slot, _REQUEST_SALT])
-        rows = []
+def with_requests(
+    result: RunResult, seed: int, engine: EngineCoreConfig
+) -> RunResult:
+    """``result`` as a run of the ``engine`` kind.
+
+    A slot kind returns ``result`` itself.  An event kind returns a new
+    run sharing ``result``'s slot records, plus its request ledger: per
+    slot, one Poisson count per DC with receiving VMs, in DC order, of
+    mean ``receiving_vms * requests_per_vm_hour``, drawn from the
+    slot's own ``default_rng([seed, slot, _REQUEST_SALT])`` stream;
+    each nonzero count is ledgered as a ``[slot, dc, latency_s,
+    count]`` row at the DC's Eq. 1 latency.
+    """
+    if engine.kind == "slot":
+        return result
+    rate = engine.requests_per_vm_hour
+    rows = []
+    for record in result.slots:
+        rng = np.random.default_rng([seed, record.slot, _REQUEST_SALT])
         for dc_index, dc_record in enumerate(record.dc_records):
             if dc_record.receiving_vms == 0:
                 continue
             count = int(rng.poisson(dc_record.receiving_vms * rate))
             if count:
-                rows.append(
-                    [slot, dc_index, dc_record.response_latency_s, count]
-                )
-        return rows
+                latency_s = dc_record.response_latency_s
+                rows.append([record.slot, dc_index, latency_s, count])
+    return dataclasses.replace(result, requests=rows)
 
 
 def run_lockstep(
@@ -274,24 +267,22 @@ def run_policies(
     The paper's comparison protocol: the policies advance in lockstep
     (:func:`run_lockstep`) on one materialization of the default pack,
     so they see identical VMs, traces and volumes -- and every engine
-    derives its weather and BER streams from ``config.seed`` too.  The
-    ``engine`` kind is forwarded to every :class:`SimulationEngine`
-    constructed.  The first failed run's error re-raises once every run
+    derives its weather and BER streams from ``config.seed`` too.  Each
+    run is of the ``engine`` kind (:func:`with_requests`; slot when
+    ``None``).  The first failed run's error re-raises once every run
     has finished.
     """
     materialization = build_materialization(config, None)
     outcomes = run_lockstep(
         [
-            SimulationEngine(
-                config,
-                policy,
-                materialization=materialization,
-                engine=engine,
-            )
+            SimulationEngine(config, policy, materialization=materialization)
             for policy in policies
         ]
     )
     for outcome in outcomes:
         if isinstance(outcome, Exception):
             raise outcome
-    return outcomes
+    return [
+        with_requests(outcome, config.seed, engine or EngineCoreConfig())
+        for outcome in outcomes
+    ]

@@ -24,7 +24,6 @@ run bit-for-bit.  The orchestrator's persistent result store
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from functools import partial
 from operator import methodcaller
@@ -118,10 +117,15 @@ class DCSlotRecord:
     receiving_vms: int
 
     def to_dict(self) -> dict:
-        """Plain-dict form (nested green ledger included)."""
-        payload = dataclasses.asdict(self)
-        payload["green"] = dataclasses.asdict(self.green)
-        return payload
+        """Plain-dict form (nested green ledger included), in field
+        order."""
+        return {
+            "green": vars(self.green).copy(),
+            "it_energy_joules": self.it_energy_joules,
+            "active_servers": self.active_servers,
+            "response_latency_s": self.response_latency_s,
+            "receiving_vms": self.receiving_vms,
+        }
 
     @classmethod
     def from_dict(cls, payload: dict) -> "DCSlotRecord":

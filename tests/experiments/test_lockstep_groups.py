@@ -1,20 +1,25 @@
-"""Lockstep run groups: failure isolation, batch order, counters."""
+"""Lockstep run groups: failure isolation, batch order, counters,
+and one simulation per slot/event twin."""
 
+import collections
 import json
 import sys
 import threading
 import traceback
+import types
 
 import pytest
 
 from repro.baselines import PriAwarePolicy
 from concurrent.futures import Future
 
+from repro.experiments import orchestrator as orchestrator_module
 from repro.experiments.orchestrator import (
     EngineOptions,
     Orchestrator,
     RunFuture,
     RunRequest,
+    _cost,
     _spread,
 )
 from repro.experiments.runner import default_policies
@@ -22,7 +27,8 @@ from repro.service.client import ServiceClient
 from repro.service.protocol import encode_batch, encode_request
 from repro.service.server import ExperimentDaemon
 from repro.sim.config import EngineCoreConfig, scaled_config
-from repro.sim.engine import SimulationEngine, run_lockstep
+from repro.sim import engine as engine_module
+from repro.sim.engine import SimulationEngine, run_lockstep, with_requests
 from repro.store import ResultStore
 from repro.workload.materialize import (
     WorkloadMaterialization,
@@ -30,8 +36,35 @@ from repro.workload.materialize import (
 )
 
 
+EVENT = EngineOptions(engine=EngineCoreConfig(kind="event"))
+
+
 def tiny(seed: int = 0, horizon: int = 3):
     return scaled_config("tiny", seed=seed).with_horizon(horizon)
+
+
+def twin_requests(policies=None, horizon: int = 3) -> list[RunRequest]:
+    """Each policy as a slot run, then each as an event run."""
+    return [
+        RunRequest(
+            config=tiny(horizon=horizon), policy=policy, options=options
+        )
+        for options in (EngineOptions(), EVENT)
+        for policy in policies or default_policies()
+    ]
+
+
+def count_places(monkeypatch) -> list[str]:
+    """The names of the policies whose ``place`` runs, one per call."""
+    calls = []
+    for cls in {type(policy) for policy in default_policies()}:
+
+        def counted(self, observation, place=cls.place):
+            calls.append(self.name)
+            return place(self, observation)
+
+        monkeypatch.setattr(cls, "place", counted)
+    return calls
 
 
 def poll_line(daemon: ExperimentDaemon, fingerprint: str) -> dict:
@@ -65,14 +98,13 @@ class DropsOneVm(PriAwarePolicy):
 
 def solo_bytes(request: RunRequest) -> str:
     """A request's result run on its own, as canonical JSON."""
+    config = request.resolved_config()
     result = SimulationEngine(
-        request.resolved_config(),
+        config,
         request.policy,
-        materialization=build_materialization(
-            request.resolved_config(), request.pack
-        ),
-        engine=request.options.engine,
+        materialization=build_materialization(config, request.pack),
     ).run()
+    result = with_requests(result, config.seed, request.options.engine)
     return json.dumps(result.to_dict(), sort_keys=True)
 
 
@@ -203,20 +235,18 @@ def test_batch_of_two_keys_duplicates_and_hits_resolves_in_order(jobs):
 
 
 def test_clairvoyant_and_normal_runs_share_a_group():
-    """Clairvoyant and last-interval engines (and an event-kind one)
-    advance in lockstep on one materialization, whose two-slot window
-    serves both reads, and each equals its solo run."""
+    """Clairvoyant and last-interval engines advance in lockstep on one
+    materialization, whose two-slot window serves both reads, and each
+    equals its solo run."""
     config = tiny(horizon=4)
-    event = EngineCoreConfig(kind="event")
-    setups = [(1, True, None), (1, False, None), (0, False, event)]
+    setups = [(1, True), (1, False), (0, False)]
 
-    def engine(index, clairvoyant, kind, materialization=None):
+    def engine(index, clairvoyant, materialization=None):
         return SimulationEngine(
             config,
             default_policies()[index],
             clairvoyant=clairvoyant,
             materialization=materialization,
-            engine=kind,
         )
 
     materialization = build_materialization(config, None)
@@ -461,3 +491,122 @@ def test_runner_that_refuses_a_group_fails_its_claims(monkeypatch):
     assert settled["kind"] == "run_artifact"
     assert failed["status"] == 500
     assert "runner is shut down" in failed["error"]
+
+
+def test_twins_share_one_simulation(monkeypatch):
+    """Four policies x {slot, event} in one batch simulate four times:
+    each policy places once per slot, each event run shares its slot
+    twin's records, and every artifact equals its solo run."""
+    calls = count_places(monkeypatch)
+    requests = twin_requests()
+    with Orchestrator(jobs=1) as orchestrator:
+        futures = orchestrator.submit_many(requests)
+        assert collections.Counter(calls) == {
+            policy.name: 3 for policy in default_policies()
+        }
+        for slot, event in zip(futures[:4], futures[4:]):
+            assert event.result().result.slots is slot.result().result.slots
+            assert event.result().result.requests
+        for future, request in zip(futures, requests):
+            assert future.result().source == "computed"
+            assert artifact_bytes(future) == solo_bytes(request)
+        stats = orchestrator.workload_cache_stats()
+    assert (stats["misses"], stats["hits"]) == (1, 7)
+
+
+def test_event_runs_of_two_rates_share_one_simulation(monkeypatch):
+    """Two event runs that differ only in their request rate simulate
+    once and draw different request ledgers, each its solo run's."""
+    calls = count_places(monkeypatch)
+    requests = [
+        RunRequest(
+            config=tiny(),
+            policy=default_policies()[1],
+            options=EngineOptions(
+                engine=EngineCoreConfig(
+                    kind="event", requests_per_vm_hour=rate
+                )
+            ),
+        )
+        for rate in (120.0, 30.0)
+    ]
+    with Orchestrator(jobs=1) as orchestrator:
+        first, second = orchestrator.submit_many(requests)
+    assert calls == ["Ener-aware"] * 3
+    assert first.result().result.requests != second.result().result.requests
+    for future, request in zip((first, second), requests):
+        assert artifact_bytes(future) == solo_bytes(request)
+
+
+def test_failed_simulation_fails_both_twins():
+    """A policy that raises fails its slot and its event future alike
+    and stores neither; the other pair of the group completes."""
+    requests = twin_requests([FailsAtSlotOne(), PriAwarePolicy()])
+    with Orchestrator(jobs=1) as orchestrator:
+        futures = orchestrator.submit_many(requests)
+        for index in (0, 2):
+            with pytest.raises(RuntimeError, match="boom at slot 1"):
+                futures[index].result()
+            assert futures[index].fingerprint not in orchestrator.store
+        for index in (1, 3):
+            assert futures[index].fingerprint in orchestrator.store
+            assert artifact_bytes(futures[index]) == solo_bytes(
+                requests[index]
+            )
+
+
+def test_elapsed_adds_up_to_the_group_wall_time(monkeypatch):
+    """On a clock that ticks a quarter second per read, the group's runs
+    add up to its wall time, and twins split their engine's time."""
+    readings = []
+
+    def perf_counter():
+        readings.append(len(readings) * 0.25)
+        return readings[-1]
+
+    clock = types.SimpleNamespace(perf_counter=perf_counter)
+    monkeypatch.setattr(orchestrator_module, "time", clock)
+    monkeypatch.setattr(engine_module, "time", clock)
+    with Orchestrator(jobs=1) as orchestrator:
+        artifacts = orchestrator.run_many(twin_requests())
+    elapsed = [artifact.elapsed_s for artifact in artifacts]
+    assert sum(elapsed) == pytest.approx(readings[-1] - readings[0])
+    assert elapsed[:4] == elapsed[4:]
+
+
+def test_split_keeps_twins_together():
+    """At jobs=2 a one-seed four-policy slot+event group splits into
+    Proposed's twins and the three baselines' twins, and its cost
+    counts each simulation once."""
+    group = [
+        RunFuture(request, request.fingerprint(), Future())
+        for request in twin_requests()
+    ]
+    assert _cost(group) == _cost(group[:4])
+    names = [
+        [future.request.policy.name for future in task]
+        for task in _spread([group], 2)
+    ]
+    assert names == [
+        ["Proposed"] * 2,
+        ["Ener-aware"] * 2 + ["Pri-aware"] * 2 + ["Net-aware"] * 2,
+    ]
+
+
+def test_daemon_counts_each_twin_as_computed(monkeypatch):
+    """Through the daemon a twin pair simulates once yet counts twice
+    under /stats ``computed``, and each twin equals its solo run."""
+    calls = count_places(monkeypatch)
+    requests = twin_requests(default_policies()[1:2])
+    with ExperimentDaemon(Orchestrator(jobs=1)) as daemon:
+        with ServiceClient(daemon.url) as client:
+            before = client.stats()
+            artifacts = client.run_many(requests)
+            after = client.stats()
+    assert calls == ["Ener-aware"] * 3
+    assert after["computed"] - before["computed"] == 2
+    assert [artifact.source for artifact in artifacts] == ["computed"] * 2
+    for artifact, request in zip(artifacts, requests):
+        assert json.dumps(
+            artifact.result.to_dict(), sort_keys=True
+        ) == solo_bytes(request)

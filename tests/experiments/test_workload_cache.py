@@ -12,7 +12,7 @@ from repro.experiments.orchestrator import (
 )
 from repro.experiments.runner import default_policies
 from repro.sim.config import scaled_config
-from repro.sim.engine import SimulationEngine
+from repro.sim.engine import SimulationEngine, with_requests
 from repro.workload.materialize import build_materialization
 from repro.workload.packs import RecordedTraceSource, TracePack, get_pack
 
@@ -43,14 +43,13 @@ def big_recorded_pack(n_vms: int = 200):
 
 def direct_run(req: RunRequest):
     """The recompute reference: an engine building its own workload."""
-    return SimulationEngine(
-        req.resolved_config(),
+    config = req.resolved_config()
+    result = SimulationEngine(
+        config,
         req.policy,
-        materialization=build_materialization(
-            req.resolved_config(), req.pack
-        ),
-        engine=req.options.engine,
+        materialization=build_materialization(config, req.pack),
     ).run()
+    return with_requests(result, config.seed, req.options.engine)
 
 
 def result_bytes(result) -> str:

@@ -26,11 +26,16 @@ too, each doing the full work the production kernel skips or reuses:
 * :func:`constrained_kmeans` -- one ``argsort`` per point per round;
 * :func:`peak_coincidence` -- every row of the repulsion matrix.
 
+The ledger's serialization keeps its earlier form too:
+:func:`dc_record_dict`, ``dataclasses.asdict`` of a DC record.
+
 Every production path must equal its oracle exactly; the tests compare
 with ``==`` / ``np.array_equal``, never with a tolerance.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 
@@ -497,3 +502,13 @@ def peak_coincidence(traces) -> np.ndarray:
         result[i, :] = row
     np.fill_diagonal(result, 1.0)
     return result
+
+
+# -- ledger serialization ----------------------------------------------------
+
+
+def dc_record_dict(record: DCSlotRecord) -> dict:
+    """``DCSlotRecord.to_dict`` through ``dataclasses.asdict``."""
+    payload = dataclasses.asdict(record)
+    payload["green"] = dataclasses.asdict(record.green)
+    return payload

@@ -4,13 +4,14 @@ An event-kind run's contract is *byte-identical* slot-boundary ledgers
 against a slot-kind run -- for any seed, any of the four policies and
 any workload pack kind (synthetic generator, recorded matrix).
 Hypothesis sweeps that product at tiny scale; each
-example runs both kinds end to end and compares the serialized
+example simulates twice, once per kind, and compares the serialized
 ledgers, which covers battery state, cost ledgers and migration counts
 in one equality.  Each run must also pass the physics audit
 (:func:`~repro.sim.audit.audit_run`: energy balance, SoC bounds,
 server capacity), so the invariants hold on both kinds, not just agree
-between them.  The event run's request ledger must equal the one
-rebuilt from its slot ledgers by the documented sampling rule
+between them.  The request ledger that
+:func:`~repro.sim.engine.with_requests` draws must equal the one
+rebuilt from the slot ledgers by the documented sampling rule
 (:func:`expected_requests`), row for row.
 
 ``weighted_percentile`` backs the per-request latency accessors: its
@@ -30,7 +31,7 @@ from repro.baselines import EnerAwarePolicy, NetAwarePolicy, PriAwarePolicy
 from repro.core.controller import ProposedPolicy
 from repro.sim.audit import audit_run
 from repro.sim.config import EngineCoreConfig, scaled_config
-from repro.sim.engine import SimulationEngine
+from repro.sim.engine import SimulationEngine, with_requests
 from repro.sim.metrics import weighted_percentile
 from repro.workload.materialize import build_materialization
 from repro.workload.packs import RecordedTraceSource, TracePack
@@ -110,10 +111,10 @@ class TestEventDriverEquivalence:
         event_engine = SimulationEngine(
             config,
             make_policy(),
-            engine=EngineCoreConfig(kind="event"),
             materialization=build_materialization(config, pack),
         )
-        event_run = event_engine.run()
+        event = EngineCoreConfig(kind="event")
+        event_run = with_requests(event_engine.run(), config.seed, event)
         for engine, run in (
             (slot_engine, slot_run), (event_engine, event_run)
         ):
@@ -134,9 +135,7 @@ class TestEventDriverEquivalence:
         assert event_run.total_migrations() == slot_run.total_migrations()
         assert slot_run.requests is None
         assert event_run.requests == expected_requests(
-            event_run,
-            config.seed,
-            event_engine.engine_config.requests_per_vm_hour,
+            event_run, config.seed, event.requests_per_vm_hour
         )
 
 

@@ -3,7 +3,7 @@
 An event-kind run must keep byte-identical slot ledgers on *every*
 execution path, including ``--service``: a daemon decodes the request
 (with its :class:`~repro.sim.config.EngineCoreConfig`), runs the slot
-loop with request sampling in its own process, and ships the artifact
+loop and its request draw in its own process, and ships the artifact
 back.  These tests pin the wire round-trip of the engine
 config and the cross-process ledger identity.
 """

@@ -10,18 +10,19 @@ import pytest
 
 from repro.experiments.runner import default_policies
 from repro.sim.config import EngineCoreConfig, build_datacenters, scaled_config
-from repro.sim.engine import SimulationEngine, run_policies
+from repro.sim.engine import SimulationEngine, run_policies, with_requests
 from repro.sim.state import SlotObservation
 from tests.oracles import loop_engine, loop_kernel
 
 
-def run_pair(index, horizon=6, engine=None):
+def run_pair(index, horizon=6, engine=EngineCoreConfig()):
     config = scaled_config("tiny").with_horizon(horizon)
-    loops = loop_engine(config, default_policies()[index], engine=engine).run()
-    production = SimulationEngine(
-        config, default_policies()[index], engine=engine
-    ).run()
-    return loops, production
+    loops = loop_engine(config, default_policies()[index]).run()
+    production = SimulationEngine(config, default_policies()[index]).run()
+    return (
+        with_requests(loops, config.seed, engine),
+        with_requests(production, config.seed, engine),
+    )
 
 
 @pytest.mark.parametrize("index", range(4))
@@ -140,9 +141,11 @@ class TestRunPoliciesOptions:
         via_runner = run_policies(
             config, default_policies()[1:2], engine=event
         )
-        direct = SimulationEngine(
-            config, default_policies()[1], engine=event
-        ).run()
+        direct = with_requests(
+            SimulationEngine(config, default_policies()[1]).run(),
+            config.seed,
+            event,
+        )
         assert via_runner[0].to_dict() == direct.to_dict()
         assert direct.requests is not None
 

@@ -1,4 +1,8 @@
-"""Event-kind runs: engine config, slot-ledger identity, request ledger."""
+"""Event-kind runs: engine config, slot-ledger identity, request ledger.
+
+An event run is its slot ledger plus one request draw
+(:func:`~repro.sim.engine.with_requests`).
+"""
 
 from __future__ import annotations
 
@@ -8,7 +12,9 @@ import pytest
 
 from repro.baselines import EnerAwarePolicy
 from repro.sim.config import EngineCoreConfig, scaled_config
-from repro.sim.engine import SimulationEngine
+from repro.sim.engine import SimulationEngine, with_requests
+
+EVENT = EngineCoreConfig(kind="event")
 
 
 @pytest.fixture(scope="module")
@@ -21,11 +27,15 @@ def slot_result(config):
     return SimulationEngine(config, EnerAwarePolicy()).run()
 
 
+def event_run(config):
+    """An event run over its own simulation."""
+    result = SimulationEngine(config, EnerAwarePolicy()).run()
+    return with_requests(result, config.seed, EVENT)
+
+
 @pytest.fixture(scope="module")
 def event_result(config):
-    return SimulationEngine(
-        config, EnerAwarePolicy(), engine=EngineCoreConfig(kind="event")
-    ).run()
+    return event_run(config)
 
 
 def slot_dicts(result) -> list[dict]:
@@ -57,11 +67,7 @@ class TestSlotBoundaryEquivalence:
 
         config = scaled_config("tiny").with_horizon(4)
         slot_runs = run_policies(config, default_policies())
-        event_runs = run_policies(
-            config,
-            default_policies(),
-            engine=EngineCoreConfig(kind="event"),
-        )
+        event_runs = run_policies(config, default_policies(), engine=EVENT)
         for slot_run, event_run in zip(slot_runs, event_runs):
             assert json.dumps(slot_dicts(event_run)) == json.dumps(
                 slot_dicts(slot_run)
@@ -73,10 +79,7 @@ class TestSlotBoundaryEquivalence:
         assert slot_bytes == event_bytes
 
     def test_request_ledger_is_deterministic(self, config, event_result):
-        again = SimulationEngine(
-            config, EnerAwarePolicy(), engine=EngineCoreConfig(kind="event")
-        ).run()
-        assert again.requests == event_result.requests
+        assert event_run(config).requests == event_result.requests
 
     def test_request_rows_reference_the_run(self, config, event_result):
         assert event_result.requests
@@ -85,6 +88,37 @@ class TestSlotBoundaryEquivalence:
             assert 0 <= dc_index < config.n_dcs
             assert latency_s >= 0.0
             assert count > 0
+
+
+class TestWithRequests:
+    def test_slot_kind_returns_the_run_itself(self, config, slot_result):
+        assert with_requests(slot_result, config.seed, EngineCoreConfig()) is (
+            slot_result
+        )
+        slot_rate = EngineCoreConfig(requests_per_vm_hour=7.0)
+        assert with_requests(slot_result, config.seed, slot_rate) is (
+            slot_result
+        )
+
+    def test_event_kind_shares_the_slot_records(self, config, slot_result):
+        event = with_requests(slot_result, config.seed, EVENT)
+        assert event is not slot_result
+        assert event.slots is slot_result.slots
+        assert slot_result.requests is None
+        assert (event.policy_name, event.config_name) == (
+            slot_result.policy_name, slot_result.config_name
+        )
+
+    def test_rate_and_seed_pick_the_draw(self, config, slot_result):
+        base = with_requests(slot_result, config.seed, EVENT).requests
+        faster = with_requests(
+            slot_result,
+            config.seed,
+            EngineCoreConfig(kind="event", requests_per_vm_hour=240.0),
+        ).requests
+        other_seed = with_requests(slot_result, config.seed + 1, EVENT)
+        assert base != faster and base != other_seed.requests
+        assert [row[:3] for row in base] == [row[:3] for row in faster]
 
 
 class TestPercentileAccessors:

@@ -182,6 +182,21 @@ class TestSerialization:
         empty = RunResult(policy_name="Empty", config_name="unit")
         assert RunResult.from_dict(empty.to_dict()) == empty
 
+    def test_dc_record_dict_matches_asdict_oracle(self, tiny_runs):
+        """Key order included: the dumps are compared unsorted."""
+        from tests.oracles import dc_record_dict
+
+        records = [
+            dc_record
+            for run in tiny_runs.values()
+            for slot in run.slots
+            for dc_record in slot.dc_records
+        ] + record(0, latencies=(1 / 3, 0.1 + 0.2)).dc_records
+        for dc_record in records:
+            assert json.dumps(dc_record.to_dict()) == json.dumps(
+                dc_record_dict(dc_record)
+            )
+
 
 @pytest.fixture(scope="module")
 def tiny_runs():

@@ -16,9 +16,9 @@
 #                      response-latency hot paths, cold-population
 #                      slot volumes and the paper-width repulsion and
 #                      local phase (bench_scaling; times only), the
-#                      request-sampling (--engine event) throughput +
-#                      byte-identity gate (bench_events ->
-#                      BENCH_events.json) and the
+#                      request-sampling throughput + byte-identity
+#                      gate of the event run kind, a suite-only axis
+#                      (bench_events -> BENCH_events.json) and the
 #                      campaign-ledger overhead gate (bench_suite:
 #                      1k-run warm sweep, suite <= 1.10x raw
 #                      submit_many -> BENCH_suite.json) and the

@@ -233,7 +233,6 @@ def comparison_bounds(
     alpha: float = 0.5,
     orchestrator=None,
     pack=None,
-    options=None,
 ) -> list[tuple[RunResult, CostLowerBound]]:
     """Four-method comparison with the sourcing bound per policy.
 
@@ -252,12 +251,7 @@ def comparison_bounds(
 
     orchestrator = orchestrator or default_orchestrator()
     futures = orchestrator.submit_many(
-        grid_requests(
-            [config],
-            lambda _: default_policies(alpha),
-            pack=pack,
-            options=options,
-        )
+        grid_requests([config], lambda _: default_policies(alpha), pack=pack)
     )
     bounds: dict[object, tuple[RunResult, CostLowerBound]] = {}
     for future in orchestrator.as_done(futures):

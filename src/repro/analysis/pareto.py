@@ -15,11 +15,7 @@ from dataclasses import dataclass
 
 from repro.core.controller import ProposedPolicy
 from repro.core.forces import ForceParameters
-from repro.experiments.orchestrator import (
-    EngineOptions,
-    Orchestrator,
-    RunRequest,
-)
+from repro.experiments.orchestrator import Orchestrator, RunRequest
 from repro.sim.config import ExperimentConfig
 from repro.sim.results import OBJECTIVES
 from repro.units import joules_to_gj
@@ -55,7 +51,6 @@ def alpha_sweep(
     alphas: tuple[float, ...] = (0.1, 0.3, 0.5, 0.7, 0.9),
     orchestrator: Orchestrator | None = None,
     pack: TracePack | None = None,
-    options: EngineOptions | None = None,
 ) -> list[ParetoPoint]:
     """Run the proposed controller once per alpha over one workload.
 
@@ -79,7 +74,6 @@ def alpha_sweep(
                     force_params=ForceParameters(alpha=alpha)
                 ),
                 pack=pack,
-                options=options or EngineOptions(),
             )
             for alpha in alphas
         ],

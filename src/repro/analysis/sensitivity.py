@@ -14,11 +14,7 @@ import dataclasses
 from dataclasses import dataclass
 
 from repro.core.controller import ProposedPolicy
-from repro.experiments.orchestrator import (
-    EngineOptions,
-    Orchestrator,
-    grid_requests,
-)
+from repro.experiments.orchestrator import Orchestrator, grid_requests
 from repro.sim.config import ExperimentConfig
 from repro.sim.results import OBJECTIVES, RunResult
 from repro.workload.packs import TracePack
@@ -55,7 +51,6 @@ def _run_grid(
     values: tuple[float, ...],
     orchestrator: Orchestrator | None,
     pack: TracePack | None = None,
-    options: EngineOptions | None = None,
 ) -> list[SweepRow]:
     from repro.experiments.runner import default_orchestrator
 
@@ -69,12 +64,7 @@ def _run_grid(
     # Sweep rows read only headline aggregates, so a remote
     # orchestrator may ship the projected artifact form.
     artifacts = orchestrator.run_many(
-        grid_requests(
-            configs,
-            lambda _: [ProposedPolicy()],
-            pack=pack,
-            options=options,
-        ),
+        grid_requests(configs, lambda _: [ProposedPolicy()], pack=pack),
         detail="headline",
     )
     return [
@@ -88,7 +78,6 @@ def sweep_battery_scale(
     scales: tuple[float, ...] = (0.0, 0.5, 1.0, 2.0),
     orchestrator: Orchestrator | None = None,
     pack: TracePack | None = None,
-    options: EngineOptions | None = None,
 ) -> list[SweepRow]:
     """Rerun with every DC's battery scaled by each factor.
 
@@ -102,9 +91,7 @@ def sweep_battery_scale(
             for spec in config.specs
         )
         configs.append(dataclasses.replace(config, specs=specs))
-    return _run_grid(
-        configs, "battery_scale", scales, orchestrator, pack, options
-    )
+    return _run_grid(configs, "battery_scale", scales, orchestrator, pack)
 
 
 def sweep_qos(
@@ -112,15 +99,12 @@ def sweep_qos(
     qos_levels: tuple[float, ...] = (0.9995, 0.995, 0.98, 0.95),
     orchestrator: Orchestrator | None = None,
     pack: TracePack | None = None,
-    options: EngineOptions | None = None,
 ) -> list[SweepRow]:
     """Rerun with different migration QoS windows (Algorithm 2)."""
     configs = [
         dataclasses.replace(config, qos=qos) for qos in qos_levels
     ]
-    return _run_grid(
-        configs, "qos", qos_levels, orchestrator, pack, options
-    )
+    return _run_grid(configs, "qos", qos_levels, orchestrator, pack)
 
 
 def sweep_pv_scale(
@@ -128,7 +112,6 @@ def sweep_pv_scale(
     scales: tuple[float, ...] = (0.0, 1.0, 2.0),
     orchestrator: Orchestrator | None = None,
     pack: TracePack | None = None,
-    options: EngineOptions | None = None,
 ) -> list[SweepRow]:
     """Rerun with every DC's PV array scaled by each factor."""
     configs = []
@@ -138,9 +121,7 @@ def sweep_pv_scale(
             for spec in config.specs
         )
         configs.append(dataclasses.replace(config, specs=specs))
-    return _run_grid(
-        configs, "pv_scale", scales, orchestrator, pack, options
-    )
+    return _run_grid(configs, "pv_scale", scales, orchestrator, pack)
 
 
 def format_rows(rows: list[SweepRow]) -> str:

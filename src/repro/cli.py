@@ -40,11 +40,14 @@ seeds with mean / Student-t 95 % CI reporting; no other command takes
 as workers finish (``--progress`` forces it on, ``--no-progress`` off;
 the default follows whether stderr is a TTY).
 
-Engine selection: ``--engine {slot,event}`` picks the run kind.  An
-``event`` run is its slot run's ledger plus one draw of each slot's
-user requests, so it carries byte-identical slot ledgers plus a
-per-request latency tail (p50/p99/p99.9).  The engine mode joins the
-run fingerprint, so the two kinds cache as distinct artifacts.
+Every analysis command runs slot-kind runs.  The event kind (a slot
+ledger plus a request draw) is reachable only through a suite's
+``engines`` axis.
+
+Numeric flags are range-checked by the parser, so an out-of-range
+``--horizon``, ``--seed``, ``--seeds``, ``--alpha``/``--alphas``,
+``--jobs``, ``--port``, ``--max-body-mb`` or ``--keep-latest`` is a
+usage error (exit 2) that names the flag.
 
 Workload selection: ``--pack NAME`` runs a registered trace pack (see
 ``packs``) and ``--pack-csv PATH`` builds a recorded pack from a
@@ -83,11 +86,7 @@ from repro.experiments.figures import (
     table1_rows,
 )
 from repro.experiments.export import export_all
-from repro.experiments.orchestrator import (
-    EngineOptions,
-    Orchestrator,
-    ResultStore,
-)
+from repro.experiments.orchestrator import Orchestrator, ResultStore
 from repro.experiments.runner import (
     run_comparison,
     run_replicated_comparison,
@@ -96,11 +95,7 @@ from repro.experiments.scenarios import format_outcomes, run_scenarios
 from repro.reporting import bar_chart, histogram, series_panel
 from repro.service import ExperimentDaemon, ServiceClient, ServiceError
 from repro.service.client import ServiceRunError
-from repro.sim.config import (
-    EngineCoreConfig,
-    ExperimentConfig,
-    config_for_scale,
-)
+from repro.sim.config import ExperimentConfig, config_for_scale
 from repro.sim.metrics import format_comparison, format_replicated_comparison
 from repro.store import (
     KNOWN_FORMATS,
@@ -234,11 +229,6 @@ def _pack_from(
     return None
 
 
-def _options_from(args: argparse.Namespace) -> EngineOptions:
-    """The engine options the command's flags describe."""
-    return EngineOptions(engine=EngineCoreConfig(kind=args.engine))
-
-
 def _comparison_from(args: argparse.Namespace) -> list:
     config = _config_from(args)
     pack = _pack_from(args, config)
@@ -247,7 +237,6 @@ def _comparison_from(args: argparse.Namespace) -> list:
         alpha=args.alpha,
         orchestrator=_orchestrator_from(args),
         pack=pack,
-        options=_options_from(args),
     )
 
 
@@ -278,7 +267,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
             seeds=tuple(range(args.seed, args.seed + args.seeds)),
             orchestrator=_orchestrator_from(args),
             pack=pack,
-            options=_options_from(args),
         )
         print(format_replicated_comparison(replicates))
         return 0
@@ -323,14 +311,12 @@ def cmd_figures(args: argparse.Namespace) -> int:
 def cmd_alpha(args: argparse.Namespace) -> int:
     """Sweep Eq. 5's alpha and mark the Pareto-efficient settings."""
     config = _config_from(args)
-    alphas = tuple(float(a) for a in args.alphas.split(","))
     pack = _pack_from(args, config)
     points = alpha_sweep(
         config,
-        alphas,
+        args.alphas,
         orchestrator=_orchestrator_from(args),
         pack=pack,
-        options=_options_from(args),
     )
     front = {point.alpha for point in pareto_front(points)}
     print(
@@ -355,7 +341,6 @@ def cmd_bound(args: argparse.Namespace) -> int:
         alpha=args.alpha,
         orchestrator=_orchestrator_from(args),
         pack=pack,
-        options=_options_from(args),
     )
     print(
         f"{'policy':<12} {'cost EUR':>10} {'LP bound':>10} {'gap %':>7}"
@@ -381,7 +366,6 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
         alpha=args.alpha,
         orchestrator=_orchestrator_from(args),
         pack=pack,
-        options=_options_from(args),
     )
     print(format_outcomes(outcomes))
     return 0
@@ -409,7 +393,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         config,
         orchestrator=_orchestrator_from(args),
         pack=pack,
-        options=_options_from(args),
     )
     print(format_rows(rows))
     return 0
@@ -668,6 +651,36 @@ def cmd_store_compact(args: argparse.Namespace) -> int:
     return 0
 
 
+def _bounded(kind: type, low, high=None):
+    """An argparse ``type=`` reading a ``kind`` value in ``[low, high]``
+    (no upper bound when ``high`` is None); anything else is a usage
+    error naming the flag."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {text!r}"
+            ) from None
+        if not (low <= value and (high is None or value <= high)):
+            span = f">= {low:g}" if high is None else f"in [{low:g}, {high:g}]"
+            raise argparse.ArgumentTypeError(f"must be {span}, got {text!r}")
+        return value
+
+    return parse
+
+
+_POSITIVE = _bounded(int, 1)
+_NON_NEGATIVE = _bounded(int, 0)
+_ALPHA = _bounded(float, 0.0, 1.0)
+
+
+def _alphas(text: str) -> tuple[float, ...]:
+    """``--alphas``: comma-separated Eq. 5 weights, each in [0, 1]."""
+    return tuple(_ALPHA(item) for item in text.split(","))
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The repro argument parser with all subcommands."""
     parser = argparse.ArgumentParser(
@@ -683,16 +696,16 @@ def build_parser() -> argparse.ArgumentParser:
             default="small",
             help="fleet scale (paper = literal Table I; slow)",
         )
-        sub.add_argument("--horizon", type=int, default=None)
-        sub.add_argument("--seed", type=int, default=0)
+        sub.add_argument("--horizon", type=_POSITIVE, default=None)
+        sub.add_argument("--seed", type=_NON_NEGATIVE, default=0)
 
     def add_common(sub: argparse.ArgumentParser, alpha: bool = True) -> None:
         add_config(sub)
         if alpha:
-            sub.add_argument("--alpha", type=float, default=0.5)
+            sub.add_argument("--alpha", type=_ALPHA, default=0.5)
         sub.add_argument(
             "--jobs",
-            type=int,
+            type=_POSITIVE,
             default=1,
             help="worker processes for uncached runs (1 = serial)",
         )
@@ -740,13 +753,6 @@ def build_parser() -> argparse.ArgumentParser:
             "http://host:port instead of in-process (--store, "
             "--store-backend and --jobs then belong to 'repro serve')",
         )
-        sub.add_argument(
-            "--engine",
-            choices=("slot", "event"),
-            default="slot",
-            help="run kind: slot ledgers only, or the same slot ledgers "
-            "plus sampled per-request latency percentiles",
-        )
 
     table1 = subparsers.add_parser("table1", help="print Table I")
     add_config(table1)
@@ -756,7 +762,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(compare)
     compare.add_argument(
         "--seeds",
-        type=int,
+        type=_POSITIVE,
         default=1,
         help="replicate over N seeds and report mean/CI",
     )
@@ -772,7 +778,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_common(alpha, alpha=False)
     alpha.add_argument(
-        "--alphas", default="0.1,0.3,0.5,0.7,0.9", help="comma-separated"
+        "--alphas",
+        type=_alphas,
+        default="0.1,0.3,0.5,0.7,0.9",
+        help="comma-separated",
     )
     alpha.set_defaults(func=cmd_alpha)
 
@@ -810,11 +819,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--host", default="127.0.0.1", help="bind address"
     )
     serve.add_argument(
-        "--port", type=int, default=8123, help="bind port (0 = ephemeral)"
+        "--port",
+        type=_bounded(int, 0, 65535),
+        default=8123,
+        help="bind port (0 = ephemeral)",
     )
     serve.add_argument(
         "--jobs",
-        type=int,
+        type=_POSITIVE,
         default=1,
         help="worker processes for cache misses (1 = serial)",
     )
@@ -833,7 +845,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--max-body-mb",
-        type=int,
+        type=_POSITIVE,
         default=64,
         metavar="MB",
         help="reject request bodies larger than this with HTTP 413 "
@@ -888,7 +900,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         sub.add_argument(
             "--jobs",
-            type=int,
+            type=_POSITIVE,
             default=1,
             help="worker processes for uncached runs (1 = serial)",
         )
@@ -1007,7 +1019,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="only collect documents at least this old (e.g. 30d, 12h)",
     )
     store_gc.add_argument(
-        "--keep-latest", type=int, default=None, metavar="N",
+        "--keep-latest", type=_NON_NEGATIVE, default=None, metavar="N",
         help="spare the N newest documents of every pack name",
     )
     store_gc.add_argument(

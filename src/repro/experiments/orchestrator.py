@@ -917,7 +917,6 @@ def grid_requests(
     configs: Iterable[ExperimentConfig],
     policies_for: Callable[[ExperimentConfig], list[PlacementPolicy]],
     seeds: Sequence[int] | None = None,
-    options: EngineOptions | None = None,
     pack: TracePack | None = None,
 ) -> list[RunRequest]:
     """Cross a config iterable with per-config policies and seeds.
@@ -932,24 +931,17 @@ def grid_requests(
         so sharing instances across parallel requests is unsafe).
     seeds:
         Seed overrides; ``None`` keeps each config's own seed.
-    options:
-        Engine options applied to every request.
     pack:
         Workload pack applied to every request (``None`` = synthetic
         default).
     """
-    options = options or EngineOptions()
     requests = []
     for config in configs:
         for seed in seeds if seeds is not None else [None]:
             for policy in policies_for(config):
                 requests.append(
                     RunRequest(
-                        config=config,
-                        policy=policy,
-                        seed=seed,
-                        options=options,
-                        pack=pack,
+                        config=config, policy=policy, seed=seed, pack=pack
                     )
                 )
     return requests

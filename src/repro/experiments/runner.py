@@ -24,7 +24,6 @@ from repro.baselines import EnerAwarePolicy, NetAwarePolicy, PriAwarePolicy
 from repro.core.controller import ProposedPolicy
 from repro.core.forces import ForceParameters
 from repro.experiments.orchestrator import (
-    EngineOptions,
     Orchestrator,
     ResultStore,
     grid_requests,
@@ -63,7 +62,6 @@ def run_comparison(
     alpha: float = 0.5,
     orchestrator: Orchestrator | None = None,
     pack: TracePack | None = None,
-    options: EngineOptions | None = None,
 ) -> list[RunResult]:
     """Run the four methods over one workload realization.
 
@@ -82,15 +80,10 @@ def run_comparison(
     pack:
         Workload pack for every run (``None`` = synthetic default);
         its content hash keys the result store.
-    options:
-        Engine options for every run (``None`` = defaults) -- e.g.
-        the ``--engine event`` run kind, which adds the request
-        ledger; part of each run's fingerprint.
     """
     orchestrator = orchestrator or default_orchestrator()
     requests = grid_requests(
-        [config], lambda _: default_policies(alpha), pack=pack,
-        options=options,
+        [config], lambda _: default_policies(alpha), pack=pack
     )
     # Comparison results feed figures and tables that walk the full
     # ledger, so the service path must ship it -- no projection.
@@ -104,7 +97,6 @@ def run_replicated_comparison(
     seeds: tuple[int, ...] = (0, 1, 2),
     orchestrator: Orchestrator | None = None,
     pack: TracePack | None = None,
-    options: EngineOptions | None = None,
 ) -> dict[str, list[RunResult]]:
     """The four-method comparison replicated over several seeds.
 
@@ -116,7 +108,7 @@ def run_replicated_comparison(
     orchestrator = orchestrator or default_orchestrator()
     requests = grid_requests(
         [config], lambda _: default_policies(alpha), seeds=list(seeds),
-        pack=pack, options=options,
+        pack=pack,
     )
     artifacts = orchestrator.run_many(requests, detail="full")
     replicates: dict[str, list[RunResult]] = {}
@@ -127,10 +119,7 @@ def run_replicated_comparison(
     return replicates
 
 
-#: Engine-flag pass-through re-exported for consumers that build
-#: requests directly.
 __all__ = [
-    "EngineOptions",
     "default_orchestrator",
     "default_policies",
     "run_comparison",

@@ -13,11 +13,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from repro.experiments.orchestrator import (
-    EngineOptions,
-    Orchestrator,
-    RunRequest,
-)
+from repro.experiments.orchestrator import Orchestrator, RunRequest
 from repro.experiments.runner import default_orchestrator, default_policies
 from repro.sim.config import ExperimentConfig
 from repro.sim.metrics import improvement_pct
@@ -87,7 +83,6 @@ def run_scenarios(
     alpha: float = 0.5,
     orchestrator: Orchestrator | None = None,
     pack: TracePack | None = None,
-    options: EngineOptions | None = None,
 ) -> list[ScenarioOutcome]:
     """Four-method comparison per scenario, summarized vs best baseline.
 
@@ -111,12 +106,7 @@ def run_scenarios(
         else:
             config, run_pack = base, scenario_pack(pack, scenario)
         requests.extend(
-            RunRequest(
-                config=config,
-                policy=policy,
-                pack=run_pack,
-                options=options or EngineOptions(),
-            )
+            RunRequest(config=config, policy=policy, pack=run_pack)
             for policy in default_policies(alpha)
         )
     # The whole (scenario x policy) grid resolves as one futures batch

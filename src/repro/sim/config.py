@@ -94,7 +94,9 @@ class EngineCoreConfig:
     ``kind="slot"`` run (it additionally carries the per-request
     latency ledger), but not a different simulation: the engine runs
     slots only, and :func:`~repro.sim.engine.with_requests` projects
-    the finished slot ledger onto this kind.
+    the finished slot ledger onto this kind.  A suite's ``engines``
+    axis and a hand-built ``RunRequest.options`` are the only ways to
+    ask for an event run.
 
     Attributes
     ----------
@@ -103,8 +105,8 @@ class EngineCoreConfig:
         the same slot ledgers plus one draw of each slot's user
         requests into the per-request latency ledger
         (:attr:`~repro.sim.results.RunResult.requests`).  The name
-        stays ``"event"`` because it is part of stored fingerprints,
-        the ``--engine`` flag and suite specs.
+        stays ``"event"`` because it is part of stored fingerprints
+        and suite specs (``engines = ["slot", "event"]``).
     requests_per_vm_hour:
         Mean simulated user requests per receiving VM per hour-slot;
         the Poisson request stream's intensity.  Must be finite and
@@ -263,15 +265,15 @@ def config_for_scale(
 ) -> ExperimentConfig:
     """The config a named scale (``tiny``, ``small`` or ``paper``) runs.
 
-    ``horizon`` overrides the scale's horizon in slots; ``None`` or 0
-    keeps it.  The CLI's ``--scale``/``--seed``/``--horizon`` and a
-    suite's ``[matrix]`` resolve through here.
+    ``horizon`` overrides the scale's horizon in slots; ``None`` keeps
+    it.  The CLI's ``--scale``/``--seed``/``--horizon`` and a suite's
+    ``[matrix]`` resolve through here.
     """
     if scale == "paper":
         config = paper_config(seed=seed)
     else:
         config = scaled_config(scale, seed=seed)
-    if horizon:
+    if horizon is not None:
         config = config.with_horizon(horizon)
     return config
 

@@ -28,13 +28,14 @@ group of engines that share one materialization through
 comparison protocol -- every policy on the same alive set, demand and
 volumes -- realizes each slot's workload once for the whole group.
 :meth:`SimulationEngine.run` is the group of one.  The engine records
-slot ledgers only.  An ``--engine event`` run
-(``EngineCoreConfig(kind="event")``) is its slot ledger plus one
-request draw: :func:`with_requests` projects a finished ledger onto
-the per-request latency ledger
-(:attr:`~repro.sim.results.RunResult.requests`), so a slot run and its
-event twins share one simulation.  Tests and tools that need the
-physics internals address them on ``engine.kernel``.
+slot ledgers only.  An event-kind run (``EngineCoreConfig(kind="event")``,
+reachable through a suite's ``engines`` axis and ``RunRequest.options``)
+is its slot ledger plus one request draw: :func:`with_requests`
+projects a finished ledger onto the per-request latency ledger
+(:attr:`~repro.sim.results.RunResult.requests`), so the orchestrator
+runs a slot run and its event twins as one simulation.  Tests and
+tools that need the physics internals address them on
+``engine.kernel``.
 """
 
 from __future__ import annotations
@@ -258,19 +259,15 @@ def run_lockstep(
 
 
 def run_policies(
-    config: ExperimentConfig,
-    policies: list[PlacementPolicy],
-    engine: EngineCoreConfig | None = None,
+    config: ExperimentConfig, policies: list[PlacementPolicy]
 ) -> list[RunResult]:
     """Run several policies over the *same* workload realization.
 
     The paper's comparison protocol: the policies advance in lockstep
     (:func:`run_lockstep`) on one materialization of the default pack,
     so they see identical VMs, traces and volumes -- and every engine
-    derives its weather and BER streams from ``config.seed`` too.  Each
-    run is of the ``engine`` kind (:func:`with_requests`; slot when
-    ``None``).  The first failed run's error re-raises once every run
-    has finished.
+    derives its weather and BER streams from ``config.seed`` too.  The
+    first failed run's error re-raises once every run has finished.
     """
     materialization = build_materialization(config, None)
     outcomes = run_lockstep(
@@ -282,7 +279,4 @@ def run_policies(
     for outcome in outcomes:
         if isinstance(outcome, Exception):
             raise outcome
-    return [
-        with_requests(outcome, config.seed, engine or EngineCoreConfig())
-        for outcome in outcomes
-    ]
+    return outcomes

@@ -21,10 +21,10 @@ advance one hour-slot of the paper's protocol:
 One caller consumes it: :meth:`~repro.sim.engine.SimulationEngine.advance`,
 stepped by the one slot loop
 (:func:`~repro.sim.engine.run_lockstep`), calls the :meth:`observe` /
-:meth:`step` pair once per slot for both run kinds (``--engine slot``
-and ``--engine event``), so their slot-boundary ledgers are
-byte-identical by construction -- the kernel is the single place slot
-physics happens.
+:meth:`step` pair once per slot.  An event-kind run is the same slot
+ledger plus a request draw (:func:`~repro.sim.engine.with_requests`),
+so both run kinds' slot-boundary ledgers are byte-identical by
+construction -- the kernel is the single place slot physics happens.
 
 Every floating-point reduction in the physics accumulates in the order
 of the plain per-server, per-DC loops it replaced, so the ledgers equal

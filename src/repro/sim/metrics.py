@@ -25,49 +25,6 @@ import numpy as np
 from repro.sim.results import OBJECTIVES, RunResult
 
 
-def weighted_percentile(values, counts, percentile: float) -> float:
-    """Percentile of the multiset where ``values[i]`` repeats ``counts[i]``.
-
-    Exactly ``np.percentile(np.repeat(values, counts), percentile)``
-    (linear interpolation) without materializing the expansion -- an
-    event-kind run's request ledger stores one ``(latency, count)`` row
-    per (slot, DC) batch for millions of simulated requests, so tail
-    percentiles must come from the weighted form.  Bit-exactness with
-    numpy matters for ledger round-trips: the two interpolation terms
-    below mirror numpy's ``_lerp`` branch (it switches formula at
-    ``gamma >= 0.5`` to stay monotone), so results agree to the last
-    ulp (``tests/property`` pins this against expanded arrays).
-    """
-    if not 0.0 <= percentile <= 100.0:
-        raise ValueError("percentile must be in [0, 100]")
-    values = np.asarray(values, dtype=float)
-    counts = np.asarray(counts, dtype=np.int64)
-    if values.shape != counts.shape or values.ndim != 1:
-        raise ValueError("values and counts must be equal-length 1-D")
-    if np.any(counts < 0):
-        raise ValueError("counts must be non-negative")
-    order = np.argsort(values, kind="stable")
-    values = values[order]
-    counts = counts[order]
-    keep = counts > 0
-    values = values[keep]
-    cumulative = np.cumsum(counts[keep])
-    if cumulative.size == 0:
-        raise ValueError("weighted_percentile needs at least one sample")
-    n = int(cumulative[-1])
-    rank = (n - 1) * (percentile / 100.0)
-    lo_index = int(np.floor(rank))
-    hi_index = min(lo_index + 1, n - 1)
-    gamma = rank - lo_index
-    lo = values[np.searchsorted(cumulative, lo_index, side="right")]
-    hi = values[np.searchsorted(cumulative, hi_index, side="right")]
-    diff = hi - lo
-    result = lo + diff * gamma
-    if gamma >= 0.5:
-        result = hi - diff * (1.0 - gamma)
-    return float(result)
-
-
 def normalized_costs(results: list[RunResult]) -> dict[str, float]:
     """Fig. 1 quantity: cost / worst-method cost, per policy.
 

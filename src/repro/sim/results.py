@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 from operator import methodcaller
-from types import FunctionType, MethodType
 from typing import Callable
 
 import numpy as np
@@ -55,10 +54,6 @@ OBJECTIVES: dict[str, Callable] = {
 #: the performance reading among them.
 HEADLINE_PERCENTILES = tuple(sorted({95.0, PERFORMANCE_PERCENTILE}))
 
-#: Per-request latency percentiles a headline projection carries
-#: (event-engine runs only; ``None`` on slot-engine ledgers).
-REQUEST_PERCENTILES = (50.0, 99.0, 99.9)
-
 #: The run identity every headline opens with.
 HEADLINE_IDENTITY = ("policy_name", "config_name", "horizon")
 
@@ -85,10 +80,6 @@ HEADLINE_MEASURES: dict[str, tuple] = {
         for percentile in HEADLINE_PERCENTILES
     },
     "total_requests": ("total_requests",),
-    **{
-        f"p{percentile:g}_request_s": ("request_percentile_s", percentile)
-        for percentile in REQUEST_PERCENTILES
-    },
 }
 
 
@@ -198,11 +189,11 @@ class RunResult:
     policy_name: str
     config_name: str
     slots: list[SlotRecord] = field(default_factory=list)
-    #: Per-request latency ledger, event-engine runs only: one
+    #: Per-request latency ledger, event-kind runs only: one
     #: ``[slot, dc_index, latency_s, count]`` row per (slot, DC) batch
-    #: of simulated requests.  ``None`` on slot-engine runs -- the slot
-    #: abstraction has no request stream -- and the percentile
-    #: accessors degrade to ``None`` accordingly.
+    #: of simulated requests.  ``None`` on slot-kind runs -- the slot
+    #: abstraction has no request stream -- and :meth:`total_requests`
+    #: answers ``None`` accordingly.
     requests: list[list] | None = None
 
     @property
@@ -269,42 +260,12 @@ class RunResult:
         samples = self.response_samples()
         return float(samples.max()) if samples.size else 0.0
 
-    # -- per-request latency tail (event engine only) ------------------
+    # -- request ledger (event kind only) ------------------------------
     def total_requests(self) -> int | None:
         """Simulated user requests over the run; ``None`` without a ledger."""
         if self.requests is None:
             return None
         return int(sum(row[3] for row in self.requests))
-
-    def request_percentile_s(self, percentile: float) -> float | None:
-        """Percentile of the per-request latency distribution.
-
-        ``None`` on slot-engine runs (no request ledger); ``0.0`` for
-        an event-engine run that happened to serve zero requests.
-        """
-        if self.requests is None:
-            return None
-        if not self.requests:
-            return 0.0
-        from repro.sim.metrics import weighted_percentile
-
-        return weighted_percentile(
-            np.array([row[2] for row in self.requests]),
-            np.array([row[3] for row in self.requests]),
-            percentile,
-        )
-
-    def p50_request_s(self) -> float | None:
-        """Median per-request latency (event engine only)."""
-        return self.request_percentile_s(50.0)
-
-    def p99_request_s(self) -> float | None:
-        """99th-percentile per-request latency (event engine only)."""
-        return self.request_percentile_s(99.0)
-
-    def p999_request_s(self) -> float | None:
-        """99.9th-percentile per-request latency (event engine only)."""
-        return self.request_percentile_s(99.9)
 
     # -- misc -----------------------------------------------------------
     def total_migrations(self) -> int:
@@ -389,13 +350,11 @@ class HeadlineResult:
     Every :data:`HEADLINE_IDENTITY` name and :data:`HEADLINE_MEASURES`
     reading (``total_grid_cost_eur()``, ``percentile_response_s(99)``,
     every :data:`OBJECTIVES` entry, ...) answers from the headline.
-    Any other ``RunResult`` method runs its own code over this view, so
-    one that reads only those (``p999_request_s``) answers from the
-    headline too.
 
-    Anything else (``slots``, per-slot series, a percentile or key the
-    headline lacks) raises, naming ``detail='full'``: a consumer that
-    needs the ledger asks for it up front.
+    Anything else (``slots``, any other ``RunResult`` method, a
+    percentile or key the headline lacks) raises, naming
+    ``detail='full'``: a consumer that needs the ledger asks for it up
+    front.
     """
 
     def __init__(self, headline: dict) -> None:
@@ -424,9 +383,6 @@ class HeadlineResult:
             return self._headline[name]
         if name in _ACCESSORS:
             return partial(self._measure, name)
-        method = vars(RunResult).get(name)
-        if isinstance(method, FunctionType):
-            return MethodType(method, self)
         raise self._beyond(name)
 
     def __repr__(self) -> str:

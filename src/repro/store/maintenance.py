@@ -157,8 +157,10 @@ def collect_garbage(
         mtime, but replay their records in append order, so "newest"
         stays meaningful there too.  Applies on top of ``older_than``:
         a document must be old enough *and* outside its pack's keep
-        set to go.
+        set to go.  A negative count raises ``ValueError``.
     """
+    if keep_latest is not None and keep_latest < 0:
+        raise ValueError(f"keep_latest must be >= 0, got {keep_latest}")
     matching = list_documents(backend, **filters)
     if older_than is not None or keep_latest is not None:
         reference = time.time() if now is None else now
@@ -180,9 +182,7 @@ def collect_garbage(
             spared: set[str] = set()
             for group in by_pack.values():
                 group.sort(reverse=True)
-                spared.update(
-                    fp for _, _, fp in group[: max(keep_latest, 0)]
-                )
+                spared.update(fp for _, _, fp in group[:keep_latest])
             stamped = [
                 (info, stamp)
                 for info, stamp in stamped

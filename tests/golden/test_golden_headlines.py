@@ -4,7 +4,9 @@
 ``scaled_config("tiny")`` x the four policies x seeds {0, 1} x engines
 {slot, event}.  Entries are keyed by those labels, not by run
 fingerprint, so a change that only re-keys the store leaves the pin
-valid while any drift in the simulated numbers fails it.
+valid while any drift in the simulated numbers fails it.  Each seed
+simulates once: its event runs are its slot runs plus their request
+draw (:func:`~repro.sim.engine.with_requests`).
 ``tiny_scorecard.json`` holds the paper-claim scorecard
 (:mod:`repro.experiments.scorecard`) of the same slot runs, so it
 simulates nothing extra.
@@ -30,26 +32,25 @@ import pytest
 from repro.experiments.runner import default_policies
 from repro.experiments.scorecard import Scorecard
 from repro.sim.config import EngineCoreConfig, scaled_config
-from repro.sim.engine import run_policies
+from repro.sim.engine import run_policies, with_requests
 
 GOLDEN = Path(__file__).with_name("tiny_headlines.json")
 GOLDEN_SCORECARD = Path(__file__).with_name("tiny_scorecard.json")
 SEEDS = (0, 1)
-ENGINES = ("slot", "event")
 REL_TOL = 1e-9
 
 
 def run_comparisons() -> dict[tuple[str, int], list]:
-    """The four-policy comparison of every (engine, seed), once each."""
-    return {
-        (engine, seed): run_policies(
-            scaled_config("tiny", seed=seed),
-            default_policies(),
-            engine=EngineCoreConfig(kind=engine),
-        )
-        for engine in ENGINES
-        for seed in SEEDS
-    }
+    """The four-policy comparison of every (engine, seed)."""
+    event = EngineCoreConfig(kind="event")
+    comparisons = {}
+    for seed in SEEDS:
+        runs = run_policies(scaled_config("tiny", seed=seed), default_policies())
+        comparisons["slot", seed] = runs
+        comparisons["event", seed] = [
+            with_requests(run, seed, event) for run in runs
+        ]
+    return comparisons
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,4 @@
-"""Property tests: slot/event run equivalence and weighted percentiles.
+"""Property tests: slot/event run equivalence.
 
 An event-kind run's contract is *byte-identical* slot-boundary ledgers
 against a slot-kind run -- for any seed, any of the four policies and
@@ -13,10 +13,6 @@ between them.  The request ledger that
 :func:`~repro.sim.engine.with_requests` draws must equal the one
 rebuilt from the slot ledgers by the documented sampling rule
 (:func:`expected_requests`), row for row.
-
-``weighted_percentile`` backs the per-request latency accessors: its
-pin is bit-exact agreement with ``np.percentile`` over the expanded
-(``np.repeat``) sample array, for any weights.
 """
 
 from __future__ import annotations
@@ -32,7 +28,6 @@ from repro.core.controller import ProposedPolicy
 from repro.sim.audit import audit_run
 from repro.sim.config import EngineCoreConfig, scaled_config
 from repro.sim.engine import SimulationEngine, with_requests
-from repro.sim.metrics import weighted_percentile
 from repro.workload.materialize import build_materialization
 from repro.workload.packs import RecordedTraceSource, TracePack
 
@@ -137,46 +132,3 @@ class TestEventDriverEquivalence:
         assert event_run.requests == expected_requests(
             event_run, config.seed, event.requests_per_vm_hour
         )
-
-
-class TestWeightedPercentile:
-    @given(
-        values=st.lists(
-            st.floats(0.0, 1e3, allow_nan=False), min_size=1, max_size=30
-        ),
-        counts=st.data(),
-        percentile=st.sampled_from((0.0, 12.5, 50.0, 75.0, 99.0, 99.9, 100.0)),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_matches_numpy_on_expanded_samples(
-        self, values, counts, percentile
-    ):
-        weights = counts.draw(
-            st.lists(
-                st.integers(1, 50),
-                min_size=len(values),
-                max_size=len(values),
-            )
-        )
-        values = np.array(values)
-        weights = np.array(weights)
-        expanded = np.repeat(values, weights)
-        assert weighted_percentile(values, weights, percentile) == (
-            float(np.percentile(expanded, percentile))
-        )
-
-    def test_zero_weights_are_dropped(self):
-        values = np.array([1.0, 5.0, 9.0])
-        counts = np.array([3, 0, 2])
-        expanded = np.repeat(values, counts)
-        assert weighted_percentile(values, counts, 50.0) == (
-            float(np.percentile(expanded, 50.0))
-        )
-
-    def test_all_zero_weights_raise(self):
-        import pytest
-
-        with pytest.raises(ValueError):
-            weighted_percentile(
-                np.array([1.0]), np.array([0]), 50.0
-            )

@@ -71,12 +71,3 @@ class TestServicePathIdentity:
         assert remote_bytes == local_bytes
         # The request ledger crossed the wire too.
         assert artifact.result.total_requests() > 0
-        assert artifact.result.p99_request_s() is not None
-
-    def test_headline_projection_carries_request_percentiles(
-        self, client, event_request
-    ):
-        client.run(event_request)  # warm the store
-        projected = client.run(event_request, detail="headline")
-        assert projected.result.total_requests() > 0
-        assert projected.result.p999_request_s() is not None

@@ -10,7 +10,7 @@ import pytest
 
 from repro.experiments.runner import default_policies
 from repro.sim.config import EngineCoreConfig, build_datacenters, scaled_config
-from repro.sim.engine import SimulationEngine, run_policies, with_requests
+from repro.sim.engine import SimulationEngine, with_requests
 from repro.sim.state import SlotObservation
 from tests.oracles import loop_engine, loop_kernel
 
@@ -130,24 +130,6 @@ def test_response_latency_empty_fleet():
     loop = loop_kernel(kernel)._response_latencies(stub, [], empty, 0)
     fast = kernel._response_latencies(stub, [], empty, 0)
     assert loop == fast == [(0.0, 0)] * config.n_dcs
-
-
-class TestRunPoliciesOptions:
-    """run_policies forwards the engine kind to every engine it builds."""
-
-    def test_engine_kind_threaded_through(self):
-        config = scaled_config("tiny").with_horizon(4)
-        event = EngineCoreConfig(kind="event")
-        via_runner = run_policies(
-            config, default_policies()[1:2], engine=event
-        )
-        direct = with_requests(
-            SimulationEngine(config, default_policies()[1]).run(),
-            config.seed,
-            event,
-        )
-        assert via_runner[0].to_dict() == direct.to_dict()
-        assert direct.requests is not None
 
 
 class TestDemandCacheEviction:

@@ -154,6 +154,13 @@ class TestKeepLatest:
         assert fingerprint(3) in backend
         assert fingerprint(4) in backend
 
+    def test_negative_count_is_refused(self, tmp_path):
+        backend = JsonFileBackend(tmp_path / "negative")
+        fingerprints = fill(backend, ["alpha"] * 4)
+        with pytest.raises(ValueError, match="keep_latest"):
+            collect_garbage(backend, keep_latest=-1)
+        assert all(fp in backend for fp in fingerprints)
+
     def test_unpacked_documents_group_together(self, tmp_path):
         backend = JsonFileBackend(tmp_path / "nopack")
         fill(backend, [None, None, None])
@@ -189,6 +196,16 @@ class TestGcCli:
         assert code == 0
         assert "deleted 1 document(s)" in capsys.readouterr().out
         assert JsonFileBackend(root).count() == 2
+
+    def test_negative_keep_latest_is_a_usage_error(self, tmp_path, capsys):
+        """A given count passes the no-filter guard, so a negative one
+        must not reach the store: it would spare nothing."""
+        root = self._store_with_old_docs(tmp_path)
+        with pytest.raises(SystemExit) as error:
+            main(["store", "gc", "--store", str(root), "--keep-latest", "-1"])
+        assert error.value.code == 2
+        assert "argument --keep-latest" in capsys.readouterr().err
+        assert JsonFileBackend(root).count() == 3
 
     def test_retention_flags_count_as_filters(self, tmp_path):
         root = self._store_with_old_docs(tmp_path)

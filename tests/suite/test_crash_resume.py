@@ -84,6 +84,33 @@ if mode == "store":
 driver.run()
 """
 
+#: Daemon wrapper for the service drill: ``repro serve`` that SIGKILLs
+#: itself on its first store put past KILL_AFTER, so the kill lands
+#: mid-campaign however fast the host computes the grid (a kill sent
+#: by the test once KILL_AFTER documents appear can come after the
+#: campaign has finished).
+DAEMON = """
+import os, signal, sys
+
+from repro.cli import main
+from repro.store import ResultStore
+
+kill_after = int(sys.argv[1])
+real_put = ResultStore.put
+seen = {"n": 0}
+
+
+def put(self, *args, **kwargs):
+    if seen["n"] >= kill_after:
+        os.kill(os.getpid(), signal.SIGKILL)
+    seen["n"] += 1
+    return real_put(self, *args, **kwargs)
+
+
+ResultStore.put = put
+sys.exit(main(sys.argv[2:]))
+"""
+
 
 def _env():
     env = dict(os.environ)
@@ -125,6 +152,13 @@ def suite_file(tmp_path):
 def child_script(tmp_path):
     path = tmp_path / "child.py"
     path.write_text(CHILD)
+    return path
+
+
+@pytest.fixture
+def daemon_script(tmp_path):
+    path = tmp_path / "daemon.py"
+    path.write_text(DAEMON)
     return path
 
 
@@ -170,12 +204,18 @@ def test_sigkill_in_process_then_resume(suite_file, child_script, tmp_path):
 
 
 class _DaemonProcess:
-    """One ``repro serve`` subprocess bound to an ephemeral port."""
+    """One ``repro serve`` subprocess bound to an ephemeral port; with a
+    ``killer`` (the :data:`DAEMON` script) it SIGKILLs itself on its
+    first store put past :data:`KILL_AFTER`."""
 
-    def __init__(self, store_root, daemon_id):
+    def __init__(self, store_root, daemon_id, killer=None):
+        launcher = (
+            ["-m", "repro"] if killer is None
+            else [str(killer), str(KILL_AFTER)]
+        )
         self.proc = subprocess.Popen(
             [
-                sys.executable, "-m", "repro", "serve",
+                sys.executable, *launcher, "serve",
                 "--store", str(store_root),
                 "--store-backend", "json",
                 "--jobs", "1",
@@ -211,10 +251,6 @@ class _DaemonProcess:
         self.proc.terminate()
         raise RuntimeError("daemon did not report its URL in time")
 
-    def kill(self):
-        self.proc.kill()
-        self.proc.wait()
-
     def close(self):
         self.proc.terminate()
         try:
@@ -224,12 +260,14 @@ class _DaemonProcess:
             self.proc.wait()
 
 
-def test_sigkill_daemon_then_resume(suite_file, child_script, tmp_path):
+def test_sigkill_daemon_then_resume(
+    suite_file, child_script, daemon_script, tmp_path
+):
     from repro.service.client import ServiceClient
 
     root = tmp_path / "daemon-store"
     ledger_root = tmp_path / "client-ledger"
-    daemon = _DaemonProcess(root, "drill-daemon")
+    daemon = _DaemonProcess(root, "drill-daemon", killer=daemon_script)
     child = None
     try:
         child = subprocess.Popen(
@@ -241,20 +279,8 @@ def test_sigkill_daemon_then_resume(suite_file, child_script, tmp_path):
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
         )
-        # SIGKILL the daemon once a few artifacts have landed.
-        deadline = time.monotonic() + 120
-        while time.monotonic() < deadline:
-            stored = sum(
-                1 for n in _store_files(root) if n.endswith(".json")
-            )
-            if stored >= KILL_AFTER:
-                break
-            if child.poll() is not None:
-                pytest.fail("campaign finished before the kill fired")
-            time.sleep(0.02)
-        else:
-            pytest.fail("daemon never stored enough artifacts to kill")
-        daemon.kill()
+        # The daemon SIGKILLs itself once KILL_AFTER artifacts landed.
+        assert daemon.proc.wait(timeout=120) == -signal.SIGKILL
         # The clientside driver dies with failed runs, nonzero.
         assert child.wait(timeout=120) != 0
     finally:
@@ -267,7 +293,7 @@ def test_sigkill_daemon_then_resume(suite_file, child_script, tmp_path):
     survivors = {
         name for name in _store_files(root) if name.endswith(".json")
     }
-    assert 0 < len(survivors) < TOTAL
+    assert len(survivors) == KILL_AFTER
     state = CampaignLedger.for_store(
         ledger_root, spec.campaign_id
     ).replay()

@@ -8,6 +8,17 @@ from repro.sim.engine import SimulationEngine
 from repro.store import JsonFileBackend
 from repro.store.base import write_marker
 
+#: The analysis commands (each with its positional arguments).
+ANALYSIS_COMMANDS = (
+    ("compare", ()),
+    ("figures", ()),
+    ("alpha", ()),
+    ("bound", ()),
+    ("sweep", ("qos",)),
+    ("scenarios", ()),
+    ("export", ("out",)),
+)
+
 
 class TestParser:
     def test_requires_command(self):
@@ -65,28 +76,49 @@ class TestParser:
             *(
                 ([command, *extra, "--scale", "tiny", "--seeds", "2"],
                  "--seeds 2")
-                for command, extra in (
-                    ("figures", ()),
-                    ("alpha", ()),
-                    ("bound", ()),
-                    ("sweep", ("qos",)),
-                    ("scenarios", ()),
-                    ("export", ("out",)),
-                )
+                for command, extra in ANALYSIS_COMMANDS[1:]
+            ),
+            *(
+                ([command, *extra, "--scale", "tiny", "--engine", "event"],
+                 "--engine event")
+                for command, extra in ANALYSIS_COMMANDS
             ),
         ],
-        ids=["table1", "sweep", "alpha", "figures-seeds", "alpha-seeds",
-             "bound-seeds", "sweep-seeds", "scenarios-seeds",
-             "export-seeds"],
+        ids=["table1", "sweep", "alpha",
+             *(f"{command}-seeds" for command, _ in ANALYSIS_COMMANDS[1:]),
+             *(f"{command}-engine" for command, _ in ANALYSIS_COMMANDS)],
     )
     def test_flags_a_command_ignores_are_refused(self, capsys, argv, ignored):
         """table1 reads only --scale/--horizon/--seed, alpha and sweep
-        never read --alpha, and only compare replicates over --seeds,
-        so none of them accepts the rest."""
+        never read --alpha, only compare replicates over --seeds, and
+        every command runs slot-kind runs (the event kind is a suite
+        axis), so none of them accepts the rest."""
         with pytest.raises(SystemExit) as error:
             main(argv)
         assert error.value.code == 2
         assert f"unrecognized arguments: {ignored}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compare", "--horizon", "-3"],
+            ["compare", "--seed", "-1"],
+            ["compare", "--seeds", "0"],
+            ["compare", "--alpha", "7"],
+            ["alpha", "--alphas", "0.5,abc"],
+            ["compare", "--jobs", "0"],
+            ["serve", "--port", "99999"],
+            ["serve", "--max-body-mb", "0"],
+        ],
+        ids=lambda argv: argv[1],
+    )
+    def test_out_of_range_numbers_are_usage_errors(self, capsys, argv):
+        """The parser range-checks numbers, as suite specs do, before
+        any command runs."""
+        with pytest.raises(SystemExit) as error:
+            main(argv)
+        assert error.value.code == 2
+        assert f"argument {argv[1]}: " in capsys.readouterr().err
 
 
 class TestCommands:

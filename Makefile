@@ -33,11 +33,14 @@
 #                      suite: the cold one executes 4 runs, the warm
 #                      one 0, and their outputs diff clean against
 #                      each other and against an in-process run
+#   make examples    - every examples/*.py run as a script with its
+#                      defaults (about 8 s, half of it full_week.py)
 #   make bench       - full benchmark harness (slow: one-week comparison)
 
 PYTEST := PYTHONPATH=src python -m pytest
 
-.PHONY: test bench-smoke bench store-compact-nightly service-drill leak-check
+.PHONY: test bench-smoke bench store-compact-nightly service-drill leak-check \
+	examples
 
 test:
 	$(PYTEST) -x -q
@@ -98,6 +101,14 @@ service-drill:
 	$(REPRO) suite run examples/suites/mini.toml \
 		--store $(DRILL)-local-store --out $(DRILL)/local > /dev/null; \
 	diff -r $(DRILL)/O1 $(DRILL)/local
+
+# Nightly: every example as a script; tier-1 runs only the three whose
+# main() reads no arguments.
+examples:
+	set -e; for script in examples/*.py; do \
+		echo "== $$script"; \
+		PYTHONPATH=src python $$script > /dev/null; \
+	done
 
 bench:
 	$(PYTEST) -q benchmarks

@@ -65,7 +65,7 @@ def test_destination_latency(benchmark):
         setup=lambda: ((LatencyModel(topology, BERProcess(seed=4)),), {}),
         rounds=50,
     )
-    assert result.total_s > 0.0
+    assert result > 0.0
 
 
 def test_server_power_trace(benchmark):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.local import ServerAllocation
+from repro.core.local import build_allocations
 from repro.core.migration import MigrationMove, destination_within_constraint
 from repro.sim.state import FleetPlacement, SlotObservation
 from repro.units import gb_to_mb
@@ -28,18 +28,19 @@ HEADROOM = 0.9
 def enforce_migration_constraint(
     observation: SlotObservation,
     desired: np.ndarray,
-) -> tuple[dict[int, int], list[MigrationMove], list[int]]:
+) -> tuple[dict[int, int], list[MigrationMove]]:
     """Turn a desired assignment into a latency-feasible one.
 
     New VMs take their desired DC directly (no WAN copy).  Existing VMs
     migrate in ascending image-size order (cheap moves first, which
     maximizes the number of executed migrations under the window);
     each candidate is checked against the *accumulated* migration
-    volumes converging on its destination (Eq. 1).
+    volumes converging on its destination (Eq. 1), and a VM whose move
+    would break the window keeps its previous DC.
 
     Returns
     -------
-    (assignment, moves, rejected_vm_ids)
+    (assignment, moves)
     """
     vms = observation.vms
     n_dcs = observation.n_dcs
@@ -63,76 +64,41 @@ def enforce_migration_constraint(
     movers.sort(key=lambda row: (vms[row].image_gb, vms[row].vm_id))
     volumes_mb = np.zeros((n_dcs, n_dcs))
     moves: list[MigrationMove] = []
-    rejected: list[int] = []
 
     for row in movers:
         vm = vms[row]
         src, dst = int(previous[row]), int(desired[row])
         image_mb = gb_to_mb(vm.image_gb)
         volumes_mb[src, dst] += image_mb
-        ok, _ = destination_within_constraint(
+        if destination_within_constraint(
             observation.latency_model,
             volumes_mb,
             dst,
             observation.slot,
             observation.latency_constraint_s,
-        )
-        if ok:
+        ):
             assignment[vm.vm_id] = dst
             moves.append(
                 MigrationMove(vm_id=vm.vm_id, src_dc=src, dst_dc=dst, image_mb=image_mb)
             )
         else:
             volumes_mb[src, dst] -= image_mb
-            rejected.append(vm.vm_id)
 
-    return assignment, moves, rejected
-
-
-def build_allocations(
-    observation: SlotObservation,
-    assignment: dict[int, int],
-    allocator,
-) -> list[ServerAllocation]:
-    """Run the local ``allocator`` per DC over the final assignment.
-
-    ``allocator`` has the signature of
-    :func:`repro.core.local.allocate_first_fit`.
-    """
-    allocations = []
-    for dc in observation.dcs:
-        member_rows = [
-            row
-            for row, vm in enumerate(observation.vms)
-            if assignment[vm.vm_id] == dc.index
-        ]
-        allocations.append(
-            allocator(
-                [observation.vms[row].vm_id for row in member_rows],
-                observation.demand_traces[member_rows],
-                dc.spec.server_model,
-                dc.spec.n_servers,
-            )
-        )
-    return allocations
+    return assignment, moves
 
 
 def finish_placement(
     observation: SlotObservation,
     desired: np.ndarray,
     allocator,
-    diagnostics: dict | None = None,
 ) -> FleetPlacement:
     """Constraint enforcement + local allocation, in one call."""
-    assignment, moves, rejected = enforce_migration_constraint(observation, desired)
-    placement = FleetPlacement(
+    assignment, moves = enforce_migration_constraint(observation, desired)
+    return FleetPlacement(
         assignment=assignment,
         allocations=build_allocations(observation, assignment, allocator),
         moves=moves,
-        diagnostics=dict(diagnostics or {}),
     )
-    placement.diagnostics.setdefault("rejected_migrations", rejected)
-    return placement
 
 
 def dc_capacities_cores(observation: SlotObservation) -> np.ndarray:

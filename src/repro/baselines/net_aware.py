@@ -28,12 +28,12 @@ from repro.sim.state import FleetPlacement, PlacementPolicy, SlotObservation
 GROUP_THRESHOLD_MB = 2.0
 
 
-def communication_groups(volumes: np.ndarray, threshold_mb: float = 0.0) -> list[list[int]]:
+def communication_groups(volumes: np.ndarray) -> list[list[int]]:
     """Connected components of the symmetrized volume graph.
 
     Rows/cols are positional VM indices; an edge exists where the
-    bidirectional exchange exceeds ``threshold_mb``.  Singleton VMs form
-    their own groups.
+    bidirectional exchange exceeds :data:`GROUP_THRESHOLD_MB`.
+    Singleton VMs form their own groups.
     """
     n = volumes.shape[0]
     exchanged = volumes + volumes.T
@@ -48,7 +48,7 @@ def communication_groups(volumes: np.ndarray, threshold_mb: float = 0.0) -> list
         while stack:
             node = stack.pop()
             component.append(node)
-            neighbors = np.nonzero(exchanged[node] > threshold_mb)[0]
+            neighbors = np.nonzero(exchanged[node] > GROUP_THRESHOLD_MB)[0]
             for neighbor in neighbors:
                 if not visited[neighbor]:
                     visited[neighbor] = True
@@ -75,7 +75,7 @@ class NetAwarePolicy(PlacementPolicy):
         loads = observation.loads()
         volumes = observation.volumes.volumes
 
-        groups = communication_groups(volumes, GROUP_THRESHOLD_MB)
+        groups = communication_groups(volumes)
         internal_traffic = []
         for group in groups:
             block = volumes[np.ix_(group, group)]
@@ -111,9 +111,4 @@ class NetAwarePolicy(PlacementPolicy):
             for row in group:
                 desired[row] = chosen
 
-        return finish_placement(
-            observation,
-            desired,
-            allocate_first_fit,
-            diagnostics={"n_groups": len(groups)},
-        )
+        return finish_placement(observation, desired, allocate_first_fit)

@@ -59,9 +59,4 @@ class PriAwarePolicy(PlacementPolicy):
             remaining[chosen] -= loads[row]
             desired[row] = chosen
 
-        return finish_placement(
-            observation,
-            desired,
-            allocate_first_fit,
-            diagnostics={"dc_order": dc_order, "prices": prices.tolist()},
-        )
+        return finish_placement(observation, desired, allocate_first_fit)

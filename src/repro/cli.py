@@ -46,8 +46,8 @@ ledger plus a request draw) is reachable only through a suite's
 
 Numeric flags are range-checked by the parser, so an out-of-range
 ``--horizon``, ``--seed``, ``--seeds``, ``--alpha``/``--alphas``,
-``--jobs``, ``--port``, ``--max-body-mb`` or ``--keep-latest`` is a
-usage error (exit 2) that names the flag.
+``--jobs``, ``--port``, ``--max-body-mb``, ``--keep-latest`` or
+``--older-than`` is a usage error (exit 2) that names the flag.
 
 Workload selection: ``--pack NAME`` runs a registered trace pack (see
 ``packs``) and ``--pack-csv PATH`` builds a recorded pack from a
@@ -69,8 +69,6 @@ import argparse
 import os
 import pathlib
 import sys
-
-import numpy as np
 
 from repro.analysis.lower_bound import comparison_bounds
 from repro.analysis.pareto import alpha_sweep, pareto_front
@@ -187,6 +185,15 @@ def _orchestrator_from(args: argparse.Namespace):
     )
 
 
+def _directory_path(text: str, label: str) -> pathlib.Path:
+    """``text`` as a directory path; exits 1 if it names an existing
+    non-directory, so a command refuses it before running anything."""
+    path = pathlib.Path(text)
+    if path.exists() and not path.is_dir():
+        raise SystemExit(f"error: {label} {text!r} is not a directory")
+    return path
+
+
 def _open_store(args: argparse.Namespace) -> ResultStore:
     """The result store the command's flags describe (memory if none).
 
@@ -196,9 +203,7 @@ def _open_store(args: argparse.Namespace) -> ResultStore:
     root = args.store or os.environ.get(STORE_ENV_VAR)
     if not root:
         return ResultStore()
-    path = pathlib.Path(root)
-    if path.exists() and not path.is_dir():
-        raise SystemExit(f"error: store root {root!r} is not a directory")
+    path = _directory_path(root, "store root")
     try:
         return ResultStore(path, backend=args.store_backend)
     except ValueError as error:
@@ -373,8 +378,9 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
 
 def cmd_export(args: argparse.Namespace) -> int:
     """Write every figure's data series to CSV files."""
+    directory = _directory_path(args.directory, "export directory")
     results = _comparison_from(args)
-    written = export_all(results, args.directory)
+    written = export_all(results, directory)
     for path in written:
         print(f"wrote {path}")
     return 0
@@ -466,6 +472,9 @@ def _load_suite_or_exit(path: str):
 
 def _run_suite(args: argparse.Namespace, resume: bool) -> int:
     spec = _load_suite_or_exit(args.spec)
+    out_dir = _directory_path(
+        args.out or f"reports/suites/{spec.name}", "output directory"
+    )
     consumer = _orchestrator_from(args)
     driver = CampaignDriver(
         spec,
@@ -479,7 +488,6 @@ def _run_suite(args: argparse.Namespace, resume: bool) -> int:
         raise SystemExit(f"error: {error}") from None
     print(report.summary())
     if spec.has_outputs and not args.no_outputs:
-        out_dir = pathlib.Path(args.out or f"reports/suites/{spec.name}")
         try:
             written = generate_outputs(spec, consumer, out_dir)
         except OutputError as error:
@@ -586,11 +594,7 @@ def cmd_store_gc(args: argparse.Namespace) -> int:
     N newest documents of every pack name.
     """
     filters = _store_filters(args)
-    if args.older_than is not None:
-        try:
-            filters["older_than"] = parse_age(args.older_than)
-        except ValueError as error:
-            raise SystemExit(f"error: {error}") from None
+    filters["older_than"] = args.older_than
     filters["keep_latest"] = args.keep_latest
     if not args.all and not any(v is not None for v in filters.values()):
         raise SystemExit(
@@ -679,6 +683,17 @@ _ALPHA = _bounded(float, 0.0, 1.0)
 def _alphas(text: str) -> tuple[float, ...]:
     """``--alphas``: comma-separated Eq. 5 weights, each in [0, 1]."""
     return tuple(_ALPHA(item) for item in text.split(","))
+
+
+def _age(text: str) -> float:
+    """``--older-than``: a positive age (``30d``, ``12h``...) in seconds."""
+    try:
+        seconds = parse_age(text)
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
+    if seconds <= 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
+    return seconds
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1015,11 +1030,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_store_common(store_gc)
     add_store_filters(store_gc)
     store_gc.add_argument(
-        "--older-than", default=None, metavar="AGE",
+        "--older-than", type=_age, default=None, metavar="AGE",
         help="only collect documents at least this old (e.g. 30d, 12h)",
     )
     store_gc.add_argument(
-        "--keep-latest", type=_NON_NEGATIVE, default=None, metavar="N",
+        "--keep-latest", type=_POSITIVE, default=None, metavar="N",
         help="spare the N newest documents of every pack name",
     )
     store_gc.add_argument(

@@ -87,9 +87,7 @@ def joules_to_core_capacity(dc: Datacenter, joules: float) -> float:
 
 
 def compute_capacity_caps(
-    dcs: list[Datacenter],
-    slot: int,
-    duration_s: float = SECONDS_PER_HOUR,
+    dcs: list[Datacenter], slot: int
 ) -> list[CapacityCap]:
     """Compute next-slot capacity caps for the whole fleet.
 
@@ -100,8 +98,6 @@ def compute_capacity_caps(
         and last-slot energies are read from each DC.
     slot:
         The upcoming slot (selects forecast window and tariff level).
-    duration_s:
-        Slot length (for battery C-rate limits).
     """
     if not dcs:
         raise ValueError("at least one DC required")
@@ -111,7 +107,7 @@ def compute_capacity_caps(
     ceilings = []
     demand = 0.0
     for dc in dcs:
-        battery_energy = dc.battery.max_discharge_joules(duration_s)
+        battery_energy = dc.battery.max_discharge_joules(SECONDS_PER_HOUR)
         pv_energy = dc.renewable_forecast_joules(slot)
         free.append(battery_energy + pv_energy)
         prices.append(max(dc.grid_price_at(slot), 1e-9))

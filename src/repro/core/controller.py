@@ -28,7 +28,7 @@ from repro.core.capacity import compute_capacity_caps
 from repro.core.correlation import attraction_matrix, repulsion_matrix
 from repro.core.forces import ForceDirectedEmbedding, ForceParameters
 from repro.core.kmeans import constrained_kmeans, warm_start_centroids
-from repro.core.local import allocate_correlation_aware
+from repro.core.local import allocate_correlation_aware, build_allocations
 from repro.core.migration import revise_migrations
 from repro.seeding import rng_for
 from repro.sim.state import FleetPlacement, PlacementPolicy, SlotObservation
@@ -123,12 +123,9 @@ class ProposedPolicy(PlacementPolicy):
         if not vms:
             return FleetPlacement(
                 assignment={},
-                allocations=[
-                    allocate_correlation_aware(
-                        [], np.zeros((0, 1)), dc.spec.server_model, dc.spec.n_servers
-                    )
-                    for dc in observation.dcs
-                ],
+                allocations=build_allocations(
+                    observation, {}, self.local_allocator
+                ),
             )
 
         # -- Step 1: repulsion/attraction embedding (Eqs. 5-7).
@@ -162,21 +159,9 @@ class ProposedPolicy(PlacementPolicy):
         )
 
         # -- Local phase: correlation-aware allocation per DC.
-        allocations = []
-        for dc in observation.dcs:
-            member_rows = [
-                row
-                for row, vm in enumerate(vms)
-                if plan.assignment[vm.vm_id] == dc.index
-            ]
-            allocations.append(
-                self.local_allocator(
-                    [vms[row].vm_id for row in member_rows],
-                    observation.demand_traces[member_rows],
-                    dc.spec.server_model,
-                    dc.spec.n_servers,
-                )
-            )
+        allocations = build_allocations(
+            observation, plan.assignment, self.local_allocator
+        )
 
         # Persist the plane for the next slot.
         carried = normalized_plane(embedding.positions)
@@ -188,12 +173,4 @@ class ProposedPolicy(PlacementPolicy):
             assignment=plan.assignment,
             allocations=allocations,
             moves=plan.moves,
-            diagnostics={
-                "embedding_iterations": embedding.iterations,
-                "embedding_converged": embedding.converged,
-                "capacity_caps": caps,
-                "kmeans_overflow": clustering.overflow,
-                "rejected_migrations": plan.rejected_vm_ids,
-                "migration_latencies": plan.destination_latencies_s,
-            },
         )

@@ -25,10 +25,14 @@ replays the allocation against the realized current-slot traces.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.datacenter.server import ServerModel
+
+if TYPE_CHECKING:  # imported lazily to avoid a core <-> sim import cycle
+    from repro.sim.state import SlotObservation
 
 
 @dataclass
@@ -226,3 +230,30 @@ def allocate_first_fit(
         allocation.frequencies.append(level)
         allocation.saturated.append(saturated)
     return allocation
+
+
+def build_allocations(
+    observation: SlotObservation,
+    assignment: dict[int, int],
+    allocator,
+) -> list[ServerAllocation]:
+    """Run the local ``allocator`` per DC over the final assignment.
+
+    ``allocator`` has the signature of :func:`allocate_first_fit`.
+    """
+    allocations = []
+    for dc in observation.dcs:
+        member_rows = [
+            row
+            for row, vm in enumerate(observation.vms)
+            if assignment[vm.vm_id] == dc.index
+        ]
+        allocations.append(
+            allocator(
+                [observation.vms[row].vm_id for row in member_rows],
+                observation.demand_traces[member_rows],
+                dc.spec.server_model,
+                dc.spec.n_servers,
+            )
+        )
+    return allocations

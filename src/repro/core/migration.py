@@ -57,15 +57,12 @@ class MigrationPlan:
         VMs whose desired migration was dropped (latency constraint).
     volumes_mb:
         Accumulated migration volume per (src, dst) DC pair.
-    destination_latencies_s:
-        Final Eq. 1 migration latency per destination DC.
     """
 
     assignment: dict[int, int]
     moves: list[MigrationMove] = field(default_factory=list)
     rejected_vm_ids: list[int] = field(default_factory=list)
     volumes_mb: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
-    destination_latencies_s: dict[int, float] = field(default_factory=dict)
 
 
 def destination_within_constraint(
@@ -74,18 +71,15 @@ def destination_within_constraint(
     dst: int,
     slot: int,
     constraint_s: float,
-) -> tuple[bool, float]:
-    """Check Eq. 1 for all migration data converging on ``dst``.
-
-    Returns ``(within_constraint, latency_s)``.
-    """
+) -> bool:
+    """Whether Eq. 1 for all migration data converging on ``dst`` stays
+    under ``constraint_s``."""
     sources = {
         src: float(volumes_mb[src, dst])
         for src in range(volumes_mb.shape[0])
         if volumes_mb[src, dst] > 0.0
     }
-    latency = latency_model.destination_latency(dst, sources, slot).total_s
-    return latency < constraint_s, latency
+    return latency_model.destination_latency(dst, sources, slot) < constraint_s
 
 
 def revise_migrations(
@@ -180,7 +174,6 @@ def revise_migrations(
     volumes_mb = np.zeros((n_dcs, n_dcs))
     moves: list[MigrationMove] = []
     rejected: list[int] = []
-    dest_latencies: dict[int, float] = {}
 
     def next_candidate(queue: list[int]) -> int | None:
         while queue:
@@ -195,17 +188,15 @@ def revise_migrations(
         vm = vms[index]
         image_mb = gb_to_mb(vm.image_gb)
         volumes_mb[src, dst] += image_mb
-        ok, latency = destination_within_constraint(
+        if not destination_within_constraint(
             latency_model, volumes_mb, dst, slot, latency_constraint_s
-        )
-        if not ok:
+        ):
             volumes_mb[src, dst] -= image_mb
             rejected.append(vm.vm_id)
             return False
         assignment[vm.vm_id] = dst
         dc_load[src] -= loads[index]
         dc_load[dst] += loads[index]
-        dest_latencies[dst] = latency
         moves.append(
             MigrationMove(vm_id=vm.vm_id, src_dc=src, dst_dc=dst, image_mb=image_mb)
         )
@@ -254,5 +245,4 @@ def revise_migrations(
         moves=moves,
         rejected_vm_ids=rejected,
         volumes_mb=volumes_mb,
-        destination_latencies_s=dest_latencies,
     )

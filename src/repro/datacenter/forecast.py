@@ -24,6 +24,12 @@ from repro.units import SECONDS_PER_HOUR
 #: Number of slots per day (the profile's resolution).
 SLOTS_PER_DAY = 24
 
+#: EWMA weight of a new observation in the per-hour profile.
+PROFILE_ALPHA = 0.3
+
+#: Recent slots whose actual/profile ratio conditions the prediction.
+GAP_WINDOW = 3
+
 
 class WCMAForecaster:
     """Weather-conditioned moving-average PV forecaster.
@@ -32,27 +38,12 @@ class WCMAForecaster:
     ----------
     array:
         The PV installation to forecast (provides the clear-sky prior).
-    profile_alpha:
-        EWMA weight for updating the per-hour historical profile.
-    gap_window:
-        Number of recent slots whose actual/profile ratio conditions
-        the prediction.
     """
 
-    def __init__(
-        self,
-        array: PVArray,
-        profile_alpha: float = 0.3,
-        gap_window: int = 3,
-    ) -> None:
-        if not 0.0 < profile_alpha <= 1.0:
-            raise ValueError("profile_alpha must be in (0, 1]")
-        if gap_window < 1:
-            raise ValueError("gap_window must be >= 1")
+    def __init__(self, array: PVArray) -> None:
         self.array = array
-        self.profile_alpha = profile_alpha
         self._profile: dict[int, float] = {}
-        self._ratios: deque[float] = deque(maxlen=gap_window)
+        self._ratios: deque[float] = deque(maxlen=GAP_WINDOW)
 
     def _clear_sky_energy(self, slot: int) -> float:
         """Clear-sky energy prior for ``slot`` (Joules)."""
@@ -75,7 +66,7 @@ class WCMAForecaster:
         hour = slot % SLOTS_PER_DAY
         prior = self._profile_energy(slot)
         self._profile[hour] = (
-            (1.0 - self.profile_alpha) * prior + self.profile_alpha * actual_joules
+            (1.0 - PROFILE_ALPHA) * prior + PROFILE_ALPHA * actual_joules
         )
         if prior > 1.0:  # ignore night slots: ratio is meaningless
             self._ratios.append(actual_joules / prior)

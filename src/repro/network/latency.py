@@ -16,12 +16,10 @@ All latency results are in seconds; volumes are in MB.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.network.ber import BERProcess
-from repro.network.topology import GeoTopology
+from repro.network.topology import BACKBONE_BANDWIDTH_BPS, GeoTopology
 from repro.units import FIBER_LIGHT_SPEED, mb_to_bits
 
 
@@ -78,16 +76,6 @@ def global_data_latency(
         remaining_bits -= bits_this_second
         latency += 1.0
         step += 1
-
-
-@dataclass(frozen=True)
-class DestinationLatency:
-    """Breakdown of Eq. 1 for one destination DC."""
-
-    total_s: float
-    worst_source: int | None
-    source_terms: dict[int, float]
-    dest_local_s: float
 
 
 #: Per-second BERs pre-drawn per (slot, link); Algorithm 1 cycles them
@@ -150,15 +138,15 @@ class LatencyModel:
             return 0.0
         data_latency = global_data_latency(
             volume_mb,
-            self.topology.backbone_bandwidth_bps,
+            BACKBONE_BANDWIDTH_BPS,
             self.ber_window(slot, src, dst),
         )
         return self.propagation_latency(src, dst) + data_latency
 
     def destination_latency(
         self, dst: int, volumes_from_mb: dict[int, float], slot: int
-    ) -> DestinationLatency:
-        """Eq. 1: worst-case total latency for data converging on ``dst``.
+    ) -> float:
+        """Eq. 1: worst-case total latency (s) for data converging on ``dst``.
 
         Parameters
         ----------
@@ -171,7 +159,7 @@ class LatencyModel:
         slot:
             Slot index (selects the BER realization).
         """
-        source_terms: dict[int, float] = {}
+        worst = 0.0
         total_in_mb = 0.0
         for src, volume in volumes_from_mb.items():
             if volume < 0:
@@ -181,16 +169,9 @@ class LatencyModel:
             total_in_mb += volume
             if src == dst:
                 continue
-            source_terms[src] = self.source_local_latency(
-                src, volume
-            ) + self.global_latency(src, dst, volume, slot)
-
-        worst_source = max(source_terms, key=source_terms.get, default=None)
-        worst = source_terms[worst_source] if worst_source is not None else 0.0
-        dest_local = self.dest_local_latency(dst, total_in_mb)
-        return DestinationLatency(
-            total_s=worst + dest_local,
-            worst_source=worst_source,
-            source_terms=source_terms,
-            dest_local_s=dest_local,
-        )
+            worst = max(
+                worst,
+                self.source_local_latency(src, volume)
+                + self.global_latency(src, dst, volume, slot),
+            )
+        return worst + self.dest_local_latency(dst, total_in_mb)

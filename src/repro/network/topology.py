@@ -21,8 +21,11 @@ from repro.datacenter.datacenter import DatacenterSpec
 #: Mean Earth radius in meters.
 EARTH_RADIUS_M = 6.371e6
 
+#: Capacity of every inter-DC link, Bbb (paper: 100 Gb/s).
+BACKBONE_BANDWIDTH_BPS = 100.0e9
+
 #: Fiber routes are longer than the great circle; typical factor ~1.3.
-DEFAULT_ROUTE_FACTOR = 1.3
+ROUTE_FACTOR = 1.3
 
 
 def haversine_m(
@@ -46,33 +49,18 @@ class GeoTopology:
     ----------
     specs:
         The DC fleet, in index order.
-    backbone_bandwidth_bps:
-        Capacity of every inter-DC link (paper: 100 Gb/s).
-    route_factor:
-        Fiber-length multiplier over the great-circle distance.
     """
 
-    def __init__(
-        self,
-        specs: list[DatacenterSpec],
-        backbone_bandwidth_bps: float = 100.0e9,
-        route_factor: float = DEFAULT_ROUTE_FACTOR,
-    ) -> None:
+    def __init__(self, specs: list[DatacenterSpec]) -> None:
         if len(specs) < 1:
             raise ValueError("at least one DC required")
-        if backbone_bandwidth_bps <= 0:
-            raise ValueError("backbone bandwidth must be positive")
-        if route_factor < 1.0:
-            raise ValueError("route_factor must be >= 1")
         self.specs = list(specs)
-        self.backbone_bandwidth_bps = backbone_bandwidth_bps
-        self.route_factor = route_factor
         n = len(specs)
         self._distances = np.zeros((n, n))
         for i in range(n):
             for j in range(n):
                 if i != j:
-                    self._distances[i, j] = route_factor * haversine_m(
+                    self._distances[i, j] = ROUTE_FACTOR * haversine_m(
                         specs[i].latitude,
                         specs[i].longitude,
                         specs[j].latitude,

@@ -136,8 +136,6 @@ class SimulationEngine:
                 step_s=SECONDS_PER_HOUR / config.steps_per_slot
             ),
         )
-        self.latency_model = self.kernel.latency_model
-        self.green = self.kernel.green
         self.result: RunResult | None = None
         self.elapsed_s = 0.0
 

@@ -251,7 +251,7 @@ class SlotKernel:
             }
             latency = self.latency_model.destination_latency(
                 dst, volumes_from, slot
-            ).total_s
+            )
             results.append((latency, int(receiving_counts[dst])))
         return results
 

@@ -97,15 +97,11 @@ class FleetPlacement:
         Per-DC server allocation (index order matches the fleet).
     moves:
         Executed inter-DC migrations.
-    diagnostics:
-        Free-form policy introspection (embedding positions, caps,
-        rejected migrations...) consumed by experiments and tests.
     """
 
     assignment: dict[int, int]
     allocations: list["ServerAllocation"]
     moves: list["MigrationMove"] = field(default_factory=list)
-    diagnostics: dict = field(default_factory=dict)
 
     def validate(self, observation: SlotObservation) -> None:
         """Raise if the placement is inconsistent with the observation."""

@@ -17,12 +17,9 @@ from repro.core.local import allocate_first_fit
 class TestEnforceMigrationConstraint:
     def test_new_vms_take_desired(self, observation):
         desired = np.array([2, 2, 2, 0, 0, 0])
-        assignment, moves, rejected = enforce_migration_constraint(
-            observation, desired
-        )
+        assignment, moves = enforce_migration_constraint(observation, desired)
         # No previous assignment -> everything is new, no WAN moves.
         assert not moves
-        assert not rejected
         assert [assignment[vm.vm_id] for vm in observation.vms] == [2, 2, 2, 0, 0, 0]
 
     def test_existing_vms_migrate_when_feasible(
@@ -37,11 +34,12 @@ class TestEnforceMigrationConstraint:
             previous_assignment={vm.vm_id: 0 for vm in six_vms},
         )
         desired = np.array([1] * 6)
-        assignment, moves, rejected = enforce_migration_constraint(
-            observation, desired
-        )
-        assert len(moves) + len(rejected) == 6
-        assert all(assignment[move.vm_id] == 1 for move in moves)
+        assignment, moves = enforce_migration_constraint(observation, desired)
+        assert moves
+        moved = {move.vm_id for move in moves}
+        for vm in six_vms:
+            # A rejected move leaves the VM in its previous DC.
+            assert assignment[vm.vm_id] == (1 if vm.vm_id in moved else 0)
 
     def test_zero_window_blocks_everything(
         self, six_vms, datacenters, latency_model, trace_library, volume_process
@@ -56,11 +54,9 @@ class TestEnforceMigrationConstraint:
         )
         observation.latency_constraint_s = 1e-9
         desired = np.array([1] * 6)
-        assignment, moves, rejected = enforce_migration_constraint(
-            observation, desired
-        )
+        assignment, moves = enforce_migration_constraint(observation, desired)
         assert not moves
-        assert len(rejected) == 6
+        assert len(assignment) == 6
         assert all(dc == 0 for dc in assignment.values())
 
     def test_small_images_move_first(
@@ -80,11 +76,11 @@ class TestEnforceMigrationConstraint:
         )
         # Window fits roughly one 2 GB image end to end.
         observation.latency_constraint_s = 5.0
-        assignment, moves, rejected = enforce_migration_constraint(
+        assignment, moves = enforce_migration_constraint(
             observation, np.array([1, 1])
         )
         assert [move.vm_id for move in moves] == [1]
-        assert rejected == [0]
+        assert assignment == {0: 0, 1: 1}
 
     def test_desired_shape_validated(self, observation):
         with pytest.raises(ValueError):
@@ -109,7 +105,6 @@ class TestBuildAllocations:
         desired = np.array([vm.vm_id % 3 for vm in observation.vms])
         placement = finish_placement(observation, desired, allocate_first_fit)
         placement.validate(observation)
-        assert "rejected_migrations" in placement.diagnostics
 
 
 class TestCapacities:

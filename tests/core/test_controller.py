@@ -1,4 +1,4 @@
-"""ProposedPolicy: structure, state, diagnostics."""
+"""ProposedPolicy: structure and state."""
 
 import numpy as np
 import pytest
@@ -25,16 +25,6 @@ class TestPlacementStructure:
     def test_one_allocation_per_dc(self, policy, observation):
         placement = policy.place(observation)
         assert len(placement.allocations) == observation.n_dcs
-
-    def test_diagnostics_keys(self, policy, observation):
-        placement = policy.place(observation)
-        for key in (
-            "embedding_iterations",
-            "capacity_caps",
-            "kmeans_overflow",
-            "rejected_migrations",
-        ):
-            assert key in placement.diagnostics
 
     def test_empty_observation(
         self, policy, datacenters, latency_model, trace_library, volume_process

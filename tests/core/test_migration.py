@@ -105,17 +105,22 @@ class TestLatencyConstraint:
         )
         assert plan.moves  # some migrations run...
         assert plan.rejected_vm_ids  # ...but not all
-        latency = plan.destination_latencies_s[1]
-        assert latency < 72.0
+        latency = latency_model.destination_latency(
+            1, {0: float(plan.volumes_mb[0, 1])}, 0
+        )
+        assert 0.0 < latency < 72.0
 
     def test_destination_within_constraint_helper(self, latency_model):
         volumes = np.zeros((3, 3))
         volumes[0, 1] = 2000.0
-        ok, latency = destination_within_constraint(
+        latency = latency_model.destination_latency(1, {0: 2000.0}, 0)
+        assert 0.0 < latency < 72.0
+        assert destination_within_constraint(
             latency_model, volumes, dst=1, slot=0, constraint_s=72.0
         )
-        assert ok
-        assert latency > 0.0
+        assert not destination_within_constraint(
+            latency_model, volumes, dst=1, slot=0, constraint_s=latency
+        )
 
     def test_rejected_vms_stay_home(self, latency_model):
         vms = [make_vm(vm_id=i, image_gb=8.0) for i in range(20)]

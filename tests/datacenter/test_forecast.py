@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.datacenter.forecast import WCMAForecaster
+from repro.datacenter.forecast import GAP_WINDOW, WCMAForecaster
 from repro.datacenter.pv import PVArray
 
 
@@ -61,22 +61,13 @@ class TestRecording:
 
 
 class TestValidation:
-    def test_alpha_bounds(self, array):
-        with pytest.raises(ValueError):
-            WCMAForecaster(array, profile_alpha=0.0)
-        with pytest.raises(ValueError):
-            WCMAForecaster(array, profile_alpha=1.5)
-
-    def test_gap_window_bounds(self, array):
-        with pytest.raises(ValueError):
-            WCMAForecaster(array, gap_window=0)
-
-    def test_gap_window_rolls(self, array):
-        forecaster = WCMAForecaster(array, gap_window=2)
+    def test_gap_window_rolls(self, forecaster):
+        assert GAP_WINDOW == 3
         prior = forecaster.forecast(12)
         forecaster.record(12, prior * 0.1)
-        low_gap = forecaster.gap_factor()
-        # Two sunny observations push the overcast one out of the window.
-        forecaster.record(36, forecaster._profile_energy(36) * 1.2)
-        forecaster.record(60, forecaster._profile_energy(60) * 1.2)
-        assert forecaster.gap_factor() > low_gap
+        # GAP_WINDOW sunny observations push the overcast one out of
+        # the window.
+        for day in range(1, GAP_WINDOW + 1):
+            slot = 12 + 24 * day
+            forecaster.record(slot, forecaster._profile_energy(slot) * 1.2)
+        assert forecaster.gap_factor() == pytest.approx(1.2)

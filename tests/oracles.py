@@ -205,7 +205,7 @@ class LoopKernel(SlotKernel):
                     volumes_from[src] = volume
             latency = self.latency_model.destination_latency(
                 dst, volumes_from, slot
-            ).total_s
+            )
             receiving = int(np.count_nonzero(received[members] > 0.0))
             results.append((latency, receiving))
         return results

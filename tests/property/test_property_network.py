@@ -69,9 +69,15 @@ class TestDestinationLatencyProperties:
     @settings(max_examples=60, deadline=None)
     def test_total_at_least_each_component(self, model, volumes, dst, slot):
         result = model.destination_latency(dst, volumes, slot)
-        assert result.total_s >= result.dest_local_s - 1e-12
-        for term in result.source_terms.values():
-            assert result.total_s >= term - 1e-12
+        inflow = sum(volumes.values())
+        assert result >= model.dest_local_latency(dst, inflow) - 1e-12
+        for src, volume in volumes.items():
+            if src == dst or volume == 0.0:
+                continue
+            term = model.source_local_latency(src, volume) + model.global_latency(
+                src, dst, volume, slot
+            )
+            assert result >= term - 1e-12
 
     @given(
         volume=st.floats(0.1, 5e3, allow_nan=False),
@@ -79,6 +85,6 @@ class TestDestinationLatencyProperties:
     )
     @settings(max_examples=40, deadline=None)
     def test_migration_latency_positive_between_dcs(self, model, volume, slot):
-        latency = model.destination_latency(1, {0: volume}, slot).total_s
+        latency = model.destination_latency(1, {0: volume}, slot)
         assert latency > 0.0
         assert np.isfinite(latency)

@@ -101,7 +101,7 @@ class TestResponseLatencies:
         }
         expected = kernel.latency_model.destination_latency(
             1, expected_sources, 2
-        ).total_s
+        )
         assert latencies[1][0] == pytest.approx(expected)
 
     def test_receiving_vm_counts(self, kernel):

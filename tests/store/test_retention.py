@@ -207,16 +207,35 @@ class TestGcCli:
         assert "argument --keep-latest" in capsys.readouterr().err
         assert JsonFileBackend(root).count() == 3
 
-    def test_retention_flags_count_as_filters(self, tmp_path):
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--keep-latest", "0"), ("--older-than", "0"), ("--older-than", "0d")],
+    )
+    def test_values_that_spare_nothing_are_usage_errors(
+        self, tmp_path, capsys, flag, value
+    ):
+        """A given retention flag passes the no-filter guard, so a zero
+        count or age must not reach the store: it would delete every
+        document without --all."""
+        root = self._store_with_old_docs(tmp_path)
+        with pytest.raises(SystemExit) as error:
+            main(["store", "gc", "--store", str(root), flag, value])
+        assert error.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+        assert JsonFileBackend(root).count() == 3
+
+    def test_retention_flags_count_as_filters(self, tmp_path, capsys):
         root = self._store_with_old_docs(tmp_path)
         with pytest.raises(SystemExit, match="refusing to gc everything"):
             main(["store", "gc", "--store", str(root)])
         # --older-than alone satisfies the refusal check (above) while
         # a bad spelling is a usage error, not a traceback.
-        with pytest.raises(SystemExit, match="bad age"):
+        with pytest.raises(SystemExit) as error:
             main(
                 ["store", "gc", "--store", str(root), "--older-than", "often"]
             )
+        assert error.value.code == 2
+        assert "argument --older-than: bad age" in capsys.readouterr().err
 
     def test_dry_run_reports_without_deleting(self, tmp_path, capsys):
         root = self._store_with_old_docs(tmp_path)

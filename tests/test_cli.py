@@ -1,5 +1,7 @@
 """Command-line interface."""
 
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,10 @@ ANALYSIS_COMMANDS = (
     ("sweep", ("qos",)),
     ("scenarios", ()),
     ("export", ("out",)),
+)
+
+MINI_SUITE = (
+    pathlib.Path(__file__).resolve().parents[1] / "examples/suites/mini.toml"
 )
 
 
@@ -175,6 +181,24 @@ class TestCommands:
         )
         assert code == 0
         assert (tmp_path / "csv" / "summary.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["export", "{file}", "--scale", "tiny", "--horizon", "2"],
+            ["suite", "run", str(MINI_SUITE), "--out", "{file}"],
+        ],
+        ids=["export", "suite-run"],
+    )
+    def test_output_path_must_be_a_directory(self, tmp_path, argv):
+        """Refused before anything runs: the store stays empty."""
+        not_a_dir = tmp_path / "file"
+        not_a_dir.write_text("x")
+        store = tmp_path / "store"
+        argv = [arg.replace("{file}", str(not_a_dir)) for arg in argv]
+        with pytest.raises(SystemExit, match="is not a directory"):
+            main(argv + ["--store", str(store)])
+        assert not list(store.rglob("*.json"))
 
 
 class TestOrchestratorFlags:

@@ -16,6 +16,8 @@ from repro.datacenter.server import XEON_E5410
 from repro.network.ber import BERProcess
 from repro.network.latency import LatencyModel
 from repro.network.topology import GeoTopology
+from repro.sim.config import ExperimentConfig
+from repro.sim.kernel import SiteConditions
 from repro.workload.datacorr import DataCorrelationProcess
 from repro.workload.traces import TraceLibrary
 
@@ -39,13 +41,24 @@ def test_volume_generation(benchmark, vms):
 
 
 def test_green_controller_slot(benchmark):
-    spec = make_specs()[0]
-    dc = Datacenter(spec, index=0, seed=3)
-    power = np.full((1, 720), 900.0)  # the paper's 5 s granularity
+    """One DC's controller pass over a slot whose site conditions (PV,
+    tariffs) are already evaluated, as every engine of a group after
+    the first finds them."""
+    site = SiteConditions(
+        ExperimentConfig(
+            name="bench",
+            specs=tuple(make_specs()[:1]),
+            steps_per_slot=720,  # the paper's 5 s granularity
+            seed=3,
+        )
+    )
+    dc = Datacenter(site, index=0)
+    conditions = site.at(12)
+    power = np.full((1, 720), 900.0)
 
     def run():
         dc.battery.soc_joules = dc.battery.capacity_joules
-        return GreenController(step_s=5.0).run_slot_fleet([dc], 12, power)[0]
+        return GreenController().run_slot_fleet([dc], conditions, power)[0]
 
     result = benchmark(run)
     result.sanity_check()

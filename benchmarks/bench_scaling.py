@@ -26,8 +26,9 @@ from repro.datacenter.server import XEON_E5410
 from repro.network.ber import BERProcess
 from repro.network.latency import LatencyModel
 from repro.network.topology import GeoTopology
-from repro.sim.config import build_latency_model, paper_config, scaled_config
+from repro.sim.config import paper_config, scaled_config
 from repro.sim.engine import SimulationEngine
+from repro.sim.kernel import SiteConditions
 from repro.workload.arrivals import VMPopulation
 from repro.workload.datacorr import DataCorrelationProcess
 from repro.workload.materialize import build_materialization
@@ -168,9 +169,10 @@ def test_it_power_per_slot(benchmark, n_vms):
 def test_response_latencies_per_slot(benchmark, n_vms):
     """Per-slot Eq. 1 evaluation over the grouped volume matrix.
 
-    Each round gets a fresh latency model, so it times the cold slot a
-    run's step pays (the BER windows are drawn once per slot and then
-    served from memory), not a warm lookup."""
+    Each round gets fresh site conditions, and with them a fresh
+    latency model, so it times the cold slot a group's first step pays
+    (the BER windows are drawn once per slot and then served from
+    memory), not a warm lookup."""
     rng = np.random.default_rng(3)
     kernel = _physics_engine(steps=60).kernel
     vms = [
@@ -183,7 +185,7 @@ def test_response_latencies_per_slot(benchmark, n_vms):
     )
 
     def fresh_model():
-        kernel.latency_model = build_latency_model(kernel.config)
+        kernel.site = SiteConditions(kernel.config)
         return (), {}
 
     latencies = benchmark.pedantic(

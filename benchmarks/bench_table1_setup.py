@@ -8,14 +8,16 @@ measures fleet construction (specs + live DCs + topology).
 from conftest import write_report
 
 from repro.experiments.figures import table1_rows
-from repro.sim.config import build_datacenters, build_latency_model, paper_config
+from repro.sim.config import build_datacenters, paper_config
+from repro.sim.kernel import SiteConditions
 
 
 def test_table1_setup(benchmark, report_dir):
     config = paper_config()
 
     def build():
-        return build_datacenters(config), build_latency_model(config)
+        site = SiteConditions(config)
+        return build_datacenters(site), site.latency_model
 
     dcs, latency_model = benchmark(build)
     assert len(dcs) == 3

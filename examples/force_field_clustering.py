@@ -13,6 +13,8 @@ workload whose structure is easy to eyeball:
 Run:  python examples/force_field_clustering.py
 """
 
+import dataclasses
+
 import numpy as np
 
 from repro.core.capacity import compute_capacity_caps
@@ -20,11 +22,11 @@ from repro.core.correlation import attraction_matrix, repulsion_matrix
 from repro.core.forces import ForceDirectedEmbedding, ForceParameters
 from repro.core.kmeans import constrained_kmeans, warm_start_centroids
 from repro.core.migration import revise_migrations
-from repro.datacenter.datacenter import Datacenter
 from repro.network.ber import BERProcess
 from repro.network.latency import LatencyModel
 from repro.network.topology import GeoTopology
-from repro.sim.config import scaled_config
+from repro.sim.config import build_datacenters, scaled_config
+from repro.sim.kernel import SiteConditions
 from repro.workload.arrivals import ArrivalModel, VMPopulation
 from repro.workload.datacorr import DataCorrelationProcess
 from repro.workload.traces import TraceLibrary
@@ -72,10 +74,9 @@ def main() -> None:
           f"converged={result.converged}\n")
 
     # Step 2: capacity caps + clustering.
-    dcs = [
-        Datacenter(spec, index, seed=7)
-        for index, spec in enumerate(rng_config.specs)
-    ]
+    dcs = build_datacenters(
+        SiteConditions(dataclasses.replace(rng_config, seed=7))
+    )
     caps = compute_capacity_caps(dcs, slot=12)
     print("capacity caps (core units):",
           [f"{cap.cap_cores:.0f}" for cap in caps])

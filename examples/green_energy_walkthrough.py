@@ -11,18 +11,23 @@ a PV array and a battery bank under a two-level tariff:
 Run:  python examples/green_energy_walkthrough.py
 """
 
+import dataclasses
+
 import numpy as np
 
 from repro.core.green import GreenController
 from repro.datacenter.datacenter import Datacenter
 from repro.sim.config import scaled_config
+from repro.sim.kernel import SiteConditions
 from repro.units import SECONDS_PER_HOUR, joules_to_kwh
 
 
 def main() -> None:
-    spec = scaled_config("small").specs[0]  # Lisbon
-    dc = Datacenter(spec, index=0, seed=42)
-    controller = GreenController(step_s=60.0)
+    config = scaled_config("small", seed=42)
+    site = SiteConditions(dataclasses.replace(config, specs=config.specs[:1]))
+    dc = Datacenter(site, index=0)  # Lisbon
+    spec = dc.spec
+    controller = GreenController()
 
     # A plausible diurnal facility load for a fraction of the fleet.
     hours = np.arange(48)
@@ -43,8 +48,8 @@ def main() -> None:
 
     total_cost = 0.0
     for slot in range(48):
-        power = np.full((1, 60), load_watts[slot])
-        (ledger,) = controller.run_slot_fleet([dc], slot, power)
+        power = np.full((1, config.steps_per_slot), load_watts[slot])
+        (ledger,) = controller.run_slot_fleet([dc], site.at(slot), power)
         dc.record_slot(slot, ledger.facility_energy, ledger.pv_generated)
         total_cost += ledger.grid_cost_eur
         tariff = "peak" if spec.tariff.is_peak((slot + 0.5) * SECONDS_PER_HOUR) else "off"

@@ -29,7 +29,6 @@ import numpy as np
 
 from repro.sim.config import ExperimentConfig
 from repro.sim.results import RunResult
-from repro.units import SECONDS_PER_HOUR
 
 
 @dataclass(frozen=True)

@@ -619,9 +619,10 @@ def cmd_store_migrate(args: argparse.Namespace) -> int:
         )
     if not pathlib.Path(root).is_dir():
         raise SystemExit(f"error: store root {root!r} is not a directory")
+    dest = _directory_path(args.dest, "destination store root")
     try:
         report = migrate_store(
-            root, args.dest, to=args.to, source_backend=args.store_backend
+            root, dest, to=args.to, source_backend=args.store_backend
         )
     except ValueError as error:
         raise SystemExit(f"error: {error}") from None

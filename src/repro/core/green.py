@@ -16,9 +16,11 @@ The controller sees *real* generation and *real* load -- it is exactly
 the low-complexity compensator for forecast error the paper argues for.
 
 :meth:`GreenController.run_slot_fleet` sources a whole fleet's slot at
-once: the time-indexed inputs (PV, tariff windows, prices) and the
-ledger reductions are batched over DCs, and only the battery
-recurrence runs step by step, per DC, on Python floats.
+once: it reads the slot's time-indexed site inputs (PV power, tariff
+windows, prices) from the fleet's shared
+:class:`~repro.sim.kernel.SlotConditions`, batches the ledger
+reductions over DCs, and runs only the battery recurrence step by
+step, per DC, on Python floats.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ import numpy as np
 
 from repro.datacenter.battery import Battery
 from repro.datacenter.datacenter import Datacenter
-from repro.datacenter.pv import fleet_power_watts
 from repro.units import JOULES_PER_KWH, SECONDS_PER_HOUR
 
 
@@ -72,41 +73,41 @@ class GreenSlotResult:
 class GreenController:
     """Per-DC online energy-source manager.
 
+    The control period is the slot's step: one hour divided by the
+    number of steps per slot (paper: 720 steps of 5 seconds).
+
     Parameters
     ----------
-    step_s:
-        Control period (paper: 5 seconds; scaled experiments use 60).
     grid_charge_fraction:
         Fraction of the battery's C-rate limit used when charging from
         the grid during low-price periods (1.0 = charge as fast as the
         battery allows).
     """
 
-    def __init__(self, step_s: float = 5.0, grid_charge_fraction: float = 0.5) -> None:
-        if step_s <= 0:
-            raise ValueError("step_s must be positive")
+    def __init__(self, grid_charge_fraction: float = 0.5) -> None:
         if not 0.0 <= grid_charge_fraction <= 1.0:
             raise ValueError("grid_charge_fraction must be in [0, 1]")
-        self.step_s = step_s
         self.grid_charge_fraction = grid_charge_fraction
 
     def run_slot_fleet(
         self,
         dcs: list[Datacenter],
-        slot: int,
+        conditions,
         facility_power_w: np.ndarray,
     ) -> list[GreenSlotResult]:
         """Source one slot's facility power for every DC of the fleet.
 
         ``facility_power_w`` has shape ``(len(dcs), steps)``: row ``i``
         is ``dcs[i]``'s facility power (IT * PUE) per control step, and
-        a step lasts one hour divided by ``steps``.  Mutates every DC's
-        battery.
+        a step lasts one hour divided by ``steps``.  ``conditions`` is
+        the slot's :class:`~repro.sim.kernel.SlotConditions` for the
+        same fleet: its ``pv_power_w`` (the shape of
+        ``facility_power_w``), ``peak`` and ``price`` (``(steps,
+        n_dcs)``) are read, never written.  Mutates every DC's battery.
 
-        * Everything time-indexed -- PV power, peak windows, prices,
-          branch masks, charge offers under surplus -- is evaluated
-          once for the whole slot through the batched PV/tariff
-          helpers, in ``(steps, n_dcs)`` layout.
+        * Everything time-indexed -- PV energy, branch masks, charge
+          offers under surplus -- is derived once for the whole slot
+          from the conditions, in ``(steps, n_dcs)`` layout.
         * The only sequential dependence is the battery recurrence,
           which never couples the DCs: :meth:`_replay_battery` steps
           each DC's bank on Python floats and records the per-step
@@ -131,22 +132,21 @@ class GreenController:
             raise ValueError("facility power must be non-negative")
         if not dcs:
             return []
+        pv_power = conditions.pv_power_w
+        if facility_power_w.shape != pv_power.shape:
+            raise ValueError(
+                "facility_power_w must match the conditions' (n_dcs, steps)"
+            )
 
         n_dcs, steps = facility_power_w.shape
         dt = SECONDS_PER_HOUR / steps
-        times = slot * SECONDS_PER_HOUR + (np.arange(steps) + 0.5) * dt
-        pv_power = fleet_power_watts([dc.pv for dc in dcs], times)
+        peak = conditions.peak
+        price = conditions.price
 
         # (steps, n_dcs) C-order layout: the ledger's sum(axis=0) then
         # adds the per-step rows in step order.
         load = np.ascontiguousarray(facility_power_w.T) * dt
         pv = np.ascontiguousarray(pv_power.T) * dt
-        peak = np.stack(
-            [dc.spec.tariff.is_peak(times) for dc in dcs], axis=1
-        )
-        price = np.stack(
-            [dc.spec.tariff.price_per_kwh(times) for dc in dcs], axis=1
-        )
         surplus = pv >= load
         deficit = load - pv
         deficit_peak = ~surplus & peak

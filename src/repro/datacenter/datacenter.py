@@ -13,7 +13,6 @@ from repro.datacenter.battery import Battery
 from repro.datacenter.forecast import WCMAForecaster
 from repro.datacenter.price import TwoLevelTariff
 from repro.datacenter.pue import FreeCoolingPUE
-from repro.datacenter.pv import PVArray
 from repro.datacenter.server import XEON_E5410, ServerModel
 from repro.units import SECONDS_PER_HOUR
 
@@ -88,27 +87,28 @@ class Datacenter:
 
     Parameters
     ----------
-    spec:
-        The static description.
+    site:
+        The fleet's site conditions
+        (:class:`~repro.sim.kernel.SiteConditions`), which a lockstep
+        group's engines share: the DC's spec is ``site.specs[index]``,
+        its PV array ``site.arrays[index]``, and its forecaster reads
+        the site's per-slot clear-sky prior.
     index:
         Position of this DC in the fleet (stable across the run; the
         placement vectors index DCs by this number).
-    seed:
-        Site randomness root (weather).
     """
 
-    def __init__(self, spec: DatacenterSpec, index: int, seed: int = 0) -> None:
+    def __init__(self, site, index: int) -> None:
+        spec = site.specs[index]
         self.spec = spec
         self.index = index
-        self.pv = PVArray(
-            kwp=spec.pv_kwp,
-            tz_offset_hours=spec.tz_offset_hours,
-            seed=seed + index,
-        )
+        self.pv = site.arrays[index]
         self.battery = Battery.from_kwh(spec.battery_kwh) if spec.battery_kwh else (
             Battery(capacity_joules=0.0)
         )
-        self.forecaster = WCMAForecaster(self.pv)
+        self.forecaster = WCMAForecaster(
+            lambda slot: float(site.clear_sky_prior(slot)[index])
+        )
         #: Facility energy consumed during the previous slot (Joules);
         #: the last-value demand predictor reads this.
         self.last_slot_energy_joules: float = 0.0

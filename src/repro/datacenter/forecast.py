@@ -15,11 +15,9 @@ exists by falling back to the array's clear-sky prediction.
 from __future__ import annotations
 
 from collections import deque
+from typing import Callable
 
 import numpy as np
-
-from repro.datacenter.pv import PVArray
-from repro.units import SECONDS_PER_HOUR
 
 #: Number of slots per day (the profile's resolution).
 SLOTS_PER_DAY = 24
@@ -36,28 +34,25 @@ class WCMAForecaster:
 
     Parameters
     ----------
-    array:
-        The PV installation to forecast (provides the clear-sky prior).
+    prior:
+        The clear-sky energy (Joules) of a slot, the forecast for an
+        hour of day with no history yet: the array's
+        :meth:`~repro.datacenter.pv.PVArray.clear_sky_energy`, which a
+        simulation reads through its fleet's
+        :meth:`~repro.sim.kernel.SiteConditions.clear_sky_prior`.
     """
 
-    def __init__(self, array: PVArray) -> None:
-        self.array = array
+    def __init__(self, prior: Callable[[int], float]) -> None:
+        self.prior = prior
         self._profile: dict[int, float] = {}
         self._ratios: deque[float] = deque(maxlen=GAP_WINDOW)
-
-    def _clear_sky_energy(self, slot: int) -> float:
-        """Clear-sky energy prior for ``slot`` (Joules)."""
-        times = slot * SECONDS_PER_HOUR + np.linspace(0.0, SECONDS_PER_HOUR, 13)
-        fractions = self.array.clear_sky_fraction(times)
-        watts = self.array.kwp * 1000.0 * fractions
-        return float(np.trapezoid(watts, times))
 
     def _profile_energy(self, slot: int) -> float:
         """Historical profile energy for the slot's hour of day."""
         hour = slot % SLOTS_PER_DAY
         if hour in self._profile:
             return self._profile[hour]
-        return self._clear_sky_energy(slot)
+        return self.prior(slot)
 
     def record(self, slot: int, actual_joules: float) -> None:
         """Feed the realized generation of a finished slot."""

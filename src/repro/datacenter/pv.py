@@ -68,6 +68,13 @@ class PVArray:
         shape = np.sin(np.pi * np.clip(position, 0.0, 1.0)) ** self.airmass_exponent
         return np.where(daylight, shape, 0.0)
 
+    def clear_sky_energy(self, slot: int) -> float:
+        """Clear-sky energy (J) of one-hour ``slot``: the forecaster's
+        prior (trapezoidal over 13 samples, no weather)."""
+        times = slot * SECONDS_PER_HOUR + np.linspace(0.0, SECONDS_PER_HOUR, 13)
+        watts = self.kwp * 1000.0 * self.clear_sky_fraction(times)
+        return float(np.trapezoid(watts, times))
+
     def weather_factor(self, day: int) -> float:
         """Cloudiness factor for a day: 1.0 clear, small under overcast."""
         if day not in self._weather_cache:

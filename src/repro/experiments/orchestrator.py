@@ -76,6 +76,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from repro.canonical import canonical
 from repro.sim.config import EngineCoreConfig, ExperimentConfig
 from repro.sim.engine import SimulationEngine, run_lockstep, with_requests
+from repro.sim.kernel import SiteConditions
 from repro.sim.results import RunResult
 from repro.sim.state import PlacementPolicy
 from repro.store import STORE_ENV_VAR, STORE_VERSION, ResultStore
@@ -384,8 +385,11 @@ def _execute_group(task: _GroupTask) -> tuple[list[tuple], dict]:
     """Run one lockstep group: the serial path and the pool's work function.
 
     Builds the group's one materialization (restoring a shared-memory
-    pack when one was published) and one engine per simulation key,
-    and advances them on it through
+    pack when one was published), one
+    :class:`~repro.sim.kernel.SiteConditions` per distinct fleet
+    (``config.specs``: a PV or battery sweep mixes fleets in a group,
+    whose seed and steps per slot the materialization fixes) and one
+    engine per simulation key, and advances them on it through
     :func:`~repro.sim.engine.run_lockstep`.  Each request gets its
     engine's ledger as its own kind
     (:func:`~repro.sim.engine.with_requests`); a failed simulation
@@ -413,13 +417,19 @@ def _execute_group(task: _GroupTask) -> tuple[list[tuple], dict]:
     materialization = build_materialization(
         first.resolved_config(), first.pack
     )
+    sites: dict[tuple, SiteConditions] = {}
     engines: dict[str, SimulationEngine] = {}
     for request, key in zip(requests, task.keys):
         if key not in engines:
+            config = request.resolved_config()
+            site = sites.get(config.specs)
+            if site is None:
+                site = sites[config.specs] = SiteConditions(config)
             engines[key] = SimulationEngine(
-                request.resolved_config(),
+                config,
                 request.policy,
                 materialization=materialization,
+                site=site,
             )
     ledgers = dict(zip(engines, run_lockstep(list(engines.values()))))
     sharers = collections.Counter(task.keys)

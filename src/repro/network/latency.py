@@ -88,9 +88,13 @@ class LatencyModel:
 
     The BER window of each directed link is drawn once per slot: the
     kernel step and Algorithm 2's repeated checks of one slot all read
-    the same read-only arrays.  The memo is one ``(slot, windows)``
-    pair that a new slot replaces whole, so a model shared across
-    threads never serves one slot's samples to another.
+    the same read-only arrays.  A lockstep group's engines that run one
+    fleet share one model (their
+    :class:`~repro.sim.kernel.SiteConditions`') and advance on one
+    thread, slot by slot, so a group draws each (slot, link) window
+    once.  The memo is one ``(slot, windows)`` pair that a new slot
+    replaces whole, so even a model shared across threads never serves
+    one slot's samples to another.
     """
 
     def __init__(self, topology: GeoTopology, ber: BERProcess | None = None) -> None:

@@ -5,6 +5,8 @@
 * :mod:`repro.sim.state` -- the observation/placement interface between
   the engine and placement policies,
 * :mod:`repro.sim.engine` -- the hour-slotted simulation loop,
+* :mod:`repro.sim.kernel` -- per-slot physics and the site conditions
+  a lockstep group shares,
 * :mod:`repro.sim.metrics` / :mod:`repro.sim.results` -- per-slot
   records and aggregate results (cost, energy, response time).
 """
@@ -18,6 +20,7 @@ from repro.sim.config import (
 )
 from repro.sim.audit import AuditReport, audit_run
 from repro.sim.engine import SimulationEngine, run_policies
+from repro.sim.kernel import SiteConditions
 from repro.sim.metrics import (
     format_comparison,
     improvements,
@@ -35,6 +38,7 @@ __all__ = [
     "PlacementPolicy",
     "RunResult",
     "SimulationEngine",
+    "SiteConditions",
     "SlotObservation",
     "SlotRecord",
     "audit_run",

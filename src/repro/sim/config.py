@@ -278,12 +278,10 @@ def config_for_scale(
     return config
 
 
-def build_datacenters(config: ExperimentConfig) -> list[Datacenter]:
-    """Fresh live DCs (full batteries, empty forecast history)."""
-    return [
-        Datacenter(spec, index, seed=config.seed)
-        for index, spec in enumerate(config.specs)
-    ]
+def build_datacenters(site) -> list[Datacenter]:
+    """Fresh live DCs (full batteries, empty forecast history) on the
+    fleet of ``site``, a :class:`~repro.sim.kernel.SiteConditions`."""
+    return [Datacenter(site, index) for index in range(len(site.specs))]
 
 
 def build_latency_model(config: ExperimentConfig) -> LatencyModel:

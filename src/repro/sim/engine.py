@@ -20,13 +20,17 @@ policies only read the observation.
 
 The per-slot physics and accounting live in the
 :class:`~repro.sim.kernel.SlotKernel`, one implementation per step,
-and the workload in a
-:class:`~repro.workload.materialize.WorkloadMaterialization`.  This
-module holds the one slot loop, :func:`run_lockstep`: it advances a
-group of engines that share one materialization through
-:meth:`SimulationEngine.advance` slot by slot, so the paper's
-comparison protocol -- every policy on the same alive set, demand and
-volumes -- realizes each slot's workload once for the whole group.
+the workload in a
+:class:`~repro.workload.materialize.WorkloadMaterialization` and the
+site inputs (PV, PUE, tariffs, clear-sky priors, BER windows) in a
+:class:`~repro.sim.kernel.SiteConditions`.  This module holds the one
+slot loop, :func:`run_lockstep`: it advances a group of engines that
+share one materialization through :meth:`SimulationEngine.advance`
+slot by slot, on one thread, so the paper's comparison protocol --
+every policy on the same alive set, demand and volumes, at the same
+sites -- realizes each slot's workload once for the whole group, and
+its site inputs once for the engines that run one fleet: they share
+one ``SiteConditions`` and with it one latency model.
 :meth:`SimulationEngine.run` is the group of one.  The engine records
 slot ledgers only.  An event-kind run (``EngineCoreConfig(kind="event")``,
 reachable through a suite's ``engines`` axis and ``RunRequest.options``)
@@ -51,12 +55,10 @@ from repro.sim.config import (
     EngineCoreConfig,
     ExperimentConfig,
     build_datacenters,
-    build_latency_model,
 )
-from repro.sim.kernel import SlotKernel
+from repro.sim.kernel import SiteConditions, SlotKernel
 from repro.sim.results import RunResult
 from repro.sim.state import PlacementPolicy
-from repro.units import SECONDS_PER_HOUR
 from repro.workload.materialize import build_materialization
 
 #: Third word of the request stream's seed sequence: keeps the request
@@ -95,6 +97,12 @@ class SimulationEngine:
         rewrite the config (``configure``), e.g. a scenario pack
         overriding the arrival model's archetype mix.  Without one the
         engine builds the default (synthetic) pack's.
+    site:
+        The :class:`~repro.sim.kernel.SiteConditions` of this
+        ``config``'s fleet (the same specs, seed and steps per slot:
+        :meth:`~repro.sim.kernel.SiteConditions.serves`), shared by the
+        engines of a lockstep group that run one fleet.  Without one
+        the engine builds its own.
 
     Attributes
     ----------
@@ -110,6 +118,7 @@ class SimulationEngine:
         policy: PlacementPolicy,
         clairvoyant: bool = False,
         materialization=None,
+        site: SiteConditions | None = None,
     ) -> None:
         if materialization is None:
             materialization = build_materialization(config, None)
@@ -125,16 +134,21 @@ class SimulationEngine:
                 "(seed, horizon, slot resolution or arrival model)"
             )
         config = materialization.pack.configure(config)
+        if site is None:
+            site = SiteConditions(config)
+        elif not site.serves(config):
+            raise ValueError(
+                "site conditions were built for another fleet "
+                "(specs, seed or steps per slot)"
+            )
         self.config = config
         self.policy = policy
         self.clairvoyant = clairvoyant
         self.kernel = SlotKernel(
             config,
             materialization=materialization,
-            latency_model=build_latency_model(config),
-            green=GreenController(
-                step_s=SECONDS_PER_HOUR / config.steps_per_slot
-            ),
+            site=site,
+            green=GreenController(),
         )
         self.result: RunResult | None = None
         self.elapsed_s = 0.0
@@ -144,7 +158,7 @@ class SimulationEngine:
     def begin(self) -> None:
         """Reset the policy and start an empty ledger at slot 0."""
         self.policy.reset()
-        self._dcs = build_datacenters(self.config)
+        self._dcs = build_datacenters(self.kernel.site)
         self._previous_assignment: dict[int, int] = {}
         self.elapsed_s = 0.0
         self.result = RunResult(
@@ -262,15 +276,20 @@ def run_policies(
     """Run several policies over the *same* workload realization.
 
     The paper's comparison protocol: the policies advance in lockstep
-    (:func:`run_lockstep`) on one materialization of the default pack,
-    so they see identical VMs, traces and volumes -- and every engine
-    derives its weather and BER streams from ``config.seed`` too.  The
-    first failed run's error re-raises once every run has finished.
+    (:func:`run_lockstep`, one thread) on one materialization of the
+    default pack and one :class:`~repro.sim.kernel.SiteConditions`, so
+    they see identical VMs, traces and volumes, and identical weather,
+    PUE, prices and BER windows, each computed once per slot for the
+    group: the engines share one latency model.  The first failed
+    run's error re-raises once every run has finished.
     """
     materialization = build_materialization(config, None)
+    site = SiteConditions(config)
     outcomes = run_lockstep(
         [
-            SimulationEngine(config, policy, materialization=materialization)
+            SimulationEngine(
+                config, policy, materialization=materialization, site=site
+            )
             for policy in policies
         ]
     )

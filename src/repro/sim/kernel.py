@@ -8,9 +8,14 @@ advance one hour-slot of the paper's protocol:
   :class:`~repro.workload.materialize.WorkloadMaterialization` (shared
   by a lockstep group), which alone decides what is kept and for how
   long; the kernel holds no workload state of its own;
+* site access -- every slot's PV power, PUE, tariff peak mask and
+  price, each site's clear-sky prior and the Eq. 1 BER windows come
+  from the fleet's :class:`SiteConditions` (shared by the engines of
+  a lockstep group that run that fleet), which evaluates each once per
+  slot;
 * the per-slot physics, one implementation per step -- every DC's IT
   power from per-server sequential sums over the whole placement
-  (:meth:`SlotKernel._fleet_it_power`), one PUE broadcast, one
+  (:meth:`SlotKernel._fleet_it_power`), times the slot's PUE, one
   fleet-wide green controller pass
   (:meth:`~repro.core.green.GreenController.run_slot_fleet`), and the
   Eq. 1 response latencies from a grouped ``n_dcs x n_dcs`` pair-volume
@@ -34,16 +39,135 @@ those loops' bit for bit.  The loops live in ``tests/oracles.py``, and
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from repro.core.green import GreenController
 from repro.datacenter.pue import fleet_pue
-from repro.sim.config import ExperimentConfig
+from repro.datacenter.pv import PVArray, fleet_power_watts
+from repro.sim.config import ExperimentConfig, build_latency_model
 from repro.sim.results import DCSlotRecord, SlotRecord
 from repro.sim.state import FleetPlacement, SlotObservation
 from repro.units import SECONDS_PER_HOUR
-from repro.workload.materialize import WorkloadMaterialization
+from repro.workload.materialize import WorkloadMaterialization, _freeze
 from repro.workload.vm import VirtualMachine
+
+
+@dataclass(frozen=True)
+class SlotConditions:
+    """One slot's site inputs, read-only, as a group's engines see them.
+
+    Attributes
+    ----------
+    times:
+        ``(steps,)`` mid-step times (UTC seconds) of the slot.
+    pv_power_w:
+        ``(n_dcs, steps)`` PV power (W) of each site at ``times``.
+    pue:
+        ``(n_dcs, steps)`` free-cooling PUE of each site at ``times``.
+    peak:
+        ``(steps, n_dcs)`` whether each site's peak tariff applies.
+    price:
+        ``(steps, n_dcs)`` each site's grid price (EUR/kWh).
+    """
+
+    times: np.ndarray
+    pv_power_w: np.ndarray
+    pue: np.ndarray
+    peak: np.ndarray
+    price: np.ndarray
+
+
+class SiteConditions:
+    """A fleet's per-slot site inputs, shared by a lockstep group.
+
+    Every policy of a comparison sees the same sites (Section V-A): PV
+    output, PUE, two-level prices and BER draws are pure functions of
+    the fleet's specs, the seed and the slot.  The engines of a group
+    that run one fleet share one object, so each slot's site inputs
+    are evaluated once for all of them.  It owns the fleet's
+    :class:`~repro.network.latency.LatencyModel` (BER windows) and one
+    :class:`~repro.datacenter.pv.PVArray` per site (weather), and
+    keeps the read-only arrays of the last slot asked for
+    (:meth:`at`, :meth:`clear_sky_prior`) in one ``(slot, arrays)``
+    memo that a new slot replaces whole, like the latency model's; a
+    group advances on one thread, in slot order.
+
+    Parameters
+    ----------
+    config:
+        Its ``specs`` (the fleet), ``seed`` and ``steps_per_slot``.
+    """
+
+    def __init__(self, config: ExperimentConfig) -> None:
+        self.specs = config.specs
+        self.seed = config.seed
+        self.steps_per_slot = config.steps_per_slot
+        self.latency_model = build_latency_model(config)
+        self.arrays = [
+            PVArray(
+                kwp=spec.pv_kwp,
+                tz_offset_hours=spec.tz_offset_hours,
+                seed=config.seed + index,
+            )
+            for index, spec in enumerate(config.specs)
+        ]
+        #: ``(slot, {"conditions" | "prior": value})`` of the last slot
+        #: asked for.
+        self._memo: tuple[int, dict] = (-1, {})
+
+    def serves(self, config: ExperimentConfig) -> bool:
+        """Whether these are ``config``'s sites: the same specs, seed
+        and steps per slot."""
+        return (
+            self.specs == config.specs
+            and self.seed == config.seed
+            and self.steps_per_slot == config.steps_per_slot
+        )
+
+    def _slot_memo(self, slot: int) -> dict:
+        memo = self._memo
+        if memo[0] != slot:
+            memo = self._memo = (slot, {})
+        return memo[1]
+
+    def at(self, slot: int) -> SlotConditions:
+        """The site inputs of every step of ``slot``."""
+        memo = self._slot_memo(slot)
+        conditions = memo.get("conditions")
+        if conditions is None:
+            steps = self.steps_per_slot
+            times = slot * SECONDS_PER_HOUR + (
+                (np.arange(steps) + 0.5) * (SECONDS_PER_HOUR / steps)
+            )
+            tariffs = [spec.tariff for spec in self.specs]
+            peak = [tariff.is_peak(times) for tariff in tariffs]
+            price = [tariff.price_per_kwh(times) for tariff in tariffs]
+            conditions = memo["conditions"] = SlotConditions(
+                times=_freeze(times),
+                pv_power_w=_freeze(fleet_power_watts(self.arrays, times)),
+                pue=_freeze(
+                    fleet_pue([spec.pue_model for spec in self.specs], times)
+                ),
+                peak=_freeze(np.stack(peak, axis=1)),
+                price=_freeze(np.stack(price, axis=1)),
+            )
+        return conditions
+
+    def clear_sky_prior(self, slot: int) -> np.ndarray:
+        """``(n_dcs,)`` clear-sky energy (J) of each site in ``slot``:
+        the PV forecasters' prior
+        (:meth:`~repro.datacenter.pv.PVArray.clear_sky_energy`).
+        Evaluated on first ask, since a forecaster needs it only for an
+        hour of day it has no history for."""
+        memo = self._slot_memo(slot)
+        prior = memo.get("prior")
+        if prior is None:
+            prior = memo["prior"] = _freeze(
+                np.array([array.clear_sky_energy(slot) for array in self.arrays])
+            )
+        return prior
 
 
 class SlotKernel:
@@ -56,8 +180,9 @@ class SlotKernel:
     materialization:
         The run's workload: population, traces, volumes and every
         realized per-slot matrix.
-    latency_model:
-        The Eq. 1 latency model of the fleet.
+    site:
+        The fleet's :class:`SiteConditions`: per-slot PV, PUE and
+        tariffs, and the Eq. 1 latency model.
     green:
         The green controller stepping batteries/tariffs inside a slot.
     """
@@ -67,12 +192,12 @@ class SlotKernel:
         config: ExperimentConfig,
         *,
         materialization: WorkloadMaterialization,
-        latency_model,
+        site: SiteConditions,
         green: GreenController,
     ) -> None:
         self.config = config
         self.materialization = materialization
-        self.latency_model = latency_model
+        self.site = site
         self.green = green
         #: Per-ServerModel (capacity, idle, peak) level arrays, keyed
         #: by object id; the value keeps the model alive so ids stay
@@ -249,7 +374,7 @@ class SlotKernel:
                 for src in range(n_dcs)
                 if pair_volumes[src, dst] > 0.0
             }
-            latency = self.latency_model.destination_latency(
+            latency = self.site.latency_model.destination_latency(
                 dst, volumes_from, slot
             )
             results.append((latency, int(receiving_counts[dst])))
@@ -283,7 +408,7 @@ class SlotKernel:
                 if vm.vm_id in previous_assignment
             },
             dcs=dcs,
-            latency_model=self.latency_model,
+            latency_model=self.site.latency_model,
             latency_constraint_s=self.config.latency_constraint_s,
         )
 
@@ -300,8 +425,9 @@ class SlotKernel:
         IT power at the chosen DVFS levels, times the time-varying PUE,
         through the green controller (renewables, battery, grid, cost),
         plus the Eq. 1 response latencies.  Mutates the battery state
-        held in ``dcs`` and the per-DC history -- the engine calls this
-        exactly once per slot, in slot order.
+        held in ``dcs`` (built on this kernel's site) and the per-DC
+        history -- the engine calls this exactly once per slot, in slot
+        order.
         """
         config = self.config
         vm_rows = {vm.vm_id: row for row, vm in enumerate(vms)}
@@ -318,18 +444,13 @@ class SlotKernel:
             migration_volume_mb=sum(move.image_mb for move in placement.moves),
         )
 
-        times = slot * SECONDS_PER_HOUR + (
-            (np.arange(config.steps_per_slot) + 0.5)
-            * (SECONDS_PER_HOUR / config.steps_per_slot)
-        )
+        conditions = self.site.at(slot)
         step_s = SECONDS_PER_HOUR / config.steps_per_slot
         it_matrix, actives = self._fleet_it_power(
             placement, vm_rows, demand_now
         )
-        facility_matrix = it_matrix * fleet_pue(
-            [dc.spec.pue_model for dc in dcs], times
-        )
-        greens = self.green.run_slot_fleet(dcs, slot, facility_matrix)
+        facility_matrix = it_matrix * conditions.pue
+        greens = self.green.run_slot_fleet(dcs, conditions, facility_matrix)
         for dc in dcs:
             green = greens[dc.index]
             dc.record_slot(slot, green.facility_energy, green.pv_generated)

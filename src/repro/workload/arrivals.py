@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.workload.vm import (
-    AppType,
     VirtualMachine,
     sample_app_type,
     sample_image_size_gb,

@@ -14,7 +14,8 @@ from repro.datacenter.pue import FreeCoolingPUE
 from repro.network.ber import BERProcess
 from repro.network.latency import LatencyModel
 from repro.network.topology import GeoTopology
-from repro.sim.config import scaled_config
+from repro.sim.config import ExperimentConfig, build_datacenters, scaled_config
+from repro.sim.kernel import SiteConditions
 from repro.sim.state import SlotObservation
 from repro.workload.datacorr import DataCorrelationProcess, VolumeMatrix
 from repro.workload.traces import TraceLibrary
@@ -101,6 +102,24 @@ def make_specs(n_servers: tuple[int, int, int] = (6, 4, 2)) -> list[DatacenterSp
     return specs
 
 
+def make_site(
+    specs: list[DatacenterSpec], seed: int = 0, steps_per_slot: int = 60
+) -> SiteConditions:
+    """The site conditions of a hand-built fleet."""
+    config = ExperimentConfig(
+        name="test",
+        specs=tuple(specs),
+        steps_per_slot=steps_per_slot,
+        seed=seed,
+    )
+    return SiteConditions(config)
+
+
+def make_datacenters(specs, seed: int = 0, steps_per_slot: int = 60):
+    """Fresh live DCs on a hand-built fleet's site conditions."""
+    return build_datacenters(make_site(specs, seed, steps_per_slot))
+
+
 @pytest.fixture
 def specs() -> list[DatacenterSpec]:
     return make_specs()
@@ -108,7 +127,7 @@ def specs() -> list[DatacenterSpec]:
 
 @pytest.fixture
 def datacenters(specs) -> list[Datacenter]:
-    return [Datacenter(spec, index, seed=3) for index, spec in enumerate(specs)]
+    return make_datacenters(specs, seed=3)
 
 
 @pytest.fixture

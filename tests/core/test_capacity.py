@@ -3,17 +3,16 @@
 import numpy as np
 import pytest
 
-from tests.conftest import make_specs
+from tests.conftest import make_datacenters, make_specs
 from repro.core.capacity import (
     compute_capacity_caps,
     joules_to_core_capacity,
 )
-from repro.datacenter.datacenter import Datacenter
 
 
 @pytest.fixture
 def fleet(specs):
-    return [Datacenter(spec, index, seed=1) for index, spec in enumerate(specs)]
+    return make_datacenters(specs, seed=1)
 
 
 def warm_up(fleet, energy_per_dc=2.0e7):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from tests.conftest import make_specs
+from tests.conftest import make_site, make_specs
 from repro.datacenter.datacenter import Datacenter, DatacenterSpec
 
 
@@ -13,7 +13,7 @@ def spec():
 
 @pytest.fixture
 def live(spec) -> Datacenter:
-    return Datacenter(spec, index=0, seed=1)
+    return Datacenter(make_site([spec], seed=1), index=0)
 
 
 class TestSpec:
@@ -76,7 +76,6 @@ class TestLive:
             live.record_slot(0, -1.0, 0.0)
 
     def test_zero_battery_dc(self):
-        spec = make_specs()[0]
         bare = DatacenterSpec(
             name="bare",
             latitude=0.0,
@@ -84,5 +83,5 @@ class TestLive:
             n_servers=2,
             battery_kwh=0.0,
         )
-        dc = Datacenter(bare, index=0)
+        dc = Datacenter(make_site([bare]), index=0)
         assert dc.battery.usable_joules == 0.0

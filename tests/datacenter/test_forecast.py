@@ -13,7 +13,7 @@ def array() -> PVArray:
 
 @pytest.fixture
 def forecaster(array) -> WCMAForecaster:
-    return WCMAForecaster(array)
+    return WCMAForecaster(array.clear_sky_energy)
 
 
 class TestPriors:

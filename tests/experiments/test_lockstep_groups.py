@@ -1,7 +1,9 @@
 """Lockstep run groups: failure isolation, batch order, counters,
-and one simulation per slot/event twin."""
+one simulation per slot/event twin, and one evaluation of each slot's
+site conditions per fleet."""
 
 import collections
+import dataclasses
 import json
 import sys
 import threading
@@ -13,6 +15,7 @@ import pytest
 from repro.baselines import PriAwarePolicy
 from concurrent.futures import Future
 
+from repro.datacenter.pv import PVArray
 from repro.experiments import orchestrator as orchestrator_module
 from repro.experiments.orchestrator import (
     EngineOptions,
@@ -23,12 +26,20 @@ from repro.experiments.orchestrator import (
     _spread,
 )
 from repro.experiments.runner import default_policies
+from repro.network.ber import BERProcess
 from repro.service.client import ServiceClient
 from repro.service.protocol import encode_batch, encode_request
 from repro.service.server import ExperimentDaemon
 from repro.sim.config import EngineCoreConfig, scaled_config
 from repro.sim import engine as engine_module
-from repro.sim.engine import SimulationEngine, run_lockstep, with_requests
+from repro.sim import kernel as kernel_module
+from repro.sim.engine import (
+    SimulationEngine,
+    run_lockstep,
+    run_policies,
+    with_requests,
+)
+from repro.sim.kernel import SiteConditions
 from repro.store import ResultStore
 from repro.workload.materialize import (
     WorkloadMaterialization,
@@ -610,3 +621,104 @@ def test_daemon_counts_each_twin_as_computed(monkeypatch):
         assert json.dumps(
             artifact.result.to_dict(), sort_keys=True
         ) == solo_bytes(request)
+
+
+def count_site_work(monkeypatch) -> dict[str, list]:
+    """Record each BER window draw, each slot's PV power and PUE
+    evaluation (by the slot's first step time) and each clear-sky
+    prior (by site array and slot)."""
+    work: dict[str, list] = {"ber": [], "pv": [], "pue": [], "prior": []}
+    link_rng = BERProcess.link_rng
+    fleet_power_watts = kernel_module.fleet_power_watts
+    fleet_pue = kernel_module.fleet_pue
+    clear_sky_energy = PVArray.clear_sky_energy
+
+    def counted_link_rng(process, slot, src, dst):
+        work["ber"].append((slot, src, dst))
+        return link_rng(process, slot, src, dst)
+
+    def counted_power(arrays, times):
+        work["pv"].append(float(times[0]))
+        return fleet_power_watts(arrays, times)
+
+    def counted_pue(models, times):
+        work["pue"].append(float(times[0]))
+        return fleet_pue(models, times)
+
+    def counted_prior(array, slot):
+        work["prior"].append((array.seed, slot))
+        return clear_sky_energy(array, slot)
+
+    monkeypatch.setattr(BERProcess, "link_rng", counted_link_rng)
+    monkeypatch.setattr(kernel_module, "fleet_power_watts", counted_power)
+    monkeypatch.setattr(kernel_module, "fleet_pue", counted_pue)
+    monkeypatch.setattr(PVArray, "clear_sky_energy", counted_prior)
+    return work
+
+
+@pytest.mark.parametrize("entry", ["orchestrator", "run_policies"])
+def test_a_group_evaluates_each_slots_site_once(monkeypatch, entry):
+    """Four policies on one fleet: each (slot, link) BER window is drawn
+    once, and each slot's PV power, PUE and clear-sky priors are
+    computed once for the group, not once per engine."""
+    config = tiny(horizon=6)
+    work = count_site_work(monkeypatch)
+    if entry == "orchestrator":
+        with Orchestrator(jobs=1) as orchestrator:
+            orchestrator.run_many(
+                [
+                    RunRequest(config=config, policy=policy)
+                    for policy in default_policies()
+                ]
+            )
+    else:
+        run_policies(config, default_policies())
+    assert work["ber"]
+    for kind in ("ber", "prior"):
+        assert max(collections.Counter(work[kind]).values()) == 1, kind
+    # One day: every slot's hour is new to the forecasters.
+    assert len(work["prior"]) == config.n_dcs * config.horizon_slots
+    for kind in ("pv", "pue"):
+        assert len(work[kind]) == config.horizon_slots, kind
+        assert len(set(work[kind])) == config.horizon_slots, kind
+
+
+def test_a_group_mixing_fleets_equals_solo_runs(monkeypatch):
+    """PV and battery sweep points of one workload, built as
+    ``sweep_pv_scale`` and ``sweep_battery_scale`` build them, form one
+    group with one SiteConditions per fleet, and every run is
+    byte-identical to its solo run."""
+    base = tiny(horizon=6)
+    configs = [
+        dataclasses.replace(
+            base,
+            specs=tuple(
+                dataclasses.replace(
+                    spec, **{field: getattr(spec, field) * scale}
+                )
+                for spec in base.specs
+            ),
+        )
+        for field in ("pv_kwp", "battery_kwh")
+        for scale in (0.5, 2.0)
+    ]
+    requests = [
+        RunRequest(config=config, policy=policy)
+        for config in configs
+        for policy in default_policies()[:2]
+    ]
+    fleets = []
+    init = SiteConditions.__init__
+
+    def counted_init(self, config):
+        fleets.append(config.specs)
+        init(self, config)
+
+    monkeypatch.setattr(SiteConditions, "__init__", counted_init)
+    with Orchestrator(jobs=1) as orchestrator:
+        futures = orchestrator.submit_many(requests)
+        stats = orchestrator.workload_cache_stats()
+        grouped = [artifact_bytes(future) for future in futures]
+    assert (stats["misses"], stats["hits"]) == (1, len(requests) - 1)
+    assert fleets == [config.specs for config in configs]
+    assert grouped == [solo_bytes(request) for request in requests]

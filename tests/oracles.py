@@ -203,7 +203,7 @@ class LoopKernel(SlotKernel):
                 volume = float(volumes_now[np.ix_(senders, members)].sum())
                 if volume > 0.0:
                     volumes_from[src] = volume
-            latency = self.latency_model.destination_latency(
+            latency = self.site.latency_model.destination_latency(
                 dst, volumes_from, slot
             )
             receiving = int(np.count_nonzero(received[members] > 0.0))
@@ -254,7 +254,7 @@ def loop_kernel(kernel: SlotKernel) -> LoopKernel:
     return LoopKernel(
         kernel.config,
         materialization=kernel.materialization,
-        latency_model=kernel.latency_model,
+        site=kernel.site,
         green=kernel.green,
     )
 

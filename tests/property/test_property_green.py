@@ -5,21 +5,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests.conftest import make_specs
+from tests.conftest import make_site, make_specs
 from tests.oracles import green_run_slot
 from repro.core.green import GreenController
 from repro.datacenter.datacenter import Datacenter
 from repro.datacenter.price import TwoLevelTariff
+from repro.sim.config import build_datacenters
 from repro.units import SECONDS_PER_HOUR
 
 
-def fresh_dc(site_index: int = 0) -> Datacenter:
-    return Datacenter(make_specs()[site_index], index=site_index, seed=1)
+def fresh_dc():
+    """A one-DC fleet (Lisbon) at 30 steps per slot: its site
+    conditions and a fresh live DC."""
+    site = make_site(make_specs()[:1], seed=1, steps_per_slot=30)
+    return site, Datacenter(site, index=0)
 
 
-def source(controller, dc, slot, power):
+def source(controller, site, dc, slot, power):
     """One DC's slot through the fleet controller."""
-    return controller.run_slot_fleet([dc], slot, power[None, :])[0]
+    return controller.run_slot_fleet([dc], site.at(slot), power[None, :])[0]
 
 
 class TestGreenControllerProperties:
@@ -30,14 +34,14 @@ class TestGreenControllerProperties:
     )
     @settings(max_examples=60, deadline=None)
     def test_ledger_conserves_for_any_state(self, watts, slot, soc_fraction):
-        dc = fresh_dc()
+        site, dc = fresh_dc()
         # Start anywhere in the *valid* SoC range [floor, capacity].
         floor = dc.battery.floor_joules
         dc.battery.soc_joules = floor + (
             dc.battery.capacity_joules - floor
         ) * soc_fraction
-        controller = GreenController(step_s=120.0)
-        ledger = source(controller, dc, slot, np.full(30, watts))
+        controller = GreenController()
+        ledger = source(controller, site, dc, slot, np.full(30, watts))
         ledger.sanity_check()
         assert ledger.grid_cost_eur >= 0.0
         assert dc.battery.floor_joules - 1e-6 <= dc.battery.soc_joules
@@ -50,10 +54,10 @@ class TestGreenControllerProperties:
     @settings(max_examples=40, deadline=None)
     def test_more_load_never_cheaper(self, watts, slot):
         def cost_for(power_watts: float) -> float:
-            dc = fresh_dc()
-            controller = GreenController(step_s=120.0)
+            site, dc = fresh_dc()
+            controller = GreenController()
             return source(
-                controller, dc, slot, np.full(30, power_watts)
+                controller, site, dc, slot, np.full(30, power_watts)
             ).grid_cost_eur
 
         assert cost_for(watts * 2.0) >= cost_for(watts) - 1e-9
@@ -61,9 +65,9 @@ class TestGreenControllerProperties:
     @given(slot=st.integers(0, 48))
     @settings(max_examples=30, deadline=None)
     def test_zero_load_never_discharges(self, slot):
-        dc = fresh_dc()
-        controller = GreenController(step_s=120.0)
-        ledger = source(controller, dc, slot, np.zeros(30))
+        site, dc = fresh_dc()
+        controller = GreenController()
+        ledger = source(controller, site, dc, slot, np.zeros(30))
         assert ledger.battery_discharged == 0.0
         assert ledger.grid_to_load == 0.0
 
@@ -90,11 +94,10 @@ class TestFleetKernelProperties:
     def test_fleet_ledgers_match_reference_and_conserve(
         self, watts, slot, soc_fractions
     ):
+        site = make_site(make_specs(), seed=1, steps_per_slot=30)
+
         def fleet(soc_fractions):
-            dcs = [
-                Datacenter(spec, index, seed=1)
-                for index, spec in enumerate(make_specs())
-            ]
+            dcs = build_datacenters(site)
             for dc, fraction in zip(dcs, soc_fractions):
                 floor = dc.battery.floor_joules
                 dc.battery.soc_joules = floor + (
@@ -103,14 +106,14 @@ class TestFleetKernelProperties:
             return dcs
 
         power = np.stack([np.full(30, value) for value in watts])
-        controller = GreenController(step_s=120.0)
+        controller = GreenController()
         reference_dcs = fleet(soc_fractions)
         reference = [
             green_run_slot(controller, dc, slot, power[dc.index])
             for dc in reference_dcs
         ]
         fleet_dcs = fleet(soc_fractions)
-        ledgers = controller.run_slot_fleet(fleet_dcs, slot, power)
+        ledgers = controller.run_slot_fleet(fleet_dcs, site.at(slot), power)
 
         assert ledgers == reference
         for ledger, dc, ref_dc in zip(ledgers, fleet_dcs, reference_dcs):

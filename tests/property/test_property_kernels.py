@@ -293,7 +293,7 @@ def run_interleaved(engines, lag):
         engine.policy.reset()
         states.append(
             (
-                build_datacenters(engine.config),
+                build_datacenters(engine.kernel.site),
                 RunResult(
                     policy_name=engine.policy.name,
                     config_name=engine.config.name,
@@ -319,11 +319,12 @@ def run_interleaved(engines, lag):
 
 
 class TestSharedLatencyModel:
-    """Engines sharing one model read the windows of their own slot."""
+    """Engines sharing one fleet's site conditions (and with them one
+    latency model) read the windows and arrays of their own slot."""
 
     def test_interleaved_engines_equal_solo_runs(self):
         """The second engine runs one slot behind the first, so the
-        model's memo changes slot on every step."""
+        memos change slot on every step."""
         config = scaled_config("tiny").with_horizon(8)
         solo = [
             SimulationEngine(config, policy).run().to_dict()
@@ -333,7 +334,7 @@ class TestSharedLatencyModel:
             SimulationEngine(config, policy)
             for policy in (ProposedPolicy(), EnerAwarePolicy())
         ]
-        engines[1].kernel.latency_model = engines[0].kernel.latency_model
+        engines[1].kernel.site = engines[0].kernel.site
         interleaved = run_interleaved(engines, lag=1)
         assert [result.to_dict() for result in interleaved] == solo
 
@@ -346,9 +347,9 @@ class TestSharedLatencyModel:
         engines = [
             SimulationEngine(config, policy) for policy in default_policies()
         ]
-        shared = engines[0].kernel.latency_model
+        shared = engines[0].kernel.site
         for engine in engines:
-            engine.kernel.latency_model = shared
+            engine.kernel.site = shared
         results: list = [None] * len(engines)
         errors: list = []
 
@@ -410,7 +411,7 @@ class TestWholeRunAgainstOracles:
                 oracles.allocate_first_fit,
             )
         monkeypatch.setattr(
-            "repro.sim.engine.build_latency_model", oracle_latency_model
+            "repro.sim.kernel.build_latency_model", oracle_latency_model
         )
         policies = default_policies()
         policies[0] = ProposedPolicy(

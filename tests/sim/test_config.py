@@ -9,6 +9,7 @@ from repro.sim.config import (
     paper_config,
     scaled_config,
 )
+from repro.sim.kernel import SiteConditions
 
 
 class TestPaperConfig:
@@ -96,7 +97,7 @@ class TestConfigValidation:
 
 class TestBuilders:
     def test_build_datacenters_indexes(self, tiny_config):
-        dcs = build_datacenters(tiny_config)
+        dcs = build_datacenters(SiteConditions(tiny_config))
         assert [dc.index for dc in dcs] == [0, 1, 2]
         assert all(
             dc.battery.soc_joules == dc.battery.capacity_joules for dc in dcs

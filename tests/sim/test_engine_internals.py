@@ -1,4 +1,5 @@
-"""Slot-kernel internals: power aggregation and response-latency wiring."""
+"""Slot-kernel internals: power aggregation, response-latency wiring
+and the site conditions a kernel reads."""
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from repro.baselines.pri_aware import PriAwarePolicy
 from repro.core.local import ServerAllocation
 from repro.datacenter.server import XEON_E5410
 from repro.sim.config import scaled_config
+from repro.units import SECONDS_PER_HOUR
 from repro.sim.engine import SimulationEngine
 from repro.sim.state import FleetPlacement
 
@@ -99,7 +101,7 @@ class TestResponseLatencies:
             0: float(volumes[0, 1] + volumes[0, 2]),
             1: float(volumes[1, 2] + volumes[2, 1]),
         }
-        expected = kernel.latency_model.destination_latency(
+        expected = kernel.site.latency_model.destination_latency(
             1, expected_sources, 2
         )
         assert latencies[1][0] == pytest.approx(expected)
@@ -147,3 +149,56 @@ class TestDemandCache:
         again = kernel._demand([vm], 0)
         assert again is not old
         assert np.array_equal(again, old)
+
+
+class TestSiteConditions:
+    """Each served array has the bits of its per-site form, is
+    read-only, and is kept only while its slot is the last asked."""
+
+    @pytest.mark.parametrize("slot", [0, 7, 13, 30])
+    def test_arrays_equal_per_site_forms(self, kernel, slot):
+        site = kernel.site
+        conditions = site.at(slot)
+        times = conditions.times
+        steps = kernel.config.steps_per_slot
+        assert times.shape == (steps,)
+        assert times[0] == slot * SECONDS_PER_HOUR + 0.5 * SECONDS_PER_HOUR / steps
+        for index, (spec, array) in enumerate(zip(site.specs, site.arrays)):
+            assert np.array_equal(
+                conditions.pv_power_w[index], array.power_watts(times)
+            )
+            assert np.array_equal(
+                conditions.pue[index], spec.pue_model.pue(times)
+            )
+            assert np.array_equal(
+                conditions.peak[:, index], spec.tariff.is_peak(times)
+            )
+            assert np.array_equal(
+                conditions.price[:, index], spec.tariff.price_per_kwh(times)
+            )
+            hourly = slot * SECONDS_PER_HOUR + np.linspace(
+                0.0, SECONDS_PER_HOUR, 13
+            )
+            watts = array.kwp * 1000.0 * array.clear_sky_fraction(hourly)
+            assert site.clear_sky_prior(slot)[index] == float(
+                np.trapezoid(watts, hourly)
+            )
+
+    def test_last_slot_kept_read_only(self, kernel):
+        site = kernel.site
+        conditions = site.at(3)
+        prior = site.clear_sky_prior(3)
+        assert site.at(3) is conditions
+        assert site.clear_sky_prior(3) is prior
+        for array in (*vars(conditions).values(), prior):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+        site.at(4)
+        again = site.at(3)
+        assert again is not conditions
+        assert np.array_equal(again.pv_power_w, conditions.pv_power_w)
+
+    def test_engine_refuses_another_fleets_site(self, kernel):
+        other = scaled_config("tiny", seed=1).with_horizon(4)
+        with pytest.raises(ValueError, match="another fleet"):
+            SimulationEngine(other, PriAwarePolicy(), site=kernel.site)

@@ -62,8 +62,8 @@ def placed_slot(slot=0, horizon=2):
         demand_traces=demand,
         volumes=kernel.materialization.volumes.volumes(vms, slot),
         previous_assignment={},
-        dcs=build_datacenters(config),
-        latency_model=kernel.latency_model,
+        dcs=build_datacenters(kernel.site),
+        latency_model=kernel.site.latency_model,
         latency_constraint_s=config.latency_constraint_s,
     )
     placement = policy.place(observation)
@@ -78,7 +78,7 @@ def driven_slots(policy_index=0, horizon=6):
     engine = SimulationEngine(config, default_policies()[policy_index])
     kernel = engine.kernel
     engine.policy.reset()
-    dcs = build_datacenters(config)
+    dcs = build_datacenters(kernel.site)
     previous: dict[int, int] = {}
     for slot in range(horizon):
         vms = kernel.materialization.population.alive(slot)

@@ -531,6 +531,21 @@ class TestStoreSubcommand:
             main(["store", "migrate", "--store", str(store),
                   "--dest", str(store), "--to", "segment"])
 
+    def test_migrate_dest_must_be_a_directory(self, tmp_path):
+        """An existing file as ``--dest`` is refused before anything is
+        written, as ``export`` and ``suite run --out`` refuse one."""
+        store = self.warm_store(tmp_path)
+        before = sorted(tmp_path.rglob("*"))
+        not_a_dir = tmp_path / "file"
+        not_a_dir.write_text("x")
+        with pytest.raises(
+            SystemExit, match="destination store root .* is not a directory"
+        ):
+            main(["store", "migrate", "--store", str(store),
+                  "--dest", str(not_a_dir), "--to", "segment"])
+        assert not_a_dir.read_text() == "x"
+        assert sorted(tmp_path.rglob("*")) == sorted(before + [not_a_dir])
+
     def test_migrate_into_nested_dest_refused(self, tmp_path):
         store = self.warm_store(tmp_path)
         nested = store / "migrated"

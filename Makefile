@@ -13,8 +13,9 @@
 #                      (bench_lockstep: byte-identical, time ratio
 #                      recorded, no bar -> BENCH_lockstep.json),
 #                      the slot kernel's per-slot IT-power and
-#                      response-latency hot paths, cold-population
-#                      slot volumes and the paper-width repulsion and
+#                      response-latency hot paths, slot volumes on a
+#                      cold population and on the next slot's (the
+#                      survivor gather), the paper-width repulsion and
 #                      local phase (bench_scaling; times only), the
 #                      request-sampling throughput + byte-identity
 #                      gate of the event run kind, a suite-only axis

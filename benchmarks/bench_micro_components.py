@@ -35,7 +35,7 @@ def test_trace_generation(benchmark, vms):
 
 def test_volume_generation(benchmark, vms):
     process = DataCorrelationProcess(seed=2)
-    process.volumes(vms, 0)  # warm the pair-base cache
+    process.volumes(vms, 0)  # cache the population's base matrix
     matrix = benchmark(process.volumes, vms, 1)
     assert matrix.volumes.shape == (100, 100)
 

@@ -5,9 +5,10 @@ for real-time hourly invocation.  These micro-benchmarks time each
 phase (embedding, constrained k-means, Algorithm 2, local allocation)
 on synthetic fleets of growing size, the slot kernel's per-slot
 physics hot paths (`_fleet_it_power`, `_response_latencies`), the
-volume layer on a population it has not seen, and the repulsion matrix
-and local phase at the paper's width.  Their bit-identity with the
-reference loops is a tier-1 test (``tests/sim/test_engine_vectorized.py``,
+volume layer on a population it has not seen and on the population of
+the slot after, and the repulsion matrix and local phase at the paper's
+width.  Their bit-identity with the reference loops is a tier-1 test
+(``tests/sim/test_engine_vectorized.py``,
 ``tests/workload/test_datacorr.py``,
 ``tests/property/test_property_kernels.py``); these benches only time
 them.
@@ -204,8 +205,8 @@ def test_response_latencies_per_slot(benchmark, n_vms):
 def test_volumes_new_population(benchmark, n_vms):
     """Slot-0 volumes of the first ``n_vms`` VMs alive at slot 0 of the
     paper fleet (1,177 is all of them).  Each round gets a fresh
-    process, so its population and per-pair caches start cold: the
-    round pays the first-uniform pass over every pair, the
+    process with no population cached, so every VM counts as arrived:
+    the round pays the first-uniform pass over every pair, the
     communicating pairs' seeded draws and the slot's jitter."""
     config = paper_config()
     vms = VMPopulation.generate(config.arrival_model, 1, seed=config.seed).alive(0)
@@ -217,6 +218,27 @@ def test_volumes_new_population(benchmark, n_vms):
         rounds=3,
     )
     assert matrix.volumes.shape == (n_vms, n_vms)
+
+
+def test_volumes_next_population(benchmark):
+    """Slot-1 volumes of the paper fleet on a process that has already
+    realized slot 0's population: what every slot after the first pays.
+    The survivors gather their pairs from slot 0's base matrix, so the
+    round pays the arrived VMs' pairs, the phase indices and the slot's
+    jitter."""
+    config = paper_config()
+    population = VMPopulation.generate(config.arrival_model, 2, seed=config.seed)
+    first, second = population.alive(0), population.alive(1)
+
+    def warm_process():
+        process = DataCorrelationProcess(seed=config.seed + 2)
+        process.volumes(first, 0)
+        return (process,), {}
+
+    matrix = benchmark.pedantic(
+        lambda process: process.volumes(second, 1), setup=warm_process, rounds=3
+    )
+    assert matrix.volumes.shape == (len(second), len(second))
 
 
 # -- paper-width policy kernels ------------------------------------------

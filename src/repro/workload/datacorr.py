@@ -20,13 +20,16 @@ paper's sentence.
 Generation is batched per slot: :meth:`DataCorrelationProcess.volumes`
 caches a per-population base matrix, indexes a 97-entry modulation
 table built with scalar arithmetic, and multiplies in one batched
-jitter draw.  The base matrix decides which pairs communicate from the
-service-equality mask and each pair generator's first uniform, derived
-for a block of rows at once by :func:`repro.seeding.first_randoms`
-without building the generators; only communicating pairs then make
-their seeded per-pair draws.  The result equals a per-pair Python loop
-over the same draws bit for bit (``tests/workload/test_datacorr.py``
-keeps that loop as an oracle).
+jitter draw.  A pair's base depends on its two VMs alone, so a new
+population gathers its survivors' pairs from the newest cached base
+matrix and realizes only the pairs with an arrived VM.  Those decide
+whether they communicate from the service-equality mask and each pair
+generator's first uniform, derived for a block of rows at once by
+:func:`repro.seeding.first_randoms` without building the generators;
+the communicating ones then make their seeded draws from one
+:func:`repro.seeding.rngs_for` pass.  The result equals a per-pair
+Python loop over :meth:`DataCorrelationProcess.pair_base_mb` bit for
+bit (``tests/oracles.py`` keeps that loop as an oracle).
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.seeding import first_randoms, rng_for
+from repro.seeding import first_randoms, rng_for, rngs_for
 from repro.workload.vm import VirtualMachine
 
 #: Paper's mean exchanged volume per pair per slot (MB).
@@ -98,7 +101,8 @@ class DataCorrelationProcess:
     #: Every caller asks for a population's volumes back to back (a
     #: slot's ``observe`` and ``step`` both read the alive set of that
     #: slot), so two -- the current population and the one before --
-    #: suffice.
+    #: suffice.  The newest entry also supplies the next population's
+    #: survivors' base entries.
     POPULATION_CACHE_SIZE = 2
 
     #: Rows per first-uniform pass when deciding which pairs talk: the
@@ -128,9 +132,6 @@ class DataCorrelationProcess:
         self.modulation_period_slots = modulation_period_slots
         self.jitter_sigma = jitter_sigma
         self.seed = seed
-        #: Per-pair base volumes; :meth:`volumes` only adds the pairs
-        #: that communicate.
-        self._base_cache: dict[tuple[int, int], float] = {}
         #: Per-population (base matrix, phase-index matrix) pairs keyed
         #: by the vm-id tuple; a bounded FIFO.
         self._population_cache: dict[
@@ -148,14 +149,11 @@ class DataCorrelationProcess:
 
         Communicating pairs draw ``LogNormal(mu, sigma)`` with
         ``sigma^2 ~ U[1, 4]`` and ``mu = ln(10) - sigma^2 / 2`` so the
-        distribution mean is exactly 10 MB.
+        distribution mean is exactly 10 MB.  The scalar definition of
+        one pair; :meth:`volumes` realizes the same draws in batches.
         """
         if src.vm_id == dst.vm_id:
             return 0.0
-        key = (src.vm_id, dst.vm_id)
-        cached = self._base_cache.get(key)
-        if cached is not None:
-            return cached
         rng = self._pair_rng(src, dst)
         communicates = (
             self.dense
@@ -163,10 +161,6 @@ class DataCorrelationProcess:
             or rng.random() < self.background_fraction
         )
         if not communicates:
-            # Keep the RNG stream aligned regardless of the branch.
-            rng.uniform(1.0, 4.0)
-            rng.normal()
-            self._base_cache[key] = 0.0
             return 0.0
         sigma_sq = rng.uniform(1.0, 4.0)
         sigma = float(np.sqrt(sigma_sq))
@@ -174,7 +168,6 @@ class DataCorrelationProcess:
         base = float(np.exp(mu + sigma * rng.normal()))
         if not self.dense and src.service_id != dst.service_id:
             base *= self.background_scale
-        self._base_cache[key] = base
         return base
 
     def _modulation(self, slot: int, phase: float) -> float:
@@ -194,20 +187,81 @@ class DataCorrelationProcess:
         np.exp(jitter, out=jitter)
         return jitter
 
+    def _talking_pairs(
+        self,
+        ids: np.ndarray,
+        services: np.ndarray,
+        rows: np.ndarray,
+        columns: np.ndarray,
+    ) -> np.ndarray:
+        """Positions ``(2, k)`` of the communicating pairs in ``rows x
+        columns``.
+
+        A pair communicates if it joins two distinct VMs and they share
+        a service or its generator's first uniform is below
+        ``background_fraction`` (every distinct pair when ``dense``).
+        That uniform is :func:`~repro.seeding.first_randoms` over
+        :attr:`ROW_BLOCK` rows at a time, so no generator is built.
+        """
+        pairs = [np.empty((2, 0), dtype=np.int64)]
+        for start in range(0, rows.size, self.ROW_BLOCK):
+            block = rows[start : start + self.ROW_BLOCK]
+            src_ids, dst_ids = ids[block, None], ids[None, columns]
+            if self.dense:
+                talks = np.ones((block.size, columns.size), dtype=bool)
+            else:
+                uniforms = first_randoms(self.seed, "pair", src_ids, dst_ids)
+                talks = uniforms < self.background_fraction
+                talks |= services[block, None] == services[None, columns]
+            talks &= src_ids != dst_ids
+            talking_rows, talking_columns = np.nonzero(talks)
+            pairs.append(np.stack([block[talking_rows], columns[talking_columns]]))
+        return np.concatenate(pairs, axis=1)
+
+    def _pair_bases(
+        self, ids: np.ndarray, services: np.ndarray, src: np.ndarray, dst: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`pair_base_mb` of the communicating pairs ``(src[k],
+        dst[k])``, by position.
+
+        One :func:`~repro.seeding.rngs_for` pass yields each pair's
+        generator, which makes the draws :meth:`pair_base_mb` makes: the
+        talk test's uniform (cross-service pairs, unless ``dense``),
+        then ``uniform(1, 4)``, then ``normal()``.  The rest is
+        elementwise arithmetic in :meth:`pair_base_mb`'s order; numpy's
+        ``exp`` runs the same inner loop on an array as on one scalar,
+        so each base keeps :meth:`pair_base_mb`'s bits (the volume tests
+        compare with that scalar loop).
+        """
+        cross = (services[src] != services[dst]) & (not self.dense)
+        sigma_sq = np.empty(src.size)
+        normals = np.empty(src.size)
+        generators = rngs_for(self.seed, "pair", ids[src], ids[dst])
+        for index, (rng, tested) in enumerate(zip(generators, cross.tolist())):
+            if tested:
+                rng.random()
+            sigma_sq[index] = rng.uniform(1.0, 4.0)
+            normals[index] = rng.normal()
+        mu = np.log(MEAN_VOLUME_MB) - sigma_sq / 2.0
+        bases = np.exp(mu + np.sqrt(sigma_sq) * normals)
+        bases[cross] *= self.background_scale
+        return bases
+
     def _population_arrays(
         self, vms: list[VirtualMachine]
     ) -> tuple[np.ndarray, np.ndarray]:
         """Base-volume and phase-index matrices for one population.
 
-        Pairs communicate if they share a service or their generator's
-        first uniform is below ``background_fraction``; that uniform is
-        :func:`~repro.seeding.first_randoms` over :attr:`ROW_BLOCK` rows
-        at a time, so silent pairs build no generator.  Only the
-        communicating pairs go through :meth:`pair_base_mb` (every pair
-        when ``dense``), filling the per-pair ``_base_cache``.  Cached
-        per vm-id tuple: the alive set changes slot to slot but repeats
-        heavily, so this runs once per population instead of twice per
-        slot.
+        The survivors -- the VMs also in the newest cached population --
+        gather their pairs' base entries from that population's matrix
+        by vm id.  Only the pairs with an arrived VM are realized: the
+        arrived rows against every column, then the surviving rows
+        against the arrived columns (:meth:`_talking_pairs`), and the
+        communicating ones among them draw their bases
+        (:meth:`_pair_bases`).  A population with nothing cached before
+        it is the case with no survivors.  Cached per vm-id tuple: the
+        alive set changes slot to slot but repeats heavily, so this
+        runs once per population instead of twice per slot.
         """
         key = tuple(vm.vm_id for vm in vms)
         cached = self._population_cache.get(key)
@@ -215,22 +269,29 @@ class DataCorrelationProcess:
             return cached
         n = len(vms)
         ids = np.array(key, dtype=np.int64).reshape(n)
+        services = np.array([vm.service_id for vm in vms], dtype=np.int64)
+        previous = next(reversed(self._population_cache), ())
+        previous_base = (
+            self._population_cache[previous][0] if previous else np.zeros((0, 0))
+        )
+        # Each VM's row in the previous base matrix, -1 if it arrived.
+        row_of = {vm_id: row for row, vm_id in enumerate(previous)}
+        previous_rows = np.array(
+            [row_of.get(vm_id, -1) for vm_id in key], dtype=np.int64
+        )
+        survivors = np.flatnonzero(previous_rows >= 0)
+        arrived = np.flatnonzero(previous_rows < 0)
+        gathered = previous_rows[survivors]
         base = np.zeros((n, n))
-        if self.dense:
-            talks = np.ones((n, n), dtype=bool)
-        else:
-            services = np.array([vm.service_id for vm in vms], dtype=np.int64)
-            talks = np.empty((n, n), dtype=bool)
-            for start in range(0, n, self.ROW_BLOCK):
-                rows = slice(start, start + self.ROW_BLOCK)
-                uniforms = first_randoms(
-                    self.seed, "pair", ids[rows, None], ids[None, :]
-                )
-                np.less(uniforms, self.background_fraction, out=talks[rows])
-                talks[rows] |= services[rows, None] == services[None, :]
-        np.fill_diagonal(talks, False)
-        for a, b in np.argwhere(talks).tolist():
-            base[a, b] = self.pair_base_mb(vms[a], vms[b])
+        base[np.ix_(survivors, survivors)] = previous_base[np.ix_(gathered, gathered)]
+        src, dst = np.concatenate(
+            [
+                self._talking_pairs(ids, services, arrived, np.arange(n)),
+                self._talking_pairs(ids, services, survivors, arrived),
+            ],
+            axis=1,
+        )
+        base[src, dst] = self._pair_bases(ids, services, src, dst)
         phase_index = (ids[:, None] * 31 + ids[None, :] * 17) % self.PHASE_MODULUS
         while len(self._population_cache) >= self.POPULATION_CACHE_SIZE:
             self._population_cache.pop(next(iter(self._population_cache)))

@@ -15,7 +15,9 @@ not public, so this module synthesizes an equivalent library:
   the library needs O(steps_per_slot) memory regardless of horizon;
 * the generators of a call's (vm, slot) rows and day-0 offsets come
   from one batched seeding pass (:func:`repro.seeding.rngs_for`), equal
-  to one ``rng_for`` per row; the normal draws stay per row;
+  to one ``rng_for`` per row; the normal draws stay per row, while the
+  archetype means and noise scales are computed once per call and the
+  day-0 means clipped together;
 * the AR(1) recurrence runs once per call over every requested row,
   one step at a time with a per-row coefficient, so a batch of VMs
   costs one pass rather than one filter per VM.
@@ -138,20 +140,30 @@ class TraceLibrary:
         Day 0 realizes the archetype mean plus a per-hour offset, drawn
         from the ``(seed, vm.seed, vm.vm_id, "day0", hour)`` generator;
         later days replay day 0's value (same mean), matching the
-        extension rule.
+        extension rule.  The archetype mean is computed once per
+        (archetype, hour) of the call, since a service's VMs share
+        both, and the means are clipped together after the draws.
         """
         hours = [self._hour_of_day(vm, slot) for vm in vms]
         day0 = rngs_for(
             self.seed, *self._tags(vms), "day0",
             np.array([int(hour) for hour in hours], dtype=np.int64),
         )
+        # (archetype mean, day-0 offset sigma) per (archetype, hour).
+        hour_models: dict[tuple[AppType, float], tuple[float, float]] = {}
         means = np.empty(len(vms))
         for index, (vm, hour, rng) in enumerate(zip(vms, hours, day0)):
-            profile = PROFILES[vm.app_type]
-            base = float(diurnal_mean(profile, hour))
-            offset = float(rng.normal(0.0, profile.noise_sigma * 0.5))
-            means[index] = np.clip(base + offset, 0.02, 0.98)
-        return means
+            key = (vm.app_type, hour)
+            model = hour_models.get(key)
+            if model is None:
+                profile = PROFILES[vm.app_type]
+                model = hour_models[key] = (
+                    float(diurnal_mean(profile, hour)),
+                    profile.noise_sigma * 0.5,
+                )
+            base, offset_sigma = model
+            means[index] = base + rng.normal(0.0, offset_sigma)
+        return np.clip(means, 0.02, 0.98, out=means)
 
     def slot_mean(self, vm: VirtualMachine, slot: int) -> float:
         """Mean utilization (fraction) of ``vm`` during ``slot``.
@@ -173,22 +185,22 @@ class TraceLibrary:
         count = len(vms)
         noise = np.empty((count, self.steps_per_slot))
         means = self._slot_means(vms, slot)
+        # Per archetype: AR(1) coefficient, innovation scale and the
+        # stationary marginal sigma of the start level, widened on days
+        # after the first by the extension variance.
+        noise_models = {}
+        for app_type, profile in PROFILES.items():
+            sigma = profile.noise_sigma
+            if slot >= SLOTS_PER_DAY:
+                sigma = float(np.hypot(sigma, self.extension_sigma))
+            innovation = sigma * np.sqrt(1.0 - profile.noise_rho**2)
+            noise_models[app_type] = (profile.noise_rho, innovation, sigma)
         rho = np.empty(count)
         level = np.empty(count)
         rngs = rngs_for(self.seed, *self._tags(vms), slot)
         for index, (vm, rng) in enumerate(zip(vms, rngs)):
-            profile = PROFILES[vm.app_type]
-            sigma = profile.noise_sigma
-            if slot >= SLOTS_PER_DAY:
-                sigma = float(np.hypot(sigma, self.extension_sigma))
-            # AR(1) innovations around the hour mean; stationary
-            # marginal sigma.
-            rho[index] = profile.noise_rho
-            noise[index] = rng.normal(
-                0.0,
-                sigma * np.sqrt(1.0 - profile.noise_rho**2),
-                self.steps_per_slot,
-            )
+            rho[index], innovation, sigma = noise_models[vm.app_type]
+            noise[index] = rng.normal(0.0, innovation, self.steps_per_slot)
             level[index] = rng.normal(0.0, sigma)
         # In place, y[t] = x[t] + rho * y[t-1] from y[-1] = level, every
         # row at once.  Each step is one multiply and one add per

@@ -36,6 +36,7 @@ with ``==`` / ``np.array_equal``, never with a tolerance.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -125,10 +126,16 @@ def green_run_slot(
 
 
 class LoopVolumes:
-    """The per-pair volume loop over ``process``'s seeded draws."""
+    """The per-pair volume loop over ``process``'s seeded draws.
+
+    A pair's base depends on its two VMs alone, so each ordered pair's
+    :meth:`~DataCorrelationProcess.pair_base_mb` is memoized by vm ids
+    for the loop's life.
+    """
 
     def __init__(self, process: DataCorrelationProcess) -> None:
         self.process = process
+        self._bases: dict[tuple[int, int], float] = {}
 
     def volumes(self, vms, slot: int) -> VolumeMatrix:
         process = self.process
@@ -140,7 +147,10 @@ class LoopVolumes:
             for b, dst in enumerate(vms):
                 if a == b:
                     continue
-                base = process.pair_base_mb(src, dst)
+                key = (src.vm_id, dst.vm_id)
+                base = self._bases.get(key)
+                if base is None:
+                    base = self._bases[key] = process.pair_base_mb(src, dst)
                 if base == 0.0:
                     continue
                 phase = ((src.vm_id * 31 + dst.vm_id * 17) % modulus) / modulus
@@ -160,9 +170,14 @@ class LoopKernel(SlotKernel):
         traces = self.materialization.traces
         return np.stack([traces.slot_demand(vm, slot) for vm in vms])
 
+    @functools.cached_property
+    def _loop_volumes(self) -> LoopVolumes:
+        return LoopVolumes(self.materialization.volumes)
+
     def _slot_volumes(self, vms, slot: int) -> VolumeMatrix:
-        """:class:`LoopVolumes` over the run's own volume process."""
-        return LoopVolumes(self.materialization.volumes).volumes(vms, slot)
+        """:class:`LoopVolumes` over the run's own volume process, one
+        per kernel so its per-pair bases carry across slots."""
+        return self._loop_volumes.volumes(vms, slot)
 
     def _dc_it_power(
         self, placement, dc_index: int, vm_rows: dict, demand_now: np.ndarray

@@ -2,9 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tests.conftest import make_vm
 from tests.oracles import LoopVolumes
+from repro.experiments.runner import default_policies
+from repro.seeding import first_randoms
+from repro.sim.config import scaled_config
+from repro.sim.engine import SimulationEngine
+from repro.workload import datacorr
 from repro.workload.datacorr import (
     MEAN_VOLUME_MB,
     DataCorrelationProcess,
@@ -48,10 +55,13 @@ class TestPairBases:
         b = make_vm(vm_id=1, service_id=3)
         assert process.pair_base_mb(a, b) != process.pair_base_mb(b, a)
 
-    def test_base_cached(self, process):
+    def test_base_deterministic(self, process):
+        """A pair's base depends on the seed and its two VMs alone."""
         a = make_vm(vm_id=0, service_id=3)
         b = make_vm(vm_id=1, service_id=3)
-        assert process.pair_base_mb(a, b) == process.pair_base_mb(a, b)
+        base = process.pair_base_mb(a, b)
+        assert process.pair_base_mb(a, b) == base
+        assert DataCorrelationProcess(seed=17).pair_base_mb(a, b) == base
 
     def test_cross_service_mostly_silent(self, process):
         bases = [
@@ -174,6 +184,31 @@ def make_population(n: int) -> list:
     ]
 
 
+#: The pool every population of the survivor-gather property is drawn
+#: from, and the sizes it draws: tiny ones and those around
+#: :attr:`DataCorrelationProcess.ROW_BLOCK`.
+POOL = make_population(132)
+POPULATION_SIZES = [0, 1, 2, 9, 63, 64, 65, 129]
+
+#: The volume-process settings the property covers.
+POPULATION_SETTINGS = [
+    {"background_fraction": 0.0, "seed": 31},
+    {"background_fraction": 0.05, "seed": 31},
+    {"background_fraction": 1.0, "seed": 31},
+    {"dense": True, "seed": 31},
+]
+
+
+@pytest.fixture(scope="module")
+def population_loops() -> list[LoopVolumes]:
+    """One loop oracle per setting, its per-pair bases kept across the
+    property's examples."""
+    return [
+        LoopVolumes(DataCorrelationProcess(**setting))
+        for setting in POPULATION_SETTINGS
+    ]
+
+
 class TestVectorizedEquivalence:
     """The batched volumes must be bit-identical to the per-pair loop."""
 
@@ -203,8 +238,6 @@ class TestVectorizedEquivalence:
         services = np.array([vm.service_id for vm in vms])
         cross = services[:, None] != services[None, :]
         assert (base[cross] > 0).sum() > 0
-        # Only communicating pairs reach the per-pair cache.
-        assert len(process._base_cache) == int((base > 0).sum())
 
     def test_bit_identical_dense(self):
         vms = make_population(12)
@@ -214,15 +247,65 @@ class TestVectorizedEquivalence:
             process.volumes(vms, 3).volumes, loop.volumes(vms, 3).volumes
         )
 
-    def test_population_change_invalidates_nothing(self):
-        """Shrinking/growing the alive set keeps results loop-identical."""
-        process = DataCorrelationProcess(seed=9)
-        loop = LoopVolumes(DataCorrelationProcess(seed=9))
-        full = make_population(10)
-        for vms in (full, full[:6], full[2:9], full):
-            assert np.array_equal(
-                process.volumes(vms, 4).volumes, loop.volumes(vms, 4).volumes
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_population_change_invalidates_nothing(self, population_loops, data):
+        """Any sequence of populations from one pool, each keeping a
+        subset of the last (none and all included) and adding arrivals
+        in id order or shuffled, stays loop-identical: the survivors'
+        gathered entries and the arrived VMs' fresh pairs alike."""
+        setting = data.draw(st.integers(0, len(POPULATION_SETTINGS) - 1))
+        process = DataCorrelationProcess(**POPULATION_SETTINGS[setting])
+        loop = population_loops[setting]
+        last: list = []
+        for slot in range(data.draw(st.integers(1, 4))):
+            size = data.draw(st.sampled_from(POPULATION_SIZES))
+            last_ids = {vm.vm_id for vm in last}
+            outside = [vm for vm in POOL if vm.vm_id not in last_ids]
+            kept_count = data.draw(
+                st.integers(max(0, size - len(outside)), min(size, len(last)))
             )
+            kept = data.draw(st.permutations(range(len(last))))[:kept_count]
+            arrivals = data.draw(st.permutations(outside))[: size - kept_count]
+            if not data.draw(st.booleans()):
+                arrivals.sort(key=lambda vm: vm.vm_id)
+            vms = [last[index] for index in sorted(kept)] + arrivals
+            assert np.array_equal(
+                process.volumes(vms, slot).volumes, loop.volumes(vms, slot).volumes
+            )
+            last = vms
+
+    def test_first_uniforms_only_for_arrived_pairs(self, monkeypatch):
+        """Over a 12-slot tiny run, each new population passes
+        ``first_randoms`` exactly its pairs with an arrived VM: n^2 -
+        s^2 tuples for n VMs of which s survive from the newest cached
+        population."""
+        populations: list[tuple[int, int]] = []
+        passed: list[int] = []
+
+        def counted_uniforms(*parts):
+            shape = np.broadcast_shapes(*(np.shape(part) for part in parts))
+            passed[-1] += int(np.prod(shape))
+            return first_randoms(*parts)
+
+        population_arrays = DataCorrelationProcess._population_arrays
+
+        def counted_population(process, vms):
+            key = tuple(vm.vm_id for vm in vms)
+            if key not in process._population_cache:
+                previous = set(next(reversed(process._population_cache), ()))
+                populations.append((len(key), len(previous.intersection(key))))
+                passed.append(0)
+            return population_arrays(process, vms)
+
+        monkeypatch.setattr(datacorr, "first_randoms", counted_uniforms)
+        monkeypatch.setattr(
+            DataCorrelationProcess, "_population_arrays", counted_population
+        )
+        config = scaled_config("tiny").with_horizon(12)
+        SimulationEngine(config, default_policies()[0]).run()
+        assert passed == [n**2 - survivors**2 for n, survivors in populations]
+        assert sum(survivors > 0 for _, survivors in populations) > 2
 
     def test_population_cache_bounded(self):
         process = DataCorrelationProcess(seed=9)

@@ -1,5 +1,7 @@
 """Trace library: shapes, ranges, determinism, diurnal structure."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.signal import lfilter, lfiltic
@@ -92,14 +94,20 @@ class TestSlotTrace:
             TraceLibrary(steps_per_slot=0)
 
 
-def lfiltic_slot_trace(library, vm, slot):
-    """``slot_trace`` from one ``rng_for`` generator per draw site, with
-    its filter state built by ``lfiltic``."""
+def unclipped_day0_mean(library, vm, slot):
+    """The archetype mean plus the day-0 offset, before the clip."""
     profile = PROFILES[vm.app_type]
     hour = (slot + vm.phase_hours) % SLOTS_PER_DAY
     day0 = rng_for(library.seed, vm.seed, vm.vm_id, "day0", int(hour))
     offset = float(day0.normal(0.0, profile.noise_sigma * 0.5))
-    mean = float(np.clip(float(diurnal_mean(profile, hour)) + offset, 0.02, 0.98))
+    return float(diurnal_mean(profile, hour)) + offset
+
+
+def lfiltic_slot_trace(library, vm, slot):
+    """``slot_trace`` from one ``rng_for`` generator per draw site, with
+    its filter state built by ``lfiltic``."""
+    profile = PROFILES[vm.app_type]
+    mean = float(np.clip(unclipped_day0_mean(library, vm, slot), 0.02, 0.98))
     rng = rng_for(library.seed, vm.seed, vm.vm_id, slot)
     sigma = profile.noise_sigma
     if slot >= SLOTS_PER_DAY:
@@ -131,9 +139,9 @@ class TestBatchedFilter:
     that VM's own draws."""
 
     @staticmethod
-    def mixed_vms(count=9):
+    def mixed_vms(library, count=9):
         kinds = list(AppType)
-        return [
+        vms = [
             make_vm(
                 vm_id=vm_id,
                 app_type=kinds[vm_id % len(kinds)],
@@ -145,12 +153,29 @@ class TestBatchedFilter:
             )
             for vm_id in range(count)
         ]
+        # Service peers of the first three: same archetype and phase, so
+        # one call reuses each (archetype, hour) mean.
+        vms += [
+            dataclasses.replace(vm, vm_id=count + index, seed=300 + index)
+            for index, vm in enumerate(vms[:3])
+        ]
+        # A web VM at its trough hour (3 at slots 7 and 31) whose day-0
+        # offset pulls its mean under the 0.02 floor.
+        trough = make_vm(vm_id=count + 3, app_type=AppType.WEB, phase_hours=20.0)
+        candidates = (
+            dataclasses.replace(trough, seed=seed) for seed in range(1000, 11000)
+        )
+        vms.append(
+            next(vm for vm in candidates if unclipped_day0_mean(library, vm, 7) < 0.02)
+        )
+        return vms
 
     @pytest.mark.parametrize("steps", [1, 60, 720])
     @pytest.mark.parametrize("slot", [7, SLOTS_PER_DAY + 7])
     def test_rows_match_lfilter(self, steps, slot):
         library = TraceLibrary(steps_per_slot=steps, seed=11)
-        vms = self.mixed_vms()
+        vms = self.mixed_vms(library)
+        assert unclipped_day0_mean(library, vms[-1], slot) < 0.02
         matrix = library.slot_demand_many(vms, slot)
         assert matrix.shape == (len(vms), steps)
         for row, vm in zip(matrix, vms):

@@ -15,8 +15,10 @@
 #                      the slot kernel's per-slot IT-power and
 #                      response-latency hot paths, slot volumes on a
 #                      cold population and on the next slot's (the
-#                      survivor gather), the paper-width repulsion and
-#                      local phase (bench_scaling; times only), the
+#                      survivor gather), the repulsion at compare_small's
+#                      width (test_repulsion_small_width), the
+#                      paper-width repulsion and local phase
+#                      (bench_scaling; times only), the
 #                      request-sampling throughput + byte-identity
 #                      gate of the event run kind, a suite-only axis
 #                      (bench_events -> BENCH_events.json) and the
@@ -62,7 +64,7 @@ bench-smoke:
 		benchmarks/bench_service.py benchmarks/bench_lockstep.py \
 		benchmarks/bench_events.py benchmarks/bench_suite.py \
 		benchmarks/bench_paper_smoke.py \
-		-k "orchestrator or it_power or response_latencies or volumes or paper_width or store or service or lockstep or event_core or suite or paper_smoke" \
+		-k "orchestrator or it_power or response_latencies or volumes or small_width or paper_width or store or service or lockstep or event_core or suite or paper_smoke" \
 		--benchmark-min-rounds=3
 
 # Nightly follow-up to bench-smoke: compact the segment store the

@@ -6,8 +6,9 @@ phase (embedding, constrained k-means, Algorithm 2, local allocation)
 on synthetic fleets of growing size, the slot kernel's per-slot
 physics hot paths (`_fleet_it_power`, `_response_latencies`), the
 volume layer on a population it has not seen and on the population of
-the slot after, and the repulsion matrix and local phase at the paper's
-width.  Their bit-identity with the reference loops is a tier-1 test
+the slot after, the repulsion matrix at the width the benchmark's
+small comparisons run, and the repulsion matrix and local phase at the
+paper's width.  Their bit-identity with the reference loops is a tier-1 test
 (``tests/sim/test_engine_vectorized.py``,
 ``tests/workload/test_datacorr.py``,
 ``tests/property/test_property_kernels.py``); these benches only time
@@ -241,7 +242,27 @@ def test_volumes_next_population(benchmark):
     assert matrix.volumes.shape == (len(second), len(second))
 
 
-# -- paper-width policy kernels ------------------------------------------
+# -- policy kernels at the benchmark's and the paper's width ---------------
+
+
+@pytest.fixture(scope="module")
+def small_observed_demand():
+    """The demand Proposed observes at slot 24 of the small fleet: slot
+    23's traces of the VMs alive at slot 24 (about 126 x 60)."""
+    materialization = build_materialization(scaled_config("small"), None)
+    demand = materialization.demand(materialization.population.alive(24), 23)
+    assert demand.shape[1] == 60
+    return demand
+
+
+def test_repulsion_small_width(benchmark, small_observed_demand):
+    """The repulsion matrix at the width ``compare_small`` runs (times
+    only, no bar)."""
+    n = small_observed_demand.shape[0]
+    repulsion = benchmark.pedantic(
+        repulsion_matrix, args=(small_observed_demand,), rounds=20
+    )
+    assert repulsion.shape == (n, n)
 
 
 @pytest.fixture(scope="module")

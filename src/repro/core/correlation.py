@@ -25,6 +25,20 @@ def peak_coincidence(traces: np.ndarray) -> np.ndarray:
     so it lies in (0, 1] for traces with positive peaks.  The diagonal
     is 1 by construction.
 
+    The combined peak is found by a threshold stop (Fagin, Lotem and
+    Naor's, applied to one pair).  Each row keeps its ``k`` largest
+    steps ``S_i`` and its ``k``-th largest value ``q_i``.  Off ``S_i ∪
+    S_j``, ``fl(u_i + u_j) <= fl(q_i + q_j)`` because rounding is
+    monotone, so once the best sum over ``S_i ∪ S_j`` reaches
+    ``fl(q_i + q_j)`` it is the maximum, bit for bit; only the other
+    pairs scan every step.  ``k`` grows with the step count (capped at
+    it: a row's ``k``-th largest value is then its minimum, and the
+    stop always holds).  Row blocks are evaluated against the upper
+    triangle and mirrored: ``fl(a + b) = fl(b + a)`` and a maximum does
+    not depend on order, so R is symmetric bit for bit.  No temporary
+    holds more than 2**16 floats (512 kB) past the ``(n, n)`` result,
+    a step-major copy of the traces and the kept steps.
+
     Parameters
     ----------
     traces:
@@ -33,21 +47,51 @@ def peak_coincidence(traces: np.ndarray) -> np.ndarray:
     traces = np.asarray(traces, dtype=float)
     if traces.ndim != 2:
         raise ValueError("traces must be 2-D (n_vms, n_steps)")
-    n = traces.shape[0]
+    n, steps = traces.shape
     if n == 0:
         return np.zeros((0, 0))
     peaks = traces.max(axis=1)
-    result = np.ones((n, n))
-    # R is symmetric bit for bit: fl(a + b) = fl(b + a) elementwise and
-    # a max does not depend on order, so each pair i < j is computed
-    # once and mirrored.
-    for i in range(n - 1):
-        combined_peak = (traces[i][None, :] + traces[i + 1 :]).max(axis=1)
-        denom = peaks[i] + peaks[i + 1 :]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            row = np.where(denom > 0.0, combined_peak / denom, 1.0)
-        result[i, i + 1 :] = row
-        result[i + 1 :, i] = row
+    k = min(steps, 24, max(8, steps // 5))
+    height = max(1, min(64, 2**16 // n))
+    chunk = max(1, 2**16 // steps)
+    top = np.argpartition(traces, steps - k, axis=1)[:, steps - k :]
+    top_values = np.take_along_axis(traces, top, axis=1)
+    floors = top_values.min(axis=1)
+    by_step = np.ascontiguousarray(traces.T)
+    result = np.empty((n, n))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for start in range(0, n, height):
+            block = slice(start, min(start + height, n))
+            # Pairs (i, j) of the block's rows i and the columns j >=
+            # start: the best sum over S_i (``best``) and over S_j
+            # (``other``, transposed), one kept step at a time, each a
+            # gather of contiguous runs of the step-major copy.
+            best = np.full((block.stop - start, n - start), -np.inf)
+            other = np.full((n - start, block.stop - start), -np.inf)
+            for rank in range(k):
+                own = by_step[top[block, rank], start:]
+                own += top_values[block, rank, None]
+                np.maximum(best, own, out=best)
+                own = by_step[top[start:, rank], block]
+                own += top_values[start:, rank, None]
+                np.maximum(other, own, out=other)
+            np.maximum(best, other.T, out=best)
+            rows, columns = np.nonzero(
+                best < floors[block, None] + floors[None, start:]
+            )
+            for first in range(0, rows.size, chunk):
+                i = rows[first : first + chunk]
+                j = columns[first : first + chunk]
+                combined = traces[start + i]
+                combined += traces[start + j]
+                best[i, j] = combined.max(axis=1)
+            denom = peaks[block, None] + peaks[None, start:]
+            silent = ~(denom > 0.0)
+            ratio = np.divide(best, denom, out=best)
+            ratio[silent] = 1.0
+            result[block, start:] = ratio
+            result[start:, block] = ratio.T
+    np.fill_diagonal(result, 1.0)
     return result
 
 

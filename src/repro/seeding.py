@@ -8,17 +8,21 @@ to 32-bit words because :class:`numpy.random.SeedSequence` only accepts
 integer entropy; integer tags keep their low 32 bits.
 
 :func:`rng_for` builds one generator per tuple.  Sites that need one
-generator per pair or per row use the batched forms instead, which
-broadcast integer-array tags and derive every tuple's PCG64 state at
-once, in numpy arithmetic that emulates ``SeedSequence`` (pool size 4)
-and PCG64's seeding step for step:
+generator per pair or per row derive every tuple's PCG64 state at once
+instead, with :func:`seed_states`: integer-array tags broadcast, and
+numpy arithmetic emulates ``SeedSequence`` (pool size 4) and PCG64's
+seeding step for step.  One derivation reads two ways, for all its
+tuples or for a selection of them:
 
-* :func:`first_randoms` -- the first ``random()`` of each tuple's
-  generator, with no generator built at all;
-* :func:`rngs_for` -- each tuple's generator, in C order, by setting
-  one reused PCG64's state.
+* :meth:`SeedStates.first_randoms` -- the first ``random()`` of each
+  tuple's generator, with no generator built at all;
+* :meth:`SeedStates.generators` -- each tuple's generator, in C order,
+  by setting one reused PCG64's state (:func:`rngs_for` derives and
+  reads all tuples this way).
 
-Both equal :func:`rng_for` bit for bit (``tests/test_seeding.py``).
+So a site that tests each tuple's first uniform and draws more only
+from the tuples that pass derives once.  Both readings equal
+:func:`rng_for` bit for bit (``tests/test_seeding.py``).
 """
 
 from __future__ import annotations
@@ -178,42 +182,72 @@ def _pcg64_states(parts):
     return shape, state + (inc_hi, inc_lo)
 
 
-def first_randoms(*parts: int | str | np.ndarray) -> np.ndarray:
-    """``rng_for(*t).random()`` for every tuple ``t`` the parts broadcast to.
+class SeedStates:
+    """Seeded PCG64 states, one per tag tuple, flat in C order.
+
+    One derivation, read two ways, for every tuple or for a selection
+    (``states[mask]``, ``states[positions]``): :meth:`first_randoms`
+    and :meth:`generators`.
+    """
+
+    __slots__ = ("shape", "_halves")
+
+    def __init__(self, shape: tuple[int, ...], halves) -> None:
+        self.shape = shape
+        #: ``(state_hi, state_lo, inc_hi, inc_lo)``, 1-D uint64 arrays.
+        self._halves = halves
+
+    def __getitem__(self, index) -> SeedStates:
+        """The tuples a flat boolean mask or position array selects."""
+        halves = tuple(half[index] for half in self._halves)
+        return SeedStates(halves[0].shape, halves)
+
+    def first_randoms(self) -> np.ndarray:
+        """``rng_for(*t).random()`` of every tuple, in :attr:`shape`
+        (0-d when no tag was an array): one more LCG step, then PCG64's
+        XSL-RR output scaled from its top 53 bits."""
+        hi, lo, inc_hi, inc_lo = self._halves
+        hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
+        # XSL-RR: rotate (hi ^ lo) right by the top six bits.
+        folded, rotation = hi ^ lo, hi >> 58
+        output = (folded >> rotation) | (folded << ((64 - rotation) & 63))
+        uniforms = (output >> 11).astype(np.float64) * _DOUBLE_SCALE
+        return uniforms.reshape(self.shape)
+
+    def generators(self):
+        """Yield ``rng_for(*t)`` of every tuple, in order.
+
+        Every item is the same :class:`~numpy.random.Generator`,
+        reseeded through its PCG64's ``state`` setter, so each is valid
+        until the next one is drawn.
+        """
+        hi, lo, inc_hi, inc_lo = (half.tolist() for half in self._halves)
+        bit_generator = np.random.PCG64(0)
+        generator = np.random.Generator(bit_generator)
+        for state_hi, state_lo, seq_hi, seq_lo in zip(hi, lo, inc_hi, inc_lo):
+            bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {
+                    "state": state_hi << 64 | state_lo,
+                    "inc": seq_hi << 64 | seq_lo,
+                },
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            yield generator
+
+
+def seed_states(*parts: int | str | np.ndarray) -> SeedStates:
+    """The seeded state of every tuple ``t`` the parts broadcast to.
 
     Integer-array parts broadcast against each other; str and int parts
-    are shared by every tuple.  Returns a float array of the broadcast
-    shape (0-d when no part is an array).
+    are shared by every tuple.
     """
-    shape, (hi, lo, inc_hi, inc_lo) = _pcg64_states(parts)
-    hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
-    # PCG64's XSL-RR output: rotate (hi ^ lo) right by the top six bits.
-    folded, rotation = hi ^ lo, hi >> 58
-    output = (folded >> rotation) | (folded << ((64 - rotation) & 63))
-    uniforms = (output >> 11).astype(np.float64) * _DOUBLE_SCALE
-    return uniforms.reshape(shape)
+    shape, halves = _pcg64_states(parts)
+    return SeedStates(shape, tuple(half.ravel() for half in halves))
 
 
 def rngs_for(*parts: int | str | np.ndarray):
     """Yield ``rng_for(*t)`` for every tuple ``t`` the parts broadcast
-    to, in C order.
-
-    Every item is the same :class:`~numpy.random.Generator`, reseeded
-    through its PCG64's ``state`` setter, so each is valid until the
-    next one is drawn.
-    """
-    _, states = _pcg64_states(parts)
-    hi, lo, inc_hi, inc_lo = (half.ravel().tolist() for half in states)
-    bit_generator = np.random.PCG64(0)
-    generator = np.random.Generator(bit_generator)
-    for state_hi, state_lo, seq_hi, seq_lo in zip(hi, lo, inc_hi, inc_lo):
-        bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {
-                "state": state_hi << 64 | state_lo,
-                "inc": seq_hi << 64 | seq_lo,
-            },
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        yield generator
+    to, in C order (:meth:`SeedStates.generators`)."""
+    return seed_states(*parts).generators()

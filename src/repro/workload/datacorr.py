@@ -22,12 +22,14 @@ caches a per-population base matrix, indexes a 97-entry modulation
 table built with scalar arithmetic, and multiplies in one batched
 jitter draw.  A pair's base depends on its two VMs alone, so a new
 population gathers its survivors' pairs from the newest cached base
-matrix and realizes only the pairs with an arrived VM.  Those decide
-whether they communicate from the service-equality mask and each pair
-generator's first uniform, derived for a block of rows at once by
-:func:`repro.seeding.first_randoms` without building the generators;
-the communicating ones then make their seeded draws from one
-:func:`repro.seeding.rngs_for` pass.  The result equals a per-pair
+matrix and realizes only the pairs with an arrived VM, in blocks of at
+most ``ROW_BLOCK * n`` pairs, each with one seeding derivation
+(:func:`repro.seeding.seed_states`).  A pair decides whether it
+communicates from the service-equality mask and its generator's first
+uniform, read from the states without building the generators; the
+communicating pairs' generators, reseeded from the same states, then
+make their draws.  A ``compare_small`` population (a few arrivals among
+~126 VMs) is two blocks, one per part.  The result equals a per-pair
 Python loop over :meth:`DataCorrelationProcess.pair_base_mb` bit for
 bit (``tests/oracles.py`` keeps that loop as an oracle).
 """
@@ -35,10 +37,11 @@ bit (``tests/oracles.py`` keeps that loop as an oracle).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from repro.seeding import first_randoms, rng_for, rngs_for
+from repro.seeding import rng_for, seed_states
 from repro.workload.vm import VirtualMachine
 
 #: Paper's mean exchanged volume per pair per slot (MB).
@@ -105,8 +108,9 @@ class DataCorrelationProcess:
     #: survivors' base entries.
     POPULATION_CACHE_SIZE = 2
 
-    #: Rows per first-uniform pass when deciding which pairs talk: the
-    #: pass's temporaries are O(ROW_BLOCK * n), not O(n^2).
+    #: A new population's candidate pairs take one seeding derivation
+    #: per block of at most ROW_BLOCK * n of them, so its temporaries
+    #: are O(ROW_BLOCK * n), not O(n^2).
     ROW_BLOCK = 64
 
     def __init__(
@@ -187,65 +191,82 @@ class DataCorrelationProcess:
         np.exp(jitter, out=jitter)
         return jitter
 
-    def _talking_pairs(
+    def _candidate_blocks(
+        self, n: int, arrived: np.ndarray, survivors: np.ndarray
+    ):
+        """Yield the pairs with an arrived VM as ``(rows, columns)``
+        position arrays, each block their product, of at most
+        ``ROW_BLOCK * n`` pairs and built only when reached: the
+        arrived rows against every column, then the surviving rows
+        against the arrived columns.  A block's tags broadcast through
+        the seeding derivation instead of being stored per pair.
+        ``arrived`` is not empty.
+        """
+        capacity = self.ROW_BLOCK * n
+        for rows, columns in ((arrived, np.arange(n)), (survivors, arrived)):
+            height = capacity // columns.size
+            for start in range(0, rows.size, height):
+                yield rows[start : start + height], columns
+
+    def _arrived_bases(
         self,
+        base: np.ndarray,
         ids: np.ndarray,
         services: np.ndarray,
-        rows: np.ndarray,
-        columns: np.ndarray,
-    ) -> np.ndarray:
-        """Positions ``(2, k)`` of the communicating pairs in ``rows x
-        columns``.
+        arrived: np.ndarray,
+        survivors: np.ndarray,
+    ) -> None:
+        """Write :meth:`pair_base_mb` of every pair with an arrived VM
+        into ``base``.
 
-        A pair communicates if it joins two distinct VMs and they share
-        a service or its generator's first uniform is below
-        ``background_fraction`` (every distinct pair when ``dense``).
-        That uniform is :func:`~repro.seeding.first_randoms` over
-        :attr:`ROW_BLOCK` rows at a time, so no generator is built.
+        Each block of candidates (:meth:`_candidate_blocks`) takes one
+        seeding derivation, read twice.  A pair communicates if it joins
+        two distinct VMs and they share a service or its generator's
+        first uniform is below ``background_fraction`` (every distinct
+        pair when ``dense``).  After the last block, the communicating
+        pairs' generators, reseeded from their blocks' states, make the
+        draws :meth:`pair_base_mb` makes: the talk test's uniform
+        (cross-service pairs, unless ``dense``), then ``uniform(1, 4)``,
+        then ``normal()``.  The rest is elementwise arithmetic in
+        :meth:`pair_base_mb`'s order; numpy's ``exp`` runs the same
+        inner loop on an array as on one scalar, so each base keeps
+        :meth:`pair_base_mb`'s bits (the volume tests compare with that
+        scalar loop).
         """
-        pairs = [np.empty((2, 0), dtype=np.int64)]
-        for start in range(0, rows.size, self.ROW_BLOCK):
-            block = rows[start : start + self.ROW_BLOCK]
-            src_ids, dst_ids = ids[block, None], ids[None, columns]
-            if self.dense:
-                talks = np.ones((block.size, columns.size), dtype=bool)
-            else:
-                uniforms = first_randoms(self.seed, "pair", src_ids, dst_ids)
-                talks = uniforms < self.background_fraction
-                talks |= services[block, None] == services[None, columns]
-            talks &= src_ids != dst_ids
-            talking_rows, talking_columns = np.nonzero(talks)
-            pairs.append(np.stack([block[talking_rows], columns[talking_columns]]))
-        return np.concatenate(pairs, axis=1)
-
-    def _pair_bases(
-        self, ids: np.ndarray, services: np.ndarray, src: np.ndarray, dst: np.ndarray
-    ) -> np.ndarray:
-        """:meth:`pair_base_mb` of the communicating pairs ``(src[k],
-        dst[k])``, by position.
-
-        One :func:`~repro.seeding.rngs_for` pass yields each pair's
-        generator, which makes the draws :meth:`pair_base_mb` makes: the
-        talk test's uniform (cross-service pairs, unless ``dense``),
-        then ``uniform(1, 4)``, then ``normal()``.  The rest is
-        elementwise arithmetic in :meth:`pair_base_mb`'s order; numpy's
-        ``exp`` runs the same inner loop on an array as on one scalar,
-        so each base keeps :meth:`pair_base_mb`'s bits (the volume tests
-        compare with that scalar loop).
-        """
-        cross = (services[src] != services[dst]) & (not self.dense)
+        if not arrived.size:
+            return
+        kept, src, dst = [], [], []
+        for rows, columns in self._candidate_blocks(ids.size, arrived, survivors):
+            src_ids, dst_ids = ids[rows, None], ids[None, columns]
+            states = seed_states(self.seed, "pair", src_ids, dst_ids)
+            talks = src_ids != dst_ids
+            if not self.dense:
+                talks &= (services[rows, None] == services[None, columns]) | (
+                    states.first_randoms() < self.background_fraction
+                )
+            picked = np.flatnonzero(talks)
+            # Keep only the talking pairs' states, so the next block's
+            # derivation does not run beside this one's arrays.
+            kept.append(states[picked])
+            talking_rows, talking_columns = np.divmod(picked, columns.size)
+            src.append(rows[talking_rows])
+            dst.append(columns[talking_columns])
+        src, dst = np.concatenate(src), np.concatenate(dst)
+        tested = (services[src] != services[dst]) & (not self.dense)
         sigma_sq = np.empty(src.size)
         normals = np.empty(src.size)
-        generators = rngs_for(self.seed, "pair", ids[src], ids[dst])
-        for index, (rng, tested) in enumerate(zip(generators, cross.tolist())):
-            if tested:
+        # One draw loop after the last block: a loop per block, between
+        # the blocks' array work, made a cold paper population ~8% slower.
+        generators = chain.from_iterable(states.generators() for states in kept)
+        for index, (rng, test) in enumerate(zip(generators, tested.tolist())):
+            if test:
                 rng.random()
             sigma_sq[index] = rng.uniform(1.0, 4.0)
             normals[index] = rng.normal()
         mu = np.log(MEAN_VOLUME_MB) - sigma_sq / 2.0
         bases = np.exp(mu + np.sqrt(sigma_sq) * normals)
-        bases[cross] *= self.background_scale
-        return bases
+        bases[tested] *= self.background_scale
+        base[src, dst] = bases
 
     def _population_arrays(
         self, vms: list[VirtualMachine]
@@ -254,14 +275,13 @@ class DataCorrelationProcess:
 
         The survivors -- the VMs also in the newest cached population --
         gather their pairs' base entries from that population's matrix
-        by vm id.  Only the pairs with an arrived VM are realized: the
-        arrived rows against every column, then the surviving rows
-        against the arrived columns (:meth:`_talking_pairs`), and the
-        communicating ones among them draw their bases
-        (:meth:`_pair_bases`).  A population with nothing cached before
-        it is the case with no survivors.  Cached per vm-id tuple: the
-        alive set changes slot to slot but repeats heavily, so this
-        runs once per population instead of twice per slot.
+        by vm id.  Only the pairs with an arrived VM are realized
+        (:meth:`_arrived_bases`): the arrived rows against every
+        column, then the surviving rows against the arrived columns.  A
+        population with nothing cached before it is the case with no
+        survivors.  Cached per vm-id tuple: the alive set changes slot
+        to slot but repeats heavily, so this runs once per population
+        instead of twice per slot.
         """
         key = tuple(vm.vm_id for vm in vms)
         cached = self._population_cache.get(key)
@@ -284,14 +304,7 @@ class DataCorrelationProcess:
         gathered = previous_rows[survivors]
         base = np.zeros((n, n))
         base[np.ix_(survivors, survivors)] = previous_base[np.ix_(gathered, gathered)]
-        src, dst = np.concatenate(
-            [
-                self._talking_pairs(ids, services, arrived, np.arange(n)),
-                self._talking_pairs(ids, services, survivors, arrived),
-            ],
-            axis=1,
-        )
-        base[src, dst] = self._pair_bases(ids, services, src, dst)
+        self._arrived_bases(base, ids, services, arrived, survivors)
         phase_index = (ids[:, None] * 31 + ids[None, :] * 17) % self.PHASE_MODULUS
         while len(self._population_cache) >= self.POPULATION_CACHE_SIZE:
             self._population_cache.pop(next(iter(self._population_cache)))

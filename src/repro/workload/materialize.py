@@ -15,7 +15,9 @@ which realized arrays are kept and for how long:
   :class:`~repro.sim.kernel.SlotKernel` reads.  It keeps the matrices
   of the two newest slots requested, which is all a lockstep group
   (:func:`~repro.sim.engine.run_lockstep`) reads: slot ``s - 1`` for
-  ``observe`` and slot ``s`` for ``step``.
+  ``observe`` and slot ``s`` for ``step``.  Each slot's demand rows
+  come from one provider batch, which reads the next slot's arrivals
+  ahead.
 * :func:`build_materialization` -- the one place a run's population,
   traces and volumes are built.
 
@@ -128,11 +130,16 @@ class WorkloadMaterialization:
     lockstep therefore compute each matrix once per group and hold it
     for one slot after.
 
-    Demand rows are reused within a slot: a demand miss copies the
-    rows it shares with the slot's newest kept matrix and asks the
-    provider for the rest in one ``slot_demand_many`` batch.  So
-    observing slot ``s`` over slot ``s + 1``'s alive set computes only
-    the newly arrived VMs' rows.
+    One provider batch per slot: a slot's first demand miss asks
+    ``slot_demand_many`` for its VMs' rows plus those of the VMs alive
+    next slot that it lacks, because the next slot's observation reads
+    them (Section IV-A's last-interval protocol), and keeps the whole
+    batch as the slot's newest matrix.  A later miss of the slot copies
+    the rows it shares with that matrix and asks the provider only for
+    the rest.  So observing slot ``s`` over slot ``s + 1``'s alive set
+    computes no rows, and a lagged run's batches hold exactly the rows
+    it reads; a clairvoyant run, which observes the current slot,
+    leaves the read-ahead rows unread.
 
     Served arrays are read-only: the engines of a group share them,
     which is only sound because policies never write observations.
@@ -194,30 +201,53 @@ class WorkloadMaterialization:
         """
         if not vms:
             return np.zeros((0, self.config.steps_per_slot))
-        key = (slot, tuple(vm.vm_id for vm in vms))
-        matrix = self._demand.get(key)
+        ids = tuple(vm.vm_id for vm in vms)
+        matrix = self._demand.get((slot, ids))
         if matrix is not None:
             self.hits += 1
             return matrix
         self.misses += 1
-        kept = self._keeps(slot)
-        matrix = _freeze(self._fresh_demand(vms, slot))
-        if kept:
-            self._demand[key] = matrix
+        if not self._keeps(slot):
+            return _freeze(self.traces.slot_demand_many(vms, slot))
+        newest = next(
+            (
+                (kept_ids, kept)
+                for (kept_slot, kept_ids), kept in reversed(self._demand.items())
+                if kept_slot == slot
+            ),
+            None,
+        )
+        if newest is None:
+            return self._first_batch(vms, ids, slot)
+        matrix = _freeze(self._gathered(vms, slot, *newest))
+        self._demand[(slot, ids)] = matrix
         return matrix
 
-    def _fresh_demand(self, vms, slot: int) -> np.ndarray:
+    def _first_batch(self, vms, ids: tuple, slot: int) -> np.ndarray:
+        """The slot's one provider batch: ``vms``' rows, plus those of
+        the VMs alive next slot that ``vms`` lacks, which the next
+        slot's observation reads (Section IV-A's last-interval
+        protocol).  Keeps the view of ``vms``' rows, then the whole
+        batch as the slot's newest matrix, and returns the view."""
+        batch = list(vms)
+        if slot + 1 < self.config.horizon_slots:
+            known = set(ids)
+            batch += [
+                vm for vm in self.population.alive(slot + 1)
+                if vm.vm_id not in known
+            ]
+        full = _freeze(self.traces.slot_demand_many(batch, slot))
+        matrix = self._demand[(slot, ids)] = full[: len(vms)]
+        if len(batch) > len(vms):
+            self._demand[(slot, tuple(vm.vm_id for vm in batch))] = full
+        return matrix
+
+    def _gathered(self, vms, slot: int, kept_ids, kept) -> np.ndarray:
         """The rows the slot's newest kept matrix shares; one provider
         batch for the rest."""
-        rows: dict[int, int] = {}
-        for (kept_slot, kept_ids), kept in reversed(self._demand.items()):
-            if kept_slot == slot:
-                rows = {vm_id: row for row, vm_id in enumerate(kept_ids)}
-                break
-        shared = [index for index, vm in enumerate(vms) if vm.vm_id in rows]
-        if not shared:
-            return self.traces.slot_demand_many(vms, slot)
+        rows = {vm_id: row for row, vm_id in enumerate(kept_ids)}
         matrix = np.empty((len(vms), self.config.steps_per_slot))
+        shared = [index for index, vm in enumerate(vms) if vm.vm_id in rows]
         matrix[shared] = kept[[rows[vms[index].vm_id] for index in shared]]
         missing = [
             index for index, vm in enumerate(vms) if vm.vm_id not in rows

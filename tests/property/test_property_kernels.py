@@ -157,6 +157,15 @@ class TestKMeans:
         assert result.assignment.tolist() == [0, 1]
 
 
+#: Step counts on both sides of the pruning depth k = min(T, 24, max(8,
+#: T // 5)): up to 8 steps every step is kept; 9 and 30 keep 8, 60
+#: keeps 12 and 97 keeps 19.
+PRUNING_STEPS = [1, 7, 8, 9, 30, 60, 97]
+
+#: Row counts across the 64-row block.
+PRUNING_ROWS = [0, 1, 2, 63, 64, 65, 130]
+
+
 class TestRepulsion:
     @given(
         traces=st.integers(0, 12).flatmap(
@@ -175,6 +184,65 @@ class TestRepulsion:
         result = peak_coincidence(traces)
         assert np.array_equal(result, oracles.peak_coincidence(traces))
         assert np.array_equal(result, result.T)
+
+    @given(
+        data=st.data(),
+        n=st.sampled_from(PRUNING_ROWS),
+        steps=st.sampled_from(PRUNING_STEPS),
+        pattern=st.sampled_from(["ties", "reals", "spikes"]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_pruned_equals_oracle(self, data, n, steps, pattern):
+        """Step counts on both sides of the pruning depth and row counts
+        across a row block, with ties, all-zero rows, equal rows and
+        one-step spikes."""
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        if pattern == "ties":
+            traces = rng.choice([0.0, 0.5, 1.0, 2.5], size=(n, steps))
+        elif pattern == "reals":
+            traces = rng.uniform(0.0, 10.0, size=(n, steps))
+        else:
+            traces = rng.uniform(0.0, 0.1, size=(n, steps))
+            traces[np.arange(n), rng.integers(0, steps, size=n)] = 5.0
+        if n:
+            zeros = rng.random(n) < data.draw(st.sampled_from([0.0, 0.2, 1.0]))
+            traces[zeros] = 0.0
+            copies = rng.random(n) < data.draw(st.sampled_from([0.0, 0.3]))
+            traces[copies] = traces[rng.integers(0, n)]
+        result = peak_coincidence(traces)
+        assert np.array_equal(result, oracles.peak_coincidence(traces))
+        assert np.array_equal(result, result.T)
+
+    def test_pruned_at_paper_resolution(self):
+        """720 steps (the paper's slot): AR(1) traces with a diurnal
+        bump, across two row blocks."""
+        rng = np.random.default_rng(720)
+        noise = rng.normal(0.0, 0.05, size=(130, 720))
+        for step in range(1, 720):
+            noise[:, step] += 0.9 * noise[:, step - 1]
+        bump = np.sin(np.linspace(0.0, np.pi, 720))
+        shifts = rng.integers(0, 720, size=130)
+        traces = np.clip(
+            0.4 + 0.3 * np.array([np.roll(bump, shift) for shift in shifts]) + noise,
+            0.0,
+            1.0,
+        )
+        result = peak_coincidence(traces)
+        assert np.array_equal(result, oracles.peak_coincidence(traces))
+        assert np.array_equal(result, result.T)
+
+    def test_full_scan_when_the_threshold_fails(self):
+        """Each row's largest steps are where the other row is zero, and
+        the combined peak lies off both: the best sum over the top
+        steps (10) falls short of fl(q_i + q_j) = 20, so the pair scans
+        every step and finds 19."""
+        traces = np.zeros((2, 40))
+        traces[0, :8] = 10.0
+        traces[1, 8:16] = 10.0
+        traces[:, 20] = 9.5
+        result = peak_coincidence(traces)
+        assert np.array_equal(result, oracles.peak_coincidence(traces))
+        assert result[0, 1] == result[1, 0] == 19.0 / 20.0
 
     def test_repulsion_zero_diagonal(self):
         traces = np.array([[0.0, 0.0], [1.0, 2.0], [2.0, 1.0]])

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.seeding import first_randoms, rng_for, rngs_for, seed_sequence
+from repro.seeding import rng_for, rngs_for, seed_sequence, seed_states
 
 
 def test_same_tags_same_stream():
@@ -41,7 +41,7 @@ def test_empty_parts_rejected():
     with pytest.raises(ValueError):
         seed_sequence()
     with pytest.raises(ValueError):
-        first_randoms()
+        seed_states()
 
 
 def test_order_matters():
@@ -55,9 +55,9 @@ def test_float_tags_rejected():
     with pytest.raises(TypeError):
         rng_for(1, 2.7)
     with pytest.raises(TypeError):
-        first_randoms(1, 2.0)
+        seed_states(1, 2.0)
     with pytest.raises(TypeError):
-        first_randoms(1, np.array([2.0, 3.0]))
+        seed_states(1, np.array([2.0, 3.0]))
     with pytest.raises(TypeError):
         next(rngs_for(1, np.array([0.5])))
 
@@ -85,7 +85,8 @@ def scalar_tuples(parts, shape):
 
 
 class TestBatchedSeeding:
-    """``first_randoms`` and ``rngs_for`` equal ``rng_for`` per tuple."""
+    """Both readings of one derivation, for every tuple and for a
+    selection, and ``rngs_for``, equal ``rng_for`` per tuple."""
 
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
@@ -115,14 +116,38 @@ class TestBatchedSeeding:
         shape = np.broadcast_shapes(
             *(part.shape for part in parts if isinstance(part, np.ndarray))
         )
-        uniforms = first_randoms(*parts)
+        states = seed_states(*parts)
+        uniforms = states.first_randoms()
         assert uniforms.shape == shape
         size = data.draw(st.integers(0, 4))
         generators = rngs_for(*parts)
-        for index, tags in zip(np.ndindex(*shape), scalar_tuples(parts, shape)):
+        tuples = list(scalar_tuples(parts, shape))
+        for index, tags in zip(np.ndindex(*shape), tuples):
             assert uniforms[index] == rng_for(*tags).random()
             expected = rng_for(*tags)
             rng = next(generators)
             assert np.array_equal(rng.normal(size=size), expected.normal(size=size))
             assert rng.random() == expected.random()
         assert next(generators, None) is None
+        # A selection reads the selected tuples, in the selection's order.
+        flat = int(np.prod(shape))
+        mask = np.array(
+            data.draw(st.lists(st.booleans(), min_size=flat, max_size=flat)),
+            dtype=bool,
+        )
+        positions = np.array(
+            data.draw(st.lists(st.integers(0, max(flat - 1, 0)), max_size=flat)),
+            dtype=np.int64,
+        )
+        for selection in (mask, positions):
+            picked = states[selection]
+            chosen = np.arange(flat)[selection]
+            assert picked.shape == chosen.shape
+            selected = picked.generators()
+            for position, uniform in zip(chosen, picked.first_randoms()):
+                expected = rng_for(*tuples[position])
+                assert uniform == expected.random()
+                rng = next(selected)
+                rng.random()
+                assert rng.normal() == expected.normal()
+            assert next(selected, None) is None

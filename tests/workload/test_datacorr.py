@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from tests.conftest import make_vm
 from tests.oracles import LoopVolumes
 from repro.experiments.runner import default_policies
-from repro.seeding import first_randoms
+from repro.seeding import seed_states
 from repro.sim.config import scaled_config
 from repro.sim.engine import SimulationEngine
 from repro.workload import datacorr
@@ -275,18 +275,27 @@ class TestVectorizedEquivalence:
             )
             last = vms
 
-    def test_first_uniforms_only_for_arrived_pairs(self, monkeypatch):
-        """Over a 12-slot tiny run, each new population passes
-        ``first_randoms`` exactly its pairs with an arrived VM: n^2 -
-        s^2 tuples for n VMs of which s survive from the newest cached
-        population."""
+    @pytest.mark.parametrize(
+        "scale, horizon, policy",
+        [("tiny", 12, 0), ("small", 24, 2)],
+        ids=["tiny", "small"],
+    )
+    def test_derivations_per_new_population(
+        self, scale, horizon, policy, monkeypatch
+    ):
+        """Over a whole run, each new population derives the seeding
+        states of exactly its pairs with an arrived VM -- n^2 - s^2
+        tuples for n VMs of which s survive from the newest cached
+        population -- in derivations of at most ROW_BLOCK * n tuples,
+        and in at most two (one per candidate part) whenever they all
+        fit in one."""
         populations: list[tuple[int, int]] = []
-        passed: list[int] = []
+        derived: list[list[int]] = []
 
-        def counted_uniforms(*parts):
-            shape = np.broadcast_shapes(*(np.shape(part) for part in parts))
-            passed[-1] += int(np.prod(shape))
-            return first_randoms(*parts)
+        def counted_states(*parts):
+            states = seed_states(*parts)
+            derived[-1].append(int(np.prod(states.shape)))
+            return states
 
         population_arrays = DataCorrelationProcess._population_arrays
 
@@ -295,17 +304,29 @@ class TestVectorizedEquivalence:
             if key not in process._population_cache:
                 previous = set(next(reversed(process._population_cache), ()))
                 populations.append((len(key), len(previous.intersection(key))))
-                passed.append(0)
+                derived.append([])
             return population_arrays(process, vms)
 
-        monkeypatch.setattr(datacorr, "first_randoms", counted_uniforms)
+        monkeypatch.setattr(datacorr, "seed_states", counted_states)
         monkeypatch.setattr(
             DataCorrelationProcess, "_population_arrays", counted_population
         )
-        config = scaled_config("tiny").with_horizon(12)
-        SimulationEngine(config, default_policies()[0]).run()
-        assert passed == [n**2 - survivors**2 for n, survivors in populations]
+        config = scaled_config(scale).with_horizon(horizon)
+        SimulationEngine(config, default_policies()[policy]).run()
+        block = DataCorrelationProcess.ROW_BLOCK
+        for (n, survivors), sizes in zip(populations, derived, strict=True):
+            candidates = n**2 - survivors**2
+            assert sum(sizes) == candidates
+            assert all(0 < size <= block * n for size in sizes)
+            if candidates <= block * n:
+                assert len(sizes) <= 2
         assert sum(survivors > 0 for _, survivors in populations) > 2
+        if scale == "small":
+            # A few arrivals among ~126 VMs: every population after the
+            # first takes at most two derivations; the cold first one
+            # spans more than one block.
+            assert all(len(sizes) <= 2 for sizes in derived[1:])
+            assert len(derived[0]) > 1
 
     def test_population_cache_bounded(self):
         process = DataCorrelationProcess(seed=9)

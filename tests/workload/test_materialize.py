@@ -223,30 +223,57 @@ class TestSlotDataCache:
         monkeypatch.setattr(mat.traces, "slot_demand_many", counted)
         return asked
 
+    def ahead(self, mat, vms, slot) -> int:
+        """Rows a first batch of ``(vms, slot)`` reads ahead: the VMs
+        alive next slot that ``vms`` lacks."""
+        if slot + 1 >= mat.config.horizon_slots:
+            return 0
+        return sum(vm not in vms for vm in mat.population.alive(slot + 1))
+
     @pytest.mark.parametrize("dropped", [False, True], ids=["kept", "unkept"])
     def test_rows_reused_within_a_slot(self, dropped, monkeypatch):
-        """A miss copies the rows it shares with the slot's kept matrix
-        and asks the provider only for the rest; a kept matrix of
-        another slot gives it no rows, and once two newer slots have
-        dropped the slot's matrix every row is asked for again."""
-        mat = self.materialized()
+        """A slot's first batch also asks for the rows of the VMs alive
+        next slot that it lacks.  A later miss of the slot copies the
+        rows it shares with the slot's newest kept matrix and asks the
+        provider only for the rest; a kept matrix of another slot gives
+        it no rows, and once two newer slots have dropped the slot's
+        matrices every row is asked for again."""
+        mat = self.materialized(horizon=4)
         asked = self.counted_demand(mat, monkeypatch)
-        vms = mat.population.alive(0)
+        population = mat.population
+        vms = population.alive(0)
         assert len(vms) >= 2
-        newcomer = mat.population.alive(1)[-1]
+        newcomer = population.alive(1)[-1]
         assert newcomer not in vms
+        # Alive at neither slot 0 nor slot 1: no batch of slot 0 has it.
+        late = population.alive(3)[-1]
+        assert late not in vms + population.alive(1)
         full = mat.demand(vms, 0)
         mat.demand(vms, 1)
         if dropped:
             mat.demand(vms, 2)
-        grown = mat.demand(vms[:-1] + [newcomer], 0)
-        reused = 0 if dropped else len(vms) - 1
-        assert asked == [len(vms)] * (2 + dropped) + [len(vms) - reused]
-        assert np.array_equal(grown[:-1], full[:-1])
-        assert np.array_equal(
-            grown[-1], mat.traces.slot_demand(newcomer, 0)
-        )
+        grown = mat.demand(vms[:-1] + [newcomer, late], 0)
+        first_batches = [
+            len(vms) + self.ahead(mat, vms, slot) for slot in range(2 + dropped)
+        ]
+        assert first_batches[0] > len(vms)
+        rest = len(vms) + 1 if dropped else 1
+        assert asked == first_batches + [rest]
+        assert np.array_equal(grown[:-2], full[:-1])
+        assert np.array_equal(grown[-2], mat.traces.slot_demand(newcomer, 0))
+        assert np.array_equal(grown[-1], mat.traces.slot_demand(late, 0))
         assert mat.misses == 3 + dropped
+
+    def test_observing_a_slot_computes_no_rows(self, monkeypatch):
+        """Observing slot s over slot s + 1's alive set, after slot s's
+        own batch, asks the provider for nothing."""
+        mat = self.materialized()
+        asked = self.counted_demand(mat, monkeypatch)
+        for slot in range(mat.config.horizon_slots):
+            if slot:
+                mat.demand(mat.population.alive(slot), slot - 1)
+            mat.demand(mat.population.alive(slot), slot)
+        assert len(asked) == mat.config.horizon_slots
 
     def test_rows_never_cross_the_budget(self, monkeypatch):
         """The window is the materialization's memory budget, and rows
@@ -258,7 +285,8 @@ class TestSlotDataCache:
         mat.demand(vms, 1)
         mat.demand(vms, 2)  # the window now holds slots 1 and 2
         served = mat.demand(vms[:-1], 0)
-        assert asked == [len(vms), len(vms), len(vms) - 1]
+        ahead = self.ahead(mat, vms, 1)
+        assert asked == [len(vms) + ahead, len(vms), len(vms) - 1]
         fresh = self.materialized().demand(vms, 0)
         assert np.array_equal(served, fresh[:-1])
         assert held_slots(mat) == {1, 2}
@@ -408,15 +436,17 @@ class TestProviderWork:
     running it: ``slot_demand_many`` rows and calls, and
     ``DataCorrelationProcess.volumes`` calls.  A four-policy lockstep
     group, through the engine or the orchestrator, costs what one
-    standalone run does."""
+    standalone run does.  Every run makes one demand batch per slot,
+    which reads the next slot's arrivals ahead; a clairvoyant run,
+    which observes the current slot, never reads those 21 rows."""
 
     @pytest.mark.parametrize(
         "run, expected",
         [
-            (run_standalone, {"rows": 301, "calls": 17, "volumes": 22}),
-            (run_orchestrated, {"rows": 301, "calls": 17, "volumes": 22}),
-            (run_clairvoyant, {"rows": 280, "calls": 12, "volumes": 12}),
-            (run_lockstep_group, {"rows": 301, "calls": 17, "volumes": 22}),
+            (run_standalone, {"rows": 301, "calls": 12, "volumes": 22}),
+            (run_orchestrated, {"rows": 301, "calls": 12, "volumes": 22}),
+            (run_clairvoyant, {"rows": 301, "calls": 12, "volumes": 12}),
+            (run_lockstep_group, {"rows": 301, "calls": 12, "volumes": 22}),
         ],
         ids=["standalone", "orchestrated", "clairvoyant", "lockstep"],
     )
@@ -438,6 +468,30 @@ class TestProviderWork:
         monkeypatch.setattr(DataCorrelationProcess, "volumes", counted_volumes)
         run(scaled_config("tiny").with_horizon(12))
         assert work == expected
+
+
+def test_lockstep_group_asks_one_batch_per_slot(monkeypatch):
+    """A four-policy lockstep group makes one ``slot_demand_many`` call
+    per slot, and asks for each (vm, slot) row the run reads exactly
+    once: slot s's alive VMs, and slot s + 1's arrivals, which slot s +
+    1's observation reads at slot s."""
+    calls = []
+    demand_many = TraceLibrary.slot_demand_many
+
+    def counted_demand(library, vms, slot):
+        calls.append((slot, [vm.vm_id for vm in vms]))
+        return demand_many(library, vms, slot)
+
+    monkeypatch.setattr(TraceLibrary, "slot_demand_many", counted_demand)
+    config = scaled_config("tiny").with_horizon(12)
+    run_policies(config, default_policies())
+    assert [slot for slot, _ in calls] == list(range(12))
+    population = build_materialization(config, None).population
+    for slot, ids in calls:
+        read = {vm.vm_id for vm in population.alive(slot)}
+        if slot + 1 < 12:
+            read |= {vm.vm_id for vm in population.alive(slot + 1)}
+        assert sorted(ids) == sorted(read)
 
 
 def test_two_populations_build_as_many_as_eight(monkeypatch):
